@@ -38,14 +38,9 @@ Quick start::
     receipt = handle.wait()
     moved = client.move(receipt.return_value,
                         source_chain=1, target_chain=2).wait()
-
-Deprecated aliases (old code keeps importing, with a
-:class:`DeprecationWarning`): ``QueueFull`` → :class:`ShedByClass`.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.api.authoring import (
     AccountI,
@@ -140,22 +135,3 @@ __all__ = (
     + list(observation.__all__)
     + list(errors.__all__)
 )
-
-#: old facade name -> (replacement name, replacement object).  The old
-#: spelling keeps importing — with a DeprecationWarning pointing at the
-#: new one — for one deprecation cycle.
-_DEPRECATED = {
-    "QueueFull": ("ShedByClass", ShedByClass),
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        replacement, value = _DEPRECATED[name]
-        warnings.warn(
-            f"repro.api.{name} is deprecated; use repro.api.{replacement}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

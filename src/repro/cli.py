@@ -174,7 +174,6 @@ def _cmd_gateway(args) -> int:
     limits = GatewayLimits(
         max_queue_depth=args.queue,
         rate_limit=args.rate_limit,
-        shed_policy=args.policy,
     )
     workload = GatewayWorkload(
         clients=args.clients,
@@ -188,7 +187,7 @@ def _cmd_gateway(args) -> int:
         return 0
     print(f"{report.clients} clients x {args.rate:.2f} tx/s offered "
           f"({report.offered_rate:.0f}/s aggregate) for {report.duration:.0f}s, "
-          f"queue bound {args.queue}, policy {args.policy}")
+          f"queue bound {args.queue}")
     print(f"  submitted  : {report.submitted}")
     print(f"  confirmed  : {report.confirmed} ({report.throughput:.1f} tx/s)")
     shed = ", ".join(f"{code}={n}" for code, n in sorted(report.shed.items())) or "none"
@@ -213,7 +212,6 @@ def _cmd_gateway_fleet(args) -> int:
         batch_size=16,
         flush_interval=0.5,
         rate_limit=args.rate_limit,
-        shed_policy=args.policy,
         mempool_headroom=4,
     )
     workload = FleetWorkload(
@@ -229,7 +227,7 @@ def _cmd_gateway_fleet(args) -> int:
         return 0
     print(f"{report.clients} Zipf clients through {report.replicas} replicas, "
           f"{report.offered_rate:.0f} tx/s aggregate for {report.duration:.0f}s, "
-          f"queue bound {args.queue}/replica, policy {args.policy}")
+          f"queue bound {args.queue}/replica")
     print(f"  submitted  : {report.submitted}")
     print(f"  confirmed  : {report.confirmed} ({report.throughput:.1f} tx/s)")
     shed = ", ".join(
@@ -602,7 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument("--queue", type=int, default=1024, help="admission queue bound")
     gateway.add_argument("--rate-limit", type=float, default=0.0,
                          help="per-client sustained tx/s (0 disables)")
-    gateway.add_argument("--policy", choices=["shed", "block"], default="shed")
     gateway.add_argument("--replicas", type=int, default=1,
                          help="gateway replicas (>1 runs the Zipf fleet workload)")
     gateway.add_argument("--json", action="store_true", help="machine-readable output")

@@ -148,7 +148,7 @@ class Overloaded(GatewayError):
     """The gateway shed the request under load (backpressure).
 
     The base of the shed taxonomy: admission queues at their bound
-    (:class:`QueueFull`) and rate limiting (:class:`RateLimited`) both
+    (:class:`ShedByClass`) and rate limiting (:class:`RateLimited`) both
     derive from it, so ``except Overloaded`` catches every shed."""
 
     code = "overloaded"
@@ -166,9 +166,6 @@ class ShedByClass(Overloaded):
     ``chain_id`` the queue it was dropped from — accounting follows the
     victim, never the trigger.  The wire code stays ``"queue_full"``
     so existing clients keep branching correctly.
-
-    ``QueueFull`` is the pre-fleet name for this rejection and remains
-    an alias (deprecated at the :mod:`repro.api` facade).
     """
 
     code = "queue_full"
@@ -196,11 +193,6 @@ class ShedByClass(Overloaded):
         if self.shed_class is not None:
             payload["shed_class"] = self.shed_class
         return payload
-
-
-#: Deprecated alias (PR 5 name); importable plainly here for internal
-#: raisers, with a DeprecationWarning at the repro.api facade.
-QueueFull = ShedByClass
 
 
 class RateLimited(Overloaded):

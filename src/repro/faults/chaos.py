@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.chain.chain import Chain
 from repro.chain.params import burrow_params, ethereum_params
-from repro.chain.tx import CallPayload, DeployPayload, Move1Payload, Move2Payload, sign_transaction
+from repro.chain.tx import CallPayload, DeployPayload, sign_transaction
 from repro.consensus.pow import PowEngine
 from repro.consensus.tendermint import TendermintEngine
 from repro.core.registry import ChainRegistry
@@ -49,6 +49,7 @@ from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import FaultPlan
 from repro.net.sim import Simulator
 from repro.net.transport import Network
+from repro.ibc.bridge import MovePhases, drive_move
 from repro.ibc.headers import HeaderRelay
 from repro.telemetry import Telemetry
 
@@ -205,20 +206,16 @@ class ChaosWorld:
         for engine in self.engines.values():
             engine.start()
 
-    def submit(self, chain_id: int, tx) -> None:
-        """Hand ``tx`` to a chain's mempool after client-side latency."""
+    def submit(self, chain_id: int, tx, on_receipt, _on_reject=None) -> None:
+        """Hand ``tx`` to a chain's mempool after client-side latency;
+        ``on_receipt(receipt)`` fires on inclusion."""
         chain = self.chains[chain_id]
+        chain.wait_for(tx.tx_id, on_receipt)
         self.sim.schedule(SUBMIT_LATENCY, lambda: chain.submit(tx))
 
     def run_tx(self, chain_id: int, keypair: KeyPair, payload, callback) -> None:
         """Sign, submit and invoke ``callback(receipt)`` on inclusion."""
-        tx = sign_transaction(keypair, payload)
-        self.chains[chain_id].wait_for(tx.tx_id, callback)
-        self.submit(chain_id, tx)
-
-    # ------------------------------------------------------------------
-    # The Move loop (with the Move2 retry a real relayer client has)
-    # ------------------------------------------------------------------
+        self.submit(chain_id, sign_transaction(keypair, payload), callback)
 
     def move(
         self,
@@ -226,90 +223,39 @@ class ChaosWorld:
         target_id: int,
         on_done: Callable[[bool], None],
     ) -> None:
-        """Move the actor's contract to ``target_id``; ``on_done(ok)``."""
-        source_id = actor.location
-        source = self.chains[source_id]
-        target = self.chains[target_id]
+        """Move the actor's contract to ``target_id``; ``on_done(ok)``.
+        The shared driver, with the Move2 retry a real relayer client
+        has and no completion stage (actors act on their own clock)."""
         self.report.moves_started += 1
         actor.busy = True
-        tracer = self.telemetry.tracer
-        root = tracer.start_trace(
-            "move", source_chain=source_id, target_chain=target_id
-        )
-        live = {"span": tracer.start_span("move1", root, chain=source_id)}
+        phases = MovePhases(actor.contract, actor.location, target_id, self.sim.now)
 
-        def finish(ok: bool) -> None:
+        def retry(attempt: int) -> Optional[float]:
+            if attempt >= MOVE2_MAX_RETRIES or self.sim.now >= self.deadline:
+                return None
+            self.report.move2_retries += 1
+            return MOVE2_RETRY_DELAY
+
+        def done(_rejection) -> None:
             actor.busy = False
-            if ok:
+            if phases.success:
                 actor.location = target_id
                 self.report.moves_completed += 1
-                root.end(success=True)
             else:
                 self.report.moves_abandoned += 1
-                root.end(success=False)
-            on_done(ok)
+            on_done(phases.success)
 
-        def after_move1(receipt) -> None:
-            if not receipt.success:
-                live["span"].end(success=False)
-                finish(False)
-                return
-            inclusion = receipt.block_height
-            ready = source.proof_ready_height(inclusion)
-            live["span"].end(success=True)
-            live["span"] = tracer.start_span(
-                "confirm.wait", root, chain=source_id, ready_height=ready
-            )
-            tracer.watch_header(root, source_id, ready, observer=target_id)
-
-            def when_ready(block, _receipts) -> None:
-                if block.height >= ready:
-                    source.unsubscribe(when_ready)
-                    try_move2(inclusion, 0)
-
-            if source.height >= ready:
-                try_move2(inclusion, 0)
-            else:
-                source.subscribe(when_ready)
-
-        def try_move2(inclusion: int, attempt: int) -> None:
-            if attempt == 0:
-                live["span"].end(success=True)
-            live["span"] = tracer.start_span("proof.build", root, chain=source_id)
-            bundle = source.prove_contract_at(actor.contract, inclusion)
-            live["span"].end(success=True, proof_bytes=bundle.size_bytes())
-            live["span"] = tracer.start_span(
-                "move2", root, chain=target_id, attempt=attempt
-            )
-
-            def after_move2(receipt) -> None:
-                if receipt.success:
-                    live["span"].end(success=True)
-                    finish(True)
-                    return
-                # The target's light client has not (or no longer)
-                # trusts the proven root — retry once headers flow.
-                live["span"].end(success=False)
-                if attempt >= MOVE2_MAX_RETRIES or self.sim.now >= self.deadline:
-                    finish(False)
-                    return
-                self.report.move2_retries += 1
-                self.sim.schedule(
-                    MOVE2_RETRY_DELAY, lambda: try_move2(inclusion, attempt + 1)
-                )
-
-            tx = sign_transaction(actor.keypair, Move2Payload(bundle=bundle))
-            tracer.inject(live["span"], tx.meta)
-            target.wait_for(tx.tx_id, after_move2)
-            self.submit(target_id, tx)
-
-        move1 = sign_transaction(
+        drive_move(
+            self.sim,
+            self.telemetry.tracer,
+            self.chains[actor.location],
             actor.keypair,
-            Move1Payload(contract=actor.contract, target_chain=target_id),
+            phases,
+            self.submit,
+            done,
+            completions=None,
+            move2_retry=retry,
         )
-        tracer.inject(live["span"], move1.meta)
-        source.wait_for(move1.tx_id, after_move1)
-        self.submit(source_id, move1)
 
 
 # ----------------------------------------------------------------------

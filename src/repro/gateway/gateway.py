@@ -20,14 +20,14 @@ cross-chain moves — enters through :meth:`Gateway.submit` /
 * **micro-batching** — a flush loop pours queued transactions into the
   chain mempools every ``limits.flush_interval`` simulated seconds, up
   to ``limits.batch_size`` per chain per flush;
-* **backpressure** — past the bound the shed policy applies: ``"shed"``
-  rejects with a typed :class:`~repro.errors.ShedByClass` attributed to
-  the entry actually dropped (victim, not enqueuer); ``"block"`` parks
-  the request in a bounded overflow lot that drains as blocks commit.
-  Flushes are metered against the chain's mempool headroom — shared
-  fleet-wide through an :class:`~repro.gateway.budget.AdmissionBudget`
-  when this gateway is a :class:`~repro.gateway.fleet.GatewayFleet`
-  replica;
+* **backpressure** — past the bound a request is shed by class: a
+  typed :class:`~repro.errors.ShedByClass` attributed to the entry
+  actually dropped (victim, not enqueuer).  Only a served move's own
+  mid-move transactions park instead, in a bounded overflow lot that
+  drains as flushes free slots.  Flushes are metered against the
+  chain's mempool headroom — shared fleet-wide through an
+  :class:`~repro.gateway.budget.AdmissionBudget` when this gateway is
+  a :class:`~repro.gateway.fleet.GatewayFleet` replica;
 * **rate limiting** — a per-client token bucket
   (:class:`~repro.gateway.limits.TokenBucket`) sheds with
   :class:`~repro.errors.RateLimited` past the configured rate;
@@ -61,23 +61,15 @@ admissions, flushes and sheds feed the shared
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, Optional, Sequence, Tuple, Union
 
 from repro.chain.chain import Chain
-from repro.chain.tx import (
-    BytecodeCallPayload,
-    CallPayload,
-    Move1Payload,
-    Move2Payload,
-    Transaction,
-    sign_transaction,
-)
+from repro.chain.tx import BytecodeCallPayload, CallPayload, Move1Payload, Transaction
 from repro.crypto.keys import Address, KeyPair
 from repro.errors import (
     CodeNotFound,
     GatewayError,
     InvalidRequest,
-    ProofError,
     RateLimited,
     ReadOnlyReplicaError,
     RequestTimeout,
@@ -94,7 +86,7 @@ from repro.gateway.handles import (
 )
 from repro.gateway.limits import GatewayLimits, TokenBucket
 from repro.gateway.subscription import Subscription, SubscriptionHub
-from repro.ibc.bridge import CompletionFactory, MovePhases
+from repro.ibc.bridge import CompletionFactory, MovePhases, drive_move
 from repro.node.node import Node
 from repro.statedb.receipts import Receipt
 from repro.telemetry import Telemetry
@@ -122,7 +114,7 @@ class Gateway:
             )
             for chain_id in node.chains
         }
-        #: per-chain overflow lot for the "block" policy and mid-move txs
+        #: per-chain overflow lot for mid-move transactions
         self._blocked: Dict[int, Deque[QueueEntry]] = {
             chain_id: deque() for chain_id in node.chains
         }
@@ -321,7 +313,7 @@ class Gateway:
         handle.tx_id = tx.tx_id
         handle.admitted_at = now
         entry = QueueEntry(tx=tx, handle=handle, cls=cls, client=client_id, at=now)
-        self._enqueue(entry, chain_id, park=self.limits.shed_policy == "block")
+        self._enqueue(entry, chain_id, park=False)
         if key is not None:
             # Bind only after admission succeeded: a shed or rejected
             # request must not wedge its key, so a retry after a
@@ -411,21 +403,13 @@ class Gateway:
         if not result.admitted:
             blocked = self._blocked[chain_id]
             if not park or len(blocked) >= self.limits.max_blocked:
-                # Here the dropped entry IS the newcomer, so the shed
-                # metric charges its class/client — the same
-                # victim-attribution rule _shed_victim applies when an
-                # eviction drops somebody else instead.
-                self._m_class_shed[(chain_id, entry.cls)].inc()
-                self._note("shed", chain_id, entry)
-                raise ShedByClass(
-                    f"chain {chain_id} admission queue at bound "
-                    f"({self.limits.max_queue_depth} queued"
+                # Here the dropped entry IS the newcomer.
+                raise self._shed(
+                    entry,
+                    chain_id,
+                    f"admission queue at bound ({self.limits.max_queue_depth} queued"
                     + (f", {len(blocked)} parked" if park else "")
-                    + f") with no class below {entry.cls.label} to evict; "
-                    "retry after the next flush",
-                    shed_class=entry.cls.label,
-                    shed_client=entry.client,
-                    chain_id=chain_id,
+                    + f") with no class below {entry.cls.label} to evict",
                 )
             blocked.append(entry)
             entry.handle.status = QUEUED
@@ -434,35 +418,31 @@ class Gateway:
             self._note("park", chain_id, entry)
             return
         if result.victim is not None:
-            self._shed_victim(result.victim, chain_id, evicted_by=entry)
+            why = (
+                f"queue slot reclaimed by a {entry.cls.label}-class arrival "
+                f"({self.limits.max_queue_depth} queued)"
+            )
+            self._reject(result.victim.handle, self._shed(result.victim, chain_id, why))
         entry.handle.status = QUEUED
         self._m_admitted[chain_id].inc()
         self._m_class_admitted[(chain_id, entry.cls)].inc()
         self._note("admit", chain_id, entry)
         self._note_depth(chain_id)
 
-    def _shed_victim(
-        self, victim: QueueEntry, chain_id: int, evicted_by: QueueEntry
-    ) -> None:
-        """Fail an evicted entry with the shed attributed to *it* — the
-        class/client that actually lost the slot — not to the higher-
-        class arrival that triggered the eviction.  (The PR 5 parked-
-        drain path charged the enqueuer; the classed queue unifies the
-        accounting with the peak-depth bookkeeping: whoever leaves the
-        queue without flushing is whom the shed metric names.)"""
-        self._m_class_shed[(chain_id, victim.cls)].inc()
-        self._note("shed", chain_id, victim)
-        self._reject(
-            victim.handle,
-            ShedByClass(
-                f"chain {chain_id} queue slot reclaimed by a "
-                f"{evicted_by.cls.label}-class arrival "
-                f"({self.limits.max_queue_depth} queued); retry after the "
-                "next flush",
-                shed_class=victim.cls.label,
-                shed_client=victim.client,
-                chain_id=chain_id,
-            ),
+    def _shed(self, dropped: QueueEntry, chain_id: int, why: str) -> ShedByClass:
+        """The typed queue shed, attributed to the entry actually
+        dropped — the class/client that lost the slot, whether a
+        newcomer that found no lower class to evict or the victim of a
+        higher-class arrival — never to whoever triggered the drop:
+        whoever leaves the queue without flushing is whom the shed
+        metric names."""
+        self._m_class_shed[(chain_id, dropped.cls)].inc()
+        self._note("shed", chain_id, dropped)
+        return ShedByClass(
+            f"chain {chain_id} {why}; retry after the next flush",
+            shed_class=dropped.cls.label,
+            shed_client=dropped.client,
+            chain_id=chain_id,
         )
 
     def _note(self, kind: str, chain_id: int, entry: QueueEntry) -> None:
@@ -489,19 +469,23 @@ class Gateway:
         """High-water mark per chain queue (bound audits read this)."""
         return {c: q.peak_depth for c, q in self._queues.items()}
 
-    def _retire_key(self, table: Dict, key: Tuple[str, str], handle) -> None:
-        """Evict an idempotency record ``idempotency_retention`` seconds
-        after its handle resolved (0 retains forever).  The identity
-        check keeps a re-admission under the same key alive."""
-        retention = self.limits.idempotency_retention
-        if retention <= 0:
-            return
+    def _retire_key(
+        self, table: Dict, key: Tuple[str, str], handle, at_once: bool = False
+    ) -> None:
+        """Evict an idempotency record — now if ``at_once``, else
+        ``idempotency_retention`` seconds after its handle resolved (0
+        retains forever).  The identity check keeps a re-admission
+        under the same key alive."""
 
         def evict() -> None:
             if table.get(key) is handle:
                 del table[key]
 
-        self.node.sim.schedule(retention, evict)
+        retention = self.limits.idempotency_retention
+        if at_once:
+            evict()
+        elif retention > 0:
+            self.node.sim.schedule(retention, evict)
 
     def _reject(self, handle: RequestHandle, error: GatewayError) -> None:
         self._metrics.counter("gateway_rejected_total", reason=error.code).inc()
@@ -659,177 +643,83 @@ class Gateway:
     ) -> MoveHandle:
         """Run a full cross-chain move through the admission path.
 
-        Mirrors :meth:`repro.ibc.bridge.IBCBridge.move_contract` —
-        identical phase records and telemetry span names — but every
-        transaction goes through queues, batching and backpressure, and
-        the caller gets a :class:`MoveHandle` future.  Mid-move
-        transactions are ``MOVE``-class (they evict bulk under
-        pressure) and use the parking path besides, so a momentary
-        burst does not strand a contract in its locked state; if even
-        the overflow lot is full, the move fails with the typed shed
-        error in ``handle.error``.
+        The choreography is :func:`repro.ibc.bridge.drive_move` — the
+        one :meth:`~repro.ibc.bridge.IBCBridge.move_contract` runs —
+        but its ``send`` puts every transaction through queues, batching
+        and backpressure, and the caller gets a :class:`MoveHandle`
+        future.  Mid-move transactions are ``MOVE``-class (they evict
+        bulk under pressure) and use the parking path besides, so a
+        momentary burst does not strand a contract in its locked state;
+        if even the overflow lot is full, the move fails with the typed
+        shed error in ``handle.error``.
         """
         if idempotency_key is not None:
             original = self._move_by_key.get((client_id, idempotency_key))
             if original is not None:
                 self._m_idempotent.inc()
                 return original
-        phases = MovePhases(
-            contract=contract,
-            source_chain=source_chain,
-            target_chain=target_chain,
-            started_at=self.node.now,
-        )
+        phases = MovePhases(contract, source_chain, target_chain, self.node.now)
         handle = MoveHandle(phases, idempotency_key=idempotency_key)
         handle._node = self.node
         try:
             source = self.node.chain(source_chain)
-            target = self.node.chain(target_chain)
+            self.node.chain(target_chain)
         except GatewayError as error:
             phases.success = False
             phases.error = str(error)
             self._m_moves_failed.inc()
             handle._fail(error)
             return handle
-        if idempotency_key is not None:
-            move_key = (client_id, idempotency_key)
-            self._move_by_key[move_key] = handle
 
-            def retire_move(h: MoveHandle) -> None:
-                if h.error is not None:
-                    # Gateway-level failure (e.g. a mid-move shed):
-                    # release the key so a retry re-attempts the move.
-                    if self._move_by_key.get(move_key) is h:
-                        del self._move_by_key[move_key]
-                else:
-                    self._retire_key(self._move_by_key, move_key, h)
-
-            handle.on_done(retire_move)
-        self._m_moves_started.inc()
-
-        tracer = self.telemetry.tracer
-        root = tracer.start_trace(
-            "move", source_chain=source_chain, target_chain=target_chain
-        )
-        live = {"span": tracer.start_span("move1", root, chain=source_chain)}
-
-        def finish(success: bool, error: Optional[str] = None) -> None:
-            (self._m_moves_ok if success else self._m_moves_failed).inc()
-            root.end(success=success, **({} if success else {"error": error}))
-            if success:
-                handle._finish()
-
-        def fail_protocol(error: str) -> None:
-            phases.success = False
-            phases.error = error
-            live["span"].end(success=False)
-            finish(False, error)
-            handle._fail()
-
-        def fail_gateway(error: GatewayError) -> None:
-            phases.success = False
-            phases.error = str(error)
-            live["span"].end(success=False)
-            finish(False, str(error))
-            handle._fail(error)
-
-        def admit_internal(chain_id: int, tx: Transaction, on_receipt) -> None:
+        def send(chain_id: int, tx: Transaction, on_receipt, on_reject) -> None:
             """Admit a mid-move transaction (MOVE class, parked past the
             bound rather than shed)."""
+            now = self.node.now
             inner = RequestHandle(chain_id, client_id=client_id)
-            inner._node = self.node
             inner.tx_id = tx.tx_id
-            inner.admitted_at = self.node.now
+            inner.admitted_at = now
+            inner.on_done(
+                lambda h: on_receipt(h.receipt) if h.error is None else on_reject(h.error)
+            )
             entry = QueueEntry(
-                tx=tx,
-                handle=inner,
-                cls=PriorityClass.MOVE,
-                client=client_id,
-                at=self.node.now,
+                tx=tx, handle=inner, cls=PriorityClass.MOVE, client=client_id, at=now
             )
             try:
                 self._enqueue(entry, chain_id, park=True)
             except GatewayError as error:
-                self._metrics.counter(
-                    "gateway_rejected_total", reason=error.code
-                ).inc()
-                fail_gateway(error)
-                return
-            inner.on_done(
-                lambda h: on_receipt(h.receipt) if h.error is None else fail_gateway(h.error)
+                self._reject(inner, error)
+
+        def done(rejection: Optional[GatewayError]) -> None:
+            # Protocol failures live in the phases; only a gateway-level
+            # rejection (a mid-move shed) becomes the handle's error.
+            (self._m_moves_ok if phases.success else self._m_moves_failed).inc()
+            if phases.success:
+                handle._finish()
+            else:
+                handle._fail(rejection)
+
+        if idempotency_key is not None:
+            move_key = (client_id, idempotency_key)
+            self._move_by_key[move_key] = handle
+            # A gateway-level failure (e.g. a mid-move shed) releases
+            # the key at once, so a retry re-attempts the move.
+            handle.on_done(
+                lambda h: self._retire_key(
+                    self._move_by_key, move_key, h, at_once=h.error is not None
+                )
             )
-            self.node.chain(chain_id).wait_for(
-                tx.tx_id, lambda r, h=inner: self._resolve(h, r)
-            )
-
-        def after_move1(receipt: Receipt) -> None:
-            if not receipt.success:
-                fail_protocol(receipt.error)
-                return
-            phases.move1_included_at = self.node.now
-            phases.add_gas(receipt.gas_by_category, "move1")
-            handle._advance("confirm")
-            inclusion = receipt.block_height
-            ready_at = source.proof_ready_height(inclusion)
-            live["span"].end(success=True)
-            live["span"] = tracer.start_span(
-                "confirm.wait", root, chain=source_chain, ready_height=ready_at
-            )
-            tracer.watch_header(root, source_chain, ready_at, observer=target_chain)
-            self._when_height(source, ready_at, lambda: send_move2(inclusion))
-
-        def send_move2(inclusion_height: int) -> None:
-            phases.proof_ready_at = self.node.now
-            handle._advance("proof")
-            live["span"].end(success=True)
-            live["span"] = tracer.start_span("proof.build", root, chain=source_chain)
-            try:
-                bundle = source.prove_contract_at(contract, inclusion_height)
-            except ProofError as error:
-                fail_protocol(str(error))
-                return
-            live["span"].end(success=True, proof_bytes=bundle.size_bytes())
-            live["span"] = tracer.start_span("move2", root, chain=target_chain)
-            handle._advance("move2")
-            move2 = sign_transaction(mover, Move2Payload(bundle=bundle))
-            tracer.inject(live["span"], move2.meta)
-            admit_internal(target_chain, move2, after_move2)
-
-        def after_move2(receipt: Receipt) -> None:
-            if not receipt.success:
-                fail_protocol(receipt.error)
-                return
-            phases.move2_included_at = self.node.now
-            phases.add_gas(receipt.gas_by_category, "move2")
-            live["span"].end(success=True)
-            live["span"] = tracer.start_span("complete", root, chain=target_chain)
-            handle._advance("complete")
-            run_completion(0)
-
-        def run_completion(index: int) -> None:
-            if index >= len(completions):
-                phases.completed_at = self.node.now
-                live["span"].end(success=True, txs=len(completions))
-                finish(True)
-                return
-            tx = completions[index](mover)
-            tx.meta.setdefault("gas_category", "complete")
-            tracer.inject(live["span"], tx.meta)
-
-            def after(receipt: Receipt) -> None:
-                if not receipt.success:
-                    fail_protocol(receipt.error)
-                    return
-                phases.add_gas(receipt.gas_by_category, "complete")
-                run_completion(index + 1)
-
-            admit_internal(target_chain, tx, after)
-
-        move1 = sign_transaction(
-            mover, Move1Payload(contract=contract, target_chain=target_chain)
+        self._m_moves_started.inc()
+        drive_move(
+            self.node.sim,
+            self.telemetry.tracer,
+            source,
+            mover,
+            phases,
+            send,
+            done,
+            completions=completions,
+            on_stage=handle._advance,
         )
-        tracer.inject(live["span"], move1.meta)
-        admit_internal(source_chain, move1, after_move1)
         return handle
 
     # ------------------------------------------------------------------
@@ -861,20 +751,6 @@ class Gateway:
         return manager.read(
             target, method, *args, prefer_chain=chain_id, fallback=fallback
         )
-
-    @staticmethod
-    def _when_height(chain: Chain, height: int, action: Callable[[], None]) -> None:
-        """Run ``action`` as soon as ``chain`` reaches ``height``."""
-        if chain.height >= height:
-            action()
-            return
-
-        def listener(block, _receipts) -> None:
-            if block.height >= height:
-                chain.unsubscribe(listener)
-                action()
-
-        chain.subscribe(listener)
 
     # ------------------------------------------------------------------
     # Introspection

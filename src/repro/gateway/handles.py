@@ -21,6 +21,7 @@ from typing import Any, Callable, List, Optional
 
 from repro.errors import GatewayError
 from repro.statedb.receipts import Receipt
+from repro.telemetry.phases import MOVE_STAGES
 
 #: request lifecycle states
 PENDING = "pending"      # created; not yet admitted (e.g. in network transit)
@@ -174,8 +175,9 @@ class MoveHandle:
     chain) raise from :meth:`result` as typed errors.
     """
 
-    #: coarse progress states, in order
-    STAGES = ("move1", "confirm", "proof", "move2", "complete", "done", "failed")
+    #: coarse progress states, in order: the driver's stages, then the
+    #: two terminal ones
+    STAGES = (*MOVE_STAGES, "done", "failed")
 
     def __init__(self, phases: Any, idempotency_key: Optional[str] = None):
         #: the live MovePhases record (fills in as the simulation runs)

@@ -13,20 +13,17 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
-#: what the gateway does with a request that finds its queue full
-SHED_POLICIES = ("shed", "block")
-
 
 @dataclass(frozen=True)
 class GatewayLimits:
     """Static admission-control configuration of one gateway."""
 
-    #: per-chain bound on queued (not yet flushed) requests; past it the
-    #: shed policy applies.  This is the knob that keeps memory bounded
-    #: however many clients pile on.
+    #: per-chain bound on queued (not yet flushed) requests; past it a
+    #: request is shed by class.  This is the knob that keeps memory
+    #: bounded however many clients pile on.
     max_queue_depth: int = 1024
-    #: bound on the overflow lot used by the ``"block"`` policy and by
-    #: mid-move protocol transactions; past it even blockers are shed
+    #: bound on the overflow lot a served move's own mid-move protocol
+    #: transactions park in at a full queue; past it even those are shed
     max_blocked: int = 256
     #: most transactions flushed into one chain's mempool per flush
     batch_size: int = 256
@@ -46,10 +43,6 @@ class GatewayLimits:
     #: bounded admission queue would simply relocate the unbounded
     #: backlog into the mempool.
     mempool_headroom: int = 4
-    #: ``"shed"`` rejects with :class:`~repro.errors.ShedByClass` the
-    #: instant a queue is at bound; ``"block"`` parks the request in the
-    #: bounded overflow lot and admits it as the queue drains
-    shed_policy: str = "shed"
     #: simulated seconds an idempotency record outlives its request's
     #: resolution before eviction (0 retains forever).  This is the
     #: replay window: a retry inside it deduplicates; outside it the
@@ -94,10 +87,6 @@ class GatewayLimits:
             raise ConfigError(
                 f"mempool_headroom must be >= 1 block, got {self.mempool_headroom} — "
                 "a zero headroom would never flush anything into the mempool"
-            )
-        if self.shed_policy not in SHED_POLICIES:
-            raise ConfigError(
-                f"shed_policy must be one of {SHED_POLICIES}, got {self.shed_policy!r}"
             )
         if self.idempotency_retention < 0:
             raise ConfigError(

@@ -12,21 +12,25 @@ This is the sequence Section VIII times (Fig. 8) and meters (Fig. 9):
    target (SCoin: one transfer; ScalableKitties: breed + giveBirth;
    the Store-N state transfers: none).
 
-The bridge is fully event-driven over the simulator, mirroring a client
-that listens to headers of both chains at once (Section III-A).
+That sequence is written down once, in :func:`drive_move` — fully
+event-driven over the simulator, mirroring a client that listens to
+headers of both chains at once (Section III-A); the bridge, the gateway
+and the chaos actors each add only how a transaction reaches a chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.chain.chain import Chain
 from repro.chain.tx import Move1Payload, Move2Payload, Transaction, sign_transaction
 from repro.crypto.keys import Address, KeyPair
+from repro.errors import ProofError
 from repro.net.sim import Simulator
 from repro.statedb.receipts import Receipt
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, Tracer
+from repro.telemetry.phases import MOVE_STAGES
 
 #: builds the i-th completion transaction, given the mover's keypair
 CompletionFactory = Callable[[KeyPair], Transaction]
@@ -86,6 +90,143 @@ class MovePhases:
             self.gas[bucket] = self.gas.get(bucket, 0) + amount
 
 
+def _when_height(chain: Chain, height: int, action: Callable[[], None]) -> None:
+    """Run ``action`` as soon as ``chain`` reaches ``height``."""
+    if chain.height >= height:
+        action()
+        return
+
+    def listener(block, _receipts) -> None:
+        if block.height >= height:
+            chain.unsubscribe(listener)
+            action()
+
+    chain.subscribe(listener)
+
+
+def drive_move(
+    sim: Simulator,
+    tracer: Tracer,
+    source: Chain,
+    mover: KeyPair,
+    phases: MovePhases,
+    send: Callable[[int, Transaction, Callable, Callable], None],
+    on_done: Callable[[Optional[Exception]], None],
+    completions: Optional[Sequence[CompletionFactory]] = (),
+    on_stage: Callable[[str], None] = lambda stage: None,
+    move2_retry: Callable[[int], Optional[float]] = lambda attempt: None,
+) -> None:
+    """Move ``phases.contract`` from ``source`` to ``phases.target_chain``,
+    filling ``phases`` and one span per :data:`MOVE_STAGES` entry under
+    a ``move`` root.
+
+    ``send(chain_id, tx, on_receipt, on_reject)`` is all the driver does
+    not know — how a signed transaction reaches a chain: the caller
+    arranges for ``on_receipt(receipt)`` once it executed, or
+    ``on_reject(error)`` if a typed rejection means it never will.
+    ``on_stage`` hears every transition after ``move1``; ``on_done`` the
+    end, with the rejection if there was one (else see ``phases``).
+    ``completions=None`` skips the completion stage.  ``move2_retry``
+    maps a failed attempt to the seconds until Move2 is re-proved and
+    re-sent (a stale target view clears once headers flow), or ``None``.
+    """
+    source_id, target_id = source.chain_id, phases.target_chain
+    root = tracer.start_trace("move", source_chain=source_id, target_chain=target_id)
+    live = tracer.start_span(MOVE_STAGES["move1"], root, chain=source_id)
+
+    def enter(stage: str, chain_id: int, **attrs) -> None:
+        nonlocal live
+        live = tracer.start_span(MOVE_STAGES[stage], root, chain=chain_id, **attrs)
+        on_stage(stage)
+
+    def submit(chain_id: int, tx: Transaction, on_receipt) -> None:
+        tracer.inject(live, tx.meta)
+        send(chain_id, tx, on_receipt, lambda error: fail(str(error), error))
+
+    def fail(error: str, rejection: Optional[Exception] = None) -> None:
+        phases.success = False
+        phases.error = error
+        live.end(success=False)
+        root.end(success=False, error=error)
+        on_done(rejection)
+
+    def succeed() -> None:
+        root.end(success=True)
+        on_done(None)
+
+    def after_move1(receipt: Receipt) -> None:
+        if not receipt.success:
+            fail(receipt.error)
+            return
+        phases.move1_included_at = sim.now
+        phases.add_gas(receipt.gas_by_category, "move1")
+        inclusion = receipt.block_height
+        ready_at = source.proof_ready_height(inclusion)
+        live.end(success=True)
+        enter("confirm", source_id, ready_height=ready_at)
+        # Attribute the header hop that unblocks VS at the target.
+        tracer.watch_header(root, source_id, ready_at, observer=target_id)
+        _when_height(source, ready_at, lambda: try_move2(inclusion, 0))
+
+    def try_move2(inclusion: int, attempt: int) -> None:
+        if attempt == 0:
+            phases.proof_ready_at = sim.now
+            live.end(success=True)
+        enter("proof", source_id)
+        try:
+            bundle = source.prove_contract_at(phases.contract, inclusion)
+        except ProofError as error:
+            move2_failed(str(error), inclusion, attempt)
+            return
+        live.end(success=True, proof_bytes=bundle.size_bytes())
+        enter("move2", target_id, attempt=attempt)
+        move2 = sign_transaction(mover, Move2Payload(bundle=bundle))
+        submit(target_id, move2, lambda r: after_move2(r, inclusion, attempt))
+
+    def move2_failed(error: str, inclusion: int, attempt: int) -> None:
+        # An unbuildable proof or a Move2 the target refused (its light
+        # client does not, or no longer, trust the proven root).
+        delay = move2_retry(attempt)
+        if delay is None:
+            fail(error)
+            return
+        live.end(success=False)
+        sim.schedule(delay, lambda: try_move2(inclusion, attempt + 1))
+
+    def after_move2(receipt: Receipt, inclusion: int, attempt: int) -> None:
+        if not receipt.success:
+            move2_failed(receipt.error, inclusion, attempt)
+            return
+        phases.move2_included_at = sim.now
+        phases.add_gas(receipt.gas_by_category, "move2")
+        live.end(success=True)
+        if completions is None:
+            succeed()
+            return
+        enter("complete", target_id)
+        run_completion(0)
+
+    def run_completion(index: int) -> None:
+        if index >= len(completions):
+            phases.completed_at = sim.now
+            live.end(success=True, txs=len(completions))
+            succeed()
+            return
+        tx = completions[index](mover)
+        tx.meta.setdefault("gas_category", "complete")
+        submit(target_id, tx, lambda r: after_completion(r, index))
+
+    def after_completion(receipt: Receipt, index: int) -> None:
+        if not receipt.success:
+            fail(receipt.error)
+            return
+        phases.add_gas(receipt.gas_by_category, "complete")
+        run_completion(index + 1)
+
+    move1 = Move1Payload(contract=phases.contract, target_chain=target_id)
+    submit(source_id, sign_transaction(mover, move1), after_move1)
+
+
 class IBCBridge:
     """Drives cross-chain moves between registered chains."""
 
@@ -114,7 +255,9 @@ class IBCBridge:
         """The registered chain object for an id."""
         return self.chains[chain_id]
 
-    def _submit(self, chain: Chain, tx: Transaction) -> None:
+    def _send(self, chain_id: int, tx: Transaction, on_receipt, _on_reject) -> None:
+        chain = self.chains[chain_id]
+        chain.wait_for(tx.tx_id, on_receipt)
         self.sim.schedule(self.submit_latency, lambda: chain.submit(tx))
 
     def move_contract(
@@ -132,111 +275,22 @@ class IBCBridge:
         fires when the final completion transaction is included (or on
         the first failure).
         """
-        source = self.chains[source_id]
-        target = self.chains[target_id]
-        phases = MovePhases(
-            contract=contract,
-            source_chain=source_id,
-            target_chain=target_id,
-            started_at=self.sim.now,
-        )
-        tracer = self.telemetry.tracer
-        root = tracer.start_trace(
-            "move", source_chain=source_id, target_chain=target_id
-        )
-        # The currently open phase span (mutable cell so the nested
-        # callbacks can close whichever phase a failure interrupts).
-        live = {"span": tracer.start_span("move1", root, chain=source_id)}
+        phases = MovePhases(contract, source_id, target_id, self.sim.now)
 
-        def finish(success: bool, error: Optional[str] = None) -> None:
+        def done(_rejection) -> None:
             self._m_move_seconds.observe(self.sim.now - phases.started_at)
-            (self._m_moves_ok if success else self._m_moves_failed).inc()
-            if success:
-                root.end(success=True)
-            else:
-                root.end(success=False, error=error)
+            (self._m_moves_ok if phases.success else self._m_moves_failed).inc()
             if on_done is not None:
                 on_done(phases)
 
-        def fail(receipt: Receipt) -> None:
-            phases.success = False
-            phases.error = receipt.error
-            live["span"].end(success=False)
-            finish(False, receipt.error)
-
-        def after_move1(receipt: Receipt) -> None:
-            if not receipt.success:
-                fail(receipt)
-                return
-            phases.move1_included_at = self.sim.now
-            phases.add_gas(receipt.gas_by_category, "move1")
-            inclusion = receipt.block_height
-            ready_at = source.proof_ready_height(inclusion)
-            live["span"].end(success=True)
-            live["span"] = tracer.start_span(
-                "confirm.wait", root, chain=source_id, ready_height=ready_at
-            )
-            # Attribute the header hop that unblocks VS at the target.
-            tracer.watch_header(root, source_id, ready_at, observer=target_id)
-            self._when_height(source, ready_at, lambda: send_move2(inclusion))
-
-        def send_move2(inclusion_height: int) -> None:
-            phases.proof_ready_at = self.sim.now
-            live["span"].end(success=True)
-            live["span"] = tracer.start_span("proof.build", root, chain=source_id)
-            bundle = source.prove_contract_at(contract, inclusion_height)
-            live["span"].end(success=True, proof_bytes=bundle.size_bytes())
-            live["span"] = tracer.start_span("move2", root, chain=target_id)
-            move2 = sign_transaction(mover, Move2Payload(bundle=bundle))
-            tracer.inject(live["span"], move2.meta)
-            target.wait_for(move2.tx_id, after_move2)
-            self._submit(target, move2)
-
-        def after_move2(receipt: Receipt) -> None:
-            if not receipt.success:
-                fail(receipt)
-                return
-            phases.move2_included_at = self.sim.now
-            phases.add_gas(receipt.gas_by_category, "move2")
-            live["span"].end(success=True)
-            live["span"] = tracer.start_span("complete", root, chain=target_id)
-            run_completion(0)
-
-        def run_completion(index: int) -> None:
-            if index >= len(completions):
-                phases.completed_at = self.sim.now
-                live["span"].end(success=True, txs=len(completions))
-                finish(True)
-                return
-            tx = completions[index](mover)
-            tx.meta.setdefault("gas_category", "complete")
-            tracer.inject(live["span"], tx.meta)
-
-            def after(receipt: Receipt) -> None:
-                if not receipt.success:
-                    fail(receipt)
-                    return
-                phases.add_gas(receipt.gas_by_category, "complete")
-                run_completion(index + 1)
-
-            target.wait_for(tx.tx_id, after)
-            self._submit(target, tx)
-
-        move1 = sign_transaction(mover, Move1Payload(contract=contract, target_chain=target_id))
-        tracer.inject(live["span"], move1.meta)
-        source.wait_for(move1.tx_id, after_move1)
-        self._submit(source, move1)
+        drive_move(
+            self.sim,
+            self.telemetry.tracer,
+            self.chains[source_id],
+            mover,
+            phases,
+            self._send,
+            done,
+            completions=completions,
+        )
         return phases
-
-    def _when_height(self, chain: Chain, height: int, action: Callable[[], None]) -> None:
-        """Run ``action`` as soon as ``chain`` reaches ``height``."""
-        if chain.height >= height:
-            action()
-            return
-
-        def listener(block, _receipts) -> None:
-            if block.height >= height:
-                chain.unsubscribe(listener)
-                action()
-
-        chain.subscribe(listener)

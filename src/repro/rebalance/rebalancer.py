@@ -245,7 +245,7 @@ def gateway_actuator(
 
     Moves issued this way compete with client traffic for queue slots,
     so under overload the control loop sheds before user requests do —
-    a gateway-level ``QueueFull`` lands in the handle and reports as a
+    a gateway-level ``ShedByClass`` lands in the handle and reports as a
     failed move, not an exception.
     """
 

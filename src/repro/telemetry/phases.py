@@ -28,8 +28,21 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.telemetry.tracer import Span
 
+#: the Move pipeline in order — client-visible stage → the span the
+#: move driver (:func:`repro.ibc.bridge.drive_move`) opens for it under
+#: a ``move`` root.  It lives here, at the bottom of the import graph
+#: (``chain`` imports ``telemetry``), so the driver, ``MoveHandle.STAGES``
+#: and :data:`PHASES` all read the one table.
+MOVE_STAGES = {
+    "move1": "move1",
+    "confirm": "confirm.wait",
+    "proof": "proof.build",
+    "move2": "move2",
+    "complete": "complete",
+}
+
 #: pipeline order of the phase spans under a ``move`` root
-PHASES = ("move1", "confirm.wait", "proof.build", "move2", "complete")
+PHASES = tuple(MOVE_STAGES.values())
 
 
 @dataclass

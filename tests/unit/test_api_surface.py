@@ -8,11 +8,10 @@ down: a failing diff here means a reviewed decision to grow the API
 
 Since the fleet PR the facade is a package of documented sections
 (``serving`` / ``chains`` / ``authoring`` / ``observation`` /
-``errors``) re-exported flat; the section split and the deprecation
-shim for retired names are part of the contract and tested here too.
+``errors``) re-exported flat; the section split is part of the
+contract and tested here too.
 """
 
-import warnings
 
 import pytest
 
@@ -149,21 +148,12 @@ def test_gateway_rejections_are_overloaded():
     assert issubclass(api.Overloaded, api.GatewayError)
 
 
-def test_retired_names_alias_with_deprecation_warning():
-    # One deprecation cycle: the old spelling imports, warns, and is
-    # the replacement object (so isinstance/except clauses still work).
-    with pytest.warns(DeprecationWarning, match="ShedByClass"):
-        old = api.QueueFull
-    assert old is api.ShedByClass
-    # The wire code is unchanged — clients branching on error.code
-    # ("queue_full") are unaffected by the rename.
-    assert api.ShedByClass.code == "queue_full"
+def test_retired_queue_full_name_is_gone():
+    # Its deprecation cycle is over.  The wire code is unchanged —
+    # clients branching on error.code ("queue_full") are unaffected.
     with pytest.raises(AttributeError):
-        api.NoSuchName
-
-
-def test_deprecated_names_stay_out_of_all():
-    assert "QueueFull" not in api.__all__
+        api.QueueFull
+    assert api.ShedByClass.code == "queue_full"
 
 
 def test_shed_by_class_carries_attribution():
@@ -174,7 +164,3 @@ def test_shed_by_class_carries_attribution():
     assert error.shed_client == "alice"
     assert error.chain_id == 1
     assert error.to_dict()["shed_class"] == "bulk"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # plain errors alias must not warn
-        from repro.errors import QueueFull as internal_alias
-    assert internal_alias is api.ShedByClass

@@ -68,20 +68,32 @@ def test_queue_bound_sheds_typed_queue_full():
     assert gateway.peak_queue_depth[1] == 4
 
 
-def test_block_policy_parks_then_sheds():
-    node = make_node()
-    gateway = Gateway(
-        node, GatewayLimits(max_queue_depth=2, max_blocked=3, shed_policy="block")
+def test_mid_move_transactions_park_then_shed():
+    # The overflow lot serves one caller: a served move's own protocol
+    # transactions, which park at a full queue instead of being shed.
+    node = Node(
+        [burrow_params(1, max_block_txs=100), burrow_params(2, max_block_txs=100)],
+        verify_signatures=False,
     )
-    handles = [
-        gateway.submit(transfer(nonce=i), 1, client_id="a") for i in range(8)
-    ]
-    shed = [h for h in handles if h.done]
+    node.chain(1).fund({ALICE.address: 10**9, BOB.address: 10**9})
+    gateway = Gateway(node, GatewayLimits(max_queue_depth=2, max_blocked=3))
+    queued = [transfer(nonce=i) for i in range(2)]
+    for tx in queued:
+        # MOVE class: nothing below a mid-move Move1 is left to evict.
+        assert not gateway.submit(tx, 1, client_id="a", priority="move").done
+    movers = [KeyPair.from_name(f"gw-test-mover-{i}") for i in range(6)]
+    moves = [gateway.move(kp, kp.address, 1, 2, client_id="a") for kp in movers]
+    shed = [m for m in moves if m.done]
     assert len(shed) == 3  # 2 queued + 3 parked, the rest shed
+    assert all(isinstance(m.error, ShedByClass) for m in shed)
     assert gateway.queue_depth(1) == 5
-    # A flush drains queue and promotes the parked requests FIFO.
+    assert gateway.stats()["parked"][1] == 3
+    # A flush drains queue and promotes the parked Move1s FIFO.
     assert gateway.flush() == 5
     assert gateway.queue_depth(1) == 0
+    flushed = node.chain(1).mempool.take(10)
+    assert [tx.tx_id for tx in flushed[:2]] == [tx.tx_id for tx in queued]
+    assert [tx.sender for tx in flushed[2:]] == [kp.address for kp in movers[:3]]
 
 
 def test_flush_preserves_admission_order():
@@ -323,7 +335,6 @@ def test_rejections_carry_machine_readable_dict():
         {"rate_burst": 0},
         {"request_timeout": -5.0},
         {"mempool_headroom": 0},
-        {"shed_policy": "panic"},
         {"idempotency_retention": -1.0},
         {"max_clients": 0},
         {"drr_quantum": 0},

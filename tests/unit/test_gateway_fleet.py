@@ -235,21 +235,23 @@ def test_refused_newcomer_is_charged_itself():
 
 
 def test_parked_overflow_shed_attributes_the_dropped_entry():
-    node = make_node()
-    gateway = Gateway(
-        node,
-        GatewayLimits(max_queue_depth=1, max_blocked=1, shed_policy="block"),
+    node = Node(
+        [burrow_params(1, max_block_txs=100), burrow_params(2, max_block_txs=100)],
+        verify_signatures=False,
     )
-    gateway.submit(transfer(nonce=1), 1, client_id="a")   # queued
-    gateway.submit(transfer(nonce=2), 1, client_id="a")   # parked
-    shed = gateway.submit(transfer(nonce=3), 1, client_id="b")  # lot full
+    gateway = Gateway(node, GatewayLimits(max_queue_depth=1, max_blocked=1))
+    gateway.submit(transfer(nonce=1), 1, client_id="a", priority="move")  # queued
+    parked = gateway.move(ALICE, ALICE.address, 1, 2, client_id="a")  # Move1 parked
+    assert not parked.done
+    shed = gateway.move(BOB, BOB.address, 1, 2, client_id="b")  # lot full
     assert isinstance(shed.error, ShedByClass)
-    # The entry dropped at the parked-overflow path is the arrival
-    # itself — charged to its own class/client, not to whoever filled
-    # the lot.
+    # The entry dropped at the parked-overflow path is the arriving
+    # Move1 itself — charged to its own class/client, not to whoever
+    # filled the lot.
+    assert shed.error.shed_class == "move"
     assert shed.error.shed_client == "b"
     counter = gateway.telemetry.metrics.counter(
-        "gateway_queue_shed_total", chain=1, cls="bulk"
+        "gateway_queue_shed_total", chain=1, cls="move"
     )
     assert counter.value == 1
 
