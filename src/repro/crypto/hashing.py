@@ -26,8 +26,10 @@ _NODE_PREFIX = b"\x01"
 #: re-hashed and would only churn the cache.
 _MEMO_MAX_LEN = 128
 
-#: Bounded LRU: ~64k entries × (≤128 B key + 32 B digest) stays small
-#: while covering every hot key-derivation in a simulation run.
+#: Bounded LRU: ~64k entries × (≤128 B key + 32 B digest) stays small.
+#: It holds the inputs that do repeat — key and address derivations and
+#: the upper steps of verified proofs; tree-node digests never enter it
+#: (see :func:`merkle_hash_node`).
 _MEMO_SIZE = 65536
 
 
@@ -64,10 +66,16 @@ def keccak_hex(*chunks: bytes) -> str:
 
 
 def merkle_hash_leaf(payload: bytes) -> bytes:
-    """Hash a Merkle-tree leaf (domain-separated)."""
-    return keccak(_LEAF_PREFIX, payload)
+    """Hash a Merkle-tree leaf (domain-separated).
+
+    Tree builders hash through this and :func:`merkle_hash_node`, which
+    bypass the memo: their inputs are fresh by construction; memoising
+    them costs a miss and evicts a key derivation.
+    """
+    return hashlib.sha3_256(_LEAF_PREFIX + payload).digest()
 
 
 def merkle_hash_node(left: bytes, right: bytes) -> bytes:
-    """Hash an internal Merkle-tree node from its children's digests."""
-    return keccak(_NODE_PREFIX, left, right)
+    """Hash an internal Merkle-tree node from its children's digests
+    (un-memoised, like :func:`merkle_hash_leaf`)."""
+    return hashlib.sha3_256(_NODE_PREFIX + left + right).digest()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.crypto.hashing import keccak, merkle_hash_leaf
+from repro.crypto.hashing import keccak, merkle_hash_leaf, merkle_hash_node
 from repro.merkle.proof import MembershipProof, ProofStep
 
 _LEAF_PREFIX = b"\x00"
@@ -41,7 +41,7 @@ class BinaryMerkleTree:
         while len(level) > 1:
             parent: List[bytes] = []
             for i in range(0, len(level) - 1, 2):
-                parent.append(keccak(_NODE_PREFIX, level[i], level[i + 1]))
+                parent.append(merkle_hash_node(level[i], level[i + 1]))
             if len(level) % 2 == 1:
                 parent.append(level[-1])  # promote the odd node
             self._levels.append(parent)

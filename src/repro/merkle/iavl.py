@@ -7,21 +7,35 @@ reference [16]).  Only leaves carry values; inner nodes route lookups
 rebalanced with standard AVL rotations, keeping depth — and therefore
 proof length — logarithmic.
 
-Nodes are immutable; updates share unchanged subtrees, so recomputing
-the root after a block touches only the modified paths.
+A node's structure (key, value, children, height) is immutable and
+shared: updates copy the modified path and keep every unchanged
+subtree.  A node's digest is a write-once memo: ``set``/``delete``
+never hash, and the first ``root_hash`` or ``prove`` afterwards fills
+the missing digests in one post-order walk over the un-hashed nodes
+only.  Ancestors shared by a block's dirty keys are therefore hashed
+once per commit, and path copies a later write superseded are never
+hashed at all.
 
-Digests::
+Filling a digest mutates a node that snapshots may share.  That is
+safe without a lock: the digest is a function of the immutable
+structure (whoever fills it writes the same bytes), filling never
+changes structure, and a hashed node's whole subtree is hashed.  The
+chain snapshots the account tree only after ``commit()`` has read the
+root, so retained block snapshots are fully hashed; a storage-trie
+snapshot taken before any read gets its digests from its first
+``prove``.
 
-    leaf  = keccak(b"\\x00" + key + value)
-    inner = keccak(b"\\x01" + left_digest + right_digest)
+Digests (SHA3-256 through ``merkle_hash_leaf``/``merkle_hash_node``)::
+
+    leaf  = H(b"\\x00" + key + value)
+    inner = H(b"\\x01" + left_digest + right_digest)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from repro.crypto.hashing import keccak
+from repro.crypto.hashing import keccak, merkle_hash_leaf, merkle_hash_node
 from repro.merkle.proof import MembershipProof, ProofStep
 
 _LEAF_PREFIX = b"\x00"
@@ -30,70 +44,73 @@ _NODE_PREFIX = b"\x01"
 EMPTY_ROOT = keccak(b"empty-iavl")
 
 
-@dataclass(frozen=True)
 class _Node:
+    __slots__ = ("key", "value", "left", "right", "height", "digest")
+
     key: bytes
     value: Optional[bytes]  # None for inner nodes
-    left: Optional["_Node"]
-    right: Optional["_Node"]
+    left: "_Node"  # inner nodes only: a leaf holds None and is never descended into
+    right: "_Node"
     height: int
-    digest: bytes
+    digest: Optional[bytes]  # None until the first root_hash/prove above it
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.value is not None
+    def __init__(self, key, value, left, right, height):
+        self.key = key
+        self.value = value
+        self.left = left
+        self.right = right
+        self.height = height
+        self.digest = None
 
 
 def _leaf(key: bytes, value: bytes) -> _Node:
-    digest = keccak(_LEAF_PREFIX, key, value)
-    return _Node(key=key, value=value, left=None, right=None, height=0, digest=digest)
+    return _Node(key, value, None, None, 0)
 
 
-def _inner(left: _Node, right: _Node) -> _Node:
-    digest = keccak(_NODE_PREFIX, left.digest, right.digest)
-    key = _min_key(right)
-    height = 1 + max(left.height, right.height)
-    return _Node(key=key, value=None, left=left, right=right, height=height, digest=digest)
+def _inner(key: bytes, left: _Node, right: _Node) -> _Node:
+    """Inner node; ``key`` is the smallest key under ``right``."""
+    lh, rh = left.height, right.height
+    return _Node(key, None, left, right, (lh if lh > rh else rh) + 1)
 
 
 def _min_key(node: _Node) -> bytes:
-    while not node.is_leaf:
-        node = node.left  # type: ignore[assignment]
+    while node.value is None:
+        node = node.left
     return node.key
 
 
-def _balance_factor(node: _Node) -> int:
-    assert node.left is not None and node.right is not None
-    return node.left.height - node.right.height
+def _fill(node: _Node) -> bytes:
+    """Digest ``node``, hashing exactly the un-hashed nodes under it."""
+    if node.value is not None:
+        digest = merkle_hash_leaf(node.key + node.value)
+    else:
+        left, right = node.left, node.right
+        digest = merkle_hash_node(left.digest or _fill(left), right.digest or _fill(right))
+    node.digest = digest
+    return digest
 
 
 def _rotate_right(node: _Node) -> _Node:
     left = node.left
-    assert left is not None and left.left is not None and left.right is not None
-    return _inner(left.left, _inner(left.right, node.right))  # type: ignore[arg-type]
+    return _inner(left.key, left.left, _inner(node.key, left.right, node.right))
 
 
 def _rotate_left(node: _Node) -> _Node:
     right = node.right
-    assert right is not None and right.left is not None and right.right is not None
-    return _inner(_inner(node.left, right.left), right.right)  # type: ignore[arg-type]
+    return _inner(right.key, _inner(node.key, node.left, right.left), right.right)
 
 
 def _rebalance(node: _Node) -> _Node:
-    if node.is_leaf:
-        return node
-    factor = _balance_factor(node)
+    """AVL-rotate the inner ``node`` if its children's heights differ by 2."""
+    left, right = node.left, node.right
+    factor = left.height - right.height
     if factor > 1:
-        left = node.left
-        assert left is not None
-        if not left.is_leaf and _balance_factor(left) < 0:
-            node = _inner(_rotate_left(left), node.right)  # type: ignore[arg-type]
+        if left.left.height < left.right.height:
+            node = _inner(node.key, _rotate_left(left), right)
         return _rotate_right(node)
     if factor < -1:
-        right = node.right
-        assert right is not None
-        if not right.is_leaf and _balance_factor(right) > 0:
-            node = _inner(node.left, _rotate_right(right))  # type: ignore[arg-type]
+        if right.left.height > right.right.height:
+            node = _inner(node.key, left, _rotate_right(right))
         return _rotate_left(node)
     return node
 
@@ -101,23 +118,22 @@ def _rebalance(node: _Node) -> _Node:
 def _insert(node: Optional[_Node], key: bytes, value: bytes) -> _Node:
     if node is None:
         return _leaf(key, value)
-    if node.is_leaf:
+    if node.value is not None:
         if node.key == key:
             return _leaf(key, value)  # overwrite
-        new = _leaf(key, value)
         if key < node.key:
-            return _inner(new, node)
-        return _inner(node, new)
+            return _inner(node.key, _leaf(key, value), node)
+        return _inner(key, node, _leaf(key, value))
     if key < node.key:
-        return _rebalance(_inner(_insert(node.left, key, value), node.right))  # type: ignore[arg-type]
-    return _rebalance(_inner(node.left, _insert(node.right, key, value)))  # type: ignore[arg-type]
+        return _rebalance(_inner(node.key, _insert(node.left, key, value), node.right))
+    return _rebalance(_inner(node.key, node.left, _insert(node.right, key, value)))
 
 
 def _delete(node: Optional[_Node], key: bytes) -> Tuple[Optional[_Node], bool]:
     """Return (new subtree, removed?)."""
     if node is None:
         return None, False
-    if node.is_leaf:
+    if node.value is not None:
         if node.key == key:
             return None, True
         return node, False
@@ -127,13 +143,15 @@ def _delete(node: Optional[_Node], key: bytes) -> Tuple[Optional[_Node], bool]:
             return node, False
         if new_left is None:
             return node.right, True
-        return _rebalance(_inner(new_left, node.right)), True  # type: ignore[arg-type]
+        return _rebalance(_inner(node.key, new_left, node.right)), True
     new_right, removed = _delete(node.right, key)
     if not removed:
         return node, False
     if new_right is None:
         return node.left, True
-    return _rebalance(_inner(node.left, new_right)), True  # type: ignore[arg-type]
+    # only deleting the routing key itself moves the right subtree's minimum
+    routing = node.key if key != node.key else _min_key(new_right)
+    return _rebalance(_inner(routing, node.left, new_right)), True
 
 
 class IAVLTree:
@@ -160,9 +178,10 @@ class IAVLTree:
     @property
     def root_hash(self) -> bytes:
         """Merkle root committing the full key/value map."""
-        if self._root is None:
+        root = self._root
+        if root is None:
             return EMPTY_ROOT
-        return self._root.digest
+        return root.digest or _fill(root)
 
     def set(self, key: bytes, value: bytes) -> None:
         """Insert or overwrite ``key``."""
@@ -172,7 +191,7 @@ class IAVLTree:
         """Return the value for ``key`` or ``None``."""
         node = self._root
         while node is not None:
-            if node.is_leaf:
+            if node.value is not None:
                 return node.value if node.key == key else None
             node = node.left if key < node.key else node.right
         return None
@@ -197,8 +216,7 @@ class IAVLTree:
                 stack.append(node)
                 node = node.left
             node = stack.pop()
-            if node.is_leaf:
-                assert node.value is not None
+            if node.value is not None:
                 yield node.key, node.value
             node = node.right
 
@@ -210,16 +228,16 @@ class IAVLTree:
         """
         path: List[Tuple[_Node, bool]] = []  # (inner node, went_left)
         node = self._root
-        while node is not None and not node.is_leaf:
+        if node is not None and node.digest is None:
+            _fill(node)  # sibling digests are read below
+        while node is not None and node.value is None:
             went_left = key < node.key
             path.append((node, went_left))
             node = node.left if went_left else node.right
         if node is None or node.key != key:
             raise KeyError(key.hex())
-        assert node.value is not None
         steps: List[ProofStep] = []
         for inner, went_left in reversed(path):
-            assert inner.left is not None and inner.right is not None
             if went_left:
                 steps.append(ProofStep(prefix=_NODE_PREFIX, suffix=inner.right.digest))
             else:

@@ -5,6 +5,7 @@ Invariants checked:
 * every present key yields a proof that verifies against the live root;
 * any bit-flip in a proof value breaks verification;
 * roots are independent of operation interleaving (state-determined);
+* IAVL roots do not depend on when (or whether) earlier roots were read;
 * IAVL stays AVL-balanced.
 """
 
@@ -84,6 +85,28 @@ def test_iavl_root_is_replica_deterministic(operations):
     apply_ops(a, operations)
     apply_ops(b, operations)
     assert a.root_hash == b.root_hash
+
+
+@given(ops)
+@settings(max_examples=60, deadline=None)
+def test_iavl_root_is_independent_of_when_it_is_read(operations):
+    """Digests are filled lazily: reading the root (or a proof) after
+    every op and reading it once at the end commit the same bytes, and
+    a snapshot taken mid-history keeps the root of its moment."""
+    eager, lazy = IAVLTree(), IAVLTree()
+    roots, snapshots = [], []
+    for i, (key, value) in enumerate(operations):
+        for tree in (eager, lazy):
+            if value is None:
+                tree.delete(key)
+            else:
+                tree.set(key, value)
+        roots.append(eager.root_hash)
+        if value is not None and i % 3 == 0:
+            assert verify_proof(eager.prove(key), roots[-1])
+        snapshots.append(lazy.snapshot())  # un-hashed when taken
+    assert lazy.root_hash == eager.root_hash
+    assert [snap.root_hash for snap in snapshots] == roots
 
 
 @given(st.dictionaries(keys, values, min_size=1, max_size=40), st.data())

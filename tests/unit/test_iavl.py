@@ -1,7 +1,15 @@
 """Unit tests for the Tendermint-style IAVL tree."""
 
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro.merkle.iavl as iavl
+from repro.crypto.hashing import keccak_memo_info
+from repro.merkle.binary import BinaryMerkleTree
 from repro.merkle.iavl import EMPTY_ROOT, IAVLTree
 from repro.merkle.proof import verify_proof
 
@@ -120,3 +128,153 @@ def test_proof_length_logarithmic():
     for i in range(1024):
         tree.set(key(i), b"v")
     assert len(tree.prove(key(512))) <= 15
+
+
+# ---------------------------------------------------------------------
+# Deferred hashing: digests are filled at the first root_hash/prove
+# ---------------------------------------------------------------------
+
+
+def churn(seed=14, ops=2000, keyspace=600):
+    """A fixed insert/overwrite/delete history and the dict it leaves."""
+    rng = random.Random(seed)
+    tree, model = IAVLTree(), {}
+    for _ in range(ops):
+        k = b"k%04d" % rng.randrange(keyspace)
+        if rng.random() < 0.25:
+            assert tree.delete(k) == (k in model)
+            model.pop(k, None)
+        else:
+            v = rng.randbytes(rng.randrange(1, 24))
+            tree.set(k, v)
+            model[k] = v
+    return tree, model
+
+
+def test_commitment_is_pinned():
+    # Values recorded by running this body at the commit before digests
+    # were deferred: shape, root and proofs are part of the protocol.
+    tree, model = churn()
+    assert dict(tree.items()) == model and len(model) == 418
+    assert tree.root_hash.hex() == (
+        "59ed798c2dc1b1ebc2a653da873d99b39d8427c0323a0ef05f7ea630cbe974f1"
+    )
+    assert tree.height() == 10
+    proof = tree.prove(sorted(model)[len(model) // 2])
+    assert len(proof) == 8 and verify_proof(proof, tree.root_hash)
+
+
+def test_state_write_workload_root_is_pinned():
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "perf" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perf_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses resolve annotations through it
+    try:
+        spec.loader.exec_module(workloads)
+        world = workloads.StateWrite(2)
+        world.measure()
+        digests = world.check().digests
+    finally:
+        del sys.modules[spec.name]
+    assert digests == {
+        "final_root": "427c25baa255ef821fa08834dedbff8f3f9d12164ca7345523ae15883f08e7dc"
+    }
+
+
+def test_snapshot_taken_before_any_hash_is_isolated():
+    tree = IAVLTree()
+    for i in range(64):
+        tree.set(key(i), b"v%d" % i)
+    snap = tree.snapshot()  # no digest exists anywhere yet
+    for i in range(0, 64, 3):
+        tree.set(key(i), b"overwritten")
+    for i in range(64, 80):
+        tree.set(key(i), b"inserted")
+    for i in range(1, 64, 5):
+        assert tree.delete(key(i))
+    reference = IAVLTree()
+    for i in range(64):
+        reference.set(key(i), b"v%d" % i)
+    assert snap.root_hash == reference.root_hash != tree.root_hash
+    for i in range(64):
+        proof = snap.prove(key(i))
+        assert proof.value == b"v%d" % i
+        assert verify_proof(proof, snap.root_hash)
+    frozen = snap.root_hash
+    live = tree.root_hash
+    snap.set(key(0), b"forked")  # writing the snapshot forks it
+    assert snap.root_hash != frozen
+    assert tree.root_hash == live and tree.get(key(0)) == b"overwritten"
+
+
+def test_prove_on_never_hashed_tree_verifies():
+    tree = IAVLTree()
+    for i in range(33):
+        tree.set(key(i), b"v")
+    proof = tree.prove(key(17))  # before any root_hash read
+    assert verify_proof(proof, tree.root_hash)
+
+
+@pytest.fixture
+def digests_computed(monkeypatch):
+    """Count the tree's digest computations, per hashed input."""
+    computed = []
+    for name in ("merkle_hash_leaf", "merkle_hash_node"):
+        real = getattr(iavl, name)
+
+        def counted(*parts, _real=real):
+            computed.append(parts)
+            return _real(*parts)
+
+        monkeypatch.setattr(iavl, name, counted)
+    return computed
+
+
+def test_hash_once_per_commit(digests_computed):
+    leaves, writes = 512, 40
+    tree = IAVLTree()
+    for i in range(leaves):
+        tree.set(key(i), b"v")
+    tree.root_hash
+    assert len(digests_computed) == 2 * leaves - 1  # every node, once
+    del digests_computed[:]
+
+    rng = random.Random(5)
+    dirty = [key(rng.randrange(leaves)) for _ in range(writes)]
+    for k in dirty:
+        tree.set(k, b"w")
+    assert digests_computed == []  # set never hashes
+    # Overwrites keep the shape, so the fresh nodes are exactly the
+    # nodes on the final tree's paths to the dirty keys.
+    on_paths, path_nodes = set(), 0
+    for k in dirty:
+        node = tree._root
+        while node is not None:
+            on_paths.add(id(node))
+            path_nodes += 1
+            node = None if node.value is not None else (
+                node.left if k < node.key else node.right
+            )
+    root = tree.root_hash
+    assert len(digests_computed) == len(on_paths)
+    assert len(set(digests_computed)) == len(on_paths)  # no node hashed twice
+    assert len(on_paths) < path_nodes and len(on_paths) < writes * tree.height()
+    del digests_computed[:]
+
+    assert tree.root_hash == root
+    assert tree.get(dirty[0]) == b"w" and len(list(tree.items())) == leaves
+    assert tree.height() == 9
+    tree.prove(dirty[0])
+    assert digests_computed == []  # nothing left to hash
+
+
+def test_tree_digests_bypass_the_keccak_memo():
+    tree = IAVLTree()
+    tree.set(b"warm", b"up")
+    before = keccak_memo_info()
+    for i in range(50):
+        tree.set(key(i), b"fresh-%d" % i)
+    tree.root_hash
+    tree.prove(key(7))
+    BinaryMerkleTree([b"tx-%d" % i for i in range(50)]).root
+    assert keccak_memo_info() == before  # no lookup, no entry, no eviction
