@@ -9,15 +9,12 @@ that population:
   tree, and an incremental commit after touching a small hot set
   (the per-block steady-state cost);
 * **block production** — SCoin token-transfer blocks executed over the
-  full-size state, serial and on the 4-worker process backend, with
-  receipts and roots asserted identical;
+  full-size state;
 * **proof serving** — ``prove_account`` membership proofs sampled
   across the population, each recomputed back to the committed root.
 
-Results: ``benchmarks/results/BENCH_macro.json`` (+ a text table).
-``cpu_count`` is recorded because the measured block-production
-numbers only show multi-core wins when the host has cores to give
-(see docs/PERFORMANCE.md on single-core honesty).
+Results: ``benchmarks/results/BENCH_macro.json`` (+ a text table),
+with the host's ``cpu_count`` recorded beside the wall-clock numbers.
 """
 
 from __future__ import annotations
@@ -115,12 +112,8 @@ def _deploy_scoin(chain: Chain):
 
 
 def _produce_blocks(chain: Chain, accounts) -> tuple:
-    """Conflict-light token-transfer blocks over the macro state.
-
-    The first block is timed separately: on the process backend it
-    pays the one-time worker-pool spin-up (forking next to the full
-    macro heap), which would otherwise masquerade as per-block cost.
-    """
+    """Token-transfer blocks over the macro state; the first block
+    (cold caches) is timed separately from the steady-state ones."""
     nonce = 1000
     all_txs = []
     timestamp = 4.0
@@ -148,13 +141,11 @@ def _produce_blocks(chain: Chain, accounts) -> tuple:
             first_block_txs = len(all_txs)
             start = time.perf_counter()
     wall = time.perf_counter() - start
-    digest = tuple(
-        (chain.receipts[tx.tx_id].success, chain.receipts[tx.tx_id].gas_used)
-        for tx in all_txs
-    )
-    assert all(ok for ok, _gas in digest), "macro workload must not abort"
+    assert all(
+        chain.receipts[tx.tx_id].success for tx in all_txs
+    ), "macro workload must not abort"
     steady_txs = len(all_txs) - first_block_txs
-    return wall, steady_txs, first_block, digest, chain.state.committed_root
+    return wall, steady_txs, first_block
 
 
 def _serve_proofs(chain: Chain, addresses) -> dict:
@@ -189,50 +180,17 @@ def _run_macro() -> dict:
     }
     addresses = _population()
 
-    blocks = {}
-    baseline = None
-    for label, workers, backend in (
-        ("serial", 0, "thread"),
-        ("process_4w", 4, "process"),
-    ):
-        chain = Chain(
-            burrow_params(
-                1, executor_workers=workers, executor_backend=backend
-            ),
-            verify_signatures=True,
-        )
-        if baseline is None:
-            # Commit and proof costs are a property of the state, not
-            # the executor — measure them once, on the serial chain.
-            results["commit"] = _build_state(chain, addresses)
-        else:
-            for address in addresses:
-                chain.state.add_balance(address, 1_000)
-            chain.state.commit()
-            for address in addresses[:HOT_SET]:
-                chain.state.add_balance(address, 1)
-            chain.state.commit()
-        accounts = _deploy_scoin(chain)
-        wall, tx_count, first_block, digest, root = _produce_blocks(chain, accounts)
-        blocks[label] = {
-            "backend": backend,
-            "workers": workers,
-            "txs": tx_count,
-            "seconds": round(wall, 4),
-            "tx_per_second": round(tx_count / wall, 1) if wall > 0 else None,
-            "first_block_seconds": round(first_block, 4),
-        }
-        if baseline is None:
-            baseline = (digest, root, wall)
-            results["proofs"] = _serve_proofs(chain, addresses)
-        else:
-            assert digest == baseline[0], f"{label}: receipts diverged from serial"
-            assert root == baseline[1], f"{label}: state root diverged from serial"
-            blocks[label]["measured_speedup_vs_serial"] = (
-                round(baseline[2] / wall, 3) if wall > 0 else None
-            )
-        chain.close()
-    results["block_production"] = blocks
+    chain = Chain(burrow_params(1), verify_signatures=True)
+    results["commit"] = _build_state(chain, addresses)
+    accounts = _deploy_scoin(chain)
+    wall, tx_count, first_block = _produce_blocks(chain, accounts)
+    results["block_production"] = {
+        "txs": tx_count,
+        "seconds": round(wall, 4),
+        "tx_per_second": round(tx_count / wall, 1) if wall > 0 else None,
+        "first_block_seconds": round(first_block, 4),
+    }
+    results["proofs"] = _serve_proofs(chain, addresses)
     return results
 
 
@@ -253,20 +211,16 @@ def test_macro_millionaccounts(benchmark):
         ["verify proof", f"{proofs['samples']} proofs",
          f"{proofs['verify_seconds']}s", f"{proofs['verify_us_per_proof']}us/proof"],
     ]
-    for label, stats in results["block_production"].items():
-        rows.append(
-            [f"blocks ({label})", f"{stats['txs']} txs",
-             f"{stats['seconds']}s", f"{stats['tx_per_second']} tx/s"]
-        )
-        rows.append(
-            [f"  first block ({label})", "spin-up + 1 block",
-             f"{stats['first_block_seconds']}s", ""]
-        )
+    stats = results["block_production"]
+    rows.append(
+        ["blocks", f"{stats['txs']} txs",
+         f"{stats['seconds']}s", f"{stats['tx_per_second']} tx/s"]
+    )
+    rows.append(["  first block", "1 block", f"{stats['first_block_seconds']}s", ""])
     table = format_table(["phase", "volume", "wall clock", "rate"], rows)
     table += (
         f"\nscale={results['scale']} accounts={results['accounts']} "
-        f"cpu_count={results['cpu_count']}\n"
-        "determinism: process-backend receipts + roots identical to serial"
+        f"cpu_count={results['cpu_count']}"
     )
     emit("macro_millionaccounts", table)
 

@@ -73,31 +73,6 @@ class Chain:
             telemetry=self.telemetry,
             chain_id=params.chain_id,
         )
-        #: optimistic parallel block pipeline (None = serial loop); the
-        #: last block's ParallelBlockReport is kept for benchmarks
-        self.parallel_executor = None
-        self.last_parallel_report = None
-        #: batched ahead-of-block signature verification (process
-        #: backend only: with thread speculation the signature check is
-        #: already inside the speculated slice, and a synchronous
-        #: verifier pool would serialize it twice)
-        self.verifier_pool = None
-        if params.executor_workers >= 1:
-            from repro.parallel.executor import ParallelBlockExecutor
-
-            self.parallel_executor = ParallelBlockExecutor(
-                self.executor,
-                workers=params.executor_workers,
-                telemetry=self.telemetry,
-                chain_id=params.chain_id,
-                backend=params.executor_backend,
-            )
-            if params.executor_backend == "process" and verify_signatures:
-                from repro.parallel.pools import SignatureVerifierPool
-
-                self.verifier_pool = SignatureVerifierPool(
-                    workers=params.executor_workers, use_processes=True
-                )
         self.mempool = Mempool(metrics=metrics, chain_id=params.chain_id)
         self.blocks: List[Block] = []
         self.receipts: Dict[str, Receipt] = {}
@@ -186,29 +161,6 @@ class Chain:
             )
         return admitted
 
-    def submit_batch(self, txs: List[Transaction]) -> int:
-        """Admit a batch and start verifying its signatures off-path.
-
-        Counts admissions; when a verifier pool is attached (process
-        backend), the admitted transactions' signatures are checked in
-        worker processes *while the block interval elapses*, seeding
-        each transaction's verify memo — ``produce_block`` collects the
-        verdicts before execution, so neither the serial loop nor the
-        speculation workers re-pay the verification.
-        """
-        admitted = [tx for tx in txs if self.submit(tx)]
-        if self.verifier_pool is not None and admitted:
-            self.verifier_pool.submit_prewarm(admitted)
-        return len(admitted)
-
-    def close(self) -> None:
-        """Release worker pools (idempotent; the chain stays usable —
-        pools are recreated lazily on the next parallel block)."""
-        if self.parallel_executor is not None:
-            self.parallel_executor.close()
-        if self.verifier_pool is not None:
-            self.verifier_pool.close()
-
     def subscribe(self, listener: BlockListener) -> None:
         """Invoke ``listener(block, receipts)`` after each block."""
         self._listeners.append(listener)
@@ -248,19 +200,7 @@ class Chain:
         env = BlockEnv(chain_id=self.chain_id, height=height, timestamp=timestamp)
         if txs is None:
             txs = self.mempool.take(self.params.max_block_txs)
-        if self.verifier_pool is not None:
-            # Harvest the ahead-of-block signature verdicts: execution
-            # (and the speculation workers, which inherit the memo via
-            # the wave encoding) now hits the verify cache.
-            self.verifier_pool.collect()
-        if self.parallel_executor is not None:
-            # Schedule → speculate → validate/commit pipeline; receipts
-            # come back in transaction order, byte-identical to the
-            # serial loop below for any worker count.
-            receipts, report = self.parallel_executor.execute_block(txs, env)
-            self.last_parallel_report = report
-        else:
-            receipts = [self.executor.execute(tx, env) for tx in txs]
+        receipts = [self.executor.execute(tx, env) for tx in txs]
         for tx, receipt in zip(txs, receipts):
             receipt.block_height = height
             receipt.block_time = timestamp

@@ -35,7 +35,6 @@ from repro.errors import (
     ContractLocked,
     ReadOnlyReplicaError,
     Revert,
-    SpeculationUnsupported,
     TransactionAborted,
 )
 from repro.runtime.context import BlockEnv
@@ -132,45 +131,17 @@ class TransactionExecutor:
         finally:
             if traced:
                 pop_span()
-        self.record_receipt(receipt)
+        if receipt.success:
+            self._m_txs_ok.inc()
+        else:
+            self._m_txs_failed.inc()
+        self._m_tx_gas.observe(receipt.gas_used)
         if traced:
             if receipt.success:
                 span.end(success=True, gas=receipt.gas_used)
             else:
                 span.end(success=False, gas=receipt.gas_used, error=receipt.error)
         return receipt
-
-    def record_receipt(self, receipt: Receipt) -> None:
-        """Account one receipt in the executor's metrics.
-
-        Split out of :meth:`execute` so the parallel block executor can
-        defer metric updates to commit order — keeping counter and
-        histogram contents identical to serial execution regardless of
-        the order speculations finish in.
-        """
-        if receipt.success:
-            self._m_txs_ok.inc()
-        else:
-            self._m_txs_failed.inc()
-        self._m_tx_gas.observe(receipt.gas_used)
-
-    def execute_speculative(self, tx: Transaction, env: BlockEnv, frame) -> Receipt:
-        """Run one transaction optimistically inside ``frame``.
-
-        All state effects are buffered on the frame (see
-        :class:`~repro.statedb.state.SpeculationFrame`); nothing shared
-        is mutated and no metrics are recorded — the parallel block
-        executor validates the frame and either replays it at the
-        transaction's commit position or discards it.  Raises
-        :class:`~repro.errors.SpeculationUnsupported` when the
-        transaction needs an operation the overlay cannot buffer.
-        """
-        state = self.runtime.state
-        state.begin_speculation(frame)
-        try:
-            return self._execute_inner(tx, env)
-        finally:
-            state.end_speculation()
 
     def _execute_inner(self, tx: Transaction, env: BlockEnv) -> Receipt:
         state = self.runtime.state
@@ -208,12 +179,6 @@ class TransactionExecutor:
                 gas_by_category=dict(meter.by_category),
                 fee_paid=fee,
             )
-        except SpeculationUnsupported:
-            # Not a transaction fault: the optimistic overlay cannot
-            # express this operation.  Unwind the (frame-local) journal
-            # and let the parallel executor re-run the tx serially.
-            state.revert(snap)
-            raise
         except Exception as exc:  # noqa: BLE001 — contract-fault boundary
             # EVM semantics: *any* fault inside contract execution
             # (malformed arguments, a bug in contract code, ...) aborts

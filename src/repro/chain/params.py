@@ -41,18 +41,10 @@ class ChainParams:
     #: congested and fees increase, users are tempted to move their
     #: contracts to underused shards".
     gas_price: int = 0
-    #: block-execution worker count.  0 (default) keeps the classic
-    #: serial transaction loop; any value ≥ 1 routes blocks through the
-    #: optimistic parallel pipeline (:mod:`repro.parallel`) with that
-    #: many speculation threads — 1 is the pipeline's serial baseline.
-    #: Results are byte-identical either way (see docs/PERFORMANCE.md).
+    #: retired: blocks execute on the one serial loop, and the only
+    #: accepted value is 0.  The keyword survives because the frozen
+    #: benchmark harness still passes it (see docs/PERFORMANCE.md).
     executor_workers: int = 0
-    #: speculation backend for the parallel pipeline: ``thread`` (the
-    #: default) speculates on a thread pool against shared state;
-    #: ``process`` ships waves to worker processes as coverage
-    #: snapshots for real multi-core wall-clock (docs/PERFORMANCE.md).
-    #: Ignored while ``executor_workers`` is 0.
-    executor_backend: str = "thread"
     #: how many recent blocks keep their post-state root and account
     #: tree snapshot for serving historical proofs.  Must comfortably
     #: exceed every peer's ``state_root_lag + confirmation_depth`` (the
@@ -100,16 +92,11 @@ class ChainParams:
             )
         if self.gas_price < 0:
             raise ConfigError(f"gas_price must be >= 0, got {self.gas_price}")
-        if self.executor_workers < 0:
+        if type(self.executor_workers) is not int or self.executor_workers != 0:
             raise ConfigError(
-                f"executor_workers must be >= 0, got {self.executor_workers} — "
-                "use 0 for the serial loop, or >= 1 for the parallel pipeline"
-            )
-        if self.executor_backend not in ("thread", "process"):
-            raise ConfigError(
-                f"executor_backend must be 'thread' or 'process', got "
-                f"{self.executor_backend!r} — 'thread' speculates against "
-                "shared state, 'process' ships waves to worker processes"
+                f"executor_workers must be 0, got {self.executor_workers!r} — the "
+                "parallel block pipeline was removed and every block runs on the "
+                "serial loop (docs/PERFORMANCE.md records the measurement)"
             )
         if self.snapshot_retention < 0:
             raise ConfigError(

@@ -80,17 +80,6 @@ class StateError(ReproError):
     """Inconsistent or missing world-state entries."""
 
 
-class SpeculationUnsupported(ReproError):
-    """An optimistically executed transaction hit a state operation the
-    speculative overlay cannot virtualize (contract creation, Move-state
-    writes, bulk storage replacement).
-
-    Deliberately *not* a :class:`TransactionAborted`: the parallel block
-    executor catches it, discards the speculation and re-runs the
-    transaction on the serial path at its original position — the
-    transaction itself is perfectly valid."""
-
-
 class SimulationError(ReproError):
     """Misuse of the discrete-event simulator."""
 

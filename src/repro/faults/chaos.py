@@ -100,8 +100,8 @@ class ChaosReport:
     replica_rehomes: int = 0
     replica_checks: int = 0
     # health plane (``health=True`` runs only) — the log and bundle are
-    # canonical JSON strings so determinism harnesses can compare runs
-    # byte-for-byte across executor worker counts
+    # canonical JSON strings so replay harnesses can compare runs
+    # byte-for-byte
     alerts_fired: int = 0
     health_transitions: int = 0
     health_postmortems: int = 0
@@ -129,8 +129,6 @@ class ChaosWorld:
         pow_peer: bool = False,
         actors: int = 3,
         telemetry: Optional[Telemetry] = None,
-        executor_workers: int = 0,
-        executor_backend: str = "thread",
     ):
         self.seed = seed
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
@@ -144,12 +142,7 @@ class ChaosWorld:
         self.relays: Dict[int, HeaderRelay] = {}
         for chain_id in WORKLOAD_CHAINS:
             chain = Chain(
-                burrow_params(
-                    chain_id,
-                    validator_count=4,
-                    executor_workers=executor_workers,
-                    executor_backend=executor_backend,
-                ),
+                burrow_params(chain_id, validator_count=4),
                 self.registry,
                 verify_signatures=False,
                 telemetry=self.telemetry,
@@ -161,11 +154,7 @@ class ChaosWorld:
             )
         if pow_peer:
             chain = Chain(
-                ethereum_params(
-                    POW_CHAIN,
-                    executor_workers=executor_workers,
-                    executor_backend=executor_backend,
-                ),
+                ethereum_params(POW_CHAIN),
                 self.registry,
                 verify_signatures=False,
                 telemetry=self.telemetry,
@@ -464,13 +453,7 @@ def _attach_replication(world: ChaosWorld):
 def _attach_health(world: ChaosWorld, checker, injector, manager):
     """Build the chaos-default :class:`~repro.health.monitor
     .HealthMonitor` over the world and wire the flight-recorder
-    triggers (injected faults, invariant violations).
-
-    The probe set deliberately omits :class:`~repro.health.probes
-    .ConflictRateProbe`: its counters only exist on parallel chains, so
-    including it would break the byte-identical-across-worker-counts
-    contract the detection gate asserts.
-    """
+    triggers (injected faults, invariant violations)."""
     from repro.health.monitor import HealthMonitor
     from repro.health.probes import (
         ChainLivenessProbe,
@@ -547,8 +530,6 @@ def run_chaos(
     pow_peer: bool = False,
     check_roots: bool = True,
     telemetry: Optional[Telemetry] = None,
-    executor_workers: int = 0,
-    executor_backend: str = "thread",
     replicate: bool = False,
     health: bool = False,
     on_monitor: Optional[Callable] = None,
@@ -558,11 +539,7 @@ def run_chaos(
 
     ``plan`` defaults to ``FaultPlan.from_seed(seed, duration, ...)``
     with reorg faults enabled iff ``pow_peer`` adds the PoW bystander.
-    Re-invoking with the same arguments replays the run exactly —
-    including with a different ``executor_workers`` value, which must
-    not change any observable outcome (the parallel-determinism
-    property tests re-run the seed matrix at several worker counts and
-    compare these reports field by field).
+    Re-invoking with the same arguments replays the run exactly.
 
     ``replicate=True`` mirrors every actor contract onto the opposite
     workload chain through a
@@ -585,114 +562,101 @@ def run_chaos(
         raise ValueError(f"unknown workload {workload!r}")
     setup, step = _WORKLOADS[workload]
 
-    world = ChaosWorld(
-        seed,
-        pow_peer=pow_peer,
-        telemetry=telemetry,
-        executor_workers=executor_workers,
-        executor_backend=executor_backend,
-    )
-    try:
-        report = ChaosReport(seed=seed, duration=duration, workload=workload)
-        world.report = report
-        # Leave a quiescent tail: no new operations in the last 10 %.
-        world.deadline = 0.9 * duration
+    world = ChaosWorld(seed, pow_peer=pow_peer, telemetry=telemetry)
+    report = ChaosReport(seed=seed, duration=duration, workload=workload)
+    world.report = report
+    # Leave a quiescent tail: no new operations in the last 10 %.
+    world.deadline = 0.9 * duration
 
-        if plan is None:
-            pow_chains = (
-                {POW_CHAIN: world.chains[POW_CHAIN].params.confirmation_depth}
-                if pow_peer
-                else None
-            )
-            plan = FaultPlan.from_seed(
-                seed,
-                duration=duration,
-                pow_chains=pow_chains,
-                intensity=intensity,
-            )
-        report.plan_counts = plan.counts()
-
-        checker = InvariantChecker(world.chains.values(), check_roots=check_roots)
-        checker.attach()
-        injector = FaultInjector(
-            world.sim,
-            network=world.network,
-            chains=world.chains,
-            engines={cid: world.engines[cid] for cid in WORKLOAD_CHAINS},
-            relays=world.relays,
-            seed=seed,
+    if plan is None:
+        pow_chains = (
+            {POW_CHAIN: world.chains[POW_CHAIN].params.confirmation_depth}
+            if pow_peer
+            else None
         )
-        injector.apply(plan)
+        plan = FaultPlan.from_seed(
+            seed,
+            duration=duration,
+            pow_chains=pow_chains,
+            intensity=intensity,
+        )
+    report.plan_counts = plan.counts()
 
-        manager = _attach_replication(world) if replicate else None
-        if manager is not None:
+    checker = InvariantChecker(world.chains.values(), check_roots=check_roots)
+    checker.attach()
+    injector = FaultInjector(
+        world.sim,
+        network=world.network,
+        chains=world.chains,
+        engines={cid: world.engines[cid] for cid in WORKLOAD_CHAINS},
+        relays=world.relays,
+        seed=seed,
+    )
+    injector.apply(plan)
 
-            def on_block(_block, _receipts) -> None:
-                _check_replicas(world, manager)
+    manager = _attach_replication(world) if replicate else None
+    if manager is not None:
 
-            for chain_id in WORKLOAD_CHAINS:
-                world.chains[chain_id].subscribe(on_block)
-
-        monitor = _attach_health(world, checker, injector, manager) if health else None
-        if monitor is not None and on_monitor is not None:
-            on_monitor(monitor)
-
-        def on_ready(total_supply: int) -> None:
-            if total_supply:
-                checker.expected_token_supply = total_supply
-            if manager is not None:
-                home, away = WORKLOAD_CHAINS
-                # Stationary contracts (token/registry) are the realistic
-                # replicas: hot, read-dominated, never moving.  The roaming
-                # actor contracts ride along to chaos-test the
-                # tombstone-on-move and re-home paths.
-                for contract in world.stationary:
-                    manager.replicate(contract, home, [away])
-                for actor in world.actors:
-                    manager.replicate(actor.contract, home, [away])
-            for actor in world.actors:
-                step(world, actor)
-
-        world.start()
-        setup(world, on_ready)
-        world.sim.run(until=duration)
-        checker.final_check()
-        if manager is not None:
+        def on_block(_block, _receipts) -> None:
             _check_replicas(world, manager)
-            report.replica_rehomes = manager.rehomes
-            for relay in manager._relays.values():
-                report.replica_updates += relay.updates
-                report.replica_halts += relay.halts
-                report.replica_tombstones += relay.tombstones
 
-        if monitor is not None:
-            monitor.stop()
-            report.alerts_fired = sum(
-                1 for entry in monitor.alert_log() if entry["state"] == "firing"
-            )
-            report.health_transitions = len(monitor.transitions)
-            report.health_postmortems = monitor.recorder.postmortems_written
-            report.health_states = monitor.states_text()
-            report.alert_log = monitor.alert_log_json()
-            report.postmortem_bundle = monitor.last_postmortem_json()
-        report.injected = dict(injector.injected)
-        report.blocks = {cid: chain.height for cid, chain in world.chains.items()}
-        report.final_roots = {
-            cid: chain.state.committed_root.hex() for cid, chain in world.chains.items()
-        }
-        report.invariant_checks = checker.checks_run
-        report.messages_dropped = world.network.messages_dropped
-        report.messages_duplicated = world.network.messages_duplicated
-        for chain in world.chains.values():
-            for peer_id in world.chains:
-                store = chain.light_client.store_for(peer_id)
-                if store is not None:
-                    report.equivocations_rejected += getattr(store, "equivocations", 0)
-                    report.deep_reorgs_detected += getattr(store, "deep_reorgs", 0)
-        return report
-    finally:
-        # Release every chain's worker pools even when an invariant
-        # violation aborts the run mid-flight: a chaos sweep must
-        # never leak speculation or verifier processes.
-        for chain in world.chains.values():
-            chain.close()
+        for chain_id in WORKLOAD_CHAINS:
+            world.chains[chain_id].subscribe(on_block)
+
+    monitor = _attach_health(world, checker, injector, manager) if health else None
+    if monitor is not None and on_monitor is not None:
+        on_monitor(monitor)
+
+    def on_ready(total_supply: int) -> None:
+        if total_supply:
+            checker.expected_token_supply = total_supply
+        if manager is not None:
+            home, away = WORKLOAD_CHAINS
+            # Stationary contracts (token/registry) are the realistic
+            # replicas: hot, read-dominated, never moving.  The roaming
+            # actor contracts ride along to chaos-test the
+            # tombstone-on-move and re-home paths.
+            for contract in world.stationary:
+                manager.replicate(contract, home, [away])
+            for actor in world.actors:
+                manager.replicate(actor.contract, home, [away])
+        for actor in world.actors:
+            step(world, actor)
+
+    world.start()
+    setup(world, on_ready)
+    world.sim.run(until=duration)
+    checker.final_check()
+    if manager is not None:
+        _check_replicas(world, manager)
+        report.replica_rehomes = manager.rehomes
+        for relay in manager._relays.values():
+            report.replica_updates += relay.updates
+            report.replica_halts += relay.halts
+            report.replica_tombstones += relay.tombstones
+
+    if monitor is not None:
+        monitor.stop()
+        report.alerts_fired = sum(
+            1 for entry in monitor.alert_log() if entry["state"] == "firing"
+        )
+        report.health_transitions = len(monitor.transitions)
+        report.health_postmortems = monitor.recorder.postmortems_written
+        report.health_states = monitor.states_text()
+        report.alert_log = monitor.alert_log_json()
+        report.postmortem_bundle = monitor.last_postmortem_json()
+    report.injected = dict(injector.injected)
+    report.blocks = {cid: chain.height for cid, chain in world.chains.items()}
+    report.final_roots = {
+        cid: chain.state.committed_root.hex() for cid, chain in world.chains.items()
+    }
+    report.invariant_checks = checker.checks_run
+    report.messages_dropped = world.network.messages_dropped
+    report.messages_duplicated = world.network.messages_duplicated
+    for chain in world.chains.values():
+        for peer_id in world.chains:
+            store = chain.light_client.store_for(peer_id)
+            if store is not None:
+                report.equivocations_rejected += getattr(store, "equivocations", 0)
+                report.deep_reorgs_detected += getattr(store, "deep_reorgs", 0)
+    return report

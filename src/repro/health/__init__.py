@@ -15,15 +15,14 @@ injected faults and raised alerts lives in
 :mod:`repro.health.coverage` (the CI detection-coverage gate).
 
 Everything is a pure function of the seed: alert logs and postmortem
-bundles replay byte-identically at every executor worker count.  See
-``docs/OBSERVABILITY.md`` ("Health, SLOs, and postmortems").
+bundles replay byte-identically.  See ``docs/OBSERVABILITY.md``
+("Health, SLOs, and postmortems").
 """
 
 from repro.health.coverage import CoverageReport, detection_coverage, fault_target_prefixes
 from repro.health.monitor import HealthMonitor
 from repro.health.probes import (
     ChainLivenessProbe,
-    ConflictRateProbe,
     GatewayQueueProbe,
     MempoolDepthProbe,
     ProbeSample,
@@ -48,7 +47,6 @@ __all__ = [
     "ReplicaStalenessProbe",
     "GatewayQueueProbe",
     "MempoolDepthProbe",
-    "ConflictRateProbe",
     "RebalancerProbe",
     "CoverageReport",
     "detection_coverage",

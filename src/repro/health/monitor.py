@@ -82,14 +82,11 @@ class HealthMonitor:
         node,
         interval: float = 5.0,
         slos: Sequence[SloSpec] = (),
-        conflict_probe: bool = True,
     ) -> "HealthMonitor":
         """The stock probe set over a node: chain liveness, relay lag,
-        mempool depth, executor conflicts, plus replica staleness and
-        rebalancer probes when those components are attached.  Build it
-        *after* attaching replication/rebalancing (or add probes
-        later); set ``conflict_probe=False`` for deployments whose
-        alert logs must replay across executor worker counts."""
+        mempool depth, plus replica staleness and rebalancer probes
+        when those components are attached.  Build it *after* attaching
+        replication/rebalancing (or add probes later)."""
         from repro.health import probes as p
 
         monitor = cls(node.sim, telemetry=node.telemetry, interval=interval, slos=slos)
@@ -97,10 +94,6 @@ class HealthMonitor:
         if node.relays:
             monitor.add_probe(p.RelayLagProbe(node.relays))
         monitor.add_probe(p.MempoolDepthProbe(node.chains))
-        if conflict_probe:
-            monitor.add_probe(
-                p.ConflictRateProbe(node.telemetry.metrics, node.chains)
-            )
         if node.replication is not None:
             monitor.add_probe(p.ReplicaStalenessProbe(node.replication))
         if node.rebalancer is not None:

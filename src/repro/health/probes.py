@@ -1,7 +1,7 @@
 """Typed health probes: per-target healthy/unhealthy judgements.
 
 A probe turns raw observable state (chain heights, light-client stores,
-mirror sync positions, queue depths, executor counters) into a list of
+mirror sync positions, queue depths) into a list of
 :class:`ProbeSample` values — one per *target*, a stable string like
 ``chain:1`` or ``relay:1->2`` that names the thing being judged.  The
 :class:`~repro.health.monitor.HealthMonitor` polls every attached probe
@@ -10,15 +10,9 @@ on the simulated clock and feeds the samples to the SLO evaluator
 question "is this target healthy *right now*, and how bad is it?" —
 windowing, burn rates and alerting live one layer up.
 
-Determinism contract: every quantity a probe reads must be independent
-of the executor worker count (heights, header-store positions, mirror
-states and mempool depths all are — the parallel executor is
-byte-identical to serial), so the resulting alert log replays exactly
-across worker counts.  The one exception, :class:`ConflictRateProbe`,
-reads counters that only exist on parallel chains; it is therefore not
-part of the chaos harness's default probe set (see
-``run_chaos(health=True)``) and belongs on nodes whose worker count is
-fixed.
+Determinism contract: a probe reads only simulated-clock state
+(heights, header-store positions, mirror states, mempool depths), so
+the resulting alert log replays exactly from a seed.
 """
 
 from __future__ import annotations
@@ -32,7 +26,6 @@ RELAY_LAG = "relay_lag"
 REPLICA_STALENESS = "replica_staleness"
 GATEWAY = "gateway"
 MEMPOOL_DEPTH = "mempool_depth"
-CONFLICT_RATE = "conflict_rate"
 REBALANCER = "rebalancer"
 
 
@@ -313,63 +306,6 @@ class MempoolDepthProbe:
                     healthy=depth <= bound,
                     value=float(depth),
                     detail=f"{depth} pending (bound {bound:.0f})",
-                )
-            )
-        return samples
-
-
-class ConflictRateProbe:
-    """Speculation re-execution rate of the parallel executor.
-
-    Reads the ``executor_parallel_*`` counters per chain; the value is
-    ``reexecuted / speculated`` since the previous sample (0.0 when
-    nothing speculated).  These counters only exist on chains with
-    ``executor_workers > 0`` — keep this probe off deployments whose
-    alert logs must replay across worker counts.
-    """
-
-    kind = CONFLICT_RATE
-
-    def __init__(self, metrics, chain_ids: Iterable[int], max_rate: float = 0.5):
-        self.metrics = metrics
-        self.chain_ids = sorted(chain_ids)
-        self.max_rate = max_rate
-        self._prev: Dict[int, tuple] = {}
-
-    def sample(self, now: float) -> List[ProbeSample]:
-        """One judgement per watched chain's executor.
-
-        The detail carries the executor backend (from the
-        ``executor_parallel_backend_process`` gauge — pure
-        configuration, hence deterministic), so operators reading an
-        alert know whether the pressure is thread or process
-        speculation.  The measured wall-clock gauges in the same family
-        are intentionally *not* read here: probe judgements must replay
-        byte-identically, and real time does not.
-        """
-        samples = []
-        for chain_id in self.chain_ids:
-            speculated = self.metrics.value(
-                "executor_parallel_txs_speculated_total", chain=chain_id
-            )
-            reexecuted = self.metrics.value(
-                "executor_parallel_txs_reexecuted_total", chain=chain_id
-            )
-            is_process = self.metrics.value(
-                "executor_parallel_backend_process", chain=chain_id
-            )
-            backend = "process" if is_process else "thread"
-            prev_s, prev_r = self._prev.get(chain_id, (0.0, 0.0))
-            self._prev[chain_id] = (speculated, reexecuted)
-            new_s, new_r = speculated - prev_s, reexecuted - prev_r
-            rate = new_r / new_s if new_s > 0 else 0.0
-            samples.append(
-                ProbeSample(
-                    target=f"executor:{chain_id}",
-                    healthy=rate <= self.max_rate,
-                    value=rate,
-                    detail=f"{new_r:.0f}/{new_s:.0f} re-executed since last "
-                    f"sample ({backend} backend)",
                 )
             )
         return samples

@@ -12,10 +12,9 @@ happened (the ring), how the system drifted (metric start/current/
 delta), what is unhealthy (the health map), and what is firing.
 
 Determinism: the snapshot metric whitelist is fixed and read through
-``registry.total`` (absent names read 0.0), and it deliberately
-excludes the ``executor_parallel_*`` family, which only exists on
-parallel chains — so a bundle from a seeded run is byte-identical at
-every executor worker count (the chaos detection gate asserts this).
+``registry.total`` (absent names read 0.0), so a bundle from a seeded
+run is byte-identical on replay (the chaos detection gate asserts
+this).
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import json
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence
 
-#: counters snapshotted every tick — worker-count-independent by design
+#: counters snapshotted every tick
 DEFAULT_SNAPSHOT_METRICS = (
     "faults_injected_total",
     "gateway_admitted_total",

@@ -20,8 +20,8 @@ clock):
 
 Everything here is pure bookkeeping over (time, healthy) pairs: no
 randomness, no wall clock, no dict-ordering dependence (series are
-evaluated in sorted key order), so two identically seeded runs — at
-any executor worker count — produce byte-identical alert logs.
+evaluated in sorted key order), so two identically seeded runs
+produce byte-identical alert logs.
 """
 
 from __future__ import annotations
@@ -72,9 +72,6 @@ def default_slos() -> Tuple[SloSpec, ...]:
         SloSpec("replica-staleness", probes.REPLICA_STALENESS, objective=0.75),
         SloSpec("gateway-admission", probes.GATEWAY, objective=0.75),
         SloSpec("mempool-backlog", probes.MEMPOOL_DEPTH, objective=0.75),
-        SloSpec(
-            "executor-conflicts", probes.CONFLICT_RATE, objective=0.5, severity="ticket"
-        ),
         SloSpec(
             "rebalancer-inflight", probes.REBALANCER, objective=0.5, severity="ticket"
         ),

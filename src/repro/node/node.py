@@ -163,13 +163,7 @@ class Node:
             self._health.start()
 
     def stop(self) -> None:
-        """Halt block production (pending timers become no-ops).
-
-        Also releases every chain's worker pools — a stopped node must
-        not leak speculation or verifier processes.  Pools are
-        recreated lazily, so ``start()`` after ``stop()`` still works
-        (the same epoch-guard restart contract the tick timers follow).
-        """
+        """Halt block production (pending timers become no-ops)."""
         self._running = False
         if self._rebalancer is not None:
             self._rebalancer.stop()
@@ -182,8 +176,6 @@ class Node:
         else:
             for engine in self.engines:
                 engine.stop()
-        for chain in self.chains.values():
-            chain.close()
 
     @property
     def rebalancer(self):

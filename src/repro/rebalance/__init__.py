@@ -8,7 +8,7 @@ plane, split into the three layers docs/REBALANCING.md describes:
 * **signals** (:mod:`repro.rebalance.signals`) — one typed
   :class:`LoadSignal` interface over every load statistic the system
   already produces (block-fill utilization, per-contract tx/gas rates,
-  speculative-execution conflict rates, gateway queue depths), composed
+  gateway queue depths), composed
   into :class:`ShardLoadView` snapshots by a :class:`SignalPlane`;
 * **policy** (:mod:`repro.rebalance.policy`) — the
   :class:`RebalancePolicy` engine: hysteresis (enter/exit thresholds),
@@ -35,7 +35,6 @@ from repro.rebalance.rebalancer import (
 )
 from repro.rebalance.signals import (
     DEFAULT_WEIGHTS,
-    ConflictRateSignal,
     ContractHotnessSignal,
     GatewayQueueSignal,
     LoadSignal,
@@ -53,7 +52,6 @@ __all__ = [
     "DEFAULT_WEIGHTS",
     "ContractHotnessSignal",
     "TxRateSignal",
-    "ConflictRateSignal",
     "GatewayQueueSignal",
     "MoveDecision",
     "RebalancePolicy",

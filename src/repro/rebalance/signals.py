@@ -3,9 +3,8 @@
 Before this module, every consumer that wanted to know "how loaded is
 shard *i*" had to reach into a different subsystem with a different
 shape: :class:`~repro.sharding.balancer.ShardLoadMonitor` exposed
-``utilization(index)``, the telemetry registry held raw counters, the
-parallel executor kept conflict counts on per-chain metrics, and the
-gateway had queue-depth gauges.  The :class:`LoadSignal` protocol
+``utilization(index)``, the telemetry registry held raw counters, and
+the gateway had queue-depth gauges.  The :class:`LoadSignal` protocol
 unifies them: a signal names itself and reports **normalized per-shard
 values** (and optionally per-contract values), and a
 :class:`SignalPlane` composes any set of signals into one
@@ -21,8 +20,7 @@ contracts by hotness, so only their relative order matters.
 Every signal here derives its values from public, deterministic inputs
 (the block stream, the shared :class:`~repro.telemetry.metrics
 .MetricsRegistry`), which is what keeps rebalancing decisions
-replayable: same seed, same blocks, same view, same moves — at any
-executor worker count.
+replayable: same seed, same blocks, same view, same moves.
 """
 
 from __future__ import annotations
@@ -45,13 +43,12 @@ from repro.errors import ConfigError
 
 #: default pressure weights per signal name; unknown names weigh 0.
 #: Utilization is the primary load measure (it is already a capacity
-#: fraction); conflict and queue pressure raise it when speculation
-#: aborts or admission backs up.  ``tx_rate`` defaults to 0 because it
-#: measures the same demand as utilization — it exists for deployments
-#: (e.g. a gateway fleet) that have no block-stream monitor attached.
+#: fraction); queue pressure raises it when admission backs up.
+#: ``tx_rate`` defaults to 0 because it measures the same demand as
+#: utilization — it exists for deployments (e.g. a gateway fleet) that
+#: have no block-stream monitor attached.
 DEFAULT_WEIGHTS: Dict[str, float] = {
     "utilization": 1.0,
-    "conflict": 0.5,
     "gateway_queue": 0.5,
     "tx_rate": 0.0,
     "hotness": 0.0,
@@ -399,41 +396,6 @@ class TxRateSignal(_ShardOnlySignal):
             (t0, c0), (t1, c1) = samples[0], samples[-1]
             elapsed = t1 - t0
             values[shard] = ((c1 - c0) / elapsed / capacity) if elapsed > 0 else 0.0
-        return values
-
-
-class ConflictRateSignal(_ShardOnlySignal):
-    """Speculation conflict/abort rate from the parallel executor.
-
-    Reads the worker-count-independent ``executor_parallel_*`` counters:
-    the reported value is ``reexecuted / speculated`` (0.0 for serial
-    chains, which never speculate).  A hot shard whose transactions keep
-    invalidating each other is a *better* move candidate than raw
-    utilization suggests — conflicts burn speculation work that extra
-    capacity cannot recover.
-    """
-
-    name = "conflict"
-
-    def __init__(self) -> None:
-        self._sources: Dict[int, Tuple] = {}
-
-    def watch(self, shard_index: int, chain) -> "ConflictRateSignal":
-        """Start reading ``chain``'s executor counters for this shard."""
-        self._sources[shard_index] = (chain.telemetry.metrics, chain.chain_id)
-        return self
-
-    def shard_values(self) -> Mapping[int, float]:
-        """Re-execution fraction per shard (0.0 for serial chains)."""
-        values: Dict[int, float] = {}
-        for shard, (metrics, chain_id) in self._sources.items():
-            speculated = metrics.value(
-                "executor_parallel_txs_speculated_total", chain=chain_id
-            )
-            reexecuted = metrics.value(
-                "executor_parallel_txs_reexecuted_total", chain=chain_id
-            )
-            values[shard] = (reexecuted / speculated) if speculated > 0 else 0.0
         return values
 
 

@@ -46,7 +46,6 @@ class ShardedCluster:
         max_block_txs: int = 500,
         verify_signatures: bool = False,
         executor_workers: int = 0,
-        executor_backend: str = "thread",
     ):
         self.num_shards = num_shards
         self.sim = Simulator(seed=seed)
@@ -67,7 +66,6 @@ class ShardedCluster:
                 validator_count=validators_per_shard,
                 block_interval=block_interval,
                 executor_workers=executor_workers,
-                executor_backend=executor_backend,
             )
             chain = Chain(params, self.registry, verify_signatures=verify_signatures)
             self.shards.append(chain)
@@ -86,16 +84,9 @@ class ShardedCluster:
             engine.start()
 
     def stop(self) -> None:
-        """Stop consensus on every shard and release worker pools (the
-        pools recreate lazily, so a stopped cluster can restart)."""
+        """Stop consensus on every shard (a stopped cluster can restart)."""
         for engine in self.engines:
             engine.stop()
-        for shard in self.shards:
-            shard.close()
-
-    def close(self) -> None:
-        """Alias for :meth:`stop` — idiomatic for one-shot runs."""
-        self.stop()
 
     def run(self, until: float) -> None:
         """Advance the shared simulator to ``until`` seconds."""
@@ -170,12 +161,10 @@ class ShardedCluster:
 
     def load_plane(self, weights=None, gateway=None):
         """A :class:`~repro.rebalance.signals.SignalPlane` wired to this
-        cluster: block-fill utilization, per-contract hotness and
-        executor conflict rates for every shard (plus gateway queue
-        pressure when a gateway is given), locating contracts through
-        :meth:`locate_contract`."""
+        cluster: block-fill utilization and per-contract hotness for
+        every shard (plus gateway queue pressure when a gateway is
+        given), locating contracts through :meth:`locate_contract`."""
         from repro.rebalance.signals import (
-            ConflictRateSignal,
             ContractHotnessSignal,
             GatewayQueueSignal,
             SignalPlane,
@@ -185,12 +174,9 @@ class ShardedCluster:
         plane = SignalPlane(weights=weights, locate=self.locate_contract)
         plane.attach(ShardLoadMonitor(self.shards))
         hotness = ContractHotnessSignal()
-        conflict = ConflictRateSignal()
         for index, shard in enumerate(self.shards):
             hotness.watch(index, shard)
-            conflict.watch(index, shard)
         plane.attach(hotness)
-        plane.attach(conflict)
         if gateway is not None:
             plane.attach(GatewayQueueSignal(gateway))
         return plane

@@ -55,11 +55,10 @@ root pointer — an O(1) operation thanks to structural sharing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from threading import get_ident
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set
 
 from repro.crypto.keys import Address
-from repro.errors import SpeculationUnsupported, StateError
+from repro.errors import StateError
 from repro.merkle.proof import MembershipProof
 from repro.merkle.protocol import AuthenticatedTree, TreeFactory
 
@@ -114,109 +113,6 @@ def encode_contract_leaf(record: ContractRecord, storage_root: bytes) -> bytes:
     )
 
 
-#: State-key tuples used by speculation read/write sets.  Balances and
-#: nonces are keyed per address, storage per (address, slot); ``"c"``
-#: covers contract-record metadata (existence, code hash, ``L_c``, move
-#: nonce) and ``"code"`` the shared code store.
-StateKey = Tuple
-
-
-class SpeculationFrame:
-    """Private overlay for one optimistically executed transaction.
-
-    While a frame is active on the executing thread, *no* shared state
-    is mutated: balance changes accumulate as deltas, storage writes
-    land in a private map, and every operation is appended to a replay
-    log.  Reads that consult shared state are recorded in ``reads``;
-    buffered mutations in ``writes``.  The parallel block executor
-    validates ``reads`` against the write sets of same-wave predecessors
-    and, when clean, replays the log in original transaction order —
-    making optimistic execution byte-identical to serial execution.
-
-    Balance mutations are pure deltas (commutative), so they never
-    create write/write conflicts on their own; the balance *check* in
-    :meth:`WorldState.sub_balance` is a read, which is what orders
-    debits against concurrent credits.
-    """
-
-    __slots__ = ("reads", "writes", "_balances", "_nonces", "_storage", "ops")
-
-    def __init__(self) -> None:
-        self.reads: Set[StateKey] = set()
-        self.writes: Set[StateKey] = set()
-        self._balances: Dict[Address, int] = {}
-        self._nonces: Dict[Address, int] = {}
-        self._storage: Dict[Address, Dict[bytes, bytes]] = {}
-        #: replay log: ("add_balance", addr, amt) | ("sub_balance", ...)
-        #: | ("bump_nonce", addr) | ("storage_set", addr, key, value)
-        self.ops: List[Tuple] = []
-
-    # -- overlay mutation (called by WorldState interceptors) ----------
-
-    def add_balance(self, address: Address, amount: int) -> None:
-        """Buffer a balance credit (a commutative delta)."""
-        self.writes.add(("b", address))
-        self._balances[address] = self._balances.get(address, 0) + amount
-        self.ops.append(("add_balance", address, amount))
-
-    def sub_balance(self, address: Address, amount: int) -> None:
-        """Buffer a balance debit (sufficiency was checked as a read)."""
-        self.writes.add(("b", address))
-        self._balances[address] = self._balances.get(address, 0) - amount
-        self.ops.append(("sub_balance", address, amount))
-
-    def bump_nonce(self, address: Address) -> None:
-        """Buffer an EOA nonce increment."""
-        self.writes.add(("n", address))
-        self._nonces[address] = self._nonces.get(address, 0) + 1
-        self.ops.append(("bump_nonce", address))
-
-    def storage_set(self, address: Address, key: bytes, value: bytes) -> None:
-        """Buffer a storage-slot write (empty value = delete)."""
-        self.writes.add(("s", address, key))
-        self._storage.setdefault(address, {})[key] = value
-        self.ops.append(("storage_set", address, key, value))
-
-    # -- overlay reads -------------------------------------------------
-
-    def balance_delta(self, address: Address) -> int:
-        """Net buffered balance change for ``address``."""
-        return self._balances.get(address, 0)
-
-    def nonce_delta(self, address: Address) -> int:
-        """Net buffered nonce increments for ``address``."""
-        return self._nonces.get(address, 0)
-
-    def storage_overlay(self, address: Address, key: bytes) -> Optional[bytes]:
-        """Buffered slot value, or None when the slot was not written
-        by this frame (``b""`` is a buffered delete)."""
-        per_contract = self._storage.get(address)
-        if per_contract is None:
-            return None
-        return per_contract.get(key)
-
-    # -- transaction-level snapshot/revert -----------------------------
-
-    def snapshot(self) -> int:
-        """Mark the current op-log position (frame-local journal)."""
-        return len(self.ops)
-
-    def revert(self, snap: int) -> None:
-        """Discard every buffered op after ``snap`` and rebuild the
-        overlay by replaying the survivors (logs are short; the read
-        set is deliberately left over-approximate)."""
-        if snap >= len(self.ops):
-            return
-        kept = self.ops[:snap]
-        self.ops = []
-        self.writes = set()
-        self._balances = {}
-        self._nonces = {}
-        self._storage = {}
-        for op in kept:
-            getattr(self, op[0])(*op[1:])
-
-
 class WorldState:
     """Mutable world state for one chain, journaled and committable.
 
@@ -244,9 +140,6 @@ class WorldState:
         self._account_tree: AuthenticatedTree = tree_factory()
         self._committed_root: bytes = self._account_tree.root_hash
         self._storage_roots: Dict[Address, bytes] = {}
-        #: active speculation frames keyed by executing thread id; empty
-        #: in serial operation, so the hot-path check is one falsy test
-        self._frames: Dict[int, SpeculationFrame] = {}
         #: addresses whose local record is a read-only replica of a
         #: contract living on another chain (repro.replicate); a mirror
         #: is *never* the active copy, so writes against one are typed
@@ -267,19 +160,11 @@ class WorldState:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> int:
-        """Mark the current journal position (frame-local while the
-        calling thread executes speculatively)."""
-        frame = self._frames.get(get_ident()) if self._frames else None
-        if frame is not None:
-            return frame.snapshot()
+        """Mark the current journal position."""
         return len(self._journal)
 
     def revert(self, snap: int) -> None:
         """Undo every mutation after ``snap`` (most recent first)."""
-        frame = self._frames.get(get_ident()) if self._frames else None
-        if frame is not None:
-            frame.revert(snap)
-            return
         while len(self._journal) > snap:
             self._journal.pop()()
 
@@ -287,52 +172,11 @@ class WorldState:
         self._journal.append(undo)
 
     # ------------------------------------------------------------------
-    # Speculative execution (optimistic concurrency)
-    # ------------------------------------------------------------------
-
-    def _frame(self) -> Optional[SpeculationFrame]:
-        """The calling thread's active speculation frame, if any."""
-        if not self._frames:
-            return None
-        return self._frames.get(get_ident())
-
-    def begin_speculation(self, frame: SpeculationFrame) -> None:
-        """Route this thread's state operations into ``frame``.
-
-        While active, reads consult the frame's overlay before shared
-        state (recording read keys) and *all* mutations are buffered —
-        shared structures are never touched, so speculating threads
-        cannot interfere with each other regardless of interleaving.
-        """
-        self._frames[get_ident()] = frame
-
-    def end_speculation(self) -> None:
-        """Detach the calling thread's frame (buffered ops are kept on
-        the frame for validation/commit by the block executor)."""
-        self._frames.pop(get_ident(), None)
-
-    def apply_speculation(self, frame: SpeculationFrame) -> None:
-        """Replay a validated frame's op log against shared state.
-
-        Called by the parallel block executor in original transaction
-        order, *without* an active frame, so every op runs through the
-        normal journaled mutation path — the resulting journal, dirty
-        sets and state are exactly what serial execution would have
-        produced.
-        """
-        for op in frame.ops:
-            getattr(self, op[0])(*op[1:])
-
-    # ------------------------------------------------------------------
     # Accounts
     # ------------------------------------------------------------------
 
     def account(self, address: Address) -> AccountRecord:
         """Fetch-or-create an externally-owned account record."""
-        if self._frames and self._frames.get(get_ident()) is not None:
-            # Handing out a shared mutable record would bypass the
-            # overlay; no speculative execution path needs it.
-            raise SpeculationUnsupported("direct account-record access")
         record = self.accounts.get(address)
         if record is None:
             record = AccountRecord()
@@ -342,13 +186,6 @@ class WorldState:
 
     def balance_of(self, address: Address) -> int:
         """Native balance of an account or contract (0 if unknown)."""
-        frame = self._frames.get(get_ident()) if self._frames else None
-        if frame is not None:
-            frame.reads.add(("b", address))
-            return self._shared_balance(address) + frame.balance_delta(address)
-        return self._shared_balance(address)
-
-    def _shared_balance(self, address: Address) -> int:
         if address in self.contracts:
             return self.contracts[address].balance
         record = self.accounts.get(address)
@@ -358,10 +195,6 @@ class WorldState:
         """Credit an account or contract (journaled)."""
         if amount < 0:
             raise StateError("use sub_balance for debits")
-        frame = self._frames.get(get_ident()) if self._frames else None
-        if frame is not None:
-            frame.add_balance(address, amount)
-            return
         self._dirty.add(address)
         if address in self.contracts:
             record = self.contracts[address]
@@ -376,12 +209,8 @@ class WorldState:
         """Debit; raises :class:`StateError` on insufficient funds."""
         if amount < 0:
             raise StateError("use add_balance for credits")
-        if self.balance_of(address) < amount:  # records the frame read
+        if self.balance_of(address) < amount:
             raise StateError(f"insufficient balance at {address}")
-        frame = self._frames.get(get_ident()) if self._frames else None
-        if frame is not None:
-            frame.sub_balance(address, amount)
-            return
         self._dirty.add(address)
         if address in self.contracts:
             record = self.contracts[address]
@@ -394,13 +223,6 @@ class WorldState:
 
     def bump_nonce(self, address: Address) -> int:
         """Increment and return an EOA's transaction nonce."""
-        frame = self._frames.get(get_ident()) if self._frames else None
-        if frame is not None:
-            frame.reads.add(("n", address))
-            shared = self.accounts.get(address)
-            base = shared.nonce if shared is not None else 0
-            frame.bump_nonce(address)
-            return base + frame.nonce_delta(address)
         account = self.account(address)
         account.nonce += 1
         self._dirty.add(address)
@@ -412,17 +234,7 @@ class WorldState:
     # ------------------------------------------------------------------
 
     def contract(self, address: Address) -> Optional[ContractRecord]:
-        """The contract record at ``address``, or None.
-
-        Under speculation the *shared* record is returned (its metadata
-        fields — code hash, ``L_c``, move nonce — only change through
-        barrier transactions, never concurrently) and the access is
-        recorded as a read; mutations all go through intercepted
-        :class:`WorldState` methods, never through the record directly.
-        """
-        frame = self._frames.get(get_ident()) if self._frames else None
-        if frame is not None:
-            frame.reads.add(("c", address))
+        """The contract record at ``address``, or None."""
         return self.contracts.get(address)
 
     def require_contract(self, address: Address) -> ContractRecord:
@@ -447,8 +259,6 @@ class WorldState:
         lives where it was created.  Move2 recreation passes the proven
         ``move_nonce`` and balance through.
         """
-        if self._frames and self._frames.get(get_ident()) is not None:
-            raise SpeculationUnsupported("contract creation")
         if address in self.contracts:
             raise StateError(f"contract already exists at {address}")
         record = ContractRecord(
@@ -478,29 +288,16 @@ class WorldState:
     def has_code(self, code_hash: bytes) -> bool:
         """Is this code blob already stored on-chain?  (Section VIII:
         recreation can skip the deposit when the code is present.)"""
-        frame = self._frames.get(get_ident()) if self._frames else None
-        if frame is not None:
-            frame.reads.add(("code", code_hash))
         return code_hash in self.code_store
 
     def storage_get(self, address: Address, key: bytes) -> bytes:
         """Read a storage slot (empty bytes when unset)."""
         record = self.require_contract(address)
-        frame = self._frames.get(get_ident()) if self._frames else None
-        if frame is not None:
-            frame.reads.add(("s", address, key))
-            buffered = frame.storage_overlay(address, key)
-            if buffered is not None:
-                return buffered
         return record.storage.get(key, b"")
 
     def storage_set(self, address: Address, key: bytes, value: bytes) -> None:
         """Write a storage slot (journaled); empty value deletes."""
         record = self.require_contract(address)
-        frame = self._frames.get(get_ident()) if self._frames else None
-        if frame is not None:
-            frame.storage_set(address, key, value)
-            return
         old = record.storage.get(key)
         if value:
             record.storage[key] = value
@@ -526,8 +323,6 @@ class WorldState:
         closure restores the prior dict contents *and* the prior trie
         root pointer (O(1) — the old nodes are structurally shared).
         """
-        if self._frames and self._frames.get(get_ident()) is not None:
-            raise SpeculationUnsupported("bulk storage replacement")
         record = self.require_contract(address)
         prior_storage = dict(record.storage)
         prior_tree = self._storage_tries.get(address)
@@ -582,8 +377,6 @@ class WorldState:
 
         ``height`` stamps when the move happened, for GC age gating.
         """
-        if self._frames and self._frames.get(get_ident()) is not None:
-            raise SpeculationUnsupported("L_c assignment")
         record = self.require_contract(address)
         old = record.location
         old_height = record.moved_at_height
@@ -611,8 +404,6 @@ class WorldState:
 
     def bump_move_nonce(self, address: Address) -> int:
         """Increment the contract's move nonce (on Move2 completion)."""
-        if self._frames and self._frames.get(get_ident()) is not None:
-            raise SpeculationUnsupported("move-nonce bump")
         record = self.require_contract(address)
         record.move_nonce += 1
         self._dirty.add(address)
@@ -638,9 +429,6 @@ class WorldState:
         that GC must preserve and writes must reject with
         :class:`~repro.errors.ReadOnlyReplicaError`.
         """
-        frame = self._frames.get(get_ident()) if self._frames else None
-        if frame is not None:
-            frame.reads.add(("c", address))
         return address in self._mirrors
 
     def apply_mirror(
@@ -665,8 +453,6 @@ class WorldState:
         the replay guard (mirrors never claim the source's nonce for the
         same reason).
         """
-        if self._frames and self._frames.get(get_ident()) is not None:
-            raise SpeculationUnsupported("mirror application")
         record = self.contracts.get(address)
         if record is None:
             record = ContractRecord(

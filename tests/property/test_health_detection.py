@@ -2,10 +2,8 @@
 
 Three properties over the seed matrix:
 
-1. **Determinism** — the alert log and the postmortem bundle are
-   byte-identical across executor worker counts (0, 2, 4), because the
-   chaos monitor's probe set and snapshot whitelist are worker-count
-   independent by construction.
+1. **Determinism** — two runs of one seed produce a byte-identical
+   alert log and postmortem bundle.
 2. **No false alarms** — every firing alert in a faulted run is
    attributable to an injected fault whose window (plus grace) covers
    the alert and whose kind can plausibly degrade the alert's target;
@@ -28,11 +26,10 @@ from repro.health.coverage import detection_coverage
 
 DURATION = 200.0
 INTENSITY = 1.5
-WORKERS = (0, 2, 4)
 
-#: (seed, workload, pow_peer, replicate) — same shape as the
-#: parallel-determinism matrix, extended with replication entries so
-#: the replica-staleness probe sees real mirrors under fault
+#: (seed, workload, pow_peer, replicate) — the chaos seed matrix,
+#: extended with replication entries so the replica-staleness probe
+#: sees real mirrors under fault
 SEED_MATRIX = [
     (1, "scoin", False, False),
     (7, "scoin", True, False),
@@ -58,7 +55,7 @@ def _plan(seed: int, pow_peer: bool) -> FaultPlan:
     )
 
 
-def _run(seed, workload, pow_peer, replicate, plan, workers=0):
+def _run(seed, workload, pow_peer, replicate, plan):
     return run_chaos(
         seed,
         duration=DURATION,
@@ -66,7 +63,6 @@ def _run(seed, workload, pow_peer, replicate, plan, workers=0):
         plan=plan,
         intensity=INTENSITY,
         pow_peer=pow_peer,
-        executor_workers=workers,
         replicate=replicate,
         health=True,
     )
@@ -82,15 +78,11 @@ class TestDetectionGate:
         self, seed, workload, pow_peer, replicate
     ):
         plan = _plan(seed, pow_peer)
-        reports = [
-            _run(seed, workload, pow_peer, replicate, plan, workers=w)
-            for w in WORKERS
-        ]
-        base = reports[0]
-        for other in reports[1:]:
-            assert other.alert_log == base.alert_log
-            assert other.postmortem_bundle == base.postmortem_bundle
-            assert other.health_states == base.health_states
+        base = _run(seed, workload, pow_peer, replicate, plan)
+        replay = _run(seed, workload, pow_peer, replicate, plan)
+        assert replay.alert_log == base.alert_log
+        assert replay.postmortem_bundle == base.postmortem_bundle
+        assert replay.health_states == base.health_states
         coverage = detection_coverage(plan.events, _alerts(base))
         assert coverage.all_alerts_attributed, (
             f"seed {seed}: unattributed firing alerts "

@@ -356,6 +356,9 @@ def test_gateway_limits_validation(kwargs):
         {"validator_count": 0},
         {"gas_price": -1},
         {"executor_workers": -1},
+        {"executor_workers": 1},
+        {"executor_workers": True},
+        {"executor_workers": "2"},
         {"snapshot_retention": -2},
     ],
 )

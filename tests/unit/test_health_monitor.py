@@ -10,7 +10,6 @@ from repro.errors import ConfigError
 from repro.health import probes
 from repro.health.monitor import HealthMonitor
 from repro.health.recorder import (
-    DEFAULT_SNAPSHOT_METRICS,
     FlightRecorder,
     bundle_json,
 )
@@ -58,7 +57,7 @@ class TestMonitorMechanics:
         assert node.telemetry.metrics.total("health_ticks_total") == 10.0
         assert set(monitor.states) == {
             "chain:1", "chain:2", "relay:1->2", "relay:2->1",
-            "mempool:1", "mempool:2", "executor:1", "executor:2",
+            "mempool:1", "mempool:2",
         }
         assert all(monitor.states.values())
 
@@ -194,10 +193,9 @@ class TestNodeHosting:
     def test_for_node_includes_attached_components(self):
         node = _node()
         node.attach_replication()
-        monitor = HealthMonitor.for_node(node, conflict_probe=False)
+        monitor = HealthMonitor.for_node(node)
         kinds = {probe.kind for probe in monitor.probes}
         assert probes.REPLICA_STALENESS in kinds
-        assert probes.CONFLICT_RATE not in kinds
 
 
 # ----------------------------------------------------------------------
@@ -288,8 +286,3 @@ class TestFlightRecorder:
         text = bundle_json(bundle)
         assert '"reason":"manual"' in text
         assert "\n" not in text
-
-    def test_snapshot_whitelist_excludes_parallel_counters(self):
-        assert not any(
-            name.startswith("executor_parallel") for name in DEFAULT_SNAPSHOT_METRICS
-        )

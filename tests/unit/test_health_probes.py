@@ -6,7 +6,6 @@ from types import SimpleNamespace
 from repro.crypto.keys import Address
 from repro.health.probes import (
     ChainLivenessProbe,
-    ConflictRateProbe,
     GatewayQueueProbe,
     MempoolDepthProbe,
     RebalancerProbe,
@@ -241,7 +240,7 @@ class TestGatewayQueue:
 
 
 # ----------------------------------------------------------------------
-# Mempool depth, executor conflicts, rebalancer
+# Mempool depth, rebalancer
 # ----------------------------------------------------------------------
 
 
@@ -254,24 +253,6 @@ class TestMempoolDepth:
         chain.mempool = list(range(30))
         (sample,) = MempoolDepthProbe({1: chain}, max_blocks=3.0).sample(0.0)
         assert sample.healthy
-
-
-class TestConflictRate:
-    def test_rate_is_delta_based(self):
-        metrics = MetricsRegistry()
-        probe = ConflictRateProbe(metrics, [1], max_rate=0.5)
-        metrics.counter("executor_parallel_txs_speculated_total", chain=1).inc(10)
-        metrics.counter("executor_parallel_txs_reexecuted_total", chain=1).inc(8)
-        (sample,) = probe.sample(0.0)
-        assert sample.target == "executor:1"
-        assert not sample.healthy and sample.value == 0.8
-        metrics.counter("executor_parallel_txs_speculated_total", chain=1).inc(10)
-        (sample,) = probe.sample(5.0)
-        assert sample.healthy and sample.value == 0.0
-
-    def test_serial_chain_reads_zero(self):
-        (sample,) = ConflictRateProbe(MetricsRegistry(), [1]).sample(0.0)
-        assert sample.healthy and sample.value == 0.0
 
 
 class TestRebalancer:

@@ -48,7 +48,6 @@ class TestSloSpec:
             probes.REPLICA_STALENESS,
             probes.GATEWAY,
             probes.MEMPOOL_DEPTH,
-            probes.CONFLICT_RATE,
             probes.REBALANCER,
         }
 

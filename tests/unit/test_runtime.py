@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto.hashing import keccak
 from repro.crypto.keys import Address, KeyPair, create2_address
 from repro.errors import ContractLocked, OutOfGas, Revert
 from repro.merkle.iavl import IAVLTree
@@ -269,3 +270,73 @@ def test_events_recorded(world):
     addr = runtime.deploy(ctx, Emitter, (), sender=ALICE)
     runtime.call(ctx, addr, "ping", sender=ALICE)
     assert ctx.events and ctx.events[0][0] == "Ping"
+
+
+# ----------------------------------------------------------------------
+# Registration-time specialization (dispatch table, MapSlot key memo)
+# ----------------------------------------------------------------------
+
+
+class TestSpecialization:
+    def test_dispatch_table_built_at_registration(self):
+        from repro.apps.scoin import SAccount, SCoin
+
+        for cls in (SAccount, SCoin):
+            table = cls.__dict__["_RT_DISPATCH"]
+            for name, (fn, is_view, is_payable) in table.items():
+                assert getattr(fn, "_is_external", False)
+                assert is_view == getattr(fn, "_is_view", False)
+                assert is_payable == getattr(fn, "_is_payable", False)
+        assert "transfer_tokens" in SAccount.__dict__["_RT_DISPATCH"]
+        assert "init" not in SAccount.__dict__["_RT_DISPATCH"]
+
+    def test_reregistration_rebuilds_the_table(self):
+        from repro.runtime.contract import Contract, external
+        from repro.runtime.registry import register_contract
+
+        @register_contract
+        class Widget(Contract):
+            @external
+            def ping(self) -> int:
+                return 1
+
+        first = Widget.__dict__["_RT_DISPATCH"]
+        assert set(first) == {"ping"}
+
+        # Redeploy scenario: the class is redefined (new methods) and
+        # re-registered — the table must reflect the new shape, not the
+        # stale one.
+        @register_contract
+        class Widget(Contract):  # noqa: F811
+            @external
+            def ping(self) -> int:
+                return 2
+
+            @external
+            def pong(self) -> int:
+                return 3
+
+        assert set(Widget.__dict__["_RT_DISPATCH"]) == {"ping", "pong"}
+
+    def test_mapslot_derived_key_matches_direct_derivation(self):
+        slot = MapSlot(int, int)
+        slot.__set_name__(None, "allowances")
+        from repro.runtime.contract import encode_key
+
+        key = ALICE
+        assert slot.derived_key(key) == keccak(slot.base, encode_key(key))
+        # memoized path returns the same bytes
+        assert slot.derived_key(key) == slot.derived_key(key)
+
+    def test_mapslot_cache_keeps_bool_and_int_apart(self):
+        slot = MapSlot(bool, int)
+        slot.__set_name__(None, "flags")
+        assert slot.derived_key(True) != slot.derived_key(1)
+        assert slot.derived_key(False) != slot.derived_key(0)
+
+    def test_mapslot_rename_invalidates_cache(self):
+        slot = MapSlot(int, int)
+        slot.__set_name__(None, "first")
+        before = slot.derived_key(7)
+        slot.__set_name__(None, "second")
+        assert slot.derived_key(7) != before
