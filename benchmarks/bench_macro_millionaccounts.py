@@ -230,13 +230,17 @@ def test_macro_millionaccounts(benchmark):
     )
 
     # Sanity gates (scale-independent): incremental commits must be far
-    # cheaper than rebuilding, and proof serving must stay logarithmic
-    # (well under a millisecond per proof even at 10**6 leaves).
+    # cheaper than rebuilding, and proofs must stay logarithmic.
     assert commit["incremental_commit_seconds"] < commit["initial_commit_seconds"]
+    assert proofs["mean_proof_steps"] < 64
     # Commit budgets (ROADMAP 2a), at either scale: the tree hashes once
     # per commit, not once per ``set``; per-``set`` hashing cost ~320 us
     # per account and ~480 us per touched slot at 10**6 accounts.
     assert commit["initial_commit_us_per_account"] < 60
     assert commit["incremental_commit_us_per_touched"] < 100
-    assert proofs["prove_us_per_proof"] < 50_000
-    assert proofs["mean_proof_steps"] < 64
+    # Proof budgets, at either scale: a proof costs its tree walk plus
+    # one small allocation per step, a verification its hashes (these
+    # sampled paths share too little for the memo to help).  An object
+    # per step cost ~32 us to prove at 10**6 accounts, 20 steps.
+    assert proofs["prove_us_per_proof"] < 20
+    assert proofs["verify_us_per_proof"] < 40

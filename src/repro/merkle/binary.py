@@ -13,10 +13,10 @@ internal node is ``keccak(b"\\x01" + left + right)``.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.crypto.hashing import keccak, merkle_hash_leaf, merkle_hash_node
-from repro.merkle.proof import MembershipProof, ProofStep
+from repro.merkle.proof import MembershipProof
 
 _LEAF_PREFIX = b"\x00"
 _NODE_PREFIX = b"\x01"
@@ -75,7 +75,7 @@ class BinaryMerkleTree:
         """Build a ``{v} ↦ m`` proof for the leaf at ``index``."""
         if not 0 <= index < len(self._leaves):
             raise IndexError(f"leaf index {index} out of range")
-        steps: List[ProofStep] = []
+        steps: List[Tuple[bytes, bytes]] = []
         position = index
         for level in self._levels[:-1]:
             is_right = position % 2 == 1
@@ -83,11 +83,11 @@ class BinaryMerkleTree:
             if sibling_index < len(level):
                 sibling = level[sibling_index]
                 if is_right:
-                    steps.append(ProofStep(prefix=_NODE_PREFIX + sibling, suffix=b""))
+                    steps.append((_NODE_PREFIX + sibling, b""))
                 else:
-                    steps.append(ProofStep(prefix=_NODE_PREFIX, suffix=sibling))
+                    steps.append((_NODE_PREFIX, sibling))
             # else: odd node promoted — no step at this level
             position //= 2
         return MembershipProof(
-            key=b"", value=self._leaves[index], leaf_prefix=_LEAF_PREFIX, steps=steps
+            key=b"", value=self._leaves[index], leaf_prefix=_LEAF_PREFIX, steps=tuple(steps)
         )

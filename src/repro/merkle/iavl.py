@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Tuple
 
 from repro.crypto.hashing import keccak, merkle_hash_leaf, merkle_hash_node
-from repro.merkle.proof import MembershipProof, ProofStep
+from repro.merkle.proof import MembershipProof
 
 _LEAF_PREFIX = b"\x00"
 _NODE_PREFIX = b"\x01"
@@ -226,24 +226,24 @@ class IAVLTree:
         Raises :class:`KeyError` if the key is absent (non-membership
         proofs are not needed by the Move protocol).
         """
-        path: List[Tuple[_Node, bool]] = []  # (inner node, went_left)
         node = self._root
-        if node is not None and node.digest is None:
-            _fill(node)  # sibling digests are read below
-        while node is not None and node.value is None:
-            went_left = key < node.key
-            path.append((node, went_left))
-            node = node.left if went_left else node.right
-        if node is None or node.key != key:
+        if node is None:
             raise KeyError(key.hex())
-        steps: List[ProofStep] = []
-        for inner, went_left in reversed(path):
-            if went_left:
-                steps.append(ProofStep(prefix=_NODE_PREFIX, suffix=inner.right.digest))
+        if node.digest is None:
+            _fill(node)  # sibling digests are read below
+        steps: List[Tuple[bytes, bytes]] = []  # root first while descending
+        while node.value is None:
+            if key < node.key:
+                steps.append((_NODE_PREFIX, node.right.digest))
+                node = node.left
             else:
-                steps.append(ProofStep(prefix=_NODE_PREFIX + inner.left.digest, suffix=b""))
+                steps.append((_NODE_PREFIX + node.left.digest, b""))
+                node = node.right
+        if node.key != key:
+            raise KeyError(key.hex())
+        steps.reverse()
         return MembershipProof(
-            key=key, value=node.value, leaf_prefix=_LEAF_PREFIX, steps=steps
+            key=key, value=node.value, leaf_prefix=_LEAF_PREFIX, steps=tuple(steps)
         )
 
     def height(self) -> int:

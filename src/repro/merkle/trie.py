@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.crypto.hashing import keccak
-from repro.merkle.proof import MembershipProof, ProofStep
+from repro.merkle.proof import MembershipProof
 
 _LEAF_PREFIX = b"\x02"
 _BRANCH_PREFIX = b"\x03"
@@ -280,7 +280,7 @@ class MerklePatriciaTrie:
 
     def prove(self, key: bytes) -> MembershipProof:
         """Build a ``{v} ↦ m`` proof; raises :class:`KeyError` if absent."""
-        steps: List[ProofStep] = []
+        steps: List[Tuple[bytes, bytes]] = []  # root first while descending
         node = self._root
         path = _to_nibbles(key)
         value: Optional[bytes] = None
@@ -293,7 +293,7 @@ class MerklePatriciaTrie:
             if isinstance(node, _Ext):
                 if path[: len(node.path)] != node.path:
                     break
-                steps.append(ProofStep(prefix=_EXT_PREFIX + _pack(node.path), suffix=b""))
+                steps.append((_EXT_PREFIX + _pack(node.path), b""))
                 path = path[len(node.path):]
                 node = node.child
                 continue
@@ -303,18 +303,18 @@ class MerklePatriciaTrie:
             if not path:
                 if node.vleaf is None:
                     break
-                steps.append(
-                    ProofStep(prefix=_BRANCH_PREFIX + b"".join(slots), suffix=b"")
-                )
+                steps.append((_BRANCH_PREFIX + b"".join(slots), b""))
                 value = node.vleaf.value
                 break
             slot = path[0]
             prefix = _BRANCH_PREFIX + b"".join(slots[:slot])
             suffix = b"".join(slots[slot + 1:]) + vslot
-            steps.append(ProofStep(prefix=prefix, suffix=suffix))
+            steps.append((prefix, suffix))
             node = node.children[slot]
             path = path[1:]
         if value is None:
             raise KeyError(key.hex())
         steps.reverse()
-        return MembershipProof(key=key, value=value, leaf_prefix=_LEAF_PREFIX, steps=steps)
+        return MembershipProof(
+            key=key, value=value, leaf_prefix=_LEAF_PREFIX, steps=tuple(steps)
+        )

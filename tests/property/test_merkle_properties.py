@@ -3,11 +3,14 @@
 Invariants checked:
 * trees behave exactly like a dict under arbitrary set/delete sequences;
 * every present key yields a proof that verifies against the live root;
-* any bit-flip in a proof value breaks verification;
+* any bit-flip in any field of a proof, a dropped or a repeated step
+  breaks verification;
 * roots are independent of operation interleaving (state-determined);
 * IAVL roots do not depend on when (or whether) earlier roots were read;
 * IAVL stays AVL-balanced.
 """
+
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,23 +112,40 @@ def test_iavl_root_is_independent_of_when_it_is_read(operations):
     assert [snap.root_hash for snap in snapshots] == roots
 
 
-@given(st.dictionaries(keys, values, min_size=1, max_size=40), st.data())
-@settings(max_examples=40, deadline=None)
-def test_tampered_proofs_rejected(mapping, data):
-    tree = IAVLTree()
+@given(
+    st.sampled_from([IAVLTree, MerklePatriciaTrie]),
+    st.dictionaries(keys, values, min_size=1, max_size=40),
+    st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_tampered_proofs_rejected(factory, mapping, data):
+    """One flipped bit anywhere in a proof — key, value, any step's
+    prefix or suffix — or one step dropped or repeated breaks it."""
+    tree = factory()
     for k, v in mapping.items():
         tree.set(k, v)
-    key = data.draw(st.sampled_from(sorted(mapping)))
-    proof = tree.prove(key)
-    bit = data.draw(st.integers(min_value=0, max_value=len(proof.value) * 8 - 1))
-    tampered_value = bytearray(proof.value)
-    tampered_value[bit // 8] ^= 1 << (bit % 8)
+    proof = tree.prove(data.draw(st.sampled_from(sorted(mapping))))
+    assert verify_proof(proof, tree.root_hash)
+    # key, value, prefix0, suffix0, prefix1, suffix1, ...
+    flat = [proof.key, proof.value, *itertools.chain.from_iterable(proof.steps)]
+    edits = ["flip", "drop", "repeat"] if proof.steps else ["flip"]
+    edit = data.draw(st.sampled_from(edits))
+    if edit == "flip":
+        i = data.draw(st.sampled_from([i for i, blob in enumerate(flat) if blob]))
+        bit = data.draw(st.integers(min_value=0, max_value=len(flat[i]) * 8 - 1))
+        flipped = bytearray(flat[i])
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        flat[i] = bytes(flipped)
+    else:
+        i = 2 + 2 * data.draw(st.integers(min_value=0, max_value=len(proof) - 1))
+        flat[i:i + 2] = flat[i:i + 2] * 2 if edit == "repeat" else []
     forged = MembershipProof(
-        key=proof.key,
-        value=bytes(tampered_value),
+        key=flat[0],
+        value=flat[1],
         leaf_prefix=proof.leaf_prefix,
-        steps=proof.steps,
+        steps=tuple(zip(flat[2::2], flat[3::2])),
     )
+    assert forged != proof
     assert not verify_proof(forged, tree.root_hash)
 
 

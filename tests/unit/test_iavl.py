@@ -12,6 +12,7 @@ from repro.crypto.hashing import keccak_memo_info
 from repro.merkle.binary import BinaryMerkleTree
 from repro.merkle.iavl import EMPTY_ROOT, IAVLTree
 from repro.merkle.proof import verify_proof
+from tests.merkle_helpers import churn, proof_pin
 
 
 def key(i):
@@ -135,33 +136,24 @@ def test_proof_length_logarithmic():
 # ---------------------------------------------------------------------
 
 
-def churn(seed=14, ops=2000, keyspace=600):
-    """A fixed insert/overwrite/delete history and the dict it leaves."""
-    rng = random.Random(seed)
-    tree, model = IAVLTree(), {}
-    for _ in range(ops):
-        k = b"k%04d" % rng.randrange(keyspace)
-        if rng.random() < 0.25:
-            assert tree.delete(k) == (k in model)
-            model.pop(k, None)
-        else:
-            v = rng.randbytes(rng.randrange(1, 24))
-            tree.set(k, v)
-            model[k] = v
-    return tree, model
-
-
 def test_commitment_is_pinned():
     # Values recorded by running this body at the commit before digests
     # were deferred: shape, root and proofs are part of the protocol.
-    tree, model = churn()
+    tree, model = churn(IAVLTree)
     assert dict(tree.items()) == model and len(model) == 418
-    assert tree.root_hash.hex() == (
-        "59ed798c2dc1b1ebc2a653da873d99b39d8427c0323a0ef05f7ea630cbe974f1"
-    )
+    root = "59ed798c2dc1b1ebc2a653da873d99b39d8427c0323a0ef05f7ea630cbe974f1"
+    assert tree.root_hash.hex() == root
     assert tree.height() == 10
-    proof = tree.prove(sorted(model)[len(model) // 2])
+    keys = sorted(model)
+    proof = tree.prove(keys[len(keys) // 2])
     assert len(proof) == 8 and verify_proof(proof, tree.root_hash)
+    # Proof bytes as they were before steps became plain pairs: length,
+    # size_bytes() (Move2 gas), root, SHA3 of every field concatenated.
+    assert [proof_pin(tree.prove(k)) for k in (keys[0], keys[209], keys[-1])] == [
+        (9, 313, root, "fce8ecce7f3e266627ae2f4cb0a732c341250fe6cfd2fc30e0c07dbdf864ba23"),
+        (8, 274, root, "cdd0a842a0b31a395c5170105a4cbb55f25a18d42b00115077daa3ad693c909f"),
+        (9, 304, root, "1da5910e5a4feed53a86d6a9acb9feeded2d77dcd32e7a688cfea5beccacaacc"),
+    ]
 
 
 def test_state_write_workload_root_is_pinned():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.merkle.proof import verify_proof
 from repro.merkle.trie import EMPTY_ROOT, MerklePatriciaTrie
+from tests.merkle_helpers import churn, proof_pin
 
 
 def test_empty_root():
@@ -141,3 +142,17 @@ def test_snapshot_is_stable_and_forks():
 
 def test_history_independence_flag():
     assert MerklePatriciaTrie.history_independent is True
+
+
+def test_proof_bytes_are_pinned():
+    # Recorded before steps became plain pairs (see test_iavl.py).
+    trie, model = churn(MerklePatriciaTrie)
+    assert dict(trie.items()) == model and len(model) == 418
+    root = "4f3de5b8507da79d09fe7db278eb02ab3ecb56a414fb901df600aad3c47e7590"
+    assert trie.root_hash.hex() == root
+    keys = sorted(model)
+    assert [proof_pin(trie.prove(k)) for k in (keys[0], keys[209], keys[-1])] == [
+        (6, 1565, root, "7ca5ee7473f0efc1cb8e8a05193319fd318cc6a6fcad00c9ea321a1aeeae6753"),
+        (6, 1559, root, "e4579e41fdf9ee6570dae3fe54f7ada6240f49cc0c3716863be738138e327030"),
+        (6, 1556, root, "67a774dd3f9d03758793af3caf2315c3a27780add7349260c01a098be297b6f0"),
+    ]
