@@ -20,6 +20,7 @@ quorum arithmetic is still enforced and unit-tested.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.chain.chain import Chain
@@ -93,9 +94,7 @@ class TendermintEngine:
             "consensus_commit_interval_seconds", chain=chain.chain_id
         )
         for validator, region in zip(self.validators, regions):
-            network.attach(
-                validator, region, lambda src, msg, me=validator: self._on_message(me, src, msg)
-            )
+            network.attach(validator, region, partial(self._on_message, validator))
 
     # ------------------------------------------------------------------
 
@@ -123,7 +122,7 @@ class TendermintEngine:
         stalled, its proposal slots cost the set one round timeout each.
         """
         self.crash(validator)
-        self.sim.schedule(duration, lambda: self.recover(validator))
+        self.sim.schedule(duration, self.recover, validator)
 
     def start(self) -> None:
         """Schedule the first proposal one interval from now."""
@@ -151,16 +150,16 @@ class TendermintEngine:
             self.network.broadcast(proposer, self.validators, payload, size_bytes=1024)
             # The proposer processes its own proposal immediately.
             self._on_message(proposer, proposer, payload)
-        # Round timeout: if the height has not committed by then (a
-        # crashed proposer, or votes lost to crashed validators), the
-        # next round's proposer takes over.
-        def on_timeout() -> None:
-            if self._running and height > self._committed_height:
-                self.rounds_advanced += 1
-                self._m_rounds.inc()
-                self._propose(height, round + 1)
+        self.sim.schedule(self.round_timeout, self._on_round_timeout, height, round)
 
-        self.sim.schedule(self.round_timeout, on_timeout)
+    def _on_round_timeout(self, height: int, round: int) -> None:
+        """If the height has not committed by now (a crashed proposer,
+        or votes lost to crashed validators), the next round's proposer
+        takes over."""
+        if self._running and height > self._committed_height:
+            self.rounds_advanced += 1
+            self._m_rounds.inc()
+            self._propose(height, round + 1)
 
     def _on_message(self, me: str, src: str, msg: object) -> None:
         if not self._running or me in self.crashed:
@@ -229,7 +228,7 @@ class TendermintEngine:
         )
         self._gc(height)
         if self._running:
-            self.sim.schedule(self.interval, lambda: self._propose(height + 1))
+            self.sim.schedule(self.interval, self._propose, height + 1)
 
     def _gc(self, height: int) -> None:
         """Drop vote bookkeeping for committed heights."""

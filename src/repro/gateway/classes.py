@@ -38,10 +38,10 @@ class PriorityClass(IntEnum):
     VIEW = 1
     BULK = 2
 
-    @property
-    def label(self) -> str:
-        """Lower-case name used in metric labels and wire payloads."""
-        return self.name.lower()
+    def __init__(self, value: int):
+        #: lower-case name used in metric labels and wire payloads (a
+        #: plain attribute: admission reads it on every request)
+        self.label = self._name_.lower()
 
     @classmethod
     def coerce(cls, value: Union["PriorityClass", str, int]) -> "PriorityClass":
@@ -50,23 +50,24 @@ class PriorityClass(IntEnum):
         if isinstance(value, cls):
             return value
         if isinstance(value, str):
-            try:
-                return cls[value.upper()]
-            except KeyError:
-                pass
+            member = _BY_LABEL.get(value)
+            if member is None:
+                member = cls.__members__.get(value.upper())
+            if member is not None:
+                return member
         elif isinstance(value, int) and not isinstance(value, bool):
-            try:
-                return cls(value)
-            except ValueError:
-                pass
+            if 0 <= value < len(FLUSH_ORDER):
+                return FLUSH_ORDER[value]
         raise ConfigError(
             f"priority must be one of {[c.label for c in cls]} "
             f"(or a PriorityClass), got {value!r}"
         )
 
 
-#: classes in flush order (highest priority first)
+#: classes in flush order (highest priority first); a member's value is
+#: its index here
 FLUSH_ORDER = tuple(PriorityClass)
+_BY_LABEL = {cls.label: cls for cls in FLUSH_ORDER}
 #: classes in shed-search order (lowest priority first)
 SHED_ORDER = tuple(reversed(FLUSH_ORDER))
 

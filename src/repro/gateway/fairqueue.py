@@ -26,25 +26,34 @@ rather than to the enqueuer.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.gateway.classes import FLUSH_ORDER, SHED_ORDER, PriorityClass
 
 
-@dataclass
 class QueueEntry:
     """One admitted-but-unflushed request."""
 
-    tx: object
-    handle: object
-    cls: PriorityClass
-    client: str
-    #: simulated admission instant (victim attribution reports it)
-    at: float = 0.0
+    __slots__ = ("tx", "handle", "cls", "client", "at")
+
+    def __init__(
+        self,
+        tx: object,
+        handle: object,
+        cls: PriorityClass,
+        client: str,
+        at: float = 0.0,
+    ):
+        self.tx = tx
+        self.handle = handle
+        self.cls = cls
+        self.client = client
+        #: simulated admission instant (victim attribution reports it)
+        self.at = at
 
 
-@dataclass
+@dataclass(frozen=True)
 class PushResult:
     """Outcome of one :meth:`ClassedFairQueue.push`."""
 
@@ -52,6 +61,11 @@ class PushResult:
     #: the entry evicted to make room (class-aware shed); None when the
     #: push fit under the bound or was itself refused
     victim: Optional[QueueEntry] = None
+
+
+# The two outcomes that carry no victim are shared, not allocated per push.
+_ADMITTED = PushResult(admitted=True)
+_REFUSED = PushResult(admitted=False)
 
 
 class ClassedFairQueue:
@@ -98,28 +112,30 @@ class ClassedFairQueue:
         same-class work is never evicted, so admission within a class
         stays FIFO-honest.
         """
-        victim = None
-        if self.depth >= self.bound:
-            victim = self._evict_below(entry.cls)
-            if victim is None:
-                return PushResult(admitted=False)
+        if self.depth < self.bound:
+            self._append(entry)
+            return _ADMITTED
+        victim = self._evict_below(entry.cls)
+        if victim is None:
+            return _REFUSED
         self._append(entry)
         return PushResult(admitted=True, victim=victim)
 
     def _append(self, entry: QueueEntry) -> None:
-        lanes = self._lanes[entry.cls]
-        lane = lanes.get(entry.client)
+        cls, client = entry.cls, entry.client
+        lanes = self._lanes[cls]
+        lane = lanes.get(client)
         if lane is None:
-            lane = lanes[entry.client] = deque()
+            lane = lanes[client] = deque()
         if not lane:
-            self._rings[entry.cls].append(entry.client)
+            self._rings[cls].append(client)
         lane.append(entry)
         self.depth += 1
-        self.class_depth[entry.cls] += 1
         if self.depth > self.peak_depth:
             self.peak_depth = self.depth
-        if self.class_depth[entry.cls] > self.class_peak[entry.cls]:
-            self.class_peak[entry.cls] = self.class_depth[entry.cls]
+        class_depth = self.class_depth[cls] = self.class_depth[cls] + 1
+        if class_depth > self.class_peak[cls]:
+            self.class_peak[cls] = class_depth
 
     def _evict_below(self, cls: PriorityClass) -> Optional[QueueEntry]:
         """Drop and return the most recent entry of the lowest

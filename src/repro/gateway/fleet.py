@@ -83,6 +83,9 @@ class GatewayFleet:
             replica.fleet = self
             replica.replica_index = index
             self.replicas.append(replica)
+        #: client id -> pinned replica, computed once per client (bounded
+        #: by ``limits.max_clients``; see :meth:`replica_for`)
+        self._pins: Dict[str, Gateway] = {}
         self._budget = AdmissionBudget(node, self.limits)
         self._started = False
         self._epoch = 0
@@ -106,9 +109,22 @@ class GatewayFleet:
 
     def replica_for(self, client_id: str) -> Gateway:
         """The replica pinned to ``client_id`` (stable across runs and
-        processes — sha256 of the id, never the salted builtin hash)."""
-        digest = hashlib.sha256(client_id.encode("utf-8")).digest()
-        return self.replicas[int.from_bytes(digest[:8], "big") % len(self.replicas)]
+        processes — sha256 of the id, never the salted builtin hash).
+
+        The pin is a pure function of the id, so it is computed once
+        per client and remembered; the table holds at most
+        ``limits.max_clients`` pins and drops its oldest past that (an
+        evicted client hashes to the same replica again).
+        """
+        replica = self._pins.get(client_id)
+        if replica is None:
+            if len(self._pins) >= self.limits.max_clients:
+                del self._pins[next(iter(self._pins))]
+            digest = hashlib.sha256(client_id.encode("utf-8")).digest()
+            replica = self._pins[client_id] = self.replicas[
+                int.from_bytes(digest[:8], "big") % len(self.replicas)
+            ]
+        return replica
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -126,12 +142,11 @@ class GatewayFleet:
             return
         self._started = True
         self._epoch += 1
-        epoch = self._epoch
         for replica in self.replicas:
             replica._started = True
         self.node.start()
         self.node.sim.schedule(
-            self.limits.flush_interval, lambda: self._flush_tick(epoch)
+            self.limits.flush_interval, self._flush_tick, self._epoch
         )
 
     def stop(self) -> None:
@@ -145,9 +160,7 @@ class GatewayFleet:
         if not self._started or epoch != self._epoch:
             return  # stopped, or a stale timer from before a restart
         self.flush()
-        self.node.sim.schedule(
-            self.limits.flush_interval, lambda: self._flush_tick(epoch)
-        )
+        self.node.sim.schedule(self.limits.flush_interval, self._flush_tick, epoch)
 
     def flush(self) -> int:
         """One fleet-wide micro-batch: refresh the shared budget once,
@@ -182,12 +195,7 @@ class GatewayFleet:
     ) -> RequestHandle:
         """Admit one transaction via the client's pinned replica."""
         return self.replica_for(client_id).submit(
-            tx,
-            chain_id,
-            client_id=client_id,
-            idempotency_key=idempotency_key,
-            handle=handle,
-            priority=priority,
+            tx, chain_id, client_id, idempotency_key, handle, priority
         )
 
     def move(

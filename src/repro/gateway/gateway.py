@@ -61,6 +61,7 @@ admissions, flushes and sheds feed the shared
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Deque, Dict, Optional, Sequence, Tuple, Union
 
 from repro.chain.chain import Chain
@@ -93,6 +94,31 @@ from repro.telemetry import Telemetry
 
 #: accepted spellings of a priority override
 PriorityLike = Union[PriorityClass, str, int]
+
+
+class _ChainMetrics:
+    """One served chain's instruments, bound once.  The per-class ones
+    are lists indexed by class value, so admission and flushing never
+    build a ``(chain, class)`` key."""
+
+    def __init__(self, metrics, chain_id: int):
+        def per_class(instrument, name: str) -> list:
+            return [instrument(name, chain=chain_id, cls=c.label) for c in FLUSH_ORDER]
+
+        self.requests = metrics.counter("gateway_requests_total", chain=chain_id)
+        self.admitted = metrics.counter("gateway_admitted_total", chain=chain_id)
+        self.parked = metrics.counter("gateway_parked_total", chain=chain_id)
+        self.depth = metrics.gauge("gateway_queue_depth", chain=chain_id)
+        self.blocked_depth = metrics.gauge("gateway_blocked_depth", chain=chain_id)
+        self.batches = metrics.counter("gateway_batches_total", chain=chain_id)
+        self.batch_size = metrics.histogram("gateway_batch_size", chain=chain_id)
+        self.class_admitted = per_class(metrics.counter, "gateway_class_admitted_total")
+        self.class_depth = per_class(metrics.gauge, "gateway_class_depth")
+        self.class_flushed = per_class(metrics.counter, "gateway_class_flushed_total")
+        #: victim-attributed queue sheds: the class/client charged is the
+        #: entry actually dropped, whichever path (fresh admission,
+        #: class eviction, parked overflow) dropped it
+        self.class_shed = per_class(metrics.counter, "gateway_queue_shed_total")
 
 
 class Gateway:
@@ -131,56 +157,7 @@ class Gateway:
         self.subscriptions = SubscriptionHub(self)
 
         metrics = self.telemetry.metrics
-        self._m_requests = {
-            c: metrics.counter("gateway_requests_total", chain=c) for c in node.chains
-        }
-        self._m_admitted = {
-            c: metrics.counter("gateway_admitted_total", chain=c) for c in node.chains
-        }
-        self._m_parked = {
-            c: metrics.counter("gateway_parked_total", chain=c) for c in node.chains
-        }
-        self._m_depth = {
-            c: metrics.gauge("gateway_queue_depth", chain=c) for c in node.chains
-        }
-        self._m_blocked_depth = {
-            c: metrics.gauge("gateway_blocked_depth", chain=c) for c in node.chains
-        }
-        self._m_batches = {
-            c: metrics.counter("gateway_batches_total", chain=c) for c in node.chains
-        }
-        self._m_batch_size = {
-            c: metrics.histogram("gateway_batch_size", chain=c) for c in node.chains
-        }
-        self._m_class_admitted = {
-            (c, cls): metrics.counter(
-                "gateway_class_admitted_total", chain=c, cls=cls.label
-            )
-            for c in node.chains
-            for cls in FLUSH_ORDER
-        }
-        self._m_class_depth = {
-            (c, cls): metrics.gauge("gateway_class_depth", chain=c, cls=cls.label)
-            for c in node.chains
-            for cls in FLUSH_ORDER
-        }
-        self._m_class_flushed = {
-            (c, cls): metrics.counter(
-                "gateway_class_flushed_total", chain=c, cls=cls.label
-            )
-            for c in node.chains
-            for cls in FLUSH_ORDER
-        }
-        #: victim-attributed queue sheds: the class/client charged is the
-        #: entry actually dropped, whichever path (fresh admission,
-        #: class eviction, parked overflow) dropped it
-        self._m_class_shed = {
-            (c, cls): metrics.counter(
-                "gateway_queue_shed_total", chain=c, cls=cls.label
-            )
-            for c in node.chains
-            for cls in FLUSH_ORDER
-        }
+        self._m = {c: _ChainMetrics(metrics, c) for c in node.chains}
         self._metrics = metrics
         self._m_idempotent = metrics.counter("gateway_idempotent_hits_total")
         self._m_request_seconds = metrics.histogram("gateway_request_seconds")
@@ -209,10 +186,9 @@ class Gateway:
             return
         self._started = True
         self._epoch += 1
-        epoch = self._epoch
         self.node.start()
         self.node.sim.schedule(
-            self.limits.flush_interval, lambda: self._flush_tick(epoch)
+            self.limits.flush_interval, self._flush_tick, self._epoch
         )
 
     def stop(self) -> None:
@@ -274,7 +250,7 @@ class Gateway:
     ) -> None:
         now = self.node.now
         chain = self.node.chain(chain_id)  # raises UnknownChainError
-        self._m_requests[chain_id].inc()
+        self._m[chain_id].requests.inc()
 
         key: Optional[Tuple[str, str]] = None
         if idempotency_key is not None:
@@ -293,8 +269,7 @@ class Gateway:
                     )
                     if self.limits.request_timeout > 0 and not handle.done:
                         self.node.sim.schedule(
-                            self.limits.request_timeout,
-                            lambda: self._expire(handle),
+                            self.limits.request_timeout, self._expire, handle
                         )
                     return
                 handle._mirror(original)
@@ -327,10 +302,7 @@ class Gateway:
                 replica=self.replica_index,
             )
         if self.limits.request_timeout > 0:
-            self.node.sim.schedule(
-                self.limits.request_timeout,
-                lambda: self._expire(handle),
-            )
+            self.node.sim.schedule(self.limits.request_timeout, self._expire, handle)
 
     def _charge_rate(self, client_id: str, now: float) -> None:
         """Spend one token from the client's bucket (typed shed past the
@@ -399,6 +371,7 @@ class Gateway:
         overflow lot instead of shedding when even class-aware eviction
         finds no lower-class victim."""
         queue = self._queues[chain_id]
+        m = self._m[chain_id]
         result = queue.push(entry)
         if not result.admitted:
             blocked = self._blocked[chain_id]
@@ -413,21 +386,25 @@ class Gateway:
                 )
             blocked.append(entry)
             entry.handle.status = QUEUED
-            self._m_parked[chain_id].inc()
-            self._m_blocked_depth[chain_id].set(len(blocked))
+            m.parked.inc()
+            m.blocked_depth.set(len(blocked))
             self._note("park", chain_id, entry)
             return
+        cls = entry.cls
         if result.victim is not None:
             why = (
-                f"queue slot reclaimed by a {entry.cls.label}-class arrival "
+                f"queue slot reclaimed by a {cls.label}-class arrival "
                 f"({self.limits.max_queue_depth} queued)"
             )
             self._reject(result.victim.handle, self._shed(result.victim, chain_id, why))
+            self._note_depth(chain_id)  # the victim's class moved too
         entry.handle.status = QUEUED
-        self._m_admitted[chain_id].inc()
-        self._m_class_admitted[(chain_id, entry.cls)].inc()
+        m.admitted.inc()
+        m.class_admitted[cls].inc()
         self._note("admit", chain_id, entry)
-        self._note_depth(chain_id)
+        # Only the gauges this admission moved; flush refreshes them all.
+        m.depth.set(queue.depth)
+        m.class_depth[cls].set(queue.class_depth[cls])
 
     def _shed(self, dropped: QueueEntry, chain_id: int, why: str) -> ShedByClass:
         """The typed queue shed, attributed to the entry actually
@@ -436,7 +413,7 @@ class Gateway:
         higher-class arrival — never to whoever triggered the drop:
         whoever leaves the queue without flushing is whom the shed
         metric names."""
-        self._m_class_shed[(chain_id, dropped.cls)].inc()
+        self._m[chain_id].class_shed[dropped.cls].inc()
         self._note("shed", chain_id, dropped)
         return ShedByClass(
             f"chain {chain_id} {why}; retry after the next flush",
@@ -460,9 +437,10 @@ class Gateway:
         shrinks a lane — admission, eviction, parked-drain, flush —
         shares one accounting."""
         queue = self._queues[chain_id]
-        self._m_depth[chain_id].set(queue.depth)
+        m = self._m[chain_id]
+        m.depth.set(queue.depth)
         for cls in FLUSH_ORDER:
-            self._m_class_depth[(chain_id, cls)].set(queue.class_depth[cls])
+            m.class_depth[cls].set(queue.class_depth[cls])
 
     @property
     def peak_queue_depth(self) -> Dict[int, int]:
@@ -533,9 +511,7 @@ class Gateway:
         if not self._started or epoch != self._epoch:
             return  # stopped, or a stale timer from before a restart
         self.flush()
-        self.node.sim.schedule(
-            self.limits.flush_interval, lambda: self._flush_tick(epoch)
-        )
+        self.node.sim.schedule(self.limits.flush_interval, self._flush_tick, epoch)
 
     def flush(self, budget: Optional[AdmissionBudget] = None) -> int:
         """Pour one micro-batch per chain into the mempools; returns the
@@ -553,6 +529,7 @@ class Gateway:
         for chain_id in sorted(self._queues):
             queue = self._queues[chain_id]
             blocked = self._blocked[chain_id]
+            m = self._m[chain_id]
             # Drain the overflow lot into freed queue slots first:
             # parked requests enter their class lanes before this
             # flush's pop, so a parked move still outranks queued bulk.
@@ -579,19 +556,17 @@ class Gateway:
                 # anyway: its timeout promised "the transaction may
                 # still execute", and the late receipt is what a retry
                 # under the same idempotency key reattaches to.
-                chain.wait_for(
-                    entry.tx.tx_id, lambda r, h=handle: self._resolve(h, r)
-                )
+                chain.wait_for(entry.tx.tx_id, partial(self._resolve, handle))
                 chain.submit(entry.tx)
-                self._m_class_flushed[(chain_id, entry.cls)].inc()
+                m.class_flushed[entry.cls].inc()
                 if tracer.enabled and entry.tx.meta:
                     tracer.meta_event(
                         entry.tx.meta, "gateway.flush", chain=chain_id,
                         cls=entry.cls.label, replica=self.replica_index,
                     )
             if batch:
-                self._m_batches[chain_id].inc()
-                self._m_batch_size[chain_id].observe(len(batch))
+                m.batches.inc()
+                m.batch_size.observe(len(batch))
                 if self.fleet is not None:
                     self.fleet._record(
                         "flush", self.replica_index, chain_id, "", "", len(batch)
@@ -607,13 +582,14 @@ class Gateway:
         if not blocked:
             return
         queue = self._queues[chain_id]
+        m = self._m[chain_id]
         while blocked and queue.depth < self.limits.max_queue_depth:
             entry = blocked.popleft()
             queue.push(entry)
-            self._m_admitted[chain_id].inc()
-            self._m_class_admitted[(chain_id, entry.cls)].inc()
+            m.admitted.inc()
+            m.class_admitted[entry.cls].inc()
             self._note("admit", chain_id, entry)
-        self._m_blocked_depth[chain_id].set(len(blocked))
+        m.blocked_depth.set(len(blocked))
 
     def _resolve(self, handle: RequestHandle, receipt: Receipt) -> None:
         now = self.node.now

@@ -17,7 +17,7 @@ re-raised by :meth:`RequestHandle.result` — callers never see a bare
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import GatewayError
 from repro.statedb.receipts import Receipt
@@ -34,6 +34,12 @@ FAILED = "failed"        # gateway-level failure; typed error available
 class RequestHandle:
     """One submitted transaction's future."""
 
+    __slots__ = (
+        "chain_id", "client_id", "idempotency_key", "status", "tx_id",
+        "receipt", "error", "admitted_at", "resolved_at", "_callbacks",
+        "_late_callbacks", "_node",
+    )
+
     def __init__(
         self,
         chain_id: int,
@@ -49,8 +55,10 @@ class RequestHandle:
         self.error: Optional[GatewayError] = None
         self.admitted_at: Optional[float] = None
         self.resolved_at: Optional[float] = None
-        self._callbacks: List[Callable[["RequestHandle"], None]] = []
-        self._late_callbacks: List[Callable[["RequestHandle"], None]] = []
+        # Tuples, rebuilt on registration: most handles never get a
+        # callback, and the shared empty tuple costs them nothing.
+        self._callbacks: Tuple[Callable[["RequestHandle"], None], ...] = ()
+        self._late_callbacks: Tuple[Callable[["RequestHandle"], None], ...] = ()
         #: bound by the gateway at admission; lets ``wait`` drive the sim
         self._node = None
 
@@ -87,7 +95,7 @@ class RequestHandle:
         if self.done:
             callback(self)
             return
-        self._callbacks.append(callback)
+        self._callbacks += (callback,)
 
     def wait(self, timeout: Optional[float] = None) -> Receipt:
         """Drive the node until this handle resolves; return the receipt.
@@ -105,7 +113,7 @@ class RequestHandle:
     # -- resolution (gateway-internal) ---------------------------------
 
     def _settle(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
+        callbacks, self._callbacks = self._callbacks, ()
         for callback in callbacks:
             callback(self)
 
@@ -134,7 +142,7 @@ class RequestHandle:
             return
         self.receipt = receipt
         self.resolved_at = now
-        callbacks, self._late_callbacks = self._late_callbacks, []
+        callbacks, self._late_callbacks = self._late_callbacks, ()
         for callback in callbacks:
             callback(self)
 
@@ -144,7 +152,7 @@ class RequestHandle:
         if self.receipt is not None:
             callback(self)
             return
-        self._late_callbacks.append(callback)
+        self._late_callbacks += (callback,)
 
     def _mirror(self, original: "RequestHandle") -> None:
         """Make this handle track ``original`` (idempotent retry: the

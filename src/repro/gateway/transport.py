@@ -18,6 +18,7 @@ same serving surface and routes each client to its pinned replica.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Optional, Sequence
 
 from repro.chain.tx import Transaction
@@ -98,9 +99,10 @@ class SimNetTransport:
     """
 
     def __init__(self, gateway: Gateway, latency: float = 0.05, jitter: float = 0.0):
-        if latency < 0 or jitter < 0:
+        if not (0 <= latency < inf and 0 <= jitter < inf):
             raise ConfigError(
-                f"transport latency/jitter must be >= 0, got {latency}/{jitter}"
+                "transport latency/jitter must be finite and >= 0, "
+                f"got {latency}/{jitter}"
             )
         self.gateway = gateway
         self.latency = latency
@@ -119,20 +121,17 @@ class SimNetTransport:
         priority: Optional[PriorityLike] = None,
     ) -> RequestHandle:
         """Submit after a seeded network delay; the future exists now."""
+        gateway = self.gateway
         handle = RequestHandle(
             chain_id, client_id=client_id, idempotency_key=idempotency_key
         )
-        handle._node = self.gateway.node
-        self.gateway.node.sim.schedule(
+        handle._node = gateway.node
+        # The event carries submit's arguments in its positional order
+        # (Gateway.submit and GatewayFleet.submit share the signature).
+        gateway.node.sim.schedule(
             self._delay(),
-            lambda: self.gateway.submit(
-                tx,
-                chain_id,
-                client_id=client_id,
-                idempotency_key=idempotency_key,
-                handle=handle,
-                priority=priority,
-            ),
+            gateway.submit,
+            tx, chain_id, client_id, idempotency_key, handle, priority,
         )
         return handle
 

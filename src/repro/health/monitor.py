@@ -123,20 +123,17 @@ class HealthMonitor:
             return
         self._running = True
         self._epoch += 1
-        self._schedule(self._epoch)
+        self.sim.schedule(self.interval, self._tick, self._epoch)
 
     def stop(self) -> None:
         """Stop sampling (pending tick timers become no-ops)."""
         self._running = False
 
-    def _schedule(self, epoch: int) -> None:
-        self.sim.schedule(self.interval, lambda: self._tick(epoch))
-
     def _tick(self, epoch: int) -> None:
         if not self._running or epoch != self._epoch:
             return
         self.sample()
-        self._schedule(epoch)
+        self.sim.schedule(self.interval, self._tick, epoch)
 
     # ------------------------------------------------------------------
     # One sampling round

@@ -191,7 +191,7 @@ def drive_move(
             fail(error)
             return
         live.end(success=False)
-        sim.schedule(delay, lambda: try_move2(inclusion, attempt + 1))
+        sim.schedule(delay, try_move2, inclusion, attempt + 1)
 
     def after_move2(receipt: Receipt, inclusion: int, attempt: int) -> None:
         if not receipt.success:
@@ -258,7 +258,7 @@ class IBCBridge:
     def _send(self, chain_id: int, tx: Transaction, on_receipt, _on_reject) -> None:
         chain = self.chains[chain_id]
         chain.wait_for(tx.tx_id, on_receipt)
-        self.sim.schedule(self.submit_latency, lambda: chain.submit(tx))
+        self.sim.schedule(self.submit_latency, chain.submit, tx)
 
     def move_contract(
         self,

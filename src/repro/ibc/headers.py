@@ -110,9 +110,7 @@ class HeaderRelay:
                 self._next_delivery.get(target.chain_id, 0.0),
             )
             self._next_delivery[target.chain_id] = at
-            self.sim.schedule(
-                at - self.sim.now, lambda t=target, h=header: t.ingest_header(h)
-            )
+            self.sim.schedule(at - self.sim.now, target.ingest_header, header)
 
 
 def connect_chains(

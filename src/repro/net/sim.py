@@ -4,39 +4,38 @@ All experiments run against this loop: block intervals of 5 or 15
 seconds cost no wall-clock time, and every run is reproducible from its
 seed.  Events are ordered by ``(time, sequence_number)`` so same-time
 events fire in scheduling order.
+
+An event is a plain list ``[time, seq, callback, args]`` on a binary
+heap, so the heap orders events with the C list comparison; ``seq`` is
+unique, which means a comparison is always decided by the first two
+slots and never reaches the callback.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
 class EventHandle:
     """Handle returned by :meth:`Simulator.schedule`; allows cancellation."""
 
-    def __init__(self, event: _Event):
+    __slots__ = ("_event",)
+
+    def __init__(self, event: list):
         self._event = event
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if it already fired)."""
-        self._event.cancelled = True
+        self._event[2] = None
 
     @property
     def time(self) -> float:
-        return self._event.time
+        return self._event[0]
 
 
 class Simulator:
@@ -50,7 +49,7 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self._now = 0.0
         self._seq = 0
-        self._queue: List[_Event] = []
+        self._queue: List[list] = []
         self.rng = random.Random(seed)
 
     @property
@@ -58,18 +57,28 @@ class Simulator:
         """Current simulated time in seconds."""
         return self._now
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
-        """Run ``callback`` ``delay`` simulated seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+    def schedule(
+        self, delay: float, callback: Callable[..., None], *args: Any
+    ) -> EventHandle:
+        """Run ``callback(*args)`` ``delay`` simulated seconds from now.
+
+        The event carries its arguments, so a caller binds them here
+        instead of allocating a closure per event.  ``delay`` must be a
+        finite number ``>= 0`` (NaN would fire out of order, infinity
+        never).
+        """
+        if not 0 <= delay < inf:
+            raise SimulationError(f"delay must be finite and >= 0, got {delay}")
         self._seq += 1
-        event = _Event(time=self._now + delay, seq=self._seq, callback=callback)
-        heapq.heappush(self._queue, event)
+        event = [self._now + delay, self._seq, callback, args]
+        heappush(self._queue, event)
         return EventHandle(event)
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
-        """Run ``callback`` at an absolute simulated time."""
-        return self.schedule(time - self._now, callback)
+    def schedule_at(
+        self, time: float, callback: Callable[..., None], *args: Any
+    ) -> EventHandle:
+        """Run ``callback(*args)`` at an absolute simulated time."""
+        return self.schedule(time - self._now, callback, *args)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Process events until the queue drains, ``until`` is reached,
@@ -80,19 +89,19 @@ class Simulator:
         ``until`` (pending later events stay queued and can be resumed
         by a further ``run`` call).
         """
+        queue = self._queue
         processed = 0
-        while self._queue:
+        while queue:
             if max_events is not None and processed >= max_events:
                 break
-            event = self._queue[0]
-            if until is not None and event.time > until:
+            if until is not None and queue[0][0] > until:
                 self._now = until
                 return processed
-            heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self._now = event.time
-            event.callback()
+            time, _seq, callback, args = heappop(queue)
+            if callback is None:
+                continue  # cancelled
+            self._now = time
+            callback(*args)
             processed += 1
         if until is not None and self._now < until:
             self._now = until

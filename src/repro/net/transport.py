@@ -87,11 +87,6 @@ class Network:
         """End the partition; subsequent sends flow everywhere again."""
         self._partition = None
 
-    def _partitioned(self, src: str, dst: str) -> bool:
-        if self._partition is None:
-            return False
-        return self._partition.get(src, -1) != self._partition.get(dst, -1)
-
     def send(self, src: str, dst: str, payload: Any, size_bytes: int = 0) -> None:
         """Send ``payload`` from ``src`` to ``dst`` after sampled latency.
 
@@ -105,11 +100,12 @@ class Network:
         destination = self._endpoints.get(dst)
         if destination is None:
             return
-        if self._partitioned(src, dst):
+        partition = self._partition
+        if partition is not None and partition.get(src, -1) != partition.get(dst, -1):
             self.messages_dropped += 1
             return
         delay = self.latency.sample(source.region, destination.region, self.sim.rng)
-        delays = [delay]
+        delays = (delay,)
         if self.fault_hook is not None:
             hooked = self.fault_hook(src, dst, payload, delay)
             if hooked is not None:
@@ -120,14 +116,13 @@ class Network:
                 self.messages_duplicated += len(delays) - 1
         self.messages_sent += 1
         self.bytes_sent += size_bytes
-
-        def deliver() -> None:
-            target = self._endpoints.get(dst)
-            if target is not None:
-                target.handler(src, payload)
-
         for scheduled_delay in delays:
-            self.sim.schedule(scheduled_delay, deliver)
+            self.sim.schedule(scheduled_delay, self._deliver, src, dst, payload)
+
+    def _deliver(self, src: str, dst: str, payload: Any) -> None:
+        target = self._endpoints.get(dst)
+        if target is not None:
+            target.handler(src, payload)
 
     def broadcast(self, src: str, dsts: Iterable[str], payload: Any, size_bytes: int = 0) -> None:
         """Send the same payload to many destinations (independent latencies)."""

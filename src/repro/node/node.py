@@ -154,7 +154,9 @@ class Node:
                 engine.start()
         else:
             for chain in self.chains.values():
-                self._schedule_tick(chain, self._epoch)
+                self.sim.schedule(
+                    chain.params.block_interval, self._tick, chain, self._epoch
+                )
         if self._rebalancer is not None:
             self._rebalancer.start()
         if self._replication is not None:
@@ -261,9 +263,6 @@ class Node:
             return Gateway(self, limits=limits)
         return GatewayFleet(self, replicas=replicas, limits=limits)
 
-    def _schedule_tick(self, chain: Chain, epoch: int) -> None:
-        self.sim.schedule(chain.params.block_interval, lambda: self._tick(chain, epoch))
-
     def _tick(self, chain: Chain, epoch: int) -> None:
         if not self._running or epoch != self._epoch:
             # Stopped, or a timer left pending across a stop()/start()
@@ -271,7 +270,7 @@ class Node:
             # independent tick chains doubling block production.
             return
         chain.produce_block(self.sim.now, proposer=f"node-{chain.chain_id}")
-        self._schedule_tick(chain, epoch)
+        self.sim.schedule(chain.params.block_interval, self._tick, chain, epoch)
 
     def run(self, until: Optional[float] = None) -> int:
         """Advance the simulator (see :meth:`Simulator.run`)."""

@@ -103,20 +103,17 @@ class Rebalancer:
             return
         self._running = True
         self._epoch += 1
-        self._schedule(self._epoch)
+        self.sim.schedule(self.interval, self._tick, self._epoch)
 
     def stop(self) -> None:
         """Halt evaluation; in-flight moves still settle and report."""
         self._running = False
 
-    def _schedule(self, epoch: int) -> None:
-        self.sim.schedule(self.interval, lambda: self._tick(epoch))
-
     def _tick(self, epoch: int) -> None:
         if not self._running or epoch != self._epoch:
             return
         self.evaluate()
-        self._schedule(epoch)
+        self.sim.schedule(self.interval, self._tick, epoch)
 
     # ------------------------------------------------------------------
     # One control-loop iteration (public so tests/benches can step it)

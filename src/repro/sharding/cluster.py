@@ -114,7 +114,7 @@ class ShardedCluster:
     def submit(self, shard_index: int, tx: Transaction) -> None:
         """Submit from the client host: one network hop to the shard."""
         shard = self.shards[shard_index]
-        self.sim.schedule(CLIENT_SUBMIT_LATENCY, lambda: shard.submit(tx))
+        self.sim.schedule(CLIENT_SUBMIT_LATENCY, shard.submit, tx)
 
     def _index_block(self, shard_index: int, block, receipts) -> None:
         """Keep the contract→shard index current from one block.

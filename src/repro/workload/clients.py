@@ -390,7 +390,7 @@ class ScoinWorkload:
             # moving it); starting a transfer from it now would only
             # abort on the locked contract.  Wait the move out.
             self.cluster.sim.schedule(
-                1.0, lambda: self._start_next_op(client, retries, started, want_cross)
+                1.0, self._start_next_op, client, retries, started, want_cross
             )
             return
         if client.move_request is not None:
@@ -399,9 +399,7 @@ class ScoinWorkload:
             # move-pending account), run the move, then resume the loop
             # from the account's new home.
             if client.pins > 0:
-                self.cluster.sim.schedule(
-                    1.0, lambda: self._start_next_op(client)
-                )
+                self.cluster.sim.schedule(1.0, self._start_next_op, client)
                 return
             target_shard, on_moved = client.move_request
             client.move_request = None
@@ -425,7 +423,7 @@ class ScoinWorkload:
         if target is None:
             # No viable target right now; try again shortly.
             self.cluster.sim.schedule(
-                1.0, lambda: self._start_next_op(client, retries, started, want_cross)
+                1.0, self._start_next_op, client, retries, started, want_cross
             )
             return
         # Retried operations keep their original start time, so the
@@ -438,7 +436,7 @@ class ScoinWorkload:
             # flight, so it must not move now — retry the pick shortly
             # (the pins drain within a block).
             self.cluster.sim.schedule(
-                1.0, lambda: self._start_next_op(client, retries, started, want_cross)
+                1.0, self._start_next_op, client, retries, started, want_cross
             )
         else:
             self._cross_shard_transfer(client, target, started, retries)
@@ -508,9 +506,7 @@ class ScoinWorkload:
                 report.cross_shard_ops += 1
             report.retries_per_op.append(retries)
         if client.think_time > 0.0:
-            self.cluster.sim.schedule(
-                client.think_time, lambda: self._start_next_op(client)
-            )
+            self.cluster.sim.schedule(client.think_time, self._start_next_op, client)
         else:
             self._start_next_op(client)
 
@@ -526,6 +522,5 @@ class ScoinWorkload:
         # retried operation keeps its original start time.
         backoff = self.rng.uniform(0, 10) * self.cluster.shard(0).params.block_interval
         self.cluster.sim.schedule(
-            backoff,
-            lambda: self._start_next_op(client, retries + 1, started, want_cross),
+            backoff, self._start_next_op, client, retries + 1, started, want_cross
         )

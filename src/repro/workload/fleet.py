@@ -150,7 +150,8 @@ class FleetWorkload:
         weights = [1.0 / (i + 1) ** zipf_s for i in range(clients)]
         z = sum(weights)
         self.rates = [total_rate * w / z for w in weights]
-        self.keypairs = [KeyPair.from_name(f"fleet-client-{i}") for i in range(clients)]
+        self.client_ids = [f"fleet-client-{i}" for i in range(clients)]
+        self.keypairs = [KeyPair.from_name(name) for name in self.client_ids]
         self.node.chain(1).fund({kp.address: 10**12 for kp in self.keypairs})
         #: (class label, handle) per submission, in admission order
         self.submissions: List[Tuple[str, object]] = []
@@ -175,7 +176,7 @@ class FleetWorkload:
         )
         label = self._pick_class()
         handle = self.transport.submit(
-            tx, 1, client_id=f"fleet-client-{index}", priority=label
+            tx, 1, client_id=self.client_ids[index], priority=label
         )
         self.submissions.append((label, handle))
 
@@ -184,12 +185,11 @@ class FleetWorkload:
         delay = rng.expovariate(self.rates[index])
         if self.node.now + delay > until:
             return
+        self.node.sim.schedule(delay, self._arrive, index, until)
 
-        def fire() -> None:
-            self._submit_one(index)
-            self._arrival_loop(index, until)
-
-        self.node.sim.schedule(delay, fire)
+    def _arrive(self, index: int, until: float) -> None:
+        self._submit_one(index)
+        self._arrival_loop(index, until)
 
     def run(self, duration: float = 60.0, drain: float = 30.0) -> FleetWorkloadReport:
         """Offer load for ``duration`` simulated seconds, then let the

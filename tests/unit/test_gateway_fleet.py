@@ -7,6 +7,8 @@ client-facing ergonomics added with the fleet (``priority=``,
 ``handle.wait(timeout=)``, keyword-only validated ``Client``).
 """
 
+import hashlib
+
 import pytest
 
 from repro.api import (
@@ -76,6 +78,61 @@ def test_idempotency_survives_fleet_routing():
         transfer(nonce=9), 1, client_id="alice", idempotency_key="k"
     )
     assert retry.tx_id == first.tx_id  # same replica, same key table
+
+
+def expected_replica(fleet, client_id):
+    """The routing rule written out: sha256 of the id, first 8 bytes."""
+    digest = hashlib.sha256(client_id.encode("utf-8")).digest()
+    return fleet.replicas[int.from_bytes(digest[:8], "big") % len(fleet.replicas)]
+
+
+def test_pin_table_is_bounded_and_never_changes_an_answer():
+    limits = GatewayLimits(max_clients=16)
+    fleet = GatewayFleet(make_node(), replicas=4, limits=limits)
+    ids = [f"client-{i}" for i in range(10 * limits.max_clients)]
+    for client_id in ids:
+        assert fleet.replica_for(client_id) is expected_replica(fleet, client_id)
+        assert len(fleet._pins) <= limits.max_clients
+    # Every id — the 144 evicted ones included — still routes by the rule.
+    for client_id in ids:
+        assert fleet.replica_for(client_id) is expected_replica(fleet, client_id)
+    assert len(fleet._pins) <= limits.max_clients
+
+
+def test_a_client_stays_on_one_replica_across_pin_eviction():
+    limits = GatewayLimits(max_clients=4, rate_limit=1.0, rate_burst=2)
+    node = make_node()
+    fleet = GatewayFleet(node, replicas=4, limits=limits)
+    home = fleet.replica_for("alice")
+    first = fleet.submit(transfer(nonce=1), 1, client_id="alice", idempotency_key="k")
+    second = fleet.submit(transfer(nonce=2), 1, client_id="alice")
+    assert first.status == second.status == "queued"
+    # Enough other clients to push alice's pin out of the table.
+    for i in range(8):
+        fleet.replica_for(f"other-{i}")
+    assert "alice" not in fleet._pins
+    # Same idempotency table: the retry reattaches instead of re-admitting.
+    retry = fleet.submit(transfer(nonce=3), 1, client_id="alice", idempotency_key="k")
+    assert retry.tx_id == first.tx_id
+    # Same rate bucket: alice's burst of 2 is already spent there.
+    limited = fleet.submit(transfer(nonce=4), 1, client_id="alice")
+    assert limited.error is not None and limited.error.code == "rate_limited"
+    # Same FIFO lane: everything alice queued sits on her one replica,
+    # in submission order.
+    assert home.queue_depth(1) == 2 and fleet.queue_depth(1) == 2
+    fleet.flush()
+    assert [tx.nonce for tx in node.chain(1).mempool.take(10)] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"latency": float("nan")}, {"jitter": float("nan")}],
+    ids=["latency", "jitter"],
+)
+def test_transport_rejects_nan_latency_and_jitter(kwargs):
+    # Regression: NaN passed the `< 0` check and reached the simulator
+    # as a NaN delay.
+    with pytest.raises(ConfigError, match="latency/jitter"):
+        SimNetTransport(Gateway(make_node()), **kwargs)
 
 
 def test_replicas_validated():

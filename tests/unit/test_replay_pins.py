@@ -1,0 +1,154 @@
+"""Cross-commit replay pins for the simulator and the admission path.
+
+``test_determinism.py`` proves a seed replays identically *within* one
+commit; these pins guard the same runs *across* commits.  Every literal
+below was recorded at commit ``c588248`` — before the simulator's
+events became plain lists, ``schedule`` started carrying arguments and
+gateway admission was flattened — so a change that reorders one event,
+draws one random number earlier or moves one admit/shed/flush decision
+fails here rather than in a benchmark nobody re-ran.
+
+Re-pin only for a change that is *meant* to alter simulated behaviour,
+and say so in CHANGES.md.
+"""
+
+import hashlib
+from collections import Counter
+
+from repro.gateway import GatewayLimits
+from repro.net.sim import Simulator
+from repro.net.transport import Network
+from repro.sharding.cluster import ShardedCluster
+from repro.workload.fleet import FleetWorkload
+
+# ----------------------------------------------------------------------
+# (a) Tendermint over the emulated WAN: one shard, 122 simulated seconds
+# ----------------------------------------------------------------------
+
+COMMIT_TIMES = [
+    5.183025531323223, 10.349056606052272, 15.526954813175706,
+    20.73311108958044, 25.910212664223447, 31.083148730445174,
+    36.271823962009606, 41.453312223596406, 46.62779315895342,
+    51.801714302134975, 56.98018812748049, 62.152043527640416,
+    67.33034257224787, 72.52767842141792, 77.70940417012152,
+    82.88652592003841, 88.07331029855479, 93.2476974614185,
+    98.42522143794639, 103.60470831852928, 108.78446004780436,
+    113.96016017123361, 119.14611596079997,
+]
+
+
+def test_consensus_timeline_is_pinned():
+    cluster = ShardedCluster(num_shards=1, seed=3)
+    cluster.start()
+    cluster.run(until=122.0)
+    assert cluster.engines[0].commit_times == COMMIT_TIMES
+    assert cluster.network.messages_sent == 4554
+    assert cluster.shards[0].head.header.state_root.hex() == (
+        "03bc836237a9713a05277483f1758f7a129be6ea7ded4f6cd5662ba7730ad98f"
+    )
+
+
+# ----------------------------------------------------------------------
+# (b) Admission identity: a small fleet, unsaturated and shedding
+# ----------------------------------------------------------------------
+
+
+def test_fleet_admission_is_pinned():
+    report = FleetWorkload(clients=50, replicas=2, total_rate=40.0, seed=5).run(
+        duration=10.0, drain=10.0
+    )
+    assert (report.submitted, report.confirmed, report.shed_total) == (398, 398, 0)
+    assert report.log_digest == (
+        "723b98a902b3d673c26f06b6458101abb684aa269277655b8c2ce6c3f26e9c99"
+    )
+    assert report.final_root == (
+        "255c5f9a7284a223f59ae242118dd24075ff9d003ad8b3aa5dba1582d9c72608"
+    )
+
+
+def test_fleet_shedding_and_eviction_are_pinned():
+    # Offered at ~4x what two replicas flush through an 8-deep queue:
+    # most bulk is refused and 60 queued bulk entries are evicted by
+    # move/view arrivals, so the shed and victim paths are in the digest.
+    workload = FleetWorkload(
+        clients=50,
+        replicas=2,
+        total_rate=60.0,
+        seed=9,
+        limits=GatewayLimits(
+            max_queue_depth=8, batch_size=4, flush_interval=0.5, mempool_headroom=4
+        ),
+    )
+    report = workload.run(duration=10.0, drain=10.0)
+    kinds = Counter(record[1] for record in workload.fleet.admission_log)
+    assert kinds == {"admit": 232, "shed": 380, "flush": 44}
+    assert (report.submitted, report.confirmed, report.unresolved) == (552, 172, 0)
+    assert report.shed_by_class == {"bulk": 380}
+    assert report.log_digest == (
+        "c8d254768893bfd0c980e876cd052fef71c2d4104f66c1233d91a444a7813ecd"
+    )
+    assert report.final_root == (
+        "0903fada213b04fda0815154e9852bd2f6003e84b8f24b0bbb2c23e1af17ddb1"
+    )
+
+
+# ----------------------------------------------------------------------
+# (c) The fault hook: what it sees, and what its answers do
+# ----------------------------------------------------------------------
+
+
+def test_fault_hook_sees_the_pinned_message_sequence():
+    cluster = ShardedCluster(num_shards=1, seed=7, validators_per_shard=4)
+    seen = []
+
+    def record(src, dst, payload, delay):
+        seen.append((src, dst, type(payload).__name__, delay))
+        return None  # leave the sampled latency alone
+
+    cluster.network.fault_hook = record
+    cluster.start()
+    while cluster.shards[0].height < 3:
+        cluster.sim.run(max_events=1)
+    assert len(seen) == 90
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
+        "56fe55946e82a2f767c6f044f28aa6d44e1a34fff683d3b43d174b5f3a2e290c"
+    )
+    assert cluster.sim.now == 15.540721707254352
+
+
+def test_fault_hook_answers_behave_as_send_documents():
+    sim = Simulator(seed=1)
+    net = Network(sim)
+    arrivals = []
+    net.attach("a", "us-east-1", lambda src, msg: None)
+    net.attach("b", "eu-west-1", lambda src, msg: arrivals.append((sim.now, src, msg)))
+    net.attach("c", "eu-west-1", lambda src, msg: arrivals.append((sim.now, src, msg)))
+    answers = {"drop": [], "twice": [1.0, 2.0], "early": [-5.0], "late": [9.0]}
+    sampled = {}
+
+    def hook(src, dst, payload, delay):
+        sampled[payload] = delay
+        return answers.get(payload)
+
+    net.fault_hook = hook
+    for payload in ("drop", "twice", "early", "late", "plain"):
+        net.send("a", "b", payload)
+    net.partition(["a"], ["c"])
+    net.send("a", "c", "partitioned")
+    sim.run()
+    # The hook runs after partition filtering and latency sampling.
+    assert "partitioned" not in sampled
+    assert all(0.0 < delay < 1.0 for delay in sampled.values())
+    # [] drops; two entries duplicate; a negative delay clamps to now
+    # (which reorders it ahead of its peers); one entry re-delays;
+    # None keeps the sampled latency.
+    assert arrivals == [
+        (0.0, "a", "early"),
+        (sampled["plain"], "a", "plain"),
+        (1.0, "a", "twice"),
+        (2.0, "a", "twice"),
+        (9.0, "a", "late"),
+    ]
+    assert net.messages_sent == 4
+    assert net.messages_dropped == 2  # the hook's drop and the partition's
+    assert net.messages_duplicated == 1

@@ -96,3 +96,70 @@ def test_rng_is_seeded_and_reproducible():
     c = Simulator(seed=43).rng.random()
     assert a == b
     assert a != c
+
+
+def test_nan_delay_rejected():
+    # Regression: the guard was `delay < 0`, which NaN passes; the event
+    # then fired out of order with sim.now == nan in its callback.
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule(float("nan"), lambda: None)
+    assert sim.pending() == 0
+
+
+def test_infinite_delay_rejected():
+    # Regression: schedule(inf, f) never fired and sat in pending() forever.
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule(float("inf"), lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(float("inf"), lambda: None)
+    assert sim.pending() == 0
+
+
+def test_schedule_carries_arguments():
+    sim = Simulator()
+    seen = []
+    sim.schedule(2.0, seen.append, "late")
+    sim.schedule(1.0, lambda a, b: seen.append((a, b)), 1, 2)
+    sim.schedule_at(3.0, seen.append, "absolute")
+    sim.run()
+    assert seen == [(1, 2), "late", "absolute"]
+
+
+def test_events_are_never_compared_beyond_seq():
+    # Same-time events tie on the first slot; the unique seq decides,
+    # so the heap must never fall through to comparing callbacks or
+    # their arguments.
+    class Incomparable:
+        def __init__(self, log, name):
+            self.log, self.name = log, name
+
+        def __call__(self, *args):
+            self.log.append(self.name)
+
+        def __lt__(self, other):
+            raise AssertionError("the heap compared two callbacks")
+
+        __gt__ = __le__ = __ge__ = __lt__
+
+    sim = Simulator()
+    fired = []
+    for index in range(50):
+        # interleave two instants so the heap sifts in both directions
+        sim.schedule(
+            float(index % 2), Incomparable(fired, index), Incomparable(fired, "arg")
+        )
+    assert sim.run() == 50
+    assert fired == list(range(0, 50, 2)) + list(range(1, 50, 2))
+
+
+def test_cancel_after_fire_is_a_no_op():
+    sim = Simulator()
+    fired = []
+    handle = sim.schedule(1.0, fired.append, 1)
+    assert handle.time == 1.0
+    sim.run()
+    handle.cancel()
+    sim.run()
+    assert fired == [1] and sim.pending() == 0
