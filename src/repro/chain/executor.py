@@ -29,7 +29,7 @@ from repro.chain.tx import (
 )
 from repro.core.move import apply_move1, apply_move2
 from repro.core.registry import ChainRegistry
-from repro.crypto.hashing import keccak
+from repro.crypto.hashing import keccak_code
 from repro.crypto.keys import Address, contract_address, create2_address
 from repro.errors import (
     ContractLocked,
@@ -228,7 +228,7 @@ class TransactionExecutor:
             )
 
         if isinstance(payload, DeployBytecodePayload):
-            code_hash = keccak(payload.code)
+            code_hash = keccak_code(payload.code)
             ctx.charge(self.runtime.schedule.create, "create")
             schedule = self.runtime.schedule
             if not (schedule.code_deposit_dedup and state.has_code(code_hash)):

@@ -37,7 +37,7 @@ from repro.chain.lightclient import LightClient
 from repro.chain.params import ChainParams
 from repro.core.proofs import ContractStateProof
 from repro.core.registry import ChainRegistry
-from repro.crypto.hashing import keccak
+from repro.crypto.hashing import keccak_code
 from repro.crypto.keys import Address
 from repro.errors import CodeNotFound, MoveError, ProofError, ReplayError, UnknownRootError
 from repro.runtime.context import Msg, TxContext
@@ -145,7 +145,7 @@ def apply_move2(
     ctx.charge(ctx.meter.schedule.proof_verification(bundle.size_bytes()))
     validate_move2(state, bundle, light_client, source_params)
 
-    code_hash = keccak(bundle.code)
+    code_hash = keccak_code(bundle.code)
     existing = state.contract(bundle.contract)
     if existing is None:
         # Recreating the contract pays CREATE, and — on chains that

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
-from repro.crypto.hashing import keccak
+from repro.crypto.hashing import keccak_code
 from repro.crypto.keys import Address
 from repro.errors import ProofError
 from repro.merkle.proof import MembershipProof, verify_proof
@@ -83,7 +83,7 @@ class ContractStateProof:
         if self.account_proof.key != self.contract.raw:
             return False
         record = ContractRecord(
-            code_hash=keccak(self.code),
+            code_hash=keccak_code(self.code),
             location=self.location,
             balance=self.balance,
             move_nonce=self.move_nonce,
@@ -172,7 +172,7 @@ def build_contract_proof(
     record = state.contract(address)
     if record is None:
         raise ProofError(f"no contract at {address}")
-    if keccak(code) != record.code_hash:
+    if keccak_code(code) != record.code_hash:
         raise ProofError("provided code does not match the contract's code hash")
     account_proof = state.prove_account(address)
     bundle = ContractStateProof(

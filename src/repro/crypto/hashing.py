@@ -22,8 +22,10 @@ _NODE_PREFIX = b"\x01"
 #: Inputs up to this many bytes go through the memo table.  Small
 #: inputs are the repeated ones — storage-slot key derivations
 #: (``keccak(map_base, account)``), address derivations, simulated
-#: signatures — while big inputs (code blobs, proof bodies) are rarely
-#: re-hashed and would only churn the cache.
+#: signatures — while most big inputs (proof bodies, signing payloads)
+#: are hashed once and would only churn the cache.  The big inputs
+#: that *are* re-hashed, contract code blobs, have their own memo
+#: (:func:`keccak_code`).
 _MEMO_MAX_LEN = 128
 
 #: Bounded LRU: ~64k entries × (≤128 B key + 32 B digest) stays small.
@@ -53,6 +55,18 @@ def keccak(*chunks: bytes) -> bytes:
     if len(data) <= _MEMO_MAX_LEN:
         return _keccak_small(data)
     return hashlib.sha3_256(data).digest()
+
+
+#: Few distinct contract codes exist, each kilobytes long, and a Move2
+#: hashes its contract's on the proving, validating and recreating side.
+_CODE_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=_CODE_MEMO_SIZE)
+def keccak_code(code: bytes) -> bytes:
+    """:func:`keccak` of a contract code blob, memoized by content: a
+    blob differing in any byte is another key with its own digest."""
+    return keccak(code)
 
 
 def keccak_memo_info():

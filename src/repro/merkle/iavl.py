@@ -7,23 +7,27 @@ reference [16]).  Only leaves carry values; inner nodes route lookups
 rebalanced with standard AVL rotations, keeping depth — and therefore
 proof length — logarithmic.
 
-A node's structure (key, value, children, height) is immutable and
-shared: updates copy the modified path and keep every unchanged
-subtree.  A node's digest is a write-once memo: ``set``/``delete``
-never hash, and the first ``root_hash`` or ``prove`` afterwards fills
-the missing digests in one post-order walk over the un-hashed nodes
-only.  Ancestors shared by a block's dirty keys are therefore hashed
-once per commit, and path copies a later write superseded are never
-hashed at all.
+One ownership rule, read off the ``digest`` slot: **a hashed node is
+frozen and may be shared between trees; an un-hashed node is reachable
+from exactly one live tree and is updated in place.**  ``set``/``delete``
+never hash; the first ``root_hash``, ``prove`` or ``snapshot`` afterwards
+fills the missing digests in one post-order walk over the un-hashed
+nodes only.  ``snapshot`` is the only place two trees come to share a
+node, and it fills first — so a hashed node's whole subtree is hashed
+and every ancestor of an un-hashed node is un-hashed.  ``set`` leans on
+both: it writes into the un-hashed nodes on its path, copies the hashed
+ones (a snapshot may hold them), and stops at the first un-hashed
+ancestor whose height is unchanged, since nothing above it can differ.
+A block's writes therefore allocate exactly the nodes its commit
+hashes.  ``delete`` and the rotations only read what they are given and
+allocate what they return; the un-hashed nodes they supersede die with
+the old root pointer.
 
-Filling a digest mutates a node that snapshots may share.  That is
-safe without a lock: the digest is a function of the immutable
-structure (whoever fills it writes the same bytes), filling never
-changes structure, and a hashed node's whole subtree is hashed.  The
-chain snapshots the account tree only after ``commit()`` has read the
-root, so retained block snapshots are fully hashed; a storage-trie
-snapshot taken before any read gets its digests from its first
-``prove``.
+The digest is a write-once memo, never cleared: it is a function of the
+frozen structure, so whoever fills it writes the same bytes, and filling
+a node that snapshots share needs no lock.  As for any container,
+mutating a tree while one of its ``items()`` generators is suspended is
+undefined.
 
 Digests (SHA3-256 through ``merkle_hash_leaf``/``merkle_hash_node``)::
 
@@ -115,20 +119,6 @@ def _rebalance(node: _Node) -> _Node:
     return node
 
 
-def _insert(node: Optional[_Node], key: bytes, value: bytes) -> _Node:
-    if node is None:
-        return _leaf(key, value)
-    if node.value is not None:
-        if node.key == key:
-            return _leaf(key, value)  # overwrite
-        if key < node.key:
-            return _inner(node.key, _leaf(key, value), node)
-        return _inner(key, node, _leaf(key, value))
-    if key < node.key:
-        return _rebalance(_inner(node.key, _insert(node.left, key, value), node.right))
-    return _rebalance(_inner(node.key, node.left, _insert(node.right, key, value)))
-
-
 def _delete(node: Optional[_Node], key: bytes) -> Tuple[Optional[_Node], bool]:
     """Return (new subtree, removed?)."""
     if node is None:
@@ -155,7 +145,7 @@ def _delete(node: Optional[_Node], key: bytes) -> Tuple[Optional[_Node], bool]:
 
 
 class IAVLTree:
-    """Mutable facade over the persistent node structure."""
+    """Mutable facade over the node structure (ownership rule above)."""
 
     #: AVL rotation order leaks into the shape: the root is a function
     #: of the full operation history, not just the final content (all
@@ -166,11 +156,14 @@ class IAVLTree:
         self._root: Optional[_Node] = None
 
     def snapshot(self) -> "IAVLTree":
-        """O(1) frozen copy sharing the immutable node structure.
+        """Frozen copy sharing this tree's (hashed, hence frozen) nodes.
 
-        The copy never changes as this tree evolves; writing to the
-        copy forks it (persistent-structure semantics).
+        O(1) once the root has been read; otherwise it does the hashing
+        the next ``root_hash`` would, because only hashed nodes may be
+        shared.  The copy never changes as this tree evolves; writing
+        to the copy forks it.
         """
+        self.root_hash  # freeze: from here on every write copies its path
         clone = IAVLTree()
         clone._root = self._root
         return clone
@@ -185,7 +178,45 @@ class IAVLTree:
 
     def set(self, key: bytes, value: bytes) -> None:
         """Insert or overwrite ``key``."""
-        self._root = _insert(self._root, key, value)
+        if value is None:  # would turn the leaf into a childless inner node
+            raise TypeError("IAVL values are bytes; use delete() to remove a key")
+        node = self._root
+        if node is None:
+            self._root = _leaf(key, value)
+            return
+        path: List[_Node] = []  # the inner nodes above the leaf, root first
+        while node.value is None:
+            path.append(node)
+            node = node.left if key < node.key else node.right
+        if node.key == key:
+            if node.digest is None:
+                node.value = value  # nothing above an overwritten leaf changes
+                return
+            node = _leaf(key, value)
+        elif key < node.key:
+            node = _inner(node.key, _leaf(key, value), node)
+        else:
+            node = _inner(key, node, _leaf(key, value))
+        # ``node`` replaces the child the descent took out of ``path[-1]``.
+        while path:
+            parent = path.pop()
+            if key < parent.key:
+                left, right = node, parent.right
+            else:
+                left, right = parent.left, node
+            lh, rh = left.height, right.height
+            height = (lh if lh > rh else rh) + 1
+            if parent.digest is not None:
+                node = _Node(parent.key, None, left, right, height)
+            else:
+                parent.left, parent.right = left, right
+                if parent.height == height:
+                    return  # its ancestors are un-hashed too and see no change
+                parent.height = height
+                node = parent
+            if not -2 < lh - rh < 2:
+                node = _rebalance(node)
+        self._root = node
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Return the value for ``key`` or ``None``."""

@@ -8,17 +8,19 @@ can hold trees without poking at implementation privates or sprinkling
 
 Two capability levels exist:
 
-* :class:`MerkleCommitment` — anything with a ``root_hash`` and an
-  O(1) ``snapshot()``.  The binary transaction tree qualifies.
+* :class:`MerkleCommitment` — anything with a ``root_hash`` and a
+  cheap ``snapshot()``.  The binary transaction tree qualifies.
 * :class:`AuthenticatedTree` — a mutable authenticated *map* (the IAVL
   tree and the Patricia trie): keyed get/set/delete, membership proofs,
   ordered iteration.
 
-``snapshot()`` is cheap by construction: every implementation stores
-immutable, structurally shared nodes, so a snapshot is one new facade
-object holding the same root pointer.  The snapshot stays valid forever
-as the live tree evolves — the chain retains one per block to serve
-historical proofs.
+``snapshot()`` is cheap by construction: trees share only nodes that
+never change again, so a snapshot is one new facade object holding the
+same root pointer — O(1) once the root has been read; the IAVL tree,
+which hashes lazily and writes its un-hashed nodes in place, first does
+the hashing its next ``root_hash`` would.  The snapshot stays valid
+forever as the live tree evolves — the chain retains one per block to
+serve historical proofs.
 
 ``history_independent`` declares whether the root is a function of the
 *content* alone (Patricia trie: yes) or of the operation history too
@@ -45,7 +47,8 @@ class MerkleCommitment(Protocol):
         ...
 
     def snapshot(self) -> "MerkleCommitment":
-        """O(1) frozen view sharing the immutable node structure."""
+        """Frozen view sharing the nodes that can no longer change:
+        O(1) once the root has been read, otherwise it hashes first."""
         ...
 
 
@@ -84,10 +87,11 @@ class AuthenticatedTree(Protocol):
         ...
 
     def snapshot(self) -> "AuthenticatedTree":
-        """O(1) frozen copy sharing the immutable node structure.
+        """Frozen copy sharing the nodes that can no longer change.
 
-        The copy never changes as the live tree evolves; writing to the
-        copy forks it (persistent-structure semantics).
+        O(1) once the root has been read; otherwise it does the hashing
+        the next ``root_hash`` would.  The copy never changes as the
+        live tree evolves; writing to the copy forks it.
         """
         ...
 

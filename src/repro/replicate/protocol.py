@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.chain.lightclient import LightClient
-from repro.crypto.hashing import keccak
+from repro.crypto.hashing import keccak_code
 from repro.crypto.keys import Address
 from repro.errors import ProofError, UnknownRootError
 from repro.merkle.proof import MembershipProof
@@ -124,7 +124,7 @@ class ReplicaUpdate:
         if self.account_proof.key != self.contract.raw:
             raise ProofError("account proof is for a different address")
         leaf = parse_contract_leaf(self.account_proof.value)
-        if keccak(self.code) != leaf.code_hash:
+        if keccak_code(self.code) != leaf.code_hash:
             raise ProofError("carried code does not match the proven code hash")
         if self.image is not None:
             candidate = {k: v for k, v in self.image.items() if v}

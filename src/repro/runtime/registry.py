@@ -16,7 +16,7 @@ from __future__ import annotations
 import inspect
 from typing import Dict, Type
 
-from repro.crypto.hashing import keccak
+from repro.crypto.hashing import keccak_code
 from repro.errors import CodeNotFound
 
 _REGISTRY: Dict[bytes, Type] = {}
@@ -58,7 +58,7 @@ def register_contract(cls: Type) -> Type:
     """Class decorator: compute CODE/CODE_HASH and register the class."""
     code = _source_bytes(cls)
     cls.CODE = code
-    cls.CODE_HASH = keccak(code)
+    cls.CODE_HASH = keccak_code(code)
     cls._RT_DISPATCH = _build_dispatch(cls)
     _REGISTRY[cls.CODE_HASH] = cls
     return cls

@@ -48,13 +48,14 @@ gas, locked contract) unwinds to the pre-transaction state exactly.
 Dirty-slot sets are deliberately *not* unwound: they over-approximate,
 and folding an unchanged slot at commit just rewrites an identical
 leaf.  Where a live trie is replaced wholesale inside a transaction
-(:meth:`WorldState.load_storage`), the undo closure restores the prior
-root pointer — an O(1) operation thanks to structural sharing.
+(:meth:`WorldState.load_storage`), the undo closure puts the prior
+trie back — O(1): the replacement was built beside it, not into it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, List, Mapping, Optional, Set
 
 from repro.crypto.keys import Address
@@ -321,7 +322,7 @@ class WorldState:
         live storage trie is rebuilt canonically in a single sorted
         pass instead of journaling one write per slot.  The undo
         closure restores the prior dict contents *and* the prior trie
-        root pointer (O(1) — the old nodes are structurally shared).
+        (O(1) — the new trie was built beside it, never into it).
         """
         record = self.require_contract(address)
         prior_storage = dict(record.storage)
@@ -569,16 +570,19 @@ class WorldState:
         happens at block boundaries, after which individual
         transactions can no longer be reverted.
         """
-        for address in sorted(self._dirty):
-            if address in self.contracts:
-                record = self.contracts[address]
+        # Address orders by its one field, so this is sorted(self._dirty)
+        # with the comparisons made on bytes, in C.
+        for address in sorted(self._dirty, key=attrgetter("raw")):
+            record = self.contracts.get(address)
+            if record is not None:
                 root = self._commit_storage(address, record)
                 self._storage_roots[address] = root
                 leaf = encode_contract_leaf(record, root)
-            elif address in self.accounts:
-                leaf = encode_account_leaf(self.accounts[address])
             else:
-                continue  # account created and reverted within the block
+                account = self.accounts.get(address)
+                if account is None:
+                    continue  # account created and reverted within the block
+                leaf = encode_account_leaf(account)
             self._account_tree.set(address.raw, leaf)
         self._dirty.clear()
         self._dirty_slots.clear()
@@ -593,17 +597,19 @@ class WorldState:
         return self._committed_root
 
     def snapshot_tree(self) -> AuthenticatedTree:
-        """An O(1) snapshot of the current committed account tree.
-
-        The underlying nodes are immutable and structurally shared, so
-        the snapshot stays valid as the live tree evolves — the chain
-        retains one per block to serve *historical* account proofs
-        (Move2 proofs target the Move1 block's root, not the head's).
+        """A snapshot of the committed account tree: O(1) after
+        :meth:`commit`, which read the root (un-hashed nodes would be
+        hashed first).  Hashed nodes are never written again, so it
+        stays valid as the live tree evolves — the chain retains one
+        per block to serve *historical* account proofs (Move2 proofs
+        target the Move1 block's root, not the head's).
         """
         return self._account_tree.snapshot()
 
     def storage_trie_snapshot(self, address: Address) -> AuthenticatedTree:
-        """An O(1) snapshot of the contract's committed storage trie.
+        """A snapshot of the contract's committed storage trie: O(1)
+        once its root has been read (every commit reads it), otherwise
+        it does the hashing the next ``root_hash`` would.
 
         Valid between commits (the live trie is only mutated at commit
         or by whole-trie replacement inside a transaction); the chain

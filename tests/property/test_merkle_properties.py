@@ -90,16 +90,29 @@ def test_iavl_root_is_replica_deterministic(operations):
     assert a.root_hash == b.root_hash
 
 
-@given(ops)
+def frozen_view(tree):
+    """What a snapshot promises to keep: root, content, every proof."""
+    items = list(tree.items())
+    return tree.root_hash, items, [tree.prove(key) for key, _ in items]
+
+
+steps = st.sets(st.integers(min_value=0, max_value=59))
+
+
+@given(ops, steps, steps)
 @settings(max_examples=60, deadline=None)
-def test_iavl_root_is_independent_of_when_it_is_read(operations):
-    """Digests are filled lazily: reading the root (or a proof) after
-    every op and reading it once at the end commit the same bytes, and
-    a snapshot taken mid-history keeps the root of its moment."""
-    eager, lazy = IAVLTree(), IAVLTree()
-    roots, snapshots = [], []
+def test_iavl_root_is_independent_of_when_it_is_read(operations, read_steps, snap_steps):
+    """Digests are filled lazily and un-hashed nodes are written in
+    place, so when a root is read decides which writes copy their path.
+    A tree read after every op (all copies), one read at drawn steps
+    only, and one never read before the end (all in place) commit the
+    same bytes wherever they are compared; a snapshot keeps the root,
+    content and proofs of its moment through later ops on the tree it
+    came from and through writes to forks of itself."""
+    eager, lazy, mixed, unread = IAVLTree(), IAVLTree(), IAVLTree(), IAVLTree()
+    roots, snapshots, kept = [], [], []
     for i, (key, value) in enumerate(operations):
-        for tree in (eager, lazy):
+        for tree in (eager, lazy, mixed, unread):
             if value is None:
                 tree.delete(key)
             else:
@@ -107,9 +120,26 @@ def test_iavl_root_is_independent_of_when_it_is_read(operations):
         roots.append(eager.root_hash)
         if value is not None and i % 3 == 0:
             assert verify_proof(eager.prove(key), roots[-1])
-        snapshots.append(lazy.snapshot())  # un-hashed when taken
-    assert lazy.root_hash == eager.root_hash
+        snapshots.append(lazy.snapshot())  # hashes what this op left un-hashed
+        if i in read_steps:
+            assert mixed.root_hash == roots[-1]
+        if i in snap_steps:
+            snap = mixed.snapshot()
+            kept.append((snap, frozen_view(snap)))
+    assert lazy.root_hash == mixed.root_hash == unread.root_hash == eager.root_hash
+    assert list(unread.items()) == list(eager.items())
     assert [snap.root_hash for snap in snapshots] == roots
+    for snap, _ in kept:
+        fork = snap.snapshot()
+        for n, (key, _) in enumerate(list(fork.items())):
+            if n % 3:
+                fork.set(key, b"forked")
+            else:
+                fork.delete(key)
+        fork.set(b"fork only", b"inserted")
+        fork.root_hash
+    for snap, view in kept:
+        assert frozen_view(snap) == view
 
 
 @given(

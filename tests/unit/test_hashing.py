@@ -53,3 +53,20 @@ def test_memo_matches_unmemoized_reference():
     keccak(small)
     keccak(b"\x07" * 64, b"\x07" * 64)  # same bytes via chunks: same entry
     assert keccak_memo_info().hits >= before + 2
+
+
+def test_code_memo_is_keyed_by_content():
+    import hashlib
+
+    from repro.crypto.hashing import keccak_code
+
+    code = b"contract source " * 400  # far past the small-input memo
+    assert keccak_code(code) == keccak(code) == hashlib.sha3_256(code).digest()
+    before = keccak_code.cache_info()
+    assert keccak_code(bytes(code)) == keccak(code)  # an equal blob, by value
+    assert keccak_code.cache_info().hits == before.hits + 1
+    tampered = code[:-1] + b"!"
+    assert keccak_code(tampered) == hashlib.sha3_256(tampered).digest() != keccak(code)
+    after = keccak_code.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses + 1)
+    assert after.maxsize is not None  # bounded

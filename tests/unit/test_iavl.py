@@ -177,7 +177,7 @@ def test_snapshot_taken_before_any_hash_is_isolated():
     tree = IAVLTree()
     for i in range(64):
         tree.set(key(i), b"v%d" % i)
-    snap = tree.snapshot()  # no digest exists anywhere yet
+    snap = tree.snapshot()  # the first read of any digest: it hashes here
     for i in range(0, 64, 3):
         tree.set(key(i), b"overwritten")
     for i in range(64, 80):
@@ -207,6 +207,65 @@ def test_prove_on_never_hashed_tree_verifies():
     assert verify_proof(proof, tree.root_hash)
 
 
+def test_set_rejects_a_none_value_and_leaves_the_tree_alone():
+    # A None value used to be stored, turning the leaf into a childless
+    # inner node that broke the next root_hash and every later set.
+    tree, untouched = IAVLTree(), IAVLTree()
+    for t in (tree, untouched):
+        for i in range(20):
+            t.set(key(i), b"v%d" % i)
+        t.root_hash
+        t.set(key(3), b"rewritten")  # this leaf and its path are un-hashed again
+    for k in (key(3), key(7), key(99)):  # un-hashed leaf, hashed leaf, new key
+        with pytest.raises(TypeError):
+            tree.set(k, None)
+    with pytest.raises(TypeError):
+        IAVLTree().set(b"k", None)
+    assert list(tree.items()) == list(untouched.items())
+    assert tree.root_hash == untouched.root_hash
+    assert all(tree.prove(k) == untouched.prove(k) for k, _ in untouched.items())
+
+
+def test_hashed_nodes_are_never_written():
+    """The ownership rule's frozen half: whatever later sets, inserts,
+    deletes and rotations do, a node that has a digest keeps every
+    field it had when it was hashed."""
+    tree = IAVLTree()
+    for i in range(200):
+        tree.set(key(i), b"v%d" % i)
+    recorded = []
+
+    def record_hashed():
+        tree.root_hash
+        stack = [tree._root]
+        while stack:
+            node = stack.pop()
+            assert node.digest is not None  # hashed => whole subtree hashed
+            recorded.append(
+                (node, node.key, node.value, node.left, node.right, node.height, node.digest)
+            )
+            if node.value is None:
+                stack += (node.left, node.right)
+
+    record_hashed()
+    first_generation = len(recorded)
+    snap = tree.snapshot()
+    rng = random.Random(19)
+    for step in range(1, 601):
+        k = key(rng.randrange(260))
+        if rng.random() < 0.3:
+            tree.delete(k)
+        else:
+            tree.set(k, b"w%d" % step)  # overwrites below 200, mostly inserts above
+        if step % 150 == 0:
+            record_hashed()  # mid-history reads freeze more nodes
+    assert len(recorded) > first_generation
+    for node, k, value, left, right, height, digest in recorded:
+        assert (node.key, node.value, node.height, node.digest) == (k, value, height, digest)
+        assert node.left is left and node.right is right
+    assert [v for _, v in snap.items()] == [b"v%d" % i for i in range(200)]
+
+
 @pytest.fixture
 def digests_computed(monkeypatch):
     """Count the tree's digest computations, per hashed input."""
@@ -222,7 +281,7 @@ def digests_computed(monkeypatch):
     return computed
 
 
-def test_hash_once_per_commit(digests_computed):
+def test_hash_once_per_commit(digests_computed, monkeypatch):
     leaves, writes = 512, 40
     tree = IAVLTree()
     for i in range(leaves):
@@ -231,6 +290,15 @@ def test_hash_once_per_commit(digests_computed):
     assert len(digests_computed) == 2 * leaves - 1  # every node, once
     del digests_computed[:]
 
+    class CountedNode(iavl._Node):
+        __slots__ = ()
+        made = 0
+
+        def __init__(self, *fields):
+            CountedNode.made += 1
+            super().__init__(*fields)
+
+    monkeypatch.setattr(iavl, "_Node", CountedNode)
     rng = random.Random(5)
     dirty = [key(rng.randrange(leaves)) for _ in range(writes)]
     for k in dirty:
@@ -247,6 +315,9 @@ def test_hash_once_per_commit(digests_computed):
             node = None if node.value is not None else (
                 node.left if k < node.key else node.right
             )
+    # Un-hashed nodes are written in place: the block allocated exactly
+    # the nodes its commit hashes, not one path copy per write.
+    assert CountedNode.made == len(on_paths)
     root = tree.root_hash
     assert len(digests_computed) == len(on_paths)
     assert len(set(digests_computed)) == len(on_paths)  # no node hashed twice

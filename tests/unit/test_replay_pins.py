@@ -1,4 +1,4 @@
-"""Cross-commit replay pins for the simulator and the admission path.
+"""Cross-commit replay pins: the simulator, admission, the commit path.
 
 ``test_determinism.py`` proves a seed replays identically *within* one
 commit; these pins guard the same runs *across* commits.  Every literal
@@ -8,6 +8,10 @@ gateway admission was flattened — so a change that reorders one event,
 draws one random number earlier or moves one admit/shed/flush decision
 fails here rather than in a benchmark nobody re-ran.
 
+Section (d) pins the commit path the same way: its literal was
+recorded at ``eb01489``, before IAVL ``set`` started writing un-hashed
+nodes in place.
+
 Re-pin only for a change that is *meant* to alter simulated behaviour,
 and say so in CHANGES.md.
 """
@@ -15,10 +19,21 @@ and say so in CHANGES.md.
 import hashlib
 from collections import Counter
 
+from repro.chain.chain import Chain
+from repro.chain.params import burrow_params
+from repro.chain.tx import (
+    BytecodeCallPayload,
+    DeployBytecodePayload,
+    TransferPayload,
+    sign_transaction,
+)
+from repro.core.registry import ChainRegistry
+from repro.crypto.keys import KeyPair
 from repro.gateway import GatewayLimits
 from repro.net.sim import Simulator
 from repro.net.transport import Network
 from repro.sharding.cluster import ShardedCluster
+from repro.vm.assembler import assemble
 from repro.workload.fleet import FleetWorkload
 
 # ----------------------------------------------------------------------
@@ -152,3 +167,71 @@ def test_fault_hook_answers_behave_as_send_documents():
     assert net.messages_sent == 4
     assert net.messages_dropped == 2  # the hook's drop and the partition's
     assert net.messages_duplicated == 1
+
+
+# ----------------------------------------------------------------------
+# (d) The commit path: one chain, fourteen mixed blocks, four snapshots
+# ----------------------------------------------------------------------
+
+# storage[calldata word 0] = calldata word 1; a zero value frees the slot
+SLOT_STORE = assemble("""
+    PUSH1 32
+    CALLDATALOAD
+    PUSH1 0
+    CALLDATALOAD
+    SSTORE
+    STOP
+""")
+
+
+def test_commit_path_and_retained_snapshots_are_pinned():
+    alice, bob = KeyPair.from_name("alice"), KeyPair.from_name("bob")
+    chain = Chain(burrow_params(1, snapshot_retention=4), ChainRegistry())
+    chain.fund({alice.address: 10**9, bob.address: 10**9})
+
+    def word(n):
+        return n.to_bytes(32, "big")
+
+    store, slots = None, []
+    for height in range(1, 15):
+        newcomer = KeyPair.from_name(f"pin-{height}").address
+        txs = [
+            sign_transaction(alice, TransferPayload(bob.address, height)),
+            sign_transaction(bob, TransferPayload(newcomer, 7 * height)),  # creates it
+        ]
+        if height == 3:
+            txs.append(sign_transaction(alice, DeployBytecodePayload(code=SLOT_STORE)))
+        if store is not None:
+            call = BytecodeCallPayload
+            txs.append(sign_transaction(alice, call(store, word(height) + word(11 * height))))
+            txs.append(sign_transaction(bob, call(store, word(4) + word(height))))
+            if height % 3 == 0:
+                txs.append(sign_transaction(bob, call(store, word(height - 2) + word(0))))
+        for tx in txs:
+            assert chain.submit(tx)
+        chain.produce_block(5.0 * height)
+        assert all(chain.receipts[tx.tx_id].success for tx in txs)
+        if height == 3:
+            store = chain.receipts[txs[-1].tx_id].return_value
+        if store is not None:
+            slots.append(len(chain.state.contract(store).storage))
+    # inserts, overwrites and deletes all reached the storage trie
+    assert slots == [0, 1, 2, 2, 4, 5, 5, 6, 7, 7, 8, 9]
+    assert chain.state.committed_root.hex() == (
+        "648e44f7a1c2884b4951f887b3643a672a2a1eb7dc1e9b9249f9d9e69b5c2b38"
+    )
+    # Isolation through Chain: ten more blocks were folded into the live
+    # tree since the oldest retained snapshot was taken, and each one
+    # still proves every account it held against its own block's root.
+    assert sorted(chain._tree_snapshots) == sorted(chain._post_roots) == [0, 10, 11, 12, 13, 14]
+    accounts_at = {}
+    for height, tree in chain._tree_snapshots.items():
+        leaves = dict(tree.items())
+        accounts_at[height] = len(leaves)
+        assert tree.root_hash == chain._post_roots[height]
+        for key, leaf in leaves.items():
+            proof = tree.prove(key)
+            assert proof.value == leaf
+            assert proof.computed_root() == chain._post_roots[height]
+    assert accounts_at == {0: 2, 10: 13, 11: 14, 12: 15, 13: 16, 14: 17}
+    assert len(set(chain._post_roots.values())) == 6
