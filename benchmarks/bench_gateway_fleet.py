@@ -10,7 +10,7 @@ until the chain's own capacity and the shared admission budget cap the
 fleet, which is the point: N replicas never overrun the mempool bound
 one gateway would respect.
 
-CI gates (the ``fleet`` job):
+CI gates (the ``serving`` job):
 
 * **scaling** — aggregate confirmed throughput grows ≥2.5× from one
   replica to four at fixed offered load;

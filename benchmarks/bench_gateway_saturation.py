@@ -9,7 +9,7 @@ the overflow is *shed with machine-readable codes* while the queue's
 high-water mark and the mempool stay bounded: overload costs requests,
 never memory.
 
-CI gates (the ``gateway`` job):
+CI gates (the ``serving`` job):
 
 * a 64-client fleet under capacity confirms everything — no sheds;
 * overloaded fleets shed only typed ``queue_full`` / ``rate_limited``;

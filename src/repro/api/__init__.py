@@ -10,8 +10,9 @@ The facade is organised in five documented sections, each a submodule
 re-exported here flat (``repro.api.Gateway`` and
 ``repro.api.serving.Gateway`` are the same object):
 
-* :mod:`repro.api.serving` — :class:`Node`, :class:`Gateway` and the
-  replicated :class:`GatewayFleet`, :class:`PriorityClass`,
+* :mod:`repro.api.serving` — :class:`Node`, :class:`Gateway` (whose
+  ``replicas=N`` pins clients to N queue sets; :class:`GatewayFleet`
+  is the same class), :class:`PriorityClass`,
   :class:`Client`, the transports, the request/move futures and
   :class:`Subscription`;
 * :mod:`repro.api.chains` — :class:`Chain` / :class:`ChainParams` and
@@ -29,10 +30,10 @@ Quick start::
     from repro import api
 
     node = api.Node([api.burrow_params(1), api.ethereum_params(2)])
-    fleet = api.GatewayFleet(node, replicas=4,
-                             limits=api.GatewayLimits(max_queue_depth=512))
-    client = api.Client(api.InProcessTransport(fleet), name="alice")
-    fleet.start()
+    gateway = api.Gateway(node, api.GatewayLimits(max_queue_depth=512),
+                          replicas=4)
+    client = api.Client(api.InProcessTransport(gateway), name="alice")
+    gateway.start()
 
     handle = client.deploy(MyContract, chain=1)
     receipt = handle.wait()

@@ -1,9 +1,9 @@
 """Facade section: the serving tier.
 
 Everything needed to stand up a serving deployment and talk to it —
-the :class:`Node` runtime, the :class:`Gateway` (and the replicated
-:class:`GatewayFleet`) admission tier with its :class:`PriorityClass`
-model, the :class:`Client` SDK, the deterministic transports, the
+the :class:`Node` runtime, the :class:`Gateway` admission tier (one
+class for any replica count; :class:`GatewayFleet` is another name for
+it) with its :class:`PriorityClass` model, the :class:`Client` SDK, the deterministic transports, the
 request/move futures, and the push-path :class:`Subscription`.
 
 Import from :mod:`repro.api`; this module only groups the re-exports.

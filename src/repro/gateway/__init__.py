@@ -1,8 +1,10 @@
-"""The serving tier: replicated gateways, classed admission, typed sheds.
+"""The serving tier: one gateway class, classed admission, typed sheds.
 
 One audited, instrumented front door in front of a
-:class:`~repro.node.Node` — and, with :class:`GatewayFleet`, N of them
-sharing one admission budget.  Bounded per-chain classed queues
+:class:`~repro.node.Node`: :class:`Gateway` (also exported as
+:class:`GatewayFleet`), whose ``replicas=N`` pins each client to one of
+N queue sets behind one flush clock and one mempool-headroom meter.
+Bounded per-chain classed queues
 (:class:`PriorityClass`: moves ahead of views ahead of bulk),
 deficit-round-robin fairness across clients, micro-batched mempool
 submission, per-client token-bucket rate limiting, shed-or-block
@@ -19,7 +21,6 @@ The stable import surface for applications is :mod:`repro.api`; this
 package is its implementation.
 """
 
-from repro.gateway.budget import AdmissionBudget
 from repro.gateway.classes import PriorityClass, classify
 from repro.gateway.client import Client
 from repro.gateway.fairqueue import ClassedFairQueue, QueueEntry
@@ -39,7 +40,6 @@ from repro.gateway.subscription import Subscription, SubscriptionHub
 from repro.gateway.transport import InProcessTransport, SimNetTransport
 
 __all__ = [
-    "AdmissionBudget",
     "Client",
     "ClassedFairQueue",
     "Gateway",

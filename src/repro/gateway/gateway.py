@@ -14,20 +14,27 @@ cross-chain moves — enters through :meth:`Gateway.submit` /
   served deficit-round-robin (``limits.drr_quantum`` per turn) replace
   the PR 5 flat FIFO, so one aggressive client cannot monopolize a
   replica (:mod:`repro.gateway.fairqueue`);
-* **bounded queues** — each served chain gets one classed queue bounded
-  by ``limits.max_queue_depth``; memory stays bounded no matter how
-  many clients pile on;
-* **micro-batching** — a flush loop pours queued transactions into the
-  chain mempools every ``limits.flush_interval`` simulated seconds, up
-  to ``limits.batch_size`` per chain per flush;
+* **replicas** — ``replicas=N`` splits the bounded stage N ways: each
+  replica holds its own per-chain classed queues and overflow lots,
+  and each client is pinned to one replica by a stable hash of its id
+  (sha256, *not* the salted builtin ``hash``), so a client's requests
+  stay FIFO within its lanes and a replay routes byte-identically.  A
+  lone gateway is a fleet of one; everything below is shared;
+* **bounded queues** — each replica gets one classed queue per served
+  chain, bounded by ``limits.max_queue_depth``; memory stays bounded no
+  matter how many clients pile on;
+* **micro-batching** — one flush loop pours queued transactions into
+  the chain mempools every ``limits.flush_interval`` simulated seconds,
+  up to ``limits.batch_size`` per replica per chain per flush;
 * **backpressure** — past the bound a request is shed by class: a
   typed :class:`~repro.errors.ShedByClass` attributed to the entry
   actually dropped (victim, not enqueuer).  Only a served move's own
   mid-move transactions park instead, in a bounded overflow lot that
-  drains as flushes free slots.  Flushes are metered against the
-  chain's mempool headroom — shared fleet-wide through an
-  :class:`~repro.gateway.budget.AdmissionBudget` when this gateway is
-  a :class:`~repro.gateway.fleet.GatewayFleet` replica;
+  drains as flushes free slots.  Each flush measures every chain's
+  mempool headroom once and the replicas' batches draw from it in an
+  order that rotates tick by tick, so the *sum* of all replicas'
+  flushes respects the bound one replica would and no replica is
+  structurally first when headroom is scarce;
 * **rate limiting** — a per-client token bucket
   (:class:`~repro.gateway.limits.TokenBucket`) sheds with
   :class:`~repro.errors.RateLimited` past the configured rate;
@@ -38,37 +45,45 @@ cross-chain moves — enters through :meth:`Gateway.submit` /
   Keys bind only on successful admission, a retry after a timeout
   resolves to the original transaction's eventual receipt, and records
   are evicted ``limits.idempotency_retention`` seconds after
-  resolution (token buckets are LRU-capped at ``limits.max_clients``);
+  resolution (token buckets are LRU-capped at ``limits.max_clients``,
+  the same cap as the pin table);
 * **subscriptions** — :meth:`watch_contract` / :meth:`watch_move` push
   contract events and move handle-state from the gateway's block
   subscription instead of clients polling
   (:mod:`repro.gateway.subscription`);
+* **replayable evidence** — every admit / park / shed / flush decision
+  lands on :attr:`Gateway.admission_log` as a tuple of primitives;
+  :meth:`Gateway.log_digest` hashes the canonical JSON so two runs can
+  be compared byte-for-byte;
 * **error boundary** — raw ``KeyError``/``ValueError``/``TypeError``
   escapes are mapped to :class:`~repro.errors.InvalidRequest`, so every
   outcome a client can observe is a :class:`~repro.errors.ReproError`
   subclass carrying a machine-readable reason code.
 
 The gateway also owns block production: ``start()`` starts the node's
-driver and the flush loop together, so "serving" is one call (a fleet
-replica instead starts with its fleet).  Telemetry rides along —
-admissions, flushes and sheds feed the shared
+driver and the flush loop together, so "serving" is one call.
+Telemetry rides along — admissions, flushes and sheds feed the shared
 :class:`~repro.telemetry.metrics.MetricsRegistry` with per-class
-``gateway_class_*`` series, and traced transactions get
-``gateway.admit`` / ``gateway.flush`` events on their move traces
-(docs/OBSERVABILITY.md lists the names; docs/SERVING.md the tier).
+``gateway_class_*`` series (depth gauges are written once per flush),
+and traced transactions get ``gateway.admit`` / ``gateway.flush``
+events on their move traces (docs/OBSERVABILITY.md lists the names;
+docs/SERVING.md the tier).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import deque
 from functools import partial
-from typing import Deque, Dict, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.chain.chain import Chain
 from repro.chain.tx import BytecodeCallPayload, CallPayload, Move1Payload, Transaction
 from repro.crypto.keys import Address, KeyPair
 from repro.errors import (
     CodeNotFound,
+    ConfigError,
     GatewayError,
     InvalidRequest,
     RateLimited,
@@ -76,7 +91,6 @@ from repro.errors import (
     RequestTimeout,
     ShedByClass,
 )
-from repro.gateway.budget import AdmissionBudget
 from repro.gateway.classes import FLUSH_ORDER, PriorityClass, classify
 from repro.gateway.fairqueue import ClassedFairQueue, QueueEntry
 from repro.gateway.handles import (
@@ -94,6 +108,11 @@ from repro.telemetry import Telemetry
 
 #: accepted spellings of a priority override
 PriorityLike = Union[PriorityClass, str, int]
+
+#: one recorded admission decision: (sim time, kind, replica, chain,
+#: class label, client id, batch size).  Primitives only — the log must
+#: serialize to canonical JSON for the replay digest.
+LogRecord = Tuple[float, str, int, int, str, str, int]
 
 
 class _ChainMetrics:
@@ -121,29 +140,53 @@ class _ChainMetrics:
         self.class_shed = per_class(metrics.counter, "gateway_queue_shed_total")
 
 
+class _Replica:
+    """The state whose bound is per replica: one classed fair queue and
+    one overflow lot (mid-move transactions) per served chain."""
+
+    __slots__ = ("index", "queues", "blocked")
+
+    def __init__(self, index: int, chain_ids, limits: GatewayLimits):
+        self.index = index
+        self.queues: Dict[int, ClassedFairQueue] = {
+            chain_id: ClassedFairQueue(limits.max_queue_depth, limits.drr_quantum)
+            for chain_id in chain_ids
+        }
+        self.blocked: Dict[int, Deque[QueueEntry]] = {
+            chain_id: deque() for chain_id in chain_ids
+        }
+
+    def queue_depth(self, chain_id: int) -> int:
+        """Queued plus parked entries for one chain on this replica."""
+        return self.queues[chain_id].depth + len(self.blocked[chain_id])
+
+
 class Gateway:
-    """Batched, rate-limited, backpressured, classed admission to a node."""
+    """Batched, rate-limited, backpressured, classed admission to a node
+    through ``replicas`` client-pinned queue sets."""
 
     def __init__(
         self,
         node: Node,
         limits: Optional[GatewayLimits] = None,
         telemetry: Optional[Telemetry] = None,
+        replicas: int = 1,
     ):
+        if not isinstance(replicas, int) or isinstance(replicas, bool) or replicas < 1:
+            raise ConfigError(
+                f"replicas must be an int >= 1, got {replicas!r} — a gateway "
+                "needs at least one replica to serve"
+            )
         self.node = node
         self.limits = limits if limits is not None else GatewayLimits()
         self.telemetry = telemetry if telemetry is not None else node.telemetry
-        #: per-chain classed fair queues (the bounded stage)
-        self._queues: Dict[int, ClassedFairQueue] = {
-            chain_id: ClassedFairQueue(
-                self.limits.max_queue_depth, self.limits.drr_quantum
-            )
-            for chain_id in node.chains
-        }
-        #: per-chain overflow lot for mid-move transactions
-        self._blocked: Dict[int, Deque[QueueEntry]] = {
-            chain_id: deque() for chain_id in node.chains
-        }
+        self._chain_ids = sorted(node.chains)
+        self.replicas: List[_Replica] = [
+            _Replica(index, self._chain_ids, self.limits) for index in range(replicas)
+        ]
+        #: client id -> pinned replica, computed once per client (bounded
+        #: by ``limits.max_clients``; see :meth:`replica_for`)
+        self._pins: Dict[str, _Replica] = {}
         self._buckets: Dict[str, TokenBucket] = {}
         #: (client_id, key) -> original handle, for idempotent retries
         self._by_key: Dict[Tuple[str, str], RequestHandle] = {}
@@ -151,9 +194,10 @@ class Gateway:
         self._started = False
         #: bumped on every start(); stale flush timers check it and die
         self._epoch = 0
-        #: set by GatewayFleet when this gateway serves as a replica
-        self.fleet = None
-        self.replica_index = 0
+        #: flush ticks so far; picks which replica claims headroom first
+        self._tick = 0
+        #: replayable admission evidence (see :data:`LogRecord`)
+        self.admission_log: List[LogRecord] = []
         self.subscriptions = SubscriptionHub(self)
 
         metrics = self.telemetry.metrics
@@ -164,6 +208,34 @@ class Gateway:
         self._m_moves_started = metrics.counter("gateway_moves_total", status="started")
         self._m_moves_ok = metrics.counter("gateway_moves_total", status="ok")
         self._m_moves_failed = metrics.counter("gateway_moves_total", status="failed")
+        metrics.gauge("gateway_fleet_replicas").set(replicas)
+        self._m_ticks = metrics.counter("gateway_fleet_flush_ticks_total")
+        self._m_replica_flushed = [
+            metrics.counter("gateway_fleet_replica_flushed_total", replica=i)
+            for i in range(replicas)
+        ]
+
+    def __len__(self) -> int:
+        return len(self.replicas)
+
+    def replica_for(self, client_id: str) -> _Replica:
+        """The replica pinned to ``client_id`` (stable across runs and
+        processes — sha256 of the id, never the salted builtin hash).
+
+        The pin is a pure function of the id, so it is computed once
+        per client and remembered; the table holds at most
+        ``limits.max_clients`` pins and drops its oldest past that (an
+        evicted client hashes to the same replica again).
+        """
+        replica = self._pins.get(client_id)
+        if replica is None:
+            if len(self._pins) >= self.limits.max_clients:
+                del self._pins[next(iter(self._pins))]
+            digest = hashlib.sha256(client_id.encode("utf-8")).digest()
+            replica = self._pins[client_id] = self.replicas[
+                int.from_bytes(digest[:8], "big") % len(self.replicas)
+            ]
+        return replica
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -174,15 +246,9 @@ class Gateway:
         return self._started
 
     def start(self) -> None:
-        """Start serving: block production plus the flush loop.
-
-        Fleet replicas do not start themselves — their fleet owns the
-        (single, budget-shared) flush loop.
-        """
+        """Start serving: block production plus the one flush loop
+        (idempotent)."""
         if self._started:
-            return
-        if self.fleet is not None:
-            self.fleet.start()
             return
         self._started = True
         self._epoch += 1
@@ -193,9 +259,6 @@ class Gateway:
 
     def stop(self) -> None:
         """Stop the flush loop and block production."""
-        if self.fleet is not None:
-            self.fleet.stop()
-            return
         self._started = False
         self.node.stop()
 
@@ -212,8 +275,9 @@ class Gateway:
         handle: Optional[RequestHandle] = None,
         priority: Optional[PriorityLike] = None,
     ) -> RequestHandle:
-        """Admit one transaction; never raises — the handle carries the
-        typed outcome (``handle.result()`` re-raises rejections).
+        """Admit one transaction via the client's pinned replica; never
+        raises — the handle carries the typed outcome
+        (``handle.result()`` re-raises rejections).
 
         ``priority`` re-tags the request's admission class; omitted,
         Move1/Move2 classify as ``MOVE`` and everything else as
@@ -287,8 +351,9 @@ class Gateway:
 
         handle.tx_id = tx.tx_id
         handle.admitted_at = now
+        replica = self.replica_for(client_id)
         entry = QueueEntry(tx=tx, handle=handle, cls=cls, client=client_id, at=now)
-        self._enqueue(entry, chain_id, park=False)
+        self._enqueue(entry, replica, chain_id, park=False)
         if key is not None:
             # Bind only after admission succeeded: a shed or rejected
             # request must not wedge its key, so a retry after a
@@ -299,7 +364,7 @@ class Gateway:
         if tracer.enabled and tx.meta:
             tracer.meta_event(
                 tx.meta, "gateway.admit", chain=chain_id, cls=cls.label,
-                replica=self.replica_index,
+                replica=replica.index,
             )
         if self.limits.request_timeout > 0:
             self.node.sim.schedule(self.limits.request_timeout, self._expire, handle)
@@ -366,19 +431,21 @@ class Gateway:
             f"replica of chain {source}; submit writes to the active copy"
         )
 
-    def _enqueue(self, entry: QueueEntry, chain_id: int, park: bool) -> None:
-        """Classed admission under the bound; ``park=True`` uses the
-        overflow lot instead of shedding when even class-aware eviction
-        finds no lower-class victim."""
-        queue = self._queues[chain_id]
+    def _enqueue(
+        self, entry: QueueEntry, replica: _Replica, chain_id: int, park: bool
+    ) -> None:
+        """Classed admission under the replica's bound; ``park=True``
+        uses the overflow lot instead of shedding when even class-aware
+        eviction finds no lower-class victim."""
         m = self._m[chain_id]
-        result = queue.push(entry)
+        result = replica.queues[chain_id].push(entry)
         if not result.admitted:
-            blocked = self._blocked[chain_id]
+            blocked = replica.blocked[chain_id]
             if not park or len(blocked) >= self.limits.max_blocked:
                 # Here the dropped entry IS the newcomer.
                 raise self._shed(
                     entry,
+                    replica,
                     chain_id,
                     f"admission queue at bound ({self.limits.max_queue_depth} queued"
                     + (f", {len(blocked)} parked" if park else "")
@@ -387,8 +454,7 @@ class Gateway:
             blocked.append(entry)
             entry.handle.status = QUEUED
             m.parked.inc()
-            m.blocked_depth.set(len(blocked))
-            self._note("park", chain_id, entry)
+            self._record("park", replica.index, chain_id, entry.cls.label, entry.client)
             return
         cls = entry.cls
         if result.victim is not None:
@@ -396,17 +462,17 @@ class Gateway:
                 f"queue slot reclaimed by a {cls.label}-class arrival "
                 f"({self.limits.max_queue_depth} queued)"
             )
-            self._reject(result.victim.handle, self._shed(result.victim, chain_id, why))
-            self._note_depth(chain_id)  # the victim's class moved too
+            self._reject(
+                result.victim.handle, self._shed(result.victim, replica, chain_id, why)
+            )
         entry.handle.status = QUEUED
         m.admitted.inc()
         m.class_admitted[cls].inc()
-        self._note("admit", chain_id, entry)
-        # Only the gauges this admission moved; flush refreshes them all.
-        m.depth.set(queue.depth)
-        m.class_depth[cls].set(queue.class_depth[cls])
+        self._record("admit", replica.index, chain_id, cls.label, entry.client)
 
-    def _shed(self, dropped: QueueEntry, chain_id: int, why: str) -> ShedByClass:
+    def _shed(
+        self, dropped: QueueEntry, replica: _Replica, chain_id: int, why: str
+    ) -> ShedByClass:
         """The typed queue shed, attributed to the entry actually
         dropped — the class/client that lost the slot, whether a
         newcomer that found no lower class to evict or the victim of a
@@ -414,38 +480,13 @@ class Gateway:
         whoever leaves the queue without flushing is whom the shed
         metric names."""
         self._m[chain_id].class_shed[dropped.cls].inc()
-        self._note("shed", chain_id, dropped)
+        self._record("shed", replica.index, chain_id, dropped.cls.label, dropped.client)
         return ShedByClass(
             f"chain {chain_id} {why}; retry after the next flush",
             shed_class=dropped.cls.label,
             shed_client=dropped.client,
             chain_id=chain_id,
         )
-
-    def _note(self, kind: str, chain_id: int, entry: QueueEntry) -> None:
-        """Record one admission decision on the fleet's admission log
-        (standalone gateways skip this — the log is the fleet's
-        replayable evidence)."""
-        if self.fleet is not None:
-            self.fleet._record(
-                kind, self.replica_index, chain_id, entry.cls.label, entry.client
-            )
-
-    def _note_depth(self, chain_id: int) -> None:
-        """Refresh the depth gauges (total and per class).  Peaks are
-        tracked inside the queue itself, so every path that grows or
-        shrinks a lane — admission, eviction, parked-drain, flush —
-        shares one accounting."""
-        queue = self._queues[chain_id]
-        m = self._m[chain_id]
-        m.depth.set(queue.depth)
-        for cls in FLUSH_ORDER:
-            m.class_depth[cls].set(queue.class_depth[cls])
-
-    @property
-    def peak_queue_depth(self) -> Dict[int, int]:
-        """High-water mark per chain queue (bound audits read this)."""
-        return {c: q.peak_depth for c, q in self._queues.items()}
 
     def _retire_key(
         self, table: Dict, key: Tuple[str, str], handle, at_once: bool = False
@@ -513,83 +554,97 @@ class Gateway:
         self.flush()
         self.node.sim.schedule(self.limits.flush_interval, self._flush_tick, epoch)
 
-    def flush(self, budget: Optional[AdmissionBudget] = None) -> int:
-        """Pour one micro-batch per chain into the mempools; returns the
-        number of transactions submitted.
+    def flush(self) -> int:
+        """Pour one micro-batch per replica per chain into the mempools;
+        returns the number of transactions submitted.
 
-        ``budget`` is the fleet-shared mempool-headroom meter; a
-        standalone gateway meters itself (same bound, private meter).
-        The running gateway calls this on its own clock; tests may call
-        it directly.
+        End-to-end backpressure: each chain's mempool headroom is
+        measured once, and the replicas' batches draw from it in turn —
+        the backlog must stay in the bounded queues (and shed), not
+        leak downstream.  The replica that claims first rotates tick
+        by tick.  The running gateway calls this on its own clock;
+        tests may call it directly.
         """
-        if budget is None:
-            budget = AdmissionBudget(self.node, self.limits)
-            budget.refresh()
+        limits = self.limits
+        headroom = limits.mempool_headroom
+        room = {
+            chain_id: max(0, headroom * chain.params.max_block_txs - len(chain.mempool))
+            for chain_id, chain in self.node.chains.items()
+        }
+        self._m_ticks.inc()
+        count = len(self.replicas)
+        first = self._tick % count
+        self._tick += 1
+        tracer = self.telemetry.tracer
         submitted = 0
-        for chain_id in sorted(self._queues):
-            queue = self._queues[chain_id]
-            blocked = self._blocked[chain_id]
+        for offset in range(count):
+            replica = self.replicas[(first + offset) % count]
+            flushed = 0
+            for chain_id in self._chain_ids:
+                queue = replica.queues[chain_id]
+                blocked = replica.blocked[chain_id]
+                m = self._m[chain_id]
+                # Drain the overflow lot into freed queue slots first:
+                # parked requests enter their class lanes before this
+                # flush's pop, so a parked move still outranks queued bulk.
+                self._promote_parked(replica, chain_id)
+                chain = self.node.chains[chain_id]
+                grant = min(limits.batch_size, queue.depth + len(blocked), room[chain_id])
+                room[chain_id] -= grant
+                batch = []
+                while len(batch) < grant and queue.depth:
+                    batch.extend(queue.pop(grant - len(batch)))
+                    # Popping freed slots: promote more parked entries so
+                    # the overflow lot drains in this same flush (their
+                    # class lanes still decide the order of the next pop).
+                    self._promote_parked(replica, chain_id)
+                for entry in batch:
+                    handle = entry.handle
+                    if not handle.done:
+                        handle.status = SUBMITTED
+                    # A handle that expired while queued is submitted
+                    # anyway: its timeout promised "the transaction may
+                    # still execute", and the late receipt is what a retry
+                    # under the same idempotency key reattaches to.
+                    chain.wait_for(entry.tx.tx_id, partial(self._resolve, handle))
+                    chain.submit(entry.tx)
+                    m.class_flushed[entry.cls].inc()
+                    if tracer.enabled and entry.tx.meta:
+                        tracer.meta_event(
+                            entry.tx.meta, "gateway.flush", chain=chain_id,
+                            cls=entry.cls.label, replica=replica.index,
+                        )
+                if batch:
+                    m.batches.inc()
+                    m.batch_size.observe(len(batch))
+                    self._record("flush", replica.index, chain_id, "", "", len(batch))
+                flushed += len(batch)
+            self._m_replica_flushed[replica.index].inc(flushed)
+            submitted += flushed
+        # The depth gauges, once per flush from gateway-wide sums.
+        for chain_id in self._chain_ids:
             m = self._m[chain_id]
-            # Drain the overflow lot into freed queue slots first:
-            # parked requests enter their class lanes before this
-            # flush's pop, so a parked move still outranks queued bulk.
-            self._promote_parked(chain_id)
-            chain = self.node.chains[chain_id]
-            # End-to-end backpressure: never hold more than the headroom
-            # worth of blocks pending in the mempool — the backlog must
-            # stay in the bounded queue (and shed), not leak downstream.
-            want = min(self.limits.batch_size, queue.depth + len(blocked))
-            grant = budget.take(chain_id, want)
-            batch = []
-            while len(batch) < grant and queue.depth:
-                batch.extend(queue.pop(grant - len(batch)))
-                # Popping freed slots: promote more parked entries so
-                # the overflow lot drains in this same flush (their
-                # class lanes still decide the order of the next pop).
-                self._promote_parked(chain_id)
-            tracer = self.telemetry.tracer
-            for entry in batch:
-                handle = entry.handle
-                if not handle.done:
-                    handle.status = SUBMITTED
-                # A handle that expired while queued is submitted
-                # anyway: its timeout promised "the transaction may
-                # still execute", and the late receipt is what a retry
-                # under the same idempotency key reattaches to.
-                chain.wait_for(entry.tx.tx_id, partial(self._resolve, handle))
-                chain.submit(entry.tx)
-                m.class_flushed[entry.cls].inc()
-                if tracer.enabled and entry.tx.meta:
-                    tracer.meta_event(
-                        entry.tx.meta, "gateway.flush", chain=chain_id,
-                        cls=entry.cls.label, replica=self.replica_index,
-                    )
-            if batch:
-                m.batches.inc()
-                m.batch_size.observe(len(batch))
-                if self.fleet is not None:
-                    self.fleet._record(
-                        "flush", self.replica_index, chain_id, "", "", len(batch)
-                    )
-            self._note_depth(chain_id)
-            submitted += len(batch)
+            queues = [r.queues[chain_id] for r in self.replicas]
+            m.depth.set(sum(q.depth for q in queues))
+            m.blocked_depth.set(sum(len(r.blocked[chain_id]) for r in self.replicas))
+            for cls in FLUSH_ORDER:
+                m.class_depth[cls].set(sum(q.class_depth[cls] for q in queues))
         return submitted
 
-    def _promote_parked(self, chain_id: int) -> None:
+    def _promote_parked(self, replica: _Replica, chain_id: int) -> None:
         """Move parked entries into free queue slots (FIFO from the lot,
         then their class lanes take over)."""
-        blocked = self._blocked[chain_id]
+        blocked = replica.blocked[chain_id]
         if not blocked:
             return
-        queue = self._queues[chain_id]
+        queue = replica.queues[chain_id]
         m = self._m[chain_id]
         while blocked and queue.depth < self.limits.max_queue_depth:
             entry = blocked.popleft()
             queue.push(entry)
             m.admitted.inc()
             m.class_admitted[entry.cls].inc()
-            self._note("admit", chain_id, entry)
-        m.blocked_depth.set(len(blocked))
+            self._record("admit", replica.index, chain_id, entry.cls.label, entry.client)
 
     def _resolve(self, handle: RequestHandle, receipt: Receipt) -> None:
         now = self.node.now
@@ -621,13 +676,14 @@ class Gateway:
 
         The choreography is :func:`repro.ibc.bridge.drive_move` — the
         one :meth:`~repro.ibc.bridge.IBCBridge.move_contract` runs —
-        but its ``send`` puts every transaction through queues, batching
-        and backpressure, and the caller gets a :class:`MoveHandle`
-        future.  Mid-move transactions are ``MOVE``-class (they evict
-        bulk under pressure) and use the parking path besides, so a
-        momentary burst does not strand a contract in its locked state;
-        if even the overflow lot is full, the move fails with the typed
-        shed error in ``handle.error``.
+        but its ``send`` puts every transaction through the client's
+        pinned replica's queues, batching and backpressure, and the
+        caller gets a :class:`MoveHandle` future.  Mid-move
+        transactions are ``MOVE``-class (they evict bulk under
+        pressure) and use the parking path besides, so a momentary
+        burst does not strand a contract in its locked state; if even
+        the overflow lot is full, the move fails with the typed shed
+        error in ``handle.error``.
         """
         if idempotency_key is not None:
             original = self._move_by_key.get((client_id, idempotency_key))
@@ -646,6 +702,7 @@ class Gateway:
             self._m_moves_failed.inc()
             handle._fail(error)
             return handle
+        replica = self.replica_for(client_id)
 
         def send(chain_id: int, tx: Transaction, on_receipt, on_reject) -> None:
             """Admit a mid-move transaction (MOVE class, parked past the
@@ -661,7 +718,7 @@ class Gateway:
                 tx=tx, handle=inner, cls=PriorityClass.MOVE, client=client_id, at=now
             )
             try:
-                self._enqueue(entry, chain_id, park=True)
+                self._enqueue(entry, replica, chain_id, park=True)
             except GatewayError as error:
                 self._reject(inner, error)
 
@@ -733,38 +790,61 @@ class Gateway:
     # ------------------------------------------------------------------
 
     def queue_depth(self, chain_id: int) -> int:
-        """Currently queued (unflushed) requests for one chain."""
-        return self._queues[chain_id].depth + len(self._blocked[chain_id])
+        """Unflushed requests (queued + parked) for one chain, summed
+        over the replicas."""
+        return sum(r.queue_depth(chain_id) for r in self.replicas)
 
     def class_depths(self, chain_id: int) -> Dict[str, int]:
-        """Current queue depth per priority class for one chain."""
-        return self._queues[chain_id].depths_by_class()
+        """Queue depth per priority class for one chain, summed over
+        the replicas."""
+        totals = dict.fromkeys((c.label for c in FLUSH_ORDER), 0)
+        for replica in self.replicas:
+            for label, depth in replica.queues[chain_id].depths_by_class().items():
+                totals[label] += depth
+        return totals
 
-    def stats(self) -> Dict[str, Dict]:
-        """Queue depths, class splits and high-water marks (audits)."""
+    @property
+    def peak_queue_depth(self) -> Dict[int, int]:
+        """Per-chain high-water mark, maxed across replicas (the bound
+        audit: no replica's queue ever exceeded ``max_queue_depth``)."""
         return {
-            "queued": {c: q.depth for c, q in self._queues.items()},
-            "parked": {c: len(q) for c, q in self._blocked.items()},
-            "peak_queue_depth": dict(self.peak_queue_depth),
-            "classes": {c: q.depths_by_class() for c, q in self._queues.items()},
+            c: max(r.queues[c].peak_depth for r in self.replicas)
+            for c in self._chain_ids
+        }
+
+    def _per_replica(self) -> List[Dict[int, int]]:
+        return [{c: r.queue_depth(c) for c in self._chain_ids} for r in self.replicas]
+
+    def stats(self) -> Dict[str, object]:
+        """Queue depths, class splits and high-water marks (audits).
+        ``queued`` counts queue + parked, as :meth:`queue_depth` does;
+        ``parked`` is the overflow-lot share of it."""
+        chains = self._chain_ids
+        return {
+            "replicas": len(self.replicas),
+            "queued": {c: self.queue_depth(c) for c in chains},
+            "parked": {c: sum(len(r.blocked[c]) for r in self.replicas) for c in chains},
+            "classes": {c: self.class_depths(c) for c in chains},
+            "peak_queue_depth": self.peak_queue_depth,
+            "per_replica": self._per_replica(),
         }
 
     def health(self) -> Dict[str, object]:
         """Serving/degraded-mode status a client can poll.
 
         Always reports the gateway's own view — whether it is serving
-        and how full each admission queue is (with the per-class
-        split); when the node hosts a
+        and how full each chain's admission queues are (with the
+        per-class and per-replica splits); when the node hosts a
         :class:`~repro.health.monitor.HealthMonitor`
         (:meth:`~repro.node.node.Node.attach_health`), the monitor's
         per-target health map and currently firing alerts ride along.
         ``degraded`` is the one-bit summary: an alert is firing, some
-        target is unhealthy, or an admission queue is at its bound
+        target is unhealthy, or some replica's queue is at its bound
         (i.e. the gateway is shedding).
         """
         bound = self.limits.max_queue_depth
-        queues = {c: self.queue_depth(c) for c in sorted(self._queues)}
-        classes = {c: self.class_depths(c) for c in sorted(self._queues)}
+        chains = self._chain_ids
+        per_replica = self._per_replica()
         monitor = self.node.health
         targets: Dict[str, str] = {}
         alerts: list = []
@@ -774,14 +854,33 @@ class Gateway:
         degraded = (
             bool(alerts)
             or any(state == "unhealthy" for state in targets.values())
-            or any(depth >= bound for depth in queues.values())
+            or any(depth >= bound for depths in per_replica for depth in depths.values())
         )
         return {
             "serving": self._started,
             "degraded": degraded,
-            "queues": queues,
-            "classes": classes,
+            "replicas": len(self.replicas),
+            "queues": {c: self.queue_depth(c) for c in chains},
+            "classes": {c: self.class_depths(c) for c in chains},
+            "per_replica": per_replica,
             "queue_bound": bound,
             "targets": targets,
             "alerts": alerts,
         }
+
+    # ------------------------------------------------------------------
+    # The admission log (replay evidence)
+    # ------------------------------------------------------------------
+
+    def _record(
+        self, kind: str, replica: int, chain_id: int, cls: str, client: str, n: int = 0
+    ) -> None:
+        self.admission_log.append(
+            (round(self.node.now, 9), kind, replica, chain_id, cls, client, n)
+        )
+
+    def log_digest(self) -> str:
+        """sha256 over the canonical-JSON admission log — equal digests
+        mean byte-identical admission, shed and flush decisions."""
+        payload = json.dumps(self.admission_log, separators=(",", ":"), sort_keys=False)
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()

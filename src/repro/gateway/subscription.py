@@ -1,11 +1,13 @@
 """Push subscriptions: watch a contract or a move instead of polling.
 
-Before the fleet, a client tracking a contract polled ``view`` and a
-client tracking a move polled ``handle.stage`` — every poll a request
+Without subscriptions, a client tracking a contract polls ``view`` and
+a client tracking a move polls ``handle.stage`` — every poll a request
 through admission.  The subscription path inverts the flow: the
 gateway already subscribes to each chain's block stream (it needs the
 commits for handle resolution), so watching is one admission-time
-registration and zero per-event requests afterwards.
+registration and zero per-event requests afterwards.  A gateway has
+one hub whatever its replica count, so ``gateway_subscriptions_active``
+counts every live subscription.
 
 * :meth:`SubscriptionHub.watch_contract` — pushes one event per
   committed transaction touching the watched address: ``call`` /

@@ -11,9 +11,8 @@ Two implementations, one contract:
 
 Both return the request's future immediately — on a discrete-event
 clock there is nothing to block on; the gateway resolves the handle as
-events fire.  A transport's ``gateway`` may equally be a
-:class:`~repro.gateway.fleet.GatewayFleet` — the fleet exposes the
-same serving surface and routes each client to its pinned replica.
+events fire.  Whatever its replica count, the gateway routes each
+client to its pinned replica itself.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from repro.ibc.bridge import CompletionFactory
 
 
 class InProcessTransport:
-    """Synchronous, zero-latency path into the gateway (or fleet)."""
+    """Synchronous, zero-latency path into the gateway."""
 
     def __init__(self, gateway: Gateway):
         self.gateway = gateway
@@ -126,8 +125,7 @@ class SimNetTransport:
             chain_id, client_id=client_id, idempotency_key=idempotency_key
         )
         handle._node = gateway.node
-        # The event carries submit's arguments in its positional order
-        # (Gateway.submit and GatewayFleet.submit share the signature).
+        # The event carries submit's arguments in its positional order.
         gateway.node.sim.schedule(
             self._delay(),
             gateway.submit,

@@ -247,21 +247,14 @@ class Node:
         return monitor
 
     def serve(self, replicas: int = 1, limits=None):
-        """Stand up a serving tier over this node and return it.
-
-        ``replicas=1`` returns a plain
-        :class:`~repro.gateway.gateway.Gateway`; more returns a
-        :class:`~repro.gateway.fleet.GatewayFleet` whose replicas share
-        one admission budget.  Either way the result is not yet
-        started — call ``.start()`` (which starts this node too) when
-        the experiment begins.
+        """Stand up a :class:`~repro.gateway.gateway.Gateway` with
+        ``replicas`` client-pinned queue sets over this node and return
+        it, not yet started — call ``.start()`` (which starts this node
+        too) when the experiment begins.
         """
-        from repro.gateway.fleet import GatewayFleet
         from repro.gateway.gateway import Gateway
 
-        if replicas == 1:
-            return Gateway(self, limits=limits)
-        return GatewayFleet(self, replicas=replicas, limits=limits)
+        return Gateway(self, limits=limits, replicas=replicas)
 
     def _tick(self, chain: Chain, epoch: int) -> None:
         if not self._running or epoch != self._epoch:

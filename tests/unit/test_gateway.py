@@ -96,6 +96,32 @@ def test_mid_move_transactions_park_then_shed():
     assert [tx.sender for tx in flushed[2:]] == [kp.address for kp in movers[:3]]
 
 
+def test_stats_count_parked_as_queued_for_any_replica_count():
+    # Regression: a lone gateway reported only the queue in "queued"
+    # while queue_depth() and health() count the parked entries too.
+    def two_chain_node():
+        node = Node(
+            [burrow_params(1, max_block_txs=100), burrow_params(2, max_block_txs=100)],
+            verify_signatures=False,
+        )
+        node.chain(1).fund({ALICE.address: 10**9})
+        return node
+
+    limits = GatewayLimits(max_queue_depth=1, max_blocked=2)
+    gateway = Gateway(two_chain_node(), limits)
+    gateway.submit(transfer(), 1, client_id="a", priority="move")
+    for i in range(2):
+        mover = KeyPair.from_name(f"gw-test-parker-{i}")
+        assert not gateway.move(mover, mover.address, 1, 2, client_id="a").done
+    stats = gateway.stats()
+    assert stats["queued"] == {1: 3, 2: 0}
+    assert stats["parked"] == {1: 2, 2: 0}
+    assert stats["queued"][1] == gateway.queue_depth(1) == gateway.health()["queues"][1]
+    assert stats["per_replica"] == [{1: 3, 2: 0}]
+    replicated = Gateway(two_chain_node(), limits, replicas=3)
+    assert set(replicated.stats()) == set(stats)
+
+
 def test_flush_preserves_admission_order():
     node = make_node()
     gateway = Gateway(node, GatewayLimits(max_queue_depth=64))

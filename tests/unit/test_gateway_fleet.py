@@ -58,7 +58,7 @@ def test_routing_is_stable_and_spreads_clients():
     for client_id, replica in routed.items():
         assert fleet.replica_for(client_id) is replica
     # Spread: 64 ids across 4 replicas should touch every replica.
-    assert len({r.replica_index for r in routed.values()}) == 4
+    assert len({r.index for r in routed.values()}) == 4
 
 
 def test_submissions_route_to_the_pinned_replica():
@@ -212,15 +212,6 @@ def test_fleet_restart_does_not_double_flush():
     fleet.stop()
 
 
-def test_replica_start_delegates_to_fleet():
-    fleet = GatewayFleet(make_node(), replicas=2)
-    fleet.replicas[0].start()
-    assert fleet.started
-    assert all(r.started for r in fleet.replicas)
-    fleet.replicas[1].stop()
-    assert not fleet.started
-
-
 def test_node_serve_convenience():
     node = make_node()
     assert isinstance(node.serve(), Gateway)
@@ -241,6 +232,40 @@ def test_fleet_health_shape():
     assert not health["degraded"]
 
 
+def pinned_ids(fleet):
+    """One client id pinned to each replica, in replica order."""
+    ids = {}
+    i = 0
+    while len(ids) < len(fleet.replicas):
+        ids.setdefault(expected_replica(fleet, f"client-{i}").index, f"client-{i}")
+        i += 1
+    return [ids[index] for index in range(len(fleet.replicas))]
+
+
+def test_depth_and_subscription_gauges_are_gateway_wide():
+    # Regression: each replica wrote the shared depth gauges with its
+    # own depth, and each replica's hub wrote the subscription gauge
+    # with its own count — the last writer won.
+    node = make_node(max_block_txs=1)
+    fleet = GatewayFleet(
+        node, replicas=2, limits=GatewayLimits(mempool_headroom=1)
+    )
+    first, second = pinned_ids(fleet)
+    fleet.submit(transfer(nonce=0), 1, client_id=first)
+    assert fleet.flush() == 1  # the mempool now holds its whole headroom
+    for nonce, client_id in enumerate((first, first, second, second), start=1):
+        fleet.submit(transfer(nonce=nonce), 1, client_id=client_id)
+    assert fleet.flush() == 0
+    assert [r.queue_depth(1) for r in fleet.replicas] == [2, 2]
+    metrics = fleet.telemetry.metrics
+    assert metrics.gauge("gateway_queue_depth", chain=1).value == fleet.queue_depth(1) == 4
+    assert metrics.gauge("gateway_class_depth", chain=1, cls="bulk").value == 4
+    subs = [fleet.watch_contract(1, BOB.address, client_id=c) for c in (first, second)]
+    assert metrics.gauge("gateway_subscriptions_active").value == 2
+    subs[0].cancel()
+    assert metrics.gauge("gateway_subscriptions_active").value == 1
+
+
 # ----------------------------------------------------------------------
 # Victim-attributed shed accounting
 # ----------------------------------------------------------------------
@@ -249,11 +274,10 @@ def test_fleet_health_shape():
 def test_eviction_charges_the_victim_not_the_enqueuer():
     node = make_node()
     fleet = GatewayFleet(node, replicas=1, limits=GatewayLimits(max_queue_depth=2))
-    gateway = fleet.replicas[0]
     bulk = [
-        gateway.submit(transfer(nonce=i), 1, client_id="hog") for i in range(2)
+        fleet.submit(transfer(nonce=i), 1, client_id="hog") for i in range(2)
     ]
-    move = gateway.submit(
+    move = fleet.submit(
         transfer(nonce=9), 1, client_id="vip", priority="move"
     )
     # The move was admitted by evicting hog's newest bulk entry.
@@ -263,12 +287,12 @@ def test_eviction_charges_the_victim_not_the_enqueuer():
     assert victim.error.shed_class == "bulk"
     assert victim.error.shed_client == "hog"
     assert victim.error.chain_id == 1
-    shed = gateway.telemetry.metrics.counter(
+    shed = fleet.telemetry.metrics.counter(
         "gateway_queue_shed_total", chain=1, cls="bulk"
     )
     assert shed.value == 1
     # No shed charged to the move class that triggered the eviction.
-    move_shed = gateway.telemetry.metrics.counter(
+    move_shed = fleet.telemetry.metrics.counter(
         "gateway_queue_shed_total", chain=1, cls="move"
     )
     assert move_shed.value == 0
@@ -341,8 +365,8 @@ def test_watch_contract_pushes_committed_events():
     # transfers don't target a contract, so no events are pushed.
     sub = fleet.watch_contract(1, BOB.address, client_id="alice")
     assert sub.active
-    fleet.replicas[0].submit(transfer(), 1, client_id="alice")
-    fleet.replicas[0].flush()
+    fleet.submit(transfer(), 1, client_id="alice")
+    fleet.flush()
     node.chain(1).produce_block(5.0)
     assert sub.events == []
     sub.cancel()

@@ -10,7 +10,10 @@ fails here rather than in a benchmark nobody re-ran.
 
 Section (d) pins the commit path the same way: its literal was
 recorded at ``eb01489``, before IAVL ``set`` started writing un-hashed
-nodes in place.
+nodes in place.  Section (e)'s literals were recorded at ``99a5142``,
+where a lone gateway and a fleet were two classes: the first through a
+one-replica ``GatewayFleet``, the second through ``repro gateway --json
+--seed 0``'s standalone ``Gateway``.
 
 Re-pin only for a change that is *meant* to alter simulated behaviour,
 and say so in CHANGES.md.
@@ -29,12 +32,15 @@ from repro.chain.tx import (
 )
 from repro.core.registry import ChainRegistry
 from repro.crypto.keys import KeyPair
-from repro.gateway import GatewayLimits
+from repro.errors import ShedByClass
+from repro.gateway import Gateway, GatewayLimits, SimNetTransport
 from repro.net.sim import Simulator
 from repro.net.transport import Network
+from repro.node import Node
 from repro.sharding.cluster import ShardedCluster
 from repro.vm.assembler import assemble
 from repro.workload.fleet import FleetWorkload
+from repro.workload.gateway import GatewayWorkload
 
 # ----------------------------------------------------------------------
 # (a) Tendermint over the emulated WAN: one shard, 122 simulated seconds
@@ -235,3 +241,97 @@ def test_commit_path_and_retained_snapshots_are_pinned():
             assert proof.computed_root() == chain._post_roots[height]
     assert accounts_at == {0: 2, 10: 13, 11: 14, 12: 15, 13: 16, 14: 17}
     assert len(set(chain._post_roots.values())) == 6
+
+
+# ----------------------------------------------------------------------
+# (e) A lone gateway is a fleet of one
+# ----------------------------------------------------------------------
+
+
+def test_lone_gateway_replays_the_one_replica_fleet():
+    node = Node(
+        [
+            burrow_params(1, max_block_txs=6, block_interval=2.0),
+            burrow_params(2, max_block_txs=50, block_interval=2.0),
+        ],
+        seed=13,
+        verify_signatures=False,
+    )
+    clients = [KeyPair.from_name(f"lone-pin-{i}") for i in range(6)]
+    movers = [KeyPair.from_name(f"lone-pin-mover-{i}") for i in range(5)]
+    node.chain(1).fund({kp.address: 10**9 for kp in clients + movers})
+    gateway = Gateway(
+        node,
+        GatewayLimits(
+            max_queue_depth=6, max_blocked=2, batch_size=4,
+            flush_interval=0.5, mempool_headroom=1,
+        ),
+    )
+    transport = SimNetTransport(gateway, latency=0.05, jitter=0.05)
+    handles, moves = [], []
+
+    def offer(step):
+        i = step % len(clients)
+        priority = "move" if step % 7 == 0 else "view" if step % 5 == 0 else None
+        tx = sign_transaction(
+            clients[i],
+            TransferPayload(to=clients[(i + 1) % len(clients)].address, amount=1),
+            nonce=step + 1,
+        )
+        handles.append(transport.submit(tx, 1, client_id=f"c{i}", priority=priority))
+
+    def burst():
+        # A move-class wall: the mid-move Move1s behind it park, then shed.
+        for k in range(6):
+            tx = sign_transaction(
+                clients[k], TransferPayload(to=clients[0].address, amount=2),
+                nonce=1000 + k,
+            )
+            handles.append(gateway.submit(tx, 1, client_id=f"c{k}", priority="move"))
+        for kp in movers:
+            moves.append(gateway.move(kp, kp.address, 1, 2, client_id="mover"))
+
+    gateway.start()
+    for step in range(80):
+        node.sim.schedule(0.125 * step, offer, step)
+    node.sim.schedule(4.3, burst)
+    node.run(until=30.0)
+    gateway.stop()
+    kinds = Counter(record[1] for record in gateway.admission_log)
+    assert kinds == {"admit": 52, "shed": 55, "park": 2, "flush": 12}
+    evicted = [
+        h for h in handles
+        if isinstance(h.error, ShedByClass) and "reclaimed" in str(h.error)
+    ]
+    assert len(evicted) == 16
+    assert sum(isinstance(m.error, ShedByClass) for m in moves) == 3
+    assert sum(h.receipt is not None for h in handles) == 34
+    assert gateway.log_digest() == (
+        "b87bf4c0bf53bb13180de17ee7a39e879ba2b10612251bb62515ede97cf2ed2a"
+    )
+    assert node.chain(1).head.header.state_root.hex() == (
+        "a775486e7d4393293fe7a723456a394c389a5245fe14a9ea422d470e6b28500f"
+    )
+
+
+def test_gateway_cli_report_is_pinned():
+    # What `python -m repro gateway --json --seed 0` prints.
+    workload = GatewayWorkload(
+        clients=64, rate_per_client=1.0, seed=0,
+        limits=GatewayLimits(max_queue_depth=1024, rate_limit=0.0),
+    )
+    assert workload.run(duration=120.0).to_dict() == {
+        "blocks": 30,
+        "clients": 64,
+        "confirmed": 7686,
+        "duration": 120.0,
+        "final_root": "bdf75f990dbc23fa9ff9048feeb19514775f2169a6e0468aaa5dae8a8792f4da",
+        "latency_mean": 2.767,
+        "offered_rate": 64.0,
+        "peak_queue_depth": 30,
+        "shed": {},
+        "shed_rate": 0.0,
+        "submitted": 7686,
+        "throughput": 64.05,
+        "unresolved": 0,
+    }
