@@ -3,7 +3,9 @@
 One :class:`TransactionExecutor` per chain.  Every transaction runs
 inside a journal snapshot: aborts (revert, out of gas, locked contract,
 Move protocol violations) roll the state back exactly and yield a
-failed receipt — the chain never crashes on bad transactions.
+failed receipt — the chain never crashes on bad transactions.  The
+transaction is the outermost journal scope: once its receipt is
+settled the journal is dropped, success or not.
 
 Gas categories: each transaction's charges land in a category chosen
 from its kind (``move1`` / ``move2`` / ``execution``) or overridden by
@@ -157,7 +159,7 @@ class TransactionExecutor:
             meter.charge(schedule.tx_base, category)
             result = self._dispatch(tx, ctx)
             fee = self._charge_fee(tx.sender, meter.used)
-            return Receipt(
+            receipt = Receipt(
                 tx_id=tx.tx_id,
                 success=True,
                 gas_used=meter.used,
@@ -171,7 +173,7 @@ class TransactionExecutor:
             # Failed transactions pay for the gas they burned (the fee
             # lands outside the reverted journal region).
             fee = self._charge_fee(tx.sender, meter.used)
-            return Receipt(
+            receipt = Receipt(
                 tx_id=tx.tx_id,
                 success=False,
                 gas_used=meter.used,
@@ -186,7 +188,7 @@ class TransactionExecutor:
             # the node.
             state.revert(snap)
             fee = self._charge_fee(tx.sender, meter.used)
-            return Receipt(
+            receipt = Receipt(
                 tx_id=tx.tx_id,
                 success=False,
                 gas_used=meter.used,
@@ -194,6 +196,11 @@ class TransactionExecutor:
                 gas_by_category=dict(meter.by_category),
                 fee_paid=fee,
             )
+        # The transaction is the outermost journal scope: with its
+        # receipt settled nothing in it is undone any more, so its undo
+        # closures go now rather than at the block's commit.
+        state.drop_journal()
+        return receipt
 
     def _dispatch(self, tx: Transaction, ctx) -> object:
         payload = tx.payload

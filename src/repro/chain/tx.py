@@ -12,54 +12,85 @@ Five payload kinds cover everything the paper's evaluation exercises:
 
 Every transaction is signed by the submitting client over a canonical
 byte encoding of its payload (paper Section II: "each transaction
-cryptographically signed by the client").
+cryptographically signed by the client").  The encoding is injective —
+two different signed values never share bytes, so one signature
+authorises exactly one transaction — and it is computed once, when the
+transaction is built (see docs/PROTOCOL.md, "Transactions").
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import _tuplegetter  # namedtuple's field accessor, in C
+from dataclasses import dataclass
 from typing import Any, Optional, Tuple, Union
 
 from repro.crypto.hashing import keccak_hex
-from repro.crypto.keys import Address, KeyPair
+from repro.crypto.keys import Address, KeyPair, derive_address
 from repro.crypto.signature import Signer, SimulatedSigner
 
 _DEFAULT_SIGNER = SimulatedSigner()
-#: public alias — batch verifiers must seed ``_verify_cache`` with the
-#: *same* signer instance ``Transaction.verify`` defaults to (the cache
-#: compares signers by identity)
-DEFAULT_SIGNER = _DEFAULT_SIGNER
 _tx_counter = itertools.count()
 
 
 def canonical_encode(value: Any) -> bytes:
-    """Deterministic byte encoding of payload values (for signing)."""
-    if isinstance(value, bool):
-        return b"b1" if value else b"b0"
-    if isinstance(value, int):
-        return b"i" + str(value).encode()
-    if isinstance(value, float):
-        return b"f" + repr(value).encode()
-    if isinstance(value, str):
-        return b"s" + value.encode()
-    if isinstance(value, bytes):
-        return b"y" + value
-    if isinstance(value, Address):
-        return b"a" + value.raw
-    if value is None:
-        return b"n"
-    if isinstance(value, (tuple, list)):
-        parts = b"".join(canonical_encode(v) for v in value)
-        return b"l(" + parts + b")"
-    if isinstance(value, dict):
-        parts = b"".join(
-            canonical_encode(k) + canonical_encode(value[k]) for k in sorted(value)
-        )
-        return b"d(" + parts + b")"
-    if hasattr(value, "signing_fields"):
-        return canonical_encode(value.signing_fields())
-    raise TypeError(f"cannot canonically encode {type(value).__name__}")
+    """Injective, deterministic byte encoding of payload values (for
+    signing).
+
+    One length-prefixed, type-tagged grammar, dispatched on the value's
+    exact type::
+
+        Address  a<20 bytes>          bool     b0 | b1
+        int      i<decimal>;          None     n
+        str      s<len>:<utf-8>       float    f<len>:<repr>
+        bytes    y<len>:<bytes>
+        tuple, list   l<count>:<item>...
+        dict          d<count>:<key><value>...   (keys in sorted order)
+        object with signing_fields()   o<encoding of signing_fields()>
+
+    ``<len>`` counts bytes, ``<count>`` items, both in decimal.  Every
+    encoding announces its own end, so a concatenation of encodings
+    parses one way only, and two values share an encoding only if they
+    are equal (tuples and lists are one kind).  Any other type — a
+    subclass of a listed one included — raises :class:`TypeError`.
+    """
+    out: list = []
+    _encode_into(value, out)
+    return b"".join(out)
+
+
+def _encode_into(value: Any, out: list) -> None:
+    kind = type(value)
+    if kind is Address:
+        out.append(b"a" + value.raw)
+    elif kind is int:
+        out.append(b"i%d;" % value)
+    elif kind is str:
+        data = value.encode()
+        out.append(b"s%d:%s" % (len(data), data))
+    elif kind is bytes:
+        out.append(b"y%d:%s" % (len(value), value))
+    elif kind is tuple or kind is list:
+        out.append(b"l%d:" % len(value))
+        for item in value:
+            _encode_into(item, out)
+    elif kind is bool:
+        out.append(b"b1" if value else b"b0")
+    elif value is None:
+        out.append(b"n")
+    elif kind is float:
+        data = repr(value).encode()
+        out.append(b"f%d:%s" % (len(data), data))
+    elif kind is dict:
+        out.append(b"d%d:" % len(value))
+        for key in sorted(value):
+            _encode_into(key, out)
+            _encode_into(value[key], out)
+    elif hasattr(value, "signing_fields"):
+        out.append(b"o")
+        _encode_into(value.signing_fields(), out)
+    else:
+        raise TypeError(f"cannot canonically encode {kind.__name__}")
 
 
 @dataclass(frozen=True)
@@ -154,66 +185,84 @@ Payload = Union[
 ]
 
 
-@dataclass
-class Transaction:
-    """A signed client transaction."""
+def _signing_encoding(sender: Address, public_key: bytes, nonce: int, payload) -> bytes:
+    """What a transaction's signature covers."""
+    return canonical_encode((sender, public_key, nonce, payload.signing_fields()))
 
-    sender: Address
-    public_key: bytes
-    payload: Payload
-    nonce: int
-    signature: bytes = b""
-    tx_id: str = ""
-    #: local bookkeeping for experiments (set by harnesses, not signed)
-    meta: dict = field(default_factory=dict)
-    #: memoized canonical encoding, keyed by the signed fields — the
-    #: encoding is the dominant cost of re-verification (mempool
-    #: admission, executor, batch verifiers all call it)
-    _sb_cache: Optional[Tuple[Tuple[Any, ...], bytes]] = field(
-        default=None, repr=False, compare=False
-    )
-    #: memoized verification verdict, keyed by (signature, signing
-    #: bytes, signer) so tampering with any signed field or the
-    #: signature itself invalidates the cache
-    _verify_cache: Optional[Tuple[bytes, bytes, Any, bool]] = field(
-        default=None, repr=False, compare=False
-    )
+
+class Transaction(tuple):
+    """A signed client transaction: an immutable record.
+
+    Built by :func:`sign_transaction` (or directly, unsigned or with a
+    signature from elsewhere — the fields are encoded either way).  The
+    canonical encoding of ``(sender, public_key, nonce, payload)`` is
+    computed once, when the record is built, and kept: it is what the
+    signature covers and, with the signature, what ``tx_id`` hashes.
+    Assigning any field raises :class:`AttributeError`, so the stored
+    bytes always describe the fields beside them — a changed field is a
+    new ``Transaction`` with its own encoding and its own ``tx_id``.
+
+    ``meta`` is the one mutable part: a dict of local bookkeeping for
+    experiments and tracing (set by harnesses, never signed).
+
+    A tuple underneath: a record is one tracked object and holds no
+    cache, however often it is read or verified.
+    """
+
+    __slots__ = ()
+
+    sender = _tuplegetter(0, "The signing account.")
+    public_key = _tuplegetter(1, "The key ``sender`` derives from.")
+    payload = _tuplegetter(2, "What the transaction does (one of the payload kinds).")
+    nonce = _tuplegetter(3, "Makes otherwise-identical transactions distinct.")
+    signature = _tuplegetter(4, "The client signature over :meth:`signing_bytes`.")
+    tx_id = _tuplegetter(5, "``keccak(signing bytes ‖ signature)`` in hex.")
+    meta = _tuplegetter(6, "Unsigned local bookkeeping (mutable dict).")
+
+    def __new__(
+        cls,
+        sender: Address,
+        public_key: bytes,
+        payload: Payload,
+        nonce: int,
+        signature: bytes = b"",
+    ) -> "Transaction":
+        signing = _signing_encoding(sender, public_key, nonce, payload)
+        return _record(sender, public_key, payload, nonce, signature, signing)
+
+    def __repr__(self) -> str:
+        return (
+            f"Transaction(sender={self.sender!r}, public_key={self.public_key!r}, "
+            f"payload={self.payload!r}, nonce={self.nonce!r}, "
+            f"signature={self.signature!r}, tx_id={self.tx_id!r}, meta={self.meta!r})"
+        )
 
     def signing_bytes(self) -> bytes:
-        """The exact bytes the client signature covers (memoized)."""
-        key = (self.sender, self.public_key, self.nonce, self.payload)
-        cached = self._sb_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        encoded = canonical_encode(
-            (self.sender, self.public_key, self.nonce, self.payload.signing_fields())
-        )
-        self._sb_cache = (key, encoded)
-        return encoded
+        """The exact bytes the client signature covers (stored at
+        construction, never re-encoded)."""
+        return self[7]
 
     def verify(self, signer: Signer = _DEFAULT_SIGNER) -> bool:
         """Check the signature and that the key matches the sender.
 
-        The verdict is cached against the exact (signing bytes,
-        signature) pair, so the mempool-admission check and the
-        executor's re-validation don't pay for verification twice.
+        Computed afresh on every call — no verdict is kept; the executor
+        calls it once per transaction.
         """
-        message = self.signing_bytes()
-        cached = self._verify_cache
-        if (
-            cached is not None
-            and cached[0] == self.signature
-            and cached[1] == message
-            and cached[2] is signer
-        ):
-            return cached[3]
-        from repro.crypto.keys import derive_address
-
-        ok = derive_address(self.public_key) == self.sender and signer.verify(
-            self.public_key, message, self.signature
+        public_key = self.public_key
+        return derive_address(public_key) == self.sender and signer.verify(
+            public_key, self[7], self.signature
         )
-        self._verify_cache = (self.signature, message, signer, ok)
-        return ok
+
+
+def _record(sender, public_key, payload, nonce, signature, signing) -> Transaction:
+    """The one place a record's layout is spelled out."""
+    return tuple.__new__(
+        Transaction,
+        (
+            sender, public_key, payload, nonce, signature,
+            keccak_hex(signing, signature), {}, signing,
+        ),
+    )
 
 
 def sign_transaction(
@@ -224,17 +273,16 @@ def sign_transaction(
 ) -> Transaction:
     """Build and sign a transaction from ``keypair``.
 
-    ``nonce`` defaults to a process-unique counter — enough to make
-    otherwise-identical transactions distinct; chains do not enforce
-    strict EOA nonce ordering in this reproduction (the replay guard
-    that matters to the Move protocol is the *contract* move nonce).
+    The fields are encoded once; those bytes are signed and stored in
+    the record.  ``nonce`` defaults to a process-unique counter — enough
+    to make otherwise-identical transactions distinct; chains do not
+    enforce strict EOA nonce ordering in this reproduction (the replay
+    guard that matters to the Move protocol is the *contract* move
+    nonce).
     """
-    tx = Transaction(
-        sender=keypair.address,
-        public_key=keypair.public_key,
-        payload=payload,
-        nonce=nonce if nonce is not None else next(_tx_counter),
-    )
-    tx.signature = signer.sign(keypair.seed, tx.signing_bytes())
-    tx.tx_id = keccak_hex(tx.signing_bytes(), tx.signature)
-    return tx
+    sender, public_key = keypair.address, keypair.public_key
+    if nonce is None:
+        nonce = next(_tx_counter)
+    signing = _signing_encoding(sender, public_key, nonce, payload)
+    signature = signer.sign(keypair.seed, signing)
+    return _record(sender, public_key, payload, nonce, signature, signing)

@@ -343,8 +343,8 @@ class Gateway:
             raise InvalidRequest(
                 f"expected a signed Transaction, got {type(tx).__name__}"
             )
-        if not tx.tx_id or not tx.signature:
-            raise InvalidRequest("transaction is unsigned (no tx_id/signature)")
+        if not tx.signature:
+            raise InvalidRequest("transaction is unsigned (no signature)")
         cls = PriorityClass.coerce(priority) if priority is not None else classify(tx)
         self._check_mirror_write(tx, chain)
         self._charge_rate(client_id, now)

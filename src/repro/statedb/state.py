@@ -45,6 +45,11 @@ Journaling
 Every mutation appends an undo closure.  ``snapshot()`` / ``revert()``
 give transaction-level atomicity: a failed transaction (revert, out of
 gas, locked contract) unwinds to the pre-transaction state exactly.
+The transaction is the outermost journal scope: when it ends, however
+it ended, the executor calls ``drop_journal()``, so a transaction's
+undo closures die with it instead of living until the block commits
+(no snapshot spans two transactions; nested ``snapshot()`` /
+``revert()`` inside one keep their LIFO semantics).
 Dirty-slot sets are deliberately *not* unwound: they over-approximate,
 and folding an unchanged slot at commit just rewrites an identical
 leaf.  Where a live trie is replaced wholesale inside a transaction
@@ -161,13 +166,24 @@ class WorldState:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> int:
-        """Mark the current journal position."""
+        """Mark the current journal position (valid until the next
+        :meth:`drop_journal` or :meth:`commit`)."""
         return len(self._journal)
 
     def revert(self, snap: int) -> None:
         """Undo every mutation after ``snap`` (most recent first)."""
         while len(self._journal) > snap:
             self._journal.pop()()
+
+    def drop_journal(self) -> None:
+        """Keep every journaled mutation and forget how to undo it.
+
+        Closes the outermost scope: the executor calls this when a
+        transaction ends, so no earlier snapshot can be reverted
+        afterwards — the state the transaction left is final until
+        the block commits.
+        """
+        self._journal.clear()
 
     def _record(self, undo: Callable[[], None]) -> None:
         self._journal.append(undo)
@@ -566,9 +582,9 @@ class WorldState:
 
         Per dirty contract, only the slots written since the last
         commit are folded into its live storage trie (O(dirty · log S)
-        instead of the O(S) rebuild).  The journal is cleared — commit
-        happens at block boundaries, after which individual
-        transactions can no longer be reverted.
+        instead of the O(S) rebuild).  Whatever the journal still holds
+        (writes made outside a transaction, such as genesis funding) is
+        dropped: nothing committed can be reverted.
         """
         # Address orders by its one field, so this is sorted(self._dirty)
         # with the comparisons made on bytes, in C.

@@ -5,6 +5,8 @@ share a canonical encoding (a collision would let one signed intent be
 replayed as another).  Storage-slot encode/decode must round-trip.
 """
 
+import itertools
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +16,16 @@ from repro.runtime.contract import decode_value, encode_key, encode_value
 
 addresses = st.binary(min_size=20, max_size=20).map(Address)
 
+#: the encoder's own tag characters: strings and bytes spelled with them
+#: are where a grammar without lengths lets two values run together
+TAGS = "asyl()ind"
+tagged_text = st.text(alphabet=TAGS, max_size=12)
+tagged_bytes = tagged_text.map(str.encode)
+
 scalars = st.one_of(
     st.integers(min_value=-(10**30), max_value=10**30),
+    tagged_text,
+    tagged_bytes,
     st.text(max_size=12),
     st.binary(max_size=12),
     st.booleans(),
@@ -27,10 +37,15 @@ values = st.recursive(
     scalars,
     lambda children: st.one_of(
         st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(st.text(max_size=6), children, max_size=3),
+        st.dictionaries(st.one_of(tagged_text, st.text(max_size=6)), children, max_size=3),
     ),
     max_leaves=12,
 )
+
+short_tagged = st.text(alphabet=TAGS, max_size=3)
+tagged_sequences = st.lists(
+    st.one_of(short_tagged, short_tagged.map(str.encode)), max_size=3
+).map(tuple)
 
 
 def normalize(value):
@@ -51,6 +66,25 @@ def normalize(value):
 def test_canonical_encode_is_injective(a, b):
     assume(normalize(a) != normalize(b))
     assert canonical_encode(a) != canonical_encode(b)
+
+
+@given(st.lists(tagged_sequences, min_size=2, max_size=60, unique=True))
+@settings(max_examples=200, deadline=None)
+def test_tagged_sequences_never_run_together(batch):
+    # A birthday search: many short sequences of tag-spelled strings and
+    # bytes at once, so a split/merge pair such as ("as", "sb") and
+    # ("a", "s", "b") is likely to be drawn side by side.
+    assert len({canonical_encode(seq) for seq in batch}) == len(batch)
+
+
+def test_small_tagged_domain_is_exhaustively_injective():
+    # Every sequence of up to three items over a few tag-spelled
+    # strings and bytes: a bounded check that needs no luck.
+    atoms = ["", "a", "s", "as", b"", b"a", b"y", b"ay"]
+    domain = [
+        seq for size in range(4) for seq in itertools.product(atoms, repeat=size)
+    ]
+    assert len({canonical_encode(seq) for seq in domain}) == len(domain)
 
 
 @given(values)

@@ -5,7 +5,13 @@ import pytest
 from repro.chain.block import transactions_root
 from repro.chain.chain import Chain
 from repro.chain.params import burrow_params, ethereum_params
-from repro.chain.tx import CallPayload, DeployPayload, TransferPayload, sign_transaction
+from repro.chain.tx import (
+    CallPayload,
+    DeployPayload,
+    Transaction,
+    TransferPayload,
+    sign_transaction,
+)
 from repro.crypto.keys import KeyPair
 from tests.helpers import ALICE, BOB, ManualClock, StoreContract, deploy_store, produce, run_tx
 
@@ -54,8 +60,11 @@ def test_failed_tx_reverts_and_reports(burrow):
 def test_signature_verification_enforced(burrow):
     burrow.fund({ALICE.address: 100})
     clock = ManualClock()
-    tx = sign_transaction(ALICE, TransferPayload(to=BOB.address, amount=1))
-    tx.signature = b"\x00" * 32
+    signed = sign_transaction(ALICE, TransferPayload(to=BOB.address, amount=1))
+    tx = Transaction(
+        signed.sender, signed.public_key, signed.payload, signed.nonce, b"\x00" * 32
+    )
+    assert not tx.verify()
     burrow.submit(tx)
     produce(burrow, clock)
     assert not burrow.receipts[tx.tx_id].success

@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.chain.tx import CallPayload, DeployPayload, Move2Payload, sign_transaction
+from repro.chain.tx import (
+    CallPayload,
+    DeployPayload,
+    Move2Payload,
+    TransferPayload,
+    sign_transaction,
+)
+from repro.crypto.keys import KeyPair
+from repro.runtime import Contract, Slot, external, register_contract
+from repro.runtime.context import BlockEnv
 from tests.helpers import (
     ALICE,
     BOB,
@@ -12,6 +21,18 @@ from tests.helpers import (
     make_chain_pair,
     run_tx,
 )
+
+
+@register_contract
+class HalfWriter(Contract):
+    """Writes a slot, then faults."""
+
+    a = Slot(int)
+
+    @external
+    def half(self):
+        self.a = 42
+        raise RuntimeError("deliberate fault after a write")
 
 
 @pytest.fixture
@@ -59,20 +80,6 @@ def test_malformed_move2_bundle_fails_cleanly(world):
 
 def test_fault_reverts_partial_state(world):
     burrow, clock, addr = world
-
-    from repro.runtime import Contract, Slot, external, register_contract
-
-    @register_contract
-    class HalfWriter(Contract):
-        """Writes a slot, then faults."""
-
-        a = Slot(int)
-
-        @external
-        def half(self):
-            self.a = 42
-            raise RuntimeError("deliberate fault after a write")
-
     deploy = run_tx(burrow, clock, ALICE, DeployPayload(code_hash=HalfWriter.CODE_HASH))
     target = deploy.return_value
     receipt = run_tx(burrow, clock, ALICE, CallPayload(target, "half"))
@@ -82,9 +89,46 @@ def test_fault_reverts_partial_state(world):
     assert record.storage == {}
 
 
+def _state_image(state):
+    """Everything a transaction can change, as plain values."""
+    return (
+        {address: (r.balance, r.nonce) for address, r in state.accounts.items()},
+        {
+            address: (r.balance, r.location, r.move_nonce, dict(r.storage))
+            for address, r in state.contracts.items()
+        },
+        dict(state.code_store),
+    )
+
+
+def test_undo_journal_ends_with_each_transaction(world):
+    burrow, clock, addr = world
+    deploy = run_tx(burrow, clock, ALICE, DeployPayload(code_hash=HalfWriter.CODE_HASH))
+    burrow.fund({BOB.address: 100})
+    state, executor = burrow.state, burrow.executor
+    env = BlockEnv(chain_id=burrow.chain_id, height=burrow.height + 1, timestamp=clock.tick())
+    newcomer = KeyPair.from_name("journal-newcomer").address
+    cases = [
+        (ALICE, CallPayload(addr, "put", (1, 2)), True),  # a slot write
+        (BOB, TransferPayload(newcomer, 5), True),  # creates an account
+        (ALICE, CallPayload(deploy.return_value, "half"), False),  # write, then fault
+        (BOB, TransferPayload(newcomer, 10**9), False),  # refused before any write
+        (ALICE, CallPayload(addr, "put", (1, 2, 3)), False),  # malformed call
+        (ALICE, DeployPayload(code_hash=StoreContract.CODE_HASH), True),  # a new contract
+    ]
+    for keypair, payload, ok in cases:
+        before = _state_image(state)
+        receipt = executor.execute(sign_transaction(keypair, payload), env)
+        assert receipt.success is ok, receipt.error
+        assert state.snapshot() == 0, "a transaction's undo journal outlived it"
+        if not ok:
+            assert _state_image(state) == before  # reverted exactly
+    assert state.contract(deploy.return_value).storage == {}
+    assert state.balance_of(newcomer) == 5
+
+
 def test_deeply_nested_recursion_fails_cleanly(world):
     burrow, clock, _addr = world
-    from repro.runtime import Contract, external, register_contract
 
     @register_contract
     class Recurser(Contract):

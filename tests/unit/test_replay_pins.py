@@ -15,6 +15,12 @@ where a lone gateway and a fleet were two classes: the first through a
 one-replica ``GatewayFleet``, the second through ``repro gateway --json
 --seed 0``'s standalone ``Gateway``.
 
+Section (f)'s two CLI digests were recorded at ``725b0dc``, before the
+signed encoding gained length prefixes: no state root, gas figure or
+timestamp hashes a transaction id, so re-deriving every ``tx_id`` moves
+neither.  Its transaction-id literals are the deliberate re-pin that
+change made.
+
 Re-pin only for a change that is *meant* to alter simulated behaviour,
 and say so in CHANGES.md.
 """
@@ -26,10 +32,12 @@ from repro.chain.chain import Chain
 from repro.chain.params import burrow_params
 from repro.chain.tx import (
     BytecodeCallPayload,
+    CallPayload,
     DeployBytecodePayload,
     TransferPayload,
     sign_transaction,
 )
+from repro.cli import main
 from repro.core.registry import ChainRegistry
 from repro.crypto.keys import KeyPair
 from repro.errors import ShedByClass
@@ -335,3 +343,42 @@ def test_gateway_cli_report_is_pinned():
         "throughput": 64.05,
         "unresolved": 0,
     }
+
+
+# ----------------------------------------------------------------------
+# (f) Transaction ids move, nothing that does not hash them does
+# ----------------------------------------------------------------------
+
+
+def _cli_sha256(capsys, *argv):
+    capsys.readouterr()
+    assert main(list(argv)) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_telemetry_export_is_pinned(capsys):
+    assert _cli_sha256(capsys, "telemetry", "export", "--seed", "11") == (
+        "231ed809288e8d4131066690c88cb793697987b46120131c275ee4c625ed7d83"
+    )
+
+
+def test_ibc_kitties_report_is_pinned(capsys):
+    digest = _cli_sha256(capsys, "ibc", "--app", "kitties", "--direction", "b2e", "--json")
+    assert digest == "abcb16480173162e497dc98e94a9d0bb64f57e74182ccea062025411857d83fc"
+
+
+def test_transaction_ids_are_pinned():
+    alice, bob = KeyPair.from_name("alice"), KeyPair.from_name("bob")
+    transfer = sign_transaction(alice, TransferPayload(to=bob.address, amount=5), nonce=1)
+    assert transfer.signing_bytes() == (
+        b"l4:a" + alice.address.raw + b"y32:" + alice.public_key + b"i1;"
+        b"l3:s8:transfera" + bob.address.raw + b"i5;"
+    )
+    assert transfer.tx_id == (
+        "199ad7c9c4ae5f12bb9bb7150a2978fcb8cf73c1ca34074cac25fe381da40095"
+    )
+    args = (1, "as", b"sb", None, True, [2.5], {"k": 1})
+    call = sign_transaction(alice, CallPayload(bob.address, "put", args=args), nonce=2)
+    assert call.tx_id == (
+        "3c382214c4edf9631aa7b4790591abb007d6b78ccd8e9f4523467abab4c38d43"
+    )

@@ -1,12 +1,17 @@
 """Unit tests for transactions, canonical encoding and the mempool."""
 
+import gc
+
 import pytest
 
+from repro.chain.chain import Chain
 from repro.chain.mempool import Mempool
+from repro.chain.params import burrow_params
 from repro.chain.tx import (
     CallPayload,
     DeployPayload,
     Move1Payload,
+    Transaction,
     TransferPayload,
     canonical_encode,
     sign_transaction,
@@ -43,16 +48,96 @@ def test_sign_and_verify_roundtrip():
     assert tx.tx_id
 
 
+def _refused_by_executor(tx):
+    """Run ``tx`` on a chain that funded its sender; its receipt."""
+    chain = Chain(burrow_params(1))
+    chain.fund({tx.sender: 10**6})
+    assert chain.submit(tx)
+    chain.produce_block(5.0)
+    receipt = chain.receipts[tx.tx_id]
+    assert not receipt.success
+    assert "signature" in receipt.error
+    return receipt
+
+
 def test_tampered_payload_fails_verification():
     tx = sign_transaction(ALICE, TransferPayload(to=TARGET, amount=5))
-    tx.payload = TransferPayload(to=TARGET, amount=500)
-    assert not tx.verify()
+    tampered = Transaction(
+        tx.sender, tx.public_key, TransferPayload(to=TARGET, amount=500), tx.nonce,
+        tx.signature,
+    )
+    assert tampered.signature == tx.signature
+    assert tampered.tx_id != tx.tx_id
+    assert not tampered.verify()
+    _refused_by_executor(tampered)
 
 
 def test_wrong_sender_fails_verification():
     tx = sign_transaction(ALICE, TransferPayload(to=TARGET, amount=5))
-    tx.sender = BOB.address
-    assert not tx.verify()
+    forged = Transaction(BOB.address, tx.public_key, tx.payload, tx.nonce, tx.signature)
+    assert not forged.verify()
+    _refused_by_executor(forged)
+
+
+def test_rebuilt_transaction_is_the_signed_one():
+    # The same fields and signature rebuild the same record.
+    tx = sign_transaction(ALICE, TransferPayload(to=TARGET, amount=5))
+    again = Transaction(tx.sender, tx.public_key, tx.payload, tx.nonce, tx.signature)
+    assert again == tx
+    assert again.tx_id == tx.tx_id
+    assert again.signing_bytes() == tx.signing_bytes()
+    assert again.verify()
+
+
+def test_transaction_fields_are_immutable_meta_is_not():
+    tx = sign_transaction(ALICE, TransferPayload(to=TARGET, amount=5))
+    replacements = {
+        "sender": BOB.address,
+        "payload": TransferPayload(to=TARGET, amount=500),
+        "nonce": tx.nonce + 1,
+        "signature": b"\x00" * 32,
+        "tx_id": "0" * 64,
+        "public_key": BOB.public_key,
+        "meta": {},
+    }
+    for name, value in replacements.items():
+        with pytest.raises(AttributeError):
+            setattr(tx, name, value)
+    with pytest.raises(AttributeError):
+        tx.extra = 1
+    tx.meta["gas_category"] = "complete"
+    assert tx.meta == {"gas_category": "complete"}
+    assert tx.verify()
+
+
+def test_signed_transaction_holds_no_cache():
+    tx = sign_transaction(ALICE, TransferPayload(to=TARGET, amount=5))
+
+    def referents():
+        return [ref for ref in gc.get_referents(tx) if not isinstance(ref, type)]
+
+    before = referents()
+    assert [ref for ref in before if isinstance(ref, (tuple, list, set))] == []
+    assert [ref for ref in before if isinstance(ref, dict)] == [tx.meta]
+    assert tx.verify() and tx.signing_bytes() and tx.verify()
+    after = referents()
+    assert len(after) == len(before)
+    assert all(a is b for a, b in zip(after, before))
+
+
+def test_split_and_merged_strings_do_not_collide():
+    # Without length prefixes both encoded as b"l(sasssb)".
+    assert canonical_encode(("as", "sb")) != canonical_encode(("a", "s", "b"))
+    # ... and b"l(yayyb)".
+    assert canonical_encode((b"a", b"yb")) != canonical_encode((b"ayyb",))
+
+
+def test_call_payloads_with_regrouped_args_are_distinct_transactions():
+    a = sign_transaction(ALICE, CallPayload(TARGET, "m", args=("as", "sb")), nonce=7)
+    b = sign_transaction(ALICE, CallPayload(TARGET, "m", args=("a", "s", "b")), nonce=7)
+    assert a.signing_bytes() != b.signing_bytes()
+    assert a.signature != b.signature
+    assert a.tx_id != b.tx_id
 
 
 def test_identical_payloads_get_distinct_ids():
