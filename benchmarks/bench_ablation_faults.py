@@ -8,23 +8,21 @@ than forking — beyond the quorum bound.  All adversity is driven by the
 :mod:`repro.faults` harness: each row is a :class:`FaultPlan` (the
 f-sweep rows are fixed crash schedules; the ``chaos`` row is a seeded
 mixed schedule of message drops/duplicates/delays, partitions, crashes
-and proposer stalls) applied by a :class:`FaultInjector`.
+and proposer stalls) applied by the one-shard node's
+:class:`~repro.faults.injector.FaultInjector`.
 """
 
 from __future__ import annotations
 
 from bench_common import emit, once
 
-from repro.chain.chain import Chain
 from repro.chain.params import burrow_params
 from repro.chain.tx import TransferPayload, sign_transaction
 from repro.consensus.tendermint import TendermintEngine
 from repro.crypto.keys import KeyPair
-from repro.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.faults import FaultEvent, FaultPlan
 from repro.metrics.report import format_table
-from repro.net.latency import LatencyModel
-from repro.net.sim import Simulator
-from repro.net.transport import Network
+from repro.node import Node
 
 VALIDATORS = 10
 DURATION = 400.0
@@ -44,15 +42,18 @@ def _crash_plan(crashed: int, engine: TendermintEngine) -> FaultPlan:
 
 
 def _run_with_plan(seed: int, make_plan):
-    sim = Simulator(seed=seed)
-    net = Network(sim)
-    chain = Chain(burrow_params(1), verify_signatures=False)
-    regions = LatencyModel().assign_regions(VALIDATORS, sim.rng)
-    engine = TendermintEngine(sim, net, chain, regions)
-    injector = FaultInjector(sim, network=net, engines={1: engine}, seed=seed)
+    node = Node(
+        burrow_params(1, validator_count=VALIDATORS),
+        seed=seed,
+        driver="consensus",
+        verify_signatures=False,
+    )
+    sim, chain, (engine,) = node.sim, node.chain(1), node.engines
+    # The injector draws its dice from plan.seed; every plan here
+    # carries the run seed.
     plan = make_plan(engine)
-    injector.apply(plan)
-    engine.start()
+    node.apply_faults(plan)
+    node.start()
 
     users = [KeyPair.from_name(f"fault-user-{i}") for i in range(CLIENTS)]
     chain.fund({u.address: 10_000 for u in users})
@@ -67,7 +68,7 @@ def _run_with_plan(seed: int, make_plan):
                 client_loop(user)
 
         chain.wait_for(tx.tx_id, after)
-        sim.schedule(0.2, lambda: chain.submit(tx))
+        sim.schedule(0.2, chain.submit, tx)
 
     for user in users:
         client_loop(user)

@@ -70,16 +70,6 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _demo_world():
-    from repro import api
-
-    registry = api.ChainRegistry()
-    burrow = api.Chain(api.burrow_params(1), registry)
-    ethereum = api.Chain(api.ethereum_params(2), registry)
-    api.connect_chains([burrow, ethereum])
-    return burrow, ethereum
-
-
 def _demo_tx(chain, keypair, payload, clock):
     from repro.api import sign_transaction
 
@@ -128,10 +118,13 @@ def _cmd_move_demo(_args) -> int:
 
 
 def _cmd_relay_demo(_args) -> int:
-    from repro.api import CallPayload, DeployPayload, KeyPair, Move1Payload, Move2Payload
+    from repro.api import CallPayload, DeployPayload, KeyPair, Move1Payload, Move2Payload, Node
+    from repro.api import burrow_params, ethereum_params
     from repro.core.relay import CurrencyRelay
 
-    burrow, ethereum = _demo_world()
+    # A node that is never started: the demo produces every block by hand.
+    node = Node([burrow_params(1), ethereum_params(2)])
+    burrow, ethereum = node.chain(1), node.chain(2)
     client1, client2 = KeyPair.from_name("client1"), KeyPair.from_name("client2")
     clock = [0.0]
     burrow.fund({client1.address: 1_000})

@@ -1,8 +1,9 @@
 """Seeded chaos runs: random faults over real Move workloads.
 
 ``run_chaos(seed)`` builds a small two-chain deployment (plus an
-optional PoW bystander whose headers reorg), runs the SCoin or
-ScalableKitties workload over it while a :class:`FaultInjector` executes
+optional PoW bystander whose headers reorg) as one
+:class:`~repro.node.Node`, runs the SCoin or ScalableKitties workload
+over it while the node's :class:`FaultInjector` executes
 ``FaultPlan.from_seed(seed)``, and keeps an
 :class:`~repro.faults.invariants.InvariantChecker` attached so every
 block of every chain re-proves the paper's safety properties.
@@ -16,13 +17,14 @@ relay may stall moves for its whole window); what chaos runs establish
 is that no fault schedule the plan generator emits can make the system
 *unsafe*.
 
-The world:
+The world (a node under the ``"consensus"`` driver):
 
 * chains 1 and 2: Burrow/Tendermint, four validators each (quorum 3,
   so every single-validator fault is survivable), 5 s blocks;
 * optional chain 3 (``pow_peer=True``): Ethereum-flavoured PoW
-  bystander observed fork-aware by the others — the target of ``reorg``
-  and the reason their light clients must track branches;
+  bystander with four miners, observed fork-aware by the others (the
+  node derives that from its flavour) — the target of ``reorg`` and the
+  reason their light clients must track branches;
 * header relays with a small simulated delay, one per source chain, so
   withhold/stale faults have a real seam to grab;
 * a handful of closed-loop actors moving their contracts back and
@@ -37,20 +39,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.chain.chain import Chain
 from repro.chain.params import burrow_params, ethereum_params
 from repro.chain.tx import CallPayload, DeployPayload, sign_transaction
-from repro.consensus.pow import PowEngine
-from repro.consensus.tendermint import TendermintEngine
-from repro.core.registry import ChainRegistry
 from repro.crypto.keys import Address, KeyPair
-from repro.faults.injector import FaultInjector
 from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import FaultPlan
-from repro.net.sim import Simulator
-from repro.net.transport import Network
 from repro.ibc.bridge import MovePhases, drive_move
-from repro.ibc.headers import HeaderRelay
+from repro.node import Node
 from repro.telemetry import Telemetry
 
 #: chains the workload actually moves contracts between
@@ -121,7 +116,11 @@ class _Actor:
 
 
 class ChaosWorld:
-    """The deployment + workload harness a chaos run executes in."""
+    """The workload harness a chaos run executes in, over one node.
+
+    The world holds its :class:`~repro.node.Node` rather than being
+    one: its ``submit`` takes a receipt callback and adds client
+    latency, which ``Node.submit`` does not."""
 
     def __init__(
         self,
@@ -131,47 +130,23 @@ class ChaosWorld:
         telemetry: Optional[Telemetry] = None,
     ):
         self.seed = seed
-        self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
-        self.sim = Simulator(seed=seed)
-        self.telemetry.bind_clock(lambda: self.sim.now)
-        self.network = Network(self.sim)
-        self.registry = ChainRegistry()
-        self.rng = random.Random(seed ^ 0xC4A05)
-        self.chains: Dict[int, Chain] = {}
-        self.engines: Dict[int, object] = {}
-        self.relays: Dict[int, HeaderRelay] = {}
-        for chain_id in WORKLOAD_CHAINS:
-            chain = Chain(
-                burrow_params(chain_id, validator_count=4),
-                self.registry,
-                verify_signatures=False,
-                telemetry=self.telemetry,
-            )
-            regions = self.network.latency.assign_regions(4, self.sim.rng)
-            self.chains[chain_id] = chain
-            self.engines[chain_id] = TendermintEngine(
-                self.sim, self.network, chain, regions
-            )
+        params = [
+            burrow_params(chain_id, validator_count=4) for chain_id in WORKLOAD_CHAINS
+        ]
         if pow_peer:
-            chain = Chain(
-                ethereum_params(POW_CHAIN),
-                self.registry,
-                verify_signatures=False,
-                telemetry=self.telemetry,
-            )
-            regions = self.network.latency.assign_regions(4, self.sim.rng)
-            self.chains[POW_CHAIN] = chain
-            self.engines[POW_CHAIN] = PowEngine(self.sim, self.network, chain, regions)
-        all_chains = list(self.chains.values())
-        for chain_id, chain in self.chains.items():
-            targets = [c for c in all_chains if c is not chain]
-            self.relays[chain_id] = HeaderRelay(
-                chain,
-                targets,
-                sim=self.sim,
-                delay=RELAY_DELAY,
-                fork_aware=(chain_id == POW_CHAIN),
-            )
+            params.append(ethereum_params(POW_CHAIN, validator_count=4))
+        self.node = Node(
+            params,
+            seed=seed,
+            driver="consensus",
+            telemetry=telemetry,
+            verify_signatures=False,
+            relay_delay=RELAY_DELAY,
+        )
+        self.sim = self.node.sim
+        self.telemetry = self.node.telemetry
+        self.chains = self.node.chains
+        self.rng = random.Random(seed ^ 0xC4A05)
         self.actors = [
             _Actor(keypair=KeyPair.from_name(f"chaos-{seed}-actor-{i}"))
             for i in range(actors)
@@ -181,7 +156,7 @@ class ChaosWorld:
         self.stationary: List[Address] = []
         self.owner = KeyPair.from_name(f"chaos-{seed}-owner")
         funds = {kp.address: 10**12 for kp in [self.owner] + [a.keypair for a in self.actors]}
-        for chain in all_chains:
+        for chain in self.chains.values():
             chain.fund(funds)
         self.report: Optional[ChaosReport] = None
         self.deadline = 0.0
@@ -190,17 +165,12 @@ class ChaosWorld:
     # Generic plumbing
     # ------------------------------------------------------------------
 
-    def start(self) -> None:
-        """Start every chain's consensus engine."""
-        for engine in self.engines.values():
-            engine.start()
-
     def submit(self, chain_id: int, tx, on_receipt, _on_reject=None) -> None:
         """Hand ``tx`` to a chain's mempool after client-side latency;
         ``on_receipt(receipt)`` fires on inclusion."""
         chain = self.chains[chain_id]
         chain.wait_for(tx.tx_id, on_receipt)
-        self.sim.schedule(SUBMIT_LATENCY, lambda: chain.submit(tx))
+        self.sim.schedule(SUBMIT_LATENCY, chain.submit, tx)
 
     def run_tx(self, chain_id: int, keypair: KeyPair, payload, callback) -> None:
         """Sign, submit and invoke ``callback(receipt)`` on inclusion."""
@@ -304,7 +274,7 @@ def _scoin_step(world: ChaosWorld, actor: _Actor) -> None:
         return
 
     def next_step(_ok=None) -> None:
-        world.sim.schedule(world.rng.uniform(1.0, 5.0), lambda: _scoin_step(world, actor))
+        world.sim.schedule(world.rng.uniform(1.0, 5.0), _scoin_step, world, actor)
 
     siblings = [
         a
@@ -378,7 +348,7 @@ def _kitties_step(world: ChaosWorld, actor: _Actor) -> None:
     home = WORKLOAD_CHAINS[0]
 
     def next_step(_ok=None) -> None:
-        world.sim.schedule(world.rng.uniform(1.0, 5.0), lambda: _kitties_step(world, actor))
+        world.sim.schedule(world.rng.uniform(1.0, 5.0), _kitties_step, world, actor)
 
     if actor.location != home:
         world.move(actor, home, next_step)
@@ -425,53 +395,6 @@ _WORKLOADS = {
 # ----------------------------------------------------------------------
 # Replication under chaos (``run_chaos(..., replicate=True)``)
 # ----------------------------------------------------------------------
-
-
-class _ReplicationHost:
-    """The narrow node surface a ReplicationManager needs, over a
-    ChaosWorld (chains + sim + telemetry, no block-production driver)."""
-
-    def __init__(self, world: ChaosWorld):
-        self.chains = world.chains
-        self.sim = world.sim
-        self.telemetry = world.telemetry
-
-    def chain(self, chain_id: int) -> Chain:
-        return self.chains[chain_id]
-
-
-def _attach_replication(world: ChaosWorld):
-    """Build (but do not yet populate) a replication manager over the
-    chaos world's chains."""
-    from repro.replicate.manager import ReplicationManager
-
-    manager = ReplicationManager(_ReplicationHost(world), telemetry=world.telemetry)
-    manager.start()
-    return manager
-
-
-def _attach_health(world: ChaosWorld, checker, injector, manager):
-    """Build the chaos-default :class:`~repro.health.monitor
-    .HealthMonitor` over the world and wire the flight-recorder
-    triggers (injected faults, invariant violations)."""
-    from repro.health.monitor import HealthMonitor
-    from repro.health.probes import (
-        ChainLivenessProbe,
-        MempoolDepthProbe,
-        RelayLagProbe,
-        ReplicaStalenessProbe,
-    )
-
-    monitor = HealthMonitor(world.sim, telemetry=world.telemetry)
-    monitor.add_probe(ChainLivenessProbe(world.chains))
-    monitor.add_probe(RelayLagProbe(world.relays.values()))
-    monitor.add_probe(MempoolDepthProbe(world.chains))
-    if manager is not None:
-        monitor.add_probe(ReplicaStalenessProbe(manager))
-    checker.on_violation = monitor.on_violation
-    injector.observers.append(monitor.on_fault)
-    monitor.start()
-    return monitor
 
 
 def _check_replicas(world: ChaosWorld, manager) -> None:
@@ -582,20 +505,18 @@ def run_chaos(
         )
     report.plan_counts = plan.counts()
 
+    node = world.node
     checker = InvariantChecker(world.chains.values(), check_roots=check_roots)
     checker.attach()
-    injector = FaultInjector(
-        world.sim,
-        network=world.network,
-        chains=world.chains,
-        engines={cid: world.engines[cid] for cid in WORKLOAD_CHAINS},
-        relays=world.relays,
-        seed=seed,
-    )
-    injector.apply(plan)
+    injector = node.apply_faults(plan)
 
-    manager = _attach_replication(world) if replicate else None
-    if manager is not None:
+    # Replication and health start here, before the engines (node.start()
+    # re-starting them is a no-op), so their first events keep their
+    # place in the simulator's same-time order.
+    manager = None
+    if replicate:
+        manager = node.attach_replication()
+        manager.start()
 
         def on_block(_block, _receipts) -> None:
             _check_replicas(world, manager)
@@ -603,9 +524,14 @@ def run_chaos(
         for chain_id in WORKLOAD_CHAINS:
             world.chains[chain_id].subscribe(on_block)
 
-    monitor = _attach_health(world, checker, injector, manager) if health else None
-    if monitor is not None and on_monitor is not None:
-        on_monitor(monitor)
+    monitor = None
+    if health:
+        monitor = node.attach_health()
+        checker.on_violation = monitor.on_violation
+        injector.observers.append(monitor.on_fault)
+        monitor.start()
+        if on_monitor is not None:
+            on_monitor(monitor)
 
     def on_ready(total_supply: int) -> None:
         if total_supply:
@@ -623,7 +549,7 @@ def run_chaos(
         for actor in world.actors:
             step(world, actor)
 
-    world.start()
+    node.start()
     setup(world, on_ready)
     world.sim.run(until=duration)
     checker.final_check()
@@ -651,8 +577,8 @@ def run_chaos(
         cid: chain.state.committed_root.hex() for cid, chain in world.chains.items()
     }
     report.invariant_checks = checker.checks_run
-    report.messages_dropped = world.network.messages_dropped
-    report.messages_duplicated = world.network.messages_duplicated
+    report.messages_dropped = node.network.messages_dropped
+    report.messages_duplicated = node.network.messages_duplicated
     for chain in world.chains.values():
         for peer_id in world.chains:
             store = chain.light_client.store_for(peer_id)

@@ -83,7 +83,7 @@ class FaultInjector:
     def apply(self, plan: FaultPlan) -> None:
         """Schedule every event of the plan relative to *now*."""
         for event in plan.events:
-            self.sim.schedule(event.time, lambda e=event: self._fire(e))
+            self.sim.schedule(event.time, self._fire, event)
 
     def _count(self, kind: str) -> None:
         self.injected[kind] = self.injected.get(kind, 0) + 1
@@ -117,7 +117,7 @@ class FaultInjector:
         if event.kind in ("crash", "stall_proposer"):
             engine = self._engine(event.chain)
             engine.crash(event.target)
-            self.sim.schedule(event.duration, lambda: engine.recover(event.target))
+            self.sim.schedule(event.duration, engine.recover, event.target)
             return
         if event.kind == "withhold_headers":
             relay = self._relay(event.chain)

@@ -121,8 +121,9 @@ def connect_chains(
 ) -> List[HeaderRelay]:
     """Fully mesh a set of chains: every chain observes every other.
 
-    ``fork_aware=True`` gives every observer a fork-tracking header
-    store (use when any chain in the mesh can reorg).
+    A peer observes an ``ethereum`` (PoW) source through a fork-tracking
+    header store, because PoW chains reorg, and a BFT source through a
+    plain one.  ``fork_aware=True`` forces fork tracking on every source.
     """
     chains = list(chains)
     relays: List[HeaderRelay] = []
@@ -130,6 +131,12 @@ def connect_chains(
         targets = [c for c in chains if c is not source]
         if targets:
             relays.append(
-                HeaderRelay(source, targets, sim=sim, delay=delay, fork_aware=fork_aware)
+                HeaderRelay(
+                    source,
+                    targets,
+                    sim=sim,
+                    delay=delay,
+                    fork_aware=fork_aware or source.params.flavor == "ethereum",
+                )
             )
     return relays

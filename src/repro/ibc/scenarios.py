@@ -1,9 +1,11 @@
 """The five IBC applications of Section VIII, as a reusable harness.
 
-Each scenario prepares contracts on a Burrow-flavoured and an
-Ethereum-flavoured chain (both driven by their real consensus engines
-over the simulated WAN), then performs one measured cross-chain
-operation:
+An :class:`IBCExperiment` is a :class:`~repro.node.Node` over one
+Burrow-flavoured and one Ethereum-flavoured chain under the
+``"consensus"`` driver (Tendermint and proof-of-work over the simulated
+WAN; Burrow observes the PoW chain fork-aware), plus the bridge that
+drives moves between them.  Each scenario prepares contracts on the two
+chains, then performs one measured cross-chain operation:
 
 * **SCoin** — move a token account, then transfer one token to an
   account resident on the target chain (one completion transaction);
@@ -18,7 +20,7 @@ Fig. 8 latency phases and the Fig. 9 gas breakdown.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.apps.kitties import KittyRegistry
 from repro.apps.scoin import SCoin
@@ -26,16 +28,10 @@ from repro.apps.store import StateStore
 from repro.chain.chain import Chain
 from repro.chain.params import burrow_params, ethereum_params
 from repro.chain.tx import CallPayload, DeployPayload, sign_transaction
-from repro.consensus.pow import PowEngine
-from repro.consensus.tendermint import TendermintEngine
-from repro.core.registry import ChainRegistry
 from repro.crypto.keys import Address, KeyPair
 from repro.errors import SimulationError
 from repro.ibc.bridge import IBCBridge, MovePhases
-from repro.ibc.headers import connect_chains
-from repro.net.latency import LatencyModel
-from repro.net.sim import Simulator
-from repro.net.transport import Network
+from repro.node import Node
 from repro.telemetry import Telemetry
 
 BURROW_ID = 1
@@ -51,55 +47,34 @@ APP_LABELS = {
 }
 
 
-class IBCExperiment:
+class IBCExperiment(Node):
     """One Burrow + one Ethereum chain under live consensus."""
 
     def __init__(
         self,
         seed: int = 0,
-        validators: int = 10,
         burrow_overrides: Optional[dict] = None,
         ethereum_overrides: Optional[dict] = None,
         telemetry: Optional[Telemetry] = None,
     ):
-        self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
-        self.sim = Simulator(seed=seed)
-        self.telemetry.bind_clock(lambda: self.sim.now)
-        self.network = Network(self.sim)
-        registry = ChainRegistry()
-        self.burrow = Chain(
-            burrow_params(BURROW_ID, **(burrow_overrides or {})),
-            registry,
+        super().__init__(
+            [
+                burrow_params(BURROW_ID, **(burrow_overrides or {})),
+                ethereum_params(ETHEREUM_ID, **(ethereum_overrides or {})),
+            ],
+            seed=seed,
+            driver="consensus",
+            telemetry=telemetry,
             verify_signatures=False,
-            telemetry=self.telemetry,
         )
-        self.ethereum = Chain(
-            ethereum_params(ETHEREUM_ID, **(ethereum_overrides or {})),
-            registry,
-            verify_signatures=False,
-            telemetry=self.telemetry,
-        )
-        connect_chains([self.burrow, self.ethereum])
-        model = LatencyModel()
-        self.tendermint = TendermintEngine(
-            self.sim, self.network, self.burrow,
-            model.assign_regions(validators, self.sim.rng),
-        )
-        self.pow = PowEngine(
-            self.sim, self.network, self.ethereum,
-            model.assign_regions(validators, self.sim.rng),
-        )
+        self.burrow = self.chains[BURROW_ID]
+        self.ethereum = self.chains[ETHEREUM_ID]
         self.bridge = IBCBridge(
             self.sim, [self.burrow, self.ethereum], telemetry=self.telemetry
         )
         self.user = KeyPair.from_name("ibc-user")
         self.peer = KeyPair.from_name("ibc-peer")
-        self.tendermint.start()
-        self.pow.start()
-
-    def chain(self, chain_id: int) -> Chain:
-        """The Burrow or Ethereum chain by id."""
-        return self.burrow if chain_id == BURROW_ID else self.ethereum
+        self.start()
 
     # ------------------------------------------------------------------
     # Synchronous driving helpers (setup phases, not measured)
@@ -110,7 +85,7 @@ class IBCExperiment:
         tx = sign_transaction(keypair, payload)
         done: List = []
         chain.wait_for(tx.tx_id, done.append)
-        self.sim.schedule(0.05, lambda: chain.submit(tx))
+        self.sim.schedule(0.05, chain.submit, tx)
         deadline = self.sim.now + timeout
         while not done and self.sim.now < deadline:
             self.sim.run(until=self.sim.now + 5.0)

@@ -1,10 +1,14 @@
-"""A long-running node: chains + relays + block production on one clock.
+"""A node: chains + light clients + header relays on one simulated clock.
 
-The node is the *runtime* half of the served system: it assembles
+This is the one place a deployment is assembled.  A node builds its
 chains from :class:`~repro.chain.params.ChainParams`, meshes their
 header relays so any chain can verify any peer's Move2 proofs, and
 drives block production off the shared discrete-event simulator.  The
-*front door* half — admission, batching, backpressure — lives in
+paper's two deployments are both nodes: N Tendermint shards on an
+emulated WAN (:class:`~repro.sharding.cluster.ShardedCluster`, §VII)
+and a Burrow↔Ethereum pair (:class:`~repro.ibc.scenarios.IBCExperiment`,
+§VIII); so is the chaos world (:mod:`repro.faults.chaos`).  The *front
+door* half — admission, batching, backpressure — lives in
 :mod:`repro.gateway` and talks to the node only through the narrow
 surface defined here (``submit`` / ``receipt`` / ``subscribe`` /
 ``run_until``), which is also what keeps gateway-routed workloads
@@ -16,9 +20,15 @@ Two block-production drivers:
   ``block_interval`` simulated seconds, deterministically.  This is the
   servable-system equivalent of the lockstep ``produce_block`` loops
   the benchmarks use, so results are directly comparable;
-* ``"tendermint"`` — full BFT vote rounds over the simulated WAN
-  (what :class:`~repro.sharding.cluster.ShardedCluster` runs); block
-  cadence then includes quorum latency.
+* ``"consensus"`` — each chain runs its flavour's engine over the
+  simulated WAN, ``params.validator_count`` validators (or miners) in
+  randomly drawn regions: Tendermint vote rounds for ``burrow``,
+  proof-of-work mining for ``ethereum``.  Block cadence then includes
+  quorum latency or mining variance.
+
+Peers observe a PoW (``ethereum``) source through a fork-tracking
+header store and a BFT source through a plain one (see
+:func:`~repro.ibc.headers.connect_chains`).
 """
 
 from __future__ import annotations
@@ -28,6 +38,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from repro.chain.chain import Chain
 from repro.chain.params import ChainParams
 from repro.chain.tx import Transaction
+from repro.consensus.pow import PowEngine
+from repro.consensus.tendermint import TendermintEngine
 from repro.core.registry import ChainRegistry
 from repro.errors import ConfigError, UnknownChainError
 from repro.ibc.headers import HeaderRelay, connect_chains
@@ -37,7 +49,10 @@ from repro.statedb.receipts import Receipt
 from repro.telemetry import Telemetry
 
 #: block-production drivers a node can run
-DRIVERS = ("timer", "tendermint")
+DRIVERS = ("timer", "consensus")
+
+#: the consensus engine each chain flavour runs under ``"consensus"``
+ENGINES = {"burrow": TendermintEngine, "ethereum": PowEngine}
 
 #: sentinel distinguishing "build a default manager" from "detach"
 _BUILD = object()
@@ -54,7 +69,6 @@ class Node:
         telemetry: Optional[Telemetry] = None,
         verify_signatures: bool = True,
         relay_delay: float = 0.0,
-        sim: Optional[Simulator] = None,
     ):
         if isinstance(params, ChainParams):
             params = [params]
@@ -69,7 +83,7 @@ class Node:
                 raise ConfigError(f"duplicate chain_id {p.chain_id} in node params")
             seen.add(p.chain_id)
         self.driver = driver
-        self.sim = sim if sim is not None else Simulator(seed=seed)
+        self.sim = Simulator(seed=seed)
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         self.telemetry.bind_clock(lambda: self.sim.now)
         self.registry = ChainRegistry()
@@ -86,47 +100,20 @@ class Node:
         )
         self.network: Optional[Network] = None
         self.engines: List = []
-        if driver == "tendermint":
-            from repro.consensus.tendermint import TendermintEngine
-
+        if driver == "consensus":
             self.network = Network(self.sim)
             for chain in self.chains.values():
                 regions = self.network.latency.assign_regions(
                     chain.params.validator_count, self.sim.rng
                 )
-                self.engines.append(
-                    TendermintEngine(self.sim, self.network, chain, regions)
-                )
+                engine = ENGINES[chain.params.flavor]
+                self.engines.append(engine(self.sim, self.network, chain, regions))
         self._running = False
-        self._cluster = None
         self._rebalancer = None
         self._replication = None
         self._health = None
         #: bumped on every start(); stale tick timers check it and die
         self._epoch = 0
-
-    @classmethod
-    def from_cluster(cls, cluster) -> "Node":
-        """Wrap an existing :class:`~repro.sharding.cluster.ShardedCluster`
-        (its simulator, shards and engines become the node's)."""
-        node = cls.__new__(cls)
-        node.driver = "tendermint"
-        node.sim = cluster.sim
-        first = cluster.shards[0] if cluster.shards else None
-        node.telemetry = first.telemetry if first is not None else Telemetry.disabled()
-        node.telemetry.bind_clock(lambda: node.sim.now)
-        node.registry = cluster.registry
-        node.chains = {chain.chain_id: chain for chain in cluster.shards}
-        node.relays = []
-        node.network = cluster.network
-        node.engines = list(cluster.engines)
-        node._running = False
-        node._cluster = cluster
-        node._rebalancer = None
-        node._replication = None
-        node._health = None
-        node._epoch = 0
-        return node
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -147,9 +134,7 @@ class Node:
             return
         self._running = True
         self._epoch += 1
-        if self._cluster is not None:
-            self._cluster.start()
-        elif self.driver == "tendermint":
+        if self.driver == "consensus":
             for engine in self.engines:
                 engine.start()
         else:
@@ -173,11 +158,8 @@ class Node:
             self._replication.stop()
         if self._health is not None:
             self._health.stop()
-        if self._cluster is not None:
-            self._cluster.stop()
-        else:
-            for engine in self.engines:
-                engine.stop()
+        for engine in self.engines:
+            engine.stop()
 
     @property
     def rebalancer(self):
@@ -320,22 +302,19 @@ class Node:
         """Read-only contract query at a chain's current head."""
         return self.chain(chain_id).view(target, method, *args)
 
-    def apply_faults(self, plan, network: Optional[Network] = None):
+    def apply_faults(self, plan):
         """Attach a :class:`~repro.faults.injector.FaultInjector` and
         schedule ``plan`` against this node's seams (chains, relays and
         — when running consensus — validators and the vote transport).
-        Returns the injector for inspection."""
+        The injector's dice are seeded from ``plan.seed``.  Returns the
+        injector for inspection."""
         from repro.faults.injector import FaultInjector
 
         injector = FaultInjector(
             self.sim,
-            network=network if network is not None else self.network,
+            network=self.network,
             chains=self.chains,
-            engines={
-                engine.chain.chain_id: engine
-                for engine in self.engines
-                if hasattr(engine, "chain")
-            },
+            engines={engine.chain.chain_id: engine for engine in self.engines},
             relays={relay.source.chain_id: relay for relay in self.relays},
             seed=plan.seed,
             telemetry=self.telemetry,

@@ -2,15 +2,19 @@
 
 Mirrors the paper's cluster (Section VII): 10 validators per shard, one
 validator per simulated node, nodes randomly assigned to the 14 regions;
-one client host maintaining a connection per shard.  All shards share
-one :class:`~repro.net.sim.Simulator` so cross-shard timing is globally
-consistent, and headers are relayed between all shards so any shard can
-verify any other's Move2 proofs.
+one client host maintaining a connection per shard.  The shards are one
+:class:`~repro.node.Node` under the ``"consensus"`` driver — one
+simulator, so cross-shard timing is globally consistent, and headers
+relayed between all shards, so any shard can verify any other's Move2
+proofs.  The cluster holds the node rather than being one: its
+``submit`` addresses a shard by *index* from the client host, not a
+chain by id.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Dict, List, Optional
 
 from repro.chain.chain import Chain
 from repro.chain.params import burrow_params
@@ -20,13 +24,8 @@ from repro.chain.tx import (
     Move2Payload,
     Transaction,
 )
-from repro.consensus.tendermint import TendermintEngine
-from repro.core.registry import ChainRegistry
 from repro.crypto.keys import Address
-from repro.ibc.headers import connect_chains
-from repro.net.latency import LatencyModel
-from repro.net.sim import Simulator
-from repro.net.transport import Network
+from repro.node import Node
 from repro.sharding.partition import shard_of
 
 #: One-way latency between the client host and a shard's entry point;
@@ -48,45 +47,43 @@ class ShardedCluster:
         executor_workers: int = 0,
     ):
         self.num_shards = num_shards
-        self.sim = Simulator(seed=seed)
-        self.network = Network(self.sim)
-        self.latency_model = self.network.latency
-        self.registry = ChainRegistry()
-        self.shards: List[Chain] = []
-        self.engines: List[TendermintEngine] = []
+        self.node = Node(
+            [
+                burrow_params(
+                    chain_id=index + 1,
+                    name=f"shard-{index}",
+                    max_block_txs=max_block_txs,
+                    validator_count=validators_per_shard,
+                    block_interval=block_interval,
+                    executor_workers=executor_workers,
+                )
+                for index in range(num_shards)
+            ],
+            seed=seed,
+            driver="consensus",
+            verify_signatures=verify_signatures,
+        )
+        self.sim = self.node.sim
+        self.network = self.node.network
+        self.registry = self.node.registry
+        self.engines = self.node.engines
+        self.shards: List[Chain] = list(self.node.chains.values())
         #: contract address -> shard *index* of the active copy, kept
         #: current from the block stream (deploys, Move1 departures,
         #: Move2 arrivals) so lookups never scan every shard.
         self._contract_index: Dict[Address, int] = {}
-        for index in range(num_shards):
-            params = burrow_params(
-                chain_id=index + 1,
-                name=f"shard-{index}",
-                max_block_txs=max_block_txs,
-                validator_count=validators_per_shard,
-                block_interval=block_interval,
-                executor_workers=executor_workers,
-            )
-            chain = Chain(params, self.registry, verify_signatures=verify_signatures)
-            self.shards.append(chain)
-            regions = self.latency_model.assign_regions(validators_per_shard, self.sim.rng)
-            self.engines.append(TendermintEngine(self.sim, self.network, chain, regions))
-            chain.subscribe(
-                lambda block, receipts, i=index: self._index_block(i, block, receipts)
-            )
-        connect_chains(self.shards)
+        for index, chain in enumerate(self.shards):
+            chain.subscribe(partial(self._index_block, index))
 
     # ------------------------------------------------------------------
 
     def start(self) -> None:
         """Start consensus on every shard."""
-        for engine in self.engines:
-            engine.start()
+        self.node.start()
 
     def stop(self) -> None:
         """Stop consensus on every shard (a stopped cluster can restart)."""
-        for engine in self.engines:
-            engine.stop()
+        self.node.stop()
 
     def run(self, until: float) -> None:
         """Advance the shared simulator to ``until`` seconds."""
@@ -195,8 +192,6 @@ class ShardedCluster:
         .Rebalancer` over this cluster's signal plane."""
         from repro.rebalance.rebalancer import Rebalancer
 
-        if telemetry is None and self.shards:
-            telemetry = self.shards[0].telemetry
         return Rebalancer(
             self.sim,
             self.load_plane(weights=weights, gateway=gateway),
@@ -204,7 +199,7 @@ class ShardedCluster:
             actuator=actuator,
             interval=interval,
             move_timeout=move_timeout,
-            telemetry=telemetry,
+            telemetry=telemetry if telemetry is not None else self.node.telemetry,
         )
 
     @property

@@ -123,10 +123,11 @@ class GatewayWorkload:
         delay = rng.expovariate(self.rate_per_client)
         if self.node.now + delay > until:
             return
-        def fire() -> None:
-            self._submit_one(index)
-            self._arrival_loop(index, until)
-        self.node.sim.schedule(delay, fire)
+        self.node.sim.schedule(delay, self._arrive, index, until)
+
+    def _arrive(self, index: int, until: float) -> None:
+        self._submit_one(index)
+        self._arrival_loop(index, until)
 
     def run(self, duration: float = 120.0, drain: float = 30.0) -> GatewayWorkloadReport:
         """Offer load for ``duration`` simulated seconds, then let the

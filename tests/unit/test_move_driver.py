@@ -158,7 +158,7 @@ def test_proof_error_under_chaos_is_a_failed_attempt():
     world.report = ChaosReport(seed=2, duration=400.0, workload="scoin")
     world.deadline = 400.0
     ready = []
-    world.start()
+    world.node.start()
     _scoin_setup(world, ready.append)
     while not ready:
         world.sim.run(until=world.sim.now + 5.0)

@@ -21,12 +21,21 @@ timestamp hashes a transaction id, so re-deriving every ``tx_id`` moves
 neither.  Its transaction-id literals are the deliberate re-pin that
 change made.
 
+Section (g)'s literals were recorded at ``680fcbc``, while the chaos
+world, the shard cluster and the IBC experiment each still assembled
+their own simulator, network, engines and relays: a replicated chaos
+run with the PoW bystander and the health plane, and the two
+Ethereum-sourced IBC moves, which now reach Burrow through a
+fork-tracking header store.
+
 Re-pin only for a change that is *meant* to alter simulated behaviour,
 and say so in CHANGES.md.
 """
 
 import hashlib
 from collections import Counter
+
+import pytest
 
 from repro.chain.chain import Chain
 from repro.chain.params import burrow_params
@@ -41,6 +50,7 @@ from repro.cli import main
 from repro.core.registry import ChainRegistry
 from repro.crypto.keys import KeyPair
 from repro.errors import ShedByClass
+from repro.faults.chaos import run_chaos
 from repro.gateway import Gateway, GatewayLimits, SimNetTransport
 from repro.net.sim import Simulator
 from repro.net.transport import Network
@@ -382,3 +392,43 @@ def test_transaction_ids_are_pinned():
     assert call.tx_id == (
         "3c382214c4edf9631aa7b4790591abb007d6b78ccd8e9f4523467abab4c38d43"
     )
+
+
+# ----------------------------------------------------------------------
+# (g) One assembler: a chaos report and the Ethereum-sourced IBC moves
+# ----------------------------------------------------------------------
+
+
+def test_chaos_report_is_pinned():
+    report = run_chaos(
+        13, duration=200.0, workload="scoin", intensity=1.5,
+        pow_peer=True, replicate=True, health=True,
+    )
+    assert report.final_roots == {
+        1: "6c91ebf29122420396d1931464bcbac6e80c23de9acf468ea6f349a495bded20",
+        2: "8ea921105e469008860f1a8b275403c516f30f3a1804c6af46a345c0d31dfafa",
+        3: "8fe6cfedc6cd145102972434a712fbf444fd35278bb5823440ffcd261b82ef72",
+    }
+    moves = (
+        report.moves_started, report.moves_completed,
+        report.moves_abandoned, report.move2_retries,
+    )
+    assert moves == (21, 21, 0, 0)
+    replicas = (
+        report.replica_updates, report.replica_halts, report.replica_tombstones,
+        report.replica_rehomes, report.replica_checks,
+    )
+    assert replicas == (32, 0, 12, 21, 60)
+    assert report.alerts_fired == 1
+    assert hashlib.sha256(report.alert_log.encode()).hexdigest() == (
+        "0cd7865ebf25912e0a7a98f95d84da0d8ad90ad6f5f004c290a3b3d702619db7"
+    )
+
+
+@pytest.mark.parametrize("app,digest", [
+    ("kitties", "c1a672209e4f8fc2565bd1192920b4fa1f894ffc1723b1cd4fdafa7f57edc979"),
+    ("store10", "ecc42be3e04b872fb7e1557b41ce0ad760cbfa89c10aed6c1766dc2c7753d0f4"),
+])
+def test_ethereum_sourced_ibc_reports_are_pinned(capsys, app, digest):
+    argv = ("ibc", "--app", app, "--direction", "e2b", "--json")
+    assert _cli_sha256(capsys, *argv) == digest
