@@ -11,6 +11,7 @@ Addresses are 20 bytes, shown as ``0x``-prefixed hex.
 
 from __future__ import annotations
 
+from collections import _tuplegetter  # namedtuple's field accessor, in C
 from dataclasses import dataclass, field
 
 from repro.crypto.hashing import keccak
@@ -18,15 +19,29 @@ from repro.crypto.hashing import keccak
 ADDRESS_SIZE = 20
 
 
-@dataclass(frozen=True, order=True)
-class Address:
-    """A 20-byte account or contract identifier."""
+class Address(tuple):
+    """A 20-byte account or contract identifier: an immutable record.
 
-    raw: bytes
+    A 1-tuple underneath, so hashing, equality and ordering run in C —
+    every state dict, dirty set and sort keyed by an address pays no
+    Python-level call.  ``hash(Address(r)) == hash((r,))``, the value a
+    one-field frozen dataclass hashes to, and addresses order by their
+    bytes.  One consequence of the layout: **an ``Address`` equals the
+    1-tuple of its bytes** (``Address(r) == (r,)``), though never the
+    bytes themselves nor their hex string.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.raw) != ADDRESS_SIZE:
-            raise ValueError(f"address must be {ADDRESS_SIZE} bytes, got {len(self.raw)}")
+    __slots__ = ()
+
+    raw = _tuplegetter(0, "The 20 address bytes.")
+
+    def __new__(cls, raw: bytes) -> "Address":
+        if len(raw) != ADDRESS_SIZE:
+            raise ValueError(f"address must be {ADDRESS_SIZE} bytes, got {len(raw)}")
+        return tuple.__new__(cls, (raw,))
+
+    def __getnewargs__(self):
+        return (self[0],)
 
     @classmethod
     def from_hex(cls, text: str) -> "Address":

@@ -211,6 +211,17 @@ class InvalidRequest(GatewayError):
     code = "invalid_request"
 
 
+class NotAViewError(InvalidRequest):
+    """A read-only query named a method that is not ``@view``.
+
+    Queries (``Chain.view`` and every read surface built on it) run
+    unsigned, unmetered and outside any transaction, so they may only
+    dispatch ``@view`` methods; a mutating external or a private helper
+    is refused by name instead of run."""
+
+    code = "not_a_view"
+
+
 class ReadOnlyReplicaError(ContractLocked, GatewayError):
     """A write targeted a read-only replica (mirror) of a contract.
 

@@ -12,9 +12,10 @@ frozen and may be shared between trees; an un-hashed node is reachable
 from exactly one live tree and is updated in place.**  ``set``/``delete``
 never hash; the first ``root_hash``, ``prove`` or ``snapshot`` afterwards
 fills the missing digests in one post-order walk over the un-hashed
-nodes only.  ``snapshot`` is the only place two trees come to share a
-node, and it fills first — so a hashed node's whole subtree is hashed
-and every ancestor of an un-hashed node is un-hashed.  ``set`` leans on
+nodes only, and ``from_sorted`` builds a tree already hashed.
+``snapshot`` is the only place two trees come to share a node, and it
+fills first — so a hashed node's whole subtree is hashed and every
+ancestor of an un-hashed node is un-hashed.  ``set`` leans on
 both: it writes into the un-hashed nodes on its path, copies the hashed
 ones (a snapshot may hold them), and stops at the first un-hashed
 ancestor whose height is unchanged, since nothing above it can differ.
@@ -37,7 +38,7 @@ Digests (SHA3-256 through ``merkle_hash_leaf``/``merkle_hash_node``)::
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.crypto.hashing import keccak, merkle_hash_leaf, merkle_hash_node
 from repro.merkle.proof import MembershipProof
@@ -92,6 +93,26 @@ def _fill(node: _Node) -> bytes:
         digest = merkle_hash_node(left.digest or _fill(left), right.digest or _fill(right))
     node.digest = digest
     return digest
+
+
+def _build(items: List[Tuple[bytes, bytes]], lo: int, n: int) -> _Node:
+    """The hashed subtree ascending ``set`` makes of ``items[lo:lo+n]``.
+
+    Its left subtree holds the largest power of two ``p`` with
+    ``3p < 2n`` leaves, and the rule recurses — the shape AVL rotations
+    leave behind after sorted insertion (see docs/PROTOCOL.md).
+    """
+    if n == 1:
+        key, value = items[lo]
+        node = _Node(key, value, None, None, 0)
+        node.digest = merkle_hash_leaf(key + value)
+        return node
+    p = 1 << (((2 * n - 1) // 3).bit_length() - 1)
+    left = _build(items, lo, p)
+    right = _build(items, lo + p, n - p)
+    node = _inner(items[lo + p][0], left, right)
+    node.digest = merkle_hash_node(left.digest, right.digest)
+    return node
 
 
 def _rotate_right(node: _Node) -> _Node:
@@ -154,6 +175,18 @@ class IAVLTree:
 
     def __init__(self) -> None:
         self._root: Optional[_Node] = None
+
+    @classmethod
+    def from_sorted(cls, items: Iterable[Tuple[bytes, bytes]]) -> "IAVLTree":
+        """The tree ``set`` builds from ``items`` inserted in ascending
+        key order (keys strictly increasing), made in one post-order
+        pass with no rotations and already hashed — so, like a
+        snapshot's nodes, later writes copy what they change."""
+        items = list(items)
+        tree = cls()
+        if items:
+            tree._root = _build(items, 0, len(items))
+        return tree
 
     def snapshot(self) -> "IAVLTree":
         """Frozen copy sharing this tree's (hashed, hence frozen) nodes.

@@ -32,7 +32,7 @@ history-dependent ones must canonically refold when a key set changes.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Protocol, Tuple, runtime_checkable
+from typing import Iterable, Iterator, Optional, Protocol, Tuple, Type, runtime_checkable
 
 from repro.merkle.proof import MembershipProof
 
@@ -64,6 +64,12 @@ class AuthenticatedTree(Protocol):
     #: True when the root depends only on the key/value content, not on
     #: the order the operations arrived in.
     history_independent: bool
+
+    @classmethod
+    def from_sorted(cls, items: Iterable[Tuple[bytes, bytes]]) -> "AuthenticatedTree":
+        """The canonical tree of ``items`` (keys strictly increasing):
+        exactly what ``set`` makes of them inserted in that order."""
+        ...
 
     @property
     def root_hash(self) -> bytes:
@@ -102,5 +108,6 @@ class AuthenticatedTree(Protocol):
     def __contains__(self, key: object) -> bool: ...
 
 
-#: A chain's tree flavour: zero-arg constructor of its authenticated map.
-TreeFactory = Callable[[], AuthenticatedTree]
+#: A chain's tree flavour: the tree class itself — ``factory()`` is an
+#: empty map, ``factory.from_sorted(items)`` the canonical build.
+TreeFactory = Type[AuthenticatedTree]

@@ -23,7 +23,7 @@ common :class:`~repro.merkle.proof.MembershipProof` prefix/suffix steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.crypto.hashing import keccak
 from repro.merkle.proof import MembershipProof
@@ -211,6 +211,15 @@ class MerklePatriciaTrie:
 
     def __init__(self) -> None:
         self._root: Optional[_TrieNode] = None
+
+    @classmethod
+    def from_sorted(cls, items: Iterable[Tuple[bytes, bytes]]) -> "MerklePatriciaTrie":
+        """The trie of ``items`` (keys strictly increasing).  The shape
+        depends on content alone, so this just inserts them."""
+        trie = cls()
+        for key, value in items:
+            trie.set(key, value)
+        return trie
 
     def snapshot(self) -> "MerklePatriciaTrie":
         """O(1) frozen copy sharing the immutable node structure.

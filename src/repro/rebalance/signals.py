@@ -250,7 +250,7 @@ def _tx_contract(payload, receipt) -> Optional[Address]:
         value = receipt.return_value
         if isinstance(value, Address):
             return value
-        if isinstance(value, tuple) and value and isinstance(value[0], Address):
+        if type(value) is tuple and value and isinstance(value[0], Address):
             return value[0]
     return None
 

@@ -126,11 +126,8 @@ class _MapAccessor:
 
     def __init__(self, contract: "Contract", slot: "MapSlot"):
         self._contract = contract
-        self._slot = slot
+        self._key = slot.derived_key
         self._value_kind = slot.value_kind
-
-    def _key(self, key: Any) -> bytes:
-        return self._slot.derived_key(key)
 
     def __getitem__(self, key: Any) -> Any:
         return decode_value(self._contract._storage_read(self._key(key)), self._value_kind)
@@ -210,6 +207,11 @@ class Contract:
     def __init__(self, ctx: TxContext, address: Address):
         self._ctx = ctx
         self.address = address
+        self._meter = ctx.meter
+        #: the record's slot dict, bound once per call: a slot read is a
+        #: gas charge plus one ``dict.get`` (writes still go through the
+        #: journaled ``WorldState.storage_set``)
+        self._storage = ctx.state.require_contract(address).storage
 
     # -- environment accessors ----------------------------------------
 
@@ -246,18 +248,18 @@ class Contract:
     # -- metered storage ------------------------------------------------
 
     def _storage_read(self, key: bytes) -> bytes:
-        self._ctx.charge(self._ctx.meter.schedule.sload)
-        return self._ctx.state.storage_get(self.address, key)
+        meter = self._meter
+        meter.charge(meter.schedule.sload, self._ctx.category)
+        return self._storage.get(key, b"")
 
     def _storage_write(self, key: bytes, value: bytes) -> None:
-        schedule = self._ctx.meter.schedule
-        current = self._ctx.state.storage_get(self.address, key)
-        if not current and value:
-            self._ctx.charge(schedule.sstore_set)
-        elif current and not value:
-            self._ctx.charge(schedule.sstore_clear)
+        meter = self._meter
+        schedule = meter.schedule
+        if key not in self._storage:
+            cost = schedule.sstore_set if value else schedule.sstore_update
         else:
-            self._ctx.charge(schedule.sstore_update)
+            cost = schedule.sstore_update if value else schedule.sstore_clear
+        meter.charge(cost, self._ctx.category)
         self._ctx.state.storage_set(self.address, key, value)
 
     # -- contract-to-contract interaction --------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Optional, Tuple, Type
 
 from repro.crypto.keys import Address, contract_address, create2_address
-from repro.errors import ContractLocked, ReadOnlyReplicaError, Revert
+from repro.errors import ContractLocked, NotAViewError, ReadOnlyReplicaError, Revert
 from repro.runtime.context import BlockEnv, Msg, TxContext
 from repro.runtime.contract import Contract
 from repro.runtime.registry import code_for, lookup_code
@@ -130,23 +130,13 @@ class Runtime:
         if record is None:
             raise Revert(f"no contract at {target}")
         cls = lookup_code(record.code_hash)
-        # Specialized dispatch: registration precomputes
-        # ``method -> (fn, is_view, is_payable)`` so the hot call path
-        # skips the getattr + decorator-flag probes.  Own-class lookup
-        # only — a class not (re-)registered takes the generic path.
-        dispatch = cls.__dict__.get("_RT_DISPATCH")
-        if dispatch is not None:
-            entry = dispatch.get(method)
-            if entry is None:
-                raise Revert(f"{cls.__name__} has no external method {method!r}")
-            fn, is_view, is_payable = entry
-        else:
-            fn = getattr(cls, method, None)
-            if fn is None or not getattr(fn, "_is_external", False):
-                raise Revert(f"{cls.__name__} has no external method {method!r}")
-            is_view = getattr(fn, "_is_view", False)
-            is_payable = getattr(fn, "_is_payable", False)
-        if self.state.is_locked(target) and not is_view:
+        # Registration precomputes ``method -> (fn, is_view, is_payable)``
+        # (every class the registry resolves carries its own table).
+        entry = cls._RT_DISPATCH.get(method)
+        if entry is None:
+            raise Revert(f"{cls.__name__} has no external method {method!r}")
+        fn, is_view, is_payable = entry
+        if record.location != self.state.chain_id and not is_view:
             if self.state.is_mirror(target):
                 raise ReadOnlyReplicaError(
                     f"contract {target} is a read-only replica of "
@@ -174,13 +164,21 @@ class Runtime:
         env: Optional[BlockEnv] = None,
         sender: Optional[Address] = None,
     ) -> Any:
-        """Read-only query from outside a transaction (unmetered)."""
+        """Read-only query from outside a transaction (unmetered).
+
+        Only ``@view`` methods run here: anything else would mutate
+        state unsigned, unmetered and outside any transaction, so it
+        raises :class:`~repro.errors.NotAViewError`.
+        """
+        record = self.state.require_contract(target)
+        cls = lookup_code(record.code_hash)
+        entry = cls._RT_DISPATCH.get(method)
+        if entry is None or not entry[1]:
+            raise NotAViewError(f"{cls.__name__}.{method} is not a @view method")
+        fn = entry[0]
         env = env if env is not None else BlockEnv(self.state.chain_id, 0, 0.0)
         sender = sender if sender is not None else Address(b"\x00" * 20)
         ctx = self.make_context(sender, env)
-        record = self.state.require_contract(target)
-        cls = lookup_code(record.code_hash)
-        fn = getattr(cls, method)
         instance = cls(ctx, target)
         ctx.push_msg(Msg(sender=sender, value=0))
         try:

@@ -27,7 +27,11 @@ root is guaranteed bit-identical to the canonical rebuild:
   make the shape order-sensitive) fold *value overwrites* in place
   (overwriting a leaf never rotates, so the canonical sorted-insertion
   shape is preserved) and canonically refold the contract's trie only
-  when its **key set** changed in the block.  Bulk transitions —
+  when a write in the block added or removed a key —
+  :meth:`WorldState.storage_set` marks the contract as it writes, so
+  commit never probes the trie to find out.  A refold is one
+  :meth:`~repro.merkle.iavl.IAVLTree.from_sorted` build: the sorted-
+  insertion shape made directly, with no rotations.  Bulk transitions —
   Move2 recreation (:meth:`WorldState.load_storage`) and garbage
   collection (:meth:`WorldState.wipe_storage`) — rebuild the trie
   canonically in a single pass.
@@ -140,6 +144,10 @@ class WorldState:
         #: per-contract set of slots written since the last commit; the
         #: incremental commit folds exactly these into the live trie
         self._dirty_slots: Dict[Address, Set[bytes]] = {}
+        #: contracts whose storage gained or lost a key since the last
+        #: commit — over-approximate (a revert does not unmark), which
+        #: only costs a canonical rebuild that lands on the same root
+        self._reshaped: Set[Address] = set()
         #: one live persistent storage trie per contract, kept root-
         #: identical to the canonical sorted rebuild at every commit
         self._storage_tries: Dict[Address, AuthenticatedTree] = {}
@@ -315,19 +323,23 @@ class WorldState:
     def storage_set(self, address: Address, key: bytes, value: bytes) -> None:
         """Write a storage slot (journaled); empty value deletes."""
         record = self.require_contract(address)
-        old = record.storage.get(key)
+        storage = record.storage
+        old = storage.get(key)
         if value:
-            record.storage[key] = value
-        else:
-            record.storage.pop(key, None)
+            storage[key] = value
+            if old is None:
+                self._reshaped.add(address)
+        elif old is not None:
+            del storage[key]
+            self._reshaped.add(address)
         self._dirty.add(address)
         self._dirty_slots.setdefault(address, set()).add(key)
 
         def undo() -> None:
             if old is None:
-                record.storage.pop(key, None)
+                storage.pop(key, None)
             else:
-                record.storage[key] = old
+                storage[key] = old
 
         self._record(undo)
 
@@ -557,12 +569,10 @@ class WorldState:
         dirty = self._dirty_slots.get(address)
         if not dirty:
             return tree.root_hash
-        if not tree.history_independent and any(
-            (key in record.storage) != (key in tree) for key in dirty
-        ):
-            # The key set changed: overwrite-folding cannot reproduce
-            # the canonical (sorted-insertion) shape of a history-
-            # dependent tree, so refold this contract from scratch.
+        if not tree.history_independent and address in self._reshaped:
+            # The key set (may have) changed: overwrite-folding cannot
+            # reproduce the canonical (sorted-insertion) shape of a
+            # history-dependent tree, so refold this contract from scratch.
             tree = build_storage_trie(self._tree_factory, record.storage)
             self._storage_tries[address] = tree
             return tree.root_hash
@@ -602,6 +612,7 @@ class WorldState:
             self._account_tree.set(address.raw, leaf)
         self._dirty.clear()
         self._dirty_slots.clear()
+        self._reshaped.clear()
         self._storage_replaced.clear()
         self._journal.clear()
         self._committed_root = self._account_tree.root_hash
@@ -661,10 +672,7 @@ def build_storage_trie(
     tree_factory: TreeFactory, storage: Mapping[bytes, bytes]
 ) -> AuthenticatedTree:
     """Build a contract storage trie canonically (sorted insertion)."""
-    tree = tree_factory()
-    for key in sorted(storage):
-        tree.set(key, storage[key])
-    return tree
+    return tree_factory.from_sorted(sorted(storage.items()))
 
 
 def compute_storage_root(

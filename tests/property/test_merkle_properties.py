@@ -7,11 +7,15 @@ Invariants checked:
   breaks verification;
 * roots are independent of operation interleaving (state-determined);
 * IAVL roots do not depend on when (or whether) earlier roots were read;
-* IAVL stays AVL-balanced.
+* IAVL stays AVL-balanced;
+* ``IAVLTree.from_sorted`` builds exactly the tree ascending ``set``
+  builds, before and after later writes.
 """
 
 import itertools
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -190,6 +194,59 @@ def test_iavl_balance_invariant(insert_keys):
     n = len(insert_keys)
     # AVL bound: height <= 1.44 * log2(n + 2)
     assert tree.height() <= int(1.45 * math.log2(n + 2)) + 1
+
+
+def ascending_sets(items):
+    """The reference canonical build: ``set`` in ascending key order."""
+    tree = IAVLTree()
+    for key, value in items:
+        tree.set(key, value)
+    return tree
+
+
+def assert_same_tree(built, reference):
+    """Same root, height, content and every proof."""
+    items = list(reference.items())
+    assert list(built.items()) == items
+    assert built.root_hash == reference.root_hash
+    assert built.height() == reference.height()
+    assert [built.prove(key) for key, _ in items] == [reference.prove(key) for key, _ in items]
+
+
+def test_iavl_sorted_build_matches_ascending_set_for_every_small_n():
+    assert IAVLTree.from_sorted([]).root_hash == IAVLTree().root_hash
+    for n in range(1, 301):
+        items = [(b"k%05d" % i, b"v%d" % i) for i in range(n)]
+        assert_same_tree(IAVLTree.from_sorted(items), ascending_sets(items))
+
+
+@pytest.mark.parametrize("n", [301, 1000, 1536, 2731, 4097])
+def test_iavl_sorted_build_matches_ascending_set_at_larger_n(n):
+    rnd = random.Random(n)
+    mapping = {}
+    while len(mapping) < n:
+        mapping[rnd.randbytes(rnd.randint(1, 12))] = rnd.randbytes(rnd.randint(1, 8))
+    items = sorted(mapping.items())
+    assert_same_tree(IAVLTree.from_sorted(items), ascending_sets(items))
+
+
+@given(st.dictionaries(keys, values, max_size=80), ops)
+@settings(max_examples=60, deadline=None)
+def test_iavl_sorted_build_stays_equivalent_under_later_writes(mapping, operations):
+    """Built nodes are hashed, so later writes copy them: the built tree
+    keeps tracking the reference and a snapshot of it never moves."""
+    items = sorted(mapping.items())
+    built, reference = IAVLTree.from_sorted(items), ascending_sets(items)
+    snap = built.snapshot()
+    before = frozen_view(snap)
+    for key, value in operations:
+        for tree in (built, reference):
+            if value is None:
+                tree.delete(key)
+            else:
+                tree.set(key, value)
+    assert_same_tree(built, reference)
+    assert frozen_view(snap) == before
 
 
 @given(st.lists(st.binary(min_size=1, max_size=12), min_size=1, max_size=50))

@@ -1,5 +1,8 @@
 """Unit tests for address derivation rules (paper Section III-G)."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.crypto.hashing import keccak
@@ -22,6 +25,49 @@ def test_address_hex_roundtrip():
     addr = Address(bytes(range(20)))
     assert Address.from_hex(addr.hex) == addr
     assert addr.hex.startswith("0x")
+
+
+RAWS = [bytes([b]) * 20 for b in (0, 1, 7, 255)] + [bytes(range(20))]
+
+
+def test_address_hashes_as_the_one_field_tuple():
+    # The value a frozen one-field dataclass hashed to: set iteration
+    # order and every replay digest built over address sets depend on it.
+    for raw in RAWS:
+        assert hash(Address(raw)) == hash((raw,))
+
+
+def test_addresses_order_by_their_bytes():
+    addresses = [Address(raw) for raw in RAWS]
+    assert sorted(addresses) == [Address(raw) for raw in sorted(RAWS)]
+    low, high = Address(b"\x01" * 20), Address(b"\x02" * 20)
+    assert low < high and high > low and low <= low and not high < low
+
+
+def test_address_is_immutable():
+    addr = Address(b"\x01" * 20)
+    with pytest.raises(AttributeError):
+        addr.raw = b"\x02" * 20
+    with pytest.raises(AttributeError):
+        addr.extra = 1
+    assert addr.raw == b"\x01" * 20
+
+
+def test_address_survives_copy_and_pickle():
+    addr = Address(bytes(range(20)))
+    for clone in (copy.copy(addr), copy.deepcopy(addr), pickle.loads(pickle.dumps(addr))):
+        assert type(clone) is Address and clone == addr and clone.raw == addr.raw
+    nested = copy.deepcopy({addr: [addr]})
+    assert nested == {addr: [addr]}
+
+
+def test_address_equals_its_tuple_but_not_its_bytes_or_hex():
+    raw = bytes(range(20))
+    addr = Address(raw)
+    assert addr == (raw,)  # the documented consequence of the record layout
+    assert addr != raw and raw != addr
+    assert addr != addr.hex and addr != raw.hex()
+    assert Address(raw) == Address(bytes(range(20))) != Address(b"\x00" * 20)
 
 
 def test_keypair_is_deterministic_from_name():

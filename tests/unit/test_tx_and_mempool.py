@@ -117,7 +117,8 @@ def test_signed_transaction_holds_no_cache():
         return [ref for ref in gc.get_referents(tx) if not isinstance(ref, type)]
 
     before = referents()
-    assert [ref for ref in before if isinstance(ref, (tuple, list, set))] == []
+    # exact types: the sender is an Address, itself a 1-tuple record
+    assert [ref for ref in before if type(ref) in (tuple, list, set)] == []
     assert [ref for ref in before if isinstance(ref, dict)] == [tx.meta]
     assert tx.verify() and tx.signing_bytes() and tx.verify()
     after = referents()
