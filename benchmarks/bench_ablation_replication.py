@@ -8,7 +8,7 @@ This benchmark measures that trade on a read-heavy token workload:
 * a source chain hosts the token (all writes land there, on a steady
   cadence, so delta syncs keep flowing);
 * 1 or 4 peer chains host mirrors synced by the relay protocol
-  (light-client headers + snapshot-served Merkle proofs);
+  (light-client headers + Merkle proofs captured at commit);
 * every chain runs a saturated read loop at a fixed per-chain serving
   capacity — the replica count is the only variable.
 

@@ -5,10 +5,15 @@ a consensus engine (:mod:`repro.consensus`) decides *when*
 :meth:`produce_block` fires.  The chain also serves the Move protocol's
 data needs:
 
-* it retains an O(1) tree snapshot per block so clients can extract
-  **historical** account proofs (a Move2 proof targets the root of the
-  Move1 block, which is ``p`` blocks behind the head by the time the
-  proof is usable);
+* it serves **historical** account proofs (a Move2 proof targets the
+  root of the Move1 block, which is ``p`` blocks behind the head by the
+  time the proof is usable).  It keeps no old trees: when a block
+  commits, it proves the keys a peer may later ask about at that
+  height — every contract leaf written while locked (``L_c`` ≠ this
+  chain: a Move1, or a contract created locked) and every replicated
+  contract — and keeps those proofs beside the post-state root for
+  ``snapshot_retention`` blocks.  The head is served from the live
+  committed tree;
 * it exposes the header stream that peer chains' light clients consume;
 * its own :class:`~repro.chain.lightclient.LightClient` holds the peer
   headers that ``VS`` checks during Move2 execution.
@@ -28,7 +33,7 @@ from repro.core.proofs import ContractStateProof
 from repro.core.registry import ChainRegistry
 from repro.crypto.keys import Address
 from repro.errors import ProofError, StateError
-from repro.merkle.protocol import AuthenticatedTree
+from repro.merkle.proof import MembershipProof
 from repro.runtime.context import BlockEnv
 from repro.runtime.runtime import Runtime
 from repro.statedb.receipts import Receipt
@@ -76,9 +81,11 @@ class Chain:
         self.mempool = Mempool(metrics=metrics, chain_id=params.chain_id)
         self.blocks: List[Block] = []
         self.receipts: Dict[str, Receipt] = {}
-        self._tree_snapshots: Dict[int, AuthenticatedTree] = {}
         self._post_roots: Dict[int, bytes] = {}
-        #: lowest non-genesis height whose snapshot is still retained;
+        #: height -> {address: account proof against that height's root},
+        #: captured at commit for the keys peers may ask about (see above)
+        self._proofs: Dict[int, Dict[Address, MembershipProof]] = {}
+        #: lowest non-genesis height whose root is still retained;
         #: advances as produce_block prunes past the retention horizon
         self._snapshot_floor = 1
         self._listeners: List[BlockListener] = []
@@ -109,19 +116,17 @@ class Chain:
         return self.blocks[-1]
 
     def _make_genesis(self) -> None:
-        root = self.state.commit()
+        self._commit(0)
         header = BlockHeader(
             chain_id=self.chain_id,
             height=0,
             parent_hash=GENESIS_PARENT,
-            state_root=root,
+            state_root=self._post_roots[0],
             txs_root=transactions_root([]),
             timestamp=0.0,
             proposer="genesis",
         )
         self.blocks.append(Block(header=header, transactions=[]))
-        self._post_roots[0] = root
-        self._tree_snapshots[0] = self.state.snapshot_tree()
 
     def fund(self, allocations: Dict[Address, int]) -> None:
         """Credit genesis balances (call before the experiment starts).
@@ -130,9 +135,35 @@ class Chain:
         """
         for address, amount in allocations.items():
             self.state.add_balance(address, amount)
-        root = self.state.commit()
-        self._post_roots[self.height] = root
-        self._tree_snapshots[self.height] = self.state.snapshot_tree()
+        self._commit(self.height)
+
+    def _commit(self, height: int) -> None:
+        """Commit the state as block ``height``'s post-state, and prove
+        against its root every key a peer may ask about at ``height``:
+        the contract leaves the commit wrote while locked, every
+        replicated contract, and (on a re-commit) whatever was already
+        captured there."""
+        self._post_roots[height] = self.state.commit()
+        wanted = [
+            *self._proofs.pop(height, ()),
+            *self.state.locked_leaves,
+            *self._replication_logs,
+        ]
+        if wanted:
+            prove = self.state.prove_account
+            self._proofs[height] = {address: prove(address) for address in wanted}
+
+    def _account_proof(self, address: Address, height: int) -> MembershipProof:
+        """``address``'s account proof against block ``height``'s root:
+        from the live committed tree at the head (``KeyError`` if the
+        address was never committed), else the proof captured when
+        ``height`` committed."""
+        if height == self.height:
+            return self.state.prove_account(address)
+        proof = self._proofs.get(height, {}).get(address)
+        if proof is None:
+            raise ProofError(f"no state snapshot at height {height}")
+        return proof
 
     # ------------------------------------------------------------------
     # Transactions and blocks
@@ -212,9 +243,7 @@ class Chain:
         if self._replication_logs:
             self._capture_replication(height)
 
-        post_root = self.state.commit()
-        self._post_roots[height] = post_root
-        self._tree_snapshots[height] = self.state.snapshot_tree()
+        self._commit(height)
         self._prune_expired_snapshots(head=height)
 
         # Header root: Burrow-flavoured chains publish the *previous*
@@ -289,10 +318,7 @@ class Chain:
         record = self.state.contract(address)
         if record is None:
             raise ProofError(f"no contract at {address}")
-        tree = self._tree_snapshots.get(state_height)
-        if tree is None:
-            raise ProofError(f"no state snapshot at height {state_height}")
-        account_proof = tree.prove(address.raw)
+        account_proof = self._account_proof(address, state_height)
         code = self.state.code_store.get(record.code_hash)
         if code is None:
             raise ProofError("contract code missing from the code store")
@@ -322,25 +348,21 @@ class Chain:
         This is the generic attestation primitive of Section V-A: any
         contract on any peer chain can verify the entry against this
         chain's p-confirmed headers (via the light-client builtin).
+        An unlocked container is proven at the head (``state_height ==
+        height``) and the proof handed over once ``p`` more blocks
+        confirm it; an older height is served only for a container
+        whose account proof was captured there (see the module doc).
         Like :meth:`prove_contract_at`, it requires the container's
-        current storage to still match the historical root.
+        current storage to still match that height's root.
         """
         from repro.core.proofs import RemoteStateProof
 
         record = self.state.contract(container)
         if record is None:
             raise ProofError(f"no contract at {container}")
-        tree = self._tree_snapshots.get(state_height)
-        if tree is None:
-            raise ProofError(f"no state snapshot at height {state_height}")
-        account_proof = tree.prove(container.raw)
-        # Serve the storage proof from the contract's committed trie
-        # snapshot (O(1) to obtain, O(log S) to prove) instead of
-        # rebuilding the trie from the raw slots; the historical-root
-        # check below still guards against post-height mutation.
-        storage_tree = self.state.storage_trie_snapshot(container)
+        account_proof = self._account_proof(container, state_height)
         try:
-            storage_proof = storage_tree.prove(key)
+            storage_proof = self.state.prove_storage(container, key)
         except KeyError:
             raise ProofError(f"container has no storage entry {key.hex()[:16]}…") from None
         proof = RemoteStateProof(
@@ -352,7 +374,7 @@ class Chain:
         )
         expected_root = self._post_roots[state_height]
         if account_proof.computed_root() != expected_root or (
-            account_proof.value[-32:] != storage_tree.root_hash
+            account_proof.value[-32:] != storage_proof.computed_root()
         ):
             raise ProofError(
                 f"container storage at head no longer matches height {state_height}"
@@ -382,7 +404,9 @@ class Chain:
         replica updates can be served without the historical-root
         restriction of :meth:`prove_contract_at` (which fails for hot
         contracts).  Idempotent; returns the contract's
-        :class:`~repro.replicate.log.ReplicationLog`."""
+        :class:`~repro.replicate.log.ReplicationLog`.  The contract's
+        account proof is captured at the current head, the log's first
+        servable height, and at every block from here on."""
         from repro.replicate.log import ReplicationLog
 
         log = self._replication_logs.get(address)
@@ -390,6 +414,12 @@ class Chain:
             record = self.state.require_contract(address)
             log = ReplicationLog(self.height, dict(record.storage))
             self._replication_logs[address] = log
+            try:
+                proof = self.state.prove_account(address)
+            except KeyError:
+                pass  # not committed yet: nothing to prove at this height
+            else:
+                self._proofs.setdefault(self.height, {})[address] = proof
         return log
 
     def replication_log(self, address: Address):
@@ -434,8 +464,9 @@ class Chain:
         ``since=None`` — or a ``since`` older than the log's retained
         window — yields a full-image update; otherwise the update
         carries only the slots written in ``(since, upto]``.  The
-        account proof is served from the retained tree snapshot at
-        ``upto``, exactly like a Move2 proof.
+        account proof is the one captured when ``upto`` committed (a
+        replicated contract is proven at every block from
+        :meth:`enable_replication` on), exactly like a Move2 proof.
         """
         from repro.replicate.protocol import ReplicaUpdate
 
@@ -447,11 +478,8 @@ class Chain:
             raise ProofError(f"no contract at {address}")
         if upto is None:
             upto = self.height - self.params.state_root_lag
-        tree = self._tree_snapshots.get(upto)
-        if tree is None:
-            raise ProofError(f"no state snapshot at height {upto}")
         try:
-            account_proof = tree.prove(address.raw)
+            account_proof = self._account_proof(address, upto)
         except KeyError:
             raise ProofError(
                 f"contract not committed at height {upto} (created later?)"
@@ -489,39 +517,26 @@ class Chain:
             pass
 
     def _prune_expired_snapshots(self, head: int) -> None:
-        """Bound snapshot/root retention to the configured horizon.
+        """Bound what the chain keeps of past blocks to the configured
+        horizon.
 
-        Runs after every block: snapshots and post-state roots older
-        than ``params.snapshot_retention`` blocks are dropped, so
-        neither ``_post_roots`` nor ``_tree_snapshots`` grows without
-        bound on a long-running chain.  The horizon is sized to outlive
-        every peer's light-client confirmation window and the GC age
-        gate (see :class:`~repro.chain.params.ChainParams`), so no
-        still-provable Move1 loses its snapshot.
+        Runs after every block: the post-state roots and captured
+        account proofs of heights more than ``params.snapshot_retention``
+        blocks behind ``head`` are dropped, so neither grows without
+        bound on a long-running chain.  Height 0's root stays as the
+        header-root fallback for the first lagged blocks.  The horizon
+        is sized to outlive every peer's light-client confirmation
+        window and the GC age gate (see
+        :class:`~repro.chain.params.ChainParams`), so no still-provable
+        Move1 loses its proof.
         """
         retention = self.params.snapshot_retention
         if retention <= 0:
             return
-        self._drop_snapshots_below(head - retention)
-
-    def _drop_snapshots_below(self, horizon: int) -> int:
-        """Drop snapshots/roots at heights ``(0, horizon)``; height 0
-        stays as the header-root fallback for the first lagged blocks.
-        Returns how many snapshots were dropped."""
-        dropped = 0
-        while self._snapshot_floor < horizon:
-            if self._tree_snapshots.pop(self._snapshot_floor, None) is not None:
-                dropped += 1
+        while self._snapshot_floor < head - retention:
             self._post_roots.pop(self._snapshot_floor, None)
+            self._proofs.pop(self._snapshot_floor, None)
             self._snapshot_floor += 1
-        return dropped
-
-    def prune_snapshots(self, keep_last: int) -> int:
-        """Drop per-block tree snapshots older than ``keep_last`` blocks
-        (historical proofs beyond that horizon become unavailable —
-        safe once peers' confirmation windows have passed).  Returns
-        how many snapshots were dropped."""
-        return self._drop_snapshots_below(self.height - keep_last)
 
     def verify_chain(self) -> bool:
         """Structural self-audit of the ledger.

@@ -164,7 +164,7 @@ class TransactionExecutor:
                 success=True,
                 gas_used=meter.used,
                 return_value=result,
-                logs=list(ctx.events),
+                logs=tuple(ctx.events),
                 gas_by_category=dict(meter.by_category),
                 fee_paid=fee,
             )

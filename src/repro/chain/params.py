@@ -45,8 +45,9 @@ class ChainParams:
     #: accepted value is 0.  The keyword survives because the frozen
     #: benchmark harness still passes it (see docs/PERFORMANCE.md).
     executor_workers: int = 0
-    #: how many recent blocks keep their post-state root and account
-    #: tree snapshot for serving historical proofs.  Must comfortably
+    #: how many recent blocks keep their post-state root and the account
+    #: proofs captured at their commit (locked contract leaves and
+    #: replicated contracts) for serving historical proofs.  Must comfortably
     #: exceed every peer's ``state_root_lag + confirmation_depth`` (the
     #: light-client horizon) plus any GC age gate, so pending Move2
     #: proofs are never orphaned; beyond that, retaining roots forever
@@ -108,7 +109,7 @@ class ChainParams:
             raise ConfigError(
                 f"snapshot_retention={self.snapshot_retention} is inside the "
                 f"light-client horizon (state_root_lag + confirmation_depth = "
-                f"{horizon}) — still-provable Move1 snapshots would be pruned; "
+                f"{horizon}) — still-provable Move1 proofs would be pruned; "
                 f"use at least {horizon + 1}, or 0 to disable pruning"
             )
 

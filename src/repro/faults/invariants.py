@@ -252,7 +252,7 @@ class InvariantChecker:
             canonical_storage = compute_storage_root(factory, record.storage)
             expected_leaf = encode_contract_leaf(record, canonical_storage)
             self._check_leaf(chain, address, expected_leaf, root)
-            live_root = state.storage_trie_snapshot(address).root_hash
+            live_root = state._live_storage_trie(address).root_hash
             if live_root != canonical_storage:
                 self._fail(
                     "I4-commitment",

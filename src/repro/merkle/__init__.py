@@ -12,14 +12,13 @@ verification is logarithmic in tree size.
 from repro.merkle.binary import BinaryMerkleTree
 from repro.merkle.iavl import IAVLTree
 from repro.merkle.proof import MembershipProof, verify_proof
-from repro.merkle.protocol import AuthenticatedTree, MerkleCommitment, TreeFactory
+from repro.merkle.protocol import AuthenticatedTree, TreeFactory
 from repro.merkle.trie import MerklePatriciaTrie
 
 __all__ = [
     "AuthenticatedTree",
     "BinaryMerkleTree",
     "IAVLTree",
-    "MerkleCommitment",
     "MerklePatriciaTrie",
     "MembershipProof",
     "TreeFactory",

@@ -54,20 +54,6 @@ class BinaryMerkleTree:
             return EMPTY_ROOT
         return self._levels[-1][0]
 
-    @property
-    def root_hash(self) -> bytes:
-        """Alias of :attr:`root`, matching the
-        :class:`~repro.merkle.protocol.MerkleCommitment` protocol."""
-        return self.root
-
-    def snapshot(self) -> "BinaryMerkleTree":
-        """O(1) frozen copy sharing the built levels (the tree is
-        static after construction, so sharing is always safe)."""
-        clone = BinaryMerkleTree.__new__(BinaryMerkleTree)
-        clone._leaves = self._leaves
-        clone._levels = self._levels
-        return clone
-
     def __len__(self) -> int:
         return len(self._leaves)
 

@@ -7,28 +7,22 @@ reference [16]).  Only leaves carry values; inner nodes route lookups
 rebalanced with standard AVL rotations, keeping depth — and therefore
 proof length — logarithmic.
 
-One ownership rule, read off the ``digest`` slot: **a hashed node is
-frozen and may be shared between trees; an un-hashed node is reachable
-from exactly one live tree and is updated in place.**  ``set``/``delete``
-never hash; the first ``root_hash``, ``prove`` or ``snapshot`` afterwards
-fills the missing digests in one post-order walk over the un-hashed
-nodes only, and ``from_sorted`` builds a tree already hashed.
-``snapshot`` is the only place two trees come to share a node, and it
-fills first — so a hashed node's whole subtree is hashed and every
-ancestor of an un-hashed node is un-hashed.  ``set`` leans on
-both: it writes into the un-hashed nodes on its path, copies the hashed
-ones (a snapshot may hold them), and stops at the first un-hashed
-ancestor whose height is unchanged, since nothing above it can differ.
-A block's writes therefore allocate exactly the nodes its commit
-hashes.  ``delete`` and the rotations only read what they are given and
-allocate what they return; the un-hashed nodes they supersede die with
-the old root pointer.
+One ownership rule: **one tree owns all its nodes**, so every write
+lands in place.  ``set`` overwrites a leaf, re-links and re-heights the
+inner nodes on its path, and clears their digests up to the first
+ancestor whose digest is already clear.  ``delete`` and the rotations
+only read what they are given and allocate what they return; the nodes
+they supersede die with the old root pointer.  Either way a cleared (or
+fresh) node's ancestors are all clear, so a hashed node's whole subtree
+is hashed.
 
-The digest is a write-once memo, never cleared: it is a function of the
-frozen structure, so whoever fills it writes the same bytes, and filling
-a node that snapshots share needs no lock.  As for any container,
-mutating a tree while one of its ``items()`` generators is suspended is
-undefined.
+The ``digest`` slot memoises a node's hash.  ``set``/``delete`` never
+hash; the first ``root_hash`` or ``prove`` afterwards fills the missing
+digests in one post-order walk over the cleared nodes only, and
+``from_sorted`` builds a tree already hashed.  A block of overwrites
+therefore allocates nothing and hashes each node on its dirty paths
+once.  As for any container, mutating a tree while one of its
+``items()`` generators is suspended is undefined.
 
 Digests (SHA3-256 through ``merkle_hash_leaf``/``merkle_hash_node``)::
 
@@ -57,7 +51,7 @@ class _Node:
     left: "_Node"  # inner nodes only: a leaf holds None and is never descended into
     right: "_Node"
     height: int
-    digest: Optional[bytes]  # None until the first root_hash/prove above it
+    digest: Optional[bytes]  # None from a write under it to the next root_hash/prove
 
     def __init__(self, key, value, left, right, height):
         self.key = key
@@ -180,26 +174,12 @@ class IAVLTree:
     def from_sorted(cls, items: Iterable[Tuple[bytes, bytes]]) -> "IAVLTree":
         """The tree ``set`` builds from ``items`` inserted in ascending
         key order (keys strictly increasing), made in one post-order
-        pass with no rotations and already hashed — so, like a
-        snapshot's nodes, later writes copy what they change."""
+        pass with no rotations and already hashed."""
         items = list(items)
         tree = cls()
         if items:
             tree._root = _build(items, 0, len(items))
         return tree
-
-    def snapshot(self) -> "IAVLTree":
-        """Frozen copy sharing this tree's (hashed, hence frozen) nodes.
-
-        O(1) once the root has been read; otherwise it does the hashing
-        the next ``root_hash`` would, because only hashed nodes may be
-        shared.  The copy never changes as this tree evolves; writing
-        to the copy forks it.
-        """
-        self.root_hash  # freeze: from here on every write copies its path
-        clone = IAVLTree()
-        clone._root = self._root
-        return clone
 
     @property
     def root_hash(self) -> bytes:
@@ -222,11 +202,15 @@ class IAVLTree:
             path.append(node)
             node = node.left if key < node.key else node.right
         if node.key == key:
-            if node.digest is None:
-                node.value = value  # nothing above an overwritten leaf changes
-                return
-            node = _leaf(key, value)
-        elif key < node.key:
+            node.value = value  # an overwrite keeps the shape
+            if node.digest is not None:
+                node.digest = None
+                for parent in reversed(path):
+                    if parent.digest is None:
+                        return  # its ancestors are clear already
+                    parent.digest = None
+            return
+        if key < node.key:
             node = _inner(node.key, _leaf(key, value), node)
         else:
             node = _inner(key, node, _leaf(key, value))
@@ -234,19 +218,18 @@ class IAVLTree:
         while path:
             parent = path.pop()
             if key < parent.key:
-                left, right = node, parent.right
+                parent.left = node
             else:
-                left, right = parent.left, node
-            lh, rh = left.height, right.height
+                parent.right = node
+            lh, rh = parent.left.height, parent.right.height
             height = (lh if lh > rh else rh) + 1
-            if parent.digest is not None:
-                node = _Node(parent.key, None, left, right, height)
-            else:
-                parent.left, parent.right = left, right
+            if parent.digest is None:
                 if parent.height == height:
-                    return  # its ancestors are un-hashed too and see no change
-                parent.height = height
-                node = parent
+                    return  # its ancestors are clear too and see no change
+            else:
+                parent.digest = None
+            parent.height = height
+            node = parent
             if not -2 < lh - rh < 2:
                 node = _rebalance(node)
         self._root = node

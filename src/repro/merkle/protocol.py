@@ -1,26 +1,17 @@
-"""Typed protocols over the authenticated structures.
+"""The typed protocol over the authenticated maps.
 
 Everything that commits state in this repository is "a Merkle-tree" to
-the paper; this module gives that notion a static type so the higher
+the paper; :class:`AuthenticatedTree` gives the mutable authenticated
+*map* (the IAVL tree and the Patricia trie) a static type — keyed
+get/set/delete, membership proofs, ordered iteration — so the higher
 layers (:mod:`repro.statedb`, :mod:`repro.chain`, :mod:`repro.core`)
 can hold trees without poking at implementation privates or sprinkling
 ``type: ignore`` over duck-typed calls.
 
-Two capability levels exist:
-
-* :class:`MerkleCommitment` — anything with a ``root_hash`` and a
-  cheap ``snapshot()``.  The binary transaction tree qualifies.
-* :class:`AuthenticatedTree` — a mutable authenticated *map* (the IAVL
-  tree and the Patricia trie): keyed get/set/delete, membership proofs,
-  ordered iteration.
-
-``snapshot()`` is cheap by construction: trees share only nodes that
-never change again, so a snapshot is one new facade object holding the
-same root pointer — O(1) once the root has been read; the IAVL tree,
-which hashes lazily and writes its un-hashed nodes in place, first does
-the hashing its next ``root_hash`` would.  The snapshot stays valid
-forever as the live tree evolves — the chain retains one per block to
-serve historical proofs.
+A tree is one live map: nothing else holds its nodes, so a write may
+change them in place.  What must outlive a write is a *proof*: a
+:class:`~repro.merkle.proof.MembershipProof` is immutable bytes, and
+the chain keeps the ones peers will ask for instead of old trees.
 
 ``history_independent`` declares whether the root is a function of the
 *content* alone (Patricia trie: yes) or of the operation history too
@@ -35,21 +26,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional, Protocol, Tuple, Type, runtime_checkable
 
 from repro.merkle.proof import MembershipProof
-
-
-@runtime_checkable
-class MerkleCommitment(Protocol):
-    """Anything committing data under a Merkle root."""
-
-    @property
-    def root_hash(self) -> bytes:
-        """Root digest committing the full content."""
-        ...
-
-    def snapshot(self) -> "MerkleCommitment":
-        """Frozen view sharing the nodes that can no longer change:
-        O(1) once the root has been read, otherwise it hashes first."""
-        ...
 
 
 @runtime_checkable
@@ -90,15 +66,6 @@ class AuthenticatedTree(Protocol):
 
     def prove(self, key: bytes) -> MembershipProof:
         """Build a ``{v} ↦ m`` membership proof for ``key``."""
-        ...
-
-    def snapshot(self) -> "AuthenticatedTree":
-        """Frozen copy sharing the nodes that can no longer change.
-
-        O(1) once the root has been read; otherwise it does the hashing
-        the next ``root_hash`` would.  The copy never changes as the
-        live tree evolves; writing to the copy forks it.
-        """
         ...
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:

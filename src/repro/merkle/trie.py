@@ -221,16 +221,6 @@ class MerklePatriciaTrie:
             trie.set(key, value)
         return trie
 
-    def snapshot(self) -> "MerklePatriciaTrie":
-        """O(1) frozen copy sharing the immutable node structure.
-
-        The copy never changes as this trie evolves; writing to the
-        copy forks it (persistent-structure semantics).
-        """
-        clone = MerklePatriciaTrie()
-        clone._root = self._root
-        return clone
-
     @property
     def root_hash(self) -> bytes:
         if self._root is None:

@@ -9,13 +9,14 @@ replicated contract, exactly which slots each block wrote (captured
 from the world state's dirty-slot sets just before commit), so a
 replica update for any retained height is a cheap dictionary merge
 instead of a full-state walk — and the account proof for that height
-comes from the tree snapshots the chain already retains for Move2.
+is the one the chain captured when the height committed (it proves
+every replicated contract at every block, as it proves Move1s).
 
 The log holds a **base image** (the full storage dict as of
 ``base_height``) plus one delta per subsequent block.  Deltas older
-than the chain's snapshot retention horizon are folded into the base —
-a height whose snapshot is gone can't be proven anyway, so nothing is
-lost by forgetting how to reach it.  Wholesale storage replacement
+than the chain's ``snapshot_retention`` horizon are folded into the
+base — a height whose proof is gone can't be proven anyway, so nothing
+is lost by forgetting how to reach it.  Wholesale storage replacement
 (Move2 recreation, GC wipes) rebases the log on the full post-block
 image, forcing the next update to be a full resync.
 """

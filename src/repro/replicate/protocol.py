@@ -11,7 +11,7 @@ committed post-state at block ``state_height``, carrying
   (``b""`` marks a deleted slot);
 * one **account membership proof** of the contract's leaf against the
   source's state root at ``state_height`` — the same ``{v} ↦ m`` proof
-  a Move2 bundle carries, served from the same retained tree snapshots;
+  a Move2 bundle carries, captured the same way when the height committed;
 * the contract **code** (checked against the proven code hash).
 
 Verification needs *no* trusted metadata: the proven 113-byte contract

@@ -188,7 +188,7 @@ class ReplicationRelay:
                 mirror.contract, since=since, upto=desired
             )
         except ProofError:
-            # The requested height is not servable (snapshot pruned, log
+            # The requested height is not servable (proof pruned, log
             # younger than the height) — wait for the next header.
             return False
         base = mirror.image if not update.is_full else None

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 
 @dataclass
@@ -20,7 +20,9 @@ class Receipt:
     gas_used: int
     error: Optional[str] = None
     return_value: Any = None
-    logs: List[Tuple[str, Dict[str, Any]]] = field(default_factory=list)
+    #: the contract's emitted events; the empty tuple is a shared,
+    #: untracked singleton, so a receipt without events costs nothing
+    logs: Tuple[Tuple[str, Dict[str, Any]], ...] = ()
     block_height: Optional[int] = None
     block_time: Optional[float] = None
     gas_by_category: Dict[str, int] = field(default_factory=dict)

@@ -43,6 +43,11 @@ The account tree maps ``address -> leaf`` where the leaf serializes
 balance, nonce, code hash, ``L_c``, move nonce and storage root; its
 root is the block header's ``state_root`` ``m``, and ``prove_account``
 produces the ``{v} ↦ m`` account proof embedded in Move2 transactions.
+Every tree here is the one live copy and is written in place; nothing
+keeps an old version.  A proof against an older root must be taken
+when that root is committed: :meth:`WorldState.commit` reports the
+contract leaves it wrote while locked (``locked_leaves``), and the
+chain proves those before the next block moves the tree on.
 
 Journaling
 ----------
@@ -153,6 +158,10 @@ class WorldState:
         self._storage_tries: Dict[Address, AuthenticatedTree] = {}
         self._account_tree: AuthenticatedTree = tree_factory()
         self._committed_root: bytes = self._account_tree.root_hash
+        #: contracts whose leaf the last commit wrote while locked (``L_c``
+        #: ≠ this chain), mirrors excluded — the keys a peer may later
+        #: ask the chain to prove at that commit's height
+        self.locked_leaves: List[Address] = []
         self._storage_roots: Dict[Address, bytes] = {}
         #: addresses whose local record is a read-only replica of a
         #: contract living on another chain (repro.replicate); a mirror
@@ -596,6 +605,7 @@ class WorldState:
         (writes made outside a transaction, such as genesis funding) is
         dropped: nothing committed can be reverted.
         """
+        locked: List[Address] = []
         # Address orders by its one field, so this is sorted(self._dirty)
         # with the comparisons made on bytes, in C.
         for address in sorted(self._dirty, key=attrgetter("raw")):
@@ -604,6 +614,8 @@ class WorldState:
                 root = self._commit_storage(address, record)
                 self._storage_roots[address] = root
                 leaf = encode_contract_leaf(record, root)
+                if record.location != self.chain_id and address not in self._mirrors:
+                    locked.append(address)
             else:
                 account = self.accounts.get(address)
                 if account is None:
@@ -615,6 +627,7 @@ class WorldState:
         self._reshaped.clear()
         self._storage_replaced.clear()
         self._journal.clear()
+        self.locked_leaves = locked
         self._committed_root = self._account_tree.root_hash
         return self._committed_root
 
@@ -622,28 +635,6 @@ class WorldState:
     def committed_root(self) -> bytes:
         """Root as of the last :meth:`commit`."""
         return self._committed_root
-
-    def snapshot_tree(self) -> AuthenticatedTree:
-        """A snapshot of the committed account tree: O(1) after
-        :meth:`commit`, which read the root (un-hashed nodes would be
-        hashed first).  Hashed nodes are never written again, so it
-        stays valid as the live tree evolves — the chain retains one
-        per block to serve *historical* account proofs (Move2 proofs
-        target the Move1 block's root, not the head's).
-        """
-        return self._account_tree.snapshot()
-
-    def storage_trie_snapshot(self, address: Address) -> AuthenticatedTree:
-        """A snapshot of the contract's committed storage trie: O(1)
-        once its root has been read (every commit reads it), otherwise
-        it does the hashing the next ``root_hash`` would.
-
-        Valid between commits (the live trie is only mutated at commit
-        or by whole-trie replacement inside a transaction); the chain
-        uses it to serve storage-entry proofs without rebuilding the
-        trie from the raw slots.
-        """
-        return self._live_storage_trie(address).snapshot()
 
     def prove_account(self, address: Address) -> MembershipProof:
         """``{leaf} ↦ state_root`` proof against the last committed tree.

@@ -37,12 +37,13 @@ def proved_world():
     assert full_move(burrow, ethereum, clock, ALICE, acc_a).success
     assert full_move(burrow, ethereum, clock, BOB, acc_b).success
 
-    # Build membership proofs of the parent's accounts map at a height
-    # the Ethereum chain's light client has p-confirmed.
+    # Prove the parent's accounts map at the head (it stays unlocked, so
+    # no older height is servable), then wait until the Ethereum chain's
+    # light client has p-confirmed that height.
     height = burrow.height
-    produce(burrow, clock, burrow.params.confirmation_depth + burrow.params.state_root_lag)
     proof_a = burrow.prove_storage_entry(token, SCoin.account_map_key(salt_a), height)
     proof_b = burrow.prove_storage_entry(token, SCoin.account_map_key(salt_b), height)
+    produce(burrow, clock, burrow.params.confirmation_depth + burrow.params.state_root_lag)
     return burrow, ethereum, clock, token, (acc_a, salt_a, proof_a), (acc_b, salt_b, proof_b)
 
 

@@ -6,12 +6,12 @@ import random
 from typing import Tuple
 
 
-def churn(factory, seed=14, ops=2000, keyspace=600):
+def churn(factory, seed=14, ops=2000, keyspace=600, read_every=0):
     """A fixed insert/overwrite/delete history on ``factory()`` and the
-    dict it leaves."""
+    dict it leaves; ``read_every=n`` also reads the root every n ops."""
     rng = random.Random(seed)
     tree, model = factory(), {}
-    for _ in range(ops):
+    for op in range(ops):
         k = b"k%04d" % rng.randrange(keyspace)
         if rng.random() < 0.25:
             assert tree.delete(k) == (k in model)
@@ -20,6 +20,8 @@ def churn(factory, seed=14, ops=2000, keyspace=600):
             v = rng.randbytes(rng.randrange(1, 24))
             tree.set(k, v)
             model[k] = v
+        if read_every and op % read_every == 0:
+            tree.root_hash
     return tree, model
 
 

@@ -77,14 +77,6 @@ def test_proof_length_is_logarithmic():
     assert len(tree.prove(0)) == 10
 
 
-def test_root_hash_alias_and_snapshot():
-    tree = BinaryMerkleTree(leaves(5))
-    assert tree.root_hash == tree.root
-    snap = tree.snapshot()
-    assert snap.root_hash == tree.root_hash
-    assert verify_proof(snap.prove(2), tree.root)
-
-
 def test_proof_bytes_are_pinned():
     # Recorded before steps became plain pairs (see test_iavl.py); leaf
     # 36 of 37 is promoted unpaired through four levels.

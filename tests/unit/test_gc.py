@@ -149,22 +149,22 @@ def test_gc_blocks_pending_proof_construction(moved_world):
 
 
 def test_snapshot_retention_bounds_growth_automatically():
-    # With a small retention horizon, _post_roots/_tree_snapshots stay
-    # bounded as blocks flow — no manual prune_snapshots() call needed.
+    # With a small retention horizon, the post-state roots and the
+    # proofs captured at commit stay bounded as blocks flow.
     registry = ChainRegistry()
     burrow = Chain(burrow_params(1, snapshot_retention=5), registry)
     clock = ManualClock()
-    deploy_store(burrow, clock, ALICE)
+    store = deploy_store(burrow, clock, ALICE)
+    burrow.enable_replication(store)  # proven at every block from here on
     produce(burrow, clock, 20)
-    live = [h for h in burrow._tree_snapshots if h > 0]
-    assert min(live) == burrow.height - 5
+    window = list(range(burrow.height - 5, burrow.height + 1))
     # genesis fallback plus the inclusive retention window survive
-    assert len(burrow._tree_snapshots) == 5 + 2
-    assert len(burrow._post_roots) == 5 + 2
-    # heights inside the horizon still serve proofs
-    burrow.prove_contract_at(
-        next(iter(burrow.state.contracts)), burrow.height - 2
-    )
+    assert sorted(burrow._post_roots) == [0, *window]
+    assert sorted(burrow._proofs) == window
+    # heights inside the horizon still serve proofs, older ones do not
+    burrow.build_replica_update(store, upto=burrow.height - 5)
+    with pytest.raises(ProofError, match=f"height {burrow.height - 6}"):
+        burrow.build_replica_update(store, upto=burrow.height - 6)
 
 
 def test_zero_retention_disables_auto_pruning():
@@ -173,16 +173,3 @@ def test_zero_retention_disables_auto_pruning():
     clock = ManualClock()
     produce(burrow, clock, 10)
     assert len(burrow._post_roots) == burrow.height + 1  # every block kept
-
-
-def test_prune_snapshots_keeps_recent_window():
-    burrow, _ethereum = make_chain_pair()
-    clock = ManualClock()
-    deploy_store(burrow, clock, ALICE)
-    produce(burrow, clock, 10)
-    dropped = burrow.prune_snapshots(keep_last=3)
-    assert dropped > 0
-    # Recent heights still provable-serving; old ones gone.
-    assert burrow.height - 3 in burrow._tree_snapshots
-    assert 1 not in burrow._tree_snapshots
-    assert 0 in burrow._tree_snapshots  # genesis fallback retained

@@ -106,20 +106,6 @@ def test_proof_invalidated_by_later_write():
     assert not verify_proof(proof, tree.root_hash)
 
 
-def test_snapshot_is_stable_and_forks():
-    tree = IAVLTree()
-    for i in range(16):
-        tree.set(key(i), b"v")
-    snap = tree.snapshot()
-    frozen_root = snap.root_hash
-    tree.set(key(3), b"changed")
-    assert snap.root_hash == frozen_root  # live writes don't leak in
-    assert tree.root_hash != frozen_root
-    assert snap.get(key(3)) == b"v"
-    snap.set(key(3), b"forked")  # writing the snapshot forks it
-    assert tree.get(key(3)) == b"changed"
-
-
 def test_history_independence_flag():
     assert IAVLTree.history_independent is False
 
@@ -136,12 +122,15 @@ def test_proof_length_logarithmic():
 # ---------------------------------------------------------------------
 
 
+CHURN_ROOT = "59ed798c2dc1b1ebc2a653da873d99b39d8427c0323a0ef05f7ea630cbe974f1"
+
+
 def test_commitment_is_pinned():
     # Values recorded by running this body at the commit before digests
     # were deferred: shape, root and proofs are part of the protocol.
     tree, model = churn(IAVLTree)
     assert dict(tree.items()) == model and len(model) == 418
-    root = "59ed798c2dc1b1ebc2a653da873d99b39d8427c0323a0ef05f7ea630cbe974f1"
+    root = CHURN_ROOT
     assert tree.root_hash.hex() == root
     assert tree.height() == 10
     keys = sorted(model)
@@ -173,30 +162,14 @@ def test_state_write_workload_root_is_pinned():
     }
 
 
-def test_snapshot_taken_before_any_hash_is_isolated():
-    tree = IAVLTree()
-    for i in range(64):
-        tree.set(key(i), b"v%d" % i)
-    snap = tree.snapshot()  # the first read of any digest: it hashes here
-    for i in range(0, 64, 3):
-        tree.set(key(i), b"overwritten")
-    for i in range(64, 80):
-        tree.set(key(i), b"inserted")
-    for i in range(1, 64, 5):
-        assert tree.delete(key(i))
-    reference = IAVLTree()
-    for i in range(64):
-        reference.set(key(i), b"v%d" % i)
-    assert snap.root_hash == reference.root_hash != tree.root_hash
-    for i in range(64):
-        proof = snap.prove(key(i))
-        assert proof.value == b"v%d" % i
-        assert verify_proof(proof, snap.root_hash)
-    frozen = snap.root_hash
-    live = tree.root_hash
-    snap.set(key(0), b"forked")  # writing the snapshot forks it
-    assert snap.root_hash != frozen
-    assert tree.root_hash == live and tree.get(key(0)) == b"overwritten"
+def test_commitment_is_pinned_when_read_mid_history():
+    # Root reads every few ops hash nodes that later writes rewrite in
+    # place (clearing their digests): the commitment must not notice.
+    tree, model = churn(IAVLTree, read_every=7)
+    unread, _ = churn(IAVLTree)
+    assert dict(tree.items()) == model
+    assert tree.root_hash.hex() == CHURN_ROOT and tree.height() == 10
+    assert all(tree.prove(k) == unread.prove(k) for k in model)
 
 
 def test_prove_on_never_hashed_tree_verifies():
@@ -226,44 +199,47 @@ def test_set_rejects_a_none_value_and_leaves_the_tree_alone():
     assert all(tree.prove(k) == untouched.prove(k) for k, _ in untouched.items())
 
 
-def test_hashed_nodes_are_never_written():
-    """The ownership rule's frozen half: whatever later sets, inserts,
-    deletes and rotations do, a node that has a digest keeps every
-    field it had when it was hashed."""
+def test_no_write_leaves_a_stale_digest():
+    """The ownership rule's safety half: whatever sets, inserts, deletes
+    and rotations rewrite in place, a node that still has a digest has
+    hashed children and the digest of its current fields — so the next
+    root read re-hashes exactly the cleared nodes."""
     tree = IAVLTree()
     for i in range(200):
         tree.set(key(i), b"v%d" % i)
-    recorded = []
+    tree.root_hash
 
-    def record_hashed():
-        tree.root_hash
-        stack = [tree._root]
+    def assert_fresh():
+        stack, hashed = [tree._root], 0
         while stack:
             node = stack.pop()
-            assert node.digest is not None  # hashed => whole subtree hashed
-            recorded.append(
-                (node, node.key, node.value, node.left, node.right, node.height, node.digest)
-            )
-            if node.value is None:
-                stack += (node.left, node.right)
+            if node.value is not None:
+                assert node.digest in (None, iavl.merkle_hash_leaf(node.key + node.value))
+            else:
+                left, right = node.left, node.right
+                if node.digest is not None:
+                    assert left.digest is not None and right.digest is not None
+                    assert node.digest == iavl.merkle_hash_node(left.digest, right.digest)
+                assert node.height == max(left.height, right.height) + 1
+                stack += (left, right)
+            hashed += node.digest is not None
+        return hashed
 
-    record_hashed()
-    first_generation = len(recorded)
-    snap = tree.snapshot()
+    model = dict(tree.items())
     rng = random.Random(19)
     for step in range(1, 601):
         k = key(rng.randrange(260))
         if rng.random() < 0.3:
             tree.delete(k)
+            model.pop(k, None)
         else:
             tree.set(k, b"w%d" % step)  # overwrites below 200, mostly inserts above
-        if step % 150 == 0:
-            record_hashed()  # mid-history reads freeze more nodes
-    assert len(recorded) > first_generation
-    for node, k, value, left, right, height, digest in recorded:
-        assert (node.key, node.value, node.height, node.digest) == (k, value, height, digest)
-        assert node.left is left and node.right is right
-    assert [v for _, v in snap.items()] == [b"v%d" % i for i in range(200)]
+            model[k] = b"w%d" % step
+        # hashed nodes off the written paths keep their digests
+        assert assert_fresh() > 0
+        if step % 50 == 0:
+            tree.root_hash  # mid-history reads hash what later writes clear
+    assert dict(tree.items()) == model
 
 
 @pytest.fixture
@@ -304,8 +280,11 @@ def test_hash_once_per_commit(digests_computed, monkeypatch):
     for k in dirty:
         tree.set(k, b"w")
     assert digests_computed == []  # set never hashes
-    # Overwrites keep the shape, so the fresh nodes are exactly the
-    # nodes on the final tree's paths to the dirty keys.
+    # One tree owns all its nodes: an overwrite rewrites its leaf and
+    # clears its path in place, so the block allocates nothing.
+    assert CountedNode.made == 0
+    # Overwrites keep the shape, so the nodes to re-hash are exactly the
+    # nodes on the tree's paths to the dirty keys.
     on_paths, path_nodes = set(), 0
     for k in dirty:
         node = tree._root
@@ -315,9 +294,6 @@ def test_hash_once_per_commit(digests_computed, monkeypatch):
             node = None if node.value is not None else (
                 node.left if k < node.key else node.right
             )
-    # Un-hashed nodes are written in place: the block allocated exactly
-    # the nodes its commit hashes, not one path copy per write.
-    assert CountedNode.made == len(on_paths)
     root = tree.root_hash
     assert len(digests_computed) == len(on_paths)
     assert len(set(digests_computed)) == len(on_paths)  # no node hashed twice

@@ -8,9 +8,11 @@ gateway admission was flattened — so a change that reorders one event,
 draws one random number earlier or moves one admit/shed/flush decision
 fails here rather than in a benchmark nobody re-ran.
 
-Section (d) pins the commit path the same way: its literal was
-recorded at ``eb01489``, before IAVL ``set`` started writing un-hashed
-nodes in place.  Section (e)'s literals were recorded at ``99a5142``,
+Section (d) pins the commit path the same way: its root was recorded
+at ``eb01489``, before IAVL ``set`` started writing un-hashed nodes in
+place.  Its retained heights and captured-proof digest are a deliberate
+re-pin made when the chain stopped keeping per-block tree snapshots;
+the digest equals what those snapshots proved at ``dacaed8``.  Section (e)'s literals were recorded at ``99a5142``,
 where a lone gateway and a fleet were two classes: the first through a
 one-replica ``GatewayFleet``, the second through ``repro gateway --json
 --seed 0``'s standalone ``Gateway``.
@@ -194,7 +196,7 @@ def test_fault_hook_answers_behave_as_send_documents():
 
 
 # ----------------------------------------------------------------------
-# (d) The commit path: one chain, fourteen mixed blocks, four snapshots
+# (d) The commit path: one chain, fourteen mixed blocks, captured proofs
 # ----------------------------------------------------------------------
 
 # storage[calldata word 0] = calldata word 1; a zero value frees the slot
@@ -237,6 +239,7 @@ def test_commit_path_and_retained_snapshots_are_pinned():
         assert all(chain.receipts[tx.tx_id].success for tx in txs)
         if height == 3:
             store = chain.receipts[txs[-1].tx_id].return_value
+            chain.enable_replication(store)  # proven at every block from here on
         if store is not None:
             slots.append(len(chain.state.contract(store).storage))
     # inserts, overwrites and deletes all reached the storage trie
@@ -244,20 +247,22 @@ def test_commit_path_and_retained_snapshots_are_pinned():
     assert chain.state.committed_root.hex() == (
         "648e44f7a1c2884b4951f887b3643a672a2a1eb7dc1e9b9249f9d9e69b5c2b38"
     )
-    # Isolation through Chain: ten more blocks were folded into the live
-    # tree since the oldest retained snapshot was taken, and each one
-    # still proves every account it held against its own block's root.
-    assert sorted(chain._tree_snapshots) == sorted(chain._post_roots) == [0, 10, 11, 12, 13, 14]
-    accounts_at = {}
-    for height, tree in chain._tree_snapshots.items():
-        leaves = dict(tree.items())
-        accounts_at[height] = len(leaves)
-        assert tree.root_hash == chain._post_roots[height]
-        for key, leaf in leaves.items():
-            proof = tree.prove(key)
-            assert proof.value == leaf
-            assert proof.computed_root() == chain._post_roots[height]
-    assert accounts_at == {0: 2, 10: 13, 11: 14, 12: 15, 13: 16, 14: 17}
+    # The live tree moved on in place; what each retained height keeps is
+    # its root and the replicated store's proof, captured at its commit.
+    assert sorted(chain._post_roots) == [0, 10, 11, 12, 13, 14]
+    assert sorted(chain._proofs) == [10, 11, 12, 13, 14]
+    blob = b""
+    for height in sorted(chain._proofs):
+        (address, proof), = chain._proofs[height].items()
+        assert address == store
+        assert proof.computed_root() == chain._post_roots[height]
+        blob += proof.leaf_prefix + proof.key + proof.value
+        blob += b"".join(prefix + suffix for prefix, suffix in proof.steps)
+    # Re-pinned when per-block tree snapshots were deleted: these are the
+    # bytes the parent's snapshots proved at the same heights.
+    assert (len(blob), hashlib.sha256(blob).hexdigest()) == (
+        1330, "2aa3a3e588c25c6d66de6f0d8ad52c8ec4a7f343ab1a31f7c35cfec5de6d9a1c"
+    )
     assert len(set(chain._post_roots.values())) == 6
 
 

@@ -1,8 +1,8 @@
 """Units for the replica-update wire format and verification rules.
 
-Updates are built by a real source chain (so the account proofs come
-from the same retained snapshots Move2 uses) and verified against a
-real peer's light client — the exact trust path a replication relay
+Updates are built by a real source chain (so the account proofs are
+the ones it captured at commit, exactly as for Move2) and verified
+against a real peer's light client — the exact trust path a replication relay
 exercises, minus the relay.
 """
 

@@ -202,14 +202,26 @@ def test_prove_storage_verifies_against_committed_root(state):
         state.prove_storage(CONTRACT, b"missing")
 
 
-def test_snapshot_tree_is_public_and_stable(state):
-    state.add_balance(ALICE, 5)
-    root = state.commit()
-    snap = state.snapshot_tree()
-    assert snap.root_hash == root
+def test_commit_reports_the_leaves_it_wrote_while_locked(state):
+    # The keys a peer may ask the chain to prove at this commit's root:
+    # a Move1, a contract created locked — never a mirror.
+    escrow = KeyPair.from_name("escrow").address
+    mirror = KeyPair.from_name("mirror").address
+    state.create_contract(CONTRACT, CODE_HASH, CODE)
     state.add_balance(ALICE, 5)
     state.commit()
-    assert snap.root_hash == root  # snapshot frozen as the live tree moves
+    assert state.locked_leaves == []
+    state.set_location(CONTRACT, 7)
+    state.create_contract(escrow, CODE_HASH, CODE, location=9)
+    state.apply_mirror(
+        mirror, code_hash=CODE_HASH, code=CODE, storage={b"k": b"v"}, balance=0, location=5
+    )
+    state.commit()
+    assert state.locked_leaves == sorted([CONTRACT, escrow])
+    for address in state.locked_leaves:
+        assert verify_proof(state.prove_account(address), state.committed_root)
+    state.commit()
+    assert state.locked_leaves == []  # nothing written, nothing reported
 
 
 def test_contract_leaf_commits_location_and_move_nonce(state):

@@ -126,20 +126,6 @@ def test_fixed_width_keys_like_addresses():
         assert verify_proof(trie.prove(k), trie.root_hash)
 
 
-def test_snapshot_is_stable_and_forks():
-    trie = MerklePatriciaTrie()
-    for i in range(16):
-        trie.set(f"k{i}".encode(), b"v")
-    snap = trie.snapshot()
-    frozen_root = trie.root_hash
-    trie.set(b"k3", b"changed")
-    assert snap.root_hash == frozen_root  # live writes don't leak in
-    assert trie.root_hash != frozen_root
-    assert snap.get(b"k3") == b"v"
-    snap.set(b"k3", b"forked")  # writing the snapshot forks it
-    assert trie.get(b"k3") == b"changed"
-
-
 def test_history_independence_flag():
     assert MerklePatriciaTrie.history_independent is True
 
