@@ -28,7 +28,7 @@ from repro.chain.tx import DeployPayload, Move2Payload
 from repro.crypto.keys import Address
 from repro.merkle.iavl import IAVLTree
 from repro.metrics.report import format_table
-from repro.statedb.state import WorldState, compute_storage_root
+from repro.statedb.state import WorldState, build_storage_trie, compute_storage_root
 from tests.helpers import ALICE, ManualClock, full_move, make_chain_pair, produce, run_tx
 
 SLOT_COUNTS = (1, 5, 10, 25, 50, 100, 200)
@@ -70,10 +70,8 @@ def _measure_commit_throughput():
     contract = Address(b"\x42" * 20)
     state = WorldState(chain_id=1, tree_factory=IAVLTree)
     state.create_contract(contract, b"\x01" * 32, b"bench-code")
-    state.load_storage(
-        contract,
-        {_slot_key(i): b"v%05d" % i for i in range(COMMIT_TOTAL_SLOTS)},
-    )
+    slots = {_slot_key(i): b"v%05d" % i for i in range(COMMIT_TOTAL_SLOTS)}
+    state.load_storage(contract, build_storage_trie(state.tree_factory, slots))
     state.commit()
 
     # Baseline: the canonical sorted rebuild of the full 10k-slot trie

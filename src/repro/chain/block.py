@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.chain.tx import Transaction
+from repro.chain.tx import Move2Payload, Transaction
 from repro.crypto.hashing import keccak
 from repro.merkle.binary import BinaryMerkleTree
 
@@ -65,10 +65,15 @@ class Block:
         return self.header.hash()
 
     def body_size_bytes(self) -> int:
-        """Approximate serialized body size (the signed transactions)."""
-        return sum(
-            len(tx.signing_bytes()) + len(tx.signature) for tx in self.transactions
-        )
+        """Approximate serialized body size: the signed transactions,
+        plus the code a Move2 ships beside its signed bytes (it signs
+        only the code's hash)."""
+        size = 0
+        for tx in self.transactions:
+            size += len(tx.signing_bytes()) + len(tx.signature)
+            if isinstance(tx.payload, Move2Payload):
+                size += len(tx.payload.bundle.code)
+        return size
 
     @property
     def height(self) -> int:

@@ -37,7 +37,7 @@ from repro.merkle.proof import MembershipProof
 from repro.runtime.context import BlockEnv
 from repro.runtime.runtime import Runtime
 from repro.statedb.receipts import Receipt
-from repro.statedb.state import WorldState
+from repro.statedb.state import WorldState, encode_contract_leaf
 from repro.telemetry import Telemetry
 
 BlockListener = Callable[[Block, List[Receipt]], None]
@@ -312,8 +312,12 @@ class Chain:
         ``state_height`` (normally the Move1 inclusion height).
 
         The contract must be locked (moved away) so its live record
-        still equals the historical one — which the resulting bundle's
-        self-verification guarantees.
+        still equals the historical one.  The self-check compares the
+        leaf proven at ``state_height`` with the leaf the live record and
+        its live storage trie encode — nothing is rebuilt: between
+        blocks the live trie's root is the canonical root of the record's
+        storage (invariant I4), and a GC wipe since the last commit
+        empties the trie, so a wiped contract is refused here.
         """
         record = self.state.contract(address)
         if record is None:
@@ -322,7 +326,15 @@ class Chain:
         code = self.state.code_store.get(record.code_hash)
         if code is None:
             raise ProofError("contract code missing from the code store")
-        bundle = ContractStateProof(
+        storage_root = self.state._live_storage_trie(address).root_hash
+        if account_proof.key != address.raw or account_proof.value != (
+            encode_contract_leaf(record, storage_root)
+        ):
+            raise ProofError(
+                f"contract state at head no longer matches height {state_height} "
+                "(was it modified after the proof height?)"
+            )
+        return ContractStateProof(
             source_chain=self.chain_id,
             contract=address,
             code=code,
@@ -333,13 +345,6 @@ class Chain:
             account_proof=account_proof,
             proof_height=self.proof_header_height(state_height),
         )
-        expected_root = self._post_roots[state_height]
-        if not bundle.verify_against_root(expected_root, self.params.tree_factory):
-            raise ProofError(
-                f"contract state at head no longer matches height {state_height} "
-                "(was it modified after the proof height?)"
-            )
-        return bundle
 
     def prove_storage_entry(self, container: Address, key: bytes, state_height: int):
         """Build a :class:`~repro.core.proofs.RemoteStateProof` that

@@ -13,7 +13,7 @@
 """
 
 from repro.core.move import apply_move1, apply_move2, validate_move2
-from repro.core.proofs import ContractStateProof, build_contract_proof
+from repro.core.proofs import ContractStateProof
 from repro.core.locator import ContractLocator
 
 __all__ = [
@@ -21,6 +21,5 @@ __all__ = [
     "apply_move2",
     "validate_move2",
     "ContractStateProof",
-    "build_contract_proof",
     "ContractLocator",
 ]

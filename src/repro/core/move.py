@@ -15,7 +15,9 @@
 1. abort unless the proven ``L_c`` equals ``B_j`` (line 5);
 2. ``VS(B_i, m)`` via the node's light client: the root must belong to
    a sufficiently confirmed source header (line 7);
-3. ``VP(V ↦ m)``: the proof bundle must reconstruct ``m`` (line 9);
+3. ``VP(V ↦ m)``: the proof bundle must reconstruct ``m`` (line 9) —
+   the canonical storage tree VP builds becomes the recreated
+   contract's live trie when both chains share a tree flavour;
 4. abort stale bundles: an existing local record with
    ``move_nonce >= bundle.move_nonce`` means this state was already
    recreated here (or superseded) — the replay attack of Fig. 2;
@@ -31,8 +33,6 @@ complete (Section III-B).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.chain.lightclient import LightClient
 from repro.chain.params import ChainParams
 from repro.core.proofs import ContractStateProof
@@ -40,9 +40,11 @@ from repro.core.registry import ChainRegistry
 from repro.crypto.hashing import keccak_code
 from repro.crypto.keys import Address
 from repro.errors import CodeNotFound, MoveError, ProofError, ReplayError, UnknownRootError
+from repro.merkle.protocol import AuthenticatedTree
 from repro.runtime.context import Msg, TxContext
 from repro.runtime.registry import lookup_code
 from repro.runtime.runtime import Runtime
+from repro.statedb.state import build_storage_trie
 from repro.telemetry.tracer import current_span
 
 
@@ -95,11 +97,15 @@ def validate_move2(
     bundle: ContractStateProof,
     light_client: LightClient,
     source_params: ChainParams,
-) -> None:
+    proof_bytes: int,
+) -> AuthenticatedTree:
     """All Move2 abort conditions (Algorithm 1, lines 5–10 + replay).
 
     Raises a specific :class:`~repro.errors.MoveError` subclass per
-    failure; returns silently when the bundle is acceptable.
+    failure; when the bundle is acceptable, returns the canonical
+    storage tree ``VP`` rebuilt (in the source chain's flavour).
+    ``proof_bytes`` is ``bundle.size_bytes()``, which the caller has
+    already charged for.
     """
     if bundle.location != state.chain_id:
         raise MoveError(
@@ -117,9 +123,10 @@ def validate_move2(
     current_span().event(
         "move2.vs_ok", source_chain=bundle.source_chain, height=bundle.proof_height
     )
-    if not bundle.verify_against_root(root, source_params.tree_factory):
+    tree = bundle.verify_against_root(root, source_params.tree_factory)
+    if tree is None:
         raise ProofError("proof bundle fails verification (VP failed)")
-    current_span().event("move2.vp_ok", proof_bytes=bundle.size_bytes())
+    current_span().event("move2.vp_ok", proof_bytes=proof_bytes)
     existing = state.contract(bundle.contract)
     if existing is not None and existing.move_nonce >= bundle.move_nonce:
         raise ReplayError(
@@ -127,6 +134,7 @@ def validate_move2(
             f"proven {bundle.move_nonce} (replay prevented)"
         )
     current_span().event("move2.nonce_ok", move_nonce=bundle.move_nonce)
+    return tree
 
 
 def apply_move2(
@@ -142,8 +150,13 @@ def apply_move2(
     source_params = registry.params_for(bundle.source_chain)
 
     # Verifying the Merkle proof costs gas proportional to its size.
-    ctx.charge(ctx.meter.schedule.proof_verification(bundle.size_bytes()))
-    validate_move2(state, bundle, light_client, source_params)
+    proof_bytes = bundle.size_bytes()
+    ctx.charge(ctx.meter.schedule.proof_verification(proof_bytes))
+    tree = validate_move2(state, bundle, light_client, source_params, proof_bytes)
+    if source_params.tree_factory is not state.tree_factory:
+        # VP rebuilt the storage in the source's flavour; the live trie
+        # here must be this chain's.
+        tree = build_storage_trie(state.tree_factory, bundle.storage)
 
     code_hash = keccak_code(bundle.code)
     existing = state.contract(bundle.contract)
@@ -178,12 +191,13 @@ def apply_move2(
         record = existing
 
     # Line 12: SSTORE every proven slot, at full storage-write cost.
-    # The slots are bulk-loaded in one journaled pass so the target's
-    # live storage trie is built canonically once, not per write.
+    # The slots are bulk-loaded in one journaled step: the canonical
+    # tree VP built (or, across flavours, the one built above) becomes
+    # the target's live storage trie, so nothing is rebuilt per write.
     schedule = ctx.meter.schedule
     for _ in bundle.storage:
         ctx.charge(schedule.sstore_set)
-    state.load_storage(bundle.contract, bundle.storage)
+    state.load_storage(bundle.contract, tree)
     current_span().event("move2.storage_replayed", slots=len(bundle.storage))
 
     # Line 13: the developer's moveFinish hook.  Raw bytecode contracts

@@ -13,16 +13,14 @@ field can be tampered with independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.crypto.hashing import keccak_code
 from repro.crypto.keys import Address
-from repro.errors import ProofError
 from repro.merkle.proof import MembershipProof, verify_proof
-from repro.merkle.protocol import TreeFactory
+from repro.merkle.protocol import AuthenticatedTree, TreeFactory
 from repro.statedb.state import (
-    WorldState,
-    compute_storage_root,
+    build_storage_trie,
     encode_contract_leaf,
     ContractRecord,
 )
@@ -48,12 +46,18 @@ class ContractStateProof:
     proof_height: int
 
     def signing_fields(self) -> Tuple[Any, ...]:
-        """The tuple canonically encoded when a Move2 is signed."""
+        """The tuple canonically encoded when a Move2 is signed.
+
+        The code is signed by its hash: VP recomputes ``keccak(code)``
+        against the proven leaf's code hash, so the hash binds the code
+        exactly as the blob would (``DeployPayload`` signs a code hash
+        too), and a Move2's signing bytes do not grow with its code.
+        """
         return (
             "contract-proof",
             self.source_chain,
             self.contract,
-            self.code,
+            keccak_code(self.code),
             sorted(self.storage.items()),
             self.balance,
             self.location,
@@ -70,30 +74,34 @@ class ContractStateProof:
 
     def verify_against_root(
         self, trusted_root: bytes, tree_factory: TreeFactory
-    ) -> bool:
+    ) -> Optional[AuthenticatedTree]:
         """``VP(V ↦ m)``: does this bundle reconstruct ``trusted_root``?
 
-        ``tree_factory`` must be the *source* chain's tree flavour so
-        the storage root is rebuilt the way the source committed it.
-        This is deliberately the canonical from-scratch rebuild
-        (:func:`~repro.statedb.state.compute_storage_root`) — the
-        verifier-side reference the source's incremental commit path is
-        required to match bit-for-bit.
+        Returns the canonical storage tree it rebuilt from the carried
+        slots when the bundle verifies, else ``None`` — compare with
+        ``is None``: an empty tree is falsy.  ``tree_factory`` must be
+        the *source* chain's tree flavour so the storage root is rebuilt
+        the way the source committed it.  The rebuild is the canonical
+        from-scratch one — the verifier-side reference the source's
+        incremental commit path must match bit for bit.  A bundle
+        carrying an empty slot value is refused before anything is
+        built: a committed storage never holds one.
         """
-        if self.account_proof.key != self.contract.raw:
-            return False
+        if self.account_proof.key != self.contract.raw or not all(
+            self.storage.values()
+        ):
+            return None
         record = ContractRecord(
             code_hash=keccak_code(self.code),
             location=self.location,
             balance=self.balance,
             move_nonce=self.move_nonce,
-            storage=dict(self.storage),
         )
-        storage_root = compute_storage_root(tree_factory, record.storage)
-        expected_leaf = encode_contract_leaf(record, storage_root)
+        tree = build_storage_trie(tree_factory, self.storage)
+        expected_leaf = encode_contract_leaf(record, tree.root_hash)
         if self.account_proof.value != expected_leaf:
-            return False
-        return verify_proof(self.account_proof, trusted_root)
+            return None
+        return tree if verify_proof(self.account_proof, trusted_root) else None
 
 
 @dataclass(frozen=True)
@@ -154,41 +162,3 @@ class RemoteStateProof:
             return False
         state_root = self.account_proof.computed_root()
         return light_client.valid_state_root(self.chain_id, self.height, state_root)
-
-
-def build_contract_proof(
-    state: WorldState,
-    address: Address,
-    code: bytes,
-    proof_height: int,
-) -> ContractStateProof:
-    """Assemble the proof bundle from a chain's *committed* state.
-
-    The caller (a client's light machinery, or the chain facade) is
-    responsible for passing the ``proof_height`` whose header carries
-    ``state.committed_root`` — and for only doing so once that height
-    is ``p`` blocks behind the source head.
-    """
-    record = state.contract(address)
-    if record is None:
-        raise ProofError(f"no contract at {address}")
-    if keccak_code(code) != record.code_hash:
-        raise ProofError("provided code does not match the contract's code hash")
-    account_proof = state.prove_account(address)
-    bundle = ContractStateProof(
-        source_chain=state.chain_id,
-        contract=address,
-        code=code,
-        storage=dict(record.storage),
-        balance=record.balance,
-        location=record.location,
-        move_nonce=record.move_nonce,
-        account_proof=account_proof,
-        proof_height=proof_height,
-    )
-    if not bundle.verify_against_root(state.committed_root, state.tree_factory):
-        raise ProofError(
-            "proof bundle does not verify against the committed root — "
-            "the contract changed since the last commit"
-        )
-    return bundle

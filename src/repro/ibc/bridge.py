@@ -29,7 +29,7 @@ from repro.crypto.keys import Address, KeyPair
 from repro.errors import ProofError
 from repro.net.sim import Simulator
 from repro.statedb.receipts import Receipt
-from repro.telemetry import Telemetry, Tracer
+from repro.telemetry import NULL_SPAN, Telemetry, Tracer
 from repro.telemetry.phases import MOVE_STAGES
 
 #: builds the i-th completion transaction, given the mover's keypair
@@ -178,7 +178,8 @@ def drive_move(
         except ProofError as error:
             move2_failed(str(error), inclusion, attempt)
             return
-        live.end(success=True, proof_bytes=bundle.size_bytes())
+        if live is not NULL_SPAN:  # the size is only a span attribute
+            live.end(success=True, proof_bytes=bundle.size_bytes())
         enter("move2", target_id, attempt=attempt)
         move2 = sign_transaction(mover, Move2Payload(bundle=bundle))
         submit(target_id, move2, lambda r: after_move2(r, inclusion, attempt))

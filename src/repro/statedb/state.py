@@ -33,8 +33,9 @@ root is guaranteed bit-identical to the canonical rebuild:
   :meth:`~repro.merkle.iavl.IAVLTree.from_sorted` build: the sorted-
   insertion shape made directly, with no rotations.  Bulk transitions —
   Move2 recreation (:meth:`WorldState.load_storage`) and garbage
-  collection (:meth:`WorldState.wipe_storage`) — rebuild the trie
-  canonically in a single pass.
+  collection (:meth:`WorldState.wipe_storage`) — replace the trie with
+  one built canonically in a single pass (for a Move2, the very tree its
+  proof check built).
 
 The equivalence is enforced by the property tests in
 ``tests/property/test_storage_commitment_properties.py``.
@@ -352,12 +353,14 @@ class WorldState:
 
         self._record(undo)
 
-    def load_storage(self, address: Address, entries: Mapping[bytes, bytes]) -> None:
+    def load_storage(self, address: Address, tree: AuthenticatedTree) -> None:
         """Replace a contract's storage wholesale (journaled).
 
-        Move2 recreation uses this to bulk-load the proven slots: the
-        live storage trie is rebuilt canonically in a single sorted
-        pass instead of journaling one write per slot.  The undo
+        ``tree`` is a canonical storage tree of this chain's flavour,
+        built elsewhere — Move2 recreation hands over the one its proof
+        check built — and becomes the contract's live trie; the storage
+        dict is refilled from it.  Callers holding a mapping pass
+        ``build_storage_trie(state.tree_factory, entries)``.  The undo
         closure restores the prior dict contents *and* the prior trie
         (O(1) — the new trie was built beside it, never into it).
         """
@@ -366,12 +369,8 @@ class WorldState:
         prior_tree = self._storage_tries.get(address)
         prior_dirty = self._dirty_slots.get(address)
         record.storage.clear()
-        for key, value in entries.items():
-            if value:
-                record.storage[key] = value
-        self._storage_tries[address] = build_storage_trie(
-            self._tree_factory, record.storage
-        )
+        record.storage.update(tree.items())
+        self._storage_tries[address] = tree
         # The fresh trie matches the dict exactly — no slots left to fold.
         self._dirty_slots[address] = set()
         self._dirty.add(address)

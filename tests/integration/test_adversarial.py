@@ -12,7 +12,13 @@ import pytest
 
 from repro.chain.chain import Chain
 from repro.chain.params import burrow_params
-from repro.chain.tx import CallPayload, Move1Payload, Move2Payload, sign_transaction
+from repro.chain.tx import (
+    CallPayload,
+    Move1Payload,
+    Move2Payload,
+    Transaction,
+    sign_transaction,
+)
 from repro.core.registry import ChainRegistry
 from repro.ibc.headers import connect_chains
 from tests.helpers import (
@@ -101,7 +107,10 @@ def test_bundle_storage_tampering_rejected():
 
 def test_bundle_code_substitution_rejected():
     # Swapping in different (registered) code of the same length must
-    # fail: the code hash is committed in the account leaf.
+    # fail: the code hash is committed in the account leaf.  A Move2
+    # signs its code by hash, so this also guards that the hash still
+    # binds the code: the swap changes the signed bytes (the original
+    # signature no longer verifies) and VP refuses the swapped code.
     from repro.apps.store import StateStore
 
     burrow, ethereum = make_chain_pair()
@@ -109,8 +118,16 @@ def test_bundle_code_substitution_rejected():
     addr, inclusion = prepare_move(burrow, ethereum, clock)
     bundle = burrow.prove_contract_at(addr, inclusion)
     forged = dataclasses.replace(bundle, code=StateStore.CODE)
+    signed = sign_transaction(BOB, Move2Payload(bundle=bundle))
+    resigned = Transaction(
+        signed.sender, signed.public_key, Move2Payload(bundle=forged),
+        signed.nonce, signed.signature,
+    )
+    assert resigned.signing_bytes() != signed.signing_bytes()
+    assert not resigned.verify()
     result = run_tx(ethereum, clock, BOB, Move2Payload(bundle=forged))
     assert not result.success
+    assert "ProofError" in result.error
 
 
 def test_move_nonce_inflation_rejected():

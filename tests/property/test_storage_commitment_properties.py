@@ -22,7 +22,7 @@ from repro.merkle.iavl import IAVLTree
 from repro.merkle.proof import verify_proof
 from repro.merkle.trie import MerklePatriciaTrie
 from repro.statedb import state as state_module
-from repro.statedb.state import WorldState, compute_storage_root
+from repro.statedb.state import WorldState, build_storage_trie, compute_storage_root
 
 CONTRACT = Address(b"\x11" * 20)
 CODE = b"commitment-property-code"
@@ -76,7 +76,8 @@ def drive(state: WorldState, operations) -> None:
             state.commit()
             snaps.clear()  # commit finalizes the block: journal is gone
         elif kind == "load":
-            state.load_storage(CONTRACT, payload)
+            tree = build_storage_trie(state.tree_factory, payload)
+            state.load_storage(CONTRACT, tree)
 
 
 def assert_incremental_matches_canonical(state: WorldState, factory) -> None:
@@ -168,7 +169,8 @@ def test_every_block_commits_the_canonical_root(factory, blocks):
 def test_overwrite_block_commit_builds_no_trie_and_looks_nothing_up(factory, monkeypatch):
     state = WorldState(chain_id=1, tree_factory=factory)
     state.create_contract(CONTRACT, CODE_HASH, CODE)
-    state.load_storage(CONTRACT, {key: b"base" for key in KEYS})
+    base = build_storage_trie(factory, {key: b"base" for key in KEYS})
+    state.load_storage(CONTRACT, base)
     state.commit()
     for n, key in enumerate(KEYS):
         state.storage_set(CONTRACT, key, b"rewritten-%d" % n)
@@ -201,7 +203,7 @@ def test_overwrite_only_blocks_never_refold(factory, base, overwrites):
     commit targets — keep the incremental root canonical."""
     state = WorldState(chain_id=1, tree_factory=factory)
     state.create_contract(CONTRACT, CODE_HASH, CODE)
-    state.load_storage(CONTRACT, base)
+    state.load_storage(CONTRACT, build_storage_trie(factory, base))
     state.commit()
     for key, value in overwrites:
         if state.storage_get(CONTRACT, key):

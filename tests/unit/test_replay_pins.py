@@ -30,6 +30,12 @@ run with the PoW bystander and the health plane, and the two
 Ethereum-sourced IBC moves, which now reach Burrow through a
 fork-tracking header store.
 
+Section (h)'s literals were recorded at ``f7e9393``, before a Move2
+started signing its code by hash and the target stopped rebuilding the
+storage tree ``VP`` had already built.  With section (f)'s kitties
+report and section (g)'s two, they pin all ten ``ibc --json`` reports,
+so a change to Move2 gas or timing fails here.
+
 Re-pin only for a change that is *meant* to alter simulated behaviour,
 and say so in CHANGES.md.
 """
@@ -436,4 +442,23 @@ def test_chaos_report_is_pinned():
 ])
 def test_ethereum_sourced_ibc_reports_are_pinned(capsys, app, digest):
     argv = ("ibc", "--app", app, "--direction", "e2b", "--json")
+    assert _cli_sha256(capsys, *argv) == digest
+
+
+# ----------------------------------------------------------------------
+# (h) Every other `ibc --json` report: Move2 gas and timing, both ways
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("app,direction,digest", [
+    ("scoin", "b2e", "ce665365fe211b2c93e76d819c253a37e836d52dae90ab7fe3f4970420ac4f73"),
+    ("scoin", "e2b", "ae998333e32a57c013cd9310361f876970c906f3f3ad71f02942d64d16c3924b"),
+    ("store1", "b2e", "c5c8ac98047da387a4fd1383e2a926e05e0eb7414786971a404e68086b842bcc"),
+    ("store1", "e2b", "8eb4ad6440d89d5bfd8e5028aac2a450be3b4f02a51a5fe70c1c8e915885d26b"),
+    ("store10", "b2e", "637c515440e2064df0cb960c4c6c81889659ac0d541e5d12dc76839081bd94cf"),
+    ("store100", "b2e", "3b14b9ea97cb52f347a9317eb0caf5ff6c3ba700da79098d505f225e8c58aca8"),
+    ("store100", "e2b", "cbf843d8f3f8f35bfa088e4c1f442ada05b6093baeb6df2ccc8a07afd6cc7452"),
+])
+def test_ibc_reports_are_pinned(capsys, app, direction, digest):
+    argv = ("ibc", "--app", app, "--direction", direction, "--json")
     assert _cli_sha256(capsys, *argv) == digest
