@@ -12,6 +12,8 @@ one gateway would respect.
 
 CI gates (the ``serving`` job):
 
+* **transparent under capacity** — one replica offered half its flush
+  capacity sheds nothing and confirms everything it was offered;
 * **scaling** — aggregate confirmed throughput grows ≥2.5× from one
   replica to four at fixed offered load;
 * **flat past capacity** — doubling the offered load on the 4-replica
@@ -24,6 +26,9 @@ CI gates (the ``serving`` job):
   bulk is drowning;
 * **replay** — the flagship 4-replica run replays byte-identically
   from its seed: same admission-log digest, same state root.
+
+Throughput counts what confirms inside the offer window, so no run can
+report more than its replicas flush or its chain commits.
 
 Results: ``benchmarks/results/BENCH_gateway_fleet.json`` (+ a table).
 """
@@ -83,6 +88,8 @@ def _sweep():
     overload = _run(4, total_rate=TOTAL_RATE * 2)
     overload["overload"] = True
     results["runs"].append(overload)
+    # One replica at half its flush capacity: the gateway is transparent.
+    results["runs"].append(_run(1, total_rate=PER_REPLICA_TPS / 2))
     # Fixed-seed replay of the flagship 4-replica run: identical
     # admission decisions (log digest) and identical end state (root).
     first = _run(4)
@@ -153,13 +160,18 @@ def test_gateway_fleet(benchmark):
         json.dumps(results, indent=2, sort_keys=True) + "\n"
     )
 
-    by_replicas = {
-        (entry["replicas"], entry.get("overload", False)): entry
-        for entry in results["runs"]
+    by_load = {
+        (entry["replicas"], entry["offered_rate"]): entry for entry in results["runs"]
     }
-    one = by_replicas[(1, False)]
-    four = by_replicas[(4, False)]
-    doubled = by_replicas[(4, True)]
+    one = by_load[(1, TOTAL_RATE)]
+    four = by_load[(4, TOTAL_RATE)]
+    doubled = by_load[(4, TOTAL_RATE * 2)]
+    under = by_load[(1, PER_REPLICA_TPS / 2)]
+
+    # Under capacity the gateway is transparent: no sheds, and
+    # everything offered confirms.
+    assert under["shed_codes"] == {}, under
+    assert under["confirmed"] == under["submitted"], under
 
     # Scaling: four replicas serve ≥2.5× what one does.
     scaling = four["throughput"] / one["throughput"]

@@ -159,45 +159,6 @@ def _cmd_relay_demo(_args) -> int:
 
 def _cmd_gateway(args) -> int:
     from repro.api import GatewayLimits
-    from repro.metrics.cdf import percentile
-    from repro.workload.gateway import GatewayWorkload
-
-    if args.replicas > 1:
-        return _cmd_gateway_fleet(args)
-    limits = GatewayLimits(
-        max_queue_depth=args.queue,
-        rate_limit=args.rate_limit,
-    )
-    workload = GatewayWorkload(
-        clients=args.clients,
-        rate_per_client=args.rate,
-        seed=args.seed,
-        limits=limits,
-    )
-    report = workload.run(duration=args.duration)
-    if args.json:
-        _print_json(report.to_dict())
-        return 0
-    print(f"{report.clients} clients x {args.rate:.2f} tx/s offered "
-          f"({report.offered_rate:.0f}/s aggregate) for {report.duration:.0f}s, "
-          f"queue bound {args.queue}")
-    print(f"  submitted  : {report.submitted}")
-    print(f"  confirmed  : {report.confirmed} ({report.throughput:.1f} tx/s)")
-    shed = ", ".join(f"{code}={n}" for code, n in sorted(report.shed.items())) or "none"
-    print(f"  shed       : {report.shed_total} ({report.shed_rate * 100:.1f}%) — {shed}")
-    print(f"  unresolved : {report.unresolved}")
-    print(f"  peak queue : {report.peak_queue_depth} (bound {args.queue})")
-    samples = report.latency.all_samples()
-    if samples:
-        print(f"  latency    : mean {sum(samples) / len(samples):5.1f}s "
-              f"p50 {percentile(samples, 0.5):5.1f}s "
-              f"p99 {percentile(samples, 0.99):6.1f}s")
-    print(f"  blocks     : {report.blocks}, final root {report.final_root[:16]}…")
-    return 0
-
-
-def _cmd_gateway_fleet(args) -> int:
-    from repro.api import GatewayLimits
     from repro.workload.fleet import CLASS_LABELS, FleetWorkload
 
     limits = GatewayLimits(
@@ -584,17 +545,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     gateway = sub.add_parser(
-        "gateway", help="open-loop client fleet against the request gateway"
+        "gateway", help="open-loop Zipf client fleet against the request gateway"
     )
     gateway.add_argument("--clients", type=int, default=64)
-    gateway.add_argument("--rate", type=float, default=1.0, help="tx/s per client")
+    gateway.add_argument("--rate", type=float, default=1.0,
+                         help="mean tx/s per client (Zipf-skewed)")
     gateway.add_argument("--duration", type=float, default=120.0)
     gateway.add_argument("--seed", type=int, default=0)
     gateway.add_argument("--queue", type=int, default=1024, help="admission queue bound")
     gateway.add_argument("--rate-limit", type=float, default=0.0,
                          help="per-client sustained tx/s (0 disables)")
     gateway.add_argument("--replicas", type=int, default=1,
-                         help="gateway replicas (>1 runs the Zipf fleet workload)")
+                         help="gateway replicas sharing the admission budget")
     gateway.add_argument("--json", action="store_true", help="machine-readable output")
     gateway.set_defaults(fn=_cmd_gateway)
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.metrics.cdf import percentile
+
 LabelKey = Tuple[Tuple[str, str], ...]
 
 #: retained-sample bound per histogram series; beyond it new
@@ -139,12 +141,9 @@ class Histogram:
         """
         if not self._samples:
             raise ValueError(f"histogram {self.name} has no samples")
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be within [0, 1]")
         if self._sorted is None:
             self._sorted = sorted(self._samples)
-        rank = min(int(q * len(self._sorted)), len(self._sorted) - 1)
-        return self._sorted[rank]
+        return percentile(self._sorted, q)
 
 
 class MetricsRegistry:

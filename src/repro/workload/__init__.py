@@ -5,17 +5,19 @@ population of Section VII-B (Figs. 6 and 7): per-shard client pools
 issuing token transfers, a controllable cross-shard transaction rate,
 an oracle mode that never conflicts (the paper's main experiments) and
 a retry mode with randomized backoff (Section VII-B.1).
+
+:mod:`repro.workload.fleet` is the one open-loop driver: Poisson
+transfer arrivals from a client population through a gateway fleet,
+behind ``python -m repro gateway``, the serving benchmark and the
+saturation ablation.
 """
 
 from repro.workload.clients import ScoinWorkload, WorkloadReport
 from repro.workload.fleet import FleetWorkload, FleetWorkloadReport
-from repro.workload.generators import OpenLoopReport, OpenLoopTransferWorkload
 
 __all__ = [
     "ScoinWorkload",
     "WorkloadReport",
-    "OpenLoopTransferWorkload",
-    "OpenLoopReport",
     "FleetWorkload",
     "FleetWorkloadReport",
 ]

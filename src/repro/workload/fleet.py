@@ -1,8 +1,11 @@
 """Open-loop Zipf-skewed client populations against a gateway fleet.
 
-The fleet's macro harness: up to 10⁴ clients offer load through a
-:class:`~repro.gateway.SimNetTransport` pointed at a
-:class:`~repro.gateway.GatewayFleet`, with
+The repo's one open-loop driver — behind ``python -m repro gateway``,
+``benchmarks/bench_gateway_fleet.py`` and the saturation ablation (one
+replica, uniform rates, every request ``bulk``, limits too loose to
+shed, so the chain's block capacity is the knee).  Up to 10⁴ clients
+offer load through a :class:`~repro.gateway.SimNetTransport` pointed
+at a :class:`~repro.gateway.GatewayFleet`, with
 
 * **Zipf-skewed rates** — client *i* offers at a rate ∝ 1/(i+1)^s, so
   a few heavy hitters dominate the offered load the way real serving
@@ -32,6 +35,7 @@ from repro.crypto.keys import KeyPair
 from repro.errors import ShedByClass
 from repro.gateway import GatewayFleet, GatewayLimits, SimNetTransport
 from repro.gateway.classes import FLUSH_ORDER
+from repro.metrics.cdf import percentile
 from repro.metrics.collector import LatencySampler
 
 #: class labels in flush order (report key order)
@@ -59,6 +63,8 @@ class FleetWorkloadReport:
     offered_by_class: Dict[str, int] = field(default_factory=dict)
     confirmed_by_class: Dict[str, int] = field(default_factory=dict)
     latency: LatencySampler = field(default_factory=LatencySampler)
+    #: confirmations resolved by the end of the offer window
+    confirmed_in_window: int = field(default=0, init=False)
 
     @property
     def shed_total(self) -> int:
@@ -66,19 +72,18 @@ class FleetWorkloadReport:
 
     @property
     def throughput(self) -> float:
-        """Confirmed transactions per simulated second."""
-        return self.confirmed / self.duration if self.duration else 0.0
+        """Transactions confirmed per simulated second of the offer
+        window; what confirms during the drain is not counted."""
+        return self.confirmed_in_window / self.duration if self.duration else 0.0
 
     def latency_p99(self, label: str) -> Optional[float]:
         """p99 admit→confirm latency of one class (None: no samples)."""
-        samples = sorted(self.latency.samples(label))
-        if not samples:
-            return None
-        rank = min(len(samples) - 1, int(round(0.99 * (len(samples) - 1))))
-        return samples[rank]
+        samples = self.latency.samples(label)
+        return percentile(samples, 0.99) if samples else None
 
     def to_dict(self) -> dict:
         """JSON-shaped summary (what the benchmark emits and gates on)."""
+        p99 = {label: self.latency_p99(label) for label in CLASS_LABELS}
         return {
             "clients": self.clients,
             "replicas": self.replicas,
@@ -92,12 +97,8 @@ class FleetWorkloadReport:
             "offered_by_class": dict(sorted(self.offered_by_class.items())),
             "confirmed_by_class": dict(sorted(self.confirmed_by_class.items())),
             "latency_p99_by_class": {
-                label: (
-                    None
-                    if self.latency_p99(label) is None
-                    else round(self.latency_p99(label), 3)
-                )
-                for label in CLASS_LABELS
+                label: None if value is None else round(value, 3)
+                for label, value in p99.items()
             },
             "unresolved": self.unresolved,
             "blocks": self.blocks,
@@ -223,6 +224,8 @@ class FleetWorkload:
             elif handle.receipt is not None:
                 report.confirmed += 1
                 report.confirmed_by_class[label] += 1
+                if handle.resolved_at <= duration:
+                    report.confirmed_in_window += 1
                 if handle.admitted_at is not None and handle.resolved_at is not None:
                     report.latency.add(
                         label, handle.resolved_at - handle.admitted_at

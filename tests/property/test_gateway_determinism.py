@@ -27,7 +27,7 @@ from repro.api import (
 )
 from repro.chain.stats import collect_chain_stats
 from repro.crypto.keys import KeyPair
-from repro.workload.gateway import GatewayWorkload
+from repro.workload.fleet import FleetWorkload
 
 USERS = [KeyPair.from_name(f"gwdet-{i}") for i in range(6)]
 PARAMS = dict(max_block_txs=10, block_interval=5.0)
@@ -112,11 +112,16 @@ def test_gateway_path_is_byte_identical_to_direct(plan):
 
 
 def saturation_report(seed=42):
-    workload = GatewayWorkload(
+    # One replica, uniform rates, every request bulk: a flat population.
+    workload = FleetWorkload(
         clients=64,
-        rate_per_client=3.0,  # ~192/s offered into a 20/s chain
+        replicas=1,
+        total_rate=64 * 3.0,  # ~192/s offered into a 20/s chain
+        zipf_s=0.0,
+        class_mix=(0.0, 0.0, 1.0),
         seed=seed,
         limits=GatewayLimits(max_queue_depth=128),
+        block_interval=5.0,
         max_block_txs=100,
     )
     report = workload.run(duration=60.0, drain=60.0)
@@ -132,7 +137,7 @@ def test_sixty_four_clients_bounded_and_typed():
     assert report.peak_queue_depth <= 128
     assert len(workload.node.chain(1).mempool) <= 4 * 100
     assert report.shed_total > 0
-    assert set(report.shed) <= {"queue_full", "rate_limited"}
+    assert set(report.shed_codes) <= {"queue_full", "rate_limited"}
     assert report.confirmed > 0
     assert report.unresolved == 0  # everything drained or was shed
 

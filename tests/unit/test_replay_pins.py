@@ -12,10 +12,13 @@ Section (d) pins the commit path the same way: its root was recorded
 at ``eb01489``, before IAVL ``set`` started writing un-hashed nodes in
 place.  Its retained heights and captured-proof digest are a deliberate
 re-pin made when the chain stopped keeping per-block tree snapshots;
-the digest equals what those snapshots proved at ``dacaed8``.  Section (e)'s literals were recorded at ``99a5142``,
-where a lone gateway and a fleet were two classes: the first through a
-one-replica ``GatewayFleet``, the second through ``repro gateway --json
---seed 0``'s standalone ``Gateway``.
+the digest equals what those snapshots proved at ``dacaed8``.
+
+Section (e)'s lone-gateway literals were recorded at ``99a5142``, where
+a lone gateway and a fleet were two classes, through a one-replica
+``GatewayFleet``.  Its ``repro gateway --json --seed 0`` pin is the
+deliberate re-pin made when that command moved onto the one open-loop
+driver, ``FleetWorkload``: every literal was derived at ``a286fff``.
 
 Section (f)'s two CLI digests were recorded at ``725b0dc``, before the
 signed encoding gained length prefixes: no state root, gas figure or
@@ -41,6 +44,7 @@ and say so in CHANGES.md.
 """
 
 import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -66,7 +70,6 @@ from repro.node import Node
 from repro.sharding.cluster import ShardedCluster
 from repro.vm.assembler import assemble
 from repro.workload.fleet import FleetWorkload
-from repro.workload.gateway import GatewayWorkload
 
 # ----------------------------------------------------------------------
 # (a) Tendermint over the emulated WAN: one shard, 122 simulated seconds
@@ -343,26 +346,30 @@ def test_lone_gateway_replays_the_one_replica_fleet():
     )
 
 
-def test_gateway_cli_report_is_pinned():
-    # What `python -m repro gateway --json --seed 0` prints.
-    workload = GatewayWorkload(
-        clients=64, rate_per_client=1.0, seed=0,
-        limits=GatewayLimits(max_queue_depth=1024, rate_limit=0.0),
-    )
-    assert workload.run(duration=120.0).to_dict() == {
-        "blocks": 30,
+def test_gateway_cli_report_is_pinned(capsys):
+    # Derived at ``a286fff`` from ``FleetWorkload`` with the arguments
+    # this command passes; throughput counts the offer window only and
+    # the p99s rank by ``repro.metrics.percentile``.
+    capsys.readouterr()
+    assert main(["gateway", "--json", "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "blocks": 75,
         "clients": 64,
-        "confirmed": 7686,
+        "confirmed": 4784,
+        "confirmed_by_class": {"bulk": 3661, "move": 409, "view": 714},
         "duration": 120.0,
-        "final_root": "bdf75f990dbc23fa9ff9048feeb19514775f2169a6e0468aaa5dae8a8792f4da",
-        "latency_mean": 2.767,
+        "final_root": "ecad6b4ee870703da39617ade2b27d38fbbb19c242b707c4358e2cc26604bbbc",
+        "latency_p99_by_class": {"bulk": 113.243, "move": 2.478, "view": 2.48},
+        "log_digest": "2b8667f4146fb1c6d29fd8d9cc41e8bc78b3e093ed9503d039d7f64925d5608c",
+        "offered_by_class": {"bulk": 6585, "move": 409, "view": 714},
         "offered_rate": 64.0,
-        "peak_queue_depth": 30,
-        "shed": {},
-        "shed_rate": 0.0,
-        "submitted": 7686,
-        "throughput": 64.05,
-        "unresolved": 0,
+        "peak_queue_depth": 1024,
+        "replicas": 1,
+        "shed_by_class": {"bulk": 2855},
+        "shed_codes": {"queue_full": 2855},
+        "submitted": 7708,
+        "throughput": 31.87,
+        "unresolved": 69,
     }
 
 
