@@ -25,7 +25,8 @@ Package map — see DESIGN.md for the full inventory:
 ``repro.net``       discrete-event simulator + 14-region WAN model
 ``repro.lang``      MovableContract, STokenI/AccountI interfaces
 ``repro.apps``      SCoin, ScalableKitties, Store-N
-``repro.sharding``  hash partitioning, clusters, load balancer
+``repro.sharding``  hash partitioning, N-shard clusters
+``repro.rebalance`` load signals, Move-based rebalancing control loop
 ``repro.traces``    synthetic CryptoKitties traces + DAG replay
 ``repro.ibc``       header relays, cross-chain bridge, Fig. 8/9 harness
 ``repro.workload``  closed-loop SCoin clients (Fig. 6/7), open-loop fleet

@@ -49,7 +49,8 @@ def _cmd_info(args) -> int:
         ("repro.consensus", "Tendermint-style BFT + Nakamoto PoW over simulated WAN"),
         ("repro.apps", "SCoin, ScalableKitties, Store-N"),
         ("repro.traces", "synthetic CryptoKitties trace + dependency-DAG replay"),
-        ("repro.sharding", "hash partitioning, N-shard clusters, load balancer"),
+        ("repro.sharding", "hash partitioning, N-shard clusters"),
+        ("repro.rebalance", "load signals + Move-based rebalancing control loop"),
         ("repro.ibc", "header relays, cross-chain bridge, Fig. 8/9 scenarios"),
         ("repro.telemetry", "move-lifecycle tracing, metrics registry, exporters"),
         ("repro.faults", "seeded fault plans, chaos runs, safety invariants"),

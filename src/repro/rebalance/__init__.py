@@ -7,19 +7,20 @@ plane, split into the three layers docs/REBALANCING.md describes:
 
 * **signals** (:mod:`repro.rebalance.signals`) — one typed
   :class:`LoadSignal` interface over every load statistic the system
-  already produces (block-fill utilization, per-contract tx/gas rates,
-  gateway queue depths), composed
-  into :class:`ShardLoadView` snapshots by a :class:`SignalPlane`;
+  already produces (block-fill utilization from
+  :class:`ShardLoadMonitor`, per-contract tx/gas rates, gateway queue
+  depths), composed into :class:`ShardLoadView` snapshots by a
+  :class:`SignalPlane`;
 * **policy** (:mod:`repro.rebalance.policy`) — the
   :class:`RebalancePolicy` engine: hysteresis (enter/exit thresholds),
   per-contract and per-shard cooldown windows, hotness ranking and
   in-flight-move accounting, with the deterministic owner-keyed
-  tiebreak that keeps the scheme decentralized;
+  tiebreak that keeps the scheme decentralized — the only policy that
+  places contracts by load;
 * **actuation** (:mod:`repro.rebalance.rebalancer`) — the
   :class:`Rebalancer` driver: watches signals on the simulated clock,
-  issues Move transactions through the existing bridge/gateway
-  choreography, and records ``rebalance.*`` traces and ``rebalance_*``
-  metrics.
+  issues Moves through an actuator callable, and records
+  ``rebalance.*`` traces and ``rebalance_*`` metrics.
 
 ``benchmarks/bench_ablation_rebalance.py`` closes the loop end to end:
 on a skewed SCoin workload, auto-rebalancing beats static hash
@@ -27,21 +28,16 @@ partitioning on both throughput and p99 latency without thrashing.
 """
 
 from repro.rebalance.policy import MoveDecision, RebalancePolicy
-from repro.rebalance.rebalancer import (
-    Rebalancer,
-    bridge_actuator,
-    gateway_actuator,
-    replication_actuator,
-)
+from repro.rebalance.rebalancer import Rebalancer, replication_actuator
 from repro.rebalance.signals import (
-    DEFAULT_WEIGHTS,
+    PRESSURE_WEIGHTS,
     ContractHotnessSignal,
     GatewayQueueSignal,
     LoadSignal,
     ShardLoad,
+    ShardLoadMonitor,
     ShardLoadView,
     SignalPlane,
-    TxRateSignal,
 )
 
 __all__ = [
@@ -49,14 +45,12 @@ __all__ = [
     "ShardLoad",
     "ShardLoadView",
     "SignalPlane",
-    "DEFAULT_WEIGHTS",
+    "PRESSURE_WEIGHTS",
+    "ShardLoadMonitor",
     "ContractHotnessSignal",
-    "TxRateSignal",
     "GatewayQueueSignal",
     "MoveDecision",
     "RebalancePolicy",
     "Rebalancer",
-    "bridge_actuator",
-    "gateway_actuator",
     "replication_actuator",
 ]

@@ -1,9 +1,7 @@
-"""The rebalancing decision engine.
+"""The rebalancing decision engine: the one Move-placement policy.
 
-Generalizes the single-rule client-side
-:class:`~repro.sharding.balancer.LoadBalancingPolicy` (move off a hot
-shard, once) into a control-loop policy that can run forever without
-thrashing:
+Moves contracts off hot shards in a control loop that can run forever
+without thrashing:
 
 * **hysteresis** — a shard becomes *hot* when its composite pressure
   reaches ``hot_enter`` and only stops being hot once pressure falls to
@@ -21,11 +19,10 @@ thrashing:
   evaluation, which is what the benchmark's no-thrash gate measures;
 * **determinism** — candidate ranking breaks ties on address bytes and
   the target shard among all sufficiently-cooler shards is picked by a
-  keccak draw keyed on the contract address (the same owner-keyed
-  fan-out rule as the decentralized client policy, so simultaneous
-  movers spread out instead of stampeding onto the single coolest
-  shard).  Decisions are a pure function of (view sequence, clock),
-  hence replayable byte-for-byte under a fixed seed.
+  keccak draw keyed on the contract address (:func:`spread_target`),
+  so simultaneous movers spread out instead of stampeding onto the
+  single coolest shard.  Decisions are a pure function of (view
+  sequence, clock), hence replayable byte-for-byte under a fixed seed.
 
 The policy never touches chains, clocks or signals: it consumes
 :class:`~repro.rebalance.signals.ShardLoadView` snapshots and emits
@@ -93,7 +90,6 @@ class RebalancePolicy:
         shard_cooldown: float = 60.0,
         max_moves_per_tick: int = 4,
         max_inflight: int = 8,
-        min_score: float = 0.0,
         replicate_read_ratio: float = 0.0,
     ):
         if not 0.0 < hot_enter:
@@ -117,7 +113,6 @@ class RebalancePolicy:
         self.shard_cooldown = shard_cooldown
         self.max_moves_per_tick = max_moves_per_tick
         self.max_inflight = max_inflight
-        self.min_score = min_score
         #: the replicate-vs-move arm: a hot contract whose replica-read
         #: rate is at least this multiple of its (write) hotness score
         #: is *replicated* to the target shard instead of moved — reads
@@ -194,8 +189,6 @@ class RebalancePolicy:
             for contract, score in view.hottest_contracts(shard):
                 if budget <= 0:
                     break
-                if score < self.min_score:
-                    break  # ranking is descending; nothing hotter follows
                 if contract in self._inflight:
                     continue
                 if now < self._contract_cooldown_until.get(contract, 0.0):

@@ -3,11 +3,10 @@
 The :class:`Rebalancer` periodically samples a
 :class:`~repro.rebalance.signals.SignalPlane` on the simulated clock,
 asks a :class:`~repro.rebalance.policy.RebalancePolicy` what to do, and
-issues the resulting Moves through an *actuator* — a plain callable, so
-the same driver works over the raw :class:`~repro.ibc.bridge.IBCBridge`
-(:func:`bridge_actuator`), through the gateway's admission path
-(:func:`gateway_actuator`), or against workload-level relocation hooks
-(:meth:`~repro.workload.clients.ScoinWorkload.relocate_actuator`).
+issues the resulting Moves through an *actuator* — a plain callable:
+the workload's relocation hook
+(:meth:`~repro.workload.clients.ScoinWorkload.relocate_actuator`), the
+replication manager (:func:`replication_actuator`), or a test stub.
 
 Observability and failure handling:
 
@@ -35,8 +34,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.crypto.keys import Address, KeyPair
-from repro.errors import ConfigError
+from repro.errors import ConfigError, StateError, UnknownChainError
 from repro.rebalance.policy import MoveDecision, RebalancePolicy
 from repro.rebalance.signals import SignalPlane
 from repro.telemetry import Telemetry
@@ -201,68 +199,6 @@ class Rebalancer:
         return [e for e in settled if e["status"] == status]
 
 
-MoverFor = Callable[[Address], Optional[KeyPair]]
-
-
-def bridge_actuator(
-    bridge,
-    mover_for: MoverFor,
-    shard_to_chain: Callable[[int], int] = lambda index: index + 1,
-) -> Actuator:
-    """Actuate decisions over a raw :class:`~repro.ibc.bridge.IBCBridge`.
-
-    ``mover_for`` resolves the keypair authorized to move a contract
-    (its owner); returning None fails the decision gracefully — the
-    policy's cooldown then prevents an immediate retry.
-    """
-
-    def actuate(decision: MoveDecision, done: Callable[[bool], None]) -> None:
-        mover = mover_for(decision.contract)
-        if mover is None:
-            done(False)
-            return
-        bridge.move_contract(
-            mover,
-            decision.contract,
-            source_id=shard_to_chain(decision.source_shard),
-            target_id=shard_to_chain(decision.target_shard),
-            on_done=lambda phases: done(bool(phases.success)),
-        )
-
-    return actuate
-
-
-def gateway_actuator(
-    gateway,
-    mover_for: MoverFor,
-    shard_to_chain: Callable[[int], int] = lambda index: index + 1,
-    client_id: str = "rebalancer",
-) -> Actuator:
-    """Actuate decisions through the gateway's admission path.
-
-    Moves issued this way compete with client traffic for queue slots,
-    so under overload the control loop sheds before user requests do —
-    a gateway-level ``ShedByClass`` lands in the handle and reports as a
-    failed move, not an exception.
-    """
-
-    def actuate(decision: MoveDecision, done: Callable[[bool], None]) -> None:
-        mover = mover_for(decision.contract)
-        if mover is None:
-            done(False)
-            return
-        handle = gateway.move(
-            mover,
-            decision.contract,
-            shard_to_chain(decision.source_shard),
-            shard_to_chain(decision.target_shard),
-            client_id=client_id,
-        )
-        handle.on_done(lambda h: done(h.ok))
-
-    return actuate
-
-
 def replication_actuator(
     manager,
     move_actuator: Optional[Actuator] = None,
@@ -275,9 +211,12 @@ def replication_actuator(
     :class:`~repro.replicate.manager.ReplicationManager` (the contract's
     active copy stays put; the relay syncs the mirror asynchronously).
     ``"move"`` decisions delegate to ``move_actuator`` — typically
-    :func:`bridge_actuator` or :func:`gateway_actuator` — or fail
-    gracefully when none is wired (the cooldown then throttles retries,
-    same as a mover-less bridge actuation).
+    :meth:`~repro.workload.clients.ScoinWorkload.relocate_actuator` —
+    or fail gracefully when none is wired (the cooldown then throttles
+    retries).  A placement the manager refuses (``StateError``,
+    ``UnknownChainError``) settles as ``failed``; any other exception
+    propagates, so the driver records it as ``error`` with a
+    ``rebalance.actuate_error`` span event.
     """
 
     def actuate(decision: MoveDecision, done: Callable[[bool], None]) -> None:
@@ -291,7 +230,7 @@ def replication_actuator(
         target_id = shard_to_chain(decision.target_shard)
         try:
             manager.replicate(decision.contract, source_id, [target_id])
-        except Exception:
+        except (StateError, UnknownChainError):
             done(False)
             return
         done(True)

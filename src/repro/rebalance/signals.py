@@ -1,32 +1,31 @@
-"""The load-signal plane: one typed interface over scattered statistics.
+"""The load-signal plane: one typed interface over every load statistic.
 
-Before this module, every consumer that wanted to know "how loaded is
-shard *i*" had to reach into a different subsystem with a different
-shape: :class:`~repro.sharding.balancer.ShardLoadMonitor` exposed
-``utilization(index)``, the telemetry registry held raw counters, and
-the gateway had queue-depth gauges.  The :class:`LoadSignal` protocol
-unifies them: a signal names itself and reports **normalized per-shard
-values** (and optionally per-contract values), and a
-:class:`SignalPlane` composes any set of signals into one
-:class:`ShardLoadView` snapshot — the only input the policy layer
-(:mod:`repro.rebalance.policy`) ever sees.
+A :class:`LoadSignal` names itself and reports **normalized per-shard
+values** (and optionally per-contract values); a :class:`SignalPlane`
+composes the attached signals into one :class:`ShardLoadView` snapshot
+— the only input the policy layer (:mod:`repro.rebalance.policy`) ever
+sees.  Three signals exist: block-fill utilization
+(:class:`ShardLoadMonitor`), per-contract demand
+(:class:`ContractHotnessSignal`) and gateway admission backpressure
+(:class:`GatewayQueueSignal`).
 
 Normalization convention: per-shard values are *capacity fractions*
-(≈0 idle, ≈1 saturated) so signals compose by weighted sum; the default
-weights are :data:`DEFAULT_WEIGHTS`.  Per-contract values are demand
-rates (transactions per block, plus a scaled gas term) — they rank
-contracts by hotness, so only their relative order matters.
+(≈0 idle, ≈1 saturated) so signals compose by weighted sum with the
+fixed :data:`PRESSURE_WEIGHTS`.  Per-contract values are demand rates
+(transactions per block, plus a scaled gas term) — they rank contracts
+by hotness, so only their relative order matters.
 
 Every signal here derives its values from public, deterministic inputs
-(the block stream, the shared :class:`~repro.telemetry.metrics
-.MetricsRegistry`), which is what keeps rebalancing decisions
-replayable: same seed, same blocks, same view, same moves.
+(the block stream, the gateway's public queue depths), which is what
+keeps rebalancing decisions replayable and decentralized: any client
+watching the same blocks computes the same view, hence the same moves.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Deque,
     Dict,
@@ -34,6 +33,7 @@ from typing import (
     Mapping,
     Optional,
     Protocol,
+    Sequence,
     Tuple,
     runtime_checkable,
 )
@@ -41,18 +41,19 @@ from typing import (
 from repro.crypto.keys import Address
 from repro.errors import ConfigError
 
-#: default pressure weights per signal name; unknown names weigh 0.
-#: Utilization is the primary load measure (it is already a capacity
-#: fraction); queue pressure raises it when admission backs up.
-#: ``tx_rate`` defaults to 0 because it measures the same demand as
-#: utilization — it exists for deployments (e.g. a gateway fleet) that
-#: have no block-stream monitor attached.
-DEFAULT_WEIGHTS: Dict[str, float] = {
+if TYPE_CHECKING:
+    from repro.chain.chain import Chain
+
+#: pressure weight per signal name; other names weigh 0.  Utilization
+#: is the primary load measure (it is already a capacity fraction);
+#: queue pressure raises it when admission backs up.
+PRESSURE_WEIGHTS: Dict[str, float] = {
     "utilization": 1.0,
     "gateway_queue": 0.5,
-    "tx_rate": 0.0,
-    "hotness": 0.0,
 }
+
+#: hotness charged per unit of gas, on top of one per transaction
+_GAS_SCALE = 1e-6
 
 
 @runtime_checkable
@@ -61,7 +62,7 @@ class LoadSignal(Protocol):
 
     @property
     def name(self) -> str:
-        """Stable signal name (keys :data:`DEFAULT_WEIGHTS`)."""
+        """Stable signal name (keys :data:`PRESSURE_WEIGHTS`)."""
         ...
 
     def shard_values(self) -> Mapping[int, float]:
@@ -82,7 +83,7 @@ class ShardLoad:
         self.shard = shard
         #: raw per-signal values, by signal name
         self.signals = signals
-        #: weighted composite (see :data:`DEFAULT_WEIGHTS`)
+        #: weighted composite (see :data:`PRESSURE_WEIGHTS`)
         self.pressure = pressure
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -122,13 +123,6 @@ class ShardLoadView:
         """Known shard indices, ascending (deterministic iteration)."""
         return sorted(self.shards)
 
-    def coolest(self, exclude: Tuple[int, ...] = ()) -> Optional[int]:
-        """Least-pressured shard index, or None if all excluded."""
-        candidates = [s for s in self.shard_ids() if s not in exclude]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda s: (self.shards[s].pressure, s))
-
     def hottest_contracts(self, shard: int) -> List[Tuple[Address, float]]:
         """Contracts living on ``shard`` ranked by hotness, descending.
 
@@ -155,13 +149,9 @@ class SignalPlane:
 
     def __init__(
         self,
-        weights: Optional[Mapping[str, float]] = None,
         locate: Optional[Callable[[Address], Optional[int]]] = None,
         read_rates: Optional[Callable[[], Mapping[Address, float]]] = None,
     ):
-        self.weights: Dict[str, float] = dict(DEFAULT_WEIGHTS)
-        if weights:
-            self.weights.update(weights)
         self._locate = locate
         #: optional provider of per-contract replica-read rates (e.g.
         #: ``ReplicationManager.read_rates``) — sampled into each view
@@ -200,7 +190,7 @@ class SignalPlane:
             shard: ShardLoad(
                 shard,
                 values,
-                sum(self.weights.get(name, 0.0) * v for name, v in values.items()),
+                sum(PRESSURE_WEIGHTS.get(name, 0.0) * v for name, v in values.items()),
             )
             for shard, values in per_shard.items()
         }
@@ -226,7 +216,49 @@ class _ShardOnlySignal:
     """Base for signals with no per-contract component."""
 
     def contract_values(self) -> Mapping[Address, float]:
+        """Shard-level signals carry no per-contract attribution."""
         return {}
+
+
+class ShardLoadMonitor(_ShardOnlySignal):
+    """Sliding-window block-fill utilization per shard.
+
+    Computed purely from the public block stream (transactions per
+    block vs. the chain's capacity), so *any* client reaches the same
+    view without coordination — that is what makes Move-based load
+    balancing decentralized (paper §IV-B).  ``shard_values`` reports
+    the windowed fill fraction per shard index.
+    """
+
+    name = "utilization"
+
+    def __init__(self, shards: Sequence["Chain"], window_blocks: int = 10):
+        self.shards: List["Chain"] = list(shards)
+        self._fills: List[Deque[int]] = []
+        for shard in self.shards:
+            fills: Deque[int] = deque(maxlen=window_blocks)
+            self._fills.append(fills)
+            shard.subscribe(
+                lambda block, _receipts, fills=fills: fills.append(
+                    len(block.transactions)
+                )
+            )
+
+    def utilization(self, shard_index: int) -> float:
+        """Average block fill over the window, as a fraction of capacity."""
+        fills = self._fills[shard_index]
+        if not fills:
+            return 0.0
+        capacity = self.shards[shard_index].params.max_block_txs
+        return sum(fills) / (len(fills) * capacity)
+
+    def utilizations(self) -> List[float]:
+        """Utilization of every shard, by index."""
+        return [self.utilization(i) for i in range(len(self.shards))]
+
+    def shard_values(self) -> Dict[int, float]:
+        """Windowed utilization per shard index (the signal view)."""
+        return dict(enumerate(self.utilizations()))
 
 
 def _tx_contract(payload, receipt) -> Optional[Address]:
@@ -260,7 +292,7 @@ class ContractHotnessSignal:
 
     For every watched shard the signal keeps a sliding window of
     per-block ``contract -> (txs, gas)`` maps and reports each
-    contract's hotness as ``txs/block + gas_scale * gas/block``.  It is
+    contract's hotness as ``txs/block + 1e-6 * gas/block``.  It is
     also the registry producer for per-contract accounting: each
     observed transaction increments ``contract_txs_total`` /
     ``contract_gas_total`` counters (labelled by chain and contract) in
@@ -271,11 +303,10 @@ class ContractHotnessSignal:
 
     name = "hotness"
 
-    def __init__(self, window_blocks: int = 8, gas_scale: float = 1e-6):
+    def __init__(self, window_blocks: int = 8):
         if window_blocks <= 0:
             raise ConfigError("window_blocks must be positive")
         self.window_blocks = window_blocks
-        self.gas_scale = gas_scale
         #: shard -> deque of per-block {contract: (txs, gas)}
         self._windows: Dict[int, Deque[Dict[Address, Tuple[int, int]]]] = {}
         self._counters: Dict[Tuple[int, Address], Tuple] = {}
@@ -330,7 +361,7 @@ class ContractHotnessSignal:
             for fills in window:
                 for address, (txs, gas) in fills.items():
                     merged[address] = merged.get(address, 0.0) + (
-                        txs + self.gas_scale * gas
+                        txs + _GAS_SCALE * gas
                     ) / span
         return merged
 
@@ -346,59 +377,6 @@ class ContractHotnessSignal:
         return total
 
 
-class TxRateSignal(_ShardOnlySignal):
-    """Per-shard transaction rate read back from the metrics registry.
-
-    Samples each watched chain's ``chain_txs_total`` counters (both
-    statuses) on every block and reports the windowed rate as a fraction
-    of the chain's capacity (``max_block_txs / block_interval``) — the
-    same 0..1 scale as utilization, but derived purely from the shared
-    :class:`~repro.telemetry.metrics.MetricsRegistry`, so it works for
-    components (like gateway replicas) that never see block bodies.
-    """
-
-    name = "tx_rate"
-
-    def __init__(self, window: float = 60.0):
-        if window <= 0:
-            raise ConfigError("window must be positive")
-        self.window = window
-        #: shard -> (samples deque of (time, total), capacity tx/s)
-        self._series: Dict[int, Tuple[Deque[Tuple[float, float]], float]] = {}
-
-    def watch(self, shard_index: int, chain) -> "TxRateSignal":
-        """Start sampling ``chain``'s tx counters on every block."""
-        metrics = chain.telemetry.metrics
-        chain_id = chain.chain_id
-        capacity = chain.params.max_block_txs / chain.params.block_interval
-        samples: Deque[Tuple[float, float]] = deque()
-        self._series[shard_index] = (samples, capacity)
-
-        def on_block(block, _receipts) -> None:
-            total = metrics.value(
-                "chain_txs_total", chain=chain_id, status="ok"
-            ) + metrics.value("chain_txs_total", chain=chain_id, status="failed")
-            samples.append((block.header.timestamp, total))
-            horizon = block.header.timestamp - self.window
-            while len(samples) > 2 and samples[1][0] <= horizon:
-                samples.popleft()
-
-        chain.subscribe(on_block)
-        return self
-
-    def shard_values(self) -> Mapping[int, float]:
-        """Windowed tx rate per shard as a fraction of chain capacity."""
-        values: Dict[int, float] = {}
-        for shard, (samples, capacity) in self._series.items():
-            if len(samples) < 2 or capacity <= 0:
-                values[shard] = 0.0
-                continue
-            (t0, c0), (t1, c1) = samples[0], samples[-1]
-            elapsed = t1 - t0
-            values[shard] = ((c1 - c0) / elapsed / capacity) if elapsed > 0 else 0.0
-        return values
-
-
 class GatewayQueueSignal(_ShardOnlySignal):
     """Admission backpressure from a gateway's bounded queues.
 
@@ -411,11 +389,8 @@ class GatewayQueueSignal(_ShardOnlySignal):
 
     name = "gateway_queue"
 
-    def __init__(self, gateway, chain_to_shard: Optional[Mapping[int, int]] = None):
+    def __init__(self, gateway):
         self.gateway = gateway
-        #: chain id -> shard index (default: chain_id - 1, the cluster
-        #: convention)
-        self._chain_to_shard = dict(chain_to_shard) if chain_to_shard else None
 
     def shard_values(self) -> Mapping[int, float]:
         """Queue depth per shard as a fraction of the admission bound."""
@@ -423,12 +398,7 @@ class GatewayQueueSignal(_ShardOnlySignal):
         bound = limits.max_queue_depth + limits.max_blocked
         values: Dict[int, float] = {}
         for chain_id in self.gateway.node.chains:
-            if self._chain_to_shard is not None:
-                shard = self._chain_to_shard.get(chain_id)
-                if shard is None:
-                    continue
-            else:
-                shard = chain_id - 1
             depth = self.gateway.queue_depth(chain_id)
-            values[shard] = depth / bound if bound > 0 else 0.0
+            # shard index = chain id - 1, the cluster convention
+            values[chain_id - 1] = depth / bound if bound > 0 else 0.0
         return values

@@ -156,7 +156,7 @@ class ShardedCluster:
     # Rebalancing control plane
     # ------------------------------------------------------------------
 
-    def load_plane(self, weights=None, gateway=None):
+    def load_plane(self, gateway=None):
         """A :class:`~repro.rebalance.signals.SignalPlane` wired to this
         cluster: block-fill utilization and per-contract hotness for
         every shard (plus gateway queue pressure when a gateway is
@@ -164,11 +164,11 @@ class ShardedCluster:
         from repro.rebalance.signals import (
             ContractHotnessSignal,
             GatewayQueueSignal,
+            ShardLoadMonitor,
             SignalPlane,
         )
-        from repro.sharding.balancer import ShardLoadMonitor
 
-        plane = SignalPlane(weights=weights, locate=self.locate_contract)
+        plane = SignalPlane(locate=self.locate_contract)
         plane.attach(ShardLoadMonitor(self.shards))
         hotness = ContractHotnessSignal()
         for index, shard in enumerate(self.shards):
@@ -184,7 +184,6 @@ class ShardedCluster:
         policy=None,
         interval: float = 20.0,
         move_timeout: float = 120.0,
-        weights=None,
         gateway=None,
         telemetry=None,
     ):
@@ -194,7 +193,7 @@ class ShardedCluster:
 
         return Rebalancer(
             self.sim,
-            self.load_plane(weights=weights, gateway=gateway),
+            self.load_plane(gateway=gateway),
             policy=policy,
             actuator=actuator,
             interval=interval,

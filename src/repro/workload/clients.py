@@ -102,12 +102,9 @@ class ScoinWorkload:
         retry_mode: bool = False,
         tokens_per_client: int = 1_000_000,
         seed: int = 7,
-        placement: str = "hash",
         hot_shard: Optional[int] = None,
         background_think: float = 0.0,
     ):
-        if placement not in ("hash", "home0"):
-            raise ValueError("placement must be 'hash' or 'home0'")
         if hot_shard is not None and not 0 <= hot_shard < cluster.num_shards:
             raise ValueError("hot_shard out of range")
         if background_think < 0.0:
@@ -121,10 +118,6 @@ class ScoinWorkload:
         #: contract community" workload the rebalancing ablation uses.
         self.hot_shard = hot_shard
         self.background_think = background_think
-        #: "hash" = the paper's hash partitioning; "home0" = leave every
-        #: account on shard 0 (a deliberately skewed deployment for the
-        #: load-balancing ablation)
-        self.placement = placement
         self.tokens_per_client = tokens_per_client
         self.rng = random.Random(seed)
         self.bridge = IBCBridge(cluster.sim, cluster.shards)
@@ -189,18 +182,12 @@ class ScoinWorkload:
         """Move every account to its hash-partitioned home shard."""
         if self.hot_shard is not None:
             for client in self.clients:
-                home = (
-                    self.cluster.shard_index_of(client.account)
-                    if self.placement == "hash"
-                    else 0
-                )
+                home = self.cluster.shard_index_of(client.account)
                 client.think_time = (
                     0.0 if home == self.hot_shard else self.background_think
                 )
         movers = [
-            c for c in self.clients
-            if self.placement == "hash"
-            and self.cluster.shard_index_of(c.account) != 0
+            c for c in self.clients if self.cluster.shard_index_of(c.account) != 0
         ]
         for client in self.clients:
             client.shard = 0
@@ -229,7 +216,7 @@ class ScoinWorkload:
             )
 
     # ------------------------------------------------------------------
-    # Explicit relocation (load-balancing ablation)
+    # Relocation (rebalancing actuation)
     # ------------------------------------------------------------------
 
     def relocate(self, client_index: int, target_shard: int, on_done=None) -> None:
@@ -257,21 +244,6 @@ class ScoinWorkload:
             target_id=target_shard + 1,
             on_done=after,
         )
-
-    def placements(self):
-        """address -> current shard, for rebalance planning."""
-        return {
-            c.account: c.shard for c in self.clients if c.account is not None
-        }
-
-    def client_for(self, account: Address) -> Optional[_Client]:
-        """The client owning ``account``, if it is one of ours."""
-        return self._by_account.get(account)
-
-    def mover_for(self, account: Address) -> Optional[KeyPair]:
-        """The keypair authorized to move ``account`` (for actuators)."""
-        client = self._by_account.get(account)
-        return client.keypair if client is not None else None
 
     def relocate_actuator(self):
         """An actuator for :class:`~repro.rebalance.rebalancer

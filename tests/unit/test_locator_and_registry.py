@@ -7,6 +7,7 @@ from repro.core.locator import ContractLocator
 from repro.core.registry import ChainRegistry
 from repro.crypto.keys import Address
 from repro.errors import StateError
+from tests.helpers import ALICE, ManualClock, deploy_store, full_move, make_chain_pair
 
 ADDR = Address(b"\x07" * 20)
 
@@ -79,3 +80,15 @@ def test_registry_same_instance_is_idempotent():
 def test_registry_unknown_chain():
     with pytest.raises(StateError):
         ChainRegistry().params_for(42)
+
+
+def test_locator_over_live_chains():
+    burrow, ethereum = make_chain_pair()
+    clock = ManualClock()
+    addr = deploy_store(burrow, clock, ALICE)
+    locator = ContractLocator.over_chains([burrow, ethereum])
+    assert locator.locate(addr, start_chain=burrow.chain_id) == burrow.chain_id
+    assert full_move(burrow, ethereum, clock, ALICE, addr).success
+    # The trail: chain 1 says "moved to 2", chain 2 has the active copy.
+    assert locator.locate(addr, start_chain=burrow.chain_id) == ethereum.chain_id
+    assert locator.locate(addr, start_chain=ethereum.chain_id) == ethereum.chain_id

@@ -1,4 +1,4 @@
-"""Signal-layer tests: monitor registration, hotness, plane composition."""
+"""Signal-layer tests: block-fill utilization, hotness, plane composition."""
 
 import pytest
 
@@ -12,9 +12,9 @@ from repro.rebalance.signals import (
     ContractHotnessSignal,
     GatewayQueueSignal,
     LoadSignal,
+    ShardLoadMonitor,
     SignalPlane,
 )
-from repro.sharding.balancer import ShardLoadMonitor
 from repro.sharding.cluster import ShardedCluster
 from tests.helpers import ALICE, ManualClock, StoreContract, deploy_store, produce
 
@@ -35,30 +35,29 @@ def load_shard(cluster, index, count, clock):
 
 
 # ----------------------------------------------------------------------
-# ShardLoadMonitor: late registration + protocol conformance
+# ShardLoadMonitor: block-fill utilization + protocol conformance
 # ----------------------------------------------------------------------
 
 
-def test_monitor_accepts_late_shard_registration():
-    cluster = ShardedCluster(num_shards=2, seed=3, max_block_txs=10)
+def test_monitor_reads_utilization_from_blocks():
+    cluster = ShardedCluster(num_shards=3, seed=3, max_block_txs=100)
+    monitor = ShardLoadMonitor(cluster.shards, window_blocks=5)
     clock = ManualClock()
-    monitor = ShardLoadMonitor()  # no shards at construction
-    assert monitor.shard_values() == {}
-    assert monitor.register_shard(cluster.shard(0)) == 0
-    load_shard(cluster, 0, 8, clock)
-    assert monitor.utilization(0) == pytest.approx(0.8)
-    # A shard registered after blocks already flowed starts clean.
-    assert monitor.register_shard(cluster.shard(1)) == 1
-    assert monitor.utilization(1) == 0.0
-    load_shard(cluster, 1, 2, clock)
+    for _round in range(5):
+        for index, count in enumerate([90, 10, 0]):
+            load_shard(cluster, index, count, clock)
+    assert monitor.utilization(0) == pytest.approx(0.9)
+    assert monitor.utilization(1) == pytest.approx(0.1)
+    assert monitor.utilization(2) == 0.0
     assert monitor.shard_values() == {
-        0: pytest.approx(0.8),
-        1: pytest.approx(0.2),
+        0: pytest.approx(0.9),
+        1: pytest.approx(0.1),
+        2: 0.0,
     }
 
 
 def test_monitor_is_a_load_signal():
-    monitor = ShardLoadMonitor()
+    monitor = ShardLoadMonitor([])
     assert isinstance(monitor, LoadSignal)
     assert monitor.name == "utilization"
     assert monitor.contract_values() == {}
@@ -138,10 +137,7 @@ class _StubSignal:
 
 def test_plane_composes_weighted_pressure():
     placement = {addr(1): 0}
-    plane = SignalPlane(
-        weights={"utilization": 1.0, "gateway_queue": 0.5},
-        locate=placement.get,
-    )
+    plane = SignalPlane(locate=placement.get)
     plane.attach(_StubSignal("utilization", {0: 0.8, 1: 0.2}))
     plane.attach(_StubSignal("gateway_queue", {0: 0.4}, {addr(1): 3.0}))
     view = plane.sample(now=12.0)
@@ -150,7 +146,6 @@ def test_plane_composes_weighted_pressure():
     assert view.pressure(1) == pytest.approx(0.2)
     assert view.pressure(99) == 0.0
     assert view.shard_ids() == [0, 1]
-    assert view.coolest() == 1
     assert view.contract_hotness == {addr(1): 3.0}
     assert view.hottest_contracts(0) == [(addr(1), 3.0)]
     assert view.hottest_contracts(1) == []
@@ -198,8 +193,5 @@ def test_gateway_queue_signal_normalizes_depth():
         node, GatewayLimits(max_queue_depth=10, max_blocked=10)
     )
     signal = GatewayQueueSignal(gateway)
-    # Default mapping: chain id - 1 (the cluster convention).
+    # Shard index = chain id - 1 (the cluster convention).
     assert signal.shard_values() == {0: 0.0, 1: 0.0}
-    # Explicit mapping drops unmapped chains instead of guessing.
-    scoped = GatewayQueueSignal(gateway, chain_to_shard={2: 7})
-    assert scoped.shard_values() == {7: 0.0}

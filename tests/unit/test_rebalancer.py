@@ -11,12 +11,18 @@ import pytest
 
 from repro.chain.tx import CallPayload, DeployPayload, sign_transaction
 from repro.crypto.keys import Address, KeyPair
-from repro.errors import ConfigError
+from repro.errors import ConfigError, StateError, UnknownChainError
 from repro.net.sim import Simulator
 from repro.node import Node
 from repro.chain.params import burrow_params
-from repro.rebalance import RebalancePolicy, Rebalancer, SignalPlane
+from repro.rebalance import (
+    RebalancePolicy,
+    Rebalancer,
+    SignalPlane,
+    replication_actuator,
+)
 from repro.sharding.cluster import ShardedCluster
+from repro.telemetry import Telemetry
 from tests.helpers import ALICE, ManualClock, StoreContract, deploy_store, full_move
 
 
@@ -37,10 +43,10 @@ class _StubSignal:
         return self.contract
 
 
-def skewed_plane(placement=None):
+def skewed_plane(placement=None, read_rates=None):
     """Shard 0 saturated, shard 1 idle, one hot contract on 0."""
     placement = placement if placement is not None else {addr(1): 0}
-    plane = SignalPlane(locate=placement.get)
+    plane = SignalPlane(locate=placement.get, read_rates=read_rates)
     plane.attach(_StubSignal("utilization", {0: 0.95, 1: 0.05}, {addr(1): 2.0}))
     return plane
 
@@ -117,6 +123,48 @@ def test_raising_actuator_degrades_to_error_status():
     sim.run(until=12.0)  # does not raise
     assert rb.moves("error")
     assert rb.policy.inflight == {}
+
+
+class _RaisingManager:
+    """A replication manager whose ``replicate`` always raises."""
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def replicate(self, contract, source_chain, target_chains):
+        raise self.exc
+
+
+@pytest.mark.parametrize(
+    "exc, status",
+    [
+        (StateError("no contract"), "failed"),
+        (UnknownChainError("chain 9 is not served"), "failed"),
+        (TypeError("replicate() got an unexpected argument"), "error"),
+    ],
+    ids=["state_error", "unknown_chain", "type_error"],
+)
+def test_replication_actuator_fails_refusals_and_surfaces_bugs(exc, status):
+    # The manager's typed refusals settle as ``failed``; a programming
+    # error reaches the driver's ``error`` path with an actuate_error event.
+    sim = Simulator(seed=1)
+    telemetry = Telemetry.enabled(clock=lambda: sim.now)
+    plane = skewed_plane(read_rates=lambda: {addr(1): 10.0})
+    rb = Rebalancer(
+        sim,
+        plane,
+        quick_policy(replicate_read_ratio=0.5),
+        replication_actuator(_RaisingManager(exc)),
+        interval=10.0,
+        telemetry=telemetry,
+    )
+    rb.start()
+    sim.run(until=12.0)
+    assert [e["action"] for e in rb.decision_log] == ["replicate"]
+    assert [e["status"] for e in rb.moves()] == [status]
+    (span,) = [s for s in telemetry.tracer.spans() if s.name == "rebalance.move"]
+    events = [event.name for event in span.events]
+    assert ("rebalance.actuate_error" in events) == (status == "error")
 
 
 def test_dry_run_records_skipped_decisions():
