@@ -42,6 +42,7 @@ import json
 
 from bench_common import RESULTS_DIR, emit, full_scale, once
 
+from repro.metrics import percentile
 from repro.metrics.report import format_table
 from repro.rebalance import RebalancePolicy, ShardLoadMonitor
 from repro.sharding.cluster import ShardedCluster
@@ -69,15 +70,6 @@ def _params():
     if full_scale():
         return dict(clients=40, duration=400.0, warmup=150.0)
     return dict(clients=25, duration=300.0, warmup=150.0)
-
-
-def _percentile(samples, fraction):
-    """Nearest-rank percentile (no numpy dependency)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = max(0, min(len(ordered) - 1, int(fraction * len(ordered)) - 1))
-    return ordered[rank]
 
 
 def _run_once(auto: bool):
@@ -163,8 +155,8 @@ def test_ablation_rebalance(benchmark):
         replayed,
     ) = once(benchmark, _run_experiment)
 
-    static_p99 = _percentile(static_report.latency.samples("single-shard"), 0.99)
-    auto_p99 = _percentile(auto_report.latency.samples("single-shard"), 0.99)
+    static_p99 = percentile(static_report.latency.samples("single-shard"), 0.99)
+    auto_p99 = percentile(auto_report.latency.samples("single-shard"), 0.99)
     moved = len(rebalancer.moves("ok"))
     failed = len(rebalancer.moves("failed"))
     auto_log = json.dumps(rebalancer.decision_log, sort_keys=True)
