@@ -212,7 +212,11 @@ class Chain:
         if receipt is not None:
             callback(receipt)
             return
-        self._waiters.setdefault(tx_id, []).append(callback)
+        waiters = self._waiters.get(tx_id)
+        if waiters is None:
+            self._waiters[tx_id] = [callback]
+        else:
+            waiters.append(callback)
 
     def produce_block(
         self,
@@ -231,11 +235,12 @@ class Chain:
         env = BlockEnv(chain_id=self.chain_id, height=height, timestamp=timestamp)
         if txs is None:
             txs = self.mempool.take(self.params.max_block_txs)
-        receipts = [self.executor.execute(tx, env) for tx in txs]
-        for tx, receipt in zip(txs, receipts):
-            receipt.block_height = height
-            receipt.block_time = timestamp
-            self.receipts[tx.tx_id] = receipt
+        # Each receipt comes back stamped with the block's height and time.
+        execute, by_id = self.executor.execute, self.receipts
+        receipts = []
+        for tx in txs:
+            receipt = by_id[tx.tx_id] = execute(tx, env)
+            receipts.append(receipt)
 
         self._m_blocks.inc()
         self._m_block_txs.observe(len(txs))

@@ -101,30 +101,34 @@ class TransactionExecutor:
         return fee
 
     def _category(self, tx: Transaction) -> str:
-        override = tx.meta.get("gas_category")
+        override = tx.meta.get("gas_category") if tx.meta else None
         if override:
             return override
-        if isinstance(tx.payload, Move1Payload):
+        kind = type(tx.payload)
+        if kind is Move1Payload:
             return "move1"
-        if isinstance(tx.payload, Move2Payload):
+        if kind is Move2Payload:
             return "move2"
         return "execution"
 
     def execute(self, tx: Transaction, env: BlockEnv) -> Receipt:
-        """Run one transaction; always returns a receipt.
+        """Run one transaction; always returns a receipt, stamped with
+        ``env``'s height and time.
 
         When the transaction carries a trace context (``tx.meta``), its
         execution becomes a ``tx.exec`` span of that trace and is made
         the *active* span, so Move-protocol internals (``VS`` / ``VP``
         / nonce / storage replay events) attach to it without plumbing.
         """
-        span = self.telemetry.tracer.span_from_meta(
-            "tx.exec",
-            tx.meta,
-            chain=self.chain_id,
-            height=env.height,
-            kind=type(tx.payload).__name__,
-        )
+        span = NULL_SPAN
+        if tx.meta:
+            span = self.telemetry.tracer.span_from_meta(
+                "tx.exec",
+                tx.meta,
+                chain=self.chain_id,
+                height=env.height,
+                kind=type(tx.payload).__name__,
+            )
         traced = span is not NULL_SPAN
         if traced:
             push_span(span)
@@ -148,25 +152,33 @@ class TransactionExecutor:
     def _execute_inner(self, tx: Transaction, env: BlockEnv) -> Receipt:
         state = self.runtime.state
         schedule = self.runtime.schedule
-        meter = GasMeter(limit=self.tx_gas_limit, schedule=schedule)
+        meter = GasMeter(self.tx_gas_limit, schedule)
         category = self._category(tx)
-        ctx = self.runtime.make_context(tx.sender, env, meter, category)
-        ctx.light_client = self.light_client  # enable the proof builtin
         snap = state.snapshot()
         try:
             if self.verify_signatures and not tx.verify():
                 raise Revert("invalid transaction signature")
             meter.charge(schedule.tx_base, category)
-            result = self._dispatch(tx, ctx)
+            payload = tx.payload
+            if type(payload) is TransferPayload:
+                # Runs no contract code, so it needs no TxContext.
+                sender, amount = tx.sender, payload.amount
+                if state.balance_of(sender) < amount:
+                    raise Revert("insufficient balance for transfer")
+                state.sub_balance(sender, amount)
+                state.add_balance(payload.to, amount)
+                result, logs = None, ()
+            else:
+                ctx = self.runtime.make_context(tx.sender, env, meter, category)
+                ctx.light_client = self.light_client  # enable the proof builtin
+                result = self._dispatch(tx, ctx)
+                logs = tuple(ctx.events)
             fee = self._charge_fee(tx.sender, meter.used)
+            # The meter is this transaction's alone: its split goes to
+            # the receipt as it is.
             receipt = Receipt(
-                tx_id=tx.tx_id,
-                success=True,
-                gas_used=meter.used,
-                return_value=result,
-                logs=tuple(ctx.events),
-                gas_by_category=dict(meter.by_category),
-                fee_paid=fee,
+                tx.tx_id, True, meter.used, None, result, logs,
+                env.height, env.timestamp, meter.by_category, fee,
             )
         except TransactionAborted as exc:
             state.revert(snap)
@@ -174,27 +186,24 @@ class TransactionExecutor:
             # lands outside the reverted journal region).
             fee = self._charge_fee(tx.sender, meter.used)
             receipt = Receipt(
-                tx_id=tx.tx_id,
-                success=False,
-                gas_used=meter.used,
-                error=f"{type(exc).__name__}: {exc}",
-                gas_by_category=dict(meter.by_category),
-                fee_paid=fee,
+                tx.tx_id, False, meter.used, f"{type(exc).__name__}: {exc}", None, (),
+                env.height, env.timestamp, meter.by_category, fee,
             )
         except Exception as exc:  # noqa: BLE001 — contract-fault boundary
             # EVM semantics: *any* fault inside contract execution
-            # (malformed arguments, a bug in contract code, ...) aborts
-            # the transaction — a hostile transaction must never crash
-            # the node.
+            # (malformed arguments, a bug in contract code, a value the
+            # state refuses, ...) aborts the transaction — a hostile
+            # transaction must never crash the node.  Each one is
+            # counted by its exception type.
             state.revert(snap)
+            kind = type(exc).__name__
+            self.telemetry.metrics.counter(
+                "chain_tx_faults_total", chain=self.chain_id, kind=kind
+            ).inc()
             fee = self._charge_fee(tx.sender, meter.used)
             receipt = Receipt(
-                tx_id=tx.tx_id,
-                success=False,
-                gas_used=meter.used,
-                error=f"ContractFault({type(exc).__name__}): {exc}",
-                gas_by_category=dict(meter.by_category),
-                fee_paid=fee,
+                tx.tx_id, False, meter.used, f"ContractFault({kind}): {exc}", None, (),
+                env.height, env.timestamp, meter.by_category, fee,
             )
         # The transaction is the outermost journal scope: with its
         # receipt settled nothing in it is undone any more, so its undo
@@ -203,15 +212,10 @@ class TransactionExecutor:
         return receipt
 
     def _dispatch(self, tx: Transaction, ctx) -> object:
+        """Run a payload that executes contract code (every kind but a
+        transfer) in ``ctx``."""
         payload = tx.payload
         state = self.runtime.state
-
-        if isinstance(payload, TransferPayload):
-            if state.balance_of(tx.sender) < payload.amount:
-                raise Revert("insufficient balance for transfer")
-            state.sub_balance(tx.sender, payload.amount)
-            state.add_balance(payload.to, payload.amount)
-            return None
 
         if isinstance(payload, DeployPayload):
             cls = lookup_code(payload.code_hash)

@@ -43,13 +43,17 @@ class Mempool:
         O(1): one pool-dict insert plus one sender-index insert — no
         iteration over pending transactions, whatever the depth.
         """
-        if tx.tx_id in self._pending:
+        pending, tx_id = self._pending, tx.tx_id
+        if tx_id in pending:
             self._m_duplicates.inc()
             return False
-        self._pending[tx.tx_id] = tx
-        self._by_sender.setdefault(tx.sender, set()).add(tx.nonce)
+        pending[tx_id] = tx
+        nonces = self._by_sender.get(tx.sender)
+        if nonces is None:
+            nonces = self._by_sender[tx.sender] = set()
+        nonces.add(tx.nonce)
         self._m_admitted.inc()
-        self._m_depth.set(len(self._pending))
+        self._m_depth.set(len(pending))
         return True
 
     def _unindex(self, tx: Transaction) -> None:
@@ -61,13 +65,14 @@ class Mempool:
 
     def take(self, limit: int) -> List[Transaction]:
         """Dequeue up to ``limit`` transactions (oldest first)."""
+        pending, unindex = self._pending, self._unindex
         out: List[Transaction] = []
-        while self._pending and len(out) < limit:
-            _tx_id, tx = self._pending.popitem(last=False)
-            self._unindex(tx)
+        for _ in range(min(limit, len(pending))):
+            tx = pending.popitem(last=False)[1]
+            unindex(tx)
             out.append(tx)
         if out:
-            self._m_depth.set(len(self._pending))
+            self._m_depth.set(len(pending))
         return out
 
     def remove(self, tx_id: str) -> Optional[Transaction]:

@@ -60,20 +60,22 @@ def canonical_encode(value: Any) -> bytes:
 
 
 def _encode_into(value: Any, out: list) -> None:
+    # The kinds signed payloads are made of come first: a transfer's
+    # fields are a tuple of a str, an Address and an int.
     kind = type(value)
-    if kind is Address:
-        out.append(b"a" + value.raw)
-    elif kind is int:
-        out.append(b"i%d;" % value)
-    elif kind is str:
-        data = value.encode()
-        out.append(b"s%d:%s" % (len(data), data))
-    elif kind is bytes:
-        out.append(b"y%d:%s" % (len(value), value))
-    elif kind is tuple or kind is list:
+    if kind is tuple or kind is list:
         out.append(b"l%d:" % len(value))
         for item in value:
             _encode_into(item, out)
+    elif kind is str:
+        data = value.encode()
+        out.append(b"s%d:%s" % (len(data), data))
+    elif kind is Address:
+        out.append(b"a" + value[0])
+    elif kind is int:
+        out.append(b"i%d;" % value)
+    elif kind is bytes:
+        out.append(b"y%d:%s" % (len(value), value))
     elif kind is bool:
         out.append(b"b1" if value else b"b0")
     elif value is None:
@@ -93,14 +95,34 @@ def _encode_into(value: Any, out: list) -> None:
         raise TypeError(f"cannot canonically encode {kind.__name__}")
 
 
-@dataclass(frozen=True)
-class TransferPayload:
-    to: Address
-    amount: int
+class TransferPayload(tuple):
+    """Native currency between accounts: an immutable record.
+
+    A 2-tuple underneath, like :class:`Transaction` and
+    :class:`~repro.crypto.keys.Address`, so building one is a C call.
+    One consequence of the layout: **a payload equals the plain tuple
+    of its fields** (``TransferPayload(to, 5) == (to, 5)``) and hashes
+    like it — the value the frozen dataclass it replaces hashed to.  It
+    never equals a payload of another kind.
+    """
+
+    __slots__ = ()
+
+    to = _tuplegetter(0, "The credited account.")
+    amount = _tuplegetter(1, "Native currency moved (a non-negative int).")
+
+    def __new__(cls, to: Address, amount: int) -> "TransferPayload":
+        return tuple.__new__(cls, (to, amount))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"TransferPayload(to={self[0]!r}, amount={self[1]!r})"
 
     def signing_fields(self) -> Tuple[Any, ...]:
         """The tuple canonically encoded and signed."""
-        return ("transfer", self.to, self.amount)
+        return ("transfer", self[0], self[1])
 
 
 @dataclass(frozen=True)
@@ -115,16 +137,35 @@ class DeployPayload:
         return ("deploy", self.code_hash, self.args, self.value, self.salt)
 
 
-@dataclass(frozen=True)
-class CallPayload:
-    target: Address
-    method: str
-    args: Tuple[Any, ...] = ()
-    value: int = 0
+class CallPayload(tuple):
+    """Invoke an external contract method: an immutable record, a
+    4-tuple underneath (equal to the plain tuple of its fields, like
+    :class:`TransferPayload`)."""
+
+    __slots__ = ()
+
+    target = _tuplegetter(0, "The called contract.")
+    method = _tuplegetter(1, "The external method's name.")
+    args = _tuplegetter(2, "Positional arguments (a tuple).")
+    value = _tuplegetter(3, "Native currency sent with the call.")
+
+    def __new__(
+        cls, target: Address, method: str, args: Tuple[Any, ...] = (), value: int = 0
+    ) -> "CallPayload":
+        return tuple.__new__(cls, (target, method, args, value))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return (
+            f"CallPayload(target={self[0]!r}, method={self[1]!r}, "
+            f"args={self[2]!r}, value={self[3]!r})"
+        )
 
     def signing_fields(self) -> Tuple[Any, ...]:
         """The tuple canonically encoded and signed."""
-        return ("call", self.target, self.method, self.args, self.value)
+        return ("call", *self)
 
 
 @dataclass(frozen=True)
@@ -186,8 +227,32 @@ Payload = Union[
 
 
 def _signing_encoding(sender: Address, public_key: bytes, nonce: int, payload) -> bytes:
-    """What a transaction's signature covers."""
-    return canonical_encode((sender, public_key, nonce, payload.signing_fields()))
+    """What a transaction's signature covers:
+    ``canonical_encode((sender, public_key, nonce, payload.signing_fields()))``,
+    built in one pass.
+
+    The head's kinds are fixed, so one format spells the 4-list's
+    prefix and its first three items; the payload's fields go through
+    the grammar.  A head field of any other type is refused
+    (:class:`TypeError`) — nothing else could be signed, indexed by a
+    mempool or committed.
+    """
+    if type(sender) is not Address or type(public_key) is not bytes or type(nonce) is not int:
+        _refuse_head(sender, public_key, nonce)
+    out = [b"l4:a%sy%d:%si%d;" % (sender[0], len(public_key), public_key, nonce)]
+    _encode_into(payload.signing_fields(), out)
+    return b"".join(out)
+
+
+def _refuse_head(sender, public_key, nonce) -> None:
+    for name, value, kind in (
+        ("sender", sender, Address), ("public_key", public_key, bytes), ("nonce", nonce, int)
+    ):
+        if type(value) is not kind:
+            raise TypeError(
+                f"transaction {name} must be exactly {kind.__name__}, "
+                f"got {type(value).__name__}"
+            )
 
 
 class Transaction(tuple):

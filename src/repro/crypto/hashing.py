@@ -35,9 +35,12 @@ _MEMO_MAX_LEN = 128
 _MEMO_SIZE = 65536
 
 
+_sha3_256 = hashlib.sha3_256
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
 def _keccak_small(data: bytes) -> bytes:
-    return hashlib.sha3_256(data).digest()
+    return _sha3_256(data).digest()
 
 
 def keccak(*chunks: bytes) -> bytes:
@@ -48,13 +51,10 @@ def keccak(*chunks: bytes) -> bytes:
     times per experiment, and a dict hit beats a SHA3 permutation by an
     order of magnitude.
     """
-    if len(chunks) == 1:
-        data = chunks[0]
-    else:
-        data = b"".join(chunks)
+    data = chunks[0] if len(chunks) == 1 else b"".join(chunks)
     if len(data) <= _MEMO_MAX_LEN:
         return _keccak_small(data)
-    return hashlib.sha3_256(data).digest()
+    return _sha3_256(data).digest()
 
 
 #: Few distinct contract codes exist, each kilobytes long, and a Move2
@@ -86,10 +86,10 @@ def merkle_hash_leaf(payload: bytes) -> bytes:
     bypass the memo: their inputs are fresh by construction; memoising
     them costs a miss and evicts a key derivation.
     """
-    return hashlib.sha3_256(_LEAF_PREFIX + payload).digest()
+    return _sha3_256(_LEAF_PREFIX + payload).digest()
 
 
 def merkle_hash_node(left: bytes, right: bytes) -> bytes:
     """Hash an internal Merkle-tree node from its children's digests
     (un-memoised, like :func:`merkle_hash_leaf`)."""
-    return hashlib.sha3_256(_NODE_PREFIX + left + right).digest()
+    return _sha3_256(_NODE_PREFIX + left + right).digest()

@@ -25,7 +25,7 @@ is flush order and ``reversed(...)`` is shed-search order.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Union
+from typing import Optional, Union
 
 from repro.chain.tx import Move1Payload, Move2Payload, Transaction
 from repro.errors import ConfigError
@@ -47,33 +47,42 @@ class PriorityClass(IntEnum):
     def coerce(cls, value: Union["PriorityClass", str, int]) -> "PriorityClass":
         """Accept a member, its label or its value; :class:`ConfigError`
         (naming the field) on anything else."""
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, str):
-            member = _BY_LABEL.get(value)
-            if member is None:
-                member = cls.__members__.get(value.upper())
-            if member is not None:
-                return member
-        elif isinstance(value, int) and not isinstance(value, bool):
-            if 0 <= value < len(FLUSH_ORDER):
-                return FLUSH_ORDER[value]
-        raise ConfigError(
-            f"priority must be one of {[c.label for c in cls]} "
-            f"(or a PriorityClass), got {value!r}"
-        )
+        member = resolve(value)
+        if member is None:
+            raise ConfigError(
+                f"priority must be one of {[c.label for c in cls]} "
+                f"(or a PriorityClass), got {value!r}"
+            )
+        return member
 
 
 #: classes in flush order (highest priority first); a member's value is
 #: its index here
 FLUSH_ORDER = tuple(PriorityClass)
-_BY_LABEL = {cls.label: cls for cls in FLUSH_ORDER}
 #: classes in shed-search order (lowest priority first)
 SHED_ORDER = tuple(reversed(FLUSH_ORDER))
+
+#: every accepted spelling of a class but a case variant of its name:
+#: the members (which, being ``IntEnum``, also answer to their values)
+#: and their labels
+_BY_KEY = {**{c: c for c in FLUSH_ORDER}, **{c.label: c for c in FLUSH_ORDER}}
+_KEY_TYPES = frozenset((PriorityClass, str, int))
+
+#: the payload kinds that classify as ``MOVE`` by default
+MOVE_PAYLOADS = frozenset((Move1Payload, Move2Payload))
+
+
+def resolve(value: object) -> Optional[PriorityClass]:
+    """The class a priority override names, or ``None`` if it names
+    none.  Exact types only: ``True`` and ``1.0`` are not ``VIEW``."""
+    member = _BY_KEY.get(value) if type(value) in _KEY_TYPES else None
+    if member is None and type(value) is str:
+        member = PriorityClass.__members__.get(value.upper())
+    return member
 
 
 def classify(tx: Transaction) -> PriorityClass:
     """Default class of a transaction nobody tagged explicitly."""
-    if isinstance(tx.payload, (Move1Payload, Move2Payload)):
+    if type(tx.payload) in MOVE_PAYLOADS:
         return PriorityClass.MOVE
     return PriorityClass.BULK

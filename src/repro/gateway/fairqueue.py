@@ -112,16 +112,11 @@ class ClassedFairQueue:
         same-class work is never evicted, so admission within a class
         stays FIFO-honest.
         """
-        if self.depth < self.bound:
-            self._append(entry)
-            return _ADMITTED
-        victim = self._evict_below(entry.cls)
-        if victim is None:
-            return _REFUSED
-        self._append(entry)
-        return PushResult(admitted=True, victim=victim)
-
-    def _append(self, entry: QueueEntry) -> None:
+        victim = None
+        if self.depth >= self.bound:
+            victim = self._evict_below(entry.cls)
+            if victim is None:
+                return _REFUSED
         cls, client = entry.cls, entry.client
         lanes = self._lanes[cls]
         lane = lanes.get(client)
@@ -130,12 +125,15 @@ class ClassedFairQueue:
         if not lane:
             self._rings[cls].append(client)
         lane.append(entry)
-        self.depth += 1
-        if self.depth > self.peak_depth:
-            self.peak_depth = self.depth
+        depth = self.depth = self.depth + 1
+        if depth > self.peak_depth:
+            self.peak_depth = depth
         class_depth = self.class_depth[cls] = self.class_depth[cls] + 1
         if class_depth > self.class_peak[cls]:
             self.class_peak[cls] = class_depth
+        if victim is None:
+            return _ADMITTED
+        return PushResult(admitted=True, victim=victim)
 
     def _evict_below(self, cls: PriorityClass) -> Optional[QueueEntry]:
         """Drop and return the most recent entry of the lowest

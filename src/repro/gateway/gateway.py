@@ -90,8 +90,9 @@ from repro.errors import (
     ReadOnlyReplicaError,
     RequestTimeout,
     ShedByClass,
+    UnknownChainError,
 )
-from repro.gateway.classes import FLUSH_ORDER, PriorityClass, classify
+from repro.gateway.classes import FLUSH_ORDER, MOVE_PAYLOADS, PriorityClass
 from repro.gateway.fairqueue import ClassedFairQueue, QueueEntry
 from repro.gateway.handles import (
     QUEUED,
@@ -114,6 +115,10 @@ PriorityLike = Union[PriorityClass, str, int]
 #: serialize to canonical JSON for the replay digest.
 LogRecord = Tuple[float, str, int, int, str, str, int]
 
+#: payload kinds that write to a contract, which a read-only replica
+#: refuses (:meth:`Gateway._check_mirror_write`)
+_WRITE_PAYLOADS = frozenset((CallPayload, BytecodeCallPayload, Move1Payload))
+
 
 class _ChainMetrics:
     """One served chain's instruments, bound once.  The per-class ones
@@ -124,6 +129,7 @@ class _ChainMetrics:
         def per_class(instrument, name: str) -> list:
             return [instrument(name, chain=chain_id, cls=c.label) for c in FLUSH_ORDER]
 
+        self.chain_id = chain_id
         self.requests = metrics.counter("gateway_requests_total", chain=chain_id)
         self.admitted = metrics.counter("gateway_admitted_total", chain=chain_id)
         self.parked = metrics.counter("gateway_parked_total", chain=chain_id)
@@ -178,6 +184,7 @@ class Gateway:
                 "needs at least one replica to serve"
             )
         self.node = node
+        self._sim = node.sim
         self.limits = limits if limits is not None else GatewayLimits()
         self.telemetry = telemetry if telemetry is not None else node.telemetry
         self._chain_ids = sorted(node.chains)
@@ -285,15 +292,88 @@ class Gateway:
         lets a transport pre-create the future on the client side of a
         simulated network hop; omitted, one is created here.
         """
+        node = self.node
         if handle is None:
-            handle = RequestHandle(
-                chain_id, client_id=client_id, idempotency_key=idempotency_key
-            )
-        handle._node = self.node
+            handle = RequestHandle(chain_id, client_id, idempotency_key)
+        handle._node = node
         try:
-            self._admit(tx, chain_id, client_id, idempotency_key, handle, priority)
+            now = self._sim.now
+            chain = node.chains.get(chain_id) if type(chain_id) is int else None
+            if chain is None:
+                raise UnknownChainError(
+                    f"this node serves chains {self._chain_ids}, not {chain_id!r}"
+                )
+            m = self._m[chain_id]
+            m.requests.inc()
+            if type(client_id) is not str:
+                raise InvalidRequest(
+                    f"client_id must be a str, got {type(client_id).__name__}"
+                )
+
+            key: Optional[Tuple[str, str]] = None
+            if idempotency_key is not None:
+                if type(idempotency_key) is not str:
+                    raise InvalidRequest(
+                        "idempotency_key must be a str, "
+                        f"got {type(idempotency_key).__name__}"
+                    )
+                key = (client_id, idempotency_key)
+                original = self._by_key.get(key)
+                if original is not None:
+                    self._reattach(handle, original)
+                    return handle
+
+            if type(tx) is not Transaction:
+                raise InvalidRequest(
+                    f"expected a signed Transaction, got {type(tx).__name__}"
+                )
+            if (
+                len(tx) != 8
+                or type(tx.sender) is not Address
+                or type(tx.public_key) is not bytes
+                or type(tx.nonce) is not int
+                or type(tx.signature) is not bytes
+            ):
+                # Only a record built around Transaction's constructor
+                # can get here: its head could not be indexed or signed.
+                raise InvalidRequest("transaction head or signature is not of the signed types")
+            if not tx.signature:
+                raise InvalidRequest("transaction is unsigned (no signature)")
+            kind = type(tx.payload)
+            if priority is None:
+                cls = PriorityClass.MOVE if kind in MOVE_PAYLOADS else PriorityClass.BULK
+            else:
+                cls = PriorityClass.coerce(priority)
+            if kind in _WRITE_PAYLOADS:
+                self._check_mirror_write(tx, chain)
+            if self.limits.rate_limit > 0:
+                self._charge_rate(client_id, now)
+
+            handle.tx_id = tx.tx_id
+            handle.admitted_at = now
+            replica = self._pins.get(client_id)
+            if replica is None:
+                replica = self.replica_for(client_id)
+            self._enqueue(QueueEntry(tx, handle, cls, client_id, now), replica, m, False)
+            if key is not None:
+                # Bind only after admission succeeded: a shed or rejected
+                # request must not wedge its key, so a retry after a
+                # transient overload gets a fresh admission.
+                self._by_key[key] = handle
+                handle.on_done(lambda h: self._retire_key(self._by_key, key, h))
+            if tx.meta:
+                tracer = self.telemetry.tracer
+                if tracer.enabled:
+                    tracer.meta_event(
+                        tx.meta, "gateway.admit", chain=chain_id, cls=cls.label,
+                        replica=replica.index,
+                    )
+            if self.limits.request_timeout > 0:
+                self._sim.schedule(self.limits.request_timeout, self._expire, handle)
         except GatewayError as error:
             self._reject(handle, error)
+        except ConfigError as error:  # an override naming no class
+            self._reject(handle, InvalidRequest(str(error)))
         except (KeyError, ValueError, TypeError) as error:
             # The taxonomy boundary: nothing rawer than a ReproError
             # subclass may escape to a client.
@@ -303,75 +383,28 @@ class Gateway:
             )
         return handle
 
-    def _admit(
-        self,
-        tx: Transaction,
-        chain_id: int,
-        client_id: str,
-        idempotency_key: Optional[str],
-        handle: RequestHandle,
-        priority: Optional[PriorityLike] = None,
-    ) -> None:
-        now = self.node.now
-        chain = self.node.chain(chain_id)  # raises UnknownChainError
-        self._m[chain_id].requests.inc()
-
-        key: Optional[Tuple[str, str]] = None
-        if idempotency_key is not None:
-            key = (client_id, idempotency_key)
-            original = self._by_key.get(key)
-            if original is not None:
-                self._m_idempotent.inc()
-                if isinstance(original.error, RequestTimeout):
-                    # The original missed its deadline but its
-                    # transaction was still flushed: reattach this retry
-                    # to the eventual receipt instead of mirroring the
-                    # stale timeout, with its own fresh deadline.
-                    handle.tx_id = original.tx_id
-                    original.on_late_receipt(
-                        lambda src: handle._resolve(src.receipt, self.node.now)
-                    )
-                    if self.limits.request_timeout > 0 and not handle.done:
-                        self.node.sim.schedule(
-                            self.limits.request_timeout, self._expire, handle
-                        )
-                    return
-                handle._mirror(original)
-                return
-
-        if not isinstance(tx, Transaction):
-            raise InvalidRequest(
-                f"expected a signed Transaction, got {type(tx).__name__}"
+    def _reattach(self, handle: RequestHandle, original: RequestHandle) -> None:
+        """An idempotent retry: ``handle`` follows the request admitted
+        under the same key instead of submitting again."""
+        self._m_idempotent.inc()
+        if isinstance(original.error, RequestTimeout):
+            # The original missed its deadline but its transaction was
+            # still flushed: reattach this retry to the eventual receipt
+            # instead of mirroring the stale timeout, with its own fresh
+            # deadline.
+            handle.tx_id = original.tx_id
+            original.on_late_receipt(
+                lambda src: handle._resolve(src.receipt, self.node.now)
             )
-        if not tx.signature:
-            raise InvalidRequest("transaction is unsigned (no signature)")
-        cls = PriorityClass.coerce(priority) if priority is not None else classify(tx)
-        self._check_mirror_write(tx, chain)
-        self._charge_rate(client_id, now)
-
-        handle.tx_id = tx.tx_id
-        handle.admitted_at = now
-        replica = self.replica_for(client_id)
-        entry = QueueEntry(tx=tx, handle=handle, cls=cls, client=client_id, at=now)
-        self._enqueue(entry, replica, chain_id, park=False)
-        if key is not None:
-            # Bind only after admission succeeded: a shed or rejected
-            # request must not wedge its key, so a retry after a
-            # transient overload gets a fresh admission.
-            self._by_key[key] = handle
-            handle.on_done(lambda h: self._retire_key(self._by_key, key, h))
-        tracer = self.telemetry.tracer
-        if tracer.enabled and tx.meta:
-            tracer.meta_event(
-                tx.meta, "gateway.admit", chain=chain_id, cls=cls.label,
-                replica=replica.index,
-            )
-        if self.limits.request_timeout > 0:
-            self.node.sim.schedule(self.limits.request_timeout, self._expire, handle)
+            if self.limits.request_timeout > 0 and not handle.done:
+                self._sim.schedule(self.limits.request_timeout, self._expire, handle)
+            return
+        handle._mirror(original)
 
     def _charge_rate(self, client_id: str, now: float) -> None:
         """Spend one token from the client's bucket (typed shed past the
-        rate).  Buckets are LRU-capped at ``limits.max_clients``."""
+        rate; no-op without a rate limit).  Buckets are LRU-capped at
+        ``limits.max_clients``."""
         if self.limits.rate_limit <= 0:
             return
         # Re-insertion keeps the dict in recency order, so the cap
@@ -432,12 +465,13 @@ class Gateway:
         )
 
     def _enqueue(
-        self, entry: QueueEntry, replica: _Replica, chain_id: int, park: bool
+        self, entry: QueueEntry, replica: _Replica, m: _ChainMetrics, park: bool
     ) -> None:
-        """Classed admission under the replica's bound; ``park=True``
-        uses the overflow lot instead of shedding when even class-aware
-        eviction finds no lower-class victim."""
-        m = self._m[chain_id]
+        """Classed admission under the replica's bound, into the queue
+        of the chain ``m`` instruments; ``park=True`` uses the overflow
+        lot instead of shedding when even class-aware eviction finds no
+        lower-class victim."""
+        chain_id = m.chain_id
         result = replica.queues[chain_id].push(entry)
         if not result.admitted:
             blocked = replica.blocked[chain_id]
@@ -576,6 +610,7 @@ class Gateway:
         first = self._tick % count
         self._tick += 1
         tracer = self.telemetry.tracer
+        resolve = self._resolve
         submitted = 0
         for offset in range(count):
             replica = self.replicas[(first + offset) % count]
@@ -584,6 +619,7 @@ class Gateway:
                 queue = replica.queues[chain_id]
                 blocked = replica.blocked[chain_id]
                 m = self._m[chain_id]
+                class_flushed = m.class_flushed
                 # Drain the overflow lot into freed queue slots first:
                 # parked requests enter their class lanes before this
                 # flush's pop, so a parked move still outranks queued bulk.
@@ -599,19 +635,19 @@ class Gateway:
                     # class lanes still decide the order of the next pop).
                     self._promote_parked(replica, chain_id)
                 for entry in batch:
-                    handle = entry.handle
-                    if not handle.done:
+                    handle, tx = entry.handle, entry.tx
+                    if handle.status == QUEUED:
                         handle.status = SUBMITTED
                     # A handle that expired while queued is submitted
                     # anyway: its timeout promised "the transaction may
                     # still execute", and the late receipt is what a retry
                     # under the same idempotency key reattaches to.
-                    chain.wait_for(entry.tx.tx_id, partial(self._resolve, handle))
-                    chain.submit(entry.tx)
-                    m.class_flushed[entry.cls].inc()
-                    if tracer.enabled and entry.tx.meta:
+                    chain.wait_for(tx.tx_id, partial(resolve, handle))
+                    chain.submit(tx)
+                    class_flushed[entry.cls].inc()
+                    if tx.meta and tracer.enabled:
                         tracer.meta_event(
-                            entry.tx.meta, "gateway.flush", chain=chain_id,
+                            tx.meta, "gateway.flush", chain=chain_id,
                             cls=entry.cls.label, replica=replica.index,
                         )
                 if batch:
@@ -647,7 +683,7 @@ class Gateway:
             self._record("admit", replica.index, chain_id, entry.cls.label, entry.client)
 
     def _resolve(self, handle: RequestHandle, receipt: Receipt) -> None:
-        now = self.node.now
+        now = self._sim.now
         if handle.done:
             if isinstance(handle.error, RequestTimeout):
                 # The deadline fired first but the transaction executed
@@ -718,7 +754,7 @@ class Gateway:
                 tx=tx, handle=inner, cls=PriorityClass.MOVE, client=client_id, at=now
             )
             try:
-                self._enqueue(entry, replica, chain_id, park=True)
+                self._enqueue(entry, replica, self._m[chain_id], park=True)
             except GatewayError as error:
                 self._reject(inner, error)
 
@@ -876,7 +912,7 @@ class Gateway:
         self, kind: str, replica: int, chain_id: int, cls: str, client: str, n: int = 0
     ) -> None:
         self.admission_log.append(
-            (round(self.node.now, 9), kind, replica, chain_id, cls, client, n)
+            (round(self._sim.now, 9), kind, replica, chain_id, cls, client, n)
         )
 
     def log_digest(self) -> str:

@@ -121,15 +121,13 @@ class SimNetTransport:
     ) -> RequestHandle:
         """Submit after a seeded network delay; the future exists now."""
         gateway = self.gateway
-        handle = RequestHandle(
-            chain_id, client_id=client_id, idempotency_key=idempotency_key
-        )
-        handle._node = gateway.node
+        node = gateway.node
+        handle = RequestHandle(chain_id, client_id, idempotency_key)
+        handle._node = node
         # The event carries submit's arguments in its positional order.
-        gateway.node.sim.schedule(
+        node.sim.schedule(
             self._delay(),
-            gateway.submit,
-            tx, chain_id, client_id, idempotency_key, handle, priority,
+            gateway.submit, tx, chain_id, client_id, idempotency_key, handle, priority,
         )
         return handle
 

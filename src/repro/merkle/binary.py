@@ -39,9 +39,7 @@ class BinaryMerkleTree:
         level = [merkle_hash_leaf(leaf) for leaf in self._leaves]
         self._levels = [level]
         while len(level) > 1:
-            parent: List[bytes] = []
-            for i in range(0, len(level) - 1, 2):
-                parent.append(merkle_hash_node(level[i], level[i + 1]))
+            parent = list(map(merkle_hash_node, level[0::2], level[1::2]))
             if len(level) % 2 == 1:
                 parent.append(level[-1])  # promote the odd node
             self._levels.append(parent)

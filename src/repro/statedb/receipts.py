@@ -6,13 +6,15 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 
-@dataclass
+@dataclass(slots=True)
 class Receipt:
-    """Outcome of one executed transaction.
+    """Outcome of one executed transaction, stamped with the block that
+    carried it.
 
     ``gas_by_category`` preserves the meter's split (execution /
     code_deposit / proof_verify / ...) — the Fig. 9 harness reads the
-    breakdown straight from receipts.
+    breakdown straight from receipts.  Slotted: a chain keeps one per
+    transaction it ever executed.
     """
 
     tx_id: str

@@ -129,6 +129,12 @@ def encode_contract_leaf(record: ContractRecord, storage_root: bytes) -> bytes:
     )
 
 
+def _refuse_balance_args(address: object, amount: object) -> None:
+    if type(address) is not Address:
+        raise StateError(f"balance holder must be an Address, got {type(address).__name__}")
+    raise StateError(f"balance amount must be an int, got {type(amount).__name__}")
+
+
 class WorldState:
     """Mutable world state for one chain, journaled and committable.
 
@@ -227,34 +233,40 @@ class WorldState:
         return record.balance if record is not None else 0
 
     def add_balance(self, address: Address, amount: int) -> None:
-        """Credit an account or contract (journaled)."""
+        """Credit an account or contract (journaled).  Refuses
+        (:class:`StateError`) anything but an :class:`Address` and a
+        non-negative ``int`` — what the commit can encode."""
+        if type(address) is not Address or type(amount) is not int:
+            _refuse_balance_args(address, amount)
         if amount < 0:
             raise StateError("use sub_balance for debits")
-        self._dirty.add(address)
-        if address in self.contracts:
-            record = self.contracts[address]
-            record.balance += amount
-            self._record(lambda: setattr(record, "balance", record.balance - amount))
-        else:
-            account = self.account(address)
-            account.balance += amount
-            self._record(lambda: setattr(account, "balance", account.balance - amount))
+        record = self._holder(address)
+        record.balance += amount
+        self._record(lambda: setattr(record, "balance", record.balance - amount))
 
     def sub_balance(self, address: Address, amount: int) -> None:
-        """Debit; raises :class:`StateError` on insufficient funds."""
+        """Debit; raises :class:`StateError` on insufficient funds, and
+        on the arguments :meth:`add_balance` refuses."""
+        if type(address) is not Address or type(amount) is not int:
+            _refuse_balance_args(address, amount)
         if amount < 0:
             raise StateError("use add_balance for credits")
         if self.balance_of(address) < amount:
             raise StateError(f"insufficient balance at {address}")
+        record = self._holder(address)
+        record.balance -= amount
+        self._record(lambda: setattr(record, "balance", record.balance + amount))
+
+    def _holder(self, address: Address):
+        """The record whose balance ``address`` names — its contract's,
+        else its account's (created, journaled, if new) — marked dirty."""
         self._dirty.add(address)
-        if address in self.contracts:
-            record = self.contracts[address]
-            record.balance -= amount
-            self._record(lambda: setattr(record, "balance", record.balance + amount))
-        else:
-            account = self.account(address)
-            account.balance -= amount
-            self._record(lambda: setattr(account, "balance", account.balance + amount))
+        record = self.contracts.get(address)
+        if record is None:
+            record = self.accounts.get(address)
+            if record is None:
+                record = self.account(address)
+        return record
 
     def bump_nonce(self, address: Address) -> int:
         """Increment and return an EOA's transaction nonce."""

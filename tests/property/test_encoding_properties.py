@@ -10,8 +10,21 @@ import itertools
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.chain.tx import canonical_encode
-from repro.crypto.keys import Address
+from repro.chain.tx import (
+    BytecodeCallPayload,
+    CallPayload,
+    DeployBytecodePayload,
+    DeployPayload,
+    Move1Payload,
+    Move2Payload,
+    Transaction,
+    TransferPayload,
+    canonical_encode,
+    sign_transaction,
+)
+from repro.core.proofs import ContractStateProof
+from repro.crypto.keys import Address, KeyPair
+from repro.merkle.proof import MembershipProof
 from repro.runtime.contract import decode_value, encode_key, encode_value
 
 addresses = st.binary(min_size=20, max_size=20).map(Address)
@@ -135,3 +148,83 @@ def test_map_keys_unique_per_value(a, b):
         # overlap, never from two ints or two addresses
         assert not (isinstance(a, int) and isinstance(b, int))
         assert not (isinstance(a, Address) and isinstance(b, Address))
+
+
+# ----------------------------------------------------------------------
+# A transaction's one-pass signing bytes are the grammar's encoding
+# ----------------------------------------------------------------------
+
+field_values = st.one_of(values, st.floats(allow_nan=False))
+amounts = st.integers(min_value=-(2**80), max_value=2**80)
+digests = st.binary(min_size=32, max_size=32)
+payload_args = st.lists(field_values, max_size=4).map(tuple)
+membership_proofs = st.builds(
+    MembershipProof,
+    key=st.binary(max_size=20),
+    value=st.binary(max_size=40),
+    leaf_prefix=st.binary(max_size=2),
+    steps=st.lists(
+        st.tuples(st.binary(max_size=33), st.binary(max_size=33)), max_size=3
+    ).map(tuple),
+)
+bundles = st.builds(
+    ContractStateProof,
+    source_chain=amounts,
+    contract=addresses,
+    code=st.binary(max_size=40),
+    storage=st.dictionaries(st.binary(max_size=8), st.binary(max_size=8), max_size=3),
+    balance=amounts,
+    location=amounts,
+    move_nonce=amounts,
+    account_proof=membership_proofs,
+    proof_height=amounts,
+)
+#: every payload kind, with arbitrary values in its fields (the ones a
+#: type hint names, and anything else the grammar encodes)
+payloads = st.one_of(
+    st.builds(TransferPayload, to=st.one_of(addresses, field_values), amount=field_values),
+    st.builds(
+        DeployPayload,
+        code_hash=digests,
+        args=payload_args,
+        value=amounts,
+        salt=st.one_of(st.none(), amounts),
+    ),
+    st.builds(
+        CallPayload,
+        target=addresses,
+        method=st.text(max_size=10),
+        args=payload_args,
+        value=field_values,
+    ),
+    st.builds(
+        DeployBytecodePayload,
+        code=st.binary(max_size=40),
+        value=amounts,
+        salt=st.one_of(st.none(), amounts),
+    ),
+    st.builds(
+        BytecodeCallPayload, target=addresses, calldata=st.binary(max_size=40), value=amounts
+    ),
+    st.builds(Move1Payload, contract=addresses, target_chain=amounts),
+    st.builds(Move2Payload, bundle=bundles),
+)
+nonces = st.integers(min_value=-(2**80), max_value=2**80)
+
+
+@given(addresses, st.binary(max_size=40), nonces, payloads)
+@settings(max_examples=300, deadline=None)
+def test_one_pass_signing_bytes_are_the_canonical_encoding(sender, public_key, nonce, payload):
+    expected = canonical_encode((sender, public_key, nonce, payload.signing_fields()))
+    assert Transaction(sender, public_key, payload, nonce).signing_bytes() == expected
+
+
+@given(st.sampled_from(["alice", "bob", "carol"]), nonces, payloads)
+@settings(max_examples=150, deadline=None)
+def test_signed_bytes_are_the_canonical_encoding(name, nonce, payload):
+    keypair = KeyPair.from_name(name)
+    tx = sign_transaction(keypair, payload, nonce=nonce)
+    assert tx.signing_bytes() == canonical_encode(
+        (keypair.address, keypair.public_key, nonce, payload.signing_fields())
+    )
+    assert tx.verify()

@@ -21,6 +21,8 @@ from repro.api import (
     ShedByClass,
     RateLimited,
     RequestTimeout,
+    SimNetTransport,
+    Transaction,
     TransferPayload,
     UnknownChainError,
     burrow_params,
@@ -334,6 +336,90 @@ def test_malformed_request_maps_to_invalid_request():
     with pytest.raises(InvalidRequest) as excinfo:
         handle.result()
     assert excinfo.value.code == "invalid_request"
+
+
+def _served_over_the_network():
+    """A started gateway behind a simulated network hop: admission is a
+    simulator event, so a raise inside it would stop the whole run."""
+    node = make_node()
+    gateway = Gateway(node)
+    gateway.start()
+    return node, gateway, SimNetTransport(gateway)
+
+
+def _run_beside_a_good_request(node, transport, submit_bad):
+    """Send one malformed request and one good one, run the node (it
+    must not raise), and return the malformed request's handle."""
+    bad = submit_bad()
+    good = transport.submit(transfer(nonce=10**6), 1, client_id="good")
+    node.run_for(20.0)
+    assert good.ok
+    assert bad.done
+    return bad
+
+
+@pytest.mark.parametrize("client_id", [7, None, b"alice", ("alice",)])
+def test_non_str_client_id_is_an_invalid_request_not_a_crash(client_id):
+    node, gateway, transport = _served_over_the_network()
+    bad = _run_beside_a_good_request(
+        node, transport, lambda: transport.submit(transfer(), 1, client_id=client_id)
+    )
+    with pytest.raises(InvalidRequest, match="client_id"):
+        bad.result()
+    assert gateway.queue_depth(1) == 0
+
+
+@pytest.mark.parametrize("priority", ["urgent", 3, True, 1.0, ["bulk"]])
+def test_unknown_priority_is_an_invalid_request_not_a_crash(priority):
+    node, gateway, transport = _served_over_the_network()
+    bad = _run_beside_a_good_request(
+        node, transport,
+        lambda: transport.submit(transfer(), 1, client_id="a", priority=priority),
+    )
+    with pytest.raises(InvalidRequest) as excinfo:
+        bad.result()
+    assert excinfo.value.code == "invalid_request"
+    assert gateway.queue_depth(1) == 0
+
+
+@pytest.mark.parametrize("chain_id", [True, "1", 1.0, None])
+def test_chain_id_must_be_an_int(chain_id):
+    gateway = Gateway(make_node())
+    handle = gateway.submit(transfer(), chain_id)
+    with pytest.raises(UnknownChainError):
+        handle.result()
+    assert gateway.queue_depth(1) == 0
+
+
+def _around_the_constructor(tx, **fields):
+    """``tx`` with some fields replaced, built without
+    :class:`Transaction`'s constructor (which refuses such heads)."""
+    values = [tx.sender, tx.public_key, tx.payload, tx.nonce, tx.signature]
+    for name, value in fields.items():
+        values[("sender", "public_key", "payload", "nonce", "signature").index(name)] = value
+    return tuple.__new__(Transaction, (*values, tx.tx_id, {}, tx.signing_bytes()))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"nonce": [1]},
+        {"nonce": 1.0},
+        {"nonce": True},
+        {"sender": ALICE.address.raw},
+        {"public_key": ALICE.public_key.hex()},
+        {"signature": "not bytes"},
+    ],
+)
+def test_a_head_the_mempool_cannot_index_is_refused_at_admission(fields):
+    node, gateway, transport = _served_over_the_network()
+    hostile = _around_the_constructor(transfer(), **fields)
+    bad = _run_beside_a_good_request(
+        node, transport, lambda: transport.submit(hostile, 1, client_id="a")
+    )
+    with pytest.raises(InvalidRequest, match="signed types"):
+        bad.result()
+    assert hostile.tx_id not in node.chain(1).receipts
 
 
 def test_rejections_carry_machine_readable_dict():

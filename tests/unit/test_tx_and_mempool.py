@@ -1,6 +1,8 @@
 """Unit tests for transactions, canonical encoding and the mempool."""
 
+import copy
 import gc
+import pickle
 
 import pytest
 
@@ -124,6 +126,50 @@ def test_signed_transaction_holds_no_cache():
     after = referents()
     assert len(after) == len(before)
     assert all(a is b for a, b in zip(after, before))
+
+
+@pytest.mark.parametrize("nonce", [[1], (1,), 1.0, True, "1"])
+def test_signing_refuses_a_nonce_the_mempool_could_not_index(nonce):
+    # A list nonce used to be signed and admitted, then crashed the
+    # mempool's sender index inside a flush.
+    with pytest.raises(TypeError, match="nonce"):
+        sign_transaction(ALICE, TransferPayload(to=TARGET, amount=5), nonce=nonce)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sender", ALICE.address.raw),
+        ("sender", (ALICE.address.raw,)),
+        ("public_key", ALICE.public_key.hex()),
+        ("public_key", bytearray(ALICE.public_key)),
+        ("nonce", [1]),
+        ("nonce", False),
+    ],
+    ids=["bytes-sender", "1-tuple-sender", "hex-key", "bytearray-key", "list-nonce", "bool-nonce"],
+)
+def test_transaction_head_must_have_the_signed_types(field, value):
+    tx = sign_transaction(ALICE, TransferPayload(to=TARGET, amount=5))
+    fields = {
+        "sender": tx.sender, "public_key": tx.public_key, "payload": tx.payload,
+        "nonce": tx.nonce, "signature": tx.signature, field: value,
+    }
+    with pytest.raises(TypeError, match=field):
+        Transaction(**fields)
+
+
+def test_payload_records_equal_their_fields_and_keep_their_kind_apart():
+    transfer = TransferPayload(to=TARGET, amount=5)
+    assert transfer == (TARGET, 5) and hash(transfer) == hash((TARGET, 5))
+    assert (transfer.to, transfer.amount) == (TARGET, 5)
+    assert transfer != Move1Payload(contract=TARGET, target_chain=5)
+    call = CallPayload(TARGET, "m")
+    assert call == CallPayload(target=TARGET, method="m", args=(), value=0)
+    assert (call.target, call.method, call.args, call.value) == (TARGET, "m", (), 0)
+    with pytest.raises(AttributeError):
+        transfer.amount = 6
+    assert copy.deepcopy(call) == call and type(copy.deepcopy(call)) is CallPayload
+    assert pickle.loads(pickle.dumps(transfer)) == transfer
 
 
 def test_split_and_merged_strings_do_not_collide():
