@@ -25,7 +25,7 @@ from collections import _tuplegetter  # namedtuple's field accessor, in C
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple, Union
 
-from repro.crypto.hashing import keccak_hex
+from repro.crypto.hashing import keccak
 from repro.crypto.keys import Address, KeyPair, derive_address
 from repro.crypto.signature import Signer, SimulatedSigner
 
@@ -55,44 +55,49 @@ def canonical_encode(value: Any) -> bytes:
     subclass of a listed one included — raises :class:`TypeError`.
     """
     out: list = []
-    _encode_into(value, out)
+    _encode_into((value,), out)
     return b"".join(out)
 
 
-def _encode_into(value: Any, out: list) -> None:
-    # The kinds signed payloads are made of come first: a transfer's
-    # fields are a tuple of a str, an Address and an int.
-    kind = type(value)
-    if kind is tuple or kind is list:
-        out.append(b"l%d:" % len(value))
-        for item in value:
-            _encode_into(item, out)
-    elif kind is str:
-        data = value.encode()
-        out.append(b"s%d:%s" % (len(data), data))
-    elif kind is Address:
-        out.append(b"a" + value[0])
-    elif kind is int:
-        out.append(b"i%d;" % value)
-    elif kind is bytes:
-        out.append(b"y%d:%s" % (len(value), value))
-    elif kind is bool:
-        out.append(b"b1" if value else b"b0")
-    elif value is None:
-        out.append(b"n")
-    elif kind is float:
-        data = repr(value).encode()
-        out.append(b"f%d:%s" % (len(data), data))
-    elif kind is dict:
-        out.append(b"d%d:" % len(value))
-        for key in sorted(value):
-            _encode_into(key, out)
-            _encode_into(value[key], out)
-    elif hasattr(value, "signing_fields"):
-        out.append(b"o")
-        _encode_into(value.signing_fields(), out)
-    else:
-        raise TypeError(f"cannot canonically encode {kind.__name__}")
+def _encode_into(values: Any, out: list) -> None:
+    """Append the encodings of ``values``, in order.
+
+    Scalars are encoded in this loop; a container opens here and its
+    items come from one recursive call, so a call per nesting level —
+    not per value — is what a payload costs.  The kinds signed payloads
+    are made of are tested first: a transfer's fields are a str, an
+    Address and an int.
+    """
+    for value in values:
+        kind = type(value)
+        if kind is str:
+            data = value.encode()
+            out.append(b"s%d:%s" % (len(data), data))
+        elif kind is Address:
+            out.append(b"a" + value[0])
+        elif kind is int:
+            out.append(b"i%d;" % value)
+        elif kind is tuple or kind is list:
+            out.append(b"l%d:" % len(value))
+            _encode_into(value, out)
+        elif kind is bytes:
+            out.append(b"y%d:%s" % (len(value), value))
+        elif kind is bool:
+            out.append(b"b1" if value else b"b0")
+        elif value is None:
+            out.append(b"n")
+        elif kind is float:
+            data = repr(value).encode()
+            out.append(b"f%d:%s" % (len(data), data))
+        elif kind is dict:
+            out.append(b"d%d:" % len(value))
+            for key in sorted(value):
+                _encode_into((key, value[key]), out)
+        elif hasattr(value, "signing_fields"):
+            out.append(b"o")
+            _encode_into((value.signing_fields(),), out)
+        else:
+            raise TypeError(f"cannot canonically encode {kind.__name__}")
 
 
 class TransferPayload(tuple):
@@ -240,7 +245,7 @@ def _signing_encoding(sender: Address, public_key: bytes, nonce: int, payload) -
     if type(sender) is not Address or type(public_key) is not bytes or type(nonce) is not int:
         _refuse_head(sender, public_key, nonce)
     out = [b"l4:a%sy%d:%si%d;" % (sender[0], len(public_key), public_key, nonce)]
-    _encode_into(payload.signing_fields(), out)
+    _encode_into((payload.signing_fields(),), out)
     return b"".join(out)
 
 
@@ -325,7 +330,7 @@ def _record(sender, public_key, payload, nonce, signature, signing) -> Transacti
         Transaction,
         (
             sender, public_key, payload, nonce, signature,
-            keccak_hex(signing, signature), {}, signing,
+            keccak(signing, signature).hex(), {}, signing,
         ),
     )
 

@@ -346,8 +346,7 @@ class Gateway:
                 cls = PriorityClass.coerce(priority)
             if kind in _WRITE_PAYLOADS:
                 self._check_mirror_write(tx, chain)
-            if self.limits.rate_limit > 0:
-                self._charge_rate(client_id, now)
+            self._charge_rate(client_id, now)
 
             handle.tx_id = tx.tx_id
             handle.admitted_at = now
