@@ -25,7 +25,7 @@ is flush order and ``reversed(...)`` is shed-search order.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Optional, Union
+from typing import Union
 
 from repro.chain.tx import Move1Payload, Move2Payload, Transaction
 from repro.errors import ConfigError
@@ -45,9 +45,12 @@ class PriorityClass(IntEnum):
 
     @classmethod
     def coerce(cls, value: Union["PriorityClass", str, int]) -> "PriorityClass":
-        """Accept a member, its label or its value; :class:`ConfigError`
-        (naming the field) on anything else."""
-        member = resolve(value)
+        """Accept a member, its label (any case) or its value — exact
+        types only, so ``True`` and ``1.0`` name no class;
+        :class:`ConfigError` (naming the field) on anything else."""
+        member = _BY_KEY.get(value) if type(value) in _KEY_TYPES else None
+        if member is None and type(value) is str:
+            member = cls.__members__.get(value.upper())
         if member is None:
             raise ConfigError(
                 f"priority must be one of {[c.label for c in cls]} "
@@ -64,21 +67,12 @@ SHED_ORDER = tuple(reversed(FLUSH_ORDER))
 
 #: every accepted spelling of a class but a case variant of its name:
 #: the members (which, being ``IntEnum``, also answer to their values)
-#: and their labels
+#: and their labels — one table read per override
 _BY_KEY = {**{c: c for c in FLUSH_ORDER}, **{c.label: c for c in FLUSH_ORDER}}
 _KEY_TYPES = frozenset((PriorityClass, str, int))
 
 #: the payload kinds that classify as ``MOVE`` by default
 MOVE_PAYLOADS = frozenset((Move1Payload, Move2Payload))
-
-
-def resolve(value: object) -> Optional[PriorityClass]:
-    """The class a priority override names, or ``None`` if it names
-    none.  Exact types only: ``True`` and ``1.0`` are not ``VIEW``."""
-    member = _BY_KEY.get(value) if type(value) in _KEY_TYPES else None
-    if member is None and type(value) is str:
-        member = PriorityClass.__members__.get(value.upper())
-    return member
 
 
 def classify(tx: Transaction) -> PriorityClass:

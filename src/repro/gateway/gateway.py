@@ -129,7 +129,6 @@ class _ChainMetrics:
         def per_class(instrument, name: str) -> list:
             return [instrument(name, chain=chain_id, cls=c.label) for c in FLUSH_ORDER]
 
-        self.chain_id = chain_id
         self.requests = metrics.counter("gateway_requests_total", chain=chain_id)
         self.admitted = metrics.counter("gateway_admitted_total", chain=chain_id)
         self.parked = metrics.counter("gateway_parked_total", chain=chain_id)
@@ -298,13 +297,10 @@ class Gateway:
         handle._node = node
         try:
             now = self._sim.now
-            chain = node.chains.get(chain_id) if type(chain_id) is int else None
-            if chain is None:
-                raise UnknownChainError(
-                    f"this node serves chains {self._chain_ids}, not {chain_id!r}"
-                )
-            m = self._m[chain_id]
-            m.requests.inc()
+            if type(chain_id) is not int:  # True and 1.0 would find chain 1
+                raise UnknownChainError(f"chain id must be an int, got {chain_id!r}")
+            chain = node.chain(chain_id)  # raises UnknownChainError
+            self._m[chain_id].requests.inc()
             if type(client_id) is not str:
                 raise InvalidRequest(
                     f"client_id must be a str, got {type(client_id).__name__}"
@@ -353,7 +349,8 @@ class Gateway:
             replica = self._pins.get(client_id)
             if replica is None:
                 replica = self.replica_for(client_id)
-            self._enqueue(QueueEntry(tx, handle, cls, client_id, now), replica, m, False)
+            entry = QueueEntry(tx, handle, cls, client_id, now)
+            self._enqueue(entry, replica, chain_id, park=False)
             if key is not None:
                 # Bind only after admission succeeded: a shed or rejected
                 # request must not wedge its key, so a retry after a
@@ -464,13 +461,12 @@ class Gateway:
         )
 
     def _enqueue(
-        self, entry: QueueEntry, replica: _Replica, m: _ChainMetrics, park: bool
+        self, entry: QueueEntry, replica: _Replica, chain_id: int, park: bool
     ) -> None:
-        """Classed admission under the replica's bound, into the queue
-        of the chain ``m`` instruments; ``park=True`` uses the overflow
-        lot instead of shedding when even class-aware eviction finds no
-        lower-class victim."""
-        chain_id = m.chain_id
+        """Classed admission under the replica's bound; ``park=True``
+        uses the overflow lot instead of shedding when even class-aware
+        eviction finds no lower-class victim."""
+        m = self._m[chain_id]
         result = replica.queues[chain_id].push(entry)
         if not result.admitted:
             blocked = replica.blocked[chain_id]
@@ -753,7 +749,7 @@ class Gateway:
                 tx=tx, handle=inner, cls=PriorityClass.MOVE, client=client_id, at=now
             )
             try:
-                self._enqueue(entry, replica, self._m[chain_id], park=True)
+                self._enqueue(entry, replica, chain_id, park=True)
             except GatewayError as error:
                 self._reject(inner, error)
 

@@ -172,7 +172,9 @@ class FleetWorkload:
         sender = self.keypairs[index]
         target = self.keypairs[rng.randrange(len(self.keypairs))]
         self._nonce += 1
-        tx = sign_transaction(sender, TransferPayload(target.address, 1), self._nonce)
+        tx = sign_transaction(
+            sender, TransferPayload(to=target.address, amount=1), nonce=self._nonce
+        )
         label = self._pick_class()
         handle = self.transport.submit(
             tx, 1, client_id=self.client_ids[index], priority=label
@@ -210,31 +212,34 @@ class FleetWorkload:
             final_root=chain.head.header.state_root.hex(),
             log_digest=self.fleet.log_digest(),
         )
-        offered = report.offered_by_class = dict.fromkeys(CLASS_LABELS, 0)
-        confirmed = report.confirmed_by_class = dict.fromkeys(CLASS_LABELS, 0)
-        shed_codes, shed_by_class = report.shed_codes, report.shed_by_class
+        for label in CLASS_LABELS:
+            report.offered_by_class[label] = 0
+            report.confirmed_by_class[label] = 0
         for label, handle in self.submissions:
-            offered[label] += 1
-            error = handle.error
-            if error is not None:
-                code = error.code
-                shed_codes[code] = shed_codes.get(code, 0) + 1
-                # Victim attribution comes from the error itself: a
-                # ShedByClass names the class that actually lost its
-                # slot (which may differ from the enqueuer's when a
-                # higher class evicted it).
-                if isinstance(error, ShedByClass) and error.shed_class:
-                    shed_by_class[error.shed_class] = (
-                        shed_by_class.get(error.shed_class, 0) + 1
-                    )
+            report.submitted += 1
+            report.offered_by_class[label] += 1
+            if handle.error is not None:
+                code = handle.error.code
+                report.shed_codes[code] = report.shed_codes.get(code, 0) + 1
             elif handle.receipt is not None:
-                confirmed[label] += 1
+                report.confirmed += 1
+                report.confirmed_by_class[label] += 1
                 if handle.resolved_at <= duration:
                     report.confirmed_in_window += 1
                 if handle.admitted_at is not None and handle.resolved_at is not None:
-                    report.latency.add(label, handle.resolved_at - handle.admitted_at)
+                    report.latency.add(
+                        label, handle.resolved_at - handle.admitted_at
+                    )
             else:
                 report.unresolved += 1
-        report.submitted = len(self.submissions)
-        report.confirmed = sum(confirmed.values())
+        # Victim attribution comes from the errors themselves: each
+        # ShedByClass names the class that actually lost its slot
+        # (which may differ from the enqueuer's when a higher class
+        # evicted it).
+        for label, handle in self.submissions:
+            error = handle.error
+            if isinstance(error, ShedByClass) and error.shed_class:
+                report.shed_by_class[error.shed_class] = (
+                    report.shed_by_class.get(error.shed_class, 0) + 1
+                )
         return report
