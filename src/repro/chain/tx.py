@@ -104,7 +104,8 @@ class TransferPayload(tuple):
     """Native currency between accounts: an immutable record.
 
     A 2-tuple underneath, like :class:`Transaction` and
-    :class:`~repro.crypto.keys.Address`, so building one is a C call.
+    :class:`~repro.crypto.keys.Address`: built by one ``tuple.__new__``,
+    with no per-field attribute writes.
     One consequence of the layout: **a payload equals the plain tuple
     of its fields** (``TransferPayload(to, 5) == (to, 5)``) and hashes
     like it — the value the frozen dataclass it replaces hashed to.  It

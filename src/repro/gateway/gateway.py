@@ -316,7 +316,23 @@ class Gateway:
                 key = (client_id, idempotency_key)
                 original = self._by_key.get(key)
                 if original is not None:
-                    self._reattach(handle, original)
+                    self._m_idempotent.inc()
+                    if isinstance(original.error, RequestTimeout):
+                        # The original missed its deadline but its
+                        # transaction was still flushed: reattach this
+                        # retry to the eventual receipt instead of
+                        # mirroring the stale timeout, with its own
+                        # fresh deadline.
+                        handle.tx_id = original.tx_id
+                        original.on_late_receipt(
+                            lambda src: handle._resolve(src.receipt, self.node.now)
+                        )
+                        if self.limits.request_timeout > 0 and not handle.done:
+                            self._sim.schedule(
+                                self.limits.request_timeout, self._expire, handle
+                            )
+                    else:
+                        handle._mirror(original)
                     return handle
 
             if type(tx) is not Transaction:
@@ -346,9 +362,7 @@ class Gateway:
 
             handle.tx_id = tx.tx_id
             handle.admitted_at = now
-            replica = self._pins.get(client_id)
-            if replica is None:
-                replica = self.replica_for(client_id)
+            replica = self.replica_for(client_id)
             entry = QueueEntry(tx, handle, cls, client_id, now)
             self._enqueue(entry, replica, chain_id, park=False)
             if key is not None:
@@ -378,24 +392,6 @@ class Gateway:
                 InvalidRequest(f"malformed request: {type(error).__name__}: {error}"),
             )
         return handle
-
-    def _reattach(self, handle: RequestHandle, original: RequestHandle) -> None:
-        """An idempotent retry: ``handle`` follows the request admitted
-        under the same key instead of submitting again."""
-        self._m_idempotent.inc()
-        if isinstance(original.error, RequestTimeout):
-            # The original missed its deadline but its transaction was
-            # still flushed: reattach this retry to the eventual receipt
-            # instead of mirroring the stale timeout, with its own fresh
-            # deadline.
-            handle.tx_id = original.tx_id
-            original.on_late_receipt(
-                lambda src: handle._resolve(src.receipt, self.node.now)
-            )
-            if self.limits.request_timeout > 0 and not handle.done:
-                self._sim.schedule(self.limits.request_timeout, self._expire, handle)
-            return
-        handle._mirror(original)
 
     def _charge_rate(self, client_id: str, now: float) -> None:
         """Spend one token from the client's bucket (typed shed past the
