@@ -567,18 +567,11 @@ class Chain:
                 raise StateError(f"txs_root mismatch at height {block.height}")
         return True
 
-    def observe_chain(self, params: ChainParams, fork_aware: bool = False) -> None:
-        """Start maintaining a light client of a peer chain.
-
-        ``fork_aware=True`` tracks competing branches of the peer
-        (appropriate for PoW peers, whose chains reorg); the default
-        store suits BFT peers with instant finality.
-        """
+    def observe_chain(self, params: ChainParams) -> None:
+        """Start maintaining a light client of a peer chain."""
         if params.chain_id not in self.registry:
             self.registry.register(params)
-        self.light_client.observe(
-            params.chain_id, params.confirmation_depth, fork_aware=fork_aware
-        )
+        self.light_client.observe(params.chain_id, params.confirmation_depth)
 
     def ingest_header(self, header: BlockHeader) -> None:
         """Feed a peer-chain header to this chain's light client."""

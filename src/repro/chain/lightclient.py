@@ -11,77 +11,24 @@ two for Burrow).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.chain.block import BlockHeader
 from repro.errors import StateError
 
 
 class HeaderStore:
-    """Headers of *one* observed chain, with confirmation tracking."""
+    """Headers of *one* observed chain, linked into branches.
 
-    def __init__(self, chain_id: int, confirmation_depth: int):
-        self.chain_id = chain_id
-        self.confirmation_depth = confirmation_depth
-        self._headers: Dict[int, BlockHeader] = {}
-        self.head_height = -1
-        #: conflicting headers seen (and rejected) at an occupied height
-        self.equivocations = 0
+    Every observer keeps this store, whatever the source's consensus:
 
-    def add_header(self, header: BlockHeader) -> None:
-        """Ingest a header (relayed or downloaded).
-
-        Exactly-once is *not* assumed: re-delivering a known header is a
-        no-op, and a *conflicting* header at an occupied height — two
-        distinct headers at one height of a non-forking chain are
-        equivocation evidence — is rejected (first-seen wins) and
-        counted in :attr:`equivocations` instead of silently replacing
-        the root that peers may already have verified proofs against.
-        """
-        if header.chain_id != self.chain_id:
-            raise StateError(
-                f"header of chain {header.chain_id} fed to store of {self.chain_id}"
-            )
-        existing = self._headers.get(header.height)
-        if existing is not None and existing.hash() != header.hash():
-            self.equivocations += 1
-            return
-        self._headers[header.height] = header
-        self.head_height = max(self.head_height, header.height)
-
-    def header_at(self, height: int) -> Optional[BlockHeader]:
-        """The stored header at ``height``, if any."""
-        return self._headers.get(height)
-
-    def is_confirmed(self, height: int) -> bool:
-        """Is the block at ``height`` at least ``p`` behind the head?"""
-        return height + self.confirmation_depth <= self.head_height
-
-    def trusted_state_root(self, height: int) -> Optional[bytes]:
-        """The root ``m`` carried by the header at ``height`` — only if
-        that header is known *and* sufficiently confirmed; else None.
-
-        This is one half of ``VS(B, m)``; the caller compares the
-        returned root with the one the proof claims.
-        """
-        header = self._headers.get(height)
-        if header is None or not self.is_confirmed(height):
-            return None
-        return header.state_root
-
-
-class ForkAwareHeaderStore(HeaderStore):
-    """Header store that tracks competing branches of a forking chain.
-
-    Permissionless chains fork momentarily (Section II); interoperating
-    peers therefore wait ``p`` blocks before trusting a header
-    (Section IV-A).  This store makes the mechanism concrete:
-
-    * headers must link to a known parent (by hash) — detached headers
-      are rejected;
-    * competing headers at one height coexist as branches;
-    * the **canonical** chain is the longest branch (first-seen wins a
-      tie, like a node that mines on what it saw first);
+    * a header is accepted only if it links by hash to a known parent
+      exactly one height below it — genesis (height 0) is the only
+      exception; any other header raises :class:`StateError` and never
+      moves :attr:`head_height`;
+    * competing headers coexist as branches, and the **canonical**
+      chain is the longest branch (the first-seen tip wins a tie, like
+      a node that builds on what it saw first);
     * ``trusted_state_root`` answers only for canonical, ``p``-deep
       headers — a root from an orphaned branch is never trusted, and a
       root that *was* canonical stops validating after a reorg;
@@ -91,66 +38,102 @@ class ForkAwareHeaderStore(HeaderStore):
       counted in :attr:`deep_reorgs`, never silently absorbed, so
       operators and the chaos invariant checker can flag every Move2
       that may have built on the orphaned side.
+
+    Extending the tip costs O(1); a reorg rewrites the canonical chain
+    back to the fork point only.
     """
 
     def __init__(self, chain_id: int, confirmation_depth: int):
-        super().__init__(chain_id, confirmation_depth)
+        self.chain_id = chain_id
+        self.confirmation_depth = confirmation_depth
         self._by_hash: Dict[bytes, BlockHeader] = {}
-        self._tip: Optional[BlockHeader] = None
-        self._canonical: Dict[int, bytes] = {}  # height -> canonical hash
+        self._canonical: List[bytes] = []  # canonical hash per height
+        self.head_height = -1
+        #: headers accepted at an occupied height: equivocation evidence
+        #: from a BFT source, fork branches from a PoW one
+        self.equivocations = 0
         self.reorgs = 0
         #: reorgs that replaced an already-p-confirmed canonical header
         self.deep_reorgs = 0
 
     def add_header(self, header: BlockHeader) -> None:
-        """Ingest a linked header; competing branches are tracked."""
+        """Ingest a header (relayed or downloaded).
+
+        Exactly-once is *not* assumed: re-delivering a known header is a
+        no-op.  A header one above the head becomes the new tip, on
+        whichever branch it extends; any other linked header joins a
+        branch without moving the head.
+        """
         if header.chain_id != self.chain_id:
             raise StateError(
                 f"header of chain {header.chain_id} fed to store of {self.chain_id}"
             )
-        if header.height > 0 and header.parent_hash not in self._by_hash:
-            raise StateError(
-                f"detached header at height {header.height}: unknown parent"
-            )
+        height = header.height
+        if height != 0:
+            parent = self._by_hash.get(header.parent_hash)
+            if parent is None or parent.height != height - 1:
+                raise StateError(
+                    f"detached header at height {height}: "
+                    f"no known parent at height {height - 1}"
+                )
         digest = header.hash()
+        if digest in self._by_hash:
+            return
         self._by_hash[digest] = header
-        self._headers[header.height] = header  # latest writer, superseded below
-        if self._tip is None or header.height > self._tip.height:
-            old_tip = self._tip
-            old_head = self.head_height
-            old_canonical = dict(self._canonical)
-            self._tip = header
-            self.head_height = header.height
-            self._rebuild_canonical()
-            if old_tip is not None and self._canonical.get(old_tip.height) != old_tip.hash():
-                self.reorgs += 1
-                if any(
-                    self._canonical.get(height) != canonical_hash
-                    and height + self.confirmation_depth <= old_head
-                    for height, canonical_hash in old_canonical.items()
-                ):
-                    self.deep_reorgs += 1
+        if height <= self.head_height:
+            self.equivocations += 1
+            return
+        if height == 0 or header.parent_hash == self._canonical[-1]:
+            self._canonical.append(digest)
+        else:
+            self._reorg(header, digest)
+        self.head_height = height
 
-    def _rebuild_canonical(self) -> None:
-        self._canonical.clear()
-        cursor = self._tip
-        while cursor is not None:
-            self._canonical[cursor.height] = cursor.hash()
-            self._headers[cursor.height] = cursor
-            if cursor.height == 0:
-                break
-            cursor = self._by_hash.get(cursor.parent_hash)
+    def _reorg(self, tip: BlockHeader, digest: bytes) -> None:
+        """Make ``tip``'s branch canonical, rewriting back to the fork."""
+        canonical = self._canonical
+        branch = [digest]
+        ancestor = tip.parent_hash
+        height = tip.height - 1
+        while height >= 0 and canonical[height] != ancestor:
+            branch.append(ancestor)
+            ancestor = self._by_hash[ancestor].parent_hash
+            height -= 1
+        del canonical[height + 1 :]
+        canonical.extend(reversed(branch))
+        self.reorgs += 1
+        # height + 1 is the deepest header the reorg replaced
+        if height + 1 + self.confirmation_depth <= self.head_height:
+            self.deep_reorgs += 1
+
+    def header_at(self, height: int) -> Optional[BlockHeader]:
+        """The canonical header at ``height``, if any."""
+        if 0 <= height <= self.head_height:
+            return self._by_hash[self._canonical[height]]
+        return None
 
     def is_canonical(self, header: BlockHeader) -> bool:
         """Is this header on the current longest branch?"""
-        return self._canonical.get(header.height) == header.hash()
+        height = header.height
+        return (
+            0 <= height <= self.head_height
+            and self._canonical[height] == header.hash()
+        )
+
+    def is_confirmed(self, height: int) -> bool:
+        """Is the block at ``height`` at least ``p`` behind the head?"""
+        return height + self.confirmation_depth <= self.head_height
 
     def trusted_state_root(self, height: int) -> Optional[bytes]:
-        """The canonical, p-confirmed root at ``height`` (else None)."""
-        canonical_hash = self._canonical.get(height)
-        if canonical_hash is None or not self.is_confirmed(height):
+        """The root ``m`` carried by the canonical header at ``height`` —
+        only if that header is sufficiently confirmed; else None.
+
+        This is one half of ``VS(B, m)``; the caller compares the
+        returned root with the one the proof claims.
+        """
+        if height < 0 or not self.is_confirmed(height):
             return None
-        return self._by_hash[canonical_hash].state_root
+        return self._by_hash[self._canonical[height]].state_root
 
 
 class LightClient:
@@ -159,18 +142,11 @@ class LightClient:
     def __init__(self) -> None:
         self._stores: Dict[int, HeaderStore] = {}
 
-    def observe(
-        self, chain_id: int, confirmation_depth: int, fork_aware: bool = False
-    ) -> HeaderStore:
-        """Start (or fetch) the store for a peer chain.
-
-        ``fork_aware=True`` builds a :class:`ForkAwareHeaderStore` —
-        appropriate when the observed chain can fork (PoW peers).
-        """
+    def observe(self, chain_id: int, confirmation_depth: int) -> HeaderStore:
+        """Start (or fetch) the store for a peer chain."""
         store = self._stores.get(chain_id)
         if store is None:
-            cls = ForkAwareHeaderStore if fork_aware else HeaderStore
-            store = cls(chain_id, confirmation_depth)
+            store = HeaderStore(chain_id, confirmation_depth)
             self._stores[chain_id] = store
         return store
 

@@ -22,9 +22,8 @@ The world (a node under the ``"consensus"`` driver):
 * chains 1 and 2: Burrow/Tendermint, four validators each (quorum 3,
   so every single-validator fault is survivable), 5 s blocks;
 * optional chain 3 (``pow_peer=True``): Ethereum-flavoured PoW
-  bystander with four miners, observed fork-aware by the others (the
-  node derives that from its flavour) — the target of ``reorg`` and the
-  reason their light clients must track branches;
+  bystander with four miners, observed by the others — the target of
+  ``reorg`` and the reason their light clients must track branches;
 * header relays with a small simulated delay, one per source chain, so
   withhold/stale faults have a real seam to grab;
 * a handful of closed-loop actors moving their contracts back and
@@ -84,6 +83,7 @@ class ChaosReport:
     #: final committed state root per chain (hex) — lets determinism
     #: harnesses compare whole runs without holding the worlds alive
     final_roots: Dict[int, str] = field(default_factory=dict)
+    #: competing headers observers stored at an occupied height
     equivocations_rejected: int = 0
     deep_reorgs_detected: int = 0
     messages_dropped: int = 0
@@ -408,7 +408,6 @@ def _check_replicas(world: ChaosWorld, manager) -> None:
     (their replicated storage is wiped), so passing here means no
     orphaned state is reachable through any read path.
     """
-    from repro.chain.lightclient import ForkAwareHeaderStore
     from repro.errors import InvariantViolation
 
     for (source_id, target_id), relay in manager._relays.items():
@@ -419,10 +418,8 @@ def _check_replicas(world: ChaosWorld, manager) -> None:
             if not mirror.available:
                 continue
             world.report.replica_checks += 1
-            if (
-                mirror.applied_header is not None
-                and isinstance(store, ForkAwareHeaderStore)
-                and not store.is_canonical(mirror.applied_header)
+            if mirror.applied_header is not None and not store.is_canonical(
+                mirror.applied_header
             ):
                 raise InvariantViolation(
                     f"LIVE mirror of {contract} on chain {target_id} rests "
@@ -553,6 +550,7 @@ def run_chaos(
     setup(world, on_ready)
     world.sim.run(until=duration)
     checker.final_check()
+    checker.check_trusted_headers()
     if manager is not None:
         _check_replicas(world, manager)
         report.replica_rehomes = manager.rehomes
@@ -583,6 +581,6 @@ def run_chaos(
         for peer_id in world.chains:
             store = chain.light_client.store_for(peer_id)
             if store is not None:
-                report.equivocations_rejected += getattr(store, "equivocations", 0)
-                report.deep_reorgs_detected += getattr(store, "deep_reorgs", 0)
+                report.equivocations_rejected += store.equivocations
+                report.deep_reorgs_detected += store.deep_reorgs
     return report

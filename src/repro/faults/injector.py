@@ -205,9 +205,11 @@ class FaultInjector:
     def equivocate(self, chain_id: int) -> None:
         """Feed observers a conflicting header at the source's head.
 
-        Non-forking (BFT) observers must reject it and bump their
-        ``equivocations`` counter; fork-aware observers track it as a
-        dead-end branch that never becomes canonical.
+        An observer that already holds the honest head keeps the fake as
+        a dead-end branch (bumping its ``equivocations`` counter); one
+        that is one header behind adopts it as a tie-winning tip until
+        the honest chain outgrows it.  Either way it never reaches ``p``
+        confirmations.
         """
         source = self._chain(chain_id)
         head = source.head.header
@@ -221,7 +223,12 @@ class FaultInjector:
             proposer="equivocator",
         )
         for observer in self._observers(chain_id):
-            observer.ingest_header(fake)
+            try:
+                observer.ingest_header(fake)
+            except StateError:
+                # The observer has not seen the fake's parent yet (its
+                # relay is withheld or lagging): the header is detached.
+                self._count("equivocate_undeliverable")
 
     def reorg(self, chain_id: int, depth: int) -> int:
         """Show observers a competing branch of the source chain.
@@ -229,7 +236,7 @@ class FaultInjector:
         ``depth`` is the confirmation count of the deepest block the
         branch orphans: the fork point sits ``depth + 1`` below the
         head, and the branch is one block longer than the honest chain,
-        so fork-aware observers adopt it as canonical — exactly what a
+        so observers adopt it as canonical — exactly what a
         late-arriving heavier PoW branch does.  Roots in the replaced
         suffix become untrusted, so proofs against them stop validating
         (``VS`` fails) until the honest branch outgrows the attacker's

@@ -35,6 +35,10 @@ I4 **commitment integrity** — each chain's committed account tree
    A write that dodged dirty tracking, or a trie fold that diverged
    from the canonical root, fails here on the very next block.
 
+At the end of a run, :meth:`InvariantChecker.check_trusted_headers`
+also asserts ``VS``'s trust boundary: no light client holds a
+``p``-confirmed header of a BFT source that the source never committed.
+
 Violations raise :class:`~repro.errors.InvariantViolation` immediately,
 aborting the simulation at the first bad block.
 """
@@ -131,6 +135,32 @@ class InvariantChecker:
         self.check_all(committed_chain=None)
         for chain in self.chains:
             chain.verify_chain()
+
+    def check_trusted_headers(self) -> None:
+        """Every ``p``-confirmed canonical header an observer holds of a
+        Burrow (final) source is the header that source committed at
+        that height.  PoW sources are skipped: a longer branch may
+        replace a confirmed header by design, and the store counts that
+        in ``deep_reorgs``."""
+        for source in self.chains:
+            if source.params.flavor != "burrow":
+                continue
+            for observer in self.chains:
+                store = observer.light_client.store_for(source.chain_id)
+                if store is None:
+                    continue
+                for height in range(store.head_height - store.confirmation_depth + 1):
+                    trusted = store.header_at(height)
+                    if (
+                        height > source.height
+                        or trusted.hash() != source.blocks[height].hash()
+                    ):
+                        self._fail(
+                            "VS-trust",
+                            f"chain {observer.chain_id} trusts a chain-"
+                            f"{source.chain_id} header at height {height} "
+                            "that the source never committed",
+                        )
 
     # ------------------------------------------------------------------
     # I1 + I2 + I3 helpers

@@ -10,7 +10,7 @@ Delivery guarantees.  Even when per-header delays jitter (or a fault
 injector inflates them), the relay delivers headers to each target in
 height order: a header is never scheduled before the previous one for
 the same target.  Without this guard, a delayed header ``h`` overtaken
-by ``h+1`` would hit a fork-aware store as a detached child and crash
+by ``h+1`` would hit the store as a detached child and crash
 the relay mid-simulation — an in-order delivery assumption that was
 implicit before the fault harness made it explicit.
 
@@ -38,7 +38,6 @@ class HeaderRelay:
         targets: Sequence[Chain],
         sim: Optional[Simulator] = None,
         delay: float = 0.0,
-        fork_aware: bool = False,
     ):
         self.source = source
         self.targets = list(targets)
@@ -62,7 +61,7 @@ class HeaderRelay:
         #: enforces in-order (FIFO) delivery per target under jitter
         self._next_delivery: Dict[int, float] = {}
         for target in self.targets:
-            target.observe_chain(source.params, fork_aware=fork_aware)
+            target.observe_chain(source.params)
         # Backfill already-produced headers (e.g. genesis).
         for block in source.blocks:
             self._forward(block.header)
@@ -117,26 +116,12 @@ def connect_chains(
     chains: Iterable[Chain],
     sim: Optional[Simulator] = None,
     delay: float = 0.0,
-    fork_aware: bool = False,
 ) -> List[HeaderRelay]:
-    """Fully mesh a set of chains: every chain observes every other.
-
-    A peer observes an ``ethereum`` (PoW) source through a fork-tracking
-    header store, because PoW chains reorg, and a BFT source through a
-    plain one.  ``fork_aware=True`` forces fork tracking on every source.
-    """
+    """Fully mesh a set of chains: every chain observes every other."""
     chains = list(chains)
     relays: List[HeaderRelay] = []
     for source in chains:
         targets = [c for c in chains if c is not source]
         if targets:
-            relays.append(
-                HeaderRelay(
-                    source,
-                    targets,
-                    sim=sim,
-                    delay=delay,
-                    fork_aware=fork_aware or source.params.flavor == "ethereum",
-                )
-            )
+            relays.append(HeaderRelay(source, targets, sim=sim, delay=delay))
     return relays

@@ -3,7 +3,7 @@
 An :class:`IBCExperiment` is a :class:`~repro.node.Node` over one
 Burrow-flavoured and one Ethereum-flavoured chain under the
 ``"consensus"`` driver (Tendermint and proof-of-work over the simulated
-WAN; Burrow observes the PoW chain fork-aware), plus the bridge that
+WAN, each chain observing the other), plus the bridge that
 drives moves between them.  Each scenario prepares contracts on the two
 chains, then performs one measured cross-chain operation:
 

@@ -26,9 +26,8 @@ Two block-production drivers:
   proof-of-work mining for ``ethereum``.  Block cadence then includes
   quorum latency or mining variance.
 
-Peers observe a PoW (``ethereum``) source through a fork-tracking
-header store and a BFT source through a plain one (see
-:func:`~repro.ibc.headers.connect_chains`).
+Every peer observes every source through the same linked header store
+(see :func:`~repro.ibc.headers.connect_chains`).
 """
 
 from __future__ import annotations

@@ -199,21 +199,16 @@ class Rebalancer:
         return [e for e in settled if e["status"] == status]
 
 
-def replication_actuator(
-    manager,
-    move_actuator: Optional[Actuator] = None,
-    shard_to_chain: Callable[[int], int] = lambda index: index + 1,
-) -> Actuator:
+def replication_actuator(manager) -> Actuator:
     """Actuate the policy's replicate-vs-move arm.
 
     ``"replicate"`` decisions place a read-only mirror of the contract
     on the target shard through a
     :class:`~repro.replicate.manager.ReplicationManager` (the contract's
     active copy stays put; the relay syncs the mirror asynchronously).
-    ``"move"`` decisions delegate to ``move_actuator`` — typically
-    :meth:`~repro.workload.clients.ScoinWorkload.relocate_actuator` —
-    or fail gracefully when none is wired (the cooldown then throttles
-    retries).  A placement the manager refuses (``StateError``,
+    Shard ``i`` is chain ``i + 1``, the cluster convention.  ``"move"``
+    decisions fail gracefully (the cooldown then throttles retries).  A
+    placement the manager refuses (``StateError``,
     ``UnknownChainError``) settles as ``failed``; any other exception
     propagates, so the driver records it as ``error`` with a
     ``rebalance.actuate_error`` span event.
@@ -221,13 +216,10 @@ def replication_actuator(
 
     def actuate(decision: MoveDecision, done: Callable[[bool], None]) -> None:
         if decision.action != "replicate":
-            if move_actuator is None:
-                done(False)
-                return
-            move_actuator(decision, done)
+            done(False)
             return
-        source_id = shard_to_chain(decision.source_shard)
-        target_id = shard_to_chain(decision.target_shard)
+        source_id = decision.source_shard + 1
+        target_id = decision.target_shard + 1
         try:
             manager.replicate(decision.contract, source_id, [target_id])
         except (StateError, UnknownChainError):

@@ -7,7 +7,7 @@ target chain.  The replicated *state* itself lives in the target's
 it; this object tracks everything the sync protocol needs around that
 record — the verified image it was built from, the source height it
 reproduces, the header the proof was checked against (for reorg
-detection on fork-aware stores), and the serving status.
+detection), and the serving status.
 
 Status machine::
 

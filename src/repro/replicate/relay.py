@@ -11,9 +11,9 @@ tries to advance each mirror to the newest provable height::
 
 For each mirror the relay (1) checks the source record's *live* ``L_c``
 — a contract that left the source (Move1 landed) tombstones its mirrors
-immediately, making them unavailable rather than stale mid-move; (2) on
-fork-aware stores, checks that the header the last update was verified
-against is still canonical — if a reorg orphaned it the mirror **halts**
+immediately, making them unavailable rather than stale mid-move; (2)
+checks that the header the last update was verified against is still
+canonical — if a reorg orphaned it the mirror **halts**
 and its replicated storage is wiped from the target state, so orphaned
 data can never be served, not even through a raw ``chain.view``; (3)
 asks the source for a delta (or full) :class:`ReplicaUpdate`, verifies
@@ -32,7 +32,6 @@ from typing import Dict, List, Optional
 
 from repro.chain.block import BlockHeader
 from repro.chain.chain import Chain
-from repro.chain.lightclient import ForkAwareHeaderStore
 from repro.crypto.keys import Address
 from repro.errors import ProofError, StateError, UnknownRootError
 from repro.replicate.mirror import HALTED, LIVE, SYNCING, TOMBSTONED, Mirror
@@ -155,10 +154,8 @@ class ReplicationRelay:
 
         # (2) Reorg safety: the proof we applied must still sit on the
         # canonical branch of the source as this target sees it.
-        if (
-            mirror.applied_header is not None
-            and isinstance(store, ForkAwareHeaderStore)
-            and not store.is_canonical(mirror.applied_header)
+        if mirror.applied_header is not None and not store.is_canonical(
+            mirror.applied_header
         ):
             self._halt(mirror, "applied header reorged away")
             # fall through: a verified update on the new branch revives it

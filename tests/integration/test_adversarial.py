@@ -180,10 +180,11 @@ def test_duplicate_move2_in_same_block_second_aborts():
 
 
 def test_header_relay_is_the_trust_boundary():
-    # The light client trusts whatever headers it is fed (in the real
-    # systems, header validity is enforced by verifying the source
-    # chain's consensus).  Demonstrate the boundary: headers of an
-    # unobserved chain are refused outright.
+    # The light client stores only headers that link to a known parent
+    # one height below (genesis excepted) and trusts only the longest
+    # branch's p-deep roots; it does not yet verify the source chain's
+    # consensus (no commit certificates).  Demonstrate the boundary:
+    # headers of an unobserved chain are refused outright.
     from repro.chain.block import GENESIS_PARENT, BlockHeader
     from repro.errors import StateError
 

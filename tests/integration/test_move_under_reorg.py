@@ -1,7 +1,7 @@
 """Move protocol vs. PoW reorgs (the paper's p-confirmation argument).
 
 The source chain is Ethereum-flavoured (p = 6); the target observes it
-through a fork-aware light client.  ``FaultInjector.reorg(chain, d)``
+through its light client.  ``FaultInjector.reorg(chain, d)``
 shows the target a competing branch whose deepest orphaned block had
 ``d`` confirmations:
 
@@ -30,12 +30,12 @@ P = 6  # ethereum_params confirmation depth
 
 
 def make_world():
-    """PoW source (chain 1) + BFT target (chain 2) observing it
-    fork-aware, with an injector aimed at the pair."""
+    """PoW source (chain 1) + BFT target (chain 2) observing it, with
+    an injector aimed at the pair."""
     registry = ChainRegistry()
     source = Chain(ethereum_params(1), registry, verify_signatures=False)
     target = Chain(burrow_params(2), registry, verify_signatures=False)
-    HeaderRelay(source, [target], fork_aware=True)
+    HeaderRelay(source, [target])
     injector = FaultInjector(
         Simulator(seed=77), chains={1: source, 2: target}, seed=77
     )

@@ -199,7 +199,7 @@ def test_write_dominated_contract_still_moves():
     decisions = policy.decide(_skewed_view(address, read_rate=0.1), now=0.0)
     assert len(decisions) == 1
     assert decisions[0].action == "move"
-    # Without a wired mover the actuator reports failure (and the
+    # The replication actuator settles a move as failed (and the
     # policy's cooldown throttles the retry) instead of replicating.
     outcomes = []
     replication_actuator(manager)(decisions[0], outcomes.append)

@@ -46,11 +46,11 @@ FORK_OPS = st.lists(
 )
 
 
-def _setup(fork_aware: bool = False):
+def _setup():
     registry = ChainRegistry()
     source = Chain(burrow_params(1), registry)
     target = Chain(burrow_params(2), registry)
-    connect_chains([source, target], fork_aware=fork_aware)
+    connect_chains([source, target])
     clock = ManualClock()
     address = deploy_store(source, clock, ALICE)
     relay = ReplicationRelay(source, target)
@@ -158,7 +158,7 @@ def _forge_reorg(store, mirror):
 @given(ops=FORK_OPS)
 @settings(max_examples=15, deadline=None)
 def test_fork_only_state_is_never_served(ops):
-    source, target, clock, address, relay, mirror = _setup(fork_aware=True)
+    source, target, clock, address, relay, mirror = _setup()
     store = target.light_client.store_for(source.chain_id)
     oracle = _Oracle(source, address)
     oracle.record()

@@ -8,7 +8,7 @@ on the losing side of the fork."
 import pytest
 
 from repro.chain.block import GENESIS_PARENT, BlockHeader
-from repro.chain.lightclient import ForkAwareHeaderStore, LightClient
+from repro.chain.lightclient import HeaderStore, LightClient
 from repro.crypto.hashing import keccak
 from repro.errors import StateError
 
@@ -27,7 +27,7 @@ def header(parent, height, tag):
 
 @pytest.fixture
 def store():
-    return ForkAwareHeaderStore(chain_id=1, confirmation_depth=2)
+    return HeaderStore(chain_id=1, confirmation_depth=2)
 
 
 def build_chain(store, length, tag, base=None):
@@ -86,7 +86,7 @@ def test_reorg_switches_canonical_chain_and_invalidates_roots(store):
 
 def test_orphaned_root_never_trusted_via_light_client():
     lc = LightClient()
-    store = lc.observe(1, confirmation_depth=2, fork_aware=True)
+    store = lc.observe(1, confirmation_depth=2)
     main = build_chain(store, 5, "main")
     branch = build_chain(store, 4, "branch", base=main[2])
     # VS for the orphaned block 3/4 roots fails; branch roots pass once

@@ -97,7 +97,8 @@ class TestRelayLag:
         assert sample.value == 4.0
 
     def test_observer_ahead_clamps_to_zero(self):
-        # A fork-aware store can briefly sit above the source's height.
+        # A store can briefly sit above the source's height (a forged
+        # or attacker branch outgrew the honest chain).
         relay = _relay(_chain(1, height=5), [_chain(2)], {2: 7})
         (sample,) = RelayLagProbe([relay]).sample(0.0)
         assert sample.healthy and sample.value == 0.0

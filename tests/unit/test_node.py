@@ -2,17 +2,16 @@
 
 A node over one Burrow and one Ethereum chain is the paper's §VIII
 deployment: each chain runs its flavour's engine, and each peer
-observes the other the way its consensus demands — a PoW source
-through a fork-tracking header store, a BFT source through a plain one.
+observes the other through the one linked header store.
 """
 
 import pytest
 
-from repro.chain.lightclient import ForkAwareHeaderStore, HeaderStore
+from repro.chain.block import BlockHeader
 from repro.chain.params import burrow_params, ethereum_params
 from repro.consensus.pow import PowEngine
 from repro.consensus.tendermint import TendermintEngine
-from repro.errors import ConfigError
+from repro.errors import ConfigError, StateError
 from repro.node import Node
 
 
@@ -45,15 +44,28 @@ def test_both_chains_produce_blocks():
     assert node.chain(1).height > node.chain(2).height
 
 
-def test_a_pow_source_is_observed_fork_aware_and_a_bft_source_is_not():
+def test_both_observers_refuse_a_detached_header():
     node = make_pair()
-    assert type(node.chain(1).light_client.store_for(2)) is ForkAwareHeaderStore
-    assert type(node.chain(2).light_client.store_for(1)) is HeaderStore
     node.start()
     node.run_for(120.0)
-    # Headers flow both ways through the two store types.
+    # Headers flow both ways, PoW source and BFT source alike.
     assert node.chain(1).light_client.store_for(2).head_height == node.chain(2).height
     assert node.chain(2).light_client.store_for(1).head_height == node.chain(1).height
+    for observer, source in ((node.chain(1), node.chain(2)), (node.chain(2), node.chain(1))):
+        store = observer.light_client.store_for(source.chain_id)
+        head = source.head.header
+        detached = BlockHeader(
+            chain_id=source.chain_id,
+            height=head.height + 1,
+            parent_hash=b"\x07" * 32,
+            state_root=b"\x01" * 32,
+            txs_root=head.txs_root,
+            timestamp=head.timestamp + 1.0,
+            proposer="forger",
+        )
+        with pytest.raises(StateError, match="detached"):
+            observer.ingest_header(detached)
+        assert store.head_height == source.height
 
 
 def test_restart_does_not_double_block_production():

@@ -36,13 +36,13 @@ from tests.helpers import (
 # ----------------------------------------------------------------------
 
 
-def _relay_setup(fork_aware: bool = False):
+def _relay_setup():
     """Burrow source (1), Ethereum-trie target (2, burrow timings so
     the staleness bound stays 2), one replicated StoreContract."""
     registry = ChainRegistry()
     source = Chain(burrow_params(1), registry)
     target = Chain(burrow_params(2), registry)
-    connect_chains([source, target], fork_aware=fork_aware)
+    connect_chains([source, target])
     clock = ManualClock()
     address = deploy_store(source, clock, ALICE)
     receipt = run_tx(source, clock, ALICE, CallPayload(address, "put", (1, 42)))
@@ -117,7 +117,7 @@ def _forged_header(parent: BlockHeader, tag: str) -> BlockHeader:
 
 
 def test_reorg_halts_the_mirror_and_a_canonical_branch_revives_it():
-    source, target, clock, address, relay, mirror = _relay_setup(fork_aware=True)
+    source, target, clock, address, relay, mirror = _relay_setup()
     produce(source, clock, 3)
     assert mirror.status == LIVE
     store = target.light_client.store_for(source.chain_id)
