@@ -129,12 +129,16 @@ class Chain:
         self.blocks.append(Block(header=header, transactions=[]))
 
     def fund(self, allocations: Dict[Address, int]) -> None:
-        """Credit genesis balances (call before the experiment starts).
+        """Credit genesis balances between blocks (call before the
+        experiment starts, never inside a transaction).
 
-        Re-commits the state so the head's root reflects the funding.
+        Not journaled (:meth:`WorldState.fund`), and atomic: an
+        allocation :meth:`WorldState.add_balance` would refuse raises
+        :class:`StateError` with nothing credited.  Then re-commits the
+        state so the head's root reflects the funding; the first
+        funding of a fresh chain builds its account tree in one pass.
         """
-        for address, amount in allocations.items():
-            self.state.add_balance(address, amount)
+        self.state.fund(allocations)
         self._commit(self.height)
 
     def _commit(self, height: int) -> None:

@@ -52,8 +52,11 @@ chain proves those before the next block moves the tree on.
 
 Journaling
 ----------
-Every mutation appends an undo closure.  ``snapshot()`` / ``revert()``
-give transaction-level atomicity: a failed transaction (revert, out of
+Every mutation appends an undo closure, except the maintenance that
+runs between blocks: genesis funding (:meth:`WorldState.fund`), GC
+(:meth:`WorldState.wipe_storage`) and replication
+(:meth:`WorldState.apply_mirror`).  ``snapshot()`` / ``revert()`` give
+transaction-level atomicity: a failed transaction (revert, out of
 gas, locked contract) unwinds to the pre-transaction state exactly.
 The transaction is the outermost journal scope: when it ends, however
 it ended, the executor calls ``drop_journal()``, so a transaction's
@@ -69,9 +72,10 @@ trie back — O(1): the replacement was built beside it, not into it.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Dict, List, Mapping, Optional, Set
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.crypto.keys import Address
 from repro.errors import StateError
@@ -243,6 +247,31 @@ class WorldState:
         record = self._holder(address)
         record.balance += amount
         self._record(lambda: setattr(record, "balance", record.balance - amount))
+
+    def fund(self, allocations: Mapping[Address, int]) -> None:
+        """Credit every ``holder: amount`` in ``allocations`` outside any
+        transaction (genesis funding).
+
+        Not journaled: like :meth:`wipe_storage` it runs between blocks,
+        and the next :meth:`commit` makes it final.  Atomic: every
+        allocation is checked for what :meth:`add_balance` refuses
+        first, so a :class:`StateError` leaves nothing credited and
+        nothing marked dirty.
+        """
+        for address, amount in allocations.items():
+            if type(address) is not Address or type(amount) is not int:
+                _refuse_balance_args(address, amount)
+            if amount < 0:
+                raise StateError("use sub_balance for debits")
+        contracts, accounts = self.contracts, self.accounts
+        for address, amount in allocations.items():
+            record = contracts.get(address)
+            if record is None:
+                record = accounts.get(address)
+                if record is None:
+                    record = accounts[address] = AccountRecord()
+            record.balance += amount
+        self._dirty.update(allocations)
 
     def sub_balance(self, address: Address, amount: int) -> None:
         """Debit; raises :class:`StateError` on insufficient funds, and
@@ -612,11 +641,16 @@ class WorldState:
 
         Per dirty contract, only the slots written since the last
         commit are folded into its live storage trie (O(dirty · log S)
-        instead of the O(S) rebuild).  Whatever the journal still holds
-        (writes made outside a transaction, such as genesis funding) is
+        instead of the O(S) rebuild).  The dirty leaves come out in
+        ascending address order, so an empty account tree (genesis) is
+        built from them in one
+        :meth:`~repro.merkle.protocol.AuthenticatedTree.from_sorted`
+        pass; a non-empty one takes one ``set`` per leaf.  Both land on
+        the same tree and root.  Whatever the journal still holds is
         dropped: nothing committed can be reverted.
         """
         locked: List[Address] = []
+        leaves: List[Tuple[bytes, bytes]] = []
         # Address orders by its one field, so this is sorted(self._dirty)
         # with the comparisons made on bytes, in C.
         for address in sorted(self._dirty, key=attrgetter("raw")):
@@ -632,14 +666,33 @@ class WorldState:
                 if account is None:
                     continue  # account created and reverted within the block
                 leaf = encode_account_leaf(account)
-            self._account_tree.set(address.raw, leaf)
+            leaves.append((address.raw, leaf))
+        tree = self._account_tree
+        if next(tree.items(), None) is None:
+            # A genesis build allocates about two nodes per leaf, none of
+            # which can join a cycle: the collector's full passes would
+            # only re-walk the growing heap (a third to a half of the
+            # build at 2·10^4–10^5 accounts), so it sits this one out.
+            # One young-generation pass then ages the new nodes here,
+            # not in the first blocks' passes.
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                tree = self._account_tree = self._tree_factory.from_sorted(leaves)
+            finally:
+                if collecting:
+                    gc.enable()
+                    gc.collect(1)
+        else:
+            for key, leaf in leaves:
+                tree.set(key, leaf)
         self._dirty.clear()
         self._dirty_slots.clear()
         self._reshaped.clear()
         self._storage_replaced.clear()
         self._journal.clear()
         self.locked_leaves = locked
-        self._committed_root = self._account_tree.root_hash
+        self._committed_root = tree.root_hash
         return self._committed_root
 
     @property
