@@ -115,3 +115,37 @@ def test_move_phases_gas_bucketing():
     phases.add_gas({"create": 7, "code_deposit": 3, "move2": 4}, fallback="move2")
     phases.add_gas({"complete": 2, "execution": 1}, fallback="complete")
     assert phases.gas == {"move1": 15, "create": 10, "move2": 4, "complete": 3}
+
+
+def test_a_stage_never_reached_lasts_zero():
+    def record(**times):
+        return MovePhases(contract=None, source_chain=1, target_chain=2, **times)
+
+    refused = record(started_at=10.0)  # refused before inclusion
+    assert refused.move1_time == 0.0
+    stuck = record(started_at=10.0, move1_included_at=12.0)  # failed in the wait
+    assert (stuck.move1_time, stuck.wait_proof_time, stuck.move2_time) == (2.0, 0.0, 0.0)
+    unproven = record(started_at=10.0, move1_included_at=12.0, proof_ready_at=20.0)
+    assert (unproven.wait_proof_time, unproven.move2_time) == (8.0, 0.0)
+    assert unproven.complete_time == 0.0
+    done = record(
+        started_at=10.0,
+        move1_included_at=12.0,
+        proof_ready_at=20.0,
+        move2_included_at=23.0,
+        completed_at=27.0,
+    )
+    assert (done.move1_time, done.wait_proof_time, done.move2_time) == (2.0, 8.0, 3.0)
+    assert (done.complete_time, done.total_time) == (4.0, 17.0)
+
+
+def test_a_refused_move_reports_no_negative_phase(bridge_world):
+    sim, a, _b, bridge = bridge_world
+    addr = deploy(sim, a, bridge)
+    done = []
+    bridge.move_contract(BOB, addr, 1, 2, on_done=done.append)  # not the owner
+    sim.run(until=sim.now + 100.0)
+    (phases,) = done
+    assert not phases.success and phases.move1_included_at is None
+    assert phases.started_at > 0.0
+    assert phases.move1_time == phases.wait_proof_time == phases.move2_time == 0.0

@@ -7,8 +7,16 @@ through any of them: same spans, same gas buckets, same records, and
 the same answer to a failing proof or a refused transaction.
 """
 
+import ast
+import gc
+import inspect
+import weakref
+from contextlib import contextmanager
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.api import (
     Gateway,
     GatewayLimits,
@@ -24,6 +32,7 @@ from repro.chain.tx import DeployPayload
 from repro.core.registry import ChainRegistry
 from repro.errors import ProofError
 from repro.faults.chaos import ChaosReport, ChaosWorld, _scoin_setup
+from repro.ibc import bridge as bridge_module
 from repro.ibc.bridge import IBCBridge, MovePhases, drive_move
 from repro.ibc.headers import connect_chains
 from repro.net.sim import Simulator
@@ -292,3 +301,172 @@ def test_mid_move_shed_reaches_the_handle_and_releases_the_key():
     # The key is free again: a retry is a fresh move, not the failed one.
     retry = gateway.move(ALICE, store, 1, 2, client_id="alice", idempotency_key="k")
     assert retry is not handle
+
+
+# ----------------------------------------------------------------------
+# (e) a finished move leaves no cyclic garbage, through any caller
+# ----------------------------------------------------------------------
+
+
+@contextmanager
+def collector_off():
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def cyclic_garbage(run_move):
+    """The type names of everything the collector finds unreachable
+    after ``run_move()``; the caller keeps its world alive, so only
+    what the move itself left behind counts."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_move()
+        gc.collect()
+        return [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def bridge_move(mover):
+    """A bridge move by ``mover`` (ALICE completes, BOB is refused at
+    Move1).  Its phases record must die by reference counting alone."""
+    node, deployed = make_node()
+    node.start()
+    node.run_until(lambda: deployed)
+    bridge = IBCBridge(node.sim, list(node.chains.values()))
+    store = deployed[0].return_value
+
+    def run():
+        done = []
+        with collector_off():
+            phases = weakref.ref(
+                bridge.move_contract(mover, store, 1, 2, on_done=done.append)
+            )
+            node.run_until(lambda: done)
+            assert done[0].success is (mover is ALICE), done[0].error
+            done.clear()
+            assert phases() is None
+
+    garbage = cyclic_garbage(run)
+    node.stop()
+    return garbage
+
+
+def gateway_move(mover):
+    node, deployed = make_node()
+    gateway = Gateway(node)
+    gateway.start()
+    node.run_until(lambda: deployed)
+    store = deployed[0].return_value
+
+    def run():
+        with collector_off():
+            handle = gateway.move(mover, store, 1, 2)
+            phases = weakref.ref(handle.wait())
+            assert handle.ok is (mover is ALICE), phases().error
+            del handle
+            assert phases() is None
+
+    garbage = cyclic_garbage(run)
+    node.stop()
+    return garbage
+
+
+def chaos_move(proofs_fail):
+    """A chaos actor's move: completed, or (``proofs_fail``) Move2
+    re-proved on the relayer's retry until the deadline abandons it."""
+    world = ChaosWorld(seed=2, actors=1)
+    world.report = ChaosReport(seed=2, duration=400.0, workload="scoin")
+    world.deadline = 400.0
+    ready = []
+    world.node.start()
+    _scoin_setup(world, ready.append)
+    while not ready:
+        world.sim.run(until=world.sim.now + 5.0)
+    (actor,) = world.actors
+    if proofs_fail:
+        world.chains[1].prove_contract_at = failing_proof
+        world.deadline = world.sim.now + 40.0
+
+    def run():
+        done = []
+        world.move(actor, 2, done.append)
+        while not done:
+            world.sim.run(until=world.sim.now + 5.0)
+        assert done == [not proofs_fail]
+
+    garbage = cyclic_garbage(run)
+    assert world.report.move2_retries >= (1 if proofs_fail else 0)
+    world.node.stop()
+    return garbage
+
+
+@pytest.mark.parametrize(
+    "caller,argument",
+    [
+        pytest.param(bridge_move, ALICE, id="bridge-completed"),
+        pytest.param(bridge_move, BOB, id="bridge-refused"),
+        pytest.param(gateway_move, ALICE, id="gateway-completed"),
+        pytest.param(gateway_move, BOB, id="gateway-refused"),
+        pytest.param(chaos_move, False, id="chaos-completed"),
+        pytest.param(chaos_move, True, id="chaos-move2-retry"),
+    ],
+)
+def test_moves_leave_no_cyclic_garbage(caller, argument):
+    assert caller(argument) == []
+
+
+# ----------------------------------------------------------------------
+# (f) the driver stays acyclic and single-path
+# ----------------------------------------------------------------------
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def test_the_driver_is_one_slotted_object_built_only_by_drive_move():
+    tree = ast.parse(inspect.getsource(bridge_module))
+    # Every def is module-level or a method: no closure can capture a
+    # stage and be captured back.
+    functions = [
+        fn
+        for top in tree.body
+        for fn in (top.body if isinstance(top, ast.ClassDef) else [top])
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    nested = [
+        inner.name
+        for fn in functions
+        for inner in ast.walk(fn)
+        if inner is not fn and isinstance(inner, DEFS)
+    ]
+    assert nested == []
+    builders = [
+        fn.name
+        for fn in functions
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == "_MoveDriver"
+    ]
+    assert builders == ["drive_move"]
+    # Slotted, and holding only the move's inputs and its two spans.
+    for cls in (bridge_module._MoveDriver, bridge_module._HeightListener):
+        assert "__slots__" in vars(cls) and cls.__bases__ == (object,)
+    assert set(bridge_module._MoveDriver.__slots__) == {
+        "sim", "tracer", "source", "mover", "phases", "send", "on_done",
+        "completions", "on_stage", "move2_retry", "root", "live",
+    }
+    # No other module reaches past drive_move into the driver.
+    home = Path(bridge_module.__file__)
+    private = ("_MoveDriver", "_HeightListener", "_when_height")
+    leaks = [
+        path.name
+        for path in Path(repro.__file__).parent.rglob("*.py")
+        if path != home and any(name in path.read_text() for name in private)
+    ]
+    assert leaks == []
