@@ -33,8 +33,8 @@ complete (Section III-B).
 
 from __future__ import annotations
 
-from repro.chain.lightclient import LightClient
-from repro.chain.params import ChainParams
+from typing import TYPE_CHECKING
+
 from repro.core.proofs import ContractStateProof
 from repro.core.registry import ChainRegistry
 from repro.crypto.hashing import keccak_code
@@ -46,6 +46,13 @@ from repro.runtime.registry import lookup_code
 from repro.runtime.runtime import Runtime
 from repro.statedb.state import build_storage_trie
 from repro.telemetry.tracer import current_span
+
+if TYPE_CHECKING:
+    # Annotations only: ``repro.chain`` imports this module (its
+    # executor applies Moves), so importing it back here at load time
+    # would make ``repro.core`` unable to be a process's first import.
+    from repro.chain.lightclient import LightClient
+    from repro.chain.params import ChainParams
 
 
 def apply_move1(

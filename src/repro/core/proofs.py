@@ -151,14 +151,26 @@ class RemoteStateProof:
         return self.storage_proof.value
 
     def verify(self, light_client) -> bool:
-        """Full check against a light client's confirmed headers."""
-        if self.account_proof.key != self.container.raw:
+        """Full check against a light client's confirmed headers.
+
+        Returns ``False`` (never raises) on any mismatch, a malformed
+        proof included: only the storage proof's key and value are
+        signed, so its steps reach here unchecked.
+        """
+        account, storage = self.account_proof, self.storage_proof
+        if (
+            type(account) is not MembershipProof
+            or type(self.container) is not Address
+            or account.key != self.container.raw
+        ):
             return False
-        leaf = self.account_proof.value
-        if len(leaf) < 33 or not leaf.startswith(b"C"):
+        leaf = account.value
+        if type(leaf) is not bytes or len(leaf) < 33 or not leaf.startswith(b"C"):
             return False
-        committed_storage_root = leaf[-32:]
-        if self.storage_proof.computed_root() != committed_storage_root:
+        if not verify_proof(storage, leaf[-32:]):
             return False
-        state_root = self.account_proof.computed_root()
+        try:
+            state_root = account.computed_root()
+        except (TypeError, ValueError):
+            return False
         return light_client.valid_state_root(self.chain_id, self.height, state_root)

@@ -9,10 +9,12 @@ shared configuration.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator
+from typing import TYPE_CHECKING, Dict, Iterator
 
-from repro.chain.params import ChainParams
 from repro.errors import StateError
+
+if TYPE_CHECKING:  # annotations only; see repro.core.move
+    from repro.chain.params import ChainParams
 
 
 class ChainRegistry:

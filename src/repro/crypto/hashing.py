@@ -57,6 +57,27 @@ def keccak(*chunks: bytes) -> bytes:
     return _sha3_256(data).digest()
 
 
+def keccak_path(leaf: bytes, steps) -> bytes:
+    """Root of a Merkle path: the digest of ``leaf`` folded up through
+    ``(prefix, suffix)`` steps, ``digest = keccak(prefix + digest +
+    suffix)``, leaf to root — a membership proof's ``VP`` fold.
+
+    The leaf is hashed directly: leaves of a served tree are proven one
+    at a time and rarely repeat, so a memo lookup would mostly miss.
+    The steps go through :func:`keccak`'s memo (MPT branch steps, over
+    :data:`_MEMO_MAX_LEN`, are hashed directly), in one loop rather
+    than one :func:`keccak` call per step.
+    """
+    digest = _sha3_256(leaf).digest()
+    for prefix, suffix in steps:
+        data = prefix + digest + suffix
+        if len(data) <= _MEMO_MAX_LEN:
+            digest = _keccak_small(data)
+        else:
+            digest = _sha3_256(data).digest()
+    return digest
+
+
 #: Few distinct contract codes exist, each kilobytes long, and a Move2
 #: hashes its contract's on the proving, validating and recreating side.
 _CODE_MEMO_SIZE = 256

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.crypto.hashing import keccak, merkle_hash_leaf, merkle_hash_node
-from repro.merkle.proof import MembershipProof
+from repro.merkle.proof import MembershipProof, proof_record
 
 _LEAF_PREFIX = b"\x00"
 _NODE_PREFIX = b"\x01"
@@ -72,6 +72,4 @@ class BinaryMerkleTree:
                     steps.append((_NODE_PREFIX, sibling))
             # else: odd node promoted — no step at this level
             position //= 2
-        return MembershipProof(
-            key=b"", value=self._leaves[index], leaf_prefix=_LEAF_PREFIX, steps=tuple(steps)
-        )
+        return proof_record(b"", self._leaves[index], _LEAF_PREFIX, tuple(steps))

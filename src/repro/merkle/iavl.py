@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.crypto.hashing import keccak, merkle_hash_leaf, merkle_hash_node
-from repro.merkle.proof import MembershipProof
+from repro.merkle.proof import MembershipProof, proof_record
 
 _LEAF_PREFIX = b"\x00"
 _NODE_PREFIX = b"\x01"
@@ -289,9 +289,7 @@ class IAVLTree:
         if node.key != key:
             raise KeyError(key.hex())
         steps.reverse()
-        return MembershipProof(
-            key=key, value=node.value, leaf_prefix=_LEAF_PREFIX, steps=tuple(steps)
-        )
+        return proof_record(key, node.value, _LEAF_PREFIX, tuple(steps))
 
     def height(self) -> int:
         """Tree height (0 for empty or single leaf)."""

@@ -12,18 +12,26 @@ The step encoding is deliberately structure-agnostic: a step is a
 digest — ``parent = keccak(prefix + child + suffix)`` — ordered leaf to
 root, so binary trees, IAVL nodes and trie nodes all serialize into the
 same proof shape and a single verifier.
+
+A proof is an immutable record: a 4-tuple ``(key, value, leaf_prefix,
+steps)`` underneath, like :class:`~repro.chain.tx.TransferPayload` and
+:class:`~repro.crypto.keys.Address`, built by one ``tuple.__new__``
+with no per-field attribute writes.  One consequence of the layout:
+**a proof equals the plain tuple of its fields** and hashes like it —
+the value the frozen dataclass it replaces hashed to.  It is still not
+*a* proof: :func:`verify_proof` refuses anything whose type is not
+exactly :class:`MembershipProof`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import _tuplegetter  # namedtuple's field accessor, in C
 from typing import Optional, Tuple
 
-from repro.crypto.hashing import keccak
+from repro.crypto.hashing import keccak_path
 
 
-@dataclass(frozen=True)
-class MembershipProof:
+class MembershipProof(tuple):
     """Proof that ``key`` maps to ``value`` under some Merkle root.
 
     ``leaf_prefix`` lets each structure keep its own leaf
@@ -33,50 +41,72 @@ class MembershipProof:
     frozen into a tuple, so a proof is immutable and hashable.
     """
 
-    key: bytes
-    value: bytes
-    leaf_prefix: bytes
-    steps: Tuple[Tuple[bytes, bytes], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if isinstance(self.steps, list):
-            object.__setattr__(self, "steps", tuple(self.steps))
+    key = _tuplegetter(0, "The proven key (empty for positional trees).")
+    value = _tuplegetter(1, "The proven value.")
+    leaf_prefix = _tuplegetter(2, "The structure's leaf domain separator.")
+    steps = _tuplegetter(3, "``(prefix, suffix)`` pairs, leaf to root.")
 
-    def leaf_digest(self) -> bytes:
-        """Digest of the (key, value) leaf under this proof's domain."""
-        return keccak(self.leaf_prefix, self.key, self.value)
+    def __new__(
+        cls,
+        key: bytes,
+        value: bytes,
+        leaf_prefix: bytes,
+        steps: Tuple[Tuple[bytes, bytes], ...] = (),
+    ) -> "MembershipProof":
+        if isinstance(steps, list):
+            steps = tuple(steps)
+        return tuple.__new__(cls, (key, value, leaf_prefix, steps))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return (
+            f"MembershipProof(key={self[0]!r}, value={self[1]!r}, "
+            f"leaf_prefix={self[2]!r}, steps={self[3]!r})"
+        )
 
     def computed_root(self) -> bytes:
         """Recompute the Merkle root implied by this proof.
 
-        Every fold goes through the small-input :func:`keccak` memo:
-        proofs against one root share their upper steps, and a memo hit
-        costs about 0.6 of hashing the same 65 bytes again.
+        One loop (:func:`~repro.crypto.hashing.keccak_path`): the leaf
+        is hashed directly, and every step of at most 128 bytes goes
+        through the small-input keccak memo — proofs against one root
+        share their upper steps, and a memo hit costs about 0.6 of
+        hashing the same 65 bytes again.
         """
-        digest = self.leaf_digest()
-        for prefix, suffix in self.steps:
-            digest = keccak(prefix, digest, suffix)
-        return digest
+        return keccak_path(self[2] + self[0] + self[1], self[3])
 
     def size_bytes(self) -> int:
         """Total serialized size (drives Move2 proof-verification gas)."""
-        total = len(self.key) + len(self.value) + len(self.leaf_prefix)
-        return total + sum(len(prefix) + len(suffix) for prefix, suffix in self.steps)
+        total = len(self[0]) + len(self[1]) + len(self[2])
+        return total + sum(len(prefix) + len(suffix) for prefix, suffix in self[3])
 
     def __len__(self) -> int:
-        return len(self.steps)
+        """Number of steps (the proof's depth), not the record's width."""
+        return len(self[3])
+
+
+def proof_record(key: bytes, value: bytes, leaf_prefix: bytes, steps: tuple) -> MembershipProof:
+    """The one place the trees build a proof: ``steps`` must already be
+    a tuple of ``(prefix, suffix)`` byte pairs."""
+    return tuple.__new__(MembershipProof, (key, value, leaf_prefix, steps))
 
 
 def verify_proof(proof: MembershipProof, trusted_root: Optional[bytes]) -> bool:
     """``VP(V ↦ m)``: does the proof reconstruct the trusted root?
 
     Returns ``False`` (never raises) on any mismatch, including a
-    missing trusted root and a proof whose fields are not the byte
-    strings and pairs they should be: proofs arrive inside
-    client-signed payloads.  :meth:`MembershipProof.computed_root`
-    itself still raises, for a caller that wants the reason.
+    missing trusted root, a value that is not a :class:`MembershipProof`
+    (a plain tuple of the right fields included) and a proof whose
+    fields are not the byte strings and pairs they should be: proofs
+    arrive inside client-signed payloads.
+    :meth:`MembershipProof.computed_root` itself still raises, for a
+    caller that wants the reason.
     """
-    if trusted_root is None:
+    if trusted_root is None or type(proof) is not MembershipProof:
         return False
     try:
         return proof.computed_root() == trusted_root

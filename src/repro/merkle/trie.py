@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.crypto.hashing import keccak
-from repro.merkle.proof import MembershipProof
+from repro.merkle.proof import MembershipProof, proof_record
 
 _LEAF_PREFIX = b"\x02"
 _BRANCH_PREFIX = b"\x03"
@@ -314,6 +314,4 @@ class MerklePatriciaTrie:
         if value is None:
             raise KeyError(key.hex())
         steps.reverse()
-        return MembershipProof(
-            key=key, value=value, leaf_prefix=_LEAF_PREFIX, steps=tuple(steps)
-        )
+        return proof_record(key, value, _LEAF_PREFIX, tuple(steps))

@@ -311,10 +311,12 @@ class Contract:
         light_client = getattr(self._ctx, "light_client", None)
         if light_client is None:
             raise Revert("no light client available in this execution context")
-        self._ctx.charge(
-            self._ctx.meter.schedule.proof_verification(proof.size_bytes())
-        )
-        return proof.verify(light_client)
+        try:
+            size = proof.size_bytes()
+        except (AttributeError, TypeError, ValueError):
+            size = None  # a malformed proof: charged as an empty one
+        self._ctx.charge(self._ctx.meter.schedule.proof_verification(size or 0))
+        return size is not None and proof.verify(light_client)
 
     def op_move(self, target_chain: int) -> None:
         """Execute OP_MOVE from inside contract code: assign this

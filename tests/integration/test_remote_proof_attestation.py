@@ -14,6 +14,7 @@ from repro.apps.scoin import SAccount, SCoin
 from repro.chain.tx import CallPayload, DeployPayload
 from repro.core.proofs import RemoteStateProof
 from repro.errors import ProofError
+from repro.merkle.proof import MembershipProof
 from tests.helpers import (
     ALICE,
     BOB,
@@ -95,6 +96,54 @@ def test_tampered_remote_proof_rejected(proved_world):
         CallPayload(
             acc_a, "transfer_tokens_with_proofs",
             (acc_b, 40, salt_b, lied, salt_a, proof_a),
+        ),
+    )
+    assert not receipt.success
+    assert "remote proof rejected" in receipt.error
+
+
+def with_proof_field(proof, name, value):
+    """``proof`` with one field of its account or storage proof (or one
+    of its own fields) replaced by a malformed value."""
+    if "." not in name:
+        return dataclasses.replace(proof, **{name: value})
+    which, field = name.split(".")
+    inner = getattr(proof, which)
+    fields = dict(key=inner.key, value=inner.value, leaf_prefix=inner.leaf_prefix, steps=inner.steps)
+    return dataclasses.replace(proof, **{which: MembershipProof(**{**fields, field: value})})
+
+
+MALFORMED = [
+    ("storage_proof.steps", ((1, 2),)),  # steps that are not byte pairs
+    ("storage_proof.value", 7),
+    ("storage_proof", None),
+    ("account_proof.value", 7),  # the account leaf
+    ("container", 7),
+]
+
+
+@pytest.mark.parametrize(
+    "name, value", MALFORMED,
+    ids=["storage-steps", "storage-value", "no-storage-proof", "int-leaf", "int-container"],
+)
+def test_malformed_remote_proof_is_refused_not_raised(proved_world, name, value):
+    _burrow, ethereum, _clock, _token, a, _b = proved_world
+    malformed = with_proof_field(a[2], name, value)
+    assert malformed.verify(ethereum.light_client) is False
+
+
+def test_malformed_storage_steps_revert_as_a_rejected_proof(proved_world):
+    # Only the storage proof's key and value are signed, so these steps
+    # reach the light-client builtin inside a valid transaction.
+    _burrow, ethereum, clock, _token, a, b = proved_world
+    acc_a, salt_a, proof_a = a
+    acc_b, salt_b, proof_b = b
+    malformed = with_proof_field(proof_b, "storage_proof.steps", ((1, 2),))
+    receipt = run_tx(
+        ethereum, clock, ALICE,
+        CallPayload(
+            acc_a, "transfer_tokens_with_proofs",
+            (acc_b, 40, salt_b, malformed, salt_a, proof_a),
         ),
     )
     assert not receipt.success

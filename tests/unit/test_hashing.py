@@ -70,3 +70,23 @@ def test_code_memo_is_keyed_by_content():
     after = keccak_code.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses + 1)
     assert after.maxsize is not None  # bounded
+
+
+def test_path_folds_small_steps_through_the_one_memo():
+    import hashlib
+
+    from repro.crypto.hashing import _MEMO_MAX_LEN, keccak_memo_info, keccak_path
+
+    leaf = b"\x00leaf"
+    small = (b"\x01", b"s" * 32)  # 65 bytes with the digest: memoized
+    large = (b"\x03" * _MEMO_MAX_LEN, b"")  # over the bound: hashed directly
+    reference = hashlib.sha3_256(leaf).digest()
+    for prefix, suffix in (small, large):
+        reference = hashlib.sha3_256(prefix + reference + suffix).digest()
+    before = keccak_memo_info()
+    assert keccak_path(leaf, (small, large)) == reference
+    after = keccak_memo_info()
+    # one lookup, the small step's — in the memo keccak itself uses, so
+    # whatever evicts keccak's entries evicts the fold's
+    assert after.hits + after.misses == before.hits + before.misses + 1
+    assert keccak_path(leaf, ()) == hashlib.sha3_256(leaf).digest()
