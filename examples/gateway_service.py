@@ -43,9 +43,8 @@ def main() -> None:
             rate_burst=24,    # burst allowance before the bucket bites
         ),
     )
-    transport = api.InProcessTransport(fleet)
-    alice = api.Client(transport, name="alice")
-    bob = api.Client(transport, name="bob")
+    alice = api.Client(fleet, name="alice")
+    bob = api.Client(fleet, name="bob")
     node.chain(1).fund({alice.address: 10_000, bob.address: 10_000})
     fleet.start()
 

@@ -37,7 +37,7 @@ def main() -> None:
     # parameters and relay each other's headers, fronted by a gateway.
     node = api.Node([api.burrow_params(1), api.ethereum_params(2)])
     gateway = api.Gateway(node)
-    alice = api.Client(api.InProcessTransport(gateway), name="alice")
+    alice = api.Client(gateway, name="alice")
     gateway.start()
 
     # 1. Deploy and use the contract on the Burrow chain.

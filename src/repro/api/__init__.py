@@ -32,7 +32,7 @@ Quick start::
     node = api.Node([api.burrow_params(1), api.ethereum_params(2)])
     gateway = api.Gateway(node, api.GatewayLimits(max_queue_depth=512),
                           replicas=4)
-    client = api.Client(api.InProcessTransport(gateway), name="alice")
+    client = api.Client(gateway, name="alice")
     gateway.start()
 
     handle = client.deploy(MyContract, chain=1)
@@ -118,7 +118,6 @@ from repro.api.serving import (
     Gateway,
     GatewayFleet,
     GatewayLimits,
-    InProcessTransport,
     MoveHandle,
     Node,
     PriorityClass,

@@ -3,8 +3,10 @@
 Everything needed to stand up a serving deployment and talk to it —
 the :class:`Node` runtime, the :class:`Gateway` admission tier (one
 class for any replica count; :class:`GatewayFleet` is another name for
-it) with its :class:`PriorityClass` model, the :class:`Client` SDK, the deterministic transports, the
-request/move futures, and the push-path :class:`Subscription`.
+it) with its :class:`PriorityClass` model, the :class:`Client` SDK
+(which talks to the gateway itself or through the deterministic
+:class:`SimNetTransport`), the request/move futures, and the push-path
+:class:`Subscription`.
 
 Import from :mod:`repro.api`; this module only groups the re-exports.
 """
@@ -16,7 +18,6 @@ from repro.gateway import (
     Gateway,
     GatewayFleet,
     GatewayLimits,
-    InProcessTransport,
     MoveHandle,
     PriorityClass,
     RequestHandle,
@@ -32,7 +33,6 @@ __all__ = [
     "GatewayLimits",
     "PriorityClass",
     "Client",
-    "InProcessTransport",
     "SimNetTransport",
     "RequestHandle",
     "MoveHandle",

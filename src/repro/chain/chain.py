@@ -21,7 +21,7 @@ data needs:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.chain.block import GENESIS_PARENT, Block, BlockHeader, transactions_root
 from repro.chain.executor import TransactionExecutor
@@ -439,10 +439,6 @@ class Chain:
     def replication_log(self, address: Address):
         """The contract's replication log, or None when not replicated."""
         return self._replication_logs.get(address)
-
-    def disable_replication(self, address: Address) -> None:
-        """Stop capturing deltas for ``address`` (no-op if absent)."""
-        self._replication_logs.pop(address, None)
 
     def _capture_replication(self, height: int) -> None:
         """Record this block's storage changes for every replicated

@@ -113,15 +113,6 @@ class ChainParams:
                 f"use at least {horizon + 1}, or 0 to disable pruning"
             )
 
-    def min_proof_height(self, inclusion_height: int) -> int:
-        """First own-chain height at which a tx included at
-        ``inclusion_height`` is provable (root published, lag applied)."""
-        return inclusion_height + self.state_root_lag
-
-    def confirmed_height(self, head_height: int) -> int:
-        """Highest height peers accept proofs about, given the head."""
-        return head_height - self.confirmation_depth
-
 
 def burrow_params(chain_id: int, name: str = "", **overrides) -> ChainParams:
     """A Burrow/Tendermint-flavoured chain (5 s blocks, p=2, IAVL).

@@ -92,7 +92,7 @@ def _cmd_move_demo(_args) -> int:
     # one client driving the whole Move protocol through futures.
     node = api.Node([api.burrow_params(1), api.ethereum_params(2)])
     gateway = api.Gateway(node)
-    alice = api.Client(api.InProcessTransport(gateway), name="alice")
+    alice = api.Client(gateway, name="alice")
     gateway.start()
 
     receipt = alice.wait(alice.deploy(StateStore, args=(3,), chain=1))

@@ -5,10 +5,10 @@ the next block arrives after an exponentially distributed delay with
 mean ``block_interval`` (15 s for the Ethereum-flavoured chain), won by
 a miner drawn proportionally to hash power.  The winning block
 propagates to the other miners over the simulated WAN; when two miners
-find blocks within the propagation window a short fork occurs — we
-count it (``fork_events``) and keep the first find as canonical, which
-is exactly why peers wait ``p = 6`` confirmations before trusting a
-header (Section IV-A).
+find blocks within the propagation window a short fork occurs — the
+chain's registry counts it (``pow_fork_events_total``) and the first
+find stays canonical, which is exactly why peers wait ``p = 6``
+confirmations before trusting a header (Section IV-A).
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class PowEngine:
         self._running = False
         self._mining_handle = None
         self.commit_times: List[float] = []
-        self.fork_events = 0
         #: a find within this window of the previous one would have
         #: raced its propagation — counted as a (resolved) short fork
         self.propagation_window = 0.3
@@ -85,8 +84,7 @@ class PowEngine:
             return
         winner = self.sim.rng.choices(self.miners, weights=self._weights)[0]
         if self.commit_times and self.sim.now - self.commit_times[-1] < self.propagation_window:
-            self.fork_events += 1  # raced the previous block's propagation
-            self._m_forks.inc()
+            self._m_forks.inc()  # raced the previous block's propagation
         height = self.chain.height + 1
         block = self.chain.produce_block(self.sim.now, proposer=winner)
         self._m_commits.inc()

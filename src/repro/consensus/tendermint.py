@@ -75,6 +75,9 @@ class TendermintEngine:
         self._prevoted: Set[Tuple[str, int]] = set()
         self._committed_height = 0
         self._running = False
+        #: bumped on every start(); a timer scheduled under an older
+        #: epoch (left pending across stop()/start()) fires as a no-op
+        self._epoch = 0
         self.commit_times: List[float] = []
         #: validators currently crashed (fail-stop; messages neither
         #: sent nor processed).  The protocol tolerates f < n/3.
@@ -114,28 +117,28 @@ class TendermintEngine:
         """Bring a crashed validator back (it rejoins at new rounds)."""
         self.crashed.discard(validator)
 
-    def stall(self, validator: str, duration: float) -> None:
-        """Stall a validator for ``duration`` simulated seconds.
-
-        Models a proposer that freezes (GC pause, disk stall) and later
-        resumes: a crash followed by a scheduled recovery.  While
-        stalled, its proposal slots cost the set one round timeout each.
-        """
-        self.crash(validator)
-        self.sim.schedule(duration, self.recover, validator)
-
     def start(self) -> None:
         """Schedule the first proposal one interval from now."""
         self._running = True
-        self.sim.schedule(self.interval, lambda: self._propose(self.chain.height + 1))
+        self._epoch += 1
+        epoch = self._epoch
+        self.sim.schedule(
+            self.interval, lambda: self._propose(epoch, self.chain.height + 1)
+        )
+
     def stop(self) -> None:
-        """Halt block production (pending timers become no-ops)."""
+        """Halt block production (pending timers become no-ops, also
+        after a later start())."""
         self._running = False
 
     # ------------------------------------------------------------------
 
-    def _propose(self, height: int, round: int = 0) -> None:
-        if not self._running or height <= self._committed_height:
+    def _propose(self, epoch: int, height: int, round: int = 0) -> None:
+        if (
+            not self._running
+            or epoch != self._epoch
+            or height <= self._committed_height
+        ):
             return
         proposer = self.proposer_for(height, round)
         if proposer not in self.crashed:
@@ -150,16 +153,18 @@ class TendermintEngine:
             self.network.broadcast(proposer, self.validators, payload, size_bytes=1024)
             # The proposer processes its own proposal immediately.
             self._on_message(proposer, proposer, payload)
-        self.sim.schedule(self.round_timeout, self._on_round_timeout, height, round)
+        self.sim.schedule(
+            self.round_timeout, self._on_round_timeout, epoch, height, round
+        )
 
-    def _on_round_timeout(self, height: int, round: int) -> None:
+    def _on_round_timeout(self, epoch: int, height: int, round: int) -> None:
         """If the height has not committed by now (a crashed proposer,
         or votes lost to crashed validators), the next round's proposer
         takes over."""
-        if self._running and height > self._committed_height:
+        if self._running and epoch == self._epoch and height > self._committed_height:
             self.rounds_advanced += 1
             self._m_rounds.inc()
-            self._propose(height, round + 1)
+            self._propose(epoch, height, round + 1)
 
     def _on_message(self, me: str, src: str, msg: object) -> None:
         if not self._running or me in self.crashed:
@@ -228,7 +233,7 @@ class TendermintEngine:
         )
         self._gc(height)
         if self._running:
-            self.sim.schedule(self.interval, self._propose, height + 1)
+            self.sim.schedule(self.interval, self._propose, self._epoch, height + 1)
 
     def _gc(self, height: int) -> None:
         """Drop vote bookkeeping for committed heights."""

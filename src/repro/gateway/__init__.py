@@ -12,16 +12,16 @@ backpressure with machine-readable :class:`~repro.errors.ShedByClass`
 rejections attributed to the entry actually dropped, request deadlines
 with idempotent retry keys, push subscriptions
 (:class:`Subscription` via ``watch_contract`` / ``watch_move``), and
-cross-chain moves tracked as :class:`MoveHandle` futures.  Two
-deterministic transports: in-process (synchronous) and
-simulated-network (seeded latency, so chaos seeds replay
-byte-identically).
+cross-chain moves tracked as :class:`MoveHandle` futures.  A
+:class:`Client` talks to the gateway itself (admission at the current
+instant) or through :class:`SimNetTransport`, a simulated network hop
+with seeded latency, so chaos seeds replay byte-identically.
 
 The stable import surface for applications is :mod:`repro.api`; this
 package is its implementation.
 """
 
-from repro.gateway.classes import PriorityClass, classify
+from repro.gateway.classes import PriorityClass
 from repro.gateway.client import Client
 from repro.gateway.fairqueue import ClassedFairQueue, QueueEntry
 from repro.gateway.fleet import GatewayFleet
@@ -37,7 +37,7 @@ from repro.gateway.handles import (
 )
 from repro.gateway.limits import GatewayLimits, TokenBucket
 from repro.gateway.subscription import Subscription, SubscriptionHub
-from repro.gateway.transport import InProcessTransport, SimNetTransport
+from repro.gateway.transport import SimNetTransport
 
 __all__ = [
     "Client",
@@ -52,9 +52,7 @@ __all__ = [
     "TokenBucket",
     "RequestHandle",
     "MoveHandle",
-    "InProcessTransport",
     "SimNetTransport",
-    "classify",
     "PENDING",
     "QUEUED",
     "SUBMITTED",

@@ -27,7 +27,7 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import Union
 
-from repro.chain.tx import Move1Payload, Move2Payload, Transaction
+from repro.chain.tx import Move1Payload, Move2Payload
 from repro.errors import ConfigError
 
 
@@ -71,12 +71,7 @@ SHED_ORDER = tuple(reversed(FLUSH_ORDER))
 _BY_KEY = {**{c: c for c in FLUSH_ORDER}, **{c.label: c for c in FLUSH_ORDER}}
 _KEY_TYPES = frozenset((PriorityClass, str, int))
 
-#: the payload kinds that classify as ``MOVE`` by default
+#: the payload kinds that classify as ``MOVE`` by default (the rule
+#: :meth:`~repro.gateway.gateway.Gateway.submit` applies to untagged
+#: requests)
 MOVE_PAYLOADS = frozenset((Move1Payload, Move2Payload))
-
-
-def classify(tx: Transaction) -> PriorityClass:
-    """Default class of a transaction nobody tagged explicitly."""
-    if type(tx.payload) in MOVE_PAYLOADS:
-        return PriorityClass.MOVE
-    return PriorityClass.BULK

@@ -1,10 +1,12 @@
-"""The client SDK over a gateway transport.
+"""The client SDK over a gateway.
 
-A :class:`Client` owns a keypair and a transport, signs payloads, and
-exposes the operations applications actually perform — ``transfer`` /
-``deploy`` / ``call`` / ``move`` — as futures.  ``wait`` (on the client
-or directly on a handle) drives the node until a future resolves, so a
-script reads like blocking code:
+A :class:`Client` owns a keypair and a transport (the
+:class:`~repro.gateway.gateway.Gateway` itself, or a
+:class:`~repro.gateway.transport.SimNetTransport` in front of it), signs
+payloads, and exposes the operations applications actually perform —
+``transfer`` / ``deploy`` / ``call`` / ``move`` — as futures.  ``wait``
+(on the client or directly on a handle) drives the node until a future
+resolves, so a script reads like blocking code:
 
     handle = client.deploy(GuestBook)
     receipt = handle.wait()
@@ -33,7 +35,7 @@ from repro.chain.tx import (
     sign_transaction,
 )
 from repro.crypto.keys import Address, KeyPair
-from repro.errors import ConfigError, RequestTimeout
+from repro.errors import ConfigError
 from repro.gateway.gateway import PriorityLike
 from repro.gateway.handles import MoveHandle, RequestHandle
 from repro.gateway.subscription import Subscription
@@ -42,6 +44,11 @@ from repro.ibc.bridge import CompletionFactory
 
 class Client:
     """One application identity submitting through a gateway.
+
+    ``transport`` is the :class:`~repro.gateway.gateway.Gateway` (the
+    request is admitted at the current instant) or a
+    :class:`~repro.gateway.transport.SimNetTransport` (a seeded network
+    hop first); both answer the same calls and expose the ``node``.
 
     Configuration is keyword-only past the transport, and every field
     is validated on construction with a :class:`ConfigError` naming the
@@ -76,7 +83,7 @@ class Client:
         self.transport = transport
         self.keypair = keypair
         self.client_id = name if name is not None else keypair.address.hex
-        node = transport.gateway.node
+        node = transport.node
         if default_chain is None and len(node.chains) == 1:
             default_chain = next(iter(node.chains))
         self.default_chain = default_chain
@@ -87,7 +94,7 @@ class Client:
 
     @property
     def node(self):
-        return self.transport.gateway.node
+        return self.transport.node
 
     def _chain_id(self, chain: Optional[int]) -> int:
         if chain is not None:
@@ -238,10 +245,4 @@ class Client:
         :class:`~repro.errors.RequestTimeout` if ``max_time`` simulated
         seconds pass first.  (``handle.wait(timeout=...)`` is the same
         operation on the handle itself.)"""
-        deadline = None if max_time is None else self.node.now + max_time
-        resolved = self.node.run_until(lambda: handle.done, max_time=deadline)
-        if not resolved:
-            raise RequestTimeout(
-                f"handle unresolved after max_time={max_time}s of simulated driving"
-            )
-        return handle.result()
+        return handle.wait(max_time)

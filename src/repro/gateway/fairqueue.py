@@ -35,22 +35,13 @@ from repro.gateway.classes import FLUSH_ORDER, SHED_ORDER, PriorityClass
 class QueueEntry:
     """One admitted-but-unflushed request."""
 
-    __slots__ = ("tx", "handle", "cls", "client", "at")
+    __slots__ = ("tx", "handle", "cls", "client")
 
-    def __init__(
-        self,
-        tx: object,
-        handle: object,
-        cls: PriorityClass,
-        client: str,
-        at: float = 0.0,
-    ):
+    def __init__(self, tx: object, handle: object, cls: PriorityClass, client: str):
         self.tx = tx
         self.handle = handle
         self.cls = cls
         self.client = client
-        #: simulated admission instant (victim attribution reports it)
-        self.at = at
 
 
 @dataclass(frozen=True)
@@ -85,7 +76,6 @@ class ClassedFairQueue:
         self.depth = 0
         self.peak_depth = 0
         self.class_depth: Dict[PriorityClass, int] = {c: 0 for c in FLUSH_ORDER}
-        self.class_peak: Dict[PriorityClass, int] = {c: 0 for c in FLUSH_ORDER}
         #: class -> (client, remaining quantum) when a pop budget cut a
         #: turn short — the deficit the next pop owes that client
         self._carry: Dict[PriorityClass, Optional[Tuple[str, int]]] = {
@@ -128,9 +118,7 @@ class ClassedFairQueue:
         depth = self.depth = self.depth + 1
         if depth > self.peak_depth:
             self.peak_depth = depth
-        class_depth = self.class_depth[cls] = self.class_depth[cls] + 1
-        if class_depth > self.class_peak[cls]:
-            self.class_peak[cls] = class_depth
+        self.class_depth[cls] += 1
         if victim is None:
             return _ADMITTED
         return PushResult(admitted=True, victim=victim)
@@ -211,10 +199,6 @@ class ClassedFairQueue:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    def backlogged_clients(self, cls: PriorityClass) -> Tuple[str, ...]:
-        """Clients with queued work in ``cls``, in ring order."""
-        return tuple(self._rings[cls])
 
     def depths_by_class(self) -> Dict[str, int]:
         """Current depth per class label (stable key order)."""

@@ -287,9 +287,9 @@ class Gateway:
 
         ``priority`` re-tags the request's admission class; omitted,
         Move1/Move2 classify as ``MOVE`` and everything else as
-        ``BULK`` (:func:`repro.gateway.classes.classify`).  ``handle``
-        lets a transport pre-create the future on the client side of a
-        simulated network hop; omitted, one is created here.
+        ``BULK``.  ``handle`` lets a transport pre-create the future on
+        the client side of a simulated network hop; omitted, one is
+        created here.
         """
         node = self.node
         if handle is None:
@@ -363,7 +363,7 @@ class Gateway:
             handle.tx_id = tx.tx_id
             handle.admitted_at = now
             replica = self.replica_for(client_id)
-            entry = QueueEntry(tx, handle, cls, client_id, now)
+            entry = QueueEntry(tx, handle, cls, client_id)
             self._enqueue(entry, replica, chain_id, park=False)
             if key is not None:
                 # Bind only after admission succeeded: a shed or rejected
@@ -741,9 +741,7 @@ class Gateway:
             inner.on_done(
                 lambda h: on_receipt(h.receipt) if h.error is None else on_reject(h.error)
             )
-            entry = QueueEntry(
-                tx=tx, handle=inner, cls=PriorityClass.MOVE, client=client_id, at=now
-            )
+            entry = QueueEntry(tx, inner, PriorityClass.MOVE, client_id)
             try:
                 self._enqueue(entry, replica, chain_id, park=True)
             except GatewayError as error:

@@ -284,7 +284,7 @@ def _wait(handle, timeout: Optional[float]):
     if node is None:
         raise GatewayError(
             "handle is not bound to a node (it never went through a "
-            "gateway); drive the simulation yourself or use Client.wait",
+            "gateway); drive the simulation yourself",
             code="pending",
         )
     from repro.errors import RequestTimeout

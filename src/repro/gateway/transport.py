@@ -1,18 +1,18 @@
-"""Transports: how client requests reach the gateway.
+"""The simulated network hop between a client and the gateway.
 
-Two implementations, one contract:
+A :class:`~repro.gateway.client.Client` talks either to the
+:class:`~repro.gateway.gateway.Gateway` itself (the request is admitted
+at the current simulated instant, a client co-located with the node)
+or to a :class:`SimNetTransport` in front of it: the request takes a
+deterministic simulated-network hop first, base latency plus jitter
+drawn from the *simulator's* seeded RNG, so a chaos seed replays the
+exact same admission order byte-identically.
 
-* :class:`InProcessTransport` — the request hits the gateway at the
-  current simulated instant (a client co-located with the node);
-* :class:`SimNetTransport` — the request takes a deterministic
-  simulated-network hop first: base latency plus jitter drawn from the
-  *simulator's* seeded RNG, so a chaos seed replays the exact same
-  admission order byte-identically.
-
-Both return the request's future immediately — on a discrete-event
-clock there is nothing to block on; the gateway resolves the handle as
-events fire.  Whatever its replica count, the gateway routes each
-client to its pinned replica itself.
+The transport answers the gateway's client-facing methods with the
+same signatures, and returns the request's future immediately — on a
+discrete-event clock there is nothing to block on; the gateway resolves
+the handle as events fire.  Whatever its replica count, the gateway
+routes each client to its pinned replica itself.
 """
 
 from __future__ import annotations
@@ -27,66 +27,6 @@ from repro.gateway.gateway import Gateway, PriorityLike
 from repro.gateway.handles import MoveHandle, RequestHandle
 from repro.gateway.subscription import Subscription
 from repro.ibc.bridge import CompletionFactory
-
-
-class InProcessTransport:
-    """Synchronous, zero-latency path into the gateway."""
-
-    def __init__(self, gateway: Gateway):
-        self.gateway = gateway
-
-    def submit(
-        self,
-        tx: Transaction,
-        chain_id: int,
-        client_id: str = "",
-        idempotency_key: Optional[str] = None,
-        priority: Optional[PriorityLike] = None,
-    ) -> RequestHandle:
-        """Hand the transaction to the gateway now; returns its future."""
-        return self.gateway.submit(
-            tx,
-            chain_id,
-            client_id=client_id,
-            idempotency_key=idempotency_key,
-            priority=priority,
-        )
-
-    def move(
-        self,
-        mover: KeyPair,
-        contract: Address,
-        source_chain: int,
-        target_chain: int,
-        completions: Sequence[CompletionFactory] = (),
-        client_id: str = "",
-        idempotency_key: Optional[str] = None,
-    ) -> MoveHandle:
-        """Start a cross-chain move now; returns its future."""
-        return self.gateway.move(
-            mover,
-            contract,
-            source_chain,
-            target_chain,
-            completions=completions,
-            client_id=client_id,
-            idempotency_key=idempotency_key,
-        )
-
-    def watch_contract(
-        self, chain_id: int, target: Address, client_id: str = ""
-    ) -> Subscription:
-        """Subscribe to a contract's committed events (push, not poll)."""
-        return self.gateway.watch_contract(chain_id, target, client_id)
-
-    def watch_move(self, handle: MoveHandle, client_id: str = "") -> Subscription:
-        """Subscribe to a move's stage stream (push, not poll)."""
-        return self.gateway.watch_move(handle, client_id)
-
-    def health(self) -> dict:
-        """The gateway's serving/degraded status (see
-        :meth:`~repro.gateway.gateway.Gateway.health`)."""
-        return self.gateway.health()
 
 
 class SimNetTransport:
@@ -104,11 +44,13 @@ class SimNetTransport:
                 f"got {latency}/{jitter}"
             )
         self.gateway = gateway
+        #: the node behind the gateway (what a client reads and drives)
+        self.node = gateway.node
         self.latency = latency
         self.jitter = jitter
 
     def _delay(self) -> float:
-        sim = self.gateway.node.sim
+        sim = self.node.sim
         return self.latency + (sim.rng.uniform(0.0, self.jitter) if self.jitter else 0.0)
 
     def submit(
@@ -120,8 +62,7 @@ class SimNetTransport:
         priority: Optional[PriorityLike] = None,
     ) -> RequestHandle:
         """Submit after a seeded network delay; the future exists now."""
-        gateway = self.gateway
-        node = gateway.node
+        gateway, node = self.gateway, self.node
         handle = RequestHandle(chain_id, client_id, idempotency_key)
         handle._node = node
         # The event carries submit's arguments in its positional order.
@@ -152,11 +93,11 @@ class SimNetTransport:
                 contract=contract,
                 source_chain=source_chain,
                 target_chain=target_chain,
-                started_at=self.gateway.node.now,
+                started_at=self.node.now,
             ),
             idempotency_key=idempotency_key,
         )
-        proxy._node = self.gateway.node
+        proxy._node = self.node
 
         def deliver() -> None:
             real = self.gateway.move(
@@ -189,7 +130,7 @@ class SimNetTransport:
 
             real.on_done(copy)
 
-        self.gateway.node.sim.schedule(self._delay(), deliver)
+        self.node.sim.schedule(self._delay(), deliver)
         return proxy
 
     def watch_contract(

@@ -200,8 +200,8 @@ class GatewayQueueProbe:
     configured bound; plus one aggregate ``gateway:shed`` target whose
     value is the shed fraction of requests since the previous sample.
 
-    When the gateway exposes per-class depths (the PR 10 classed
-    queue), each chain also emits ``gateway:<chain>:<class>`` samples.
+    Each chain also emits one ``gateway:<chain>:<class>`` sample per
+    admission class, from ``gateway.class_depths``.
     The move class gets a much tighter threshold: moves flush ahead of
     everything else, so a move backlog at even a quarter of the bound
     means the priority plane itself is failing, long before the
@@ -228,7 +228,6 @@ class GatewayQueueProbe:
         """Per-chain depth judgements plus the aggregate shed target."""
         samples = []
         bound = self.gateway.limits.max_queue_depth
-        class_depths = getattr(self.gateway, "class_depths", None)
         for chain_id in sorted(self.gateway.node.chains):
             depth = self.gateway.queue_depth(chain_id)
             fraction = depth / bound if bound else 0.0
@@ -240,9 +239,7 @@ class GatewayQueueProbe:
                     detail=f"{depth}/{bound} queued",
                 )
             )
-            if class_depths is None:
-                continue
-            for label, class_depth in class_depths(chain_id).items():
+            for label, class_depth in self.gateway.class_depths(chain_id).items():
                 class_fraction = class_depth / bound if bound else 0.0
                 threshold = (
                     self.move_threshold

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.chain.block import Block, BlockHeader
+from repro.chain.block import BlockHeader
 from repro.chain.chain import Chain
 from repro.net.sim import Simulator
 
@@ -46,8 +46,6 @@ class HeaderRelay:
         #: additional delay injected by faults ("stale headers"); adds
         #: to ``delay`` for every subsequent forward until reset
         self.extra_delay = 0.0
-        self.headers_relayed = 0
-        self.headers_withheld = 0
         metrics = source.telemetry.metrics
         self._m_relayed = metrics.counter(
             "relay_headers_relayed_total", chain=source.chain_id
@@ -78,21 +76,14 @@ class HeaderRelay:
         for header in queued:
             self._deliver(header)
 
-    @property
-    def withholding(self) -> bool:
-        """Is the relay currently paused?"""
-        return self._paused
-
     def _forward(self, header: BlockHeader) -> None:
         if self._paused:
             self._withheld.append(header)
-            self.headers_withheld += 1
             self._m_withheld.inc()
             return
         self._deliver(header)
 
     def _deliver(self, header: BlockHeader) -> None:
-        self.headers_relayed += 1
         self._m_relayed.inc()
         tracer = self.source.telemetry.tracer
         if tracer.enabled and tracer.has_watches():

@@ -67,10 +67,6 @@ class Network:
         """Remove a process; in-flight messages to it are dropped."""
         self._endpoints.pop(name, None)
 
-    def endpoints(self) -> Iterable[str]:
-        """Names of currently attached processes."""
-        return tuple(self._endpoints)
-
     def partition(self, *groups: Iterable[str]) -> None:
         """Split the network: messages between different groups drop.
 

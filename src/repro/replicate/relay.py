@@ -28,7 +28,7 @@ does not reproduce the claimed root) halt the mirror outright.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.chain.block import BlockHeader
 from repro.chain.chain import Chain
@@ -270,7 +270,3 @@ class ReplicationRelay:
         mirror.tombstone(reason, moved_to)
         self.tombstones += 1
         self._m_tombstones.inc()
-
-    def statuses(self) -> List[str]:
-        """Every mirror's serving status (operator/debug surface)."""
-        return [mirror.status for mirror in self.mirrors.values()]

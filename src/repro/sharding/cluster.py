@@ -99,10 +99,6 @@ class ShardedCluster:
         """The chain of the shard at ``index`` (0-based)."""
         return self.shards[index]
 
-    def shard_by_chain_id(self, chain_id: int) -> Chain:
-        """The chain whose id is ``chain_id`` (ids start at 1)."""
-        return self.shards[chain_id - 1]
-
     def fund_all(self, allocations: Dict[Address, int]) -> None:
         """Credit balances on every shard (clients pay fees anywhere)."""
         for shard in self.shards:

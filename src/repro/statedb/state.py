@@ -475,11 +475,6 @@ class WorldState:
 
         self._record(undo)
 
-    def mark_dirty(self, address: Address) -> None:
-        """Flag an address for re-commitment (used by out-of-transaction
-        state maintenance such as garbage collection)."""
-        self._dirty.add(address)
-
     def bump_move_nonce(self, address: Address) -> int:
         """Increment the contract's move nonce (on Move2 completion)."""
         record = self.require_contract(address)

@@ -95,10 +95,6 @@ class Span:
         """Record a point event at the current simulated time."""
         self.events.append(SpanEvent(name=name, time=self.tracer.now(), attrs=attrs))
 
-    def set_attrs(self, **attrs: Any) -> None:
-        """Merge attributes into the span."""
-        self.attrs.update(attrs)
-
     def end(self, **attrs: Any) -> None:
         """Close the span at the current simulated time (idempotent)."""
         if self.end_time is not None:
@@ -149,9 +145,6 @@ class _NullSpan:
     duration = 0.0
 
     def event(self, name: str, **attrs: Any) -> None:
-        pass
-
-    def set_attrs(self, **attrs: Any) -> None:
         pass
 
     def end(self, **attrs: Any) -> None:
@@ -322,10 +315,6 @@ class Tracer:
         context = span.context()
         if context is not None:
             meta[META_KEY] = context
-
-    def span_by_id(self, span_id: int) -> Optional[Span]:
-        """Look a live span up by id (exporters and tests)."""
-        return self._by_id.get(span_id)
 
     def _on_span_end(self, span: Span) -> None:
         if span.parent_id is None:

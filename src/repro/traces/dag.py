@@ -9,7 +9,7 @@ and Tx3 finish in the paper's example.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from repro.errors import StateError
 from repro.traces.events import TraceOp
@@ -68,10 +68,6 @@ class DependencyDAG:
     @property
     def done(self) -> bool:
         return len(self._completed) == len(self.ops)
-
-    def pending_count(self) -> int:
-        """Ops not yet completed."""
-        return len(self.ops) - len(self._completed)
 
     def depth(self) -> int:
         """Longest dependency chain — bounds replay parallelism.

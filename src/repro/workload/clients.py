@@ -131,7 +131,6 @@ class ScoinWorkload:
         self._by_account: Dict[Address, _Client] = {}
         self.report: Optional[WorkloadReport] = None
         self._measuring = False
-        self._setup_done = False
         self._home = self.cluster.shard(0)
 
     # ------------------------------------------------------------------
@@ -192,7 +191,6 @@ class ScoinWorkload:
         for client in self.clients:
             client.shard = 0
         if not movers:
-            self._setup_done = True
             on_ready()
             return
         pending = [len(movers)]
@@ -202,7 +200,6 @@ class ScoinWorkload:
             client.shard = phases.target_chain - 1
             pending[0] -= 1
             if pending[0] == 0:
-                self._setup_done = True
                 on_ready()
 
         for client in movers:

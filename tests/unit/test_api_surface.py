@@ -26,7 +26,6 @@ GOLDEN_SURFACE = sorted([
     "GatewayLimits",
     "PriorityClass",
     "Client",
-    "InProcessTransport",
     "SimNetTransport",
     "RequestHandle",
     "MoveHandle",

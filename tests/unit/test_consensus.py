@@ -81,6 +81,26 @@ def test_tendermint_stop_halts_production():
     assert chain.height == height
 
 
+@pytest.mark.parametrize("via", ["node", "gateway"])
+def test_tendermint_restart_commits_no_block_early(via):
+    # A proposal timer left pending across stop()/start() must stay
+    # dead: before the epoch guard it revived beside the restart's own
+    # timer and this run committed at 5.16, 10.28 and 12.12 s.
+    from repro.node import Node
+
+    node = Node(burrow_params(1, validator_count=4), seed=3, driver="consensus")
+    runner = node.serve() if via == "gateway" else node
+    runner.start()
+    node.run(until=7.0)
+    runner.stop()
+    runner.start()
+    node.run(until=40.0)
+    times = [block.header.timestamp for block in node.chain(1).blocks[1:]]
+    assert len(times) >= 6
+    interval = node.chain(1).params.block_interval
+    assert all(b - a >= interval for a, b in zip(times, times[1:])), times
+
+
 def test_pow_mean_interval_approximates_target():
     sim = Simulator(seed=3)
     net = Network(sim)

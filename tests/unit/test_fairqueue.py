@@ -14,7 +14,7 @@ The invariants under test are the tentpole's core guarantees:
 
 import pytest
 
-from repro.gateway.classes import PriorityClass, classify
+from repro.gateway.classes import PriorityClass
 from repro.gateway.fairqueue import ClassedFairQueue, QueueEntry
 from repro.errors import ConfigError
 
@@ -55,21 +55,6 @@ def test_coerce_accepts_members_labels_and_ints(value, expected):
 def test_coerce_rejects_unknown_priorities_naming_the_field(bad):
     with pytest.raises(ConfigError, match="priority"):
         PriorityClass.coerce(bad)
-
-
-def test_classify_defaults_moves_high_everything_else_bulk():
-    from repro.chain.tx import Move1Payload, TransferPayload, sign_transaction
-    from repro.crypto.keys import Address, KeyPair
-
-    kp = KeyPair.from_name("classifier")
-    move1 = sign_transaction(
-        kp, Move1Payload(contract=kp.address, target_chain=2)
-    )
-    bulk = sign_transaction(
-        kp, TransferPayload(to=Address(b"\x01" * 20), amount=1)
-    )
-    assert classify(move1) is PriorityClass.MOVE
-    assert classify(bulk) is PriorityClass.BULK
 
 
 # ----------------------------------------------------------------------
@@ -195,8 +180,9 @@ def test_eviction_empties_lane_cleanly():
     queue.push(entry(PriorityClass.BULK, client="solo", tag="b"))
     result = queue.push(entry(PriorityClass.MOVE, tag="m"))
     assert result.victim.tx == "b"
-    assert queue.backlogged_clients(PriorityClass.BULK) == ()
     assert queue.class_depth[PriorityClass.BULK] == 0
+    # A ring still naming the evicted client would fail here on its
+    # deleted lane.
     assert [tag for _, _, tag in drain(queue)] == ["m"]
 
 
@@ -215,4 +201,3 @@ def test_depth_and_peak_accounting():
     assert queue.depth == 1
     assert queue.peak_depth == 3  # high-water mark survives the drain
     assert queue.depths_by_class() == {"move": 0, "view": 0, "bulk": 1}
-    assert queue.class_peak[PriorityClass.BULK] == 3

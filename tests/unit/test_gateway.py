@@ -14,8 +14,8 @@ from repro.api import (
     ConfigError,
     Gateway,
     GatewayLimits,
-    InProcessTransport,
     InvalidRequest,
+    Move1Payload,
     Node,
     Overloaded,
     ShedByClass,
@@ -68,6 +68,24 @@ def test_queue_bound_sheds_typed_queue_full():
         assert excinfo.value.code == "queue_full"
         assert isinstance(excinfo.value, Overloaded)
     assert gateway.peak_queue_depth[1] == 4
+
+
+def test_untagged_move1_is_move_class_and_transfer_is_bulk():
+    # Default-by-payload classification: nobody passes priority=.
+    node = make_node()
+    gateway = Gateway(node)
+    move1 = sign_transaction(
+        ALICE, Move1Payload(contract=ALICE.address, target_chain=2)
+    )
+    assert not gateway.submit(move1, 1, client_id="a").done
+    assert not gateway.submit(transfer(), 1, client_id="a").done
+    admitted = {
+        cls: gateway.telemetry.metrics.counter(
+            "gateway_class_admitted_total", chain=1, cls=cls
+        ).value
+        for cls in ("move", "view", "bulk")
+    }
+    assert admitted == {"move": 1, "view": 0, "bulk": 1}
 
 
 def test_mid_move_transactions_park_then_shed():
@@ -524,7 +542,7 @@ def test_gateway_restart_keeps_single_flush_loop():
 def test_client_wait_resolves_through_running_node():
     node = make_node()
     gateway = Gateway(node)
-    client = Client(InProcessTransport(gateway), keypair=ALICE)
+    client = Client(gateway, keypair=ALICE)
     gateway.start()
     receipt = client.wait(client.transfer(BOB.address, 123))
     assert receipt.success
@@ -534,7 +552,7 @@ def test_client_wait_resolves_through_running_node():
 def test_client_wait_times_out_typed():
     node = make_node()
     gateway = Gateway(node)  # never started: handle can't resolve
-    client = Client(InProcessTransport(gateway), keypair=ALICE)
+    client = Client(gateway, keypair=ALICE)
     handle = client.transfer(BOB.address, 1)
     with pytest.raises(RequestTimeout):
         client.wait(handle, max_time=5.0)

@@ -17,7 +17,6 @@ from repro.api import (
     Gateway,
     GatewayFleet,
     GatewayLimits,
-    InProcessTransport,
     Node,
     PriorityClass,
     RequestTimeout,
@@ -359,7 +358,7 @@ def test_priority_classes_flush_before_bulk():
 def test_watch_contract_pushes_committed_events():
     node = make_node()
     fleet = GatewayFleet(node, replicas=2)
-    client = Client(InProcessTransport(fleet), keypair=ALICE)
+    client = Client(fleet, keypair=ALICE)
 
     # Watching an address with no contract traffic stays quiet:
     # transfers don't target a contract, so no events are pushed.
@@ -391,7 +390,7 @@ def test_watch_contract_streams_calls_and_deploys():
 
     node = make_node()
     fleet = GatewayFleet(node, replicas=2)
-    client = Client(InProcessTransport(fleet), keypair=ALICE)
+    client = Client(fleet, keypair=ALICE)
     fleet.start()
     box = client.deploy(Box).wait().return_value
 
@@ -431,7 +430,7 @@ def test_watch_move_streams_stages_then_done():
             self.ticks = self.ticks + 1
 
     fleet = GatewayFleet(node, replicas=2)
-    client = Client(InProcessTransport(fleet), keypair=ALICE)
+    client = Client(fleet, keypair=ALICE)
     fleet.start()
     contract = client.deploy(Roamer, chain=1).wait().return_value
 
@@ -467,7 +466,7 @@ def test_watch_paths_are_rate_limited():
 def test_client_kwargs_are_keyword_only():
     gateway = Gateway(make_node())
     with pytest.raises(TypeError):
-        Client(InProcessTransport(gateway), ALICE)  # positional keypair
+        Client(gateway, ALICE)  # positional keypair
 
 
 @pytest.mark.parametrize(
@@ -482,28 +481,30 @@ def test_client_kwargs_are_keyword_only():
 def test_client_validation_names_the_field(kwargs, field):
     gateway = Gateway(make_node())
     with pytest.raises(ConfigError, match=field):
-        Client(InProcessTransport(gateway), **kwargs)
+        Client(gateway, **kwargs)
 
 
 def test_priority_plumbs_through_both_transports():
-    for transport_cls in (InProcessTransport, SimNetTransport):
+    # A client talks to the gateway itself or through the network hop.
+    for make_transport in (lambda g: g, SimNetTransport):
         node = make_node()
         gateway = Gateway(node)
-        client = Client(transport_cls(gateway), keypair=ALICE)
+        transport = make_transport(gateway)
+        client = Client(transport, keypair=ALICE)
         gateway.start()
         handle = client.transfer(BOB.address, 1, priority="move")
         client.wait(handle)
         admitted = gateway.telemetry.metrics.counter(
             "gateway_class_admitted_total", chain=1, cls="move"
         )
-        assert admitted.value == 1, transport_cls.__name__
+        assert admitted.value == 1, type(transport).__name__
         gateway.stop()
 
 
 def test_handle_wait_returns_receipt_and_times_out():
     node = make_node()
     gateway = Gateway(node)
-    client = Client(InProcessTransport(gateway), keypair=ALICE)
+    client = Client(gateway, keypair=ALICE)
     gateway.start()
     receipt = client.transfer(BOB.address, 5).wait()
     assert receipt.success
@@ -518,7 +519,7 @@ def test_handle_wait_returns_receipt_and_times_out():
 def test_wait_composes_with_request_deadline():
     node = make_node()
     gateway = Gateway(node, GatewayLimits(request_timeout=2.0))
-    client = Client(InProcessTransport(gateway), keypair=ALICE)
+    client = Client(gateway, keypair=ALICE)
     # Not started: the admission deadline (2 s) fires before wait's own
     # bound (60 s) and wait re-raises the gateway's typed timeout.
     handle = client.transfer(BOB.address, 1)

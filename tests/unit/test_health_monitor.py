@@ -207,7 +207,7 @@ class TestGatewayHealth:
     def _world(self):
         node = _node()
         gateway = api.Gateway(node)
-        client = api.Client(api.InProcessTransport(gateway), name="alice")
+        client = api.Client(gateway, name="alice")
         return node, gateway, client
 
     def test_healthy_world_is_not_degraded(self):

@@ -187,6 +187,7 @@ def _gateway(depths, bound=100, metrics=None):
         limits=SimpleNamespace(max_queue_depth=bound),
         node=SimpleNamespace(chains={c: None for c in depths}),
         queue_depth=lambda c: depths[c],
+        class_depths=lambda c: {"move": 0, "view": 0, "bulk": depths[c]},
         telemetry=SimpleNamespace(metrics=metrics),
     )
 
