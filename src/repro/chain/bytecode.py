@@ -77,10 +77,7 @@ class StateMachineContext:
 
     def move_to(self, target_chain: int) -> None:
         """OP_MOVE: the contract moves itself (gas charged by the VM)."""
-        if target_chain == self._state.chain_id:
-            raise Revert("OP_MOVE target is the current chain")
-        self._state.set_location(self._contract, target_chain, height=self.block_number)
-        self._state.bump_move_nonce(self._contract)
+        self._state.lock(self._contract, target_chain, self.block_number)
 
     def location(self) -> int:
         """The executing contract's L_c."""
@@ -108,8 +105,9 @@ def execute_bytecode_call(
 ) -> ExecutionResult:
     """Run a call to a deployed bytecode contract.
 
-    The caller (executor) is responsible for lock checks, value
-    transfer and journaling; a failed run raises :class:`Revert` so the
+    The caller (executor) refuses a contract that is not active here
+    (the world state refuses its writes anyway) and owns value transfer
+    and journaling; a failed run raises :class:`Revert` so the
     surrounding transaction aborts and rolls back.
     """
     record = state.require_contract(contract)

@@ -33,12 +33,7 @@ from repro.core.move import apply_move1, apply_move2
 from repro.core.registry import ChainRegistry
 from repro.crypto.hashing import keccak_code
 from repro.crypto.keys import Address, contract_address, create2_address
-from repro.errors import (
-    ContractLocked,
-    ReadOnlyReplicaError,
-    Revert,
-    TransactionAborted,
-)
+from repro.errors import Revert, TransactionAborted
 from repro.runtime.context import BlockEnv
 from repro.runtime.registry import lookup_code
 from repro.runtime.runtime import Runtime
@@ -89,12 +84,13 @@ class TransactionExecutor:
 
     def _charge_fee(self, sender, gas_used: int) -> int:
         """Deduct the gas fee (EVM semantics: failed transactions pay
-        too).  The deduction is clamped to the sender's balance; fees
-        accrue to the chain's fee pool."""
+        too).  The deduction is clamped to the sender's balance and to
+        what the chain's fee pool, where fees accrue, can still hold."""
         if not self.gas_price:
             return 0
         state = self.runtime.state
-        fee = min(gas_used * self.gas_price, state.balance_of(sender))
+        headroom = (1 << 256) - 1 - state.balance_of(self.FEE_POOL)
+        fee = min(gas_used * self.gas_price, state.balance_of(sender), headroom)
         if fee:
             state.sub_balance(sender, fee)
             state.add_balance(self.FEE_POOL, fee)
@@ -264,16 +260,9 @@ class TransactionExecutor:
             if record is None:
                 raise Revert(f"no contract at {payload.target}")
             # Bytecode calls may always mutate, so the Move lock blocks
-            # every call to a moved-away contract.
-            if state.is_locked(payload.target):
-                if state.is_mirror(payload.target):
-                    raise ReadOnlyReplicaError(
-                        f"contract {payload.target} is a read-only replica "
-                        f"of chain {record.location}"
-                    )
-                raise ContractLocked(
-                    f"contract {payload.target} moved to chain {record.location}"
-                )
+            # every call to a moved-away contract before it runs.
+            if record.location != state.chain_id:
+                state.refuse_write(payload.target, record)
             ctx.charge(self.runtime.schedule.call)
             if payload.value:
                 if state.balance_of(tx.sender) < payload.value:

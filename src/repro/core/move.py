@@ -94,8 +94,7 @@ def apply_move1(
     # OP_MOVE (line 3): L_c <- B_j, plus the move-nonce bump that makes
     # this locked snapshot unique among the contract's residencies.
     ctx.charge(ctx.meter.schedule.move_op)
-    state.set_location(contract, target_chain, height=ctx.env.height)
-    state.bump_move_nonce(contract)
+    state.lock(contract, target_chain, ctx.env.height)
     current_span().event("move1.locked", target_chain=target_chain)
 
 
@@ -184,18 +183,9 @@ def apply_move2(
             balance=bundle.balance,
         )
     else:
-        # The contract lived here before: refresh the stale record (the
-        # bulk load below replaces its storage wholesale).
-        state.set_location(bundle.contract, state.chain_id)
-        delta = bundle.move_nonce - existing.move_nonce
-        for _ in range(delta):
-            state.bump_move_nonce(bundle.contract)
-        balance_diff = bundle.balance - existing.balance
-        if balance_diff > 0:
-            state.add_balance(bundle.contract, balance_diff)
-        elif balance_diff < 0:
-            state.sub_balance(bundle.contract, -balance_diff)
-        record = existing
+        # The contract lived here before: the stale record becomes the
+        # active copy again (the bulk load below replaces its storage).
+        record = state.reactivate(bundle.contract, bundle.move_nonce, bundle.balance)
 
     # Line 12: SSTORE every proven slot, at full storage-write cost.
     # The slots are bulk-loaded in one journaled step: the canonical

@@ -419,41 +419,35 @@ class Gateway:
     def _check_mirror_write(self, tx: Transaction, chain: Chain) -> None:
         """Reject writes against read-only replicas at admission.
 
-        Execution would abort them anyway (the runtime raises the same
-        :class:`ReadOnlyReplicaError` in-block), but failing fast at the
-        front door keeps a doomed transaction out of the queues and
-        gives the client the typed rejection immediately.  View-method
-        calls pass — mirrors exist to serve reads.
+        Execution would abort them anyway (the world state refuses every
+        write to a mirror with :class:`ReadOnlyReplicaError` in-block),
+        but failing fast at the front door keeps a doomed transaction out
+        of the queues and gives the client the typed rejection
+        immediately.  View-method calls pass — mirrors exist to serve
+        reads.
         """
         payload = tx.payload
-        if isinstance(payload, CallPayload):
+        if isinstance(payload, (CallPayload, BytecodeCallPayload)):
             target = payload.target
-            if not chain.state.is_mirror(target):
-                return
+        elif isinstance(payload, Move1Payload):
+            target = payload.contract
+        else:
+            return
+        if not chain.state.is_mirror(target):
+            return
+        record = chain.state.contract(target)
+        if isinstance(payload, CallPayload):
             from repro.runtime.registry import lookup_code
 
-            record = chain.state.contract(target)
             try:
                 fn = getattr(lookup_code(record.code_hash), payload.method, None)
             except CodeNotFound:
                 fn = None
             if fn is not None and getattr(fn, "_is_view", False):
                 return  # reads are what replicas are for
-        elif isinstance(payload, BytecodeCallPayload):
-            if not chain.state.is_mirror(payload.target):
-                return
-            target = payload.target
-        elif isinstance(payload, Move1Payload):
-            if not chain.state.is_mirror(payload.contract):
-                return
-            target = payload.contract
-        else:
-            return
-        record = chain.state.contract(target)
-        source = record.location if record is not None else "?"
         raise ReadOnlyReplicaError(
             f"contract {target} on chain {chain.chain_id} is a read-only "
-            f"replica of chain {source}; submit writes to the active copy"
+            f"replica of chain {record.location}; submit writes to the active copy"
         )
 
     def _enqueue(

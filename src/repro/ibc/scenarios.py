@@ -20,7 +20,7 @@ Fig. 8 latency phases and the Fig. 9 gas breakdown.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.apps.kitties import KittyRegistry
 from repro.apps.scoin import SCoin
@@ -199,20 +199,3 @@ class IBCExperiment(Node):
         ).return_value
         return self.sync_move(self.user, store, source_id, target_id)
 
-
-def run_all_ibc_scenarios(seed: int = 0) -> List[Tuple[str, str, MovePhases]]:
-    """Run the 5 apps in both directions; returns (app, direction, phases).
-
-    A fresh chain pair per scenario keeps measurements independent, as
-    in the paper's per-application runs.
-    """
-    out: List[Tuple[str, str, MovePhases]] = []
-    for app in APPS:
-        for direction, (src, dst) in (
-            ("burrow->ethereum", (BURROW_ID, ETHEREUM_ID)),
-            ("ethereum->burrow", (ETHEREUM_ID, BURROW_ID)),
-        ):
-            experiment = IBCExperiment(seed=seed)
-            phases = experiment.run_app(app, src, dst)
-            out.append((app, direction, phases))
-    return out

@@ -52,8 +52,18 @@ def view(fn: F) -> F:
     return fn
 
 
-def encode_value(value: Any) -> bytes:
-    """Canonical storage encoding for supported slot types."""
+#: what a slot of each kind holds: what :func:`decode_value` reads back
+#: equal (``True`` from an ``int`` slot as 1, ``None`` from an ``Address``)
+_HOLDS = {int: int, bool: bool, Address: (Address, type(None)), bytes: bytes}
+
+
+def encode_value(value: Any, kind: Optional[Type] = None) -> bytes:
+    """Canonical storage encoding; with the slot's declared ``kind``
+    (one :func:`decode_value` reads), refuses (:class:`TypeError`) a
+    value that would not read back equal."""
+    holds = _HOLDS.get(kind)
+    if holds is not None and not isinstance(value, holds):
+        raise TypeError(f"a {kind.__name__} slot cannot hold a {type(value).__name__}")
     if isinstance(value, bool):
         return b"\x01" if value else b""
     if isinstance(value, int):
@@ -118,7 +128,7 @@ class Slot:
         return decode_value(raw, self.kind)
 
     def __set__(self, obj: "Contract", value: Any) -> None:
-        obj._storage_write(self.key, encode_value(value))
+        obj._storage_write(self.key, encode_value(value, self.kind))
 
 
 class _MapAccessor:
@@ -133,7 +143,7 @@ class _MapAccessor:
         return decode_value(self._contract._storage_read(self._key(key)), self._value_kind)
 
     def __setitem__(self, key: Any, value: Any) -> None:
-        self._contract._storage_write(self._key(key), encode_value(value))
+        self._contract._storage_write(self._key(key), encode_value(value, self._value_kind))
 
     def __delitem__(self, key: Any) -> None:
         self._contract._storage_write(self._key(key), b"")
@@ -319,19 +329,17 @@ class Contract:
         return size is not None and proof.verify(light_client)
 
     def op_move(self, target_chain: int) -> None:
-        """Execute OP_MOVE from inside contract code: assign this
-        contract's own ``L_c`` and bump its move nonce.
+        """Execute OP_MOVE from inside contract code: lock this contract
+        toward ``target_chain`` (:meth:`~repro.statedb.state.WorldState.lock`).
 
         This is how the currency relay (paper Fig. 3) locks the relay
         contract "on creation" — the contract moves *itself* without a
         separate Move1 transaction.  The ``moveTo`` guard is *not* run:
         the contract is the one deciding to move.
         """
-        if target_chain == self.chain_id:
-            raise Revert("OP_MOVE target is the current chain")
+        # Lock first: a refused target costs no move_op gas.
+        self._ctx.state.lock(self.address, target_chain, self.env.height)
         self._ctx.charge(self._ctx.meter.schedule.move_op)
-        self._ctx.state.set_location(self.address, target_chain, height=self.env.height)
-        self._ctx.state.bump_move_nonce(self.address)
 
     # -- Move protocol hooks (paper Listing 1) ---------------------------
 

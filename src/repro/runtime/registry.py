@@ -72,11 +72,6 @@ def lookup_code(code_hash: bytes) -> Type:
     return cls
 
 
-def knows_code(code_hash: bytes) -> bool:
-    """True when this process's registry can instantiate the class."""
-    return code_hash in _REGISTRY
-
-
 def code_for(cls: Type) -> bytes:
     """The registered code bytes of a contract class.
 

@@ -2,8 +2,9 @@
 
 This is the high-level analogue of the modified EVM the paper runs:
 every entry point charges the gas schedule, and — the Move protocol's
-key invariant — **any call that could mutate a contract whose ``L_c``
-points to another blockchain aborts** (:class:`ContractLocked`), while
+key invariant — **any non-view call to a contract whose ``L_c`` points
+to another blockchain aborts** (:class:`~repro.errors.ContractLocked`)
+before it runs — the world state refuses its writes anyway — while
 ``@view`` methods remain callable because reads of moved-away state are
 explicitly allowed (Section III-B).
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Optional, Tuple, Type
 
 from repro.crypto.keys import Address, contract_address, create2_address
-from repro.errors import ContractLocked, NotAViewError, ReadOnlyReplicaError, Revert
+from repro.errors import NotAViewError, Revert
 from repro.runtime.context import BlockEnv, Msg, TxContext
 from repro.runtime.contract import Contract
 from repro.runtime.registry import code_for, lookup_code
@@ -137,14 +138,7 @@ class Runtime:
             raise Revert(f"{cls.__name__} has no external method {method!r}")
         fn, is_view, is_payable = entry
         if record.location != self.state.chain_id and not is_view:
-            if self.state.is_mirror(target):
-                raise ReadOnlyReplicaError(
-                    f"contract {target} is a read-only replica of "
-                    f"chain {record.location}"
-                )
-            raise ContractLocked(
-                f"contract {target} moved to chain {record.location}"
-            )
+            self.state.refuse_write(target, record)
         if value and not is_payable:
             raise Revert(f"{method!r} is not payable")
         if value:

@@ -50,12 +50,16 @@ when that root is committed: :meth:`WorldState.commit` reports the
 contract leaves it wrote while locked (``locked_leaves``), and the
 chain proves those before the next block moves the tree on.
 
-Journaling
-----------
-Every mutation appends an undo closure, except the maintenance that
-runs between blocks: genesis funding (:meth:`WorldState.fund`), GC
-(:meth:`WorldState.wipe_storage`) and replication
-(:meth:`WorldState.apply_mirror`).  ``snapshot()`` / ``revert()`` give
+Single mutability (I1) and journaling
+-------------------------------------
+Every transactional write to a contract record whose ``L_c`` names
+another chain is refused (:meth:`WorldState.refuse_write`); ``L_c`` and
+the move nonce have two writers, :meth:`WorldState.lock` and
+:meth:`WorldState.reactivate`.  Every mutation appends an undo closure.
+The maintenance that runs between blocks is exempt from both: genesis
+funding (:meth:`WorldState.fund`), GC (:meth:`WorldState.wipe_storage`)
+and replication (:meth:`WorldState.apply_mirror`,
+:meth:`WorldState.drop_mirror`).  ``snapshot()`` / ``revert()`` give
 transaction-level atomicity: a failed transaction (revert, out of
 gas, locked contract) unwinds to the pre-transaction state exactly.
 The transaction is the outermost journal scope: when it ends, however
@@ -75,10 +79,10 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, NoReturn, Optional, Set, Tuple
 
 from repro.crypto.keys import Address
-from repro.errors import StateError
+from repro.errors import ContractLocked, ReadOnlyReplicaError, Revert, StateError
 from repro.merkle.proof import MembershipProof
 from repro.merkle.protocol import AuthenticatedTree, TreeFactory
 
@@ -97,8 +101,8 @@ class ContractRecord:
 
     ``location`` is the paper's ``L_c``: the chain id where the contract
     currently lives.  While ``location`` differs from the hosting
-    chain's id the contract is *locked* there — reads succeed, writes
-    abort (enforced by the runtime, not here).
+    chain's id the contract is *locked* there — reads succeed, and
+    :class:`WorldState` refuses every transactional write to the record.
     """
 
     code_hash: bytes
@@ -236,14 +240,21 @@ class WorldState:
         record = self.accounts.get(address)
         return record.balance if record is not None else 0
 
-    def add_balance(self, address: Address, amount: int) -> None:
-        """Credit an account or contract (journaled).  Refuses
-        (:class:`StateError`) anything but an :class:`Address` and a
-        non-negative ``int`` — what the commit can encode."""
+    def _check_credit(self, address: Address, amount: int) -> None:
+        """Refuse (:class:`StateError`) a credit the commit cannot
+        encode: anything but an :class:`Address` and a non-negative
+        ``int``, or a balance past the leaf's 32 bytes."""
         if type(address) is not Address or type(amount) is not int:
             _refuse_balance_args(address, amount)
         if amount < 0:
             raise StateError("use sub_balance for debits")
+        if self.balance_of(address) + amount >= 1 << 256:
+            raise StateError(f"balance at {address} would not fit 32 bytes")
+
+    def add_balance(self, address: Address, amount: int) -> None:
+        """Credit an account or contract (journaled); refuses what
+        :meth:`_check_credit` refuses."""
+        self._check_credit(address, amount)
         record = self._holder(address)
         record.balance += amount
         self._record(lambda: setattr(record, "balance", record.balance - amount))
@@ -252,17 +263,14 @@ class WorldState:
         """Credit every ``holder: amount`` in ``allocations`` outside any
         transaction (genesis funding).
 
-        Not journaled: like :meth:`wipe_storage` it runs between blocks,
-        and the next :meth:`commit` makes it final.  Atomic: every
-        allocation is checked for what :meth:`add_balance` refuses
-        first, so a :class:`StateError` leaves nothing credited and
-        nothing marked dirty.
+        Not journaled and not lock-guarded: like :meth:`wipe_storage` it
+        runs between blocks, and the next :meth:`commit` makes it final.
+        Atomic: every allocation is checked for what :meth:`add_balance`
+        refuses first, so a :class:`StateError` leaves nothing credited
+        and nothing marked dirty.
         """
         for address, amount in allocations.items():
-            if type(address) is not Address or type(amount) is not int:
-                _refuse_balance_args(address, amount)
-            if amount < 0:
-                raise StateError("use sub_balance for debits")
+            self._check_credit(address, amount)
         contracts, accounts = self.contracts, self.accounts
         for address, amount in allocations.items():
             record = contracts.get(address)
@@ -288,13 +296,16 @@ class WorldState:
 
     def _holder(self, address: Address):
         """The record whose balance ``address`` names — its contract's,
-        else its account's (created, journaled, if new) — marked dirty."""
-        self._dirty.add(address)
+        refused unless active here, else its account's (created,
+        journaled, if new) — marked dirty."""
         record = self.contracts.get(address)
         if record is None:
             record = self.accounts.get(address)
             if record is None:
                 record = self.account(address)
+        elif record.location != self.chain_id:
+            self.refuse_write(address, record)
+        self._dirty.add(address)
         return record
 
     def bump_nonce(self, address: Address) -> int:
@@ -374,6 +385,8 @@ class WorldState:
     def storage_set(self, address: Address, key: bytes, value: bytes) -> None:
         """Write a storage slot (journaled); empty value deletes."""
         record = self.require_contract(address)
+        if record.location != self.chain_id:
+            self.refuse_write(address, record)
         storage = record.storage
         old = storage.get(key)
         if value:
@@ -406,6 +419,8 @@ class WorldState:
         (O(1) — the new trie was built beside it, never into it).
         """
         record = self.require_contract(address)
+        if record.location != self.chain_id:
+            self.refuse_write(address, record)
         prior_storage = dict(record.storage)
         prior_tree = self._storage_tries.get(address)
         prior_dirty = self._dirty_slots.get(address)
@@ -436,8 +451,9 @@ class WorldState:
     def wipe_storage(self, address: Address) -> None:
         """Clear a contract's storage outside any transaction (GC).
 
-        Not journaled: garbage collection runs between blocks, exactly
-        like a state-pruning pass would.  The live trie is reset to an
+        Not journaled and not lock-guarded (it sweeps relics): garbage
+        collection runs between blocks, exactly like a state-pruning
+        pass would.  The live trie is reset to an
         empty one (canonical for the empty key set) and the address is
         marked for re-commitment.
         """
@@ -448,40 +464,64 @@ class WorldState:
         self._dirty.add(address)
         self._storage_replaced.add(address)
 
-    def set_location(
-        self, address: Address, target_chain: int, height: Optional[int] = None
-    ) -> None:
-        """Assign ``L_c`` (the effect of OP_MOVE, journaled).
-
-        ``height`` stamps when the move happened, for GC age gating.
-        """
+    def lock(self, address: Address, target_chain: int, height: int) -> None:
+        """Move1 and ``OP_MOVE`` as one journal entry: ``L_c :=
+        target_chain``, ``moved_at_height := height`` (GC age gating)
+        and the move-nonce bump that makes the locked leaf unique.
+        Refuses (:class:`Revert`) this chain and any target the 8-byte
+        leaf field cannot hold."""
         record = self.require_contract(address)
-        old = record.location
-        old_height = record.moved_at_height
-        was_mirror = address in self._mirrors
+        if record.location != self.chain_id:
+            self.refuse_write(address, record)
+        if type(target_chain) is not int or not 0 <= target_chain < 1 << 64:
+            raise Revert(f"OP_MOVE target {target_chain!r} is not a chain id")
+        if target_chain == self.chain_id:
+            raise Revert("OP_MOVE target is the current chain")
+        old = (record.location, record.moved_at_height, record.move_nonce)
         record.location = target_chain
         record.moved_at_height = height
-        if was_mirror and target_chain == self.chain_id:
-            # A Move2 landed on a chain that hosted a mirror: the record
-            # is upgraded to the active copy and stops being read-only.
-            self._mirrors.discard(address)
+        record.move_nonce += 1
         self._dirty.add(address)
 
         def undo() -> None:
-            record.location = old
-            record.moved_at_height = old_height
+            record.location, record.moved_at_height, record.move_nonce = old
+
+        self._record(undo)
+
+    def reactivate(self, address: Address, move_nonce: int, balance: int) -> ContractRecord:
+        """A Move2 onto a chain that holds a relic or mirror of the
+        contract, as one journal entry: the record becomes the active
+        copy, with the proven move nonce and balance (the caller loads
+        the proven storage next)."""
+        record = self.require_contract(address)
+        old = (record.location, record.moved_at_height, record.move_nonce, record.balance)
+        was_mirror = address in self._mirrors
+        record.location = self.chain_id
+        record.moved_at_height = None
+        record.move_nonce = move_nonce
+        record.balance = balance
+        self._mirrors.discard(address)
+        self._dirty.add(address)
+
+        def undo() -> None:
+            (record.location, record.moved_at_height,
+             record.move_nonce, record.balance) = old
             if was_mirror:
                 self._mirrors.add(address)
 
         self._record(undo)
+        return record
 
-    def bump_move_nonce(self, address: Address) -> int:
-        """Increment the contract's move nonce (on Move2 completion)."""
-        record = self.require_contract(address)
-        record.move_nonce += 1
-        self._dirty.add(address)
-        self._record(lambda: setattr(record, "move_nonce", record.move_nonce - 1))
-        return record.move_nonce
+    def refuse_write(self, address: Address, record: ContractRecord) -> NoReturn:
+        """Refuse a write to ``record``, whose ``L_c`` names another
+        chain: :class:`~repro.errors.ReadOnlyReplicaError` for a mirror,
+        :class:`~repro.errors.ContractLocked` for a relic.  ``Runtime``
+        and the executor call it too, before a relic can run code."""
+        if address in self._mirrors:
+            raise ReadOnlyReplicaError(
+                f"contract {address} is a read-only replica of chain {record.location}"
+            )
+        raise ContractLocked(f"contract {address} moved to chain {record.location}")
 
     def is_locked(self, address: Address) -> bool:
         """True when the contract was moved away (``L_c`` ≠ this chain)."""
@@ -514,7 +554,8 @@ class WorldState:
         balance: int,
         location: int,
     ) -> ContractRecord:
-        """Create or refresh a read-only replica (not journaled).
+        """Create or refresh a read-only replica (not journaled, not
+        lock-guarded: a mirror is never the active copy).
 
         Called by the replication relay between blocks — exactly like
         GC — after it has *verified* the new image against the source
@@ -557,7 +598,7 @@ class WorldState:
 
     def drop_mirror(self, address: Address) -> None:
         """Demote a replica back to an ordinary stale record (not
-        journaled).  Its storage is wiped immediately — a tombstoned
+        journaled, not lock-guarded).  Its storage is wiped immediately — a tombstoned
         mirror must be *unavailable*, never silently stale — and the
         record becomes an ordinary relic the garbage collector may age
         out."""

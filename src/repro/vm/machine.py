@@ -8,8 +8,9 @@ chain's state database adapts itself to this protocol; the in-memory
 
 ``OP_MOVE`` semantics (paper Section III-C): pop the target blockchain
 identifier and hand it to ``context.move_to(target)``, which assigns
-``L_c``.  Once ``L_c`` names another chain, the surrounding execution
-engine aborts any transaction that would mutate the contract.
+``L_c``.  Once ``L_c`` names another chain, the chain's world state
+refuses every write to the contract, so any transaction that would
+mutate it aborts.
 """
 
 from __future__ import annotations

@@ -1,0 +1,103 @@
+"""Property: no transaction halts a chain.
+
+Signed transactions carry hostile field values into ``Chain.submit``: a
+Move1 toward a chain id the 8-byte ``L_c`` field cannot hold (or that is
+not an int at all), transfer and call values near the 32-byte balance
+bound, and short random bytecode that runs ``MOVE`` and ``SSTORE`` on
+whatever words it pushed.  Execution may refuse any of them, but only
+with a failed receipt:
+
+* every block commits;
+* every included transaction has a receipt;
+* the next, empty block commits too.
+"""
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.chain.tx import (
+    BytecodeCallPayload,
+    CallPayload,
+    DeployBytecodePayload,
+    Move1Payload,
+    TransferPayload,
+    sign_transaction,
+)
+from repro.crypto.hashing import keccak_code
+from repro.crypto.keys import create2_address
+from repro.vm.opcodes import Op
+from tests.helpers import (
+    ALICE,
+    BOB,
+    ManualClock,
+    deploy_store,
+    make_chain_pair,
+    produce,
+)
+
+BALANCE_BOUND = 2**256
+WORDS = st.one_of(
+    st.sampled_from([0, 1, 2, 3, 2**64 - 1, 2**64, 2**255, BALANCE_BOUND - 1]),
+    st.integers(0, BALANCE_BOUND - 1),
+)
+AMOUNTS = st.one_of(
+    st.sampled_from([0, 1, BALANCE_BOUND - 1, BALANCE_BOUND, BALANCE_BOUND + 1, -1]),
+    st.integers(BALANCE_BOUND - 2**20, BALANCE_BOUND + 2**20),
+    st.integers(0, 2**41),
+)
+TARGET_CHAINS = st.one_of(
+    st.sampled_from([2**64, 2**64 - 1, -1, 10**30, 0, 1, 2, "2", 2.0, True, False, None, b"\x02"]),
+    st.integers(),
+)
+INSTRUCTIONS = st.one_of(
+    WORDS.map(lambda word: bytes([Op.PUSH32]) + word.to_bytes(32, "big")),
+    st.integers(0, 255).map(lambda byte: bytes([Op.PUSH1, byte])),
+    st.sampled_from([bytes([Op.MOVE]), bytes([Op.SSTORE]), bytes([Op.STOP])]),
+    st.binary(min_size=1, max_size=2),
+)
+BYTECODE = st.lists(INSTRUCTIONS, min_size=1, max_size=6).map(b"".join)
+
+
+@st.composite
+def hostile_transactions(draw, store, chain_id):
+    """One or two signed transactions with a hostile field."""
+    kind = draw(st.sampled_from(["move1", "transfer", "call", "bytecode"]))
+    if kind == "move1":
+        return [sign_transaction(ALICE, Move1Payload(store, draw(TARGET_CHAINS)))]
+    sender = draw(st.sampled_from([ALICE, BOB]))
+    if kind == "transfer":
+        to = draw(st.sampled_from([ALICE.address, BOB.address, store]))
+        return [sign_transaction(sender, TransferPayload(to, draw(AMOUNTS)))]
+    if kind == "call":
+        args = (draw(WORDS), draw(WORDS))
+        return [sign_transaction(sender, CallPayload(store, "put", args, draw(AMOUNTS)))]
+    code, salt = draw(BYTECODE), draw(st.integers(0, 3))
+    target = create2_address(chain_id, sender.address, salt, keccak_code(code))
+    return [
+        sign_transaction(sender, DeployBytecodePayload(code, draw(AMOUNTS), salt)),
+        sign_transaction(sender, BytecodeCallPayload(target, b"", draw(AMOUNTS))),
+    ]
+
+
+@given(st.data(), st.booleans())
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_no_transaction_halts_the_chain(data, on_ethereum):
+    burrow, ethereum = make_chain_pair()
+    chain = ethereum if on_ethereum else burrow
+    clock = ManualClock()
+    chain.fund({ALICE.address: BALANCE_BOUND - 2**40, BOB.address: 10**12})
+    store = deploy_store(chain, clock, ALICE)
+    batch = data.draw(st.lists(hostile_transactions(store, chain.chain_id), min_size=1, max_size=4))
+    txs = [tx for group in batch for tx in group]
+    for tx in txs:
+        chain.submit(tx)
+    produce(chain, clock)
+    for tx in txs:
+        assert tx.tx_id in chain.receipts
+    height = chain.height
+    produce(chain, clock)
+    assert chain.height == height + 1

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.hashing import keccak
 from repro.crypto.keys import Address
-from repro.errors import StateError
+from repro.errors import ContractLocked, StateError
 from repro.merkle.iavl import IAVLTree
 from repro.statedb.state import WorldState
 
@@ -29,7 +29,7 @@ ops = st.lists(
         st.tuples(st.just("create"), address_idx, st.integers(0, 0)),
         st.tuples(st.just("sstore"), address_idx, st.integers(0, 5)),
         st.tuples(st.just("locate"), address_idx, st.integers(2, 4)),
-        st.tuples(st.just("nonce"), address_idx, st.integers(0, 0)),
+        st.tuples(st.just("reactivate"), address_idx, st.integers(0, 3)),
     ),
     max_size=30,
 )
@@ -48,11 +48,12 @@ def apply_op(state: WorldState, op) -> None:
         elif kind == "sstore":
             state.storage_set(address, bytes([arg]), b"v" * (arg + 1))
         elif kind == "locate":
-            state.set_location(address, arg)
-        elif kind == "nonce":
-            state.bump_move_nonce(address)
-    except StateError:
-        pass  # illegal transitions (debit too much, missing contract) are fine
+            state.lock(address, arg, 0)
+        elif kind == "reactivate":
+            state.reactivate(address, arg, 0)
+    except (StateError, ContractLocked):
+        pass  # illegal transitions (debit too much, missing contract,
+        # a write to a locked contract) are fine
 
 
 def observable(state: WorldState):

@@ -188,7 +188,7 @@ def test_locked_contract_rejects_mutation_allows_view(world):
     state, runtime = world
     ctx = make_ctx(runtime)
     addr = runtime.deploy(ctx, Counter, (7,), sender=ALICE)
-    state.set_location(addr, 2)  # as if Move1 executed
+    state.lock(addr, 2, 0)  # as if Move1 executed
     with pytest.raises(ContractLocked):
         runtime.call(ctx, addr, "bump", sender=ALICE)
     assert runtime.view(addr, "peek") == 7  # reads stay allowed

@@ -57,15 +57,17 @@ def test_duplicate_contract_rejected(state):
 
 def test_location_and_lock(state):
     state.create_contract(CONTRACT, CODE_HASH, CODE)
-    state.set_location(CONTRACT, 2)
+    state.lock(CONTRACT, 2, 0)
     assert state.is_locked(CONTRACT)
     assert state.require_contract(CONTRACT).location == 2
 
 
 def test_move_nonce(state):
     state.create_contract(CONTRACT, CODE_HASH, CODE)
-    assert state.bump_move_nonce(CONTRACT) == 1
-    assert state.bump_move_nonce(CONTRACT) == 2
+    state.lock(CONTRACT, 2, 0)
+    assert state.require_contract(CONTRACT).move_nonce == 1
+    state.reactivate(CONTRACT, 2, 0)
+    assert state.require_contract(CONTRACT).move_nonce == 2
 
 
 def test_revert_unwinds_everything(state):
@@ -75,7 +77,7 @@ def test_revert_unwinds_everything(state):
     state.add_balance(BOB, 50)
     state.create_contract(CONTRACT, CODE_HASH, CODE)
     state.storage_set(CONTRACT, b"k", b"v")
-    state.set_location(CONTRACT, 9)
+    state.lock(CONTRACT, 9, 0)
     state.revert(snap)
     assert state.balance_of(ALICE) == 100
     assert state.balance_of(BOB) == 0
@@ -213,7 +215,7 @@ def test_commit_reports_the_leaves_it_wrote_while_locked(state):
     state.add_balance(ALICE, 5)
     state.commit()
     assert state.locked_leaves == []
-    state.set_location(CONTRACT, 7)
+    state.lock(CONTRACT, 7, 0)
     state.create_contract(escrow, CODE_HASH, CODE, location=9)
     state.apply_mirror(
         mirror, code_hash=CODE_HASH, code=CODE, storage={b"k": b"v"}, balance=0, location=5
@@ -229,8 +231,9 @@ def test_commit_reports_the_leaves_it_wrote_while_locked(state):
 def test_contract_leaf_commits_location_and_move_nonce(state):
     state.create_contract(CONTRACT, CODE_HASH, CODE)
     root_before = state.commit()
-    state.set_location(CONTRACT, 7)
+    state.lock(CONTRACT, 7, 0)
     root_moved = state.commit()
     assert root_moved != root_before
-    state.bump_move_nonce(CONTRACT)
-    assert state.commit() != root_moved
+    # Back home at move nonce 1: only the nonce differs from root_before.
+    state.reactivate(CONTRACT, 1, 0)
+    assert state.commit() not in (root_before, root_moved)
