@@ -107,11 +107,27 @@ def encode_key(value: Any) -> bytes:
     raise TypeError(f"unsupported map key type {type(value).__name__}")
 
 
+#: the kinds a slot may declare: values :func:`decode_value` reads,
+#: map keys :func:`encode_key` encodes
+_VALUE_KINDS = tuple(_HOLDS)
+_KEY_KINDS = (Address, bool, int, bytes, bytearray, str)
+
+
+def _declared(kind: Any, kinds, role: str) -> Type:
+    """``kind`` if a slot can store it, else :class:`TypeError` at class
+    creation (a value kind :func:`decode_value` cannot read would fail
+    on the first read of a written slot)."""
+    if kind not in kinds:
+        names = ", ".join(allowed.__name__ for allowed in kinds)
+        raise TypeError(f"a slot's {role} kind must be one of {names}, not {kind!r}")
+    return kind
+
+
 class Slot:
     """A scalar storage slot; the key is derived from the field name."""
 
     def __init__(self, kind: Type = int, default: Any = None):
-        self.kind = kind
+        self.kind = _declared(kind, _VALUE_KINDS, "value")
         self.default = default
         self.key = b""
 
@@ -166,8 +182,8 @@ class MapSlot:
     _CACHE_LIMIT = 4096
 
     def __init__(self, key_kind: Type, value_kind: Type):
-        self.key_kind = key_kind
-        self.value_kind = value_kind
+        self.key_kind = _declared(key_kind, _KEY_KINDS, "key")
+        self.value_kind = _declared(value_kind, _VALUE_KINDS, "value")
         self.base = b""
         self._derived: dict = {}
 

@@ -378,7 +378,7 @@ def test_watch_contract_streams_calls_and_deploys():
 
     @register_contract
     class Box(MovableContract):
-        value = Slot("value", default=0)
+        value = Slot(int, default=0)
 
         @external
         def put(self, v):
@@ -423,7 +423,7 @@ def test_watch_move_streams_stages_then_done():
 
     @register_contract
     class Roamer(MovableContract):
-        ticks = Slot("ticks", default=0)
+        ticks = Slot(int, default=0)
 
         @external
         def tick(self):

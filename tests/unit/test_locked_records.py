@@ -26,7 +26,7 @@ from repro.crypto.hashing import keccak_code
 from repro.crypto.keys import Address, create2_address
 from repro.errors import ContractLocked, ReadOnlyReplicaError, StateError
 from repro.runtime import Contract, payable, register_contract
-from repro.runtime.contract import encode_value
+from repro.runtime.contract import MapSlot, Slot, encode_value
 from repro.vm.opcodes import Op
 from tests.helpers import (
     ALICE,
@@ -211,3 +211,30 @@ def test_typed_slot_refuses_what_would_not_read_back(value, kind):
 
 def test_slot_of_an_unreadable_kind_is_not_checked():
     assert encode_value(b"x", "anything") == b"x"
+
+
+@pytest.mark.parametrize(
+    "slot_class, kinds",
+    [
+        (Slot, ("ticks",)),  # the name where the kind goes
+        (Slot, (str,)),
+        (Slot, (float,)),
+        (MapSlot, (int, str)),
+        (MapSlot, (float, int)),
+        (MapSlot, (tuple, int)),
+    ],
+    ids=["name-as-kind", "str", "float", "str-values", "float-keys", "tuple-keys"],
+)
+def test_slot_of_a_kind_it_cannot_store_is_refused_at_class_creation(slot_class, kinds):
+    with pytest.raises(TypeError, match="kind must be one of"):
+
+        class Roamer(Contract):
+            ticks = slot_class(*kinds)
+
+
+def test_every_storable_kind_declares():
+    for kind in (int, bool, Address, bytes):
+        assert Slot(kind).kind is kind
+        for key_kind in (Address, bool, int, bytes, bytearray, str):
+            slot = MapSlot(key_kind, kind)
+            assert (slot.key_kind, slot.value_kind) == (key_kind, kind)
