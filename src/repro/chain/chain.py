@@ -29,7 +29,7 @@ from repro.chain.lightclient import LightClient
 from repro.chain.mempool import Mempool
 from repro.chain.params import ChainParams
 from repro.chain.tx import Transaction
-from repro.core.proofs import ContractStateProof
+from repro.core.proofs import ContractStateProof, RemoteStateProof
 from repro.core.registry import ChainRegistry
 from repro.crypto.keys import Address
 from repro.errors import ProofError, StateError
@@ -37,7 +37,7 @@ from repro.merkle.proof import MembershipProof
 from repro.runtime.context import BlockEnv
 from repro.runtime.runtime import Runtime
 from repro.statedb.receipts import Receipt
-from repro.statedb.state import WorldState, encode_contract_leaf
+from repro.statedb.state import WorldState, decode_contract_leaf, encode_contract_leaf
 from repro.telemetry import Telemetry
 
 BlockListener = Callable[[Block, List[Receipt]], None]
@@ -369,8 +369,6 @@ class Chain:
         Like :meth:`prove_contract_at`, it requires the container's
         current storage to still match that height's root.
         """
-        from repro.core.proofs import RemoteStateProof
-
         record = self.state.contract(container)
         if record is None:
             raise ProofError(f"no contract at {container}")
@@ -388,7 +386,8 @@ class Chain:
         )
         expected_root = self._post_roots[state_height]
         if account_proof.computed_root() != expected_root or (
-            account_proof.value[-32:] != storage_proof.computed_root()
+            decode_contract_leaf(account_proof.value).storage_root
+            != storage_proof.computed_root()
         ):
             raise ProofError(
                 f"container storage at head no longer matches height {state_height}"

@@ -16,12 +16,14 @@
 2. ``VS(B_i, m)`` via the node's light client: the root must belong to
    a sufficiently confirmed source header (line 7);
 3. ``VP(V ↦ m)``: the proof bundle must reconstruct ``m`` (line 9) —
-   the canonical storage tree VP builds becomes the recreated
-   contract's live trie when both chains share a tree flavour;
-4. abort stale bundles: an existing local record with
-   ``move_nonce >= bundle.move_nonce`` means this state was already
+   2 and 3 are one call to the verifier of :mod:`repro.core.proofs`,
+   whose canonical storage tree becomes the recreated contract's live
+   trie when both chains share a tree flavour;
+4. abort stale bundles: an existing local record with a move nonce
+   ``>=`` the proven one means this state was already
    recreated here (or superseded) — the replay attack of Fig. 2;
-5. recreate the storage via SSTORE (paying gas per slot) and the code
+5. recreate the record from the decoded leaf (not the bundle's copies of
+   its fields), the storage via SSTORE (paying gas per slot) and the code
    (paying CREATE + code deposit on Ethereum-flavoured chains when the
    code is not already on-chain);
 6. run the custom ``moveFinish()`` hook (line 13).
@@ -33,18 +35,17 @@ complete (Section III-B).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Tuple
 
 from repro.core.proofs import ContractStateProof
 from repro.core.registry import ChainRegistry
-from repro.crypto.hashing import keccak_code
 from repro.crypto.keys import Address
 from repro.errors import CodeNotFound, MoveError, ProofError, ReplayError, UnknownRootError
 from repro.merkle.protocol import AuthenticatedTree
 from repro.runtime.context import Msg, TxContext
 from repro.runtime.registry import lookup_code
 from repro.runtime.runtime import Runtime
-from repro.statedb.state import build_storage_trie
+from repro.statedb.state import ContractLeaf, build_storage_trie
 from repro.telemetry.tracer import current_span
 
 if TYPE_CHECKING:
@@ -104,14 +105,14 @@ def validate_move2(
     light_client: LightClient,
     source_params: ChainParams,
     proof_bytes: int,
-) -> AuthenticatedTree:
+) -> Tuple[ContractLeaf, AuthenticatedTree]:
     """All Move2 abort conditions (Algorithm 1, lines 5–10 + replay).
 
     Raises a specific :class:`~repro.errors.MoveError` subclass per
-    failure; when the bundle is acceptable, returns the canonical
-    storage tree ``VP`` rebuilt (in the source chain's flavour).
-    ``proof_bytes`` is ``bundle.size_bytes()``, which the caller has
-    already charged for.
+    failure; when the bundle is acceptable, returns the proven leaf and
+    the canonical storage tree ``VP`` rebuilt (in the source chain's
+    flavour).  ``proof_bytes`` is ``bundle.size_bytes()``, which the
+    caller has already charged for.
     """
     if bundle.location != state.chain_id:
         raise MoveError(
@@ -120,27 +121,24 @@ def validate_move2(
         )
     if bundle.source_chain == state.chain_id:
         raise MoveError("source and target chains are the same")
-    root = bundle.account_proof.computed_root()
-    if not light_client.valid_state_root(bundle.source_chain, bundle.proof_height, root):
-        raise UnknownRootError(
-            f"state root at source height {bundle.proof_height} is unknown "
-            "or not yet p-confirmed (VS failed)"
-        )
+    try:
+        leaf, tree = bundle.verify_against_root(light_client, source_params.tree_factory)
+    except UnknownRootError:
+        raise
+    except ProofError as exc:
+        raise ProofError("proof bundle fails verification (VP failed)") from exc
     current_span().event(
         "move2.vs_ok", source_chain=bundle.source_chain, height=bundle.proof_height
     )
-    tree = bundle.verify_against_root(root, source_params.tree_factory)
-    if tree is None:
-        raise ProofError("proof bundle fails verification (VP failed)")
     current_span().event("move2.vp_ok", proof_bytes=proof_bytes)
     existing = state.contract(bundle.contract)
-    if existing is not None and existing.move_nonce >= bundle.move_nonce:
+    if existing is not None and existing.move_nonce >= leaf.move_nonce:
         raise ReplayError(
             f"stale move: local move nonce {existing.move_nonce} >= "
-            f"proven {bundle.move_nonce} (replay prevented)"
+            f"proven {leaf.move_nonce} (replay prevented)"
         )
-    current_span().event("move2.nonce_ok", move_nonce=bundle.move_nonce)
-    return tree
+    current_span().event("move2.nonce_ok", move_nonce=leaf.move_nonce)
+    return leaf, tree
 
 
 def apply_move2(
@@ -155,16 +153,19 @@ def apply_move2(
     state = runtime.state
     source_params = registry.params_for(bundle.source_chain)
 
-    # Verifying the Merkle proof costs gas proportional to its size.
-    proof_bytes = bundle.size_bytes()
+    # Verifying the Merkle proof costs gas proportional to its size (a
+    # slot value without a length is charged as empty; VP refuses it).
+    try:
+        proof_bytes = bundle.size_bytes()
+    except TypeError:
+        proof_bytes = 0
     ctx.charge(ctx.meter.schedule.proof_verification(proof_bytes))
-    tree = validate_move2(state, bundle, light_client, source_params, proof_bytes)
+    leaf, tree = validate_move2(state, bundle, light_client, source_params, proof_bytes)
     if source_params.tree_factory is not state.tree_factory:
         # VP rebuilt the storage in the source's flavour; the live trie
         # here must be this chain's.
         tree = build_storage_trie(state.tree_factory, bundle.storage)
 
-    code_hash = keccak_code(bundle.code)
     existing = state.contract(bundle.contract)
     if existing is None:
         # Recreating the contract pays CREATE, and — on chains that
@@ -172,20 +173,20 @@ def apply_move2(
         # "every recreated contract pays a constant gas based on the
         # size of the moved code").
         ctx.charge(ctx.meter.schedule.create, "create")
-        if not (ctx.meter.schedule.code_deposit_dedup and state.has_code(code_hash)):
+        if not (ctx.meter.schedule.code_deposit_dedup and state.has_code(leaf.code_hash)):
             ctx.charge(ctx.meter.schedule.code_deposit(len(bundle.code)), "create")
         record = state.create_contract(
             bundle.contract,
-            code_hash,
+            leaf.code_hash,
             bundle.code,
             location=state.chain_id,
-            move_nonce=bundle.move_nonce,
-            balance=bundle.balance,
+            move_nonce=leaf.move_nonce,
+            balance=leaf.balance,
         )
     else:
         # The contract lived here before: the stale record becomes the
         # active copy again (the bulk load below replaces its storage).
-        record = state.reactivate(bundle.contract, bundle.move_nonce, bundle.balance)
+        record = state.reactivate(bundle.contract, leaf.move_nonce, leaf.balance)
 
     # Line 12: SSTORE every proven slot, at full storage-write cost.
     # The slots are bulk-loaded in one journaled step: the canonical

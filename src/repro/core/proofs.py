@@ -1,29 +1,78 @@
-"""Contract state proof bundles (the ``V ↦ m`` of Algorithm 1).
+"""Proven contract state: one verifier and the records that carry it.
 
-A Move2 transaction must let the target chain reconstruct the contract
-*provably*: the bundle carries the contract's full storage, code,
-balance, location and move nonce, plus a Merkle membership proof of the
-contract's account leaf under a state root ``m`` of the source chain.
-The verifier recomputes the storage root canonically from the raw
-storage, recomputes the code hash from the raw code, re-encodes the
-account leaf, and checks the membership proof against ``m`` — so no
-field can be tampered with independently.
+A Move2 bundle (:class:`ContractStateProof`, the ``V ↦ m`` of
+Algorithm 1), a mirror's :class:`~repro.replicate.protocol.ReplicaUpdate`
+and a single storage entry (:class:`RemoteStateProof`, §V-A) all claim
+"this contract leaf, and these slots, are under a ``p``-confirmed root
+of chain B".  Each checks it with :func:`proven_contract_leaf` (one fold
+of the account proof, ``VS`` on its root, the leaf decoded) and, with
+code and slots, :func:`verify_contract_state`.  Both raise
+:class:`~repro.errors.UnknownRootError` when ``VS`` fails and
+:class:`~repro.errors.ProofError` for anything else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Tuple
 
 from repro.crypto.hashing import keccak_code
 from repro.crypto.keys import Address
+from repro.errors import ProofError, UnknownRootError
 from repro.merkle.proof import MembershipProof, verify_proof
 from repro.merkle.protocol import AuthenticatedTree, TreeFactory
-from repro.statedb.state import (
-    build_storage_trie,
-    encode_contract_leaf,
-    ContractRecord,
-)
+from repro.statedb.state import ContractLeaf, build_storage_trie, decode_contract_leaf
+
+if TYPE_CHECKING:
+    from repro.chain.lightclient import LightClient
+
+
+def proven_contract_leaf(
+    light_client: LightClient, chain_id: int, height: int, contract: Address,
+    account_proof: MembershipProof,
+) -> ContractLeaf:
+    """The leaf of ``contract`` that ``account_proof`` proves under the
+    ``p``-confirmed state root of chain ``chain_id`` at ``height``; ``VS``
+    comes before every integrity check."""
+    if (type(account_proof), type(contract), type(chain_id), type(height)) != (
+        MembershipProof, Address, int, int
+    ):
+        raise ProofError("malformed proven-state claim")
+    try:
+        root = account_proof.computed_root()
+    except (TypeError, ValueError):
+        raise ProofError("account proof cannot be folded") from None
+    if not light_client.valid_state_root(chain_id, height, root):
+        raise UnknownRootError(
+            f"state root at source height {height} is unknown "
+            "or not yet p-confirmed (VS failed)"
+        )
+    if account_proof.key != contract.raw:
+        raise ProofError("account proof is for a different address")
+    return decode_contract_leaf(account_proof.value)
+
+
+def verify_contract_state(
+    light_client: LightClient, chain_id: int, height: int, contract: Address,
+    account_proof: MembershipProof, code: bytes, storage: Dict[bytes, bytes],
+    tree_factory: TreeFactory,
+) -> Tuple[ContractLeaf, AuthenticatedTree]:
+    """:func:`proven_contract_leaf`, then the carried code and the whole
+    carried storage (``bytes`` to non-empty ``bytes``), rebuilt
+    canonically in ``tree_factory`` — the *source* chain's flavour.
+    Returns the proven leaf and that tree."""
+    leaf = proven_contract_leaf(light_client, chain_id, height, contract, account_proof)
+    if type(code) is not bytes or keccak_code(code) != leaf.code_hash:
+        raise ProofError("carried code does not match the proven code hash")
+    if type(storage) is not dict or not all(
+        type(key) is bytes and type(value) is bytes and value
+        for key, value in storage.items()
+    ):
+        raise ProofError("storage slots must map bytes to non-empty bytes")
+    tree = build_storage_trie(tree_factory, storage)
+    if tree.root_hash != leaf.storage_root:
+        raise ProofError("candidate storage does not reproduce the proven storage root")
+    return leaf, tree
 
 
 @dataclass(frozen=True)
@@ -73,35 +122,19 @@ class ContractStateProof:
         return len(self.code) + storage_bytes + self.account_proof.size_bytes()
 
     def verify_against_root(
-        self, trusted_root: bytes, tree_factory: TreeFactory
-    ) -> Optional[AuthenticatedTree]:
-        """``VP(V ↦ m)``: does this bundle reconstruct ``trusted_root``?
-
-        Returns the canonical storage tree it rebuilt from the carried
-        slots when the bundle verifies, else ``None`` — compare with
-        ``is None``: an empty tree is falsy.  ``tree_factory`` must be
-        the *source* chain's tree flavour so the storage root is rebuilt
-        the way the source committed it.  The rebuild is the canonical
-        from-scratch one — the verifier-side reference the source's
-        incremental commit path must match bit for bit.  A bundle
-        carrying an empty slot value is refused before anything is
-        built: a committed storage never holds one.
-        """
-        if self.account_proof.key != self.contract.raw or not all(
-            self.storage.values()
-        ):
-            return None
-        record = ContractRecord(
-            code_hash=keccak_code(self.code),
-            location=self.location,
-            balance=self.balance,
-            move_nonce=self.move_nonce,
+        self, light_client: LightClient, tree_factory: TreeFactory
+    ) -> Tuple[ContractLeaf, AuthenticatedTree]:
+        """``VS(B_i, m)`` and ``VP(V ↦ m)``: :func:`verify_contract_state`,
+        and the bundle's balance, ``L_c`` and move nonce must be the
+        proven leaf's, as ``int``.  Returns the leaf and the tree."""
+        leaf, tree = verify_contract_state(
+            light_client, self.source_chain, self.proof_height, self.contract,
+            self.account_proof, self.code, self.storage, tree_factory,
         )
-        tree = build_storage_trie(tree_factory, self.storage)
-        expected_leaf = encode_contract_leaf(record, tree.root_hash)
-        if self.account_proof.value != expected_leaf:
-            return None
-        return tree if verify_proof(self.account_proof, trusted_root) else None
+        claimed = (self.balance, self.location, self.move_nonce)
+        if claimed != leaf[:3] or not all(type(value) is int for value in claimed):
+            raise ProofError("bundle fields differ from the proven leaf")
+        return leaf, tree
 
 
 @dataclass(frozen=True)
@@ -113,11 +146,10 @@ class RemoteStateProof:
     proposed interfaces"): prove that contract ``container`` on
     ``chain_id`` maps ``storage key -> value`` at ``height``.
 
-    Verification chains two membership proofs: the storage-entry proof
-    reconstructs a storage root; the account proof's leaf must embed
-    exactly that storage root (it is the trailing 32 bytes of the
-    canonical contract-leaf encoding); and the account proof must
-    reconstruct a state root the verifier's light client confirms.
+    Verification chains two membership proofs: the account proof must
+    reconstruct a state root the verifier's light client confirms
+    (:func:`proven_contract_leaf`), and the storage-entry proof must
+    reconstruct the storage root that proven leaf commits to.
     """
 
     chain_id: int
@@ -157,20 +189,10 @@ class RemoteStateProof:
         proof included: only the storage proof's key and value are
         signed, so its steps reach here unchecked.
         """
-        account, storage = self.account_proof, self.storage_proof
-        if (
-            type(account) is not MembershipProof
-            or type(self.container) is not Address
-            or account.key != self.container.raw
-        ):
-            return False
-        leaf = account.value
-        if type(leaf) is not bytes or len(leaf) < 33 or not leaf.startswith(b"C"):
-            return False
-        if not verify_proof(storage, leaf[-32:]):
-            return False
         try:
-            state_root = account.computed_root()
-        except (TypeError, ValueError):
+            leaf = proven_contract_leaf(
+                light_client, self.chain_id, self.height, self.container, self.account_proof
+            )
+        except ProofError:
             return False
-        return light_client.valid_state_root(self.chain_id, self.height, state_root)
+        return verify_proof(self.storage_proof, leaf.storage_root)

@@ -121,7 +121,7 @@ def keccak_path(leaf: bytes, steps) -> bytes:
 
 
 #: Few distinct contract codes exist, each kilobytes long, and a Move2
-#: hashes its contract's on the proving, validating and recreating side.
+#: hashes its contract's when the Move2 is signed and again in VP.
 _CODE_MEMO_SIZE = 256
 
 

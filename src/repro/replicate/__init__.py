@@ -19,7 +19,7 @@ routing, move re-homing — host it with ``Node.attach_replication``).
 from repro.replicate.log import ReplicationLog
 from repro.replicate.manager import ReplicationManager
 from repro.replicate.mirror import HALTED, LIVE, SYNCING, TOMBSTONED, Mirror
-from repro.replicate.protocol import ParsedContractLeaf, ReplicaUpdate, parse_contract_leaf
+from repro.replicate.protocol import ReplicaUpdate
 from repro.replicate.relay import ReplicationRelay
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
     "ReplicationManager",
     "ReplicationRelay",
     "ReplicaUpdate",
-    "ParsedContractLeaf",
-    "parse_contract_leaf",
     "Mirror",
     "SYNCING",
     "LIVE",

@@ -14,14 +14,17 @@ committed post-state at block ``state_height``, carrying
   a Move2 bundle carries, captured the same way when the height committed;
 * the contract **code** (checked against the proven code hash).
 
-Verification needs *no* trusted metadata: the proven 113-byte contract
-leaf is parsed directly (:func:`parse_contract_leaf`), yielding the
-balance, ``L_c``, move nonce, code hash and storage root the mirror
-must reflect.  The verifier then rebuilds the canonical storage root
-from the candidate image (current mirror image + delta, or the carried
-full image) with the source chain's tree flavour and accepts only on an
-exact match — so a torn or partial image can never be applied, and
-deletions need no per-slot non-membership proofs.
+Verification needs *no* trusted metadata: the update builds its
+candidate image (current mirror image + delta, or the carried full
+image) and hands it to the one proven-state verifier,
+:func:`~repro.core.proofs.verify_contract_state`, which folds the
+account proof, checks ``VS``, decodes the proven 113-byte contract leaf
+(balance, ``L_c``, move nonce, code hash, storage root — the fields
+the mirror must reflect), checks the code against the proven code hash
+and rebuilds the canonical storage root from the candidate with the
+source chain's tree flavour, accepting only on an exact match — so a
+torn or partial image can never be applied, and deletions need no
+per-slot non-membership proofs.
 
 The staleness bound falls out of ``VS``: the account proof's root is
 trusted only when the header at ``proof_height`` is ``p``-confirmed by
@@ -36,41 +39,12 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.chain.lightclient import LightClient
-from repro.crypto.hashing import keccak_code
+from repro.core.proofs import verify_contract_state
 from repro.crypto.keys import Address
-from repro.errors import ProofError, UnknownRootError
+from repro.errors import ProofError
 from repro.merkle.proof import MembershipProof
 from repro.merkle.protocol import TreeFactory
-from repro.statedb.state import compute_storage_root
-
-#: byte layout of a contract leaf (see ``encode_contract_leaf``)
-_LEAF_LEN = 1 + 32 + 8 + 8 + 32 + 32
-
-
-@dataclass(frozen=True)
-class ParsedContractLeaf:
-    """The committed contract fields recovered from a proven leaf."""
-
-    balance: int
-    location: int
-    move_nonce: int
-    code_hash: bytes
-    storage_root: bytes
-
-
-def parse_contract_leaf(leaf: bytes) -> ParsedContractLeaf:
-    """Decode the canonical contract-leaf bytes (inverse of
-    ``encode_contract_leaf``); raises :class:`ProofError` on any other
-    shape (an account leaf, a truncated blob)."""
-    if len(leaf) != _LEAF_LEN or leaf[:1] != b"C":
-        raise ProofError("proven leaf is not a contract leaf")
-    return ParsedContractLeaf(
-        balance=int.from_bytes(leaf[1:33], "big"),
-        location=int.from_bytes(leaf[33:41], "big"),
-        move_nonce=int.from_bytes(leaf[41:49], "big"),
-        code_hash=leaf[49:81],
-        storage_root=leaf[81:113],
-    )
+from repro.statedb.state import ContractLeaf
 
 
 @dataclass(frozen=True)
@@ -107,8 +81,8 @@ class ReplicaUpdate:
         light_client: LightClient,
         tree_factory: TreeFactory,
         base_image: Optional[Mapping[bytes, bytes]] = None,
-    ) -> Tuple[ParsedContractLeaf, Dict[bytes, bytes]]:
-        """Verify against the target's light client; return the parsed
+    ) -> Tuple[ContractLeaf, Dict[bytes, bytes]]:
+        """Verify against the target's light client; return the proven
         leaf and the full post-state image the mirror must adopt.
 
         Raises :class:`UnknownRootError` when ``VS`` fails (header
@@ -116,29 +90,13 @@ class ReplicaUpdate:
         :class:`ProofError` on any integrity mismatch.  ``base_image``
         is the mirror's current image, required for delta updates.
         """
-        root = self.account_proof.computed_root()
-        if not light_client.valid_state_root(self.source_chain, self.proof_height, root):
-            raise UnknownRootError(
-                f"VS failed for chain {self.source_chain} @ {self.proof_height}"
-            )
-        if self.account_proof.key != self.contract.raw:
-            raise ProofError("account proof is for a different address")
-        leaf = parse_contract_leaf(self.account_proof.value)
-        if keccak_code(self.code) != leaf.code_hash:
-            raise ProofError("carried code does not match the proven code hash")
-        if self.image is not None:
-            candidate = {k: v for k, v in self.image.items() if v}
-        else:
-            if base_image is None:
-                raise ProofError("delta update without a base image")
-            candidate = dict(base_image)
-            for key, value in (self.delta or {}).items():
-                if value:
-                    candidate[key] = value
-                else:
-                    candidate.pop(key, None)
-        if compute_storage_root(tree_factory, candidate) != leaf.storage_root:
-            raise ProofError(
-                "candidate storage does not reproduce the proven storage root"
-            )
+        if self.image is None and base_image is None:
+            raise ProofError("delta update without a base image")
+        # An empty value in the delta deletes its slot.
+        merged = self.image if self.image is not None else {**base_image, **(self.delta or {})}
+        candidate = {key: value for key, value in merged.items() if value}
+        leaf, _tree = verify_contract_state(
+            light_client, self.source_chain, self.proof_height, self.contract,
+            self.account_proof, self.code, candidate, tree_factory,
+        )
         return leaf, candidate

@@ -79,10 +79,10 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Dict, List, Mapping, NoReturn, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, NoReturn, Optional, Set, Tuple
 
 from repro.crypto.keys import Address
-from repro.errors import ContractLocked, ReadOnlyReplicaError, Revert, StateError
+from repro.errors import ContractLocked, ProofError, ReadOnlyReplicaError, Revert, StateError
 from repro.merkle.proof import MembershipProof
 from repro.merkle.protocol import AuthenticatedTree, TreeFactory
 
@@ -120,12 +120,20 @@ def encode_account_leaf(record: AccountRecord) -> bytes:
     return b"A" + record.balance.to_bytes(32, "big") + record.nonce.to_bytes(8, "big")
 
 
-def encode_contract_leaf(record: ContractRecord, storage_root: bytes) -> bytes:
-    """Canonical contract-leaf bytes.
+class ContractLeaf(NamedTuple):
+    """The committed fields of a contract leaf, as a verifier reads them."""
 
-    Everything Move2 must verify is in here: balance (the currency the
-    contract carries with it), ``L_c``, the move nonce, the code hash
-    and the storage root.
+    balance: int
+    location: int
+    move_nonce: int
+    code_hash: bytes
+    storage_root: bytes
+
+
+def encode_contract_leaf(record: ContractRecord, storage_root: bytes) -> bytes:
+    """Canonical contract-leaf bytes: ``C``, balance (32 bytes), ``L_c``
+    (8), move nonce (8), code hash (32), storage root (32) — everything
+    Move2 must verify, the currency the contract carries included.
     """
     return (
         b"C"
@@ -134,6 +142,18 @@ def encode_contract_leaf(record: ContractRecord, storage_root: bytes) -> bytes:
         + record.move_nonce.to_bytes(8, "big")
         + record.code_hash
         + storage_root
+    )
+
+
+def decode_contract_leaf(leaf: bytes) -> ContractLeaf:
+    """The inverse of :func:`encode_contract_leaf`; raises
+    :class:`~repro.errors.ProofError` for anything but a 113-byte leaf
+    tagged ``C`` (an account leaf, a truncated or padded blob)."""
+    if type(leaf) is not bytes or len(leaf) != 113 or leaf[:1] != b"C":
+        raise ProofError("proven leaf is not a contract leaf")
+    return ContractLeaf(
+        int.from_bytes(leaf[1:33], "big"), int.from_bytes(leaf[33:41], "big"),
+        int.from_bytes(leaf[41:49], "big"), leaf[49:81], leaf[81:113],
     )
 
 

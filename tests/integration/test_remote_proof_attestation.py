@@ -119,12 +119,18 @@ MALFORMED = [
     ("storage_proof", None),
     ("account_proof.value", 7),  # the account leaf
     ("container", 7),
+    ("height", "3"),
+    ("height", [3]),
+    ("chain_id", [1]),
 ]
 
 
 @pytest.mark.parametrize(
     "name, value", MALFORMED,
-    ids=["storage-steps", "storage-value", "no-storage-proof", "int-leaf", "int-container"],
+    ids=[
+        "storage-steps", "storage-value", "no-storage-proof", "int-leaf", "int-container",
+        "str-height", "list-height", "list-chain-id",
+    ],
 )
 def test_malformed_remote_proof_is_refused_not_raised(proved_world, name, value):
     _burrow, ethereum, _clock, _token, a, _b = proved_world

@@ -10,9 +10,19 @@ with a failed receipt:
 * every block commits;
 * every included transaction has a receipt;
 * the next, empty block commits too.
+
+Hostile Move2 bundles start from the honest bundle of a real Move1 and
+redraw one field: the move nonce, balance or ``L_c`` as a ``bool``, a
+``str``, a negative or a ``>= 2**64`` value; a slot value as an ``int``,
+a ``str`` or empty; the proof height moved by one or made a ``str``;
+another contract's key.  Each such Move2 fails as a Move-protocol error
+(``MoveError``, ``ProofError`` or ``UnknownRootError``), never as a
+``ContractFault``.
 """
 
-from hypothesis import HealthCheck, given, settings
+import dataclasses
+
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from repro.chain.tx import (
@@ -20,6 +30,7 @@ from repro.chain.tx import (
     CallPayload,
     DeployBytecodePayload,
     Move1Payload,
+    Move2Payload,
     TransferPayload,
     sign_transaction,
 )
@@ -33,6 +44,7 @@ from tests.helpers import (
     deploy_store,
     make_chain_pair,
     produce,
+    run_tx,
 )
 
 BALANCE_BOUND = 2**256
@@ -101,3 +113,68 @@ def test_no_transaction_halts_the_chain(data, on_ethereum):
     height = chain.height
     produce(chain, clock)
     assert chain.height == height + 1
+
+
+LEAF_WORDS = st.one_of(
+    st.booleans(),
+    st.text(max_size=3),
+    st.integers(max_value=-1),
+    st.integers(min_value=2**64),
+    st.sampled_from([-1, 2**64, 2**256, "1", True, False]),
+)
+SLOT_VALUES = st.one_of(st.integers(), st.text(max_size=3), st.just(b""))
+MOVE2_ERRORS = ("MoveError: ", "ReplayError: ", "ProofError: ", "UnknownRootError: ")
+
+
+@st.composite
+def hostile_bundles(draw, bundle, other):
+    """The honest ``bundle`` with one field redrawn."""
+    field = draw(st.sampled_from(
+        ["move_nonce", "balance", "location", "storage", "proof_height", "contract"]
+    ))
+    if field == "storage":
+        key = draw(st.sampled_from(sorted(bundle.storage)))
+        return dataclasses.replace(bundle, storage={**bundle.storage, key: draw(SLOT_VALUES)})
+    if field == "proof_height":
+        height = bundle.proof_height
+        return dataclasses.replace(
+            bundle, proof_height=draw(st.sampled_from([height + 1, height - 1, str(height)]))
+        )
+    if field == "contract":
+        return dataclasses.replace(bundle, contract=other)
+    return dataclasses.replace(bundle, **{field: draw(LEAF_WORDS)})
+
+
+@given(st.data(), st.booleans())
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_no_hostile_move2_halts_the_chain(data, on_ethereum):
+    burrow, ethereum = make_chain_pair()
+    source, target = (burrow, ethereum) if on_ethereum else (ethereum, burrow)
+    clock = ManualClock()
+    source.fund({BOB.address: 10**9})
+    store, other = deploy_store(source, clock, ALICE), deploy_store(source, clock, ALICE)
+    assert run_tx(source, clock, ALICE, CallPayload(store, "put", (1, 42))).success
+    inclusion = run_tx(source, clock, ALICE, Move1Payload(store, target.chain_id)).block_height
+    # Every block changes the state, so a moved proof height names
+    # another root.
+    while source.height <= source.proof_ready_height(inclusion):
+        assert run_tx(source, clock, BOB, TransferPayload(ALICE.address, 1)).success
+    bundle = source.prove_contract_at(store, inclusion)
+    bundles = data.draw(st.lists(hostile_bundles(bundle, other), min_size=1, max_size=4))
+    txs = [sign_transaction(BOB, Move2Payload(hostile)) for hostile in bundles]
+    for tx in txs:
+        target.submit(tx)
+    produce(target, clock)
+    for tx in txs:
+        receipt = target.receipts[tx.tx_id]
+        assert not receipt.success
+        assert receipt.error.startswith(MOVE2_ERRORS), receipt.error
+        event(receipt.error.split(":")[0])
+    assert target.state.contract(store) is None
+    height = target.height
+    produce(target, clock)
+    assert target.height == height + 1

@@ -47,8 +47,8 @@ def test_escrow_created_locked_is_provable_at_its_creation_height():
     while burrow.height < burrow.proof_ready_height(created):
         produce(burrow, clock)
     bundle = burrow.prove_contract_at(escrow, created)
-    factory = burrow.params.tree_factory
-    assert bundle.verify_against_root(burrow._post_roots[created], factory) is not None
+    leaf, _tree = bundle.verify_against_root(ethereum.light_client, burrow.params.tree_factory)
+    assert leaf.location == ethereum.chain_id
 
 
 def test_replica_update_is_served_at_the_enable_replication_height():

@@ -12,7 +12,7 @@ import pytest
 
 from repro.crypto.hashing import keccak
 from repro.errors import ProofError, UnknownRootError
-from repro.replicate.protocol import parse_contract_leaf
+from repro.statedb.state import decode_contract_leaf
 from tests.helpers import (
     ALICE,
     BOB,
@@ -144,17 +144,17 @@ def test_size_bytes_counts_payload_code_and_proof():
     assert update.size_bytes() == expected
 
 
-def test_parse_contract_leaf_rejects_foreign_shapes():
+def test_decode_contract_leaf_rejects_foreign_shapes():
     with pytest.raises(ProofError):
-        parse_contract_leaf(b"A" + b"\x00" * 112)  # account leaf tag
+        decode_contract_leaf(b"A" + b"\x00" * 112)  # account leaf tag
     with pytest.raises(ProofError):
-        parse_contract_leaf(b"C" + b"\x00" * 40)  # truncated
+        decode_contract_leaf(b"C" + b"\x00" * 40)  # truncated
 
 
-def test_parse_contract_leaf_roundtrips_the_proven_fields():
+def test_decode_contract_leaf_roundtrips_the_proven_fields():
     burrow, _ethereum, clock, address = _replicated_store()
     update = burrow.build_replica_update(address, upto=_provable(burrow))
-    leaf = parse_contract_leaf(update.account_proof.value)
+    leaf = decode_contract_leaf(update.account_proof.value)
     record = burrow.state.contract(address)
     assert leaf.balance == record.balance
     assert leaf.location == burrow.chain_id
