@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import dataclasses
 
-from bench_common import emit, once
+from bench_common import emit, format_table, once
 
 from repro.ibc.costs import gas_to_usd
 from repro.ibc.scenarios import BURROW_ID, ETHEREUM_ID, IBCExperiment
-from repro.metrics.report import format_table
 from repro.vm.gas import ETHEREUM_SCHEDULE
 
 DEDUP_SCHEDULE = dataclasses.replace(ETHEREUM_SCHEDULE, code_deposit_dedup=True)

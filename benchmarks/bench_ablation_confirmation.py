@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import statistics
 
-from bench_common import emit, full_scale, once
+from bench_common import emit, format_table, full_scale, once
 
 from repro.ibc.scenarios import BURROW_ID, ETHEREUM_ID, IBCExperiment
-from repro.metrics.report import format_table
 
 P_VALUES = (1, 3, 6, 12)
 INTERVALS = (2.5, 5.0, 10.0)

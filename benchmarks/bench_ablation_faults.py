@@ -14,14 +14,13 @@ and proposer stalls) applied by the one-shard node's
 
 from __future__ import annotations
 
-from bench_common import emit, once
+from bench_common import emit, format_table, once
 
 from repro.chain.params import burrow_params
 from repro.chain.tx import TransferPayload, sign_transaction
 from repro.consensus.tendermint import TendermintEngine
 from repro.crypto.keys import KeyPair
 from repro.faults import FaultEvent, FaultPlan
-from repro.metrics.report import format_table
 from repro.node import Node
 
 VALIDATORS = 10

@@ -40,12 +40,11 @@ from __future__ import annotations
 
 import json
 
-from bench_common import RESULTS_DIR, emit, full_scale, once
+from bench_common import RESULTS_DIR, emit, format_table, full_scale, once
 
-from repro.metrics import percentile
-from repro.metrics.report import format_table
 from repro.rebalance import RebalancePolicy, ShardLoadMonitor
 from repro.sharding.cluster import ShardedCluster
+from repro.telemetry import percentile
 from repro.workload.clients import ScoinWorkload
 
 SHARDS = 4

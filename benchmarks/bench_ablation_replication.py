@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import json
 
-from bench_common import RESULTS_DIR, emit, full_scale, once
+from bench_common import RESULTS_DIR, emit, format_table, full_scale, once
 
 from repro.chain.params import burrow_params
 from repro.chain.tx import DeployPayload, CallPayload, sign_transaction
 from repro.crypto.keys import KeyPair
 from repro.errors import ReplicaUnavailable
 from repro.lang.movable import MovableContract
-from repro.metrics.report import format_table
 from repro.node import Node
 from repro.runtime import MapSlot, external, register_contract, view
 

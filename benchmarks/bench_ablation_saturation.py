@@ -16,10 +16,9 @@ the offer window; backlog is what is still unresolved when it closes.
 
 from __future__ import annotations
 
-from bench_common import emit, once
+from bench_common import emit, format_table, once
 
 from repro.gateway import GatewayLimits
-from repro.metrics.report import format_table
 from repro.workload.fleet import FleetWorkload
 
 BLOCK_CAPACITY = 130

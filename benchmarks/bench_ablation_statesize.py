@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import time
 
-from bench_common import emit, once
+from bench_common import emit, format_table, once
 
 from repro.apps.store import StateStore
 from repro.chain.tx import DeployPayload, Move2Payload
 from repro.crypto.keys import Address
 from repro.merkle.iavl import IAVLTree
-from repro.metrics.report import format_table
 from repro.statedb.state import WorldState, build_storage_trie, compute_storage_root
 from tests.helpers import ALICE, ManualClock, full_move, make_chain_pair, produce, run_tx
 

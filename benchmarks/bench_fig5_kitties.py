@@ -11,10 +11,10 @@ could no longer be kept full ("Limit reached").
 
 from __future__ import annotations
 
-from bench_common import emit, full_scale, once
+from bench_common import emit, format_table, full_scale, once
 
-from repro.metrics.report import format_series, format_table
 from repro.sharding.cluster import ShardedCluster
+from repro.telemetry.exporters import format_series
 from repro.traces.cryptokitties import TraceConfig, generate_trace
 from repro.traces.replay import KittiesReplayer
 
@@ -60,7 +60,7 @@ def test_fig5_scalablekitties_throughput(benchmark):
     )
 
     eight = results[8]
-    series = eight.throughput.series(bucket=30.0, end=eight.finished_at)
+    series = eight.throughput_series(bucket=30.0, end=eight.finished_at)
     marks = ", ".join(
         f"shard {shard} @ {when:.0f}s"
         for shard, when in sorted(eight.starved_at.items())

@@ -14,9 +14,8 @@ preserved.
 
 from __future__ import annotations
 
-from bench_common import emit, full_scale, once
+from bench_common import emit, format_table, full_scale, once
 
-from repro.metrics.report import format_table
 from repro.sharding.cluster import ShardedCluster
 from repro.workload.clients import ScoinWorkload
 

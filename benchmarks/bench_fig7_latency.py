@@ -15,11 +15,10 @@ transactions retry once, ~1 % more than three times).
 
 from __future__ import annotations
 
-from bench_common import emit, full_scale, once
+from bench_common import emit, format_table, full_scale, once
 
-from repro.metrics.cdf import cdf_points, percentile
-from repro.metrics.report import format_table
 from repro.sharding.cluster import ShardedCluster
+from repro.telemetry import percentile
 from repro.workload.clients import ScoinWorkload
 
 SHARDS = 4

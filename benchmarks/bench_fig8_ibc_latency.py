@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import statistics
 
-from bench_common import emit, full_scale, once
+from bench_common import emit, format_table, full_scale, once
 
 from repro.ibc.scenarios import (
     APPS,
@@ -29,7 +29,6 @@ from repro.ibc.scenarios import (
     ETHEREUM_ID,
     IBCExperiment,
 )
-from repro.metrics.report import format_table
 from repro.telemetry import Telemetry
 from repro.telemetry.phases import trace_phases
 

@@ -17,7 +17,7 @@ storage recreation; Burrow targets pay no code deposit.
 
 from __future__ import annotations
 
-from bench_common import emit, once
+from bench_common import emit, format_table, once
 
 from repro.ibc.costs import gas_to_mgas, gas_to_usd
 from repro.ibc.scenarios import (
@@ -27,7 +27,6 @@ from repro.ibc.scenarios import (
     ETHEREUM_ID,
     IBCExperiment,
 )
-from repro.metrics.report import format_table
 
 DIRECTIONS = (
     ("Burrow -> Ethereum", BURROW_ID, ETHEREUM_ID),

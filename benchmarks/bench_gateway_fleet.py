@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import json
 
-from bench_common import RESULTS_DIR, emit, full_scale, once
+from bench_common import RESULTS_DIR, emit, format_table, full_scale, once
 
-from repro.metrics.report import format_table
 from repro.workload.fleet import FleetWorkload
 
 CLIENTS = 10_000 if full_scale() else 1_000

@@ -23,14 +23,13 @@ import json
 import os
 import time
 
-from bench_common import RESULTS_DIR, emit, full_scale, once
+from bench_common import RESULTS_DIR, emit, format_table, full_scale, once
 
 from repro.apps.scoin import SCoin
 from repro.chain.chain import Chain
 from repro.chain.params import burrow_params
 from repro.chain.tx import CallPayload, DeployPayload, sign_transaction
 from repro.crypto.keys import Address, KeyPair
-from repro.metrics.report import format_table
 
 if full_scale():
     ACCOUNTS = 1_000_000

@@ -30,11 +30,10 @@ from __future__ import annotations
 import gc
 import time
 
-from bench_common import emit, full_scale, once
+from bench_common import emit, format_table, full_scale, once
 
 from repro.faults.chaos import run_chaos
 from repro.faults.plan import FaultPlan
-from repro.metrics.report import format_table
 from repro.telemetry import MemorySink, NullSink, Telemetry, Tracer
 
 SEED = 5

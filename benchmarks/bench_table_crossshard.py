@@ -9,9 +9,8 @@ workload's locality (families breeding together) dominates over the
 
 from __future__ import annotations
 
-from bench_common import emit, full_scale, once
+from bench_common import emit, format_table, full_scale, once
 
-from repro.metrics.report import format_table
 from repro.sharding.cluster import ShardedCluster
 from repro.traces.cryptokitties import TraceConfig, generate_trace
 from repro.traces.replay import KittiesReplayer

@@ -10,7 +10,7 @@ Run:  python examples/kitties_replay.py
 """
 
 from repro.api import ShardedCluster
-from repro.metrics.report import format_series
+from repro.telemetry.exporters import format_series
 from repro.traces.cryptokitties import TraceConfig, generate_trace
 from repro.traces.dag import DependencyDAG
 from repro.traces.replay import KittiesReplayer
@@ -35,7 +35,7 @@ def main() -> None:
           f"({report.cross_rate * 100:.2f}% — paper band: 5.86-7.93%)")
     print("\naggregated throughput over time:")
     print(format_series(
-        report.throughput.series(bucket=30.0, end=report.finished_at),
+        report.throughput_series(bucket=30.0, end=report.finished_at),
         x_label="time (s)", y_label="tx/s", width=40,
     ))
 

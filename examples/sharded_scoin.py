@@ -10,7 +10,7 @@ Run:  python examples/sharded_scoin.py
 """
 
 from repro.api import ShardedCluster
-from repro.metrics.cdf import percentile
+from repro.telemetry import percentile
 from repro.workload.clients import ScoinWorkload
 
 

@@ -30,7 +30,6 @@ Package map — see DESIGN.md for the full inventory:
 ``repro.traces``    synthetic CryptoKitties traces + DAG replay
 ``repro.ibc``       header relays, cross-chain bridge, Fig. 8/9 harness
 ``repro.workload``  closed-loop SCoin clients (Fig. 6/7), open-loop fleet
-``repro.metrics``   throughput/latency collectors and reporting
 ==================  ====================================================
 
 Quick start: ``python -m repro move-demo`` or see ``examples/``.

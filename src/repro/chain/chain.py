@@ -348,9 +348,6 @@ class Chain:
             contract=address,
             code=code,
             storage=dict(record.storage),
-            balance=record.balance,
-            location=record.location,
-            move_nonce=record.move_nonce,
             account_proof=account_proof,
             proof_height=self.proof_header_height(state_height),
         )

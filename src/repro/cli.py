@@ -203,8 +203,8 @@ def _cmd_gateway(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.metrics.report import format_series
     from repro.sharding.cluster import ShardedCluster
+    from repro.telemetry.exporters import format_series
     from repro.traces.cryptokitties import TraceConfig, generate_trace
     from repro.traces.dag import DependencyDAG
     from repro.traces.io import load_trace, save_trace
@@ -235,7 +235,7 @@ def _cmd_trace(args) -> int:
     print(f"  cross-shard   : {report.cross_rate * 100:.2f}% of operations")
     if args.series:
         print(format_series(
-            report.throughput.series(bucket=30.0, end=report.finished_at),
+            report.throughput_series(bucket=30.0, end=report.finished_at),
             x_label="time (s)", y_label="tx/s", width=40,
         ))
     if args.inspect:
@@ -251,8 +251,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_scoin(args) -> int:
-    from repro.metrics.cdf import percentile
     from repro.sharding.cluster import ShardedCluster
+    from repro.telemetry.metrics import percentile
     from repro.workload.clients import ScoinWorkload
 
     cluster = ShardedCluster(num_shards=args.shards, seed=args.seed)

@@ -12,13 +12,14 @@
 
 ``apply_move2`` (executed at the target chain ``B_j``):
 
-1. abort unless the proven ``L_c`` equals ``B_j`` (line 5);
-2. ``VS(B_i, m)`` via the node's light client: the root must belong to
+1. ``VS(B_i, m)`` via the node's light client: the root must belong to
    a sufficiently confirmed source header (line 7);
-3. ``VP(V ↦ m)``: the proof bundle must reconstruct ``m`` (line 9) —
-   2 and 3 are one call to the verifier of :mod:`repro.core.proofs`,
+2. ``VP(V ↦ m)``: the proof bundle must reconstruct ``m`` (line 9) —
+   1 and 2 are one call to the verifier of :mod:`repro.core.proofs`,
    whose canonical storage tree becomes the recreated contract's live
    trie when both chains share a tree flavour;
+3. abort unless the proven ``L_c`` equals ``B_j`` (line 5) — read from
+   the verified leaf, the only place the bundle carries it;
 4. abort stale bundles: an existing local record with a move nonce
    ``>=`` the proven one means this state was already
    recreated here (or superseded) — the replay attack of Fig. 2;
@@ -108,17 +109,19 @@ def validate_move2(
 ) -> Tuple[ContractLeaf, AuthenticatedTree]:
     """All Move2 abort conditions (Algorithm 1, lines 5–10 + replay).
 
-    Raises a specific :class:`~repro.errors.MoveError` subclass per
-    failure; when the bundle is acceptable, returns the proven leaf and
-    the canonical storage tree ``VP`` rebuilt (in the source chain's
-    flavour).  ``proof_bytes`` is ``bundle.size_bytes()``, which the
-    caller has already charged for.
+    Each refusal has its own type.  A bundle from this chain, or one
+    whose proven ``L_c`` names another chain, is a
+    :class:`~repro.errors.MoveError`; a stale move nonce is a
+    :class:`~repro.errors.ReplayError` (a ``MoveError`` subclass).  A
+    root that fails ``VS`` is an :class:`~repro.errors.UnknownRootError`
+    and any other ``VP`` failure a :class:`~repro.errors.ProofError`;
+    those two are ``TransactionAborted`` but not ``MoveError``
+    subclasses, because proofs are refused outside any Move too.  When
+    the bundle is acceptable, returns the proven leaf and the canonical
+    storage tree ``VP`` rebuilt (in the source chain's flavour).
+    ``proof_bytes`` is ``bundle.size_bytes()``, which the caller has
+    already charged for.
     """
-    if bundle.location != state.chain_id:
-        raise MoveError(
-            f"contract is being moved to chain {bundle.location}, not here "
-            f"({state.chain_id})"
-        )
     if bundle.source_chain == state.chain_id:
         raise MoveError("source and target chains are the same")
     try:
@@ -127,6 +130,11 @@ def validate_move2(
         raise
     except ProofError as exc:
         raise ProofError("proof bundle fails verification (VP failed)") from exc
+    if leaf.location != state.chain_id:
+        raise MoveError(
+            f"contract is being moved to chain {leaf.location}, not here "
+            f"({state.chain_id})"
+        )
     current_span().event(
         "move2.vs_ok", source_chain=bundle.source_chain, height=bundle.proof_height
     )

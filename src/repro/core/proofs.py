@@ -81,16 +81,15 @@ class ContractStateProof:
 
     ``proof_height`` is the *source-chain header height* whose
     ``state_root`` commits this bundle (on Burrow-flavoured chains that
-    is one block after the state was produced, per the lag quirk).
+    is one block after the state was produced, per the lag quirk).  The
+    balance, ``L_c`` and move nonce travel only inside the account
+    proof's leaf: Move2 reads them from the proven leaf.
     """
 
     source_chain: int
     contract: Address
     code: bytes
     storage: Dict[bytes, bytes]
-    balance: int
-    location: int
-    move_nonce: int
     account_proof: MembershipProof
     proof_height: int
 
@@ -108,9 +107,6 @@ class ContractStateProof:
             self.contract,
             keccak_code(self.code),
             sorted(self.storage.items()),
-            self.balance,
-            self.location,
-            self.move_nonce,
             self.account_proof.computed_root(),
             self.proof_height,
         )
@@ -124,17 +120,12 @@ class ContractStateProof:
     def verify_against_root(
         self, light_client: LightClient, tree_factory: TreeFactory
     ) -> Tuple[ContractLeaf, AuthenticatedTree]:
-        """``VS(B_i, m)`` and ``VP(V ↦ m)``: :func:`verify_contract_state`,
-        and the bundle's balance, ``L_c`` and move nonce must be the
-        proven leaf's, as ``int``.  Returns the leaf and the tree."""
-        leaf, tree = verify_contract_state(
+        """``VS(B_i, m)`` and ``VP(V ↦ m)``: :func:`verify_contract_state`
+        on the bundle.  Returns the proven leaf and the tree."""
+        return verify_contract_state(
             light_client, self.source_chain, self.proof_height, self.contract,
             self.account_proof, self.code, self.storage, tree_factory,
         )
-        claimed = (self.balance, self.location, self.move_nonce)
-        if claimed != leaf[:3] or not all(type(value) is int for value in claimed):
-            raise ProofError("bundle fields differ from the proven leaf")
-        return leaf, tree
 
 
 @dataclass(frozen=True)

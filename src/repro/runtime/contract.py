@@ -58,12 +58,15 @@ _HOLDS = {int: int, bool: bool, Address: (Address, type(None)), bytes: bytes}
 
 
 def encode_value(value: Any, kind: Optional[Type] = None) -> bytes:
-    """Canonical storage encoding; with the slot's declared ``kind``
-    (one :func:`decode_value` reads), refuses (:class:`TypeError`) a
-    value that would not read back equal."""
-    holds = _HOLDS.get(kind)
-    if holds is not None and not isinstance(value, holds):
-        raise TypeError(f"a {kind.__name__} slot cannot hold a {type(value).__name__}")
+    """Canonical storage encoding; with a slot's declared ``kind``,
+    refuses (:class:`TypeError`) a kind :func:`decode_value` cannot read
+    and a value that would not read back equal."""
+    if kind is not None:
+        holds = _HOLDS.get(kind)
+        if holds is None:
+            raise TypeError(f"no slot kind {kind!r}: decode_value cannot read it back")
+        if not isinstance(value, holds):
+            raise TypeError(f"a {kind.__name__} slot cannot hold a {type(value).__name__}")
     if isinstance(value, bool):
         return b"\x01" if value else b""
     if isinstance(value, int):

@@ -11,9 +11,11 @@ observable:
   propagated between chains through ``tx.meta``;
 * :class:`MetricsRegistry` (:mod:`repro.telemetry.metrics`) — labeled
   counters / gauges / histograms shared by every component of a
-  deployment;
+  deployment, and :func:`percentile`, the nearest-rank quantile every
+  latency figure and table ranks with;
 * exporters (:mod:`repro.telemetry.exporters`) — deterministic JSONL
-  span dumps, Chrome ``trace_event`` timelines, Prometheus text;
+  span dumps, Chrome ``trace_event`` timelines, Prometheus text, the
+  ASCII series plot;
 * phase analysis (:mod:`repro.telemetry.phases`) — the per-phase
   latency breakdown behind ``repro telemetry breakdown``.
 
@@ -24,7 +26,7 @@ while metrics stay live; :meth:`Telemetry.enabled` records spans in
 memory for export.  See ``docs/OBSERVABILITY.md``.
 """
 
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry, percentile
 from repro.telemetry.tracer import (
     META_KEY,
     NULL_SPAN,
@@ -96,6 +98,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "percentile",
     "spans_to_jsonl",
     "spans_to_chrome_trace",
     "chrome_trace_json",

@@ -1,5 +1,5 @@
 """Serialize traces and metrics: JSONL, Chrome ``trace_event``,
-Prometheus text exposition.
+Prometheus text exposition, and an ASCII bar plot of a series.
 
 All exporters are deterministic: spans are ordered by ``(trace_id,
 start, span_id)``, JSON keys are sorted, and floats serialize via
@@ -10,7 +10,7 @@ byte-identical documents (asserted by the chaos determinism test).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.tracer import Span
@@ -182,3 +182,20 @@ def registry_to_prometheus(registry: MetricsRegistry) -> str:
                     f"{instrument.dropped}"
                 )
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def format_series(
+    series: Sequence[Tuple[float, float]],
+    x_label: str = "t",
+    y_label: str = "value",
+    width: int = 50,
+) -> str:
+    """Render an (x, y) series as a horizontal ASCII bar plot."""
+    if not series:
+        return "(empty series)"
+    peak = max(y for _x, y in series) or 1.0
+    lines = [f"{x_label:>10}  {y_label}"]
+    for x, y in series:
+        bar = "#" * int(round(width * y / peak))
+        lines.append(f"{x:>10.0f}  {y:>8.2f} {bar}")
+    return "\n".join(lines)

@@ -16,20 +16,30 @@ samples up to a deterministic bound (:data:`DEFAULT_MAX_SAMPLES`),
 which makes exact percentiles — the quantity the paper's figures
 report — trivial while keeping a long-running series' memory finite.  :func:`~repro.telemetry.exporters
 .registry_to_prometheus` renders the whole registry in Prometheus text
-exposition format.
+exposition format.  :func:`percentile` is the one nearest-rank rule:
+histograms rank with it, and so do the workloads' latency samples.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
-
-from repro.metrics.cdf import percentile
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
 #: retained-sample bound per histogram series; beyond it new
 #: observations still feed ``count``/``sum``/``mean`` but are not kept
 DEFAULT_MAX_SAMPLES = 100_000
+
+
+def percentile(samples: Sequence[float], q: float) -> float:
+    """The ``q``-quantile (0..1) of ``samples`` by nearest-rank."""
+    if not samples:
+        raise ValueError("no samples")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must be within [0, 1]")
+    ordered = sorted(samples)
+    rank = min(int(q * len(ordered)), len(ordered) - 1)
+    return ordered[rank]
 
 
 def _label_key(labels: Dict[str, object]) -> LabelKey:

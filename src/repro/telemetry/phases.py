@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from repro.telemetry.metrics import percentile
 from repro.telemetry.tracer import Span
 
 #: the Move pipeline in order — client-visible stage → the span the
@@ -115,8 +116,6 @@ def aggregate_phases(traces: Sequence[TracePhases]) -> Dict[str, float]:
 
 def breakdown_rows(traces: Sequence[TracePhases]) -> List[List[Any]]:
     """``[phase, mean, p50, p99, share]`` rows for the CLI table."""
-    from repro.metrics.cdf import percentile
-
     rows: List[List[Any]] = []
     total_mean = sum(t.total for t in traces) / len(traces) if traces else 0.0
     for phase in PHASES:

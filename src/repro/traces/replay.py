@@ -26,16 +26,15 @@ transactions ("Limit reached" marks in Fig. 5 right).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.apps.kitties import KittyRegistry
 from repro.chain.tx import CallPayload, DeployPayload, sign_transaction
 from repro.crypto.keys import Address, KeyPair
 from repro.errors import StateError
 from repro.ibc.bridge import IBCBridge
-from repro.metrics.collector import ThroughputCollector
 from repro.sharding.cluster import ShardedCluster
 from repro.sharding.partition import shard_of_int
 from repro.traces.cryptokitties import TraceConfig, generate_trace
@@ -49,7 +48,9 @@ class ReplayReport:
 
     num_shards: int
     trace_ops: int
-    throughput: ThroughputCollector = field(default_factory=ThroughputCollector)
+    #: ``(time, count)`` per commit callback: a cross-shard breed's Move1
+    #: and Move2 are one entry of 2
+    completions: List[Tuple[float, int]] = field(default_factory=list)
     ops_completed: int = 0
     txs_committed: int = 0
     cross_shard_ops: int = 0
@@ -68,6 +69,24 @@ class ReplayReport:
         if not self.finished_at:
             return 0.0
         return self.txs_committed / self.finished_at
+
+    def throughput_series(
+        self, bucket: float = 10.0, end: Optional[float] = None
+    ) -> List[Tuple[float, float]]:
+        """``(bucket_start, tx/s)`` pairs up to ``end`` (default: the last
+        completion) — Fig. 5 (right)'s series."""
+        if not self.completions and end is None:
+            return []
+        horizon = end if end is not None else max(t for t, _ in self.completions)
+        buckets: Dict[int, int] = defaultdict(int)
+        for t, count in self.completions:
+            buckets[int(t // bucket)] += count
+        out: List[Tuple[float, float]] = []
+        index = 0
+        while index * bucket < horizon:
+            out.append((index * bucket, buckets.get(index, 0) / bucket))
+            index += 1
+        return out
 
 
 @dataclass
@@ -207,7 +226,7 @@ class KittiesReplayer:
         def callback(receipt) -> None:
             self._outstanding[shard] -= 1
             self.report.txs_committed += 1
-            self.report.throughput.record(self.cluster.sim.now)
+            self.report.completions.append((self.cluster.sim.now, 1))
             if not receipt.success:
                 self.report.failed_txs += 1
             on_receipt(receipt)
@@ -307,7 +326,7 @@ class KittiesReplayer:
             self._outstanding[matron.shard] -= 1
             assert phases.success, f"move failed: {phases.error}"
             self.report.txs_committed += 2  # Move1 + Move2
-            self.report.throughput.record(self.cluster.sim.now, count=2)
+            self.report.completions.append((self.cluster.sim.now, 2))
             sire.shard = matron.shard
             self._drain_waiting(source_shard)
             self._breed_here(op, matron, sire, owner)

@@ -10,12 +10,15 @@ a retry mode with randomized backoff (Section VII-B.1).
 transfer arrivals from a client population through a gateway fleet,
 behind ``python -m repro gateway``, the serving benchmark and the
 saturation ablation.
+
+Both report latencies through one :class:`LatencySampler`.
 """
 
-from repro.workload.clients import ScoinWorkload, WorkloadReport
+from repro.workload.clients import LatencySampler, ScoinWorkload, WorkloadReport
 from repro.workload.fleet import FleetWorkload, FleetWorkloadReport
 
 __all__ = [
+    "LatencySampler",
     "ScoinWorkload",
     "WorkloadReport",
     "FleetWorkload",

@@ -31,16 +31,52 @@ Two conflict models (Section VII-B.1):
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.apps.scoin import SCoin
 from repro.chain.tx import CallPayload, DeployPayload, sign_transaction
 from repro.crypto.keys import Address, KeyPair
 from repro.ibc.bridge import IBCBridge
-from repro.metrics.collector import LatencySampler, ThroughputCollector
 from repro.sharding.cluster import ShardedCluster
 from repro.sharding.partition import shard_of
+
+
+class LatencySampler:
+    """Latency samples, tagged by kind (single-shard / cross-shard, or a
+    gateway priority class)."""
+
+    def __init__(self) -> None:
+        self._samples: Dict[str, List[float]] = defaultdict(list)
+
+    def add(self, kind: str, latency: float) -> None:
+        """Record one latency sample under ``kind``."""
+        if latency < 0:
+            raise ValueError("negative latency")
+        self._samples[kind].append(latency)
+
+    def samples(self, kind: str) -> Sequence[float]:
+        """All samples of one kind (empty tuple if none)."""
+        return tuple(self._samples.get(kind, ()))
+
+    def all_samples(self) -> Sequence[float]:
+        """Samples of every kind combined (the aggregated CDF)."""
+        out: List[float] = []
+        for values in self._samples.values():
+            out.extend(values)
+        return tuple(out)
+
+    def kinds(self) -> Sequence[str]:
+        """The kinds that have at least one sample."""
+        return tuple(self._samples)
+
+    def mean(self, kind: str) -> float:
+        """Mean latency of a kind (ValueError when empty)."""
+        values = self._samples.get(kind)
+        if not values:
+            raise ValueError(f"no samples of kind {kind!r}")
+        return sum(values) / len(values)
 
 
 @dataclass
@@ -66,7 +102,6 @@ class WorkloadReport:
     clients: int
     cross_rate: float
     duration: float
-    throughput: ThroughputCollector = field(default_factory=ThroughputCollector)
     latency: LatencySampler = field(default_factory=LatencySampler)
     ops_completed: int = 0
     single_shard_ops: int = 0
@@ -467,7 +502,6 @@ class ScoinWorkload:
         report = self.report
         if report is not None and self._measuring and started >= self._measure_start:
             report.ops_completed += 1
-            report.throughput.record(now)
             report.latency.add(kind, now - started)
             if kind == "single-shard":
                 report.single_shard_ops += 1

@@ -35,8 +35,8 @@ from repro.crypto.keys import KeyPair
 from repro.errors import ShedByClass
 from repro.gateway import GatewayFleet, GatewayLimits, SimNetTransport
 from repro.gateway.classes import FLUSH_ORDER
-from repro.metrics.cdf import percentile
-from repro.metrics.collector import LatencySampler
+from repro.telemetry.metrics import percentile
+from repro.workload.clients import LatencySampler
 
 #: class labels in flush order (report key order)
 CLASS_LABELS = tuple(cls.label for cls in FLUSH_ORDER)

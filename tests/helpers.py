@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Tuple
 
 from repro.chain.chain import Chain
@@ -17,7 +18,9 @@ from repro.core.registry import ChainRegistry
 from repro.crypto.keys import KeyPair
 from repro.ibc.headers import connect_chains
 from repro.lang.movable import MovableContract
+from repro.merkle.proof import MembershipProof
 from repro.runtime import MapSlot, external, register_contract, view
+from repro.statedb.state import decode_contract_leaf, encode_contract_leaf
 
 ALICE = KeyPair.from_name("alice")
 BOB = KeyPair.from_name("bob")
@@ -99,3 +102,19 @@ def full_move(
         produce(source, clock)
     bundle = source.prove_contract_at(contract, inclusion)
     return run_tx(target, clock, mover, Move2Payload(bundle=bundle))
+
+
+def forge_leaf(bundle, **fields):
+    """``bundle`` with its account proof's contract leaf re-encoded with
+    ``fields`` (``balance``, ``location``, ``move_nonce``, ``code_hash``,
+    ``storage_root``) replaced — the only place a Move2 bundle carries
+    them.  The forged leaf folds to a root no header commits."""
+    proof = bundle.account_proof
+    leaf = decode_contract_leaf(proof.value)._replace(**fields)
+    forged = MembershipProof(
+        key=proof.key,
+        value=encode_contract_leaf(leaf, leaf.storage_root),
+        leaf_prefix=proof.leaf_prefix,
+        steps=proof.steps,
+    )
+    return dataclasses.replace(bundle, account_proof=forged)

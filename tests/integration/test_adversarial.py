@@ -21,12 +21,14 @@ from repro.chain.tx import (
 )
 from repro.core.registry import ChainRegistry
 from repro.ibc.headers import connect_chains
+from repro.statedb.state import decode_contract_leaf
 from tests.helpers import (
     ALICE,
     BOB,
     ManualClock,
     StoreContract,
     deploy_store,
+    forge_leaf,
     make_chain_pair,
     produce,
     run_tx,
@@ -131,15 +133,18 @@ def test_bundle_code_substitution_rejected():
 
 
 def test_move_nonce_inflation_rejected():
-    # Claiming a higher nonce (to pre-poison future replays) breaks VP
-    # because the nonce is part of the committed leaf.
+    # Claiming a higher nonce (to pre-poison future replays) breaks VS:
+    # the nonce lives only in the leaf, which then folds to a root no
+    # header commits.
     burrow, ethereum = make_chain_pair()
     clock = ManualClock()
     addr, inclusion = prepare_move(burrow, ethereum, clock)
     bundle = burrow.prove_contract_at(addr, inclusion)
-    forged = dataclasses.replace(bundle, move_nonce=bundle.move_nonce + 10)
+    leaf = decode_contract_leaf(bundle.account_proof.value)
+    forged = forge_leaf(bundle, move_nonce=leaf.move_nonce + 10)
     result = run_tx(ethereum, clock, BOB, Move2Payload(bundle=forged))
     assert not result.success
+    assert result.error.startswith("UnknownRootError: ")
 
 
 def test_out_of_gas_move2_leaves_target_untouched():

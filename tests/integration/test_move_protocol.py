@@ -17,6 +17,7 @@ from tests.helpers import (
     ManualClock,
     StoreContract,
     deploy_store,
+    forge_leaf,
     full_move,
     make_chain_pair,
     produce,
@@ -174,8 +175,6 @@ def test_contract_balance_moves_with_it(setup):
 
 
 def test_tampered_bundle_rejected(setup):
-    import dataclasses
-
     burrow, ethereum, clock, addr = setup
     receipt1 = run_tx(
         burrow, clock, ALICE, Move1Payload(contract=addr, target_chain=ethereum.chain_id)
@@ -184,8 +183,8 @@ def test_tampered_bundle_rejected(setup):
     while burrow.height < burrow.proof_ready_height(inclusion):
         produce(burrow, clock)
     bundle = burrow.prove_contract_at(addr, inclusion)
-    # Inflate the proven balance: VP must fail.
-    forged = dataclasses.replace(bundle, balance=10_000_000)
+    # Inflate the proven leaf's balance: its root is unknown, VS fails.
+    forged = forge_leaf(bundle, balance=10_000_000)
     receipt = run_tx(ethereum, clock, BOB, Move2Payload(bundle=forged))
     assert not receipt.success
     assert "ProofError" in receipt.error or "UnknownRootError" in receipt.error

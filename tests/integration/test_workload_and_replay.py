@@ -87,7 +87,7 @@ def test_replay_counts_cross_shard_breeds(replay_report):
 
 
 def test_replay_throughput_series_nonzero(replay_report):
-    series = replay_report.throughput.series(bucket=20.0)
+    series = replay_report.throughput_series(bucket=20.0)
     assert any(rate > 0 for _t, rate in series)
 
 

@@ -3,21 +3,24 @@
 Signed transactions carry hostile field values into ``Chain.submit``: a
 Move1 toward a chain id the 8-byte ``L_c`` field cannot hold (or that is
 not an int at all), transfer and call values near the 32-byte balance
-bound, and short random bytecode that runs ``MOVE`` and ``SSTORE`` on
-whatever words it pushed.  Execution may refuse any of them, but only
-with a failed receipt:
+bound, short random bytecode that runs ``MOVE`` and ``SSTORE`` on
+whatever words it pushed, and ``DeployPayload``s of a registered or
+unknown code hash (or no hash at all) with hostile constructor
+arguments, values and CREATE2 salts.  Execution may refuse any of them,
+but only with a failed receipt:
 
 * every block commits;
 * every included transaction has a receipt;
 * the next, empty block commits too.
 
 Hostile Move2 bundles start from the honest bundle of a real Move1 and
-redraw one field: the move nonce, balance or ``L_c`` as a ``bool``, a
-``str``, a negative or a ``>= 2**64`` value; a slot value as an ``int``,
-a ``str`` or empty; the proof height moved by one or made a ``str``;
-another contract's key.  Each such Move2 fails as a Move-protocol error
-(``MoveError``, ``ProofError`` or ``UnknownRootError``), never as a
-``ContractFault``.
+redraw one thing: a field of the proven leaf (the move nonce, balance,
+``L_c``, code hash or storage root — the bundle carries them nowhere
+else), or the whole leaf as arbitrary bytes; a slot value as an
+``int``, a ``str`` or empty; the proof height moved by one or made a
+``str``; another contract's key.  Each such Move2 fails as a
+Move-protocol error (``MoveError``, ``ProofError`` or
+``UnknownRootError``), never as a ``ContractFault``.
 """
 
 import dataclasses
@@ -25,10 +28,13 @@ import dataclasses
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from repro.apps.scoin import SAccount
+from repro.apps.store import StateStore
 from repro.chain.tx import (
     BytecodeCallPayload,
     CallPayload,
     DeployBytecodePayload,
+    DeployPayload,
     Move1Payload,
     Move2Payload,
     TransferPayload,
@@ -36,12 +42,16 @@ from repro.chain.tx import (
 )
 from repro.crypto.hashing import keccak_code
 from repro.crypto.keys import create2_address
+from repro.merkle.proof import MembershipProof
+from repro.statedb.state import decode_contract_leaf
 from repro.vm.opcodes import Op
 from tests.helpers import (
     ALICE,
     BOB,
     ManualClock,
+    StoreContract,
     deploy_store,
+    forge_leaf,
     make_chain_pair,
     produce,
     run_tx,
@@ -68,15 +78,32 @@ INSTRUCTIONS = st.one_of(
     st.binary(min_size=1, max_size=2),
 )
 BYTECODE = st.lists(INSTRUCTIONS, min_size=1, max_size=6).map(b"".join)
+CODE_HASHES = st.one_of(
+    st.sampled_from([StoreContract.CODE_HASH, StateStore.CODE_HASH, SAccount.CODE_HASH]),
+    st.binary(min_size=32, max_size=32),
+    st.sampled_from([b"", "store", None, 0]),
+)
+DEPLOY_ARGS = st.lists(
+    st.one_of(WORDS, AMOUNTS, st.text(max_size=3), st.sampled_from([None, True, b"\x01"])),
+    max_size=3,
+).map(tuple)
+SALTS = st.one_of(
+    st.none(),
+    st.sampled_from([0, 1, -1, 2**64, 2**256, "1", True, 2.0]),
+    st.integers(0, 3),
+)
 
 
 @st.composite
 def hostile_transactions(draw, store, chain_id):
     """One or two signed transactions with a hostile field."""
-    kind = draw(st.sampled_from(["move1", "transfer", "call", "bytecode"]))
+    kind = draw(st.sampled_from(["move1", "transfer", "call", "bytecode", "deploy"]))
     if kind == "move1":
         return [sign_transaction(ALICE, Move1Payload(store, draw(TARGET_CHAINS)))]
     sender = draw(st.sampled_from([ALICE, BOB]))
+    if kind == "deploy":
+        payload = DeployPayload(draw(CODE_HASHES), draw(DEPLOY_ARGS), draw(AMOUNTS), draw(SALTS))
+        return [sign_transaction(sender, payload)]
     if kind == "transfer":
         to = draw(st.sampled_from([ALICE.address, BOB.address, store]))
         return [sign_transaction(sender, TransferPayload(to, draw(AMOUNTS)))]
@@ -115,13 +142,13 @@ def test_no_transaction_halts_the_chain(data, on_ethereum):
     assert chain.height == height + 1
 
 
-LEAF_WORDS = st.one_of(
-    st.booleans(),
-    st.text(max_size=3),
-    st.integers(max_value=-1),
-    st.integers(min_value=2**64),
-    st.sampled_from([-1, 2**64, 2**256, "1", True, False]),
-)
+LEAF_FIELDS = {
+    "balance": st.integers(0, 2**256 - 1),
+    "location": st.integers(0, 2**64 - 1),
+    "move_nonce": st.integers(0, 2**64 - 1),
+    "code_hash": st.binary(min_size=32, max_size=32),
+    "storage_root": st.binary(min_size=32, max_size=32),
+}
 SLOT_VALUES = st.one_of(st.integers(), st.text(max_size=3), st.just(b""))
 MOVE2_ERRORS = ("MoveError: ", "ReplayError: ", "ProofError: ", "UnknownRootError: ")
 
@@ -130,8 +157,19 @@ MOVE2_ERRORS = ("MoveError: ", "ReplayError: ", "ProofError: ", "UnknownRootErro
 def hostile_bundles(draw, bundle, other):
     """The honest ``bundle`` with one field redrawn."""
     field = draw(st.sampled_from(
-        ["move_nonce", "balance", "location", "storage", "proof_height", "contract"]
+        [*LEAF_FIELDS, "leaf", "storage", "proof_height", "contract"]
     ))
+    proof = bundle.account_proof
+    if field in LEAF_FIELDS:
+        honest = getattr(decode_contract_leaf(proof.value), field)
+        value = draw(LEAF_FIELDS[field].filter(lambda drawn: drawn != honest))
+        return forge_leaf(bundle, **{field: value})
+    if field == "leaf":
+        leaf = draw(st.binary(max_size=120).filter(lambda drawn: drawn != proof.value))
+        forged = MembershipProof(
+            key=proof.key, value=leaf, leaf_prefix=proof.leaf_prefix, steps=proof.steps
+        )
+        return dataclasses.replace(bundle, account_proof=forged)
     if field == "storage":
         key = draw(st.sampled_from(sorted(bundle.storage)))
         return dataclasses.replace(bundle, storage={**bundle.storage, key: draw(SLOT_VALUES)})
@@ -140,9 +178,7 @@ def hostile_bundles(draw, bundle, other):
         return dataclasses.replace(
             bundle, proof_height=draw(st.sampled_from([height + 1, height - 1, str(height)]))
         )
-    if field == "contract":
-        return dataclasses.replace(bundle, contract=other)
-    return dataclasses.replace(bundle, **{field: draw(LEAF_WORDS)})
+    return dataclasses.replace(bundle, contract=other)
 
 
 @given(st.data(), st.booleans())

@@ -173,9 +173,6 @@ bundles = st.builds(
     contract=addresses,
     code=st.binary(max_size=40),
     storage=st.dictionaries(st.binary(max_size=8), st.binary(max_size=8), max_size=3),
-    balance=amounts,
-    location=amounts,
-    move_nonce=amounts,
     account_proof=membership_proofs,
     proof_height=amounts,
 )

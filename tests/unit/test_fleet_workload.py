@@ -7,7 +7,7 @@ block) is the knee.
 """
 
 from repro.gateway import GatewayLimits
-from repro.metrics.cdf import percentile
+from repro.telemetry import percentile
 from repro.workload.fleet import FleetWorkload, FleetWorkloadReport
 
 BLOCK_INTERVAL = 5.4

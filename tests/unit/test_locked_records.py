@@ -209,8 +209,10 @@ def test_typed_slot_refuses_what_would_not_read_back(value, kind):
         encode_value(value, kind)
 
 
-def test_slot_of_an_unreadable_kind_is_not_checked():
-    assert encode_value(b"x", "anything") == b"x"
+@pytest.mark.parametrize("kind", ["anything", str, float, bytearray, type(None)])
+def test_encode_value_refuses_a_kind_it_cannot_read_back(kind):
+    with pytest.raises(TypeError, match="cannot read it back"):
+        encode_value(b"x", kind)
 
 
 @pytest.mark.parametrize(

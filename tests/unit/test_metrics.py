@@ -1,32 +1,44 @@
-"""Unit tests for collectors, CDFs and report rendering."""
+"""Unit tests for the measurement helpers the figures read: the replay's
+throughput series, latency samples, the nearest-rank percentile and the
+text renderers."""
 
 import pytest
 
-from repro.metrics.cdf import cdf_points, percentile
-from repro.metrics.collector import LatencySampler, ThroughputCollector
-from repro.metrics.report import format_series, format_table
+from benchmarks.bench_common import format_table
+from repro.sharding.cluster import ShardedCluster
+from repro.telemetry import percentile
+from repro.telemetry.exporters import format_series
+from repro.traces.cryptokitties import TraceConfig, generate_trace
+from repro.traces.replay import KittiesReplayer, ReplayReport
+from repro.workload import LatencySampler
 
 
 def test_throughput_rate_and_total():
-    tc = ThroughputCollector()
-    for t in [1.0, 2.0, 2.5, 9.0]:
-        tc.record(t)
-    assert tc.total == 4
-    assert tc.rate(0.0, 10.0) == pytest.approx(0.4)
-    assert tc.rate(0.0, 5.0) == pytest.approx(0.6)
-    assert tc.rate(5.0, 5.0) == 0.0
+    # Every committed transaction of a replay is one completion count,
+    # so the series integrates to the total the average rate divides.
+    trace = generate_trace(TraceConfig(n_ops=200, n_promo=50, n_users=30, seed=5))
+    cluster = ShardedCluster(num_shards=2, seed=5, max_block_txs=130)
+    report = KittiesReplayer(cluster, trace=trace).run(max_time=50_000)
+    assert report.cross_shard_ops > 0  # some completions count a Move pair
+    assert sum(count for _t, count in report.completions) == report.txs_committed
+    assert report.avg_throughput() == report.txs_committed / report.finished_at
+    series = report.throughput_series(bucket=10.0, end=report.finished_at)
+    assert sum(rate * 10.0 for _t, rate in series) == pytest.approx(report.txs_committed)
 
 
 def test_throughput_series_buckets():
-    tc = ThroughputCollector()
-    tc.record(1.0, count=5)
-    tc.record(12.0, count=10)
-    series = tc.series(bucket=10.0, end=30.0)
+    report = ReplayReport(num_shards=1, trace_ops=0)
+    report.completions += [(1.0, 5), (12.0, 10)]
+    series = report.throughput_series(bucket=10.0, end=30.0)
     assert series == [(0.0, 0.5), (10.0, 1.0), (20.0, 0.0)]
+    # without ``end`` the series stops at the last completion
+    assert report.throughput_series(bucket=10.0) == [(0.0, 0.5), (10.0, 1.0)]
 
 
 def test_throughput_empty_series():
-    assert ThroughputCollector().series() == []
+    report = ReplayReport(num_shards=1, trace_ops=0)
+    assert report.throughput_series() == []
+    assert report.throughput_series(bucket=5.0, end=10.0) == [(0.0, 0.0), (5.0, 0.0)]
 
 
 def test_latency_sampler_kinds_and_mean():
@@ -36,7 +48,8 @@ def test_latency_sampler_kinds_and_mean():
     ls.add("cross", 10.0)
     assert set(ls.kinds()) == {"single", "cross"}
     assert ls.mean("single") == 2.0
-    assert ls.count("cross") == 1
+    assert ls.samples("cross") == (10.0,)
+    assert ls.samples("nope") == ()
     assert sorted(ls.all_samples()) == [1.0, 3.0, 10.0]
 
 
@@ -50,31 +63,12 @@ def test_latency_mean_of_unknown_kind():
         LatencySampler().mean("nope")
 
 
-def test_cdf_points_monotonic_and_complete():
-    samples = [5.0, 1.0, 3.0, 2.0, 4.0]
-    points = cdf_points(samples)
-    values = [v for v, _f in points]
-    fractions = [f for _v, f in points]
-    assert values == sorted(values)
-    assert fractions[-1] == 1.0
-    assert all(0 < f <= 1 for f in fractions)
-
-
-def test_cdf_points_downsampled():
-    points = cdf_points(list(range(1000)), points=50)
-    assert len(points) <= 52
-    assert points[-1][1] == 1.0
-
-
-def test_cdf_empty():
-    assert cdf_points([]) == []
-
-
 def test_percentile():
     samples = list(range(1, 101))
     assert percentile(samples, 0.5) == 51
     assert percentile(samples, 0.0) == 1
     assert percentile(samples, 1.0) == 100
+    assert percentile([4.0, 1.0, 3.0, 2.0], 0.5) == 3.0
     with pytest.raises(ValueError):
         percentile([], 0.5)
     with pytest.raises(ValueError):

@@ -1,15 +1,16 @@
 """A Move2 installs only what the proven leaf says, as ``int``/``bytes``.
 
-The leaf encodes ``True`` exactly as it encodes ``1``, so a bundle whose
-move nonce or balance is a ``bool`` folds to the same root as the honest
-one; and a slot value must be ``bytes`` to be committed at all.  Both
-are refused by ``VP`` as a ``ProofError``, never installed and never a
-``ContractFault``.
+The bundle carries no balance, ``L_c`` or move nonce of its own: the
+target reads all three from the decoded leaf, which yields ``int``s and
+nothing else.  A slot value must be ``bytes`` to be committed at all;
+anything else is refused by ``VP`` as a ``ProofError``, never installed
+and never a ``ContractFault``.
 """
 
 import dataclasses
 
 from repro.chain.tx import CallPayload, Move1Payload, Move2Payload
+from repro.statedb.state import decode_contract_leaf
 from tests.helpers import ALICE, BOB, ManualClock, deploy_store, make_chain_pair, produce, run_tx
 
 
@@ -24,19 +25,18 @@ def honest_bundle():
     return ethereum, clock, store, burrow.prove_contract_at(store, inclusion)
 
 
-def test_bool_move_nonce_and_balance_are_refused_and_never_installed():
+def test_move_nonce_and_balance_are_installed_from_the_leaf_as_int():
     ethereum, clock, store, bundle = honest_bundle()
-    assert (bundle.move_nonce, bundle.balance) == (1, 0)
-    forged = dataclasses.replace(bundle, move_nonce=True, balance=False)
-    receipt = run_tx(ethereum, clock, BOB, Move2Payload(forged))
-    assert not receipt.success
-    assert receipt.error.startswith("ProofError: ")
-    assert ethereum.state.contract(store) is None
-
+    assert not {"balance", "location", "move_nonce"} & {
+        field.name for field in dataclasses.fields(bundle)
+    }
+    leaf = decode_contract_leaf(bundle.account_proof.value)
+    assert (leaf.move_nonce, leaf.balance, leaf.location) == (1, 0, ethereum.chain_id)
     receipt = run_tx(ethereum, clock, BOB, Move2Payload(bundle))
     assert receipt.success, receipt.error
     record = ethereum.state.contract(store)
     assert type(record.move_nonce) is int and type(record.balance) is int
+    assert (record.move_nonce, record.balance) == (leaf.move_nonce, leaf.balance)
 
 
 def test_int_slot_values_are_a_proof_error_not_a_contract_fault():

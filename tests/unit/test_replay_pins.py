@@ -24,7 +24,9 @@ Section (f)'s two CLI digests were recorded at ``725b0dc``, before the
 signed encoding gained length prefixes: no state root, gas figure or
 timestamp hashes a transaction id, so re-deriving every ``tx_id`` moves
 neither.  Its transaction-id literals are the deliberate re-pin that
-change made.
+change made.  Its ``scoin`` and ``trace --series`` digests were recorded
+at ``e8993b0``, before the latency table and the throughput series left
+a second metrics package for the modules that read them.
 
 Section (g)'s literals were recorded at ``680fcbc``, while the chaos
 world, the shard cluster and the IBC experiment each still assembled
@@ -349,7 +351,7 @@ def test_lone_gateway_replays_the_one_replica_fleet():
 def test_gateway_cli_report_is_pinned(capsys):
     # Derived at ``a286fff`` from ``FleetWorkload`` with the arguments
     # this command passes; throughput counts the offer window only and
-    # the p99s rank by ``repro.metrics.percentile``.
+    # the p99s rank by ``repro.telemetry.percentile``.
     capsys.readouterr()
     assert main(["gateway", "--json", "--seed", "0"]) == 0
     assert json.loads(capsys.readouterr().out) == {
@@ -393,6 +395,23 @@ def test_telemetry_export_is_pinned(capsys):
 def test_ibc_kitties_report_is_pinned(capsys):
     digest = _cli_sha256(capsys, "ibc", "--app", "kitties", "--direction", "b2e", "--json")
     assert digest == "abcb16480173162e497dc98e94a9d0bb64f57e74182ccea062025411857d83fc"
+
+
+def test_scoin_cli_report_is_pinned(capsys):
+    # Recorded at ``e8993b0``, while the latency table's samples and
+    # percentiles came from a second metrics package.
+    argv = ("scoin", "--shards", "2", "--clients", "8", "--cross", "0.1", "--duration", "150")
+    assert _cli_sha256(capsys, *argv) == (
+        "f7bd12aeb38f6ecc591e73f42ddb81b538e04fefb66374059ca0a19493ea32a1"
+    )
+
+
+def test_trace_cli_series_is_pinned(capsys):
+    # Recorded at ``e8993b0``, while the ASCII series was bucketed by a
+    # throughput collector in a second metrics package.
+    assert _cli_sha256(capsys, "trace", "--shards", "2", "--ops", "300", "--series") == (
+        "76ec9ae9fac09d73c2cb495efa58214e9c720164e3d88d8802b29954a5bcaaff"
+    )
 
 
 def test_transaction_ids_are_pinned():

@@ -80,7 +80,7 @@ class TestRegistryLabels:
 
 class TestHistogramPercentiles:
     def test_percentiles_match_cdf_convention(self):
-        from repro.metrics.cdf import percentile
+        from repro.telemetry import percentile
 
         histogram = MetricsRegistry().histogram("latency")
         samples = [5.0, 1.0, 3.0, 2.0, 4.0]
@@ -246,7 +246,7 @@ class TestExporters:
         assert 'txs_total{chain="1",status="ok"} 5' in text
         assert "depth 2" in text
         assert "# TYPE lat summary" in text
-        # nearest-rank convention (repro.metrics.cdf): p50 of 1..4 is 3
+        # nearest-rank convention (repro.telemetry.percentile): p50 of 1..4 is 3
         assert 'lat{chain="1",quantile="0.5"} 3' in text
         assert 'lat_count{chain="1"} 4' in text
         assert 'lat_sum{chain="1"} 10' in text
