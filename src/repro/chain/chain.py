@@ -21,7 +21,7 @@ data needs:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.chain.block import GENESIS_PARENT, Block, BlockHeader, transactions_root
 from repro.chain.executor import TransactionExecutor
@@ -37,7 +37,7 @@ from repro.merkle.proof import MembershipProof
 from repro.runtime.context import BlockEnv
 from repro.runtime.runtime import Runtime
 from repro.statedb.receipts import Receipt
-from repro.statedb.state import WorldState, decode_contract_leaf, encode_contract_leaf
+from repro.statedb.state import ContractRecord, WorldState, encode_contract_leaf
 from repro.telemetry import Telemetry
 
 BlockListener = Callable[[Block, List[Receipt]], None]
@@ -157,17 +157,47 @@ class Chain:
             prove = self.state.prove_account
             self._proofs[height] = {address: prove(address) for address in wanted}
 
-    def _account_proof(self, address: Address, height: int) -> MembershipProof:
-        """``address``'s account proof against block ``height``'s root:
-        from the live committed tree at the head (``KeyError`` if the
-        address was never committed), else the proof captured when
-        ``height`` committed."""
+    def _contract_claim(
+        self, address: Address, height: int
+    ) -> Tuple[ContractRecord, MembershipProof, bytes]:
+        """What every proof of a contract starts from: its record, its
+        account proof against block ``height``'s root (the live tree's
+        at the head, else the one captured when ``height`` committed)
+        and its code; each miss is a :class:`ProofError`."""
+        record = self.state.contract(address)
+        if record is None:
+            raise ProofError(f"no contract at {address}")
         if height == self.height:
-            return self.state.prove_account(address)
-        proof = self._proofs.get(height, {}).get(address)
-        if proof is None:
-            raise ProofError(f"no state snapshot at height {height}")
-        return proof
+            try:
+                account_proof = self.state.prove_account(address)
+            except KeyError:
+                raise ProofError(f"contract not committed at height {height}") from None
+        else:
+            account_proof = self._proofs.get(height, {}).get(address)
+            if account_proof is None:
+                raise ProofError(f"no state snapshot at height {height}")
+        code = self.state.code_store.get(record.code_hash)
+        if code is None:
+            raise ProofError("contract code missing from the code store")
+        return record, account_proof, code
+
+    def _unchanged_claim(
+        self, address: Address, height: int
+    ) -> Tuple[ContractRecord, MembershipProof, bytes]:
+        """:meth:`_contract_claim` for a proof served from the live
+        record, with its one self-check: the record and its live storage
+        trie still encode the leaf proven at ``height``.  Nothing is
+        rebuilt — between blocks the live trie's root is the canonical
+        root of the record's storage (invariant I4), and a GC wipe since
+        the last commit empties the trie, so a wiped contract is refused."""
+        record, account_proof, code = self._contract_claim(address, height)
+        storage_root = self.state._live_storage_trie(address).root_hash
+        if account_proof.value != encode_contract_leaf(record, storage_root):
+            raise ProofError(
+                f"contract state at head no longer matches height {height} "
+                "(was it modified after the proof height?)"
+            )
+        return record, account_proof, code
 
     # ------------------------------------------------------------------
     # Transactions and blocks
@@ -321,28 +351,9 @@ class Chain:
         ``state_height`` (normally the Move1 inclusion height).
 
         The contract must be locked (moved away) so its live record
-        still equals the historical one.  The self-check compares the
-        leaf proven at ``state_height`` with the leaf the live record and
-        its live storage trie encode — nothing is rebuilt: between
-        blocks the live trie's root is the canonical root of the record's
-        storage (invariant I4), and a GC wipe since the last commit
-        empties the trie, so a wiped contract is refused here.
+        still equals the historical one (:meth:`_unchanged_claim`).
         """
-        record = self.state.contract(address)
-        if record is None:
-            raise ProofError(f"no contract at {address}")
-        account_proof = self._account_proof(address, state_height)
-        code = self.state.code_store.get(record.code_hash)
-        if code is None:
-            raise ProofError("contract code missing from the code store")
-        storage_root = self.state._live_storage_trie(address).root_hash
-        if account_proof.key != address.raw or account_proof.value != (
-            encode_contract_leaf(record, storage_root)
-        ):
-            raise ProofError(
-                f"contract state at head no longer matches height {state_height} "
-                "(was it modified after the proof height?)"
-            )
+        record, account_proof, code = self._unchanged_claim(address, state_height)
         return ContractStateProof(
             source_chain=self.chain_id,
             contract=address,
@@ -364,32 +375,22 @@ class Chain:
         confirm it; an older height is served only for a container
         whose account proof was captured there (see the module doc).
         Like :meth:`prove_contract_at`, it requires the container's
-        current storage to still match that height's root.
+        live record to still encode the leaf proven at that height, so
+        the entry, proven against the live trie, is under that leaf's
+        storage root.
         """
-        record = self.state.contract(container)
-        if record is None:
-            raise ProofError(f"no contract at {container}")
-        account_proof = self._account_proof(container, state_height)
+        _record, account_proof, _code = self._unchanged_claim(container, state_height)
         try:
             storage_proof = self.state.prove_storage(container, key)
         except KeyError:
             raise ProofError(f"container has no storage entry {key.hex()[:16]}…") from None
-        proof = RemoteStateProof(
+        return RemoteStateProof(
             chain_id=self.chain_id,
             height=self.proof_header_height(state_height),
             container=container,
             account_proof=account_proof,
             storage_proof=storage_proof,
         )
-        expected_root = self._post_roots[state_height]
-        if account_proof.computed_root() != expected_root or (
-            decode_contract_leaf(account_proof.value).storage_root
-            != storage_proof.computed_root()
-        ):
-            raise ProofError(
-                f"container storage at head no longer matches height {state_height}"
-            )
-        return proof
 
     def gc_stale(self, min_age_blocks: int = 0):
         """Collect storage of moved-away contracts (paper §III-G c).
@@ -472,27 +473,17 @@ class Chain:
         carries only the slots written in ``(since, upto]``.  The
         account proof is the one captured when ``upto`` committed (a
         replicated contract is proven at every block from
-        :meth:`enable_replication` on), exactly like a Move2 proof.
+        :meth:`enable_replication` on), exactly like a Move2 proof.  The
+        slots come from the log, so the live record is not checked.
         """
         from repro.replicate.protocol import ReplicaUpdate
 
         log = self._replication_logs.get(address)
         if log is None:
             raise ProofError(f"replication not enabled for {address}")
-        record = self.state.contract(address)
-        if record is None:
-            raise ProofError(f"no contract at {address}")
         if upto is None:
             upto = self.height - self.params.state_root_lag
-        try:
-            account_proof = self._account_proof(address, upto)
-        except KeyError:
-            raise ProofError(
-                f"contract not committed at height {upto} (created later?)"
-            ) from None
-        code = self.state.code_store.get(record.code_hash)
-        if code is None:
-            raise ProofError("contract code missing from the code store")
+        _record, account_proof, code = self._contract_claim(address, upto)
         delta = None
         if since is not None:
             delta = log.delta_between(since, upto)

@@ -33,7 +33,7 @@ from repro.core.move import apply_move1, apply_move2
 from repro.core.registry import ChainRegistry
 from repro.crypto.hashing import keccak_code
 from repro.crypto.keys import Address, contract_address, create2_address
-from repro.errors import Revert, TransactionAborted
+from repro.errors import CodeNotFound, Revert, TransactionAborted
 from repro.runtime.context import BlockEnv
 from repro.runtime.registry import lookup_code
 from repro.runtime.runtime import Runtime
@@ -214,7 +214,14 @@ class TransactionExecutor:
         state = self.runtime.state
 
         if isinstance(payload, DeployPayload):
-            cls = lookup_code(payload.code_hash)
+            # Code this chain cannot run is the sender's error, refused
+            # like any other malformed request, not a contract fault.
+            if type(payload.code_hash) is not bytes:
+                raise Revert(f"code hash must be bytes, not {type(payload.code_hash).__name__}")
+            try:
+                cls = lookup_code(payload.code_hash)
+            except CodeNotFound as exc:
+                raise Revert(str(exc)) from None
             return self.runtime.deploy(
                 ctx,
                 cls,

@@ -46,7 +46,7 @@ from repro.merkle.protocol import AuthenticatedTree
 from repro.runtime.context import Msg, TxContext
 from repro.runtime.registry import lookup_code
 from repro.runtime.runtime import Runtime
-from repro.statedb.state import ContractLeaf, build_storage_trie
+from repro.statedb.state import ContractLeaf
 from repro.telemetry.tracer import current_span
 
 if TYPE_CHECKING:
@@ -169,10 +169,6 @@ def apply_move2(
         proof_bytes = 0
     ctx.charge(ctx.meter.schedule.proof_verification(proof_bytes))
     leaf, tree = validate_move2(state, bundle, light_client, source_params, proof_bytes)
-    if source_params.tree_factory is not state.tree_factory:
-        # VP rebuilt the storage in the source's flavour; the live trie
-        # here must be this chain's.
-        tree = build_storage_trie(state.tree_factory, bundle.storage)
 
     existing = state.contract(bundle.contract)
     if existing is None:
@@ -198,8 +194,9 @@ def apply_move2(
 
     # Line 12: SSTORE every proven slot, at full storage-write cost.
     # The slots are bulk-loaded in one journaled step: the canonical
-    # tree VP built (or, across flavours, the one built above) becomes
-    # the target's live storage trie, so nothing is rebuilt per write.
+    # tree VP built becomes the target's live storage trie (rebuilt once
+    # in this chain's flavour if the source's differs), so nothing is
+    # rebuilt per write.
     schedule = ctx.meter.schedule
     for _ in bundle.storage:
         ctx.charge(schedule.sstore_set)

@@ -402,8 +402,8 @@ def _check_replicas(world: ChaosWorld, manager) -> None:
 
     a ``LIVE`` mirror (a) was verified against a header that is still on
     the canonical branch of the source as the target sees it, and (b)
-    serves exactly the storage image the source committed at the
-    mirror's synced height — never a fork-only or torn intermediate
+    its record on the target serves exactly the storage image the
+    source committed at the mirror's synced height — never a fork-only or torn intermediate
     state.  Halted/tombstoned mirrors are unavailable by construction
     (their replicated storage is wiped), so passing here means no
     orphaned state is reachable through any read path.
@@ -429,7 +429,8 @@ def _check_replicas(world: ChaosWorld, manager) -> None:
             log = source.replication_log(contract)
             if log is not None and log.base_height <= mirror.synced_height <= log.head_height:
                 expected = log.image_at(mirror.synced_height)
-                if mirror.image != expected:
+                record = target.state.contract(contract)
+                if record is None or record.storage != expected:
                     raise InvariantViolation(
                         f"mirror of {contract} on chain {target_id} serves "
                         f"a torn image at height {mirror.synced_height}"

@@ -8,9 +8,11 @@ replicating a *hot* contract that keeps mutating.  The
 replicated contract, exactly which slots each block wrote (captured
 from the world state's dirty-slot sets just before commit), so a
 replica update for any retained height is a cheap dictionary merge
-instead of a full-state walk — and the account proof for that height
-is the one the chain captured when the height committed (it proves
-every replicated contract at every block, as it proves Move1s).
+instead of a full-state walk.  The account proof for that height is
+the one captured when it committed (the chain proves every replicated
+contract at every block, as it proves Move1s), looked up as for any
+proof but with no live-record check: the slots come from here.  The
+target applies a delta to the storage its mirror record serves.
 
 The log holds a **base image** (the full storage dict as of
 ``base_height``) plus one delta per subsequent block.  Deltas older

@@ -1,13 +1,13 @@
 """Per-replica bookkeeping: sync position, status, applied proof.
 
 A :class:`Mirror` is the relay's view of one read-only replica on one
-target chain.  The replicated *state* itself lives in the target's
-``WorldState`` (as a real, locked contract record flagged via
-``register``/``apply_mirror``) so ordinary ``chain.view`` calls serve
-it; this object tracks everything the sync protocol needs around that
-record — the verified image it was built from, the source height it
-reproduces, the header the proof was checked against (for reorg
-detection), and the serving status.
+target chain.  The replicated *state* itself lives only in the target's
+``WorldState``, as a real, locked contract record flagged as a mirror
+by ``apply_mirror``: ordinary ``chain.view`` calls serve it, and its
+storage is the base the next delta update applies to.  This object
+tracks what the sync protocol needs around that record — the source
+height it reproduces, the header the proof was checked against (for
+reorg detection), and the serving status.
 
 Status machine::
 
@@ -24,8 +24,8 @@ Only ``LIVE`` serves reads; every other status answers with the typed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.chain.block import BlockHeader
 from repro.crypto.keys import Address
@@ -50,8 +50,6 @@ class Mirror:
     synced_height: int = -1
     #: header the last accepted update's proof was verified against
     applied_header: Optional[BlockHeader] = None
-    #: the verified full image (the base for the next delta update)
-    image: Dict[bytes, bytes] = field(default_factory=dict)
     updates_applied: int = 0
     full_syncs: int = 0
     #: why the mirror is halted/tombstoned (for operators and errors)
@@ -71,13 +69,12 @@ class Mirror:
             return source_height + 1
         return max(0, source_height - self.synced_height)
 
-    def mark_live(self, height: int, header: BlockHeader, image: Dict[bytes, bytes], full: bool) -> None:
+    def mark_live(self, height: int, header: BlockHeader, full: bool) -> None:
         """Record a verified update: the replica now reproduces the
         source's committed state at ``height`` and may serve reads."""
         self.status = LIVE
         self.synced_height = height
         self.applied_header = header
-        self.image = image
         self.updates_applied += 1
         if full:
             self.full_syncs += 1
@@ -92,10 +89,9 @@ class Mirror:
 
     def tombstone(self, reason: str, moved_to: Optional[int] = None) -> None:
         """Retire the mirror (source moved away, became active here,
-        or the placement was dropped); forgets the synced image."""
+        or the placement was dropped); forgets the synced height."""
         self.status = TOMBSTONED
         self.reason = reason
         self.moved_to = moved_to
-        self.image = {}
         self.synced_height = -1
         self.applied_header = None

@@ -15,8 +15,8 @@ committed post-state at block ``state_height``, carrying
 * the contract **code** (checked against the proven code hash).
 
 Verification needs *no* trusted metadata: the update builds its
-candidate image (current mirror image + delta, or the carried full
-image) and hands it to the one proven-state verifier,
+candidate image (the storage the mirror serves + delta, or the carried
+full image) and hands it to the one proven-state verifier,
 :func:`~repro.core.proofs.verify_contract_state`, which folds the
 account proof, checks ``VS``, decodes the proven 113-byte contract leaf
 (balance, ``L_c``, move nonce, code hash, storage root — the fields
@@ -24,7 +24,8 @@ the mirror must reflect), checks the code against the proven code hash
 and rebuilds the canonical storage root from the candidate with the
 source chain's tree flavour, accepting only on an exact match — so a
 torn or partial image can never be applied, and deletions need no
-per-slot non-membership proofs.
+per-slot non-membership proofs.  The tree it built is what the target
+installs (:meth:`~repro.statedb.state.WorldState.apply_mirror`).
 
 The staleness bound falls out of ``VS``: the account proof's root is
 trusted only when the header at ``proof_height`` is ``p``-confirmed by
@@ -43,7 +44,7 @@ from repro.core.proofs import verify_contract_state
 from repro.crypto.keys import Address
 from repro.errors import ProofError
 from repro.merkle.proof import MembershipProof
-from repro.merkle.protocol import TreeFactory
+from repro.merkle.protocol import AuthenticatedTree, TreeFactory
 from repro.statedb.state import ContractLeaf
 
 
@@ -81,22 +82,23 @@ class ReplicaUpdate:
         light_client: LightClient,
         tree_factory: TreeFactory,
         base_image: Optional[Mapping[bytes, bytes]] = None,
-    ) -> Tuple[ContractLeaf, Dict[bytes, bytes]]:
+    ) -> Tuple[ContractLeaf, AuthenticatedTree]:
         """Verify against the target's light client; return the proven
-        leaf and the full post-state image the mirror must adopt.
+        leaf and the canonical storage tree of the post-state image the
+        mirror must adopt — the one the verifier built, in
+        ``tree_factory`` (the source chain's flavour).
 
         Raises :class:`UnknownRootError` when ``VS`` fails (header
         unknown, not yet ``p``-confirmed, or reorged away) and
         :class:`ProofError` on any integrity mismatch.  ``base_image``
-        is the mirror's current image, required for delta updates.
+        is the storage the mirror serves, required for delta updates.
         """
         if self.image is None and base_image is None:
             raise ProofError("delta update without a base image")
         # An empty value in the delta deletes its slot.
         merged = self.image if self.image is not None else {**base_image, **(self.delta or {})}
         candidate = {key: value for key, value in merged.items() if value}
-        leaf, _tree = verify_contract_state(
+        return verify_contract_state(
             light_client, self.source_chain, self.proof_height, self.contract,
             self.account_proof, self.code, candidate, tree_factory,
         )
-        return leaf, candidate

@@ -16,8 +16,10 @@ checks that the header the last update was verified against is still
 canonical — if a reorg orphaned it the mirror **halts**
 and its replicated storage is wiped from the target state, so orphaned
 data can never be served, not even through a raw ``chain.view``; (3)
-asks the source for a delta (or full) :class:`ReplicaUpdate`, verifies
-it against the target's own light client, and applies it atomically via
+asks the source for a delta :class:`ReplicaUpdate` over the storage the
+target's mirror record serves (a full one when there is no such record),
+verifies it against the target's own light client, and installs the
+leaf and the storage tree the verifier built via
 ``WorldState.apply_mirror`` between blocks.
 
 A verification failure is never absorbed silently: ``VS`` misses (header
@@ -179,7 +181,11 @@ class ReplicationRelay:
         span.end(success=ok)
 
     def _advance(self, mirror: Mirror, store, desired: int) -> bool:
-        since = mirror.synced_height if mirror.synced_height >= 0 else None
+        state = self.target.state
+        # The delta base is what readers are served; without a mirror
+        # record to apply it to, only a full update will do.
+        synced = mirror.synced_height >= 0 and state.is_mirror(mirror.contract)
+        since = mirror.synced_height if synced else None
         try:
             update = self.source.build_replica_update(
                 mirror.contract, since=since, upto=desired
@@ -188,9 +194,9 @@ class ReplicationRelay:
             # The requested height is not servable (proof pruned, log
             # younger than the height) — wait for the next header.
             return False
-        base = mirror.image if not update.is_full else None
+        base = None if update.is_full else state.contract(mirror.contract).storage
         try:
-            leaf, image = update.verify(
+            leaf, tree = update.verify(
                 self.target.light_client,
                 self.source.params.tree_factory,
                 base_image=base,
@@ -211,10 +217,10 @@ class ReplicationRelay:
             )
             return False
 
-        record = self.target.state.contract(mirror.contract)
+        record = state.contract(mirror.contract)
         if (
             record is not None
-            and not self.target.state.is_mirror(mirror.contract)
+            and not state.is_mirror(mirror.contract)
             and record.location == self.target.chain_id
         ):
             # The contract re-homed *onto* this chain (Move2 landed
@@ -225,19 +231,12 @@ class ReplicationRelay:
             return False
 
         try:
-            self.target.state.apply_mirror(
-                mirror.contract,
-                code_hash=leaf.code_hash,
-                code=update.code,
-                storage=image,
-                balance=leaf.balance,
-                location=leaf.location,
-            )
+            state.apply_mirror(mirror.contract, leaf, update.code, tree)
         except StateError as exc:
             self._halt(mirror, f"apply failed: {exc}")
             return False
         header = store.header_at(update.proof_height)
-        mirror.mark_live(desired, header, image, full=update.is_full)
+        mirror.mark_live(desired, header, full=update.is_full)
         self.updates += 1
         self._m_updates.inc()
         self._m_bytes.observe(update.size_bytes())
@@ -255,7 +254,6 @@ class ReplicationRelay:
         mirror.halt(reason)
         # Everything verified so far sat on the orphaned branch: forget
         # it, so recovery is a full resync on the new canonical branch.
-        mirror.image = {}
         mirror.synced_height = -1
         mirror.applied_header = None
         self.halts += 1

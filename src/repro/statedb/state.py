@@ -32,10 +32,11 @@ root is guaranteed bit-identical to the canonical rebuild:
   commit never probes the trie to find out.  A refold is one
   :meth:`~repro.merkle.iavl.IAVLTree.from_sorted` build: the sorted-
   insertion shape made directly, with no rotations.  Bulk transitions —
-  Move2 recreation (:meth:`WorldState.load_storage`) and garbage
-  collection (:meth:`WorldState.wipe_storage`) — replace the trie with
-  one built canonically in a single pass (for a Move2, the very tree its
-  proof check built).
+  Move2 recreation (:meth:`WorldState.load_storage`), mirror sync
+  (:meth:`WorldState.apply_mirror`) and garbage collection
+  (:meth:`WorldState.wipe_storage`) — replace the trie with one built
+  canonically in a single pass (for the first two, the very tree their
+  proof check built, rebuilt once if its flavour is not this chain's).
 
 The equivalence is enforced by the property tests in
 ``tests/property/test_storage_commitment_properties.py``.
@@ -430,13 +431,13 @@ class WorldState:
     def load_storage(self, address: Address, tree: AuthenticatedTree) -> None:
         """Replace a contract's storage wholesale (journaled).
 
-        ``tree`` is a canonical storage tree of this chain's flavour,
-        built elsewhere — Move2 recreation hands over the one its proof
-        check built — and becomes the contract's live trie; the storage
-        dict is refilled from it.  Callers holding a mapping pass
-        ``build_storage_trie(state.tree_factory, entries)``.  The undo
-        closure restores the prior dict contents *and* the prior trie
-        (O(1) — the new trie was built beside it, never into it).
+        ``tree`` is a canonical storage tree built elsewhere — Move2
+        recreation hands over the one its proof check built — and is
+        installed by :meth:`_install_storage`.  Callers holding a
+        mapping pass ``build_storage_trie(state.tree_factory, entries)``.
+        The undo closure restores the prior dict contents *and* the
+        prior trie (O(1) — the new trie was built beside it, never into
+        it).
         """
         record = self.require_contract(address)
         if record.location != self.chain_id:
@@ -444,15 +445,10 @@ class WorldState:
         prior_storage = dict(record.storage)
         prior_tree = self._storage_tries.get(address)
         prior_dirty = self._dirty_slots.get(address)
-        record.storage.clear()
-        record.storage.update(tree.items())
-        self._storage_tries[address] = tree
-        # The fresh trie matches the dict exactly — no slots left to fold.
-        self._dirty_slots[address] = set()
-        self._dirty.add(address)
-        # Over-approximate on revert: a spurious mark just makes the
-        # replication log rebase on a full (correct) image.
-        self._storage_replaced.add(address)
+        # Over-approximate on revert: the replacement mark stays, and a
+        # spurious one just makes the replication log rebase on a full
+        # (correct) image.
+        self._install_storage(address, record, tree)
 
         def undo() -> None:
             record.storage.clear()
@@ -467,6 +463,24 @@ class WorldState:
                 self._dirty_slots[address] = prior_dirty
 
         self._record(undo)
+
+    def _install_storage(
+        self, address: Address, record: ContractRecord, tree: AuthenticatedTree
+    ) -> None:
+        """Make ``tree``, a canonical storage tree a proof check built,
+        the contract's live trie and refill the storage dict from it
+        (Move2's :meth:`load_storage`, mirror sync's :meth:`apply_mirror`).
+        The check builds in the *source* chain's flavour: a tree of the
+        other flavour is rebuilt in this one's first, once."""
+        if type(tree) is not self._tree_factory:
+            tree = build_storage_trie(self._tree_factory, dict(tree.items()))
+        record.storage.clear()
+        record.storage.update(tree.items())
+        self._storage_tries[address] = tree
+        # The fresh trie matches the dict exactly — no slots left to fold.
+        self._dirty_slots[address] = set()
+        self._dirty.add(address)
+        self._storage_replaced.add(address)
 
     def wipe_storage(self, address: Address) -> None:
         """Clear a contract's storage outside any transaction (GC).
@@ -565,54 +579,32 @@ class WorldState:
         return address in self._mirrors
 
     def apply_mirror(
-        self,
-        address: Address,
-        *,
-        code_hash: bytes,
-        code: bytes,
-        storage: Mapping[bytes, bytes],
-        balance: int,
-        location: int,
+        self, address: Address, leaf: ContractLeaf, code: bytes, tree: AuthenticatedTree
     ) -> ContractRecord:
         """Create or refresh a read-only replica (not journaled, not
         lock-guarded: a mirror is never the active copy).
 
         Called by the replication relay between blocks — exactly like
-        GC — after it has *verified* the new image against the source
-        chain's committed state root.  ``location`` is the proven
-        ``L_c`` (the source chain id), so the record is locked by
-        construction.  The local ``move_nonce`` is never lowered: a
-        relic upgraded to a mirror keeps its nonce so I2 monotonicity
-        holds and a later legitimate Move2 onto this chain still passes
-        the replay guard (mirrors never claim the source's nonce for the
-        same reason).
+        GC — with what its verifier returned: the proven contract
+        ``leaf`` (code hash, balance and ``L_c``, the source chain's id,
+        so the record is locked by construction), the ``code`` checked
+        against it, and the storage ``tree`` the verifier built, which
+        :meth:`_install_storage` makes the live trie.  The local
+        ``move_nonce`` is never lowered: a relic upgraded to a mirror
+        keeps its nonce so I2 monotonicity holds and a later legitimate
+        Move2 onto this chain still passes the replay guard (mirrors
+        never claim the source's nonce for the same reason).
         """
         record = self.contracts.get(address)
         if record is None:
-            record = ContractRecord(
-                code_hash=code_hash, location=location, balance=balance
-            )
-            self.contracts[address] = record
-        else:
-            if address not in self._mirrors and record.location == self.chain_id:
-                raise StateError(
-                    f"cannot mirror over the active contract at {address}"
-                )
-            record.code_hash = code_hash
-            record.location = location
-            record.balance = balance
-        if code_hash not in self.code_store:
-            self.code_store[code_hash] = code
-        record.storage.clear()
-        for key, value in storage.items():
-            if value:
-                record.storage[key] = value
-        self._storage_tries[address] = build_storage_trie(
-            self._tree_factory, record.storage
-        )
-        self._dirty_slots[address] = set()
-        self._storage_replaced.add(address)
-        self._dirty.add(address)
+            record = self.contracts[address] = ContractRecord(leaf.code_hash, leaf.location)
+        elif address not in self._mirrors and record.location == self.chain_id:
+            raise StateError(f"cannot mirror over the active contract at {address}")
+        record.code_hash, record.location = leaf.code_hash, leaf.location
+        record.balance = leaf.balance
+        if leaf.code_hash not in self.code_store:
+            self.code_store[leaf.code_hash] = code
+        self._install_storage(address, record, tree)
         self._mirrors.add(address)
         return record
 

@@ -191,7 +191,7 @@ def test_every_tampered_claim_is_refused_with_its_kind(data):
         else:
             assert leaf.location == w["source"].chain_id
             expected = claim.image if entry == "full" else w["delta_image"]
-            assert result == expected
+            assert dict(result.items()) == expected
         return
     expected = UnknownRootError if kind in VS_FAILURES else ProofError
     with pytest.raises(ProofError) as refused:

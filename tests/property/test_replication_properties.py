@@ -86,7 +86,7 @@ def _check(source, target, address, mirror, oracle, prev_synced):
         # The image IS a committed state: byte-identical to what the
         # source had at exactly that height (no tearing, no mixing).
         assert height in oracle.storage
-        assert mirror.image == oracle.storage[height]
+        assert target.state.contract(address).storage == oracle.storage[height]
         # And reads decode to the values committed at that height.
         for key, value in oracle.model[height].items():
             assert target.view(address, "get_value", key) == value
@@ -124,16 +124,18 @@ def test_live_mirror_equals_a_committed_source_state_within_bound(ops):
 def test_replication_runs_are_a_pure_function_of_the_schedule(ops):
     traces = []
     for _ in range(2):
-        source, _target, clock, address, relay, mirror = _setup()
+        source, target, clock, address, relay, mirror = _setup()
         trace = []
         for op in ops:
             if op is None:
                 source.produce_block(clock.tick())
             else:
                 run_tx(source, clock, ALICE, CallPayload(address, "put", op))
-            trace.append(
-                (mirror.status, mirror.synced_height, relay.updates, dict(mirror.image))
-            )
+            served = target.state.contract(address)
+            trace.append((
+                mirror.status, mirror.synced_height, relay.updates,
+                dict(served.storage) if served is not None else None,
+            ))
         traces.append(trace)
     assert traces[0] == traces[1]
 
@@ -171,7 +173,7 @@ def test_fork_only_state_is_never_served(ops):
                 # Orphaned immediately: unavailable and wiped, with
                 # nothing left for a raw chain.view to serve either.
                 assert mirror.status == HALTED
-                assert mirror.image == {}
+                assert target.state.contract(address).storage == {}
                 assert not target.state.is_mirror(address)
                 prev = -1
             continue

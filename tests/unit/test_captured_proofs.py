@@ -63,7 +63,8 @@ def test_replica_update_is_served_at_the_enable_replication_height():
     run_tx(burrow, clock, ALICE, CallPayload(store, "put", (1, 43)))
     produce(burrow, clock, burrow.params.confirmation_depth + burrow.params.state_root_lag)
     update = burrow.build_replica_update(store, upto=enabled)
-    _leaf, image = update.verify(ethereum.light_client, burrow.params.tree_factory)
+    _leaf, tree = update.verify(ethereum.light_client, burrow.params.tree_factory)
+    image = dict(tree.items())
     assert update.state_height == enabled and image == storage
     assert image != burrow.state.contract(store).storage  # the later put moved on
 

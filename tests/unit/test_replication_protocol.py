@@ -55,19 +55,20 @@ def test_full_update_verifies_and_yields_the_committed_image():
     assert update.is_full
     assert update.source_chain == 1
     assert update.proof_height == update.state_height + burrow.params.state_root_lag
-    leaf, image = update.verify(
+    leaf, tree = update.verify(
         ethereum.light_client, burrow.params.tree_factory
     )
     assert leaf.location == burrow.chain_id
     assert leaf.code_hash == keccak(update.code)
     record = burrow.state.contract(address)
-    assert image == dict(record.storage)
+    assert dict(tree.items()) == dict(record.storage)
 
 
 def test_delta_update_applies_on_top_of_the_base_image():
     burrow, ethereum, clock, address = _replicated_store()
     first = burrow.build_replica_update(address, upto=_provable(burrow))
-    _leaf, base = first.verify(ethereum.light_client, burrow.params.tree_factory)
+    _leaf, base_tree = first.verify(ethereum.light_client, burrow.params.tree_factory)
+    base = dict(base_tree.items())
 
     receipt = run_tx(burrow, clock, ALICE, CallPayload(address, "put", (2, 7)))
     assert receipt.success
@@ -76,10 +77,10 @@ def test_delta_update_applies_on_top_of_the_base_image():
         address, since=first.state_height, upto=_provable(burrow)
     )
     assert not update.is_full
-    leaf, image = update.verify(
+    leaf, tree = update.verify(
         ethereum.light_client, burrow.params.tree_factory, base_image=base
     )
-    assert image == dict(burrow.state.contract(address).storage)
+    assert dict(tree.items()) == dict(burrow.state.contract(address).storage)
     assert leaf.storage_root != first.account_proof.value[81:113]
 
 

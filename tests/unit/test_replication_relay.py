@@ -98,7 +98,7 @@ def test_remove_contract_wipes_the_replica():
     relay.remove_contract(address)
     assert mirror.status == TOMBSTONED
     assert mirror.reason == "dropped"
-    assert mirror.image == {}
+    assert target.state.contract(address).storage == {}
     assert not target.state.is_mirror(address)
     assert address not in relay.mirrors
     relay.remove_contract(address)  # idempotent
@@ -135,7 +135,7 @@ def test_reorg_halts_the_mirror_and_a_canonical_branch_revives_it():
     # a reader gets a typed error, never data from the losing branch.
     assert mirror.status == HALTED
     assert relay.halts == 1
-    assert mirror.image == {}
+    assert target.state.contract(address).storage == {}
     assert mirror.synced_height == -1
     assert not target.state.is_mirror(address)
 

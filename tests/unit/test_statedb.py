@@ -8,7 +8,12 @@ from repro.errors import StateError
 from repro.merkle.iavl import IAVLTree
 from repro.merkle.proof import verify_proof
 from repro.merkle.trie import MerklePatriciaTrie
-from repro.statedb.state import WorldState, build_storage_trie, compute_storage_root
+from repro.statedb.state import (
+    ContractLeaf,
+    WorldState,
+    build_storage_trie,
+    compute_storage_root,
+)
 
 ALICE = KeyPair.from_name("alice").address
 BOB = KeyPair.from_name("bob").address
@@ -217,9 +222,8 @@ def test_commit_reports_the_leaves_it_wrote_while_locked(state):
     assert state.locked_leaves == []
     state.lock(CONTRACT, 7, 0)
     state.create_contract(escrow, CODE_HASH, CODE, location=9)
-    state.apply_mirror(
-        mirror, code_hash=CODE_HASH, code=CODE, storage={b"k": b"v"}, balance=0, location=5
-    )
+    tree = build_storage_trie(state.tree_factory, {b"k": b"v"})
+    state.apply_mirror(mirror, ContractLeaf(0, 5, 0, CODE_HASH, tree.root_hash), CODE, tree)
     state.commit()
     assert state.locked_leaves == sorted([CONTRACT, escrow])
     for address in state.locked_leaves:
