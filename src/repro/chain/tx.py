@@ -1,14 +1,19 @@
 """Transactions and their canonical signed encoding.
 
-Five payload kinds cover everything the paper's evaluation exercises:
+Seven payload kinds cover everything the paper's evaluation exercises:
 
 * :class:`TransferPayload` — native currency between accounts;
 * :class:`DeployPayload` — create a contract (CREATE or CREATE2);
 * :class:`CallPayload` — invoke an external contract method;
+* :class:`DeployBytecodePayload` / :class:`BytecodeCallPayload` — the
+  same two for raw VM bytecode;
 * :class:`Move1Payload` — the Move protocol's first step: run the
   contract's ``moveTo`` guard, then assign ``L_c`` (OP_MOVE);
 * :class:`Move2Payload` — the second step: recreate the contract from a
   Merkle proof bundle on the target chain.
+
+:func:`named_contract` is the one rule for which contract a
+transaction names.
 
 Every transaction is signed by the submitting client over a canonical
 byte encoding of its payload (paper Section II: "each transaction
@@ -230,6 +235,37 @@ Payload = Union[
     Move1Payload,
     Move2Payload,
 ]
+
+
+def named_contract(payload: Payload, receipt=None) -> Optional[Address]:
+    """The contract a transaction names, or None.
+
+    A call names its ``target``, a Move1 its ``contract`` and a Move2
+    its bundle's ``contract``.  A deploy names the address it created,
+    which only its successful ``receipt`` carries.  A transfer, a failed
+    deploy and a deploy without its receipt name none, and neither does
+    a field that is not an :class:`Address`: a signed payload can carry
+    anything there, and its block still commits.  Load signals, push
+    subscriptions and the gateway's read-only-replica check all read
+    placement through this one rule, so every client watching the same
+    blocks attributes each transaction to the same contract.
+    """
+    kind = type(payload)
+    if kind is CallPayload or kind is BytecodeCallPayload:
+        named = payload.target
+    elif kind is Move1Payload:
+        named = payload.contract
+    elif kind is Move2Payload:
+        named = getattr(payload.bundle, "contract", None)
+    elif (
+        (kind is DeployPayload or kind is DeployBytecodePayload)
+        and receipt is not None
+        and receipt.success
+    ):
+        named = receipt.return_value
+    else:
+        return None
+    return named if type(named) is Address else None
 
 
 def _signing_encoding(sender: Address, public_key: bytes, nonce: int, payload) -> bytes:

@@ -4,18 +4,29 @@
 that lost track of a contract follows the trail: query the last known
 chain; if the record says it moved, hop to the named chain; repeat.
 With correctly implemented ``moveTo``/``moveFinish`` the trail always
-terminates at the active copy.
+terminates at the active copy.  A client that watches every chain
+reads the answer directly instead (:func:`active_chain`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.crypto.keys import Address
 from repro.errors import StateError
 
 #: callback: chain_id -> (exists, location) for a contract address
 LocationQuery = Callable[[int, Address], Optional[int]]
+
+
+def active_chain(chains: Iterable, address: Address):
+    """The first of ``chains`` holding the active copy of a contract —
+    the one whose record's ``L_c`` names itself — or None (unknown to
+    all of them, or in transit between Move1 and Move2)."""
+    for chain in chains:
+        if chain.location_of(address) == chain.chain_id:
+            return chain
+    return None
 
 
 class ContractLocator:

@@ -79,7 +79,13 @@ from functools import partial
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.chain.chain import Chain
-from repro.chain.tx import BytecodeCallPayload, CallPayload, Move1Payload, Transaction
+from repro.chain.tx import (
+    BytecodeCallPayload,
+    CallPayload,
+    Move1Payload,
+    Transaction,
+    named_contract,
+)
 from repro.crypto.keys import Address, KeyPair
 from repro.errors import (
     CodeNotFound,
@@ -424,19 +430,15 @@ class Gateway:
         but failing fast at the front door keeps a doomed transaction out
         of the queues and gives the client the typed rejection
         immediately.  View-method calls pass — mirrors exist to serve
-        reads.
+        reads.  ``tx`` carries one of :data:`_WRITE_PAYLOADS`; one whose
+        contract field is not an address names none and passes.
         """
         payload = tx.payload
-        if isinstance(payload, (CallPayload, BytecodeCallPayload)):
-            target = payload.target
-        elif isinstance(payload, Move1Payload):
-            target = payload.contract
-        else:
-            return
-        if not chain.state.is_mirror(target):
+        target = named_contract(payload)
+        if target is None or not chain.state.is_mirror(target):
             return
         record = chain.state.contract(target)
-        if isinstance(payload, CallPayload):
+        if type(payload) is CallPayload:
             from repro.runtime.registry import lookup_code
 
             try:

@@ -10,10 +10,12 @@ one hub whatever its replica count, so ``gateway_subscriptions_active``
 counts every live subscription.
 
 * :meth:`SubscriptionHub.watch_contract` — pushes one event per
-  committed transaction touching the watched address: ``call`` /
-  ``bytecode_call`` / ``deploy`` outcomes, plus the Move lifecycle as
-  seen from each chain (``move1`` when the contract locks and departs,
-  ``move2`` when it materializes);
+  committed transaction that names the watched address
+  (:func:`~repro.chain.tx.named_contract`): ``call`` /
+  ``bytecode_call`` outcomes, ``deploy`` when a class or raw bytecode
+  deploy creates it, plus the Move lifecycle as seen from each chain
+  (``move1`` when the contract locks and departs, ``move2`` when it
+  materializes);
 * :meth:`SubscriptionHub.watch_move` — pushes the served move's
   handle-state transitions (``move1 → confirm → proof → move2 →
   complete``) the instant the gateway advances them, then a terminal
@@ -33,9 +35,9 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.chain.tx import (
     BytecodeCallPayload,
     CallPayload,
-    DeployPayload,
     Move1Payload,
     Move2Payload,
+    named_contract,
 )
 from repro.crypto.keys import Address
 
@@ -199,14 +201,27 @@ class SubscriptionHub:
         if not per_chain:
             return
         for tx, receipt in zip(block.transactions, receipts):
-            target, kind, extra = self._describe(tx, receipt)
-            if target is None:
+            address = named_contract(tx.payload, receipt)
+            if address is None:
                 continue
-            subs = per_chain.get(target)
+            subs = per_chain.get(address.hex)
             if not subs:
                 continue
+            payload = tx.payload
+            kind = type(payload)
+            if kind is CallPayload:
+                name, extra = "call", {"method": payload.method}
+            elif kind is BytecodeCallPayload:
+                name, extra = "bytecode_call", {}
+            elif kind is Move1Payload:
+                name, extra = "move1", {"target_chain": payload.target_chain}
+            elif kind is Move2Payload:
+                source = getattr(payload.bundle, "source_chain", None)
+                name, extra = "move2", {"source_chain": source}
+            else:  # a class or raw bytecode deploy
+                name, extra = "deploy", {}
             event = {
-                "type": kind,
+                "type": name,
                 "chain": chain_id,
                 "height": block.header.height,
                 "tx_id": tx.tx_id,
@@ -218,30 +233,3 @@ class SubscriptionHub:
                 event["error"] = receipt.error
             for sub in list(subs):
                 self._emit(sub, event)
-
-    @staticmethod
-    def _describe(tx, receipt):
-        """(watched address hex, event type, extra fields) for one
-        committed transaction — None target means nothing watchable."""
-        payload = tx.payload
-        if isinstance(payload, CallPayload):
-            return payload.target.hex, "call", {"method": payload.method}
-        if isinstance(payload, BytecodeCallPayload):
-            return payload.target.hex, "bytecode_call", {}
-        if isinstance(payload, Move1Payload):
-            return (
-                payload.contract.hex,
-                "move1",
-                {"target_chain": payload.target_chain},
-            )
-        if isinstance(payload, Move2Payload):
-            return (
-                payload.bundle.contract.hex,
-                "move2",
-                {"source_chain": payload.bundle.source_chain},
-            )
-        if isinstance(payload, DeployPayload) and receipt.success:
-            created = receipt.return_value
-            if isinstance(created, Address):
-                return created.hex, "deploy", {}
-        return None, "", {}

@@ -5,12 +5,13 @@ load balancing smart contracts for sharded blockchains" as the
 application the Move primitive enables.  This package is that control
 plane, split into the three layers docs/REBALANCING.md describes:
 
-* **signals** (:mod:`repro.rebalance.signals`) — one typed
-  :class:`LoadSignal` interface over every load statistic the system
-  already produces (block-fill utilization from
-  :class:`ShardLoadMonitor`, per-contract tx/gas rates, gateway queue
-  depths), composed into :class:`ShardLoadView` snapshots by a
-  :class:`SignalPlane`;
+* **signals** (:mod:`repro.rebalance.signals`) — a
+  :class:`SignalPlane` composes three public inputs into
+  :class:`ShardLoadView` snapshots: block-fill utilization per shard
+  (:class:`ShardLoadMonitor`), per-contract tx/gas demand
+  (:class:`ContractHotnessSignal`, which attributes each transaction
+  through :func:`repro.chain.tx.named_contract`) and, optionally,
+  gateway queue depths (:class:`GatewayQueueSignal`);
 * **policy** (:mod:`repro.rebalance.policy`) — the
   :class:`RebalancePolicy` engine: hysteresis (enter/exit thresholds),
   per-contract and per-shard cooldown windows, hotness ranking and
@@ -30,10 +31,10 @@ partitioning on both throughput and p99 latency without thrashing.
 from repro.rebalance.policy import MoveDecision, RebalancePolicy
 from repro.rebalance.rebalancer import Rebalancer, replication_actuator
 from repro.rebalance.signals import (
-    PRESSURE_WEIGHTS,
+    QUEUE_WEIGHT,
+    UTILIZATION_WEIGHT,
     ContractHotnessSignal,
     GatewayQueueSignal,
-    LoadSignal,
     ShardLoad,
     ShardLoadMonitor,
     ShardLoadView,
@@ -41,11 +42,11 @@ from repro.rebalance.signals import (
 )
 
 __all__ = [
-    "LoadSignal",
     "ShardLoad",
     "ShardLoadView",
     "SignalPlane",
-    "PRESSURE_WEIGHTS",
+    "UTILIZATION_WEIGHT",
+    "QUEUE_WEIGHT",
     "ShardLoadMonitor",
     "ContractHotnessSignal",
     "GatewayQueueSignal",

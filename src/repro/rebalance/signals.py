@@ -1,21 +1,20 @@
-"""The load-signal plane: one typed interface over every load statistic.
+"""The load-signal plane: three public load inputs, one snapshot.
 
-A :class:`LoadSignal` names itself and reports **normalized per-shard
-values** (and optionally per-contract values); a :class:`SignalPlane`
-composes the attached signals into one :class:`ShardLoadView` snapshot
-— the only input the policy layer (:mod:`repro.rebalance.policy`) ever
-sees.  Three signals exist: block-fill utilization
-(:class:`ShardLoadMonitor`), per-contract demand
-(:class:`ContractHotnessSignal`) and gateway admission backpressure
-(:class:`GatewayQueueSignal`).
+A :class:`SignalPlane` composes three inputs into one
+:class:`ShardLoadView` snapshot — the only input the policy layer
+(:mod:`repro.rebalance.policy`) ever sees: block-fill utilization per
+shard (:class:`ShardLoadMonitor`), per-contract demand
+(:class:`ContractHotnessSignal`) and, optionally, gateway admission
+backpressure per shard (:class:`GatewayQueueSignal`).
 
 Normalization convention: per-shard values are *capacity fractions*
-(≈0 idle, ≈1 saturated) so signals compose by weighted sum with the
-fixed :data:`PRESSURE_WEIGHTS`.  Per-contract values are demand rates
-(transactions per block, plus a scaled gas term) — they rank contracts
-by hotness, so only their relative order matters.
+(≈0 idle, ≈1 saturated), so a shard's pressure is
+:data:`UTILIZATION_WEIGHT` × utilization + :data:`QUEUE_WEIGHT` × queue
+depth.  Per-contract values are demand rates (transactions per block,
+plus a scaled gas term) — they rank contracts by hotness, so only their
+relative order matters.
 
-Every signal here derives its values from public, deterministic inputs
+Every input here derives its values from public, deterministic data
 (the block stream, the gateway's public queue depths), which is what
 keeps rebalancing decisions replayable and decentralized: any client
 watching the same blocks computes the same view, hence the same moves.
@@ -32,58 +31,36 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Protocol,
     Sequence,
     Tuple,
-    runtime_checkable,
 )
 
+from repro.chain.tx import named_contract
 from repro.crypto.keys import Address
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:
     from repro.chain.chain import Chain
 
-#: pressure weight per signal name; other names weigh 0.  Utilization
-#: is the primary load measure (it is already a capacity fraction);
-#: queue pressure raises it when admission backs up.
-PRESSURE_WEIGHTS: Dict[str, float] = {
-    "utilization": 1.0,
-    "gateway_queue": 0.5,
-}
+#: pressure per unit of utilization — the primary load measure (it is
+#: already a capacity fraction)
+UTILIZATION_WEIGHT = 1.0
+#: pressure per unit of gateway queue depth: queue pressure raises a
+#: shard's pressure when admission backs up
+QUEUE_WEIGHT = 0.5
 
 #: hotness charged per unit of gas, on top of one per transaction
 _GAS_SCALE = 1e-6
 
 
-@runtime_checkable
-class LoadSignal(Protocol):
-    """One named producer of per-shard (and per-contract) load values."""
-
-    @property
-    def name(self) -> str:
-        """Stable signal name (keys :data:`PRESSURE_WEIGHTS`)."""
-        ...
-
-    def shard_values(self) -> Mapping[int, float]:
-        """Current normalized value per shard index (may be empty)."""
-        ...
-
-    def contract_values(self) -> Mapping[Address, float]:
-        """Current hotness per contract (empty for shard-only signals)."""
-        ...
-
-
 class ShardLoad:
     """One shard's composite load at a sampling instant."""
 
-    __slots__ = ("shard", "signals", "pressure")
+    __slots__ = ("shard", "pressure")
 
-    def __init__(self, shard: int, signals: Dict[str, float], pressure: float):
+    def __init__(self, shard: int, pressure: float):
         self.shard = shard
-        #: raw per-signal values, by signal name
-        self.signals = signals
-        #: weighted composite (see :data:`PRESSURE_WEIGHTS`)
+        #: weighted composite (see :data:`UTILIZATION_WEIGHT`)
         self.pressure = pressure
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -139,61 +116,44 @@ class ShardLoadView:
 
 
 class SignalPlane:
-    """Composes attached :class:`LoadSignal` producers into views.
+    """Composes the three load inputs into views.
 
-    ``locate`` maps a contract address to its current shard index (for
-    clusters, :meth:`~repro.sharding.cluster.ShardedCluster
-    .locate_contract`); without it views carry hotness but no placement,
-    so policies cannot rank per-shard candidates.
+    ``utilization`` and the optional ``gateway_queue`` report per-shard
+    capacity fractions (``shard_values()``); ``hotness`` reports
+    per-contract demand (``contract_values()``).  ``locate`` maps a
+    contract address to its current shard index (for clusters,
+    :meth:`~repro.sharding.cluster.ShardedCluster.locate_contract`);
+    without it views carry hotness but no placement, so policies cannot
+    rank per-shard candidates.  ``read_rates`` optionally provides
+    per-contract replica-read rates (e.g.
+    ``ReplicationManager.read_rates``), sampled into each view for the
+    policy's replicate-vs-move arm.
     """
 
     def __init__(
         self,
+        utilization: "ShardLoadMonitor",
+        hotness: "ContractHotnessSignal",
+        gateway_queue: Optional["GatewayQueueSignal"] = None,
         locate: Optional[Callable[[Address], Optional[int]]] = None,
         read_rates: Optional[Callable[[], Mapping[Address, float]]] = None,
     ):
+        self.utilization = utilization
+        self.hotness = hotness
+        self.gateway_queue = gateway_queue
         self._locate = locate
-        #: optional provider of per-contract replica-read rates (e.g.
-        #: ``ReplicationManager.read_rates``) — sampled into each view
-        #: for the policy's replicate-vs-move arm.
         self._read_rates = read_rates
-        self._signals: List[LoadSignal] = []
-
-    def attach(self, signal: LoadSignal) -> LoadSignal:
-        """Register a signal (unique name); returns it for chaining."""
-        if any(existing.name == signal.name for existing in self._signals):
-            raise ConfigError(f"a signal named {signal.name!r} is already attached")
-        self._signals.append(signal)
-        return signal
-
-    def signal(self, name: str) -> Optional[LoadSignal]:
-        """The attached signal with this name, if any."""
-        for candidate in self._signals:
-            if candidate.name == name:
-                return candidate
-        return None
-
-    def signal_names(self) -> List[str]:
-        """Names of attached signals, in attachment order."""
-        return [signal.name for signal in self._signals]
 
     def sample(self, now: float) -> ShardLoadView:
-        """One composed snapshot of every attached signal."""
-        per_shard: Dict[int, Dict[str, float]] = {}
-        hotness: Dict[Address, float] = {}
-        for signal in self._signals:
-            for shard, value in signal.shard_values().items():
-                per_shard.setdefault(shard, {})[signal.name] = value
-            for address, value in signal.contract_values().items():
-                hotness[address] = hotness.get(address, 0.0) + value
-        shards = {
-            shard: ShardLoad(
-                shard,
-                values,
-                sum(PRESSURE_WEIGHTS.get(name, 0.0) * v for name, v in values.items()),
-            )
-            for shard, values in per_shard.items()
-        }
+        """One composed snapshot of the three inputs."""
+        pressure: Dict[int, float] = {}
+        for shard, value in self.utilization.shard_values().items():
+            pressure[shard] = UTILIZATION_WEIGHT * value
+        if self.gateway_queue is not None:
+            for shard, value in self.gateway_queue.shard_values().items():
+                pressure[shard] = pressure.get(shard, 0.0) + QUEUE_WEIGHT * value
+        shards = {shard: ShardLoad(shard, value) for shard, value in pressure.items()}
+        hotness = dict(self.hotness.contract_values())
         contract_shard: Dict[Address, int] = {}
         if self._locate is not None:
             for address in hotness:
@@ -212,15 +172,7 @@ class SignalPlane:
         )
 
 
-class _ShardOnlySignal:
-    """Base for signals with no per-contract component."""
-
-    def contract_values(self) -> Mapping[Address, float]:
-        """Shard-level signals carry no per-contract attribution."""
-        return {}
-
-
-class ShardLoadMonitor(_ShardOnlySignal):
+class ShardLoadMonitor:
     """Sliding-window block-fill utilization per shard.
 
     Computed purely from the public block stream (transactions per
@@ -229,8 +181,6 @@ class ShardLoadMonitor(_ShardOnlySignal):
     balancing decentralized (paper §IV-B).  ``shard_values`` reports
     the windowed fill fraction per shard index.
     """
-
-    name = "utilization"
 
     def __init__(self, shards: Sequence["Chain"], window_blocks: int = 10):
         self.shards: List["Chain"] = list(shards)
@@ -261,32 +211,6 @@ class ShardLoadMonitor(_ShardOnlySignal):
         return dict(enumerate(self.utilizations()))
 
 
-def _tx_contract(payload, receipt) -> Optional[Address]:
-    """The contract a transaction exercises, or None (plain transfers).
-
-    Deliberately duck-typed on payload attribute names so the signal
-    needs no import of every payload class: calls carry ``target``,
-    Move1 carries ``contract``, Move2 carries ``bundle.contract`` and
-    deploys surface the address through the receipt's return value.
-    """
-    target = getattr(payload, "target", None)
-    if isinstance(target, Address):
-        return target
-    contract = getattr(payload, "contract", None)
-    if isinstance(contract, Address):
-        return contract
-    bundle = getattr(payload, "bundle", None)
-    if bundle is not None and isinstance(getattr(bundle, "contract", None), Address):
-        return bundle.contract
-    if receipt is not None and receipt.success:
-        value = receipt.return_value
-        if isinstance(value, Address):
-            return value
-        if type(value) is tuple and value and isinstance(value[0], Address):
-            return value[0]
-    return None
-
-
 class ContractHotnessSignal:
     """Per-contract demand from the public block stream, windowed.
 
@@ -300,8 +224,6 @@ class ContractHotnessSignal:
     .MetricsRegistry`, so exports and the CLI see per-contract demand
     without any extra instrumentation in the executor's hot path.
     """
-
-    name = "hotness"
 
     def __init__(self, window_blocks: int = 8):
         if window_blocks <= 0:
@@ -323,7 +245,7 @@ class ContractHotnessSignal:
         def on_block(block, receipts) -> None:
             fills: Dict[Address, Tuple[int, int]] = {}
             for tx, receipt in zip(block.transactions, receipts):
-                address = _tx_contract(tx.payload, receipt)
+                address = named_contract(tx.payload, receipt)
                 if address is None:
                     continue
                 txs, gas = fills.get(address, (0, 0))
@@ -347,10 +269,6 @@ class ContractHotnessSignal:
         chain.subscribe(on_block)
         return self
 
-    def shard_values(self) -> Mapping[int, float]:
-        """Empty — hotness is a ranking signal, not shard pressure."""
-        return {}
-
     def contract_values(self) -> Mapping[Address, float]:
         """Windowed hotness per contract across all watched shards."""
         merged: Dict[Address, float] = {}
@@ -365,19 +283,8 @@ class ContractHotnessSignal:
                     ) / span
         return merged
 
-    def tx_rate(self, address: Address) -> float:
-        """Windowed transactions/block for one contract (0.0 unknown)."""
-        total = 0.0
-        for window in self._windows.values():
-            if not window:
-                continue
-            total += sum(fills.get(address, (0, 0))[0] for fills in window) / len(
-                window
-            )
-        return total
 
-
-class GatewayQueueSignal(_ShardOnlySignal):
+class GatewayQueueSignal:
     """Admission backpressure from a gateway's bounded queues.
 
     Reports each served chain's queued+parked depth as a fraction of the
@@ -386,8 +293,6 @@ class GatewayQueueSignal(_ShardOnlySignal):
     (:meth:`~repro.gateway.gateway.Gateway.queue_depth` and its
     limits), not its internals.
     """
-
-    name = "gateway_queue"
 
     def __init__(self, gateway):
         self.gateway = gateway

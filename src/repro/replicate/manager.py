@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.core.locator import active_chain
 from repro.crypto.keys import Address
 from repro.errors import ReplicaUnavailable, StateError
 from repro.replicate.mirror import LIVE, TOMBSTONED, Mirror
@@ -220,7 +221,7 @@ class ReplicationManager:
                     f"{mirror.status}"
                     + (f": {mirror.reason}" if mirror.reason else "")
                 )
-        home = self._active_chain(contract)
+        home = active_chain(self.node.chains.values(), contract)
         if home is None:
             raise ReplicaUnavailable(
                 f"no active copy of {contract} on any served chain"
@@ -238,17 +239,6 @@ class ReplicationManager:
         counter.inc()
         self._record_read(contract)
         return chain.view(contract, method, *args)
-
-    def _active_chain(self, contract: Address):
-        source_id = self._sources.get(contract)
-        if source_id is not None:
-            chain = self.node.chains.get(source_id)
-            if chain is not None and chain.location_of(contract) == chain.chain_id:
-                return chain
-        for chain in self.node.chains.values():
-            if chain.location_of(contract) == chain.chain_id:
-                return chain
-        return None
 
     # ------------------------------------------------------------------
     # Read-rate signal (for the rebalancer's replicate arm)

@@ -13,17 +13,12 @@ chain by id.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, List, Optional
 
 from repro.chain.chain import Chain
 from repro.chain.params import burrow_params
-from repro.chain.tx import (
-    DeployPayload,
-    Move1Payload,
-    Move2Payload,
-    Transaction,
-)
+from repro.chain.tx import Transaction
+from repro.core.locator import active_chain
 from repro.crypto.keys import Address
 from repro.node import Node
 from repro.sharding.partition import shard_of
@@ -68,12 +63,6 @@ class ShardedCluster:
         self.registry = self.node.registry
         self.engines = self.node.engines
         self.shards: List[Chain] = list(self.node.chains.values())
-        #: contract address -> shard *index* of the active copy, kept
-        #: current from the block stream (deploys, Move1 departures,
-        #: Move2 arrivals) so lookups never scan every shard.
-        self._contract_index: Dict[Address, int] = {}
-        for index, chain in enumerate(self.shards):
-            chain.subscribe(partial(self._index_block, index))
 
     # ------------------------------------------------------------------
 
@@ -109,44 +98,17 @@ class ShardedCluster:
         shard = self.shards[shard_index]
         self.sim.schedule(CLIENT_SUBMIT_LATENCY, shard.submit, tx)
 
-    def _index_block(self, shard_index: int, block, receipts) -> None:
-        """Keep the contract→shard index current from one block.
-
-        Deploys land the new address here; a successful Move1 removes
-        the entry (the contract is in transit, no shard is active); a
-        successful Move2 lands it at the receiving shard.
-        """
-        for tx, receipt in zip(block.transactions, receipts):
-            if not receipt.success:
-                continue
-            payload = tx.payload
-            if isinstance(payload, Move1Payload):
-                self._contract_index.pop(payload.contract, None)
-            elif isinstance(payload, Move2Payload):
-                self._contract_index[payload.bundle.contract] = shard_index
-            elif isinstance(payload, DeployPayload):
-                value = receipt.return_value
-                if isinstance(value, Address):
-                    self._contract_index[value] = shard_index
-
     def locate_contract(self, address: Address) -> Optional[int]:
         """Shard *index* holding the active copy of a contract, if any.
 
-        O(1) via the block-stream index.  Contracts born outside the
-        indexed events (created by another contract mid-call, or funded
-        before the first subscription) fall back to a one-time scan and
-        are cached; from then on Move1/Move2 keep the entry current.  A
+        Reads each shard's ``L_c``
+        (:func:`~repro.core.locator.active_chain`), so a contract created
+        by another contract mid-call is found like a deployed one.  A
         contract mid-move (between Move1 and Move2) has no active copy
-        and returns None.
+        and returns None.  The shard at index ``i`` is chain ``i + 1``.
         """
-        cached = self._contract_index.get(address)
-        if cached is not None:
-            return cached
-        for index, shard in enumerate(self.shards):
-            if shard.location_of(address) == shard.chain_id:
-                self._contract_index[address] = index
-                return index
-        return None
+        chain = active_chain(self.shards, address)
+        return None if chain is None else chain.chain_id - 1
 
     # ------------------------------------------------------------------
     # Rebalancing control plane
@@ -164,15 +126,16 @@ class ShardedCluster:
             SignalPlane,
         )
 
-        plane = SignalPlane(locate=self.locate_contract)
-        plane.attach(ShardLoadMonitor(self.shards))
+        utilization = ShardLoadMonitor(self.shards)
         hotness = ContractHotnessSignal()
         for index, shard in enumerate(self.shards):
             hotness.watch(index, shard)
-        plane.attach(hotness)
-        if gateway is not None:
-            plane.attach(GatewayQueueSignal(gateway))
-        return plane
+        return SignalPlane(
+            utilization,
+            hotness,
+            GatewayQueueSignal(gateway) if gateway is not None else None,
+            locate=self.locate_contract,
+        )
 
     def auto_rebalancer(
         self,

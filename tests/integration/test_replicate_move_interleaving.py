@@ -154,8 +154,8 @@ def test_move2_onto_the_mirror_host_retires_the_mirror():
 def _skewed_view(address, read_rate):
     """Shard 0 hot with one hot contract; shard 1 cool and empty."""
     shards = {
-        0: ShardLoad(0, {"utilization": 0.9}, 0.9),
-        1: ShardLoad(1, {"utilization": 0.1}, 0.1),
+        0: ShardLoad(0, 0.9),
+        1: ShardLoad(1, 0.1),
     }
     return ShardLoadView(
         0.0,

@@ -18,7 +18,7 @@ def addr(n: int) -> Address:
 
 def make_view(pressures, hotness=None, placement=None, at=0.0):
     shards = {
-        i: ShardLoad(i, {"utilization": p}, p) for i, p in pressures.items()
+        i: ShardLoad(i, p) for i, p in pressures.items()
     }
     return ShardLoadView(at, shards, hotness, placement)
 

@@ -4,14 +4,12 @@ import pytest
 
 from repro.chain.tx import CallPayload, TransferPayload, sign_transaction
 from repro.crypto.keys import Address, KeyPair
-from repro.errors import ConfigError
 from repro.gateway import Gateway, GatewayLimits
 from repro.node import Node
 from repro.chain.params import burrow_params
 from repro.rebalance.signals import (
     ContractHotnessSignal,
     GatewayQueueSignal,
-    LoadSignal,
     ShardLoadMonitor,
     SignalPlane,
 )
@@ -35,7 +33,7 @@ def load_shard(cluster, index, count, clock):
 
 
 # ----------------------------------------------------------------------
-# ShardLoadMonitor: block-fill utilization + protocol conformance
+# ShardLoadMonitor: block-fill utilization
 # ----------------------------------------------------------------------
 
 
@@ -54,13 +52,6 @@ def test_monitor_reads_utilization_from_blocks():
         1: pytest.approx(0.1),
         2: 0.0,
     }
-
-
-def test_monitor_is_a_load_signal():
-    monitor = ShardLoadMonitor([])
-    assert isinstance(monitor, LoadSignal)
-    assert monitor.name == "utilization"
-    assert monitor.contract_values() == {}
 
 
 # ----------------------------------------------------------------------
@@ -89,15 +80,17 @@ def test_hotness_ranks_contracts_and_feeds_metrics():
         produce(chain, clock)
     values = signal.contract_values()
     assert values[hot_store] > values[cold_store] > 0.0
-    assert signal.tx_rate(hot_store) == pytest.approx(4.0)
     # The signal doubles as the per-contract metrics producer.
     metrics = chain.telemetry.metrics
     assert metrics.value(
         "contract_txs_total", chain=chain.chain_id, contract=hot_store.hex
     ) == 16
-    assert metrics.value(
+    gas = metrics.value(
         "contract_gas_total", chain=chain.chain_id, contract=hot_store.hex
-    ) > 0
+    )
+    assert gas > 0
+    # Four calls a block over the four-block window, plus the gas term.
+    assert values[hot_store] == pytest.approx((16 + 1e-6 * gas) / 4)
 
 
 def test_hotness_window_slides():
@@ -111,10 +104,10 @@ def test_hotness_window_slides():
     cluster.fund_all({caller.address: 1_000_000})
     chain.submit(sign_transaction(caller, CallPayload(store, "put", (1, 1))))
     produce(chain, clock)
-    assert signal.tx_rate(store) > 0.0
+    assert signal.contract_values()[store] > 0.0
     # Two empty blocks push the activity out of the window entirely.
     produce(chain, clock, count=2)
-    assert signal.tx_rate(store) == 0.0
+    assert signal.contract_values().get(store, 0.0) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -122,10 +115,11 @@ def test_hotness_window_slides():
 # ----------------------------------------------------------------------
 
 
-class _StubSignal:
-    def __init__(self, name, shard_values, contract_values=None):
-        self.name = name
-        self._shard = shard_values
+class _Stub:
+    """A fixed load input: per-shard and per-contract values."""
+
+    def __init__(self, shard_values=None, contract_values=None):
+        self._shard = shard_values or {}
         self._contract = contract_values or {}
 
     def shard_values(self):
@@ -137,35 +131,32 @@ class _StubSignal:
 
 def test_plane_composes_weighted_pressure():
     placement = {addr(1): 0}
-    plane = SignalPlane(locate=placement.get)
-    plane.attach(_StubSignal("utilization", {0: 0.8, 1: 0.2}))
-    plane.attach(_StubSignal("gateway_queue", {0: 0.4}, {addr(1): 3.0}))
+    plane = SignalPlane(
+        _Stub({0: 0.8, 1: 0.2}),
+        _Stub(contract_values={addr(1): 3.0}),
+        _Stub({0: 0.4, 2: 0.6}),
+        locate=placement.get,
+    )
     view = plane.sample(now=12.0)
     assert view.at == 12.0
-    assert view.pressure(0) == pytest.approx(0.8 + 0.5 * 0.4)
-    assert view.pressure(1) == pytest.approx(0.2)
+    assert view.pressure(0) == 0.8 + 0.5 * 0.4
+    assert view.pressure(1) == 0.2
+    # A shard only the gateway reports is queue pressure alone.
+    assert view.pressure(2) == 0.5 * 0.6
     assert view.pressure(99) == 0.0
-    assert view.shard_ids() == [0, 1]
+    assert view.shard_ids() == [0, 1, 2]
     assert view.contract_hotness == {addr(1): 3.0}
     assert view.hottest_contracts(0) == [(addr(1), 3.0)]
     assert view.hottest_contracts(1) == []
-
-
-def test_plane_rejects_duplicate_signal_names():
-    plane = SignalPlane()
-    plane.attach(_StubSignal("utilization", {}))
-    with pytest.raises(ConfigError):
-        plane.attach(_StubSignal("utilization", {}))
-    assert plane.signal_names() == ["utilization"]
-    assert plane.signal("utilization") is not None
-    assert plane.signal("missing") is None
 
 
 def test_cluster_load_plane_is_fully_wired():
     cluster = ShardedCluster(num_shards=2, seed=3, max_block_txs=10)
     clock = ManualClock()
     plane = cluster.load_plane()
-    assert plane.signal_names() == ["utilization", "hotness"]
+    assert isinstance(plane.utilization, ShardLoadMonitor)
+    assert isinstance(plane.hotness, ContractHotnessSignal)
+    assert plane.gateway_queue is None
     store = deploy_store(cluster.shard(0), clock, ALICE)
     caller = KeyPair.from_name("plane-caller")
     cluster.fund_all({caller.address: 1_000_000})

@@ -30,10 +30,11 @@ def addr(n: int) -> Address:
     return Address(bytes([n]) * 20)
 
 
-class _StubSignal:
-    def __init__(self, name, shard_values, contract_values=None):
-        self.name = name
-        self.shard = dict(shard_values)
+class _Stub:
+    """A fixed load input: per-shard and per-contract values."""
+
+    def __init__(self, shard_values=None, contract_values=None):
+        self.shard = dict(shard_values or {})
         self.contract = dict(contract_values or {})
 
     def shard_values(self):
@@ -46,9 +47,12 @@ class _StubSignal:
 def skewed_plane(placement=None, read_rates=None):
     """Shard 0 saturated, shard 1 idle, one hot contract on 0."""
     placement = placement if placement is not None else {addr(1): 0}
-    plane = SignalPlane(locate=placement.get, read_rates=read_rates)
-    plane.attach(_StubSignal("utilization", {0: 0.95, 1: 0.05}, {addr(1): 2.0}))
-    return plane
+    return SignalPlane(
+        _Stub({0: 0.95, 1: 0.05}),
+        _Stub(contract_values={addr(1): 2.0}),
+        locate=placement.get,
+        read_rates=read_rates,
+    )
 
 
 def quick_policy(**overrides):
@@ -233,7 +237,7 @@ def test_attach_while_running_starts_immediately():
 
 
 # ----------------------------------------------------------------------
-# Contract location index (satellite: O(1) locate_contract)
+# Contract location: locate_contract reads each shard's L_c
 # ----------------------------------------------------------------------
 
 

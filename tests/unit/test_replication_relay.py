@@ -37,11 +37,12 @@ from tests.helpers import (
 
 
 def _relay_setup():
-    """Burrow source (1), Ethereum-trie target (2, burrow timings so
-    the staleness bound stays 2), one replicated StoreContract."""
+    """Burrow source (1), Ethereum-trie target (2), one replicated
+    StoreContract.  The staleness bound is the source's p = 2 blocks,
+    and every mirror update crosses flavours (IAVL to Patricia trie)."""
     registry = ChainRegistry()
     source = Chain(burrow_params(1), registry)
-    target = Chain(burrow_params(2), registry)
+    target = Chain(ethereum_params(2), registry)
     connect_chains([source, target])
     clock = ManualClock()
     address = deploy_store(source, clock, ALICE)
