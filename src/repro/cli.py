@@ -320,31 +320,53 @@ def _cmd_ibc(args) -> int:
     return 0
 
 
-def _traced_chaos(args):
-    """Run one traced chaos workload; returns (telemetry, report)."""
+def _run_chaos(args, health=False):
+    """Run one chaos workload from the CLI's arguments (``--no-faults``
+    swaps in an empty fault plan).  Traced, it returns ``(telemetry,
+    report)``.  With ``health``, it hosts a health monitor instead and
+    returns ``(monitor, report)``; ``report`` is then None when an
+    invariant violation aborted the run — the monitor (and its
+    postmortem of the violation) survives the abort via the
+    ``on_monitor`` hook."""
+    from repro.errors import InvariantViolation
     from repro.faults.chaos import run_chaos
     from repro.faults.plan import FaultPlan
     from repro.telemetry import Telemetry
 
-    telemetry = Telemetry.enabled()
     plan = None
-    if getattr(args, "no_faults", False):
+    if args.no_faults:
         plan = FaultPlan(seed=args.seed, duration=args.duration, events=())
-    report = run_chaos(
-        args.seed,
-        duration=args.duration,
-        workload=args.workload,
-        plan=plan,
-        intensity=args.intensity,
-        telemetry=telemetry,
-    )
-    return telemetry, report
+    telemetry = None if health else Telemetry.enabled()
+    monitors = []
+    try:
+        report = run_chaos(
+            args.seed,
+            duration=args.duration,
+            workload=args.workload,
+            plan=plan,
+            intensity=args.intensity,
+            telemetry=telemetry,
+            pow_peer=getattr(args, "pow_peer", False),
+            replicate=getattr(args, "replicate", False),
+            health=health,
+            on_monitor=monitors.append,
+        )
+    except InvariantViolation as violation:
+        if not health:
+            raise
+        print(f"invariant violation aborted the run: {violation}", file=sys.stderr)
+        report = None
+    if not health:
+        return telemetry, report
+    monitor = monitors[0]
+    monitor.stop()
+    return monitor, report
 
 
 def _cmd_telemetry_breakdown(args) -> int:
     from repro.telemetry.phases import breakdown_rows, trace_phases
 
-    telemetry, report = _traced_chaos(args)
+    telemetry, report = _run_chaos(args)
     traces = trace_phases(telemetry.tracer.finished_spans())
     rows = breakdown_rows(traces)
     if args.json:
@@ -374,7 +396,7 @@ def _cmd_telemetry_breakdown(args) -> int:
 def _cmd_telemetry_slowest(args) -> int:
     from repro.telemetry.phases import PHASES, slowest_traces, trace_phases
 
-    telemetry, _report = _traced_chaos(args)
+    telemetry, _report = _run_chaos(args)
     traces = trace_phases(telemetry.tracer.finished_spans())
     slowest = slowest_traces(traces, top=args.top)
     if args.json:
@@ -399,7 +421,7 @@ def _cmd_telemetry_export(args) -> int:
         spans_to_jsonl,
     )
 
-    telemetry, _report = _traced_chaos(args)
+    telemetry, _report = _run_chaos(args)
     spans = telemetry.tracer.finished_spans()
     if args.format == "jsonl":
         text = spans_to_jsonl(spans)
@@ -416,41 +438,8 @@ def _cmd_telemetry_export(args) -> int:
     return 0
 
 
-def _health_chaos(args):
-    """Run one health-monitored chaos workload; returns
-    ``(monitor, report)``.  ``report`` is None when an invariant
-    violation aborted the run — the monitor (and its postmortem of the
-    violation) survives the abort via the ``on_monitor`` hook."""
-    from repro.errors import InvariantViolation
-    from repro.faults.chaos import run_chaos
-    from repro.faults.plan import FaultPlan
-
-    plan = None
-    if getattr(args, "no_faults", False):
-        plan = FaultPlan(seed=args.seed, duration=args.duration, events=())
-    holder = {}
-    try:
-        report = run_chaos(
-            args.seed,
-            duration=args.duration,
-            workload=args.workload,
-            plan=plan,
-            intensity=args.intensity,
-            pow_peer=getattr(args, "pow_peer", False),
-            replicate=getattr(args, "replicate", False),
-            health=True,
-            on_monitor=lambda m: holder.__setitem__("monitor", m),
-        )
-    except InvariantViolation as violation:
-        print(f"invariant violation aborted the run: {violation}", file=sys.stderr)
-        report = None
-    monitor = holder["monitor"]
-    monitor.stop()
-    return monitor, report
-
-
 def _cmd_obs_status(args) -> int:
-    monitor, report = _health_chaos(args)
+    monitor, report = _run_chaos(args, health=True)
     status = monitor.status()
     if args.json:
         _print_json(status)
@@ -478,7 +467,7 @@ def _cmd_obs_status(args) -> int:
 
 
 def _cmd_obs_slo(args) -> int:
-    monitor, report = _health_chaos(args)
+    monitor, report = _run_chaos(args, health=True)
     log = monitor.alert_log()
     if args.json:
         _print_json({
@@ -512,7 +501,7 @@ def _cmd_obs_slo(args) -> int:
 
 
 def _cmd_obs_postmortem(args) -> int:
-    monitor, report = _health_chaos(args)
+    monitor, report = _run_chaos(args, health=True)
     text = monitor.last_postmortem_json()
     if not text:
         # Nothing tripped the recorder — dump the final state on demand.

@@ -15,6 +15,12 @@ precommit ≈ three one-way quorum latencies on top of the interval.
 Validators here always vote for valid proposals (no Byzantine behaviour
 is exercised by the paper's performance evaluation); safety-relevant
 quorum arithmetic is still enforced and unit-tested.
+
+Restarts are guarded by an epoch, not by cancelling one timer as the
+:meth:`~repro.net.sim.Simulator.every` loops are: the engine arms a
+timeout per round and a proposal per commit, which votes in flight can
+trigger.  Each carries the epoch it was armed under, so one armed
+before a stop()/start() cycle fires as a no-op.
 """
 
 from __future__ import annotations

@@ -109,6 +109,7 @@ from repro.gateway.handles import (
 from repro.gateway.limits import GatewayLimits, TokenBucket
 from repro.gateway.subscription import Subscription, SubscriptionHub
 from repro.ibc.bridge import CompletionFactory, MovePhases, drive_move
+from repro.net.sim import EventHandle
 from repro.node.node import Node
 from repro.statedb.receipts import Receipt
 from repro.telemetry import Telemetry
@@ -203,11 +204,10 @@ class Gateway:
         #: (client_id, key) -> original handle, for idempotent retries
         self._by_key: Dict[Tuple[str, str], RequestHandle] = {}
         self._move_by_key: Dict[Tuple[str, str], MoveHandle] = {}
-        self._started = False
-        #: bumped on every start(); stale flush timers check it and die
-        self._epoch = 0
-        #: flush ticks so far; picks which replica claims headroom first
-        self._tick = 0
+        #: the flush loop while serving; None while stopped
+        self._flush_loop: Optional[EventHandle] = None
+        #: flushes so far; picks which replica claims headroom first
+        self._flushes = 0
         #: replayable admission evidence (see :data:`LogRecord`)
         self.admission_log: List[LogRecord] = []
         self.subscriptions = SubscriptionHub(self)
@@ -255,23 +255,21 @@ class Gateway:
 
     @property
     def started(self) -> bool:
-        return self._started
+        return self._flush_loop is not None
 
     def start(self) -> None:
         """Start serving: block production plus the one flush loop
         (idempotent)."""
-        if self._started:
+        if self._flush_loop is not None:
             return
-        self._started = True
-        self._epoch += 1
         self.node.start()
-        self.node.sim.schedule(
-            self.limits.flush_interval, self._flush_tick, self._epoch
-        )
+        self._flush_loop = self._sim.every(self.limits.flush_interval, self.flush)
 
     def stop(self) -> None:
-        """Stop the flush loop and block production."""
-        self._started = False
+        """Cancel the flush loop and stop block production."""
+        if self._flush_loop is not None:
+            self._flush_loop.cancel()
+            self._flush_loop = None
         self.node.stop()
 
     # ------------------------------------------------------------------
@@ -569,12 +567,6 @@ class Gateway:
     # Micro-batch flushing
     # ------------------------------------------------------------------
 
-    def _flush_tick(self, epoch: int) -> None:
-        if not self._started or epoch != self._epoch:
-            return  # stopped, or a stale timer from before a restart
-        self.flush()
-        self.node.sim.schedule(self.limits.flush_interval, self._flush_tick, epoch)
-
     def flush(self) -> int:
         """Pour one micro-batch per replica per chain into the mempools;
         returns the number of transactions submitted.
@@ -594,8 +586,8 @@ class Gateway:
         }
         self._m_ticks.inc()
         count = len(self.replicas)
-        first = self._tick % count
-        self._tick += 1
+        first = self._flushes % count
+        self._flushes += 1
         tracer = self.telemetry.tracer
         resolve = self._resolve
         submitted = 0
@@ -878,7 +870,7 @@ class Gateway:
             or any(depth >= bound for depths in per_replica for depth in depths.values())
         )
         return {
-            "serving": self._started,
+            "serving": self.started,
             "degraded": degraded,
             "replicas": len(self.replicas),
             "queues": {c: self.queue_depth(c) for c in chains},

@@ -1,5 +1,5 @@
 """The health monitor: probes + SLO evaluation + flight recording on
-one periodic, epoch-guarded simulated-clock loop.
+one periodic simulated-clock loop, which ``stop()`` cancels.
 
 A :class:`HealthMonitor` is hosted the way a
 :class:`~repro.rebalance.rebalancer.Rebalancer` is — built over a
@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.errors import ConfigError
 from repro.health.recorder import FlightRecorder, bundle_json
 from repro.health.slo import SloEvaluator, SloSpec
+from repro.net.sim import EventHandle
 from repro.telemetry import Telemetry
 
 
@@ -63,8 +64,8 @@ class HealthMonitor:
         self.transitions: List[Dict[str, object]] = []
         #: how many transitions a postmortem bundle carries
         self.transition_tail = transition_tail
-        self._running = False
-        self._epoch = 0
+        #: the sampling loop while running; None while stopped
+        self._loop: Optional[EventHandle] = None
         self._ticks = 0
         metrics = self.telemetry.metrics
         self._m_ticks = metrics.counter("health_ticks_total")
@@ -105,12 +106,12 @@ class HealthMonitor:
         self.probes.append(probe)
 
     # ------------------------------------------------------------------
-    # Lifecycle (the Rebalancer/Node epoch-guard idiom)
+    # Lifecycle (a Simulator.every loop, as the Rebalancer's and Node's)
     # ------------------------------------------------------------------
 
     @property
     def running(self) -> bool:
-        return self._running
+        return self._loop is not None
 
     @property
     def ticks(self) -> int:
@@ -119,21 +120,14 @@ class HealthMonitor:
 
     def start(self) -> None:
         """Begin periodic sampling (idempotent, restart-safe)."""
-        if self._running:
-            return
-        self._running = True
-        self._epoch += 1
-        self.sim.schedule(self.interval, self._tick, self._epoch)
+        if self._loop is None:
+            self._loop = self.sim.every(self.interval, self.sample)
 
     def stop(self) -> None:
-        """Stop sampling (pending tick timers become no-ops)."""
-        self._running = False
-
-    def _tick(self, epoch: int) -> None:
-        if not self._running or epoch != self._epoch:
-            return
-        self.sample()
-        self.sim.schedule(self.interval, self._tick, epoch)
+        """Stop sampling: the pending tick is cancelled."""
+        if self._loop is not None:
+            self._loop.cancel()
+            self._loop = None
 
     # ------------------------------------------------------------------
     # One sampling round

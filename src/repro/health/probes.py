@@ -199,9 +199,12 @@ class GatewayQueueProbe:
     Per served chain, the queued+parked depth as a fraction of the
     configured bound; plus one aggregate ``gateway:shed`` target whose
     value is the shed fraction of requests since the previous sample.
+    The bound is per replica, so a chain is judged by its fullest
+    replica, as :meth:`~repro.gateway.gateway.Gateway.health` judges it.
 
     Each chain also emits one ``gateway:<chain>:<class>`` sample per
-    admission class, from ``gateway.class_depths``.
+    admission class, judged by the replica whose queue holds the most
+    of that class.
     The move class gets a much tighter threshold: moves flush ahead of
     everything else, so a move backlog at even a quarter of the bound
     means the priority plane itself is failing, long before the
@@ -228,8 +231,9 @@ class GatewayQueueProbe:
         """Per-chain depth judgements plus the aggregate shed target."""
         samples = []
         bound = self.gateway.limits.max_queue_depth
+        replicas = self.gateway.replicas
         for chain_id in sorted(self.gateway.node.chains):
-            depth = self.gateway.queue_depth(chain_id)
+            depth = max(r.queue_depth(chain_id) for r in replicas)
             fraction = depth / bound if bound else 0.0
             samples.append(
                 ProbeSample(
@@ -239,7 +243,9 @@ class GatewayQueueProbe:
                     detail=f"{depth}/{bound} queued",
                 )
             )
-            for label, class_depth in self.gateway.class_depths(chain_id).items():
+            by_replica = [r.queues[chain_id].depths_by_class() for r in replicas]
+            for label in by_replica[0]:
+                class_depth = max(depths[label] for depths in by_replica)
                 class_fraction = class_depth / bound if bound else 0.0
                 threshold = (
                     self.move_threshold

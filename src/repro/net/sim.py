@@ -22,7 +22,8 @@ from repro.errors import SimulationError
 
 
 class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`; allows cancellation."""
+    """Handle returned by :meth:`Simulator.schedule` and
+    :meth:`Simulator.every`; allows cancellation."""
 
     __slots__ = ("_event",)
 
@@ -30,7 +31,9 @@ class EventHandle:
         self._event = event
 
     def cancel(self) -> None:
-        """Prevent the event from firing (no-op if it already fired)."""
+        """Prevent the event from firing (no-op if it already fired); a
+        loop from :meth:`Simulator.every` stops, also if cancelled from
+        inside its own callback."""
         self._event[2] = None
 
     @property
@@ -79,6 +82,29 @@ class Simulator:
     ) -> EventHandle:
         """Run ``callback(*args)`` at an absolute simulated time."""
         return self.schedule(time - self._now, callback, *args)
+
+    def every(
+        self, interval: float, callback: Callable[..., None], *args: Any
+    ) -> EventHandle:
+        """Run ``callback(*args)`` every ``interval`` simulated seconds,
+        the first time one interval from now, until the returned
+        handle is cancelled.  ``interval`` must be finite and ``> 0``
+        (zero would spin forever at one instant)."""
+        if not 0 < interval < inf:
+            raise SimulationError(f"interval must be finite and > 0, got {interval}")
+        handle = self.schedule(interval, self._repeat)
+        handle._event[3] = (handle._event, interval, callback, args)
+        return handle
+
+    def _repeat(self, event: list, interval: float, callback, args: tuple) -> None:
+        callback(*args)
+        # One loop is one event, re-queued with a fresh sequence number
+        # after the callback returns, unless the callback cancelled it.
+        if event[2] is not None:
+            self._seq += 1
+            event[0] = self._now + interval
+            event[1] = self._seq
+            heappush(self._queue, event)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Process events until the queue drains, ``until`` is reached,

@@ -19,7 +19,9 @@ Two block-production drivers:
 * ``"timer"`` (default) — each chain commits a block every
   ``block_interval`` simulated seconds, deterministically.  This is the
   servable-system equivalent of the lockstep ``produce_block`` loops
-  the benchmarks use, so results are directly comparable;
+  the benchmarks use, so results are directly comparable.  Each
+  chain's timer is one :meth:`~repro.net.sim.Simulator.every` loop,
+  which ``stop()`` cancels: a stopped node leaves no tick pending;
 * ``"consensus"`` — each chain runs its flavour's engine over the
   simulated WAN, ``params.validator_count`` validators (or miners) in
   randomly drawn regions: Tendermint vote rounds for ``burrow``,
@@ -42,7 +44,7 @@ from repro.consensus.tendermint import TendermintEngine
 from repro.core.registry import ChainRegistry
 from repro.errors import ConfigError, UnknownChainError
 from repro.ibc.headers import HeaderRelay, connect_chains
-from repro.net.sim import Simulator
+from repro.net.sim import EventHandle, Simulator
 from repro.net.transport import Network
 from repro.statedb.receipts import Receipt
 from repro.telemetry import Telemetry
@@ -107,12 +109,11 @@ class Node:
                 )
                 engine = ENGINES[chain.params.flavor]
                 self.engines.append(engine(self.sim, self.network, chain, regions))
-        self._running = False
-        self._rebalancer = None
-        self._replication = None
-        self._health = None
-        #: bumped on every start(); stale tick timers check it and die
-        self._epoch = 0
+        #: one block timer per chain while running (empty under
+        #: ``"consensus"``); None while stopped
+        self._timers: Optional[List[EventHandle]] = None
+        #: hosted services, started and stopped in this order
+        self._services = {"rebalancer": None, "replication": None, "health": None}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -125,62 +126,69 @@ class Node:
 
     @property
     def running(self) -> bool:
-        return self._running
+        return self._timers is not None
 
     def start(self) -> None:
         """Begin block production (idempotent, restart-safe)."""
-        if self._running:
+        if self._timers is not None:
             return
-        self._running = True
-        self._epoch += 1
+        self._timers = []
         if self.driver == "consensus":
             for engine in self.engines:
                 engine.start()
         else:
             for chain in self.chains.values():
-                self.sim.schedule(
-                    chain.params.block_interval, self._tick, chain, self._epoch
-                )
-        if self._rebalancer is not None:
-            self._rebalancer.start()
-        if self._replication is not None:
-            self._replication.start()
-        if self._health is not None:
-            self._health.start()
+                # The block timestamp is read when the timer fires.
+                self._timers.append(self.sim.every(
+                    chain.params.block_interval,
+                    lambda chain=chain: chain.produce_block(
+                        self.sim.now, proposer=f"node-{chain.chain_id}"
+                    ),
+                ))
+        for service in self._services.values():
+            if service is not None:
+                service.start()
 
     def stop(self) -> None:
-        """Halt block production (pending timers become no-ops)."""
-        self._running = False
-        if self._rebalancer is not None:
-            self._rebalancer.stop()
-        if self._replication is not None:
-            self._replication.stop()
-        if self._health is not None:
-            self._health.stop()
+        """Halt block production: the block timers are cancelled and
+        the hosted services stopped."""
+        for timer in self._timers or ():
+            timer.cancel()
+        self._timers = None
+        for service in self._services.values():
+            if service is not None:
+                service.stop()
         for engine in self.engines:
             engine.stop()
+
+    def _host(self, slot: str, service):
+        """Put ``service`` in ``slot``: stop the one it replaces, and
+        start it if block production is running."""
+        old = self._services[slot]
+        if old is not None and old is not service:
+            old.stop()
+        self._services[slot] = service
+        if service is not None and self.running:
+            service.start()
+        return service
 
     @property
     def rebalancer(self):
         """The attached :class:`~repro.rebalance.rebalancer.Rebalancer`,
         if any."""
-        return self._rebalancer
+        return self._services["rebalancer"]
 
     def attach_rebalancer(self, rebalancer) -> None:
         """Host a rebalancing control loop: it starts and stops with
         block production.  Attaching while running starts it at once;
         attaching None detaches (stopping the old one)."""
-        if self._rebalancer is not None and self._rebalancer is not rebalancer:
-            self._rebalancer.stop()
-        self._rebalancer = rebalancer
-        if rebalancer is not None and self._running:
-            rebalancer.start()
+        self._host("rebalancer", rebalancer)
 
     @property
     def replication(self):
         """The attached
         :class:`~repro.replicate.manager.ReplicationManager`, if any."""
-        return self._replication
+        return self._services["replication"]
 
     def attach_replication(self, manager=_BUILD):
         """Host a replication manager: its relays start and stop with
@@ -190,23 +198,18 @@ class Node:
         over this node on first use); attaching None detaches, stopping
         the old one.  Returns the attached manager."""
         if manager is _BUILD:
-            if self._replication is not None:
-                return self._replication
+            if self.replication is not None:
+                return self.replication
             from repro.replicate.manager import ReplicationManager
 
             manager = ReplicationManager(self)
-        if self._replication is not None and self._replication is not manager:
-            self._replication.stop()
-        self._replication = manager
-        if manager is not None and self._running:
-            manager.start()
-        return manager
+        return self._host("replication", manager)
 
     @property
     def health(self):
         """The attached :class:`~repro.health.monitor.HealthMonitor`,
         if any."""
-        return self._health
+        return self._services["health"]
 
     def attach_health(self, monitor=_BUILD):
         """Host a health monitor: it samples while block production
@@ -215,17 +218,12 @@ class Node:
         monitor is built on first use); attaching None detaches,
         stopping the old one.  Returns the attached monitor."""
         if monitor is _BUILD:
-            if self._health is not None:
-                return self._health
+            if self.health is not None:
+                return self.health
             from repro.health.monitor import HealthMonitor
 
             monitor = HealthMonitor.for_node(self)
-        if self._health is not None and self._health is not monitor:
-            self._health.stop()
-        self._health = monitor
-        if monitor is not None and self._running:
-            monitor.start()
-        return monitor
+        return self._host("health", monitor)
 
     def serve(self, replicas: int = 1, limits=None):
         """Stand up a :class:`~repro.gateway.gateway.Gateway` with
@@ -236,15 +234,6 @@ class Node:
         from repro.gateway.gateway import Gateway
 
         return Gateway(self, limits=limits, replicas=replicas)
-
-    def _tick(self, chain: Chain, epoch: int) -> None:
-        if not self._running or epoch != self._epoch:
-            # Stopped, or a timer left pending across a stop()/start()
-            # cycle — without the epoch check a restart would leave two
-            # independent tick chains doubling block production.
-            return
-        chain.produce_block(self.sim.now, proposer=f"node-{chain.chain_id}")
-        self.sim.schedule(chain.params.block_interval, self._tick, chain, epoch)
 
     def run(self, until: Optional[float] = None) -> int:
         """Advance the simulator (see :meth:`Simulator.run`)."""

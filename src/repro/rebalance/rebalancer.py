@@ -25,9 +25,10 @@ Observability and failure handling:
   broken actuation path degrades the control loop to observation, it
   never crashes block production.
 
-Start/stop uses the same epoch-guarded timer pattern as
-:class:`~repro.node.node.Node` block production, so a stop()/start()
-cycle can never leave two concurrent tick chains running.
+The evaluation timer is one :meth:`~repro.net.sim.Simulator.every`
+loop, as :class:`~repro.node.node.Node` block production is: stop()
+cancels it, so a stopped rebalancer leaves no tick pending and a
+stop()/start() cycle can never leave two loops running.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigError, StateError, UnknownChainError
+from repro.net.sim import EventHandle
 from repro.rebalance.policy import MoveDecision, RebalancePolicy
 from repro.rebalance.signals import SignalPlane
 from repro.telemetry import Telemetry
@@ -78,8 +80,8 @@ class Rebalancer:
         #: the replay-determinism artifact.  Entries gain ``status`` and
         #: ``finished_at`` when their move settles.
         self.decision_log: List[Dict[str, Any]] = []
-        self._running = False
-        self._epoch = 0
+        #: the evaluation loop while running; None while stopped
+        self._loop: Optional[EventHandle] = None
         self._ticks = 0
 
     # ------------------------------------------------------------------
@@ -88,7 +90,7 @@ class Rebalancer:
 
     @property
     def running(self) -> bool:
-        return self._running
+        return self._loop is not None
 
     @property
     def ticks(self) -> int:
@@ -97,21 +99,14 @@ class Rebalancer:
 
     def start(self) -> None:
         """Begin periodic evaluation (idempotent, restart-safe)."""
-        if self._running:
-            return
-        self._running = True
-        self._epoch += 1
-        self.sim.schedule(self.interval, self._tick, self._epoch)
+        if self._loop is None:
+            self._loop = self.sim.every(self.interval, self.evaluate)
 
     def stop(self) -> None:
-        """Halt evaluation; in-flight moves still settle and report."""
-        self._running = False
-
-    def _tick(self, epoch: int) -> None:
-        if not self._running or epoch != self._epoch:
-            return
-        self.evaluate()
-        self.sim.schedule(self.interval, self._tick, epoch)
+        """Cancel evaluation; in-flight moves still settle and report."""
+        if self._loop is not None:
+            self._loop.cancel()
+            self._loop = None
 
     # ------------------------------------------------------------------
     # One control-loop iteration (public so tests/benches can step it)

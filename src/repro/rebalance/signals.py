@@ -287,23 +287,23 @@ class ContractHotnessSignal:
 class GatewayQueueSignal:
     """Admission backpressure from a gateway's bounded queues.
 
-    Reports each served chain's queued+parked depth as a fraction of the
-    configured bound — 1.0 means the front door is shedding.  Values
-    come from the gateway's public introspection surface
-    (:meth:`~repro.gateway.gateway.Gateway.queue_depth` and its
-    limits), not its internals.
+    Reports each served chain's queued+parked depth on its fullest
+    replica as a fraction of the per-replica bound — 1.0 means that
+    replica is shedding, the rule
+    :meth:`~repro.gateway.gateway.Gateway.health` applies.
     """
 
     def __init__(self, gateway):
         self.gateway = gateway
 
     def shard_values(self) -> Mapping[int, float]:
-        """Queue depth per shard as a fraction of the admission bound."""
+        """Fullest-replica queue depth per shard as a fraction of the
+        admission bound."""
         limits = self.gateway.limits
         bound = limits.max_queue_depth + limits.max_blocked
         values: Dict[int, float] = {}
         for chain_id in self.gateway.node.chains:
-            depth = self.gateway.queue_depth(chain_id)
+            depth = max(r.queue_depth(chain_id) for r in self.gateway.replicas)
             # shard index = chain id - 1, the cluster convention
             values[chain_id - 1] = depth / bound if bound > 0 else 0.0
         return values

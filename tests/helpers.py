@@ -12,6 +12,7 @@ from repro.chain.tx import (
     DeployPayload,
     Move1Payload,
     Move2Payload,
+    TransferPayload,
     sign_transaction,
 )
 from repro.core.registry import ChainRegistry
@@ -118,3 +119,21 @@ def forge_leaf(bundle, **fields):
         steps=proof.steps,
     )
     return dataclasses.replace(bundle, account_proof=forged)
+
+
+def fill_replicas(gateway, chain_id: int, per_replica: int) -> None:
+    """Queue ``per_replica`` unflushed transfers on every replica of a
+    (not yet started) gateway, each through a client pinned to it."""
+    clients: Dict[int, str] = {}
+    index = 0
+    while len(clients) < len(gateway.replicas):
+        client_id = f"client-{index}"
+        clients.setdefault(gateway.replica_for(client_id).index, client_id)
+        index += 1
+    nonce = 0
+    for client_id in clients.values():
+        for _ in range(per_replica):
+            payload = TransferPayload(to=BOB.address, amount=1)
+            tx = sign_transaction(ALICE, payload, nonce=nonce)
+            assert gateway.submit(tx, chain_id, client_id=client_id).error is None
+            nonce += 1

@@ -1,8 +1,9 @@
 """Unit tests for the gateway fleet, subscriptions and SDK ergonomics.
 
 Covers the fleet's coordination guarantees (stable routing, the shared
-admission budget, rotating flush order, epoch-guarded restart), the
-push subscription path, victim-attributed shed accounting, and the
+admission budget, rotating flush order, a restart that cancels the old
+flush loop), the push subscription path, victim-attributed shed
+accounting, and the
 client-facing ergonomics added with the fleet (``priority=``,
 ``handle.wait(timeout=)``, keyword-only validated ``Client``).
 """

@@ -3,7 +3,9 @@ unhealthy judgement against hand-built system states."""
 
 from types import SimpleNamespace
 
+from repro.chain.params import burrow_params
 from repro.crypto.keys import Address
+from repro.gateway import Gateway, GatewayLimits
 from repro.health.probes import (
     ChainLivenessProbe,
     GatewayQueueProbe,
@@ -12,8 +14,10 @@ from repro.health.probes import (
     RelayLagProbe,
     ReplicaStalenessProbe,
 )
+from repro.node import Node
 from repro.replicate.mirror import HALTED, LIVE, SYNCING, TOMBSTONED
 from repro.telemetry import MetricsRegistry
+from tests.helpers import fill_replicas
 
 
 def _chain(chain_id, height=0, block_interval=5.0, max_block_txs=100, mempool=()):
@@ -181,13 +185,22 @@ class TestReplicaStaleness:
 # ----------------------------------------------------------------------
 
 
-def _gateway(depths, bound=100, metrics=None):
+def _gateway(depths, bound=100, metrics=None, classes=None):
+    """A one-replica gateway: ``depths`` per chain, split by class as
+    ``classes(chain)`` says (all bulk by default)."""
     metrics = metrics if metrics is not None else MetricsRegistry()
+    if classes is None:
+        classes = lambda c: {"move": 0, "view": 0, "bulk": depths[c]}  # noqa: E731
+    replica = SimpleNamespace(
+        queue_depth=lambda c: depths[c],
+        queues={
+            c: SimpleNamespace(depths_by_class=lambda c=c: classes(c)) for c in depths
+        },
+    )
     return SimpleNamespace(
         limits=SimpleNamespace(max_queue_depth=bound),
         node=SimpleNamespace(chains={c: None for c in depths}),
-        queue_depth=lambda c: depths[c],
-        class_depths=lambda c: {"move": 0, "view": 0, "bulk": depths[c]},
+        replicas=[replica],
         telemetry=SimpleNamespace(metrics=metrics),
     )
 
@@ -207,8 +220,9 @@ class TestGatewayQueue:
         assert not samples[0].healthy
 
     def test_classed_gateway_emits_per_class_samples(self):
-        gateway = _gateway({1: 30}, bound=100)
-        gateway.class_depths = lambda c: {"move": 0, "view": 5, "bulk": 25}
+        gateway = _gateway(
+            {1: 30}, bound=100, classes=lambda c: {"move": 0, "view": 5, "bulk": 25}
+        )
         samples = GatewayQueueProbe(gateway).sample(0.0)
         by_target = {s.target: s for s in samples}
         assert by_target["gateway:1:move"].value == 0.0
@@ -220,12 +234,26 @@ class TestGatewayQueue:
         # 30/100 queued moves is far under the 90% aggregate threshold
         # but means the priority plane is broken: moves flush first, so
         # any sustained move backlog is alarming.
-        gateway = _gateway({1: 30}, bound=100)
-        gateway.class_depths = lambda c: {"move": 30, "view": 0, "bulk": 0}
+        gateway = _gateway(
+            {1: 30}, bound=100, classes=lambda c: {"move": 30, "view": 0, "bulk": 0}
+        )
         samples = GatewayQueueProbe(gateway, move_threshold=0.25).sample(0.0)
         by_target = {s.target: s for s in samples}
         assert by_target["gateway:1"].healthy
         assert not by_target["gateway:1:move"].healthy
+
+    def test_a_replicated_gateway_is_judged_by_its_fullest_replica(self):
+        # 3 of 10 slots on each of 4 replicas: no replica is near its
+        # bound, so neither the probe nor Gateway.health() may read the
+        # 12 queued in total as 120 % full.
+        node = Node(burrow_params(1), verify_signatures=False)
+        gateway = Gateway(node, GatewayLimits(max_queue_depth=10), replicas=4)
+        fill_replicas(gateway, 1, per_replica=3)
+        by_target = {s.target: s for s in GatewayQueueProbe(gateway).sample(0.0)}
+        assert by_target["gateway:1"].value == 0.3
+        assert by_target["gateway:1"].healthy
+        assert by_target["gateway:1:bulk"].value == 0.3
+        assert gateway.health()["degraded"] is False
 
     def test_shed_rate_is_delta_based(self):
         metrics = MetricsRegistry()

@@ -1,4 +1,5 @@
-"""The node as a deployment assembler: the ``"consensus"`` driver.
+"""The node as a deployment assembler: the ``"consensus"`` driver, and
+the lifecycle of the loops a node hosts.
 
 A node over one Burrow and one Ethereum chain is the paper's §VIII
 deployment: each chain runs its flavour's engine, and each peer
@@ -12,7 +13,11 @@ from repro.chain.params import burrow_params, ethereum_params
 from repro.consensus.pow import PowEngine
 from repro.consensus.tendermint import TendermintEngine
 from repro.errors import ConfigError, StateError
+from repro.gateway.gateway import Gateway
+from repro.health.monitor import HealthMonitor
+from repro.net.sim import Simulator
 from repro.node import Node
+from repro.rebalance import Rebalancer, SignalPlane
 
 
 def make_pair(**burrow_overrides):
@@ -92,3 +97,73 @@ def test_unknown_driver_names_the_allowed_ones():
     for driver in ("tendermint", "pow"):
         with pytest.raises(ConfigError, match=r"\('timer', 'consensus'\)"):
             Node(burrow_params(1), driver=driver)
+
+
+# ----------------------------------------------------------------------
+# Hosted loops: a stopped loop leaves no live event
+# ----------------------------------------------------------------------
+
+
+class _NoLoad:
+    def shard_values(self):
+        return {}
+
+    def contract_values(self):
+        return {}
+
+
+def _timer_node():
+    node = Node(burrow_params(1))
+    return node.sim, node
+
+
+def _gateway():
+    node = Node(burrow_params(1))
+    return node.sim, Gateway(node)
+
+
+def _rebalancer():
+    sim = Simulator(seed=1)
+    return sim, Rebalancer(sim, SignalPlane(_NoLoad(), _NoLoad()), interval=10.0)
+
+
+def _health_monitor():
+    sim = Simulator(seed=1)
+    return sim, HealthMonitor(sim, interval=5.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_timer_node, _gateway, _rebalancer, _health_monitor],
+    ids=["node", "gateway", "rebalancer", "health_monitor"],
+)
+def test_a_stopped_loop_leaves_no_live_event(build):
+    sim, loop = build()
+    loop.start()
+    sim.run(until=12.0)
+    assert sim.pending()  # the next tick
+    loop.stop()
+    assert sim.run() == 0
+
+
+class _Service:
+    def __init__(self, name, log):
+        self.name, self.log = name, log
+
+    def start(self):
+        self.log.append(("start", self.name))
+
+    def stop(self):
+        self.log.append(("stop", self.name))
+
+
+def test_services_start_and_stop_in_a_fixed_order():
+    node = Node(burrow_params(1))
+    log = []
+    node.attach_health(_Service("health", log))
+    node.attach_replication(_Service("replication", log))
+    node.attach_rebalancer(_Service("rebalancer", log))
+    node.start()
+    node.stop()
+    order = ["rebalancer", "replication", "health"]
+    assert log == [("start", n) for n in order] + [("stop", n) for n in order]

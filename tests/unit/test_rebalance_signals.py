@@ -14,7 +14,14 @@ from repro.rebalance.signals import (
     SignalPlane,
 )
 from repro.sharding.cluster import ShardedCluster
-from tests.helpers import ALICE, ManualClock, StoreContract, deploy_store, produce
+from tests.helpers import (
+    ALICE,
+    ManualClock,
+    StoreContract,
+    deploy_store,
+    fill_replicas,
+    produce,
+)
 
 
 def addr(n: int) -> Address:
@@ -186,3 +193,15 @@ def test_gateway_queue_signal_normalizes_depth():
     signal = GatewayQueueSignal(gateway)
     # Shard index = chain id - 1 (the cluster convention).
     assert signal.shard_values() == {0: 0.0, 1: 0.0}
+
+
+def test_gateway_queue_signal_reads_the_fullest_replica():
+    # 3 queued on each of 4 replicas, against a per-replica bound of
+    # 10 + 10: each replica is 15 % full, not 60 %.
+    node = Node(burrow_params(1), seed=1, verify_signatures=False)
+    gateway = Gateway(
+        node, GatewayLimits(max_queue_depth=10, max_blocked=10), replicas=4
+    )
+    fill_replicas(gateway, 1, per_replica=3)
+    assert gateway.queue_depth(1) == 12
+    assert GatewayQueueSignal(gateway).shard_values() == {0: 0.15}

@@ -163,3 +163,80 @@ def test_cancel_after_fire_is_a_no_op():
     handle.cancel()
     sim.run()
     assert fired == [1] and sim.pending() == 0
+
+
+# ----------------------------------------------------------------------
+# Simulator.every: the one periodic loop
+# ----------------------------------------------------------------------
+
+
+def test_every_ticks_at_multiples_of_its_interval():
+    sim = Simulator()
+    seen = []
+    sim.every(2.5, lambda tag: seen.append((tag, sim.now)), "tick")
+    sim.run(until=10.0)
+    assert seen == [("tick", 2.5), ("tick", 5.0), ("tick", 7.5), ("tick", 10.0)]
+
+
+def test_every_cancel_stops_the_loop_and_leaves_no_live_event():
+    sim = Simulator()
+    seen = []
+    loop = sim.every(1.0, lambda: seen.append(sim.now))
+    sim.run(until=2.5)
+    loop.cancel()
+    loop.cancel()  # idempotent
+    assert sim.run() == 0
+    assert seen == [1.0, 2.0]
+
+
+def test_every_cancel_from_inside_the_callback():
+    sim = Simulator()
+    seen = []
+
+    def tick():
+        seen.append(sim.now)
+        if len(seen) == 3:
+            loop.cancel()
+
+    loop = sim.every(1.0, tick)
+    assert sim.run() == 3
+    assert seen == [1.0, 2.0, 3.0] and sim.pending() == 0
+
+
+def test_every_loops_are_independent():
+    sim = Simulator()
+    seen = []
+    fast = sim.every(1.0, lambda: seen.append(("fast", sim.now)))
+    sim.every(1.5, lambda: seen.append(("slow", sim.now)))
+    sim.run(until=3.0)
+    fast.cancel()
+    sim.run(until=6.0)
+    assert seen == [
+        ("fast", 1.0), ("slow", 1.5), ("fast", 2.0),
+        # at 3.0 the slow tick was scheduled first (at 1.5, not 2.0)
+        ("slow", 3.0), ("fast", 3.0),
+        ("slow", 4.5), ("slow", 6.0),
+    ]
+
+
+def test_every_schedules_its_successor_after_the_callback():
+    # Same-time order: an event the callback schedules at the next tick's
+    # instant fires before that tick.
+    sim = Simulator()
+    seen = []
+
+    def tick():
+        seen.append("tick")
+        sim.schedule(1.0, seen.append, "scheduled")
+
+    sim.every(1.0, tick)
+    sim.run(until=2.0)
+    assert seen == ["tick", "scheduled", "tick"]
+
+
+@pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"), float("inf")])
+def test_every_refuses_an_interval_that_is_not_finite_and_positive(interval):
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.every(interval, lambda: None)
+    assert sim.pending() == 0
