@@ -61,7 +61,6 @@ class TransactionExecutor:
         light_client: LightClient,
         registry: ChainRegistry,
         verify_signatures: bool = True,
-        tx_gas_limit: int = DEFAULT_TX_GAS_LIMIT,
         gas_price: int = 0,
         telemetry: Optional[Telemetry] = None,
         chain_id: int = 0,
@@ -70,7 +69,7 @@ class TransactionExecutor:
         self.light_client = light_client
         self.registry = registry
         self.verify_signatures = verify_signatures
-        self.tx_gas_limit = tx_gas_limit
+        self.tx_gas_limit = DEFAULT_TX_GAS_LIMIT
         self.gas_price = gas_price
         self.machine = Machine(runtime.schedule)
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()

@@ -10,6 +10,7 @@ wait two blocks anyway — and six blocks for Ethereum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from repro.errors import ConfigError
 from repro.merkle.iavl import IAVLTree
@@ -67,9 +68,9 @@ class ChainParams:
             raise ConfigError(
                 f"chain_id must be non-negative, got {self.chain_id}"
             )
-        if not self.block_interval > 0:
+        if not 0 < self.block_interval < inf:
             raise ConfigError(
-                f"block_interval must be a positive number of seconds, got "
+                f"block_interval must be a finite, positive number of seconds, got "
                 f"{self.block_interval!r} — a non-positive interval would make "
                 "the block timer fire at or before the current instant forever"
             )

@@ -32,9 +32,9 @@ from typing import Any, Optional, Tuple, Union
 
 from repro.crypto.hashing import keccak
 from repro.crypto.keys import Address, KeyPair, derive_address
-from repro.crypto.signature import Signer, SimulatedSigner
+from repro.crypto.signature import SimulatedSigner
 
-_DEFAULT_SIGNER = SimulatedSigner()
+_SIGNER = SimulatedSigner()
 _tx_counter = itertools.count()
 
 
@@ -349,14 +349,14 @@ class Transaction(tuple):
         construction, never re-encoded)."""
         return self[7]
 
-    def verify(self, signer: Signer = _DEFAULT_SIGNER) -> bool:
+    def verify(self) -> bool:
         """Check the signature and that the key matches the sender.
 
         Computed afresh on every call — no verdict is kept; the executor
         calls it once per transaction.
         """
         public_key = self.public_key
-        return derive_address(public_key) == self.sender and signer.verify(
+        return derive_address(public_key) == self.sender and _SIGNER.verify(
             public_key, self[7], self.signature
         )
 
@@ -376,7 +376,6 @@ def sign_transaction(
     keypair: KeyPair,
     payload: Payload,
     nonce: Optional[int] = None,
-    signer: Signer = _DEFAULT_SIGNER,
 ) -> Transaction:
     """Build and sign a transaction from ``keypair``.
 
@@ -391,5 +390,5 @@ def sign_transaction(
     if nonce is None:
         nonce = next(_tx_counter)
     signing = _signing_encoding(sender, public_key, nonce, payload)
-    signature = signer.sign(keypair.seed, signing)
+    signature = _SIGNER.sign(keypair.seed, signing)
     return _record(sender, public_key, payload, nonce, signature, signing)

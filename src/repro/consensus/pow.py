@@ -30,14 +30,12 @@ class PowEngine:
         chain: Chain,
         regions: Sequence[str],
         hash_powers: Optional[Sequence[float]] = None,
-        name_prefix: Optional[str] = None,
     ):
         self.sim = sim
         self.network = network
         self.chain = chain
         self.interval = chain.params.block_interval
-        prefix = name_prefix or f"miner-{chain.chain_id}"
-        self.miners = [f"{prefix}-{i}" for i in range(len(regions))]
+        self.miners = [f"miner-{chain.chain_id}-{i}" for i in range(len(regions))]
         powers = list(hash_powers) if hash_powers is not None else [1.0] * len(self.miners)
         total = sum(powers)
         self._weights = [p / total for p in powers]

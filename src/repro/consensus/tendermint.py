@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.chain.chain import Chain
 from repro.net.sim import Simulator
@@ -64,14 +64,12 @@ class TendermintEngine:
         network: Network,
         chain: Chain,
         regions: Sequence[str],
-        name_prefix: Optional[str] = None,
     ):
         self.sim = sim
         self.network = network
         self.chain = chain
         self.interval = chain.params.block_interval
-        prefix = name_prefix or f"val-{chain.chain_id}"
-        self.validators = [f"{prefix}-{i}" for i in range(len(regions))]
+        self.validators = [f"val-{chain.chain_id}-{i}" for i in range(len(regions))]
         self._validator_set = frozenset(self.validators)
         self._quorum = (2 * len(self.validators)) // 3 + 1
         self._prevotes: Dict[Tuple[str, int], Set[str]] = {}

@@ -18,6 +18,9 @@ from repro.errors import StateError
 #: callback: chain_id -> (exists, location) for a contract address
 LocationQuery = Callable[[int, Address], Optional[int]]
 
+#: how many chains a trail may visit before :meth:`ContractLocator.locate` gives up
+MAX_HOPS = 16
+
 
 def active_chain(chains: Iterable, address: Address):
     """The first of ``chains`` holding the active copy of a contract —
@@ -36,12 +39,11 @@ class ContractLocator:
     recorded on that chain, or ``None`` when the chain has no record.
     """
 
-    def __init__(self, query: LocationQuery, max_hops: int = 16):
+    def __init__(self, query: LocationQuery):
         self._query = query
-        self._max_hops = max_hops
 
     @classmethod
-    def over_chains(cls, chains, max_hops: int = 16) -> "ContractLocator":
+    def over_chains(cls, chains) -> "ContractLocator":
         """Locator backed by live :class:`~repro.chain.chain.Chain`
         objects (a client holding light connections to each)."""
         by_id = {chain.chain_id: chain for chain in chains}
@@ -52,7 +54,7 @@ class ContractLocator:
                 return None
             return chain.location_of(address)
 
-        return cls(query, max_hops=max_hops)
+        return cls(query)
 
     def locate(self, address: Address, start_chain: int) -> int:
         """Return the chain id where the contract is currently active.
@@ -63,7 +65,7 @@ class ContractLocator:
         """
         chain = start_chain
         seen: Dict[int, int] = {}
-        for _hop in range(self._max_hops):
+        for _hop in range(MAX_HOPS):
             location = self._query(chain, address)
             if location is None:
                 raise StateError(
@@ -78,4 +80,4 @@ class ContractLocator:
                 )
             seen[chain] = location
             chain = location
-        raise StateError(f"location trail exceeded {self._max_hops} hops")
+        raise StateError(f"location trail exceeded {MAX_HOPS} hops")

@@ -3,10 +3,11 @@
 The real systems modified by the paper (go-ethereum and Hyperledger
 Burrow) use Keccak-256 and secp256k1/ed25519.  This reproduction uses
 SHA3-256 (the standardized Keccak variant shipped with CPython) for all
-hashing, a real pure-Python Ed25519 implementation for signatures, and a
-fast hash-based :class:`~repro.crypto.signature.SimulatedSigner` for
-large-scale simulations where per-transaction signature cost would only
-slow the simulator down without changing any measured quantity.
+hashing and one fast hash-based
+:class:`~repro.crypto.signature.SimulatedSigner` for signatures: the
+paper measures latency and gas, not signature security, so a real
+scheme's per-transaction cost would only slow the simulator down
+without changing any measured quantity.
 """
 
 from repro.crypto.hashing import keccak, keccak_hex, merkle_hash_leaf, merkle_hash_node
@@ -17,7 +18,7 @@ from repro.crypto.keys import (
     create2_address,
     derive_address,
 )
-from repro.crypto.signature import Ed25519Signer, SimulatedSigner, Signer
+from repro.crypto.signature import SimulatedSigner
 
 __all__ = [
     "keccak",
@@ -29,7 +30,5 @@ __all__ = [
     "derive_address",
     "contract_address",
     "create2_address",
-    "Signer",
-    "Ed25519Signer",
     "SimulatedSigner",
 ]

@@ -1,188 +1,17 @@
 """Transaction signatures.
 
-Two interchangeable signers implement the :class:`Signer` protocol:
-
-* :class:`Ed25519Signer` — a real, self-contained Ed25519
-  implementation (RFC 8032 flavour over edwards25519).  Used in unit
-  tests and small examples; a signature costs a few modular
-  exponentiations, which is too slow for simulations replaying hundreds
-  of thousands of transactions.
-* :class:`SimulatedSigner` — a deterministic hash-based stand-in whose
-  signatures are verifiable by any party inside the simulation.  It is
-  *not* cryptographically unforgeable (the "private key" is derivable
-  from the seed), which is irrelevant here: the paper measures latency
-  and gas, not signature security, and the simulator is a closed world.
-
-Both derive the public key from a 32-byte seed, so a
-:class:`~repro.crypto.keys.KeyPair` works with either.
+:class:`SimulatedSigner` is a deterministic hash-based scheme whose
+signatures are verifiable by any party inside the simulation.  It is
+*not* cryptographically unforgeable (the "private key" is derivable
+from the seed), which is irrelevant here: the paper measures latency
+and gas, not signature security, and the simulator is a closed world.
+Its public key is the one a :class:`~repro.crypto.keys.KeyPair`
+derives from its 32-byte seed.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Protocol
-
 from repro.crypto.hashing import keccak
-from repro.errors import SignatureError
-
-# ---------------------------------------------------------------------------
-# Ed25519 (RFC 8032), self-contained
-# ---------------------------------------------------------------------------
-
-_P = 2**255 - 19
-_L = 2**252 + 27742317777372353535851937790883648493
-_D = -121665 * pow(121666, _P - 2, _P) % _P
-_I = pow(2, (_P - 1) // 4, _P)
-
-
-def _sha512(data: bytes) -> bytes:
-    return hashlib.sha512(data).digest()
-
-
-def _inv(x: int) -> int:
-    return pow(x, _P - 2, _P)
-
-
-def _recover_x(y: int) -> int:
-    xx = (y * y - 1) * _inv(_D * y * y + 1)
-    x = pow(xx, (_P + 3) // 8, _P)
-    if (x * x - xx) % _P != 0:
-        x = (x * _I) % _P
-    if (x * x - xx) % _P != 0:
-        raise SignatureError("point decompression failed")
-    if x % 2 != 0:
-        x = _P - x
-    return x
-
-
-_BY = 4 * _inv(5) % _P
-_BX = _recover_x(_BY)
-_B = (_BX % _P, _BY % _P, 1, (_BX * _BY) % _P)  # extended coordinates
-_IDENT = (0, 1, 1, 0)
-
-
-def _edwards_add(p: tuple, q: tuple) -> tuple:
-    x1, y1, z1, t1 = p
-    x2, y2, z2, t2 = q
-    a = (y1 - x1) * (y2 - x2) % _P
-    b = (y1 + x1) * (y2 + x2) % _P
-    c = t1 * 2 * _D * t2 % _P
-    dd = z1 * 2 * z2 % _P
-    e, f, g, h = b - a, dd - c, dd + c, b + a
-    return (e * f % _P, g * h % _P, f * g % _P, e * h % _P)
-
-
-def _scalarmult(p: tuple, e: int) -> tuple:
-    q = _IDENT
-    while e > 0:
-        if e & 1:
-            q = _edwards_add(q, p)
-        p = _edwards_add(p, p)
-        e >>= 1
-    return q
-
-
-def _point_compress(p: tuple) -> bytes:
-    x, y, z, _t = p
-    zinv = _inv(z)
-    x, y = x * zinv % _P, y * zinv % _P
-    return (y | ((x & 1) << 255)).to_bytes(32, "little")
-
-
-def _point_decompress(s: bytes) -> tuple:
-    if len(s) != 32:
-        raise SignatureError("bad point encoding")
-    y = int.from_bytes(s, "little")
-    sign = y >> 255
-    y &= (1 << 255) - 1
-    if y >= _P:
-        raise SignatureError("bad point encoding")
-    x = _recover_x(y)
-    if (x & 1) != sign:
-        x = _P - x
-    return (x % _P, y % _P, 1, (x * y) % _P)
-
-
-def _point_equal(p: tuple, q: tuple) -> bool:
-    x1, y1, z1, _ = p
-    x2, y2, z2, _ = q
-    return (x1 * z2 - x2 * z1) % _P == 0 and (y1 * z2 - y2 * z1) % _P == 0
-
-
-def ed25519_public_key(seed: bytes) -> bytes:
-    """Derive the 32-byte Ed25519 public key from a 32-byte seed."""
-    h = _sha512(seed)
-    a = int.from_bytes(h[:32], "little")
-    a &= (1 << 254) - 8
-    a |= 1 << 254
-    return _point_compress(_scalarmult(_B, a))
-
-
-def ed25519_sign(seed: bytes, message: bytes) -> bytes:
-    """Produce a 64-byte Ed25519 signature over ``message``."""
-    h = _sha512(seed)
-    a = int.from_bytes(h[:32], "little")
-    a &= (1 << 254) - 8
-    a |= 1 << 254
-    prefix = h[32:]
-    public = _point_compress(_scalarmult(_B, a))
-    r = int.from_bytes(_sha512(prefix + message), "little") % _L
-    rp = _point_compress(_scalarmult(_B, r))
-    k = int.from_bytes(_sha512(rp + public + message), "little") % _L
-    s = (r + k * a) % _L
-    return rp + s.to_bytes(32, "little")
-
-
-def ed25519_verify(public: bytes, message: bytes, signature: bytes) -> bool:
-    """Verify an Ed25519 signature; returns False instead of raising."""
-    if len(signature) != 64 or len(public) != 32:
-        return False
-    try:
-        a_point = _point_decompress(public)
-        r_point = _point_decompress(signature[:32])
-    except SignatureError:
-        return False
-    s = int.from_bytes(signature[32:], "little")
-    if s >= _L:
-        return False
-    k = int.from_bytes(_sha512(signature[:32] + public + message), "little") % _L
-    lhs = _scalarmult(_B, s)
-    rhs = _edwards_add(r_point, _scalarmult(a_point, k))
-    return _point_equal(lhs, rhs)
-
-
-# ---------------------------------------------------------------------------
-# Signer protocol + implementations
-# ---------------------------------------------------------------------------
-
-
-class Signer(Protocol):
-    """Minimal signing interface used by transaction construction."""
-
-    def public_key(self, seed: bytes) -> bytes:
-        """Derive the public key for a seed."""
-
-    def sign(self, seed: bytes, message: bytes) -> bytes:
-        """Sign ``message`` with the private key derived from ``seed``."""
-
-    def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
-        """Check a signature against a public key."""
-
-
-class Ed25519Signer:
-    """Real Ed25519 signatures (slow; for tests and small demos)."""
-
-    def public_key(self, seed: bytes) -> bytes:
-        """Derive the Ed25519 public key from a 32-byte seed."""
-        return ed25519_public_key(seed)
-
-    def sign(self, seed: bytes, message: bytes) -> bytes:
-        """Sign ``message`` with the seed-derived private key."""
-        return ed25519_sign(seed, message)
-
-    def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
-        """Check an Ed25519 signature (False on any malformation)."""
-        return ed25519_verify(public_key, message, signature)
 
 
 class SimulatedSigner:

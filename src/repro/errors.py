@@ -84,10 +84,6 @@ class SimulationError(ReproError):
     """Misuse of the discrete-event simulator."""
 
 
-class SignatureError(ReproError):
-    """Signature verification failed or a key was malformed."""
-
-
 class InvariantViolation(ReproError):
     """A cross-chain protocol invariant failed during simulation.
 

@@ -449,7 +449,6 @@ def run_chaos(
     plan: Optional[FaultPlan] = None,
     intensity: float = 1.0,
     pow_peer: bool = False,
-    check_roots: bool = True,
     telemetry: Optional[Telemetry] = None,
     replicate: bool = False,
     health: bool = False,
@@ -504,7 +503,7 @@ def run_chaos(
     report.plan_counts = plan.counts()
 
     node = world.node
-    checker = InvariantChecker(world.chains.values(), check_roots=check_roots)
+    checker = InvariantChecker(world.chains.values())
     checker.attach()
     injector = node.apply_faults(plan)
 

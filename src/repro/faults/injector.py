@@ -54,17 +54,14 @@ class FaultInjector:
         engines: Mapping[int, Any] = None,
         relays: Mapping[int, HeaderRelay] = None,
         seed: int = 0,
-        telemetry: Optional[Telemetry] = None,
     ):
         self.sim = sim
         self.network = network
         self.chains: Dict[int, Chain] = dict(chains or {})
         self.engines: Dict[int, Any] = dict(engines or {})
         self.relays: Dict[int, HeaderRelay] = dict(relays or {})
-        if telemetry is None:
-            first = next(iter(self.chains.values()), None)
-            telemetry = first.telemetry if first is not None else Telemetry.disabled()
-        self.telemetry = telemetry
+        first = next(iter(self.chains.values()), None)
+        self.telemetry = first.telemetry if first is not None else Telemetry.disabled()
         self.rng = random.Random(seed ^ 0x5FA17)
         self.injected: Dict[str, int] = {}
         #: callbacks invoked with each plan-level FaultEvent as it

@@ -69,11 +69,9 @@ class InvariantChecker:
     def __init__(
         self,
         chains: Iterable[Chain],
-        check_roots: bool = True,
         expected_token_supply: Optional[int] = None,
     ):
         self.chains: List[Chain] = list(chains)
-        self.check_roots = check_roots
         #: when set, I3 additionally asserts the global SAccount token
         #: supply equals this amount (set it once minting is finished)
         self.expected_token_supply = expected_token_supply
@@ -124,10 +122,9 @@ class InvariantChecker:
         self._check_single_mutability(copies)
         self._check_nonce_monotonicity(copies)
         self._check_conservation(copies)
-        if self.check_roots:
-            targets = [committed_chain] if committed_chain is not None else self.chains
-            for chain in targets:
-                self._check_commitment_integrity(chain)
+        targets = [committed_chain] if committed_chain is not None else self.chains
+        for chain in targets:
+            self._check_commitment_integrity(chain)
 
     def final_check(self) -> None:
         """Full sweep at the end of a run: every invariant on every

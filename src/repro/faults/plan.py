@@ -23,10 +23,7 @@ generator is careful to keep every fault *survivable*:
 
 Reorg events are generated only for chains named in ``pow_chains`` —
 BFT chains have instant finality and never reorg.  Depths are drawn
-from ``1 .. p-1`` (absorbable below the confirmation depth); pass
-``deep_reorg=True`` to append one ``p``-deep reorg, which observers
-must *detect* (it increments their stores' ``deep_reorgs`` counter),
-never silently absorb.
+from ``1 .. p-1`` (absorbable below the confirmation depth).
 """
 
 from __future__ import annotations
@@ -126,7 +123,6 @@ class FaultPlan:
         validators: Mapping[int, Sequence[str]] = None,
         pow_chains: Mapping[int, int] = None,
         intensity: float = 1.0,
-        deep_reorg: bool = False,
         kinds: Sequence[str] = None,
     ) -> "FaultPlan":
         """Generate a survivable mixed-fault schedule from ``seed``.
@@ -235,18 +231,5 @@ class FaultPlan:
                 events.append(
                     FaultEvent(start, kind, chain=reorg_chain, magnitude=float(depth))
                 )
-
-        if deep_reorg:
-            if not pow_chains:
-                raise FaultPlanError("deep_reorg requires at least one pow chain")
-            reorg_chain = rng.choice(sorted(pow_chains))
-            events.append(
-                FaultEvent(
-                    rng.uniform(0.4 * duration, last_fault_start),
-                    "reorg",
-                    chain=reorg_chain,
-                    magnitude=float(pow_chains[reorg_chain]),
-                )
-            )
 
         return cls(seed=seed, duration=duration, events=tuple(events))

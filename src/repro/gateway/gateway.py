@@ -11,9 +11,9 @@ cross-chain moves — enters through :meth:`Gateway.submit` /
   queue at bound evicts the most recent entry of the lowest backlogged
   class below its own, so bulk bursts never crowd out a move;
 * **weighted-fair admission** — within a class, per-client FIFO lanes
-  served deficit-round-robin (``limits.drr_quantum`` per turn) replace
-  the PR 5 flat FIFO, so one aggressive client cannot monopolize a
-  replica (:mod:`repro.gateway.fairqueue`);
+  are served deficit-round-robin (8 entries per turn), so one
+  aggressive client cannot monopolize a replica
+  (:mod:`repro.gateway.fairqueue`);
 * **replicas** — ``replicas=N`` splits the bounded stage N ways: each
   replica holds its own per-chain classed queues and overflow lots,
   and each client is pinned to one replica by a stable hash of its id
@@ -112,7 +112,6 @@ from repro.ibc.bridge import CompletionFactory, MovePhases, drive_move
 from repro.net.sim import EventHandle
 from repro.node.node import Node
 from repro.statedb.receipts import Receipt
-from repro.telemetry import Telemetry
 
 #: accepted spellings of a priority override
 PriorityLike = Union[PriorityClass, str, int]
@@ -161,7 +160,7 @@ class _Replica:
     def __init__(self, index: int, chain_ids, limits: GatewayLimits):
         self.index = index
         self.queues: Dict[int, ClassedFairQueue] = {
-            chain_id: ClassedFairQueue(limits.max_queue_depth, limits.drr_quantum)
+            chain_id: ClassedFairQueue(limits.max_queue_depth)
             for chain_id in chain_ids
         }
         self.blocked: Dict[int, Deque[QueueEntry]] = {
@@ -181,7 +180,6 @@ class Gateway:
         self,
         node: Node,
         limits: Optional[GatewayLimits] = None,
-        telemetry: Optional[Telemetry] = None,
         replicas: int = 1,
     ):
         if not isinstance(replicas, int) or isinstance(replicas, bool) or replicas < 1:
@@ -192,7 +190,7 @@ class Gateway:
         self.node = node
         self._sim = node.sim
         self.limits = limits if limits is not None else GatewayLimits()
-        self.telemetry = telemetry if telemetry is not None else node.telemetry
+        self.telemetry = node.telemetry
         self._chain_ids = sorted(node.chains)
         self.replicas: List[_Replica] = [
             _Replica(index, self._chain_ids, self.limits) for index in range(replicas)
@@ -778,25 +776,22 @@ class Gateway:
         target: Address,
         method: str,
         *args,
-        fallback: bool = True,
     ):
         """Serve a read-only query, preferring the copy on ``chain_id``.
 
         With a replication manager attached
         (:meth:`~repro.node.node.Node.attach_replication`), the read
         routes to the nearest usable copy — the active contract on
-        ``chain_id``, else a ``LIVE`` replica there, else (with
-        ``fallback``) the active copy wherever it lives; a replica that
-        cannot serve raises a typed
-        :class:`~repro.errors.ReplicaUnavailable`, never stale state.
+        ``chain_id``, else a ``LIVE`` replica there, else the active
+        copy wherever it lives; a replica that cannot serve raises a
+        typed :class:`~repro.errors.ReplicaUnavailable`, never stale
+        state.
         Without a manager this is exactly ``node.view``.
         """
         manager = self.node.replication
         if manager is None:
             return self.node.view(chain_id, target, method, *args)
-        return manager.read(
-            target, method, *args, prefer_chain=chain_id, fallback=fallback
-        )
+        return manager.read(target, method, *args, prefer_chain=chain_id)
 
     # ------------------------------------------------------------------
     # Introspection

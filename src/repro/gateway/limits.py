@@ -10,6 +10,7 @@ name, not stall the event loop mid-experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from repro.errors import ConfigError
 
@@ -53,12 +54,6 @@ class GatewayLimits:
     #: least-recently-active client's bucket is evicted (that client
     #: simply starts over with a full burst allowance if it returns)
     max_clients: int = 4096
-    #: deficit-round-robin quantum: entries one backlogged client may
-    #: pour into a flush before the next client's lane is served.
-    #: Small values interleave clients tightly (fairest); large values
-    #: amortize per-turn work (fastest).  Per-client FIFO order is
-    #: preserved either way.
-    drr_quantum: int = 8
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
@@ -70,36 +65,34 @@ class GatewayLimits:
             raise ConfigError(f"max_blocked must be >= 0, got {self.max_blocked}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.flush_interval > 0:
+        if not 0 < self.flush_interval < inf:
             raise ConfigError(
-                f"flush_interval must be positive, got {self.flush_interval!r} — "
+                f"flush_interval must be finite and positive, got {self.flush_interval!r} — "
                 "a non-positive period would spin the flush loop at one instant"
             )
-        if self.rate_limit < 0:
-            raise ConfigError(f"rate_limit must be >= 0, got {self.rate_limit}")
+        if not 0 <= self.rate_limit < inf:
+            raise ConfigError(
+                f"rate_limit must be finite and >= 0 (0 disables), got {self.rate_limit!r}"
+            )
         if self.rate_burst < 1:
             raise ConfigError(f"rate_burst must be >= 1, got {self.rate_burst}")
-        if self.request_timeout < 0:
+        if not 0 <= self.request_timeout < inf:
             raise ConfigError(
-                f"request_timeout must be >= 0 (0 disables), got {self.request_timeout}"
+                "request_timeout must be finite and >= 0 (0 disables), "
+                f"got {self.request_timeout!r}"
             )
         if self.mempool_headroom < 1:
             raise ConfigError(
                 f"mempool_headroom must be >= 1 block, got {self.mempool_headroom} — "
                 "a zero headroom would never flush anything into the mempool"
             )
-        if self.idempotency_retention < 0:
+        if not 0 <= self.idempotency_retention < inf:
             raise ConfigError(
-                "idempotency_retention must be >= 0 (0 retains forever), "
-                f"got {self.idempotency_retention}"
+                "idempotency_retention must be finite and >= 0 (0 retains forever), "
+                f"got {self.idempotency_retention!r}"
             )
         if self.max_clients < 1:
             raise ConfigError(f"max_clients must be >= 1, got {self.max_clients}")
-        if self.drr_quantum < 1:
-            raise ConfigError(
-                f"drr_quantum must be >= 1, got {self.drr_quantum} — a zero "
-                "quantum would never serve any client's lane"
-            )
 
 
 class TokenBucket:
@@ -115,12 +108,12 @@ class TokenBucket:
         self.tokens = float(burst)
         self._last = now
 
-    def take(self, now: float, n: float = 1.0) -> bool:
-        """Try to spend ``n`` tokens at simulated time ``now``."""
+    def take(self, now: float) -> bool:
+        """Try to spend one token at simulated time ``now``."""
         if now > self._last:
             self.tokens = min(self.capacity, self.tokens + (now - self._last) * self.rate)
             self._last = now
-        if self.tokens >= n:
-            self.tokens -= n
+        if self.tokens >= 1.0:
+            self.tokens -= 1.0
             return True
         return False

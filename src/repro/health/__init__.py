@@ -30,7 +30,7 @@ from repro.health.probes import (
     RelayLagProbe,
     ReplicaStalenessProbe,
 )
-from repro.health.recorder import DEFAULT_SNAPSHOT_METRICS, FlightRecorder, bundle_json
+from repro.health.recorder import SNAPSHOT_METRICS, FlightRecorder, bundle_json
 from repro.health.slo import SloEvaluator, SloSpec, default_slos
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
     "SloEvaluator",
     "default_slos",
     "FlightRecorder",
-    "DEFAULT_SNAPSHOT_METRICS",
+    "SNAPSHOT_METRICS",
     "bundle_json",
     "ProbeSample",
     "ChainLivenessProbe",

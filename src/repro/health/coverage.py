@@ -21,7 +21,7 @@ from repro.faults.plan import MESSAGE_KINDS, FaultEvent
 
 #: attribution grace: how long after a fault window ends its
 #: after-effects may still legitimately fire an alert
-DEFAULT_GRACE = 60.0
+GRACE = 60.0
 
 
 def fault_target_prefixes(event: FaultEvent) -> Tuple[str, ...]:
@@ -73,7 +73,6 @@ class CoverageReport:
 def detection_coverage(
     events: Sequence[FaultEvent],
     alerts: Sequence[Dict[str, object]],
-    grace: float = DEFAULT_GRACE,
 ) -> CoverageReport:
     """Attribute every *firing* alert to the plan faults that explain
     it (resolved entries close alerts and are never attributed)."""
@@ -90,7 +89,7 @@ def detection_coverage(
         target = str(alert["target"])
         matches: List[int] = []
         for event_index, event in enumerate(events):
-            if not event.time <= at <= event.time + event.duration + grace:
+            if not event.time <= at <= event.time + event.duration + GRACE:
                 continue
             prefixes = fault_target_prefixes(event)
             if any(p == "*" or target.startswith(p) for p in prefixes):

@@ -29,6 +29,7 @@ workload outcome — only add its own tick events to the simulator.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError
@@ -36,6 +37,9 @@ from repro.health.recorder import FlightRecorder, bundle_json
 from repro.health.slo import SloEvaluator, SloSpec
 from repro.net.sim import EventHandle
 from repro.telemetry import Telemetry
+
+#: how many health transitions a postmortem bundle carries
+TRANSITION_TAIL = 32
 
 
 class HealthMonitor:
@@ -47,23 +51,19 @@ class HealthMonitor:
         telemetry: Optional[Telemetry] = None,
         interval: float = 5.0,
         slos: Sequence[SloSpec] = (),
-        recorder: Optional[FlightRecorder] = None,
-        transition_tail: int = 32,
     ):
-        if interval <= 0:
-            raise ConfigError("interval must be positive")
+        if not 0 < interval < inf:
+            raise ConfigError(f"interval must be finite and positive, got {interval!r}")
         self.sim = sim
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         self.interval = interval
         self.probes: List[object] = []
         self.evaluator = SloEvaluator(slos)
-        self.recorder = recorder if recorder is not None else FlightRecorder()
+        self.recorder = FlightRecorder()
         #: latest healthy/unhealthy judgement per target
         self.states: Dict[str, bool] = {}
         #: every health-state change, in simulated-time order
         self.transitions: List[Dict[str, object]] = []
-        #: how many transitions a postmortem bundle carries
-        self.transition_tail = transition_tail
         #: the sampling loop while running; None while stopped
         self._loop: Optional[EventHandle] = None
         self._ticks = 0
@@ -78,19 +78,14 @@ class HealthMonitor:
     # ------------------------------------------------------------------
 
     @classmethod
-    def for_node(
-        cls,
-        node,
-        interval: float = 5.0,
-        slos: Sequence[SloSpec] = (),
-    ) -> "HealthMonitor":
+    def for_node(cls, node) -> "HealthMonitor":
         """The stock probe set over a node: chain liveness, relay lag,
         mempool depth, plus replica staleness and rebalancer probes
         when those components are attached.  Build it *after* attaching
         replication/rebalancing (or add probes later)."""
         from repro.health import probes as p
 
-        monitor = cls(node.sim, telemetry=node.telemetry, interval=interval, slos=slos)
+        monitor = cls(node.sim, telemetry=node.telemetry)
         monitor.add_probe(p.ChainLivenessProbe(node.chains))
         if node.relays:
             monitor.add_probe(p.RelayLagProbe(node.relays))
@@ -222,7 +217,7 @@ class HealthMonitor:
             reason,
             self.sim.now,
             self.states_text(),
-            self.transitions[-self.transition_tail :],
+            self.transitions[-TRANSITION_TAIL:],
             self.evaluator.firing(),
         )
 

@@ -24,7 +24,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence
 
 #: counters snapshotted every tick
-DEFAULT_SNAPSHOT_METRICS = (
+SNAPSHOT_METRICS = (
     "faults_injected_total",
     "gateway_admitted_total",
     "gateway_rejected_total",
@@ -49,12 +49,10 @@ class FlightRecorder:
     def __init__(
         self,
         capacity: int = 256,
-        snapshot_metrics: Sequence[str] = DEFAULT_SNAPSHOT_METRICS,
         max_postmortems: int = 32,
     ):
         self.capacity = capacity
         self.events: Deque[Dict[str, object]] = deque(maxlen=capacity)
-        self.snapshot_metrics = tuple(snapshot_metrics)
         self.max_postmortems = max_postmortems
         #: retained bundles, oldest first (bounded; see counters below)
         self.postmortems: List[Dict[str, object]] = []
@@ -79,7 +77,7 @@ class FlightRecorder:
     def snapshot(self, registry) -> None:
         """Record the whitelisted counter totals (the first call pins
         the ``start`` baseline every later delta is computed against)."""
-        current = registry.totals(self.snapshot_metrics)
+        current = registry.totals(SNAPSHOT_METRICS)
         if self._start is None:
             self._start = dict(current)
         self._current = current
@@ -95,7 +93,7 @@ class FlightRecorder:
     ) -> Dict[str, object]:
         """Assemble (and retain, up to ``max_postmortems``) one bundle."""
         start = self._start if self._start is not None else {
-            name: 0.0 for name in self.snapshot_metrics
+            name: 0.0 for name in SNAPSHOT_METRICS
         }
         current = self._current if self._current else dict(start)
         bundle = {
@@ -106,7 +104,7 @@ class FlightRecorder:
                 "start": dict(start),
                 "current": dict(current),
                 "delta": {
-                    name: current[name] - start[name] for name in self.snapshot_metrics
+                    name: current[name] - start[name] for name in SNAPSHOT_METRICS
                 },
             },
             "health": dict(health),

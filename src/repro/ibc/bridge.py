@@ -39,6 +39,9 @@ from repro.telemetry.phases import MOVE_STAGES
 #: builds the i-th completion transaction, given the mover's keypair
 CompletionFactory = Callable[[KeyPair], Transaction]
 
+#: simulated seconds from a bridge's send to the chain's mempool
+SUBMIT_LATENCY = 0.05
+
 
 def _lasted(start: Optional[float], end: Optional[float]) -> float:
     """How long a stage took; 0.0 if the move failed before it began
@@ -334,19 +337,14 @@ class IBCBridge:
         self,
         sim: Simulator,
         chains: Sequence[Chain],
-        submit_latency: float = 0.05,
-        telemetry: Optional[Telemetry] = None,
     ):
         self.sim = sim
         self.chains: Dict[int, Chain] = {chain.chain_id: chain for chain in chains}
-        self.submit_latency = submit_latency
-        if telemetry is None:
-            # Inherit the chains' bundle so move traces and chain spans
-            # land in the same tracer (experiments share one bundle).
-            first = next(iter(self.chains.values()), None)
-            telemetry = first.telemetry if first is not None else Telemetry.disabled()
-        self.telemetry = telemetry
-        metrics = telemetry.metrics
+        # The chains' bundle, so move traces and chain spans land in the
+        # same tracer (experiments share one bundle).
+        first = next(iter(self.chains.values()), None)
+        self.telemetry = first.telemetry if first is not None else Telemetry.disabled()
+        metrics = self.telemetry.metrics
         self._m_moves_ok = metrics.counter("bridge_moves_total", status="ok")
         self._m_moves_failed = metrics.counter("bridge_moves_total", status="failed")
         self._m_move_seconds = metrics.histogram("bridge_move_seconds")
@@ -358,7 +356,7 @@ class IBCBridge:
     def _send(self, chain_id: int, tx: Transaction, on_receipt, _on_reject) -> None:
         chain = self.chains[chain_id]
         chain.wait_for(tx.tx_id, on_receipt)
-        self.sim.schedule(self.submit_latency, chain.submit, tx)
+        self.sim.schedule(SUBMIT_LATENCY, chain.submit, tx)
 
     def move_contract(
         self,

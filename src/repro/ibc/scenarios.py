@@ -37,6 +37,11 @@ from repro.telemetry import Telemetry
 BURROW_ID = 1
 ETHEREUM_ID = 2
 
+#: simulated seconds a setup transaction / a whole move may take before
+#: :meth:`IBCExperiment.sync_tx` / :meth:`IBCExperiment.sync_move` give up
+SYNC_TX_TIMEOUT = 2_000.0
+SYNC_MOVE_TIMEOUT = 5_000.0
+
 APPS = ("scoin", "kitties", "store1", "store10", "store100")
 APP_LABELS = {
     "scoin": "SCoin",
@@ -69,9 +74,7 @@ class IBCExperiment(Node):
         )
         self.burrow = self.chains[BURROW_ID]
         self.ethereum = self.chains[ETHEREUM_ID]
-        self.bridge = IBCBridge(
-            self.sim, [self.burrow, self.ethereum], telemetry=self.telemetry
-        )
+        self.bridge = IBCBridge(self.sim, [self.burrow, self.ethereum])
         self.user = KeyPair.from_name("ibc-user")
         self.peer = KeyPair.from_name("ibc-peer")
         self.start()
@@ -80,17 +83,17 @@ class IBCExperiment(Node):
     # Synchronous driving helpers (setup phases, not measured)
     # ------------------------------------------------------------------
 
-    def sync_tx(self, chain: Chain, keypair: KeyPair, payload, timeout: float = 2_000.0):
+    def sync_tx(self, chain: Chain, keypair: KeyPair, payload):
         """Submit and drive the simulator until the receipt lands."""
         tx = sign_transaction(keypair, payload)
         done: List = []
         chain.wait_for(tx.tx_id, done.append)
         self.sim.schedule(0.05, chain.submit, tx)
-        deadline = self.sim.now + timeout
+        deadline = self.sim.now + SYNC_TX_TIMEOUT
         while not done and self.sim.now < deadline:
             self.sim.run(until=self.sim.now + 5.0)
         if not done:
-            raise SimulationError(f"transaction not included within {timeout}s")
+            raise SimulationError(f"transaction not included within {SYNC_TX_TIMEOUT}s")
         receipt = done[0]
         if not receipt.success:
             raise SimulationError(f"setup transaction failed: {receipt.error}")
@@ -103,7 +106,6 @@ class IBCExperiment(Node):
         source_id: int,
         target_id: int,
         completions: Sequence = (),
-        timeout: float = 5_000.0,
     ) -> MovePhases:
         """Run a full move to completion, driving the simulator."""
         done: List[MovePhases] = []
@@ -111,11 +113,11 @@ class IBCExperiment(Node):
             mover, contract, source_id, target_id,
             completions=completions, on_done=done.append,
         )
-        deadline = self.sim.now + timeout
+        deadline = self.sim.now + SYNC_MOVE_TIMEOUT
         while not done and self.sim.now < deadline:
             self.sim.run(until=self.sim.now + 5.0)
         if not done:
-            raise SimulationError(f"move did not complete within {timeout}s")
+            raise SimulationError(f"move did not complete within {SYNC_MOVE_TIMEOUT}s")
         phases = done[0]
         if not phases.success:
             raise SimulationError(f"move failed: {phases.error}")

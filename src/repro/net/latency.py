@@ -59,10 +59,10 @@ def _great_circle_km(a: Tuple[float, float], b: Tuple[float, float]) -> float:
 class LatencyModel:
     """One-way message latency between region-assigned nodes."""
 
-    def __init__(self, regions: Sequence[Tuple[str, float, float]] = REGIONS):
-        self._names = [name for name, _lat, _lon in regions]
+    def __init__(self):
+        self._names = [name for name, _lat, _lon in REGIONS]
         self._base: Dict[Tuple[str, str], float] = {}
-        coords = {name: (lat, lon) for name, lat, lon in regions}
+        coords = {name: (lat, lon) for name, lat, lon in REGIONS}
         for src in self._names:
             for dst in self._names:
                 if src == dst:

@@ -43,9 +43,9 @@ class Endpoint:
 class Network:
     """Latency-faithful message passing over the simulator."""
 
-    def __init__(self, sim: Simulator, latency: Optional[LatencyModel] = None):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.latency = latency or LatencyModel()
+        self.latency = LatencyModel()
         self._endpoints: Dict[str, Endpoint] = {}
         self.messages_sent = 0
         self.bytes_sent = 0

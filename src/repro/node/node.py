@@ -305,7 +305,6 @@ class Node:
             engines={engine.chain.chain_id: engine for engine in self.engines},
             relays={relay.source.chain_id: relay for relay in self.relays},
             seed=plan.seed,
-            telemetry=self.telemetry,
         )
         injector.apply(plan)
         return injector

@@ -33,6 +33,7 @@ stop()/start() cycle can never leave two loops running.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigError, StateError, UnknownChainError
@@ -58,10 +59,12 @@ class Rebalancer:
         move_timeout: float = 120.0,
         telemetry: Optional[Telemetry] = None,
     ):
-        if interval <= 0:
-            raise ConfigError("interval must be positive")
-        if move_timeout <= 0:
-            raise ConfigError("move_timeout must be positive")
+        if not 0 < interval < inf:
+            raise ConfigError(f"interval must be finite and positive, got {interval!r}")
+        if not 0 < move_timeout < inf:
+            raise ConfigError(
+                f"move_timeout must be finite and positive, got {move_timeout!r}"
+            )
         self.sim = sim
         self.plane = plane
         self.policy = policy if policy is not None else RebalancePolicy()

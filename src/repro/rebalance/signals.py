@@ -183,6 +183,8 @@ class ShardLoadMonitor:
     """
 
     def __init__(self, shards: Sequence["Chain"], window_blocks: int = 10):
+        if window_blocks <= 0:
+            raise ConfigError("window_blocks must be positive")
         self.shards: List["Chain"] = list(shards)
         self._fills: List[Deque[int]] = []
         for shard in self.shards:

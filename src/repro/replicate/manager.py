@@ -31,7 +31,6 @@ from repro.crypto.keys import Address
 from repro.errors import ReplicaUnavailable, StateError
 from repro.replicate.mirror import LIVE, TOMBSTONED, Mirror
 from repro.replicate.relay import ReplicationRelay
-from repro.telemetry import Telemetry
 
 #: window (simulated seconds) for the read-rate signal
 READ_RATE_WINDOW = 10.0
@@ -40,9 +39,9 @@ READ_RATE_WINDOW = 10.0
 class ReplicationManager:
     """Owns the relays and the replica read path of one node."""
 
-    def __init__(self, node, telemetry: Optional[Telemetry] = None):
+    def __init__(self, node):
         self.node = node
-        self.telemetry = telemetry if telemetry is not None else node.telemetry
+        self.telemetry = node.telemetry
         self._relays: Dict[Tuple[int, int], ReplicationRelay] = {}
         #: contract -> chain currently treated as its source
         self._sources: Dict[Address, int] = {}
@@ -112,17 +111,13 @@ class ReplicationManager:
         self._update_mirror_gauge()
         return mirrors
 
-    def drop(self, contract: Address, target_chain: Optional[int] = None) -> None:
-        """Stop replicating ``contract`` everywhere (or on one chain)."""
-        targets = self._targets.get(contract, set())
-        victims = {target_chain} if target_chain is not None else set(targets)
+    def drop(self, contract: Address) -> None:
+        """Stop replicating ``contract`` everywhere."""
+        targets = self._targets.pop(contract, set())
         for (source_id, target_id), relay in self._relays.items():
-            if target_id in victims:
+            if target_id in targets:
                 relay.remove_contract(contract)
-        targets -= victims
-        if not targets:
-            self._targets.pop(contract, None)
-            self._sources.pop(contract, None)
+        self._sources.pop(contract, None)
         self._update_mirror_gauge()
 
     def _relay(self, source_id: int, target_id: int) -> ReplicationRelay:

@@ -23,6 +23,9 @@ from repro.vm.gas import GasMeter, GasSchedule
 
 MAX_CALL_DEPTH = 64
 
+#: the ``msg.sender`` a read-only query runs under
+VIEW_SENDER = Address(b"\x00" * 20)
+
 
 class Runtime:
     """Binds a world state to a gas schedule and dispatches calls."""
@@ -156,7 +159,6 @@ class Runtime:
         method: str,
         args: Tuple[Any, ...] = (),
         env: Optional[BlockEnv] = None,
-        sender: Optional[Address] = None,
     ) -> Any:
         """Read-only query from outside a transaction (unmetered).
 
@@ -171,10 +173,9 @@ class Runtime:
             raise NotAViewError(f"{cls.__name__}.{method} is not a @view method")
         fn = entry[0]
         env = env if env is not None else BlockEnv(self.state.chain_id, 0, 0.0)
-        sender = sender if sender is not None else Address(b"\x00" * 20)
-        ctx = self.make_context(sender, env)
+        ctx = self.make_context(VIEW_SENDER, env)
         instance = cls(ctx, target)
-        ctx.push_msg(Msg(sender=sender, value=0))
+        ctx.push_msg(Msg(sender=VIEW_SENDER, value=0))
         try:
             return fn(instance, *args)
         finally:

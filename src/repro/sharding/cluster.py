@@ -36,9 +36,7 @@ class ShardedCluster:
         num_shards: int,
         seed: int = 0,
         validators_per_shard: int = 10,
-        block_interval: float = 5.0,
         max_block_txs: int = 500,
-        verify_signatures: bool = False,
         executor_workers: int = 0,
     ):
         self.num_shards = num_shards
@@ -49,14 +47,13 @@ class ShardedCluster:
                     name=f"shard-{index}",
                     max_block_txs=max_block_txs,
                     validator_count=validators_per_shard,
-                    block_interval=block_interval,
                     executor_workers=executor_workers,
                 )
                 for index in range(num_shards)
             ],
             seed=seed,
             driver="consensus",
-            verify_signatures=verify_signatures,
+            verify_signatures=False,
         )
         self.sim = self.node.sim
         self.network = self.node.network
@@ -114,14 +111,12 @@ class ShardedCluster:
     # Rebalancing control plane
     # ------------------------------------------------------------------
 
-    def load_plane(self, gateway=None):
+    def load_plane(self):
         """A :class:`~repro.rebalance.signals.SignalPlane` wired to this
         cluster: block-fill utilization and per-contract hotness for
-        every shard (plus gateway queue pressure when a gateway is
-        given), locating contracts through :meth:`locate_contract`."""
+        every shard, locating contracts through :meth:`locate_contract`."""
         from repro.rebalance.signals import (
             ContractHotnessSignal,
-            GatewayQueueSignal,
             ShardLoadMonitor,
             SignalPlane,
         )
@@ -130,21 +125,13 @@ class ShardedCluster:
         hotness = ContractHotnessSignal()
         for index, shard in enumerate(self.shards):
             hotness.watch(index, shard)
-        return SignalPlane(
-            utilization,
-            hotness,
-            GatewayQueueSignal(gateway) if gateway is not None else None,
-            locate=self.locate_contract,
-        )
+        return SignalPlane(utilization, hotness, locate=self.locate_contract)
 
     def auto_rebalancer(
         self,
         actuator=None,
         policy=None,
         interval: float = 20.0,
-        move_timeout: float = 120.0,
-        gateway=None,
-        telemetry=None,
     ):
         """A ready-to-start :class:`~repro.rebalance.rebalancer
         .Rebalancer` over this cluster's signal plane."""
@@ -152,12 +139,11 @@ class ShardedCluster:
 
         return Rebalancer(
             self.sim,
-            self.load_plane(gateway=gateway),
+            self.load_plane(),
             policy=policy,
             actuator=actuator,
             interval=interval,
-            move_timeout=move_timeout,
-            telemetry=telemetry if telemetry is not None else self.node.telemetry,
+            telemetry=self.node.telemetry,
         )
 
     @property

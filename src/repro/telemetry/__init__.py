@@ -59,9 +59,9 @@ class Telemetry:
     """One deployment's tracer + metrics registry, shared by all of its
     chains, relays, consensus engines and fault machinery."""
 
-    def __init__(self, tracer: Tracer = None, metrics: MetricsRegistry = None):
+    def __init__(self, tracer: Tracer = None):
         self.tracer = tracer if tracer is not None else Tracer(sink=NullSink())
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
 
     @classmethod
     def disabled(cls) -> "Telemetry":
@@ -69,10 +69,10 @@ class Telemetry:
         return cls(tracer=Tracer(sink=NullSink()))
 
     @classmethod
-    def enabled(cls, clock=None, wall_clock: bool = False) -> "Telemetry":
+    def enabled(cls, clock=None) -> "Telemetry":
         """Tracing into memory; bind the simulator clock with
         :meth:`bind_clock` (experiments do this on construction)."""
-        return cls(tracer=Tracer(clock=clock, sink=MemorySink(), wall_clock=wall_clock))
+        return cls(tracer=Tracer(clock=clock, sink=MemorySink()))
 
     def bind_clock(self, clock) -> None:
         """Point the tracer at an experiment's simulated clock."""

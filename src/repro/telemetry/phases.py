@@ -78,15 +78,15 @@ class TracePhases:
         }
 
 
-def trace_phases(spans: Iterable[Span], root_name: str = "move") -> List[TracePhases]:
-    """Fold spans into one :class:`TracePhases` per finished root trace.
+def trace_phases(spans: Iterable[Span]) -> List[TracePhases]:
+    """Fold spans into one :class:`TracePhases` per finished ``move`` trace.
 
     A phase appearing more than once in a trace (e.g. ``move2`` retry
     attempts under chaos) contributes the *sum* of its durations.
     """
     roots: Dict[int, TracePhases] = {}
     for span in spans:
-        if span.parent_id is None and span.name == root_name and span.ended:
+        if span.parent_id is None and span.name == "move" and span.ended:
             roots[span.trace_id] = TracePhases(
                 trace_id=span.trace_id,
                 name=span.name,

@@ -35,7 +35,6 @@ on that trace.
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -65,7 +64,6 @@ class Span:
         "end_time",
         "attrs",
         "events",
-        "_wall_start",
     )
 
     def __init__(
@@ -87,7 +85,6 @@ class Span:
         self.end_time: Optional[float] = None
         self.attrs = attrs
         self.events: List[SpanEvent] = []
-        self._wall_start = _time.perf_counter() if tracer.wall_clock else 0.0
 
     # -- recording ----------------------------------------------------
 
@@ -101,8 +98,6 @@ class Span:
             return
         if attrs:
             self.attrs.update(attrs)
-        if self.tracer.wall_clock:
-            self.attrs["wall_ms"] = (_time.perf_counter() - self._wall_start) * 1e3
         self.end_time = self.tracer.now()
         self.tracer._on_span_end(self)
 
@@ -230,12 +225,10 @@ class Tracer:
         self,
         clock: Optional[Callable[[], float]] = None,
         sink: Optional[object] = None,
-        wall_clock: bool = False,
     ):
         self._clock = clock or (lambda: 0.0)
         self.sink = sink if sink is not None else NullSink()
         self.enabled = bool(getattr(self.sink, "enabled", True))
-        self.wall_clock = wall_clock
         self._next_trace = 0
         self._next_span = 0
         self._by_id: Dict[int, Span] = {}

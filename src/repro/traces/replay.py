@@ -37,7 +37,6 @@ from repro.errors import StateError
 from repro.ibc.bridge import IBCBridge
 from repro.sharding.cluster import ShardedCluster
 from repro.sharding.partition import shard_of_int
-from repro.traces.cryptokitties import TraceConfig, generate_trace
 from repro.traces.dag import DependencyDAG
 from repro.traces.events import APPROVE, BREED, PROMO, TRANSFER, TraceOp
 
@@ -102,12 +101,11 @@ class KittiesReplayer:
     def __init__(
         self,
         cluster: ShardedCluster,
-        trace: Optional[List[TraceOp]] = None,
-        config: Optional[TraceConfig] = None,
+        trace: List[TraceOp],
         outstanding_limit: int = 250,
     ):
         self.cluster = cluster
-        self.trace = trace if trace is not None else generate_trace(config or TraceConfig())
+        self.trace = trace
         self.dag = DependencyDAG(self.trace)
         self.outstanding_limit = outstanding_limit
         self.bridge = IBCBridge(cluster.sim, cluster.shards)

@@ -129,13 +129,15 @@ class WorkloadReport:
 class ScoinWorkload:
     """Builds the token world on a cluster and drives the client pool."""
 
+    #: SCoin minted to each client's account during setup
+    tokens_per_client = 1_000_000
+
     def __init__(
         self,
         cluster: ShardedCluster,
         clients_per_shard: int = 250,
         cross_rate: float = 0.1,
         retry_mode: bool = False,
-        tokens_per_client: int = 1_000_000,
         seed: int = 7,
         hot_shard: Optional[int] = None,
         background_think: float = 0.0,
@@ -153,7 +155,6 @@ class ScoinWorkload:
         #: contract community" workload the rebalancing ablation uses.
         self.hot_shard = hot_shard
         self.background_think = background_think
-        self.tokens_per_client = tokens_per_client
         self.rng = random.Random(seed)
         self.bridge = IBCBridge(cluster.sim, cluster.shards)
         total = clients_per_shard * cluster.num_shards

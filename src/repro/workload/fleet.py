@@ -123,8 +123,6 @@ class FleetWorkload:
         block_interval: float = 2.0,
         max_block_txs: int = 300,
         executor_workers: int = 0,
-        transport_latency: float = 0.05,
-        transport_jitter: float = 0.05,
     ):
         self.node_params = burrow_params(
             1,
@@ -142,9 +140,7 @@ class FleetWorkload:
             mempool_headroom=4,
         )
         self.fleet = GatewayFleet(self.node, replicas=replicas, limits=self.limits)
-        self.transport = SimNetTransport(
-            self.fleet, latency=transport_latency, jitter=transport_jitter
-        )
+        self.transport = SimNetTransport(self.fleet, latency=0.05, jitter=0.05)
         self.total_rate = total_rate
         self.class_mix = class_mix
         # Zipf weights: rate_i ∝ 1/(i+1)^s, normalized to total_rate.

@@ -467,7 +467,6 @@ def test_rejections_carry_machine_readable_dict():
         {"mempool_headroom": 0},
         {"idempotency_retention": -1.0},
         {"max_clients": 0},
-        {"drr_quantum": 0},
     ],
 )
 def test_gateway_limits_validation(kwargs):
@@ -513,8 +512,8 @@ def test_node_restart_does_not_double_block_production():
     node.run_for(5.0)
     first_window = node.chain(1).height
     assert first_window > 0
-    node.stop()  # a stale tick timer stays pending...
-    node.start()  # ...and must not spawn a second production loop
+    node.stop()  # cancels the tick loop: no timer stays pending...
+    node.start()  # ...and a restart runs exactly one production loop
     node.run_for(5.0)
     assert node.chain(1).height - first_window == first_window
 
@@ -528,7 +527,7 @@ def test_gateway_restart_keeps_single_flush_loop():
     gateway.start()
     node.run_for(1.0)
     gateway.stop()
-    gateway.start()  # a stale flush timer is still pending
+    gateway.start()  # stop() cancelled the old loop; start() arms one
     node.run_for(1.0)
     # Two live loops would flush twice at the same simulated instant.
     assert times and len(times) == len(set(times))

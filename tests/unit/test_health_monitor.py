@@ -67,7 +67,7 @@ class TestMonitorMechanics:
         node.start()
         node.run_for(20.0)
         node.stop()
-        node.run_for(20.0)  # stale timers die against the epoch
+        node.run_for(20.0)  # stop() cancelled the loop: no tick is pending
         ticks_while_stopped = monitor.ticks
         node.start()
         node.run_for(20.0)

@@ -1,12 +1,12 @@
-"""Unit tests for both signer implementations."""
+"""Unit tests for the simulated signer."""
 
 import pytest
 
 from repro.crypto.hashing import keccak
-from repro.crypto.signature import Ed25519Signer, SimulatedSigner
+from repro.crypto.signature import SimulatedSigner
 
 
-@pytest.fixture(params=[Ed25519Signer, SimulatedSigner], ids=["ed25519", "simulated"])
+@pytest.fixture(params=[SimulatedSigner], ids=["simulated"])
 def signer(request):
     return request.param()
 
@@ -42,31 +42,3 @@ def test_tampered_signature_rejected(signer):
 
 def test_public_key_deterministic(signer):
     assert signer.public_key(SEED) == signer.public_key(SEED)
-
-
-def test_ed25519_known_vector():
-    # RFC 8032 test vector 1 (empty message).
-    seed = bytes.fromhex(
-        "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60"
-    )
-    expected_public = bytes.fromhex(
-        "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a"
-    )
-    expected_sig = bytes.fromhex(
-        "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155"
-        "5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"
-    )
-    signer = Ed25519Signer()
-    assert signer.public_key(seed) == expected_public
-    assert signer.sign(seed, b"") == expected_sig
-    assert signer.verify(expected_public, b"", expected_sig)
-
-
-def test_ed25519_rejects_malformed_inputs():
-    signer = Ed25519Signer()
-    public = signer.public_key(SEED)
-    assert not signer.verify(public, b"m", b"short")
-    assert not signer.verify(b"short", b"m", b"\x00" * 64)
-    # s >= group order
-    bad = signer.sign(SEED, b"m")[:32] + (b"\xff" * 32)
-    assert not signer.verify(public, b"m", bad)
