@@ -11,7 +11,7 @@ seconds and stays at ``end_price`` afterwards.
 from __future__ import annotations
 
 from repro.crypto.keys import Address
-from repro.runtime.contract import Contract, MapSlot, Slot, external, payable, require, view
+from repro.runtime.contract import Contract, MapSlot, external, payable, require, view
 from repro.runtime.registry import register_contract
 
 

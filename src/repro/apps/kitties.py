@@ -25,7 +25,7 @@ from repro.apps.genes import mix_genes, promo_genes
 from repro.crypto.hashing import keccak
 from repro.crypto.keys import Address
 from repro.lang.movable import MovableContract
-from repro.runtime.contract import MapSlot, Slot, external, require, view
+from repro.runtime.contract import Slot, external, require, view
 from repro.runtime.registry import register_contract
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.chain.tx import Move2Payload, Transaction
 from repro.crypto.hashing import keccak

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.chain.bytecode import execute_bytecode_call
 from repro.chain.lightclient import LightClient
 from repro.chain.tx import (
     BytecodeCallPayload,
@@ -32,16 +31,14 @@ from repro.chain.tx import (
 from repro.core.move import apply_move1, apply_move2
 from repro.core.registry import ChainRegistry
 from repro.crypto.hashing import keccak_code
-from repro.crypto.keys import Address, contract_address, create2_address
-from repro.errors import CodeNotFound, Revert, TransactionAborted
+from repro.crypto.keys import Address
+from repro.errors import Revert, TransactionAborted
 from repro.runtime.context import BlockEnv
-from repro.runtime.registry import lookup_code
 from repro.runtime.runtime import Runtime
 from repro.statedb.receipts import Receipt
 from repro.telemetry import Telemetry
 from repro.telemetry.tracer import NULL_SPAN, pop_span, push_span
 from repro.vm.gas import GasMeter
-from repro.vm.machine import Machine
 
 #: Per-transaction gas allowance; generous so only runaway transactions
 #: (or deliberately tight tests) hit it.
@@ -71,7 +68,6 @@ class TransactionExecutor:
         self.verify_signatures = verify_signatures
         self.tx_gas_limit = DEFAULT_TX_GAS_LIMIT
         self.gas_price = gas_price
-        self.machine = Machine(runtime.schedule)
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         self.chain_id = chain_id
         metrics = self.telemetry.metrics
@@ -157,11 +153,7 @@ class TransactionExecutor:
             payload = tx.payload
             if type(payload) is TransferPayload:
                 # Runs no contract code, so it needs no TxContext.
-                sender, amount = tx.sender, payload.amount
-                if state.balance_of(sender) < amount:
-                    raise Revert("insufficient balance for transfer")
-                state.sub_balance(sender, amount)
-                state.add_balance(payload.to, amount)
+                self.runtime._transfer_value(tx.sender, payload.to, payload.amount)
                 result, logs = None, ()
             else:
                 ctx = self.runtime.make_context(tx.sender, env, meter, category)
@@ -207,100 +199,34 @@ class TransactionExecutor:
         return receipt
 
     def _dispatch(self, tx: Transaction, ctx) -> object:
-        """Run a payload that executes contract code (every kind but a
-        transfer) in ``ctx``."""
+        """Map a payload that executes contract code (every kind but a
+        transfer) to its runtime step, run in ``ctx``."""
         payload = tx.payload
-        state = self.runtime.state
-
-        if isinstance(payload, DeployPayload):
-            # Code this chain cannot run is the sender's error, refused
-            # like any other malformed request, not a contract fault.
-            if type(payload.code_hash) is not bytes:
-                raise Revert(f"code hash must be bytes, not {type(payload.code_hash).__name__}")
-            try:
-                cls = lookup_code(payload.code_hash)
-            except CodeNotFound as exc:
-                raise Revert(str(exc)) from None
-            return self.runtime.deploy(
-                ctx,
-                cls,
-                payload.args,
-                sender=tx.sender,
-                salt=payload.salt,
-                value=payload.value,
+        runtime = self.runtime
+        kind = type(payload)
+        if kind is DeployPayload:
+            cls = runtime._registered(payload.code_hash)
+            return runtime.deploy(ctx, cls, payload.args, tx.sender, payload.salt, payload.value)
+        if kind is CallPayload:
+            return runtime.call(
+                ctx, payload.target, payload.method, payload.args, tx.sender, payload.value
             )
-
-        if isinstance(payload, CallPayload):
-            return self.runtime.call(
-                ctx,
-                payload.target,
-                payload.method,
-                payload.args,
-                sender=tx.sender,
-                value=payload.value,
+        if kind is DeployBytecodePayload:
+            code = payload.code
+            return runtime._create(
+                ctx, tx.sender, code, keccak_code(code), payload.salt, payload.value
             )
-
-        if isinstance(payload, DeployBytecodePayload):
-            code_hash = keccak_code(payload.code)
-            ctx.charge(self.runtime.schedule.create, "create")
-            schedule = self.runtime.schedule
-            if not (schedule.code_deposit_dedup and state.has_code(code_hash)):
-                ctx.charge(schedule.code_deposit(len(payload.code)), "code_deposit")
-            if payload.salt is None:
-                nonce = state.bump_nonce(tx.sender)
-                address = contract_address(ctx.env.chain_id, tx.sender, nonce)
-            else:
-                address = create2_address(
-                    ctx.env.chain_id, tx.sender, payload.salt, code_hash
-                )
-            state.create_contract(address, code_hash, payload.code)
-            if payload.value:
-                if state.balance_of(tx.sender) < payload.value:
-                    raise Revert("insufficient balance for deployment value")
-                state.sub_balance(tx.sender, payload.value)
-                state.add_balance(address, payload.value)
-            return address
-
-        if isinstance(payload, BytecodeCallPayload):
-            record = state.contract(payload.target)
-            if record is None:
-                raise Revert(f"no contract at {payload.target}")
-            # Bytecode calls may always mutate, so the Move lock blocks
-            # every call to a moved-away contract before it runs.
-            if record.location != state.chain_id:
-                state.refuse_write(payload.target, record)
-            ctx.charge(self.runtime.schedule.call)
-            if payload.value:
-                if state.balance_of(tx.sender) < payload.value:
-                    raise Revert("insufficient balance for call value")
-                state.sub_balance(tx.sender, payload.value)
-                state.add_balance(payload.target, payload.value)
-            result = execute_bytecode_call(
-                state,
-                self.machine,
-                payload.target,
-                tx.sender,
-                payload.calldata,
-                payload.value,
-                ctx.env,
-                ctx.meter,
-                self._category(tx),
+        if kind is BytecodeCallPayload:
+            # A bytecode call names the VM as its method.
+            return runtime.call(
+                ctx, payload.target, runtime.machine, payload.calldata, tx.sender, payload.value
             )
-            return result.return_data
-
-        if isinstance(payload, Move1Payload):
-            apply_move1(ctx, self.runtime, payload.contract, payload.target_chain, tx.sender)
+        if kind is Move1Payload:
+            apply_move1(ctx, runtime, payload.contract, payload.target_chain, tx.sender)
             return None
-
-        if isinstance(payload, Move2Payload):
+        if kind is Move2Payload:
             apply_move2(
-                ctx,
-                self.runtime,
-                payload.bundle,
-                self.light_client,
-                self.registry,
-                tx.sender,
+                ctx, runtime, payload.bundle, self.light_client, self.registry, tx.sender
             )
             return None
-
         raise Revert(f"unknown payload type {type(payload).__name__}")

@@ -181,7 +181,7 @@ class CallPayload(tuple):
 
 @dataclass(frozen=True)
 class DeployBytecodePayload:
-    """Deploy raw VM bytecode (see :mod:`repro.chain.bytecode`)."""
+    """Deploy raw VM bytecode (run by :mod:`repro.runtime.runtime`)."""
 
     code: bytes
     value: int = 0

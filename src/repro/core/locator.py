@@ -10,7 +10,7 @@ reads the answer directly instead (:func:`active_chain`).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional
 
 from repro.crypto.keys import Address
 from repro.errors import StateError

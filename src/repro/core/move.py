@@ -41,10 +41,9 @@ from typing import TYPE_CHECKING, Tuple
 from repro.core.proofs import ContractStateProof
 from repro.core.registry import ChainRegistry
 from repro.crypto.keys import Address
-from repro.errors import CodeNotFound, MoveError, ProofError, ReplayError, UnknownRootError
+from repro.errors import MoveError, ProofError, ReplayError, UnknownRootError
 from repro.merkle.protocol import AuthenticatedTree
-from repro.runtime.context import Msg, TxContext
-from repro.runtime.registry import lookup_code
+from repro.runtime.context import TxContext
 from repro.runtime.runtime import Runtime
 from repro.statedb.state import ContractLeaf
 from repro.telemetry.tracer import current_span
@@ -77,21 +76,11 @@ def apply_move1(
         raise MoveError("target blockchain is the current one")
 
     # Custom guard first (line 2): the developer's moveTo may revert.
-    try:
-        cls = lookup_code(record.code_hash)
-    except CodeNotFound:
-        # Raw bytecode contracts have no Python-level hook: they move
-        # themselves by executing OP_MOVE inside a regular call, so a
-        # Move1 transaction against them is meaningless.
-        raise MoveError(
-            "bytecode contracts move via their own OP_MOVE, not Move1"
-        ) from None
-    instance = cls(ctx, contract)
-    ctx.push_msg(Msg(sender=sender, value=0))
-    try:
-        instance.move_to(target_chain)
-    finally:
-        ctx.pop_msg()
+    # Raw bytecode contracts have no such hook: they move themselves by
+    # executing OP_MOVE inside a regular call, so a Move1 transaction
+    # against them is meaningless.
+    if not runtime._hook(ctx, contract, "move_to", (target_chain,), sender):
+        raise MoveError("bytecode contracts move via their own OP_MOVE, not Move1")
 
     # OP_MOVE (line 3): L_c <- B_j, plus the move-nonce bump that makes
     # this locked snapshot unique among the contract's residencies.
@@ -170,16 +159,10 @@ def apply_move2(
     ctx.charge(ctx.meter.schedule.proof_verification(proof_bytes))
     leaf, tree = validate_move2(state, bundle, light_client, source_params, proof_bytes)
 
-    existing = state.contract(bundle.contract)
-    if existing is None:
-        # Recreating the contract pays CREATE, and — on chains that
-        # charge it — the per-byte code deposit (Fig. 9's hatched bars:
-        # "every recreated contract pays a constant gas based on the
-        # size of the moved code").
-        ctx.charge(ctx.meter.schedule.create, "create")
-        if not (ctx.meter.schedule.code_deposit_dedup and state.has_code(leaf.code_hash)):
-            ctx.charge(ctx.meter.schedule.code_deposit(len(bundle.code)), "create")
-        record = state.create_contract(
+    if state.contract(bundle.contract) is None:
+        # Recreating the contract pays what a deployment of its code pays.
+        runtime._charge_creation(ctx, leaf.code_hash, len(bundle.code))
+        state.create_contract(
             bundle.contract,
             leaf.code_hash,
             bundle.code,
@@ -190,7 +173,7 @@ def apply_move2(
     else:
         # The contract lived here before: the stale record becomes the
         # active copy again (the bulk load below replaces its storage).
-        record = state.reactivate(bundle.contract, leaf.move_nonce, leaf.balance)
+        state.reactivate(bundle.contract, leaf.move_nonce, leaf.balance)
 
     # Line 12: SSTORE every proven slot, at full storage-write cost.
     # The slots are bulk-loaded in one journaled step: the canonical
@@ -204,16 +187,7 @@ def apply_move2(
     current_span().event("move2.storage_replayed", slots=len(bundle.storage))
 
     # Line 13: the developer's moveFinish hook.  Raw bytecode contracts
-    # have no Python hook — their post-move logic, if any, runs inside
-    # their own code on the next call.
-    try:
-        cls = lookup_code(record.code_hash)
-    except CodeNotFound:
-        return
-    instance = cls(ctx, bundle.contract)
-    ctx.push_msg(Msg(sender=sender, value=0))
-    try:
-        instance.move_finish()
-    finally:
-        ctx.pop_msg()
-    current_span().event("move2.move_finish")
+    # have none — their post-move logic, if any, runs inside their own
+    # code on the next call.
+    if runtime._hook(ctx, bundle.contract, "move_finish", (), sender):
+        current_span().event("move2.move_finish")

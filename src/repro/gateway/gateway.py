@@ -88,10 +88,10 @@ from repro.chain.tx import (
 )
 from repro.crypto.keys import Address, KeyPair
 from repro.errors import (
-    CodeNotFound,
     ConfigError,
     GatewayError,
     InvalidRequest,
+    NotAViewError,
     RateLimited,
     ReadOnlyReplicaError,
     RequestTimeout,
@@ -435,14 +435,11 @@ class Gateway:
             return
         record = chain.state.contract(target)
         if type(payload) is CallPayload:
-            from repro.runtime.registry import lookup_code
-
             try:
-                fn = getattr(lookup_code(record.code_hash), payload.method, None)
-            except CodeNotFound:
-                fn = None
-            if fn is not None and getattr(fn, "_is_view", False):
+                chain.runtime._view_of(record, payload.method)
                 return  # reads are what replicas are for
+            except NotAViewError:
+                pass
         raise ReadOnlyReplicaError(
             f"contract {target} on chain {chain.chain_id} is a read-only "
             f"replica of chain {record.location}; submit writes to the active copy"

@@ -6,12 +6,11 @@ application the Move primitive enables.  This package is that control
 plane, split into the three layers docs/REBALANCING.md describes:
 
 * **signals** (:mod:`repro.rebalance.signals`) — a
-  :class:`SignalPlane` composes three public inputs into
+  :class:`SignalPlane` composes two public inputs into
   :class:`ShardLoadView` snapshots: block-fill utilization per shard
-  (:class:`ShardLoadMonitor`), per-contract tx/gas demand
+  (:class:`ShardLoadMonitor`) and per-contract tx/gas demand
   (:class:`ContractHotnessSignal`, which attributes each transaction
-  through :func:`repro.chain.tx.named_contract`) and, optionally,
-  gateway queue depths (:class:`GatewayQueueSignal`);
+  through :func:`repro.chain.tx.named_contract`);
 * **policy** (:mod:`repro.rebalance.policy`) — the
   :class:`RebalancePolicy` engine: hysteresis (enter/exit thresholds),
   per-contract and per-shard cooldown windows, hotness ranking and
@@ -31,10 +30,8 @@ partitioning on both throughput and p99 latency without thrashing.
 from repro.rebalance.policy import MoveDecision, RebalancePolicy
 from repro.rebalance.rebalancer import Rebalancer, replication_actuator
 from repro.rebalance.signals import (
-    QUEUE_WEIGHT,
     UTILIZATION_WEIGHT,
     ContractHotnessSignal,
-    GatewayQueueSignal,
     ShardLoad,
     ShardLoadMonitor,
     ShardLoadView,
@@ -46,10 +43,8 @@ __all__ = [
     "ShardLoadView",
     "SignalPlane",
     "UTILIZATION_WEIGHT",
-    "QUEUE_WEIGHT",
     "ShardLoadMonitor",
     "ContractHotnessSignal",
-    "GatewayQueueSignal",
     "MoveDecision",
     "RebalancePolicy",
     "Rebalancer",

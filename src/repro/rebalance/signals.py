@@ -1,23 +1,21 @@
-"""The load-signal plane: three public load inputs, one snapshot.
+"""The load-signal plane: two public load inputs, one snapshot.
 
-A :class:`SignalPlane` composes three inputs into one
+A :class:`SignalPlane` composes two inputs into one
 :class:`ShardLoadView` snapshot — the only input the policy layer
 (:mod:`repro.rebalance.policy`) ever sees: block-fill utilization per
-shard (:class:`ShardLoadMonitor`), per-contract demand
-(:class:`ContractHotnessSignal`) and, optionally, gateway admission
-backpressure per shard (:class:`GatewayQueueSignal`).
+shard (:class:`ShardLoadMonitor`) and per-contract demand
+(:class:`ContractHotnessSignal`).
 
 Normalization convention: per-shard values are *capacity fractions*
 (≈0 idle, ≈1 saturated), so a shard's pressure is
-:data:`UTILIZATION_WEIGHT` × utilization + :data:`QUEUE_WEIGHT` × queue
-depth.  Per-contract values are demand rates (transactions per block,
-plus a scaled gas term) — they rank contracts by hotness, so only their
-relative order matters.
+:data:`UTILIZATION_WEIGHT` × utilization.  Per-contract values are
+demand rates (transactions per block, plus a scaled gas term) — they
+rank contracts by hotness, so only their relative order matters.
 
-Every input here derives its values from public, deterministic data
-(the block stream, the gateway's public queue depths), which is what
-keeps rebalancing decisions replayable and decentralized: any client
-watching the same blocks computes the same view, hence the same moves.
+Both inputs derive their values from public, deterministic data (the
+block stream), which is what keeps rebalancing decisions replayable and
+decentralized: any client watching the same blocks computes the same
+view, hence the same moves.
 """
 
 from __future__ import annotations
@@ -42,12 +40,9 @@ from repro.errors import ConfigError
 if TYPE_CHECKING:
     from repro.chain.chain import Chain
 
-#: pressure per unit of utilization — the primary load measure (it is
-#: already a capacity fraction)
+#: pressure per unit of utilization — the load measure (it is already
+#: a capacity fraction)
 UTILIZATION_WEIGHT = 1.0
-#: pressure per unit of gateway queue depth: queue pressure raises a
-#: shard's pressure when admission backs up
-QUEUE_WEIGHT = 0.5
 
 #: hotness charged per unit of gas, on top of one per transaction
 _GAS_SCALE = 1e-6
@@ -116,10 +111,10 @@ class ShardLoadView:
 
 
 class SignalPlane:
-    """Composes the three load inputs into views.
+    """Composes the two load inputs into views.
 
-    ``utilization`` and the optional ``gateway_queue`` report per-shard
-    capacity fractions (``shard_values()``); ``hotness`` reports
+    ``utilization`` reports per-shard capacity fractions
+    (``shard_values()``); ``hotness`` reports
     per-contract demand (``contract_values()``).  ``locate`` maps a
     contract address to its current shard index (for clusters,
     :meth:`~repro.sharding.cluster.ShardedCluster.locate_contract`);
@@ -134,25 +129,20 @@ class SignalPlane:
         self,
         utilization: "ShardLoadMonitor",
         hotness: "ContractHotnessSignal",
-        gateway_queue: Optional["GatewayQueueSignal"] = None,
         locate: Optional[Callable[[Address], Optional[int]]] = None,
         read_rates: Optional[Callable[[], Mapping[Address, float]]] = None,
     ):
         self.utilization = utilization
         self.hotness = hotness
-        self.gateway_queue = gateway_queue
         self._locate = locate
         self._read_rates = read_rates
 
     def sample(self, now: float) -> ShardLoadView:
-        """One composed snapshot of the three inputs."""
-        pressure: Dict[int, float] = {}
-        for shard, value in self.utilization.shard_values().items():
-            pressure[shard] = UTILIZATION_WEIGHT * value
-        if self.gateway_queue is not None:
-            for shard, value in self.gateway_queue.shard_values().items():
-                pressure[shard] = pressure.get(shard, 0.0) + QUEUE_WEIGHT * value
-        shards = {shard: ShardLoad(shard, value) for shard, value in pressure.items()}
+        """One composed snapshot of the two inputs."""
+        shards = {
+            shard: ShardLoad(shard, UTILIZATION_WEIGHT * value)
+            for shard, value in self.utilization.shard_values().items()
+        }
         hotness = dict(self.hotness.contract_values())
         contract_shard: Dict[Address, int] = {}
         if self._locate is not None:
@@ -284,28 +274,3 @@ class ContractHotnessSignal:
                         txs + _GAS_SCALE * gas
                     ) / span
         return merged
-
-
-class GatewayQueueSignal:
-    """Admission backpressure from a gateway's bounded queues.
-
-    Reports each served chain's queued+parked depth on its fullest
-    replica as a fraction of the per-replica bound — 1.0 means that
-    replica is shedding, the rule
-    :meth:`~repro.gateway.gateway.Gateway.health` applies.
-    """
-
-    def __init__(self, gateway):
-        self.gateway = gateway
-
-    def shard_values(self) -> Mapping[int, float]:
-        """Fullest-replica queue depth per shard as a fraction of the
-        admission bound."""
-        limits = self.gateway.limits
-        bound = limits.max_queue_depth + limits.max_blocked
-        values: Dict[int, float] = {}
-        for chain_id in self.gateway.node.chains:
-            depth = max(r.queue_depth(chain_id) for r in self.gateway.replicas)
-            # shard index = chain id - 1, the cluster convention
-            values[chain_id - 1] = depth / bound if bound > 0 else 0.0
-        return values

@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.core.locator import active_chain
 from repro.crypto.keys import Address
 from repro.errors import ReplicaUnavailable, StateError
-from repro.replicate.mirror import LIVE, TOMBSTONED, Mirror
+from repro.replicate.mirror import Mirror
 from repro.replicate.relay import ReplicationRelay
 
 #: window (simulated seconds) for the read-rate signal

@@ -36,7 +36,7 @@ from repro.chain.block import BlockHeader
 from repro.chain.chain import Chain
 from repro.crypto.keys import Address
 from repro.errors import ProofError, StateError, UnknownRootError
-from repro.replicate.mirror import HALTED, LIVE, SYNCING, TOMBSTONED, Mirror
+from repro.replicate.mirror import HALTED, LIVE, TOMBSTONED, Mirror
 from repro.telemetry import Telemetry
 
 

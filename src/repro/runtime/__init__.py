@@ -1,4 +1,4 @@
-"""High-level, gas-metered contract runtime.
+"""Gas-metered contract runtime for both code kinds.
 
 The paper's applications are written in (extended) Solidity and compiled
 to the EVM.  Here they are written as Python classes against this
@@ -8,6 +8,10 @@ route every read/write through the same gas schedule as the bytecode VM,
 with ``msg.sender``/``msg.value`` semantics, contract creation charges
 CREATE + code-deposit gas, and the Move protocol's lock field ``L_c``
 is enforced on every call (writes to a moved-away contract abort).
+
+The runtime owns the bytecode backend too: a contract whose code is no
+registered class runs in the VM (:mod:`repro.vm`) through the same
+creation, entry and value-transfer steps (:mod:`repro.runtime.runtime`).
 """
 
 from repro.runtime.context import BlockEnv, Msg, TxContext

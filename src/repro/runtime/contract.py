@@ -21,7 +21,7 @@ EVM model the paper measures.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Type, TypeVar
+from typing import Any, Callable, Optional, Type, TypeVar
 
 from repro.crypto.hashing import keccak
 from repro.crypto.keys import Address
@@ -295,30 +295,17 @@ class Contract:
 
     def call(self, target: Address, method: str, *args: Any, value: int = 0) -> Any:
         """Call another contract; ``msg.sender`` becomes this contract."""
-        from repro.runtime.runtime import Runtime  # local import, no cycle at module load
-
-        runtime: Runtime = self._ctx.runtime  # type: ignore[attr-defined]
-        return runtime.call(
-            self._ctx, target, method, args, sender=self.address, value=value
-        )
+        return self._ctx.runtime.call(self._ctx, target, method, args, self.address, value)
 
     def create(
         self, cls: Type["Contract"], *args: Any, salt: Optional[int] = None, value: int = 0
     ) -> Address:
         """Create a child contract (CREATE/CREATE2 by salt presence)."""
-        from repro.runtime.runtime import Runtime
-
-        runtime: Runtime = self._ctx.runtime  # type: ignore[attr-defined]
-        return runtime.deploy(
-            self._ctx, cls, args, sender=self.address, salt=salt, value=value
-        )
+        return self._ctx.runtime.deploy(self._ctx, cls, args, self.address, salt, value)
 
     def transfer(self, to: Address, amount: int) -> None:
         """Send native currency from this contract's balance."""
-        if self._ctx.state.balance_of(self.address) < amount:
-            raise Revert("insufficient contract balance")
-        self._ctx.state.sub_balance(self.address, amount)
-        self._ctx.state.add_balance(to, amount)
+        self._ctx.runtime._transfer_value(self.address, to, amount)
 
     def emit(self, name: str, **fields: Any) -> None:
         """Emit an event (charged at LOG cost)."""

@@ -38,7 +38,7 @@ from repro.ibc.bridge import IBCBridge
 from repro.sharding.cluster import ShardedCluster
 from repro.sharding.partition import shard_of_int
 from repro.traces.dag import DependencyDAG
-from repro.traces.events import APPROVE, BREED, PROMO, TRANSFER, TraceOp
+from repro.traces.events import APPROVE, PROMO, TRANSFER, TraceOp
 
 
 @dataclass

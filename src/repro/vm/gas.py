@@ -18,7 +18,7 @@ components without re-deriving them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.errors import OutOfGas

@@ -40,7 +40,6 @@ from repro.chain.tx import CallPayload, DeployPayload, sign_transaction
 from repro.crypto.keys import Address, KeyPair
 from repro.ibc.bridge import IBCBridge
 from repro.sharding.cluster import ShardedCluster
-from repro.sharding.partition import shard_of
 
 
 class LatencySampler:

@@ -4,12 +4,8 @@ import pytest
 
 from repro.chain.tx import CallPayload, TransferPayload, sign_transaction
 from repro.crypto.keys import Address, KeyPair
-from repro.gateway import Gateway, GatewayLimits
-from repro.node import Node
-from repro.chain.params import burrow_params
 from repro.rebalance.signals import (
     ContractHotnessSignal,
-    GatewayQueueSignal,
     ShardLoadMonitor,
     SignalPlane,
 )
@@ -19,7 +15,6 @@ from tests.helpers import (
     ManualClock,
     StoreContract,
     deploy_store,
-    fill_replicas,
     produce,
 )
 
@@ -141,17 +136,14 @@ def test_plane_composes_weighted_pressure():
     plane = SignalPlane(
         _Stub({0: 0.8, 1: 0.2}),
         _Stub(contract_values={addr(1): 3.0}),
-        _Stub({0: 0.4, 2: 0.6}),
         locate=placement.get,
     )
     view = plane.sample(now=12.0)
     assert view.at == 12.0
-    assert view.pressure(0) == 0.8 + 0.5 * 0.4
+    assert view.pressure(0) == 0.8
     assert view.pressure(1) == 0.2
-    # A shard only the gateway reports is queue pressure alone.
-    assert view.pressure(2) == 0.5 * 0.6
     assert view.pressure(99) == 0.0
-    assert view.shard_ids() == [0, 1, 2]
+    assert view.shard_ids() == [0, 1]
     assert view.contract_hotness == {addr(1): 3.0}
     assert view.hottest_contracts(0) == [(addr(1), 3.0)]
     assert view.hottest_contracts(1) == []
@@ -163,7 +155,6 @@ def test_cluster_load_plane_is_fully_wired():
     plane = cluster.load_plane()
     assert isinstance(plane.utilization, ShardLoadMonitor)
     assert isinstance(plane.hotness, ContractHotnessSignal)
-    assert plane.gateway_queue is None
     store = deploy_store(cluster.shard(0), clock, ALICE)
     caller = KeyPair.from_name("plane-caller")
     cluster.fund_all({caller.address: 1_000_000})
@@ -178,30 +169,3 @@ def test_cluster_load_plane_is_fully_wired():
     assert view.pressure(0) > view.pressure(1)
     assert view.contract_shard[store] == 0
     assert view.hottest_contracts(0)[0][0] == store
-
-
-# ----------------------------------------------------------------------
-# Gateway signals
-# ----------------------------------------------------------------------
-
-
-def test_gateway_queue_signal_normalizes_depth():
-    node = Node([burrow_params(1), burrow_params(2, name="two")], seed=1)
-    gateway = Gateway(
-        node, GatewayLimits(max_queue_depth=10, max_blocked=10)
-    )
-    signal = GatewayQueueSignal(gateway)
-    # Shard index = chain id - 1 (the cluster convention).
-    assert signal.shard_values() == {0: 0.0, 1: 0.0}
-
-
-def test_gateway_queue_signal_reads_the_fullest_replica():
-    # 3 queued on each of 4 replicas, against a per-replica bound of
-    # 10 + 10: each replica is 15 % full, not 60 %.
-    node = Node(burrow_params(1), seed=1, verify_signatures=False)
-    gateway = Gateway(
-        node, GatewayLimits(max_queue_depth=10, max_blocked=10), replicas=4
-    )
-    fill_replicas(gateway, 1, per_replica=3)
-    assert gateway.queue_depth(1) == 12
-    assert GatewayQueueSignal(gateway).shard_values() == {0: 0.15}
