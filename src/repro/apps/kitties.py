@@ -17,13 +17,19 @@ Function mapping (only breeding can go cross-chain):
 * birth — ``Kitty.give_birth`` creates the child contract;
 * ownership transfer — ``Kitty.transfer_ownership`` (also how the sale
   auction of :mod:`repro.apps.auction` settles).
+
+:func:`breed` is the client side of breeding, which every load driver
+runs.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.apps.genes import mix_genes, promo_genes
+from repro.chain.tx import CallPayload, sign_transaction
 from repro.crypto.hashing import keccak
-from repro.crypto.keys import Address
+from repro.crypto.keys import Address, KeyPair
 from repro.lang.movable import MovableContract
 from repro.runtime.contract import Slot, external, require, view
 from repro.runtime.registry import register_contract
@@ -246,3 +252,27 @@ class KittyRegistry(MovableContract):
     def total_kitties(self) -> int:
         """Cats this registry has counted."""
         return self.kitties_created
+
+
+def breed(
+    send: Callable,
+    where: int,
+    owner: KeyPair,
+    matron: Address,
+    sire: Address,
+    on_born: Callable,
+    on_barren: Callable,
+) -> None:
+    """ScalableKitties' breeding step (Fig. 5) over ``send(where, tx,
+    on_receipt)``: ``owner`` breeds ``matron`` with ``sire``, both on
+    chain ``where``, then has the matron give birth.  ``on_born`` gets
+    the ``give_birth`` receipt (its return value is the kitten); a
+    failed ``breed_with`` receipt goes to ``on_barren`` instead."""
+
+    def bred(receipt) -> None:
+        if not receipt.success:
+            on_barren(receipt)
+            return
+        send(where, sign_transaction(owner, CallPayload(matron, "give_birth")), on_born)
+
+    send(where, sign_transaction(owner, CallPayload(matron, "breed_with", (sire,))), bred)

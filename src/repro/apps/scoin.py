@@ -16,14 +16,19 @@ and compares it with ``B``'s address.  The code hash pins the exact
 ``SAccount`` code, the parent pins the factory, so a match proves ``B``
 was created by the same SCoin with the same code.  ``debit`` runs the
 same check against its *caller* before crediting.
+
+:func:`open_accounts` is the client side: how every load driver builds
+a token world.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from functools import partial
+from typing import Callable, List, Sequence, Tuple
 
+from repro.chain.tx import CallPayload, DeployPayload, sign_transaction
 from repro.crypto.hashing import keccak
-from repro.crypto.keys import Address, create2_address
+from repro.crypto.keys import Address, KeyPair, create2_address
 from repro.lang.movable import MovableContract
 from repro.runtime.contract import MapSlot, Slot, external, payable, require, view
 from repro.runtime.registry import register_contract
@@ -239,3 +244,43 @@ class SCoin(MovableContract):
         from repro.runtime.contract import encode_key
 
         return keccak(SCoin.accounts.base, encode_key(salt))
+
+
+def open_accounts(
+    send: Callable,
+    where: int,
+    owner: KeyPair,
+    holders: Sequence[KeyPair],
+    tokens: int,
+    on_ready: Callable[[Address, List[Address]], None],
+) -> None:
+    """SCoin's client setup (Listing 2) over ``send(where, tx,
+    on_receipt)``: ``owner`` deploys the token, each holder opens its
+    account with ``new_account_for``, and ``owner`` mints ``tokens`` to
+    each account as it opens.  ``on_ready(token, accounts)`` fires once
+    every mint is included, accounts in holder order.  Any failed
+    receipt raises ``AssertionError``."""
+    accounts = [None] * len(holders)
+    unminted = len(holders)
+
+    def deployed(receipt) -> None:
+        assert receipt.success, receipt.error
+        token = receipt.return_value
+        for index, holder in enumerate(holders):
+            payload = CallPayload(token, "new_account_for", (holder.address,))
+            send(where, sign_transaction(holder, payload), partial(opened, token, index))
+
+    def opened(token: Address, index: int, receipt) -> None:
+        assert receipt.success, receipt.error
+        accounts[index], _salt = receipt.return_value
+        payload = CallPayload(token, "mint_to", (accounts[index], tokens))
+        send(where, sign_transaction(owner, payload), partial(minted, token))
+
+    def minted(token: Address, receipt) -> None:
+        nonlocal unminted
+        assert receipt.success, receipt.error
+        unminted -= 1
+        if unminted == 0:
+            on_ready(token, accounts)
+
+    send(where, sign_transaction(owner, DeployPayload(code_hash=SCoin.CODE_HASH)), deployed)

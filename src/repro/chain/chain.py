@@ -21,7 +21,7 @@ data needs:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.chain.block import GENESIS_PARENT, Block, BlockHeader, transactions_root
 from repro.chain.executor import TransactionExecutor
@@ -39,6 +39,9 @@ from repro.runtime.runtime import Runtime
 from repro.statedb.receipts import Receipt
 from repro.statedb.state import ContractRecord, WorldState, encode_contract_leaf
 from repro.telemetry import Telemetry
+
+if TYPE_CHECKING:
+    from repro.net.sim import Simulator
 
 BlockListener = Callable[[Block, List[Receipt]], None]
 
@@ -569,3 +572,17 @@ class Chain:
             tracer.header_accepted(self.chain_id, header.chain_id, header.height)
         for listener in list(self._header_listeners):
             listener(header)
+
+
+def client_submit(
+    sim: "Simulator",
+    chain: Chain,
+    tx: Transaction,
+    on_receipt: Callable[[Receipt], None],
+    latency: float,
+) -> None:
+    """Submit ``tx`` from a client ``latency`` simulated seconds away
+    from ``chain``; ``on_receipt(receipt)`` fires once it executes.
+    Every load driver reaches a chain this way."""
+    chain.wait_for(tx.tx_id, on_receipt)
+    sim.schedule(latency, chain.submit, tx)

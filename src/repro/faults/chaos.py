@@ -38,6 +38,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.apps.kitties import KittyRegistry, breed
+from repro.apps.scoin import open_accounts
+from repro.chain.chain import client_submit
 from repro.chain.params import burrow_params, ethereum_params
 from repro.chain.tx import CallPayload, DeployPayload, sign_transaction
 from repro.crypto.keys import Address, KeyPair
@@ -168,9 +171,14 @@ class ChaosWorld:
     def submit(self, chain_id: int, tx, on_receipt, _on_reject=None) -> None:
         """Hand ``tx`` to a chain's mempool after client-side latency;
         ``on_receipt(receipt)`` fires on inclusion."""
-        chain = self.chains[chain_id]
-        chain.wait_for(tx.tx_id, on_receipt)
-        self.sim.schedule(SUBMIT_LATENCY, chain.submit, tx)
+        client_submit(self.sim, self.chains[chain_id], tx, on_receipt, SUBMIT_LATENCY)
+
+    def count(self, receipt) -> None:
+        """Count one workload action (a transfer or a birth)."""
+        if receipt.success:
+            self.report.actions_completed += 1
+        else:
+            self.report.actions_failed += 1
 
     def run_tx(self, chain_id: int, keypair: KeyPair, payload, callback) -> None:
         """Sign, submit and invoke ``callback(receipt)`` on inclusion."""
@@ -227,44 +235,18 @@ def _scoin_setup(world: ChaosWorld, on_ready: Callable[[int], None]) -> None:
 
     ``on_ready(total_supply)`` fires once every account holds tokens.
     """
-    from repro.apps.scoin import SCoin
-
     tokens_each = 1000
     home = WORKLOAD_CHAINS[0]
-    pending = [len(world.actors)]
 
-    def after_deploy(receipt) -> None:
-        assert receipt.success, receipt.error
-        token = receipt.return_value
+    def ready(token: Address, accounts: List[Address]) -> None:
         world.stationary.append(token)
-        for actor in world.actors:
-            world.run_tx(
-                home,
-                actor.keypair,
-                CallPayload(token, "new_account_for", (actor.keypair.address,)),
-                lambda r, a=actor: after_create(a, r, token),
-            )
+        for actor, account in zip(world.actors, accounts):
+            actor.contract = account
+            actor.location = home
+        on_ready(tokens_each * len(accounts))
 
-    def after_create(actor: _Actor, receipt, token: Address) -> None:
-        assert receipt.success, receipt.error
-        actor.contract, _salt = receipt.return_value
-        actor.location = home
-        world.run_tx(
-            home,
-            world.owner,
-            CallPayload(token, "mint_to", (actor.contract, tokens_each)),
-            lambda r: after_mint(r),
-        )
-
-    def after_mint(receipt) -> None:
-        assert receipt.success, receipt.error
-        pending[0] -= 1
-        if pending[0] == 0:
-            on_ready(tokens_each * len(world.actors))
-
-    world.run_tx(
-        home, world.owner, DeployPayload(code_hash=SCoin.CODE_HASH), after_deploy
-    )
+    holders = [actor.keypair for actor in world.actors]
+    open_accounts(world.submit, home, world.owner, holders, tokens_each, ready)
 
 
 def _scoin_step(world: ChaosWorld, actor: _Actor) -> None:
@@ -285,10 +267,7 @@ def _scoin_step(world: ChaosWorld, actor: _Actor) -> None:
         target = world.rng.choice(siblings)
 
         def after(receipt) -> None:
-            if receipt.success:
-                world.report.actions_completed += 1
-            else:
-                world.report.actions_failed += 1
+            world.count(receipt)
             next_step()
 
         world.run_tx(
@@ -305,8 +284,6 @@ def _scoin_step(world: ChaosWorld, actor: _Actor) -> None:
 def _kitties_setup(world: ChaosWorld, on_ready: Callable[[int], None]) -> None:
     """Registry + two gen-0 cats per actor on chain 1: one stationary
     partner, one roaming cat that moves between the chains."""
-    from repro.apps.kitties import KittyRegistry
-
     home = WORKLOAD_CHAINS[0]
     pending = [2 * len(world.actors)]
 
@@ -354,36 +331,16 @@ def _kitties_step(world: ChaosWorld, actor: _Actor) -> None:
         world.move(actor, home, next_step)
         return
 
-    def after_breed(receipt) -> None:
-        if not receipt.success:
-            world.report.actions_failed += 1
-            next_step()
-            return
-        world.run_tx(
-            home,
-            actor.keypair,
-            CallPayload(actor.contract, "give_birth", ()),
-            after_birth,
-        )
+    def barren(receipt) -> None:
+        world.count(receipt)
+        next_step()
 
-    def after_birth(receipt) -> None:
-        if receipt.success:
-            world.report.actions_completed += 1
-        else:
-            world.report.actions_failed += 1
+    def born(receipt) -> None:
+        world.count(receipt)
         # Hop to the other chain and come back for the next litter.
-        world.move(
-            actor,
-            WORKLOAD_CHAINS[1],
-            lambda ok: next_step(),
-        )
+        world.move(actor, WORKLOAD_CHAINS[1], next_step)
 
-    world.run_tx(
-        home,
-        actor.keypair,
-        CallPayload(actor.contract, "breed_with", (actor.partner,)),
-        after_breed,
-    )
+    breed(world.submit, home, actor.keypair, actor.contract, actor.partner, born, barren)
 
 
 _WORKLOADS = {

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence
 
-from repro.chain.chain import Chain
+from repro.chain.chain import Chain, client_submit
 from repro.chain.tx import Move1Payload, Move2Payload, Transaction, sign_transaction
 from repro.crypto.keys import Address, KeyPair
 from repro.errors import ProofError
@@ -354,9 +354,7 @@ class IBCBridge:
         return self.chains[chain_id]
 
     def _send(self, chain_id: int, tx: Transaction, on_receipt, _on_reject) -> None:
-        chain = self.chains[chain_id]
-        chain.wait_for(tx.tx_id, on_receipt)
-        self.sim.schedule(SUBMIT_LATENCY, chain.submit, tx)
+        client_submit(self.sim, self.chains[chain_id], tx, on_receipt, SUBMIT_LATENCY)
 
     def move_contract(
         self,

@@ -25,12 +25,12 @@ from typing import List, Optional, Sequence
 from repro.apps.kitties import KittyRegistry
 from repro.apps.scoin import SCoin
 from repro.apps.store import StateStore
-from repro.chain.chain import Chain
+from repro.chain.chain import Chain, client_submit
 from repro.chain.params import burrow_params, ethereum_params
 from repro.chain.tx import CallPayload, DeployPayload, sign_transaction
 from repro.crypto.keys import Address, KeyPair
 from repro.errors import SimulationError
-from repro.ibc.bridge import IBCBridge, MovePhases
+from repro.ibc.bridge import SUBMIT_LATENCY, IBCBridge, MovePhases
 from repro.node import Node
 from repro.telemetry import Telemetry
 
@@ -85,16 +85,10 @@ class IBCExperiment(Node):
 
     def sync_tx(self, chain: Chain, keypair: KeyPair, payload):
         """Submit and drive the simulator until the receipt lands."""
-        tx = sign_transaction(keypair, payload)
         done: List = []
-        chain.wait_for(tx.tx_id, done.append)
-        self.sim.schedule(0.05, chain.submit, tx)
-        deadline = self.sim.now + SYNC_TX_TIMEOUT
-        while not done and self.sim.now < deadline:
-            self.sim.run(until=self.sim.now + 5.0)
-        if not done:
-            raise SimulationError(f"transaction not included within {SYNC_TX_TIMEOUT}s")
-        receipt = done[0]
+        tx = sign_transaction(keypair, payload)
+        client_submit(self.sim, chain, tx, done.append, SUBMIT_LATENCY)
+        receipt = self._drive(done, SYNC_TX_TIMEOUT, "transaction not included")
         if not receipt.success:
             raise SimulationError(f"setup transaction failed: {receipt.error}")
         return receipt
@@ -113,15 +107,20 @@ class IBCExperiment(Node):
             mover, contract, source_id, target_id,
             completions=completions, on_done=done.append,
         )
-        deadline = self.sim.now + SYNC_MOVE_TIMEOUT
-        while not done and self.sim.now < deadline:
-            self.sim.run(until=self.sim.now + 5.0)
-        if not done:
-            raise SimulationError(f"move did not complete within {SYNC_MOVE_TIMEOUT}s")
-        phases = done[0]
+        phases = self._drive(done, SYNC_MOVE_TIMEOUT, "move did not complete")
         if not phases.success:
             raise SimulationError(f"move failed: {phases.error}")
         return phases
+
+    def _drive(self, done: List, timeout: float, late: str):
+        """Run the simulator in 5 s steps until ``done`` holds a result
+        (returned) or ``timeout`` simulated seconds pass."""
+        deadline = self.sim.now + timeout
+        while not done and self.sim.now < deadline:
+            self.sim.run(until=self.sim.now + 5.0)
+        if not done:
+            raise SimulationError(f"{late} within {timeout}s")
+        return done[0]
 
     # ------------------------------------------------------------------
     # Scenarios

@@ -125,8 +125,10 @@ class StateMachineContext:
         self._state.storage_set(self._contract, key.to_bytes(32, "big"), raw)
 
     def balance_of(self, address: int) -> int:
-        """Native balance of the 20-byte tail of ``address``."""
-        return self._state.balance_of(Address(address.to_bytes(20, "big")))
+        """Native balance of the 20-byte tail of ``address`` (the low
+        160 bits of the word, as the EVM reads it)."""
+        low = address & ((1 << 160) - 1)
+        return self._state.balance_of(Address(low.to_bytes(20, "big")))
 
     def move_to(self, target_chain: int) -> None:
         """OP_MOVE: the contract moves itself (gas charged by the VM)."""

@@ -290,12 +290,6 @@ class Runtime:
         self._frame(ctx, sender, 0, getattr(cls, hook), cls(ctx, address), args)
         return True
 
-    def bind(self, ctx: TxContext, target: Address) -> Contract:
-        """Instantiate a typed view over a deployed contract."""
-        record = self.state.require_contract(target)
-        cls = lookup_code(record.code_hash)
-        return cls(ctx, target)
-
     # ------------------------------------------------------------------
 
     @staticmethod

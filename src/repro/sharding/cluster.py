@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.chain.chain import Chain
+from repro.chain.chain import Chain, client_submit
 from repro.chain.params import burrow_params
 from repro.chain.tx import Transaction
 from repro.core.locator import active_chain
@@ -90,10 +90,12 @@ class ShardedCluster:
         for shard in self.shards:
             shard.fund(allocations)
 
-    def submit(self, shard_index: int, tx: Transaction) -> None:
-        """Submit from the client host: one network hop to the shard."""
-        shard = self.shards[shard_index]
-        self.sim.schedule(CLIENT_SUBMIT_LATENCY, shard.submit, tx)
+    def submit(self, shard_index: int, tx: Transaction, on_receipt) -> None:
+        """Submit from the client host, one network hop from the shard;
+        ``on_receipt(receipt)`` fires once the transaction executes."""
+        client_submit(
+            self.sim, self.shards[shard_index], tx, on_receipt, CLIENT_SUBMIT_LATENCY
+        )
 
     def locate_contract(self, address: Address) -> Optional[int]:
         """Shard *index* holding the active copy of a contract, if any.

@@ -28,10 +28,11 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.apps.kitties import KittyRegistry
-from repro.chain.tx import CallPayload, DeployPayload, sign_transaction
+from repro.apps.kitties import KittyRegistry, breed
+from repro.chain.tx import CallPayload, DeployPayload, Transaction, sign_transaction
 from repro.crypto.keys import Address, KeyPair
 from repro.errors import StateError
 from repro.ibc.bridge import IBCBridge
@@ -161,8 +162,7 @@ class KittiesReplayer:
             tx = sign_transaction(
                 self.game_owner, DeployPayload(code_hash=KittyRegistry.CODE_HASH)
             )
-            self.cluster.shard(index).wait_for(tx.tx_id, lambda r, i=index: after(i, r))
-            self.cluster.submit(index, tx)
+            self.cluster.submit(index, tx, partial(after, index))
 
     # ------------------------------------------------------------------
     # Scheduling with the outstanding-transaction window
@@ -217,8 +217,7 @@ class KittiesReplayer:
     # Transaction plumbing
     # ------------------------------------------------------------------
 
-    def _submit(self, shard: int, keypair: KeyPair, payload, on_receipt) -> None:
-        tx = sign_transaction(keypair, payload)
+    def _submit(self, shard: int, tx: Transaction, on_receipt) -> None:
         self._outstanding[shard] += 1
 
         def callback(receipt) -> None:
@@ -230,8 +229,7 @@ class KittiesReplayer:
             on_receipt(receipt)
             self._drain_waiting(shard)
 
-        self.cluster.shard(shard).wait_for(tx.tx_id, callback)
-        self.cluster.submit(shard, tx)
+        self.cluster.submit(shard, tx, callback)
 
     def _complete_op(self, op: TraceOp) -> None:
         self.report.ops_completed += 1
@@ -264,12 +262,8 @@ class KittiesReplayer:
             )
             self._complete_op(op)
 
-        self._submit(
-            shard,
-            self.game_owner,
-            CallPayload(registry, "create_promo_kitty", (owner.address,)),
-            done,
-        )
+        payload = CallPayload(registry, "create_promo_kitty", (owner.address,))
+        self._submit(shard, sign_transaction(self.game_owner, payload), done)
 
     def _run_approve(self, op: TraceOp, shard: int) -> None:
         sire = self.cats[op.params["sire"]]
@@ -280,12 +274,8 @@ class KittiesReplayer:
             assert receipt.success, f"approve failed: {receipt.error}"
             self._complete_op(op)
 
-        self._submit(
-            shard,
-            sire_owner,
-            CallPayload(sire.address, "approve_siring", (matron_owner.address,)),
-            done,
-        )
+        payload = CallPayload(sire.address, "approve_siring", (matron_owner.address,))
+        self._submit(shard, sign_transaction(sire_owner, payload), done)
 
     def _run_transfer(self, op: TraceOp, shard: int) -> None:
         cat = self.cats[op.params["cat"]]
@@ -298,12 +288,8 @@ class KittiesReplayer:
             cat.owner = new_owner_index
             self._complete_op(op)
 
-        self._submit(
-            shard,
-            old_owner,
-            CallPayload(cat.address, "transfer_ownership", (new_owner.address,)),
-            done,
-        )
+        payload = CallPayload(cat.address, "transfer_ownership", (new_owner.address,))
+        self._submit(shard, sign_transaction(old_owner, payload), done)
 
     def _run_breed(self, op: TraceOp, shard: int) -> None:
         matron = self.cats[op.params["matron"]]
@@ -338,27 +324,25 @@ class KittiesReplayer:
         )
 
     def _breed_here(self, op: TraceOp, matron: _CatState, sire: _CatState, owner) -> None:
-        def after_breed(receipt) -> None:
-            assert receipt.success, f"breed failed: {receipt.error}"
-            self._submit(
-                matron.shard,
-                owner,
-                CallPayload(matron.address, "give_birth"),
-                after_birth,
-            )
-
-        def after_birth(receipt) -> None:
-            assert receipt.success, f"give_birth failed: {receipt.error}"
-            self.cats[op.params["child"]] = _CatState(
-                address=receipt.return_value,
-                shard=matron.shard,
-                owner=op.params["owner"],
-            )
-            self._complete_op(op)
-
-        self._submit(
+        breed(
+            self._submit,
             matron.shard,
             owner,
-            CallPayload(matron.address, "breed_with", (sire.address,)),
-            after_breed,
+            matron.address,
+            sire.address,
+            partial(self._born, op, matron),
+            self._barren,
         )
+
+    def _born(self, op: TraceOp, matron: _CatState, receipt) -> None:
+        assert receipt.success, f"give_birth failed: {receipt.error}"
+        self.cats[op.params["child"]] = _CatState(
+            address=receipt.return_value,
+            shard=matron.shard,
+            owner=op.params["owner"],
+        )
+        self._complete_op(op)
+
+    @staticmethod
+    def _barren(receipt) -> None:
+        raise AssertionError(f"breed failed: {receipt.error}")

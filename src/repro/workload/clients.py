@@ -35,8 +35,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.apps.scoin import SCoin
-from repro.chain.tx import CallPayload, DeployPayload, sign_transaction
+from repro.apps.scoin import open_accounts
+from repro.chain.tx import CallPayload, sign_transaction
 from repro.crypto.keys import Address, KeyPair
 from repro.ibc.bridge import IBCBridge
 from repro.sharding.cluster import ShardedCluster
@@ -162,11 +162,9 @@ class ScoinWorkload:
             for i in range(total)
         ]
         self.token_owner = KeyPair.from_name("scoin-owner")
-        self.token: Optional[Address] = None
         self._by_account: Dict[Address, _Client] = {}
         self.report: Optional[WorkloadReport] = None
         self._measuring = False
-        self._home = self.cluster.shard(0)
 
     # ------------------------------------------------------------------
     # Setup: deploy the token, create/mint/place accounts
@@ -175,45 +173,20 @@ class ScoinWorkload:
     def setup(self, on_ready) -> None:
         """Asynchronously build the token world; ``on_ready()`` fires
         when every account sits on its hash-assigned shard."""
-        deploy = sign_transaction(self.token_owner, DeployPayload(code_hash=SCoin.CODE_HASH))
+        open_accounts(
+            self.cluster.submit,
+            0,
+            self.token_owner,
+            [client.keypair for client in self.clients],
+            self.tokens_per_client,
+            lambda _token, accounts: self._place_accounts(accounts, on_ready),
+        )
 
-        def after_deploy(receipt) -> None:
-            assert receipt.success, receipt.error
-            self.token = receipt.return_value
-            self._create_accounts(on_ready)
-
-        self._home.wait_for(deploy.tx_id, after_deploy)
-        self.cluster.submit(0, deploy)
-
-    def _create_accounts(self, on_ready) -> None:
-        pending = [len(self.clients)]
-
-        def after_create(client: _Client, receipt) -> None:
-            assert receipt.success, receipt.error
-            client.account, _salt = receipt.return_value
-            self._by_account[client.account] = client
-            mint = sign_transaction(
-                self.token_owner,
-                CallPayload(self.token, "mint_to", (client.account, self.tokens_per_client)),
-            )
-            self._home.wait_for(mint.tx_id, lambda r: after_mint(client, r))
-            self.cluster.submit(0, mint)
-
-        def after_mint(client: _Client, receipt) -> None:
-            assert receipt.success, receipt.error
-            pending[0] -= 1
-            if pending[0] == 0:
-                self._place_accounts(on_ready)
-
-        for client in self.clients:
-            tx = sign_transaction(
-                client.keypair, CallPayload(self.token, "new_account_for", (client.keypair.address,))
-            )
-            self._home.wait_for(tx.tx_id, lambda r, c=client: after_create(c, r))
-            self.cluster.submit(0, tx)
-
-    def _place_accounts(self, on_ready) -> None:
+    def _place_accounts(self, accounts: List[Address], on_ready) -> None:
         """Move every account to its hash-partitioned home shard."""
+        for client, account in zip(self.clients, accounts):
+            client.account = account
+            self._by_account[account] = client
         if self.hot_shard is not None:
             for client in self.clients:
                 home = self.cluster.shard_index_of(client.account)
@@ -242,7 +215,7 @@ class ScoinWorkload:
             self.bridge.move_contract(
                 client.keypair,
                 client.account,
-                source_id=self._home.chain_id,
+                source_id=1,  # shard 0, where every account opened
                 target_id=target_index + 1,
                 on_done=lambda phases, c=client: after_move(c, phases),
             )
@@ -447,10 +420,6 @@ class ScoinWorkload:
 
     def _single_shard_transfer(self, client, target, started, retries) -> None:
         target.pins += 1
-        tx = sign_transaction(
-            client.keypair,
-            CallPayload(client.account, "transfer_tokens", (target.account, 1)),
-        )
 
         def after(receipt) -> None:
             if not receipt.success:
@@ -459,8 +428,8 @@ class ScoinWorkload:
                 return
             self._finish_op(client, target, started, "single-shard", retries)
 
-        self.cluster.shard(client.shard).wait_for(tx.tx_id, after)
-        self.cluster.submit(client.shard, tx)
+        payload = CallPayload(client.account, "transfer_tokens", (target.account, 1))
+        self.cluster.submit(client.shard, sign_transaction(client.keypair, payload), after)
 
     def _cross_shard_transfer(self, client, target, started, retries) -> None:
         client.busy = True

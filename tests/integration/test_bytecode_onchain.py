@@ -9,6 +9,7 @@ code + storage on the target chain.
 import pytest
 
 from repro.chain.tx import BytecodeCallPayload, DeployBytecodePayload, Move2Payload
+from repro.crypto.keys import Address
 from repro.vm.assembler import assemble
 from tests.helpers import ALICE, BOB, ManualClock, make_chain_pair, produce, run_tx
 
@@ -214,3 +215,22 @@ def test_create2_style_bytecode_address():
     assert receipt.return_value == create2_address(
         burrow.chain_id, ALICE.address, 9, keccak(COUNTER_CODE)
     )
+
+
+def test_balance_reads_the_low_160_bits_of_its_word():
+    # The EVM's BALANCE takes an address from the low 160 bits of the
+    # word; a word of 32 0xff bytes names the address of 20 0xff bytes.
+    burrow, _ethereum = make_chain_pair()
+    clock = ManualClock()
+    rich = Address(b"\xff" * 20)
+    burrow.fund({rich: 123_456})
+    code = assemble(f"PUSH32 0x{'ff' * 32}\nBALANCE\nPUSH1 0\nSSTORE\nSTOP")
+    probe = run_tx(burrow, clock, ALICE, DeployBytecodePayload(code=code)).return_value
+    receipt = run_tx(burrow, clock, ALICE, BytecodeCallPayload(probe, b""))
+    assert receipt.success, receipt.error
+    stored = burrow.state.storage_get(probe, (0).to_bytes(32, "big"))
+    assert int.from_bytes(stored, "big") == 123_456
+    faults = burrow.telemetry.metrics.counter(
+        "chain_tx_faults_total", chain=burrow.chain_id, kind="OverflowError"
+    )
+    assert faults.value == 0

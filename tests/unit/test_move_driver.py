@@ -26,12 +26,14 @@ from repro.api import (
     burrow_params,
     sign_transaction,
 )
+from repro.apps.kitties import breed
+from repro.apps.scoin import open_accounts
 from repro.apps.store import StateStore
 from repro.chain.chain import Chain
 from repro.chain.tx import DeployPayload
 from repro.core.registry import ChainRegistry
 from repro.errors import ProofError
-from repro.faults.chaos import ChaosReport, ChaosWorld, _scoin_setup
+from repro.faults.chaos import ChaosReport, ChaosWorld, _kitties_setup, _scoin_setup
 from repro.ibc import bridge as bridge_module
 from repro.ibc.bridge import IBCBridge, MovePhases, drive_move
 from repro.ibc.headers import connect_chains
@@ -304,7 +306,8 @@ def test_mid_move_shed_reaches_the_handle_and_releases_the_key():
 
 
 # ----------------------------------------------------------------------
-# (e) a finished move leaves no cyclic garbage, through any caller
+# (e) a finished move, or an app's client step, leaves no cyclic
+#     garbage, through any caller
 # ----------------------------------------------------------------------
 
 
@@ -419,6 +422,65 @@ def chaos_move(proofs_fail):
 )
 def test_moves_leave_no_cyclic_garbage(caller, argument):
     assert caller(argument) == []
+
+
+def scoin_open_accounts(holders):
+    """SCoin's client setup for ``holders`` chaos actors, through the
+    shared step over the chaos world's ``submit``."""
+    world = ChaosWorld(seed=2, actors=holders)
+    world.node.start()
+    keypairs = [actor.keypair for actor in world.actors]
+
+    def run():
+        ready = []
+        open_accounts(
+            world.submit, 1, world.owner, keypairs, 10,
+            lambda token, accounts: ready.append(accounts),
+        )
+        while not ready:
+            world.sim.run(until=world.sim.now + 5.0)
+        assert len(ready[0]) == holders and None not in ready[0]
+
+    garbage = cyclic_garbage(run)
+    world.node.stop()
+    return garbage
+
+
+def kitties_breed(_argument):
+    """One breed-and-birth of a chaos actor's two cats, through the
+    shared step over the chaos world's ``submit``."""
+    world = ChaosWorld(seed=2, actors=1)
+    world.node.start()
+    ready = []
+    _kitties_setup(world, ready.append)
+    while not ready:
+        world.sim.run(until=world.sim.now + 5.0)
+    (actor,) = world.actors
+
+    def run():
+        born, barren = [], []
+        breed(
+            world.submit, 1, actor.keypair, actor.contract, actor.partner,
+            born.append, barren.append,
+        )
+        while not (born or barren):
+            world.sim.run(until=world.sim.now + 5.0)
+        assert barren == [] and born[0].success, born[0].error
+
+    garbage = cyclic_garbage(run)
+    world.node.stop()
+    return garbage
+
+
+@pytest.mark.parametrize(
+    "step,argument",
+    [
+        pytest.param(scoin_open_accounts, 3, id="scoin-open-accounts"),
+        pytest.param(kitties_breed, None, id="kitties-breed"),
+    ],
+)
+def test_app_steps_leave_no_cyclic_garbage(step, argument):
+    assert step(argument) == []
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chain.tx import DeployPayload, Move1Payload
 from repro.crypto.hashing import keccak
 from repro.crypto.keys import Address, KeyPair, create2_address
 from repro.errors import ContractLocked, OutOfGas, Revert
@@ -17,10 +18,10 @@ from repro.runtime import (
     register_contract,
     view,
 )
-from repro.runtime.context import Msg
 from repro.runtime.contract import require
 from repro.statedb.state import WorldState
 from repro.vm.gas import ETHEREUM_SCHEDULE, GasMeter
+from tests.helpers import ManualClock, make_chain_pair, run_tx
 
 ALICE = KeyPair.from_name("alice").address
 BOB = KeyPair.from_name("bob").address
@@ -245,17 +246,19 @@ def test_no_code_deposit_on_burrow_flavour(world):
     assert meter.by_category.get("code_deposit", 0) == 0
 
 
-def test_default_move_to_refuses(world):
-    _, runtime = world
-    ctx = make_ctx(runtime)
-    addr = runtime.deploy(ctx, Wallet, (), sender=ALICE)
-    instance = runtime.bind(ctx, addr)
-    ctx.push_msg(Msg(ALICE, 0))
-    try:
-        with pytest.raises(Revert, match="does not implement moveTo"):
-            instance.move_to(2)
-    finally:
-        ctx.pop_msg()
+def test_default_move_to_refuses():
+    # A contract that does not implement moveTo cannot be moved: its
+    # owner's Move1, submitted and included like any transaction, fails.
+    burrow, _ethereum = make_chain_pair()
+    clock = ManualClock()
+    owner = KeyPair.from_name("alice")
+    wallet = run_tx(burrow, clock, owner, DeployPayload(code_hash=Wallet.CODE_HASH))
+    assert wallet.success, wallet.error
+    move1 = Move1Payload(contract=wallet.return_value, target_chain=2)
+    receipt = run_tx(burrow, clock, owner, move1)
+    assert not receipt.success
+    assert "does not implement moveTo" in receipt.error
+    assert burrow.location_of(wallet.return_value) == burrow.chain_id
 
 
 def test_events_recorded(world):

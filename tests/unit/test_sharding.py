@@ -73,9 +73,11 @@ def test_cluster_submit_reaches_shard():
     cluster.fund_all({alice.address: 100})
     cluster.start()
     tx = sign_transaction(alice, TransferPayload(to=bob.address, amount=5))
-    cluster.submit(1, tx)
+    heard = []
+    cluster.submit(1, tx, heard.append)
     cluster.run(until=20.0)
-    assert cluster.shard(1).receipts[tx.tx_id].success
+    assert heard == [cluster.shard(1).receipts[tx.tx_id]]
+    assert heard[0].success
     assert cluster.shard(1).balance_of(bob.address) == 5
     assert cluster.shard(0).balance_of(bob.address) == 0
 
@@ -88,9 +90,10 @@ def test_locate_contract_across_shards():
     alice = KeyPair.from_name("a")
     cluster.start()
     tx = sign_transaction(alice, DeployPayload(code_hash=StoreContract.CODE_HASH))
-    cluster.submit(1, tx)
+    heard = []
+    cluster.submit(1, tx, heard.append)
     cluster.run(until=20.0)
-    addr = cluster.shard(1).receipts[tx.tx_id].return_value
+    addr = heard[0].return_value
     assert cluster.locate_contract(addr) == 1
     missing = KeyPair.from_name("nothing").address
     assert cluster.locate_contract(missing) is None
